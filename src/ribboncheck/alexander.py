@@ -12,8 +12,10 @@ their quotient embeds in a free module; and over a Noetherian UFD the
 gcd of the rank-indexed Fitting ideal is the order of the torsion
 submodule.
 
-All elimination is fraction-free (Bareiss): every division performed is
-exact in the Laurent ring, so no rational-function arithmetic is needed.
+All elimination is fraction-free (Bareiss) and goes through one routine,
+_eliminate, which both module_rank and determinant call: every division
+performed is exact in the Laurent ring, so no rational-function
+arithmetic is needed.
 
 Convention: the gcd of the empty set of 0 x 0 minors is 1, so split
 links and unlinks get Delta = 1 (the order of the trivial torsion
@@ -57,44 +59,68 @@ class AlexanderPolynomial:
         return laurent.poly_to_str(self.value)
 
 
+def _eliminate(rows, nvars):
+    """
+    Fraction-free (Bareiss) row echelon form of a matrix of LaurentPolys,
+    the one elimination routine of this module.  Pivots on rows, column
+    by column; a column with no nonzero entry left is skipped.
+
+    Returns (rank, pivot rows, pivot columns, last pivot, sign).  The
+    pivot rows are in the order the swaps left them; the last pivot is
+    the determinant of the pivot rows x pivot columns submatrix in that
+    row order, so of a square matrix of full rank it is the determinant
+    times sign, the parity of the row swaps.
+    """
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    order = list(range(nrows))
+    pivot_cols = []
+    prev = LaurentPoly.one(nvars)
+    sign = 1
+    k = 0
+    for c in range(ncols):
+        if k == nrows:
+            break
+        piv = next((i for i in range(k, nrows) if not m[i][c].is_zero()), None)
+        if piv is None:
+            continue
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            order[k], order[piv] = order[piv], order[k]
+            sign = -sign
+        for i in range(k + 1, nrows):
+            for j in range(c + 1, ncols):
+                num = m[k][c] * m[i][j] - m[i][c] * m[k][j]
+                q = exact_divide(num, prev)
+                if q is None:
+                    raise ComputationError("Bareiss division failed")
+                m[i][j] = q
+            m[i][c] = LaurentPoly.zero(nvars)
+        prev = m[k][c]
+        pivot_cols.append(c)
+        k += 1
+    return k, order[:k], pivot_cols, prev, sign
+
+
 def determinant(rows):
-    """
-    Exact determinant of a square matrix of LaurentPolys by fraction-free
-    elimination with row pivoting.
-    """
+    """Exact determinant of a square matrix of LaurentPolys."""
     n = len(rows)
     if n == 0:
         raise ValueError("determinant of an empty matrix is a convention; "
                          "handle 0x0 at the call site")
     nvars = rows[0][0].nvars
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = LaurentPoly.one(nvars)
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
-        if piv is None:
-            return LaurentPoly.zero(nvars)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                q = exact_divide(num, prev)
-                if q is None:
-                    raise ComputationError("Bareiss division failed")
-                m[i][j] = q
-            m[i][k] = LaurentPoly.zero(nvars)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+    rank, _, _, pivot, sign = _eliminate(rows, nvars)
+    if rank < n:
+        return LaurentPoly.zero(nvars)
+    return -pivot if sign < 0 else pivot
 
 
 def module_rank(pres):
     """
     Rank of the presentation matrix over the fraction field, with a
     witnessing set of pivot rows/columns and the corresponding nonzero
-    minor.  Fraction-free elimination with full pivoting.
+    minor.
 
     >>> from .linkcodec import parse_link_spec
     >>> from .wirtinger import wirtinger_presentation
@@ -103,48 +129,8 @@ def module_rank(pres):
     >>> module_rank(A).rank
     0
     """
-    nvars = pres.nvars
-    nrows, ncols = pres.num_relators, pres.num_generators
-    m = [list(row) for row in pres.matrix]
-    row_idx = list(range(nrows))
-    col_idx = list(range(ncols))
-    prev = LaurentPoly.one(nvars)
-    rank = 0
-    for k in range(min(nrows, ncols)):
-        piv = None
-        for i in range(k, nrows):
-            for j in range(k, ncols):
-                if not m[i][j].is_zero():
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        pi, pj = piv
-        if pi != k:
-            m[k], m[pi] = m[pi], m[k]
-            row_idx[k], row_idx[pi] = row_idx[pi], row_idx[k]
-        if pj != k:
-            for row in m:
-                row[k], row[pj] = row[pj], row[k]
-            col_idx[k], col_idx[pj] = col_idx[pj], col_idx[k]
-        for i in range(k + 1, nrows):
-            for j in range(k + 1, ncols):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                q = exact_divide(num, prev)
-                if q is None:
-                    raise ComputationError("Bareiss division failed")
-                m[i][j] = q
-            m[i][k] = LaurentPoly.zero(nvars)
-        prev = m[k][k]
-        rank = k + 1
-    if rank == 0:
-        return RankCertificate(0, (), (), LaurentPoly.one(nvars))
-    return RankCertificate(rank,
-                           tuple(sorted(row_idx[:rank])),
-                           tuple(sorted(col_idx[:rank])),
-                           prev)
+    rank, rows, cols, pivot, _ = _eliminate(pres.matrix, pres.nvars)
+    return RankCertificate(rank, tuple(sorted(rows)), tuple(cols), pivot)
 
 
 def _minor(pres, rows, cols):

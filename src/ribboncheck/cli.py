@@ -3,14 +3,16 @@ Command-line interface.
 
     ribboncheck compute "braid:n=2:1 1 1"
     ribboncheck obstruct "braid:n=2:1 1 1" "braid:n=3:1 -2 1 -2" --both-directions
-    ribboncheck batch table.csv --pairs --jobs 4
+    ribboncheck batch table.csv --pairs
     ribboncheck validate "pd:X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"
     ribboncheck oracle-check "braid:n=2:1 1 1" --covers 2 3 5
 
 Exit codes carry operational status only: 0 success, 2 input/parse
 error, 3 computation error.  Mathematical verdicts are data, never exit
-codes.  RIBBONCHECK_MAX_CROSSINGS (default 24) bounds accepted diagram
-sizes.
+codes.  RIBBONCHECK_MAX_CROSSINGS (default 24, a non-negative integer)
+bounds accepted diagram sizes.  batch accepts --jobs N and ignores it:
+each row's polynomial is computed once, in one thread, and reused for
+the --pairs matrix.
 """
 
 import argparse
@@ -18,12 +20,10 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .linkcodec import DiagramError, ParseError, parse_link_spec
 from .alexander import ComputationError, alexander_polynomial
-from .obstruct import (ComponentMismatch, obstruction_from_polynomials,
-                       ribbon_obstruction)
+from .obstruct import ComponentMismatch, obstruction_from_polynomials
 from .oracles import (cyclic_cover_check, reidemeister_schreier, torres_check)
 from .wirtinger import wirtinger_presentation
 
@@ -36,15 +36,20 @@ DEFAULT_MAX_CROSSINGS = 24
 
 def _max_crossings():
     raw = os.environ.get("RIBBONCHECK_MAX_CROSSINGS", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_CROSSINGS
-    except ValueError:
+    if not raw:
         return DEFAULT_MAX_CROSSINGS
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise ParseError("RIBBONCHECK_MAX_CROSSINGS must be a non-negative "
+                         "integer, not %r" % raw)
+    return limit
 
 
-def _load(spec):
+def _load(spec, limit):
     diagram = parse_link_spec(spec)
-    limit = _max_crossings()
     if diagram.num_crossings > limit:
         raise ParseError(
             "diagram has %d crossings; limit is %d "
@@ -53,8 +58,8 @@ def _load(spec):
     return diagram
 
 
-def _compute_record(name, spec):
-    diagram = _load(spec)
+def _compute_record(name, spec, limit):
+    diagram = _load(spec, limit)
     delta = alexander_polynomial(diagram)
     record = {}
     if name is not None:
@@ -65,11 +70,11 @@ def _compute_record(name, spec):
         "crossings": diagram.num_crossings,
         "alexander": str(delta),
     })
-    return record
+    return record, delta
 
 
 def cmd_compute(args):
-    record = _compute_record(None, args.spec)
+    record, _ = _compute_record(None, args.spec, args.max_crossings)
     if args.json:
         print(json.dumps(record))
     else:
@@ -79,19 +84,24 @@ def cmd_compute(args):
     return EXIT_OK
 
 
+def _mismatch_record(names, exc):
+    return {"direction": list(names), "verdict": "component_mismatch",
+            "reason": str(exc)}
+
+
 def cmd_obstruct(args):
-    dj = _load(args.spec_j)
-    dl = _load(args.spec_l)
-    directions = [("J", "L", dj, dl)]
+    dj = _load(args.spec_j, args.max_crossings)
+    dl = _load(args.spec_l, args.max_crossings)
+    deltas = {"J": alexander_polynomial(dj), "L": alexander_polynomial(dl)}
+    directions = [("J", "L")]
     if args.both_directions:
-        directions.append(("L", "J", dl, dj))
-    for label_from, label_to, da, db in directions:
+        directions.append(("L", "J"))
+    for names in directions:
         try:
-            report = ribbon_obstruction(da, db, names=(label_from, label_to))
+            report = obstruction_from_polynomials(
+                deltas[names[0]], deltas[names[1]], names=names)
         except ComponentMismatch as exc:
-            payload = {"direction": [label_from, label_to],
-                       "verdict": "component_mismatch", "reason": str(exc)}
-            print(json.dumps(payload) if args.json
+            print(json.dumps(_mismatch_record(names, exc)) if args.json
                   else "component mismatch: %s" % exc)
             continue
         print(report.to_json() if args.json else report.summary())
@@ -114,65 +124,44 @@ def _batch_rows(path):
         return rows
 
 
+def _pair_line(delta_j, delta_l, names):
+    if delta_j is None or delta_l is None:
+        return json.dumps({"direction": list(names),
+                           "error": {"kind": "parse",
+                                     "message": "unparseable operand"}})
+    try:
+        return obstruction_from_polynomials(delta_j, delta_l,
+                                            names=names).to_json()
+    except ComponentMismatch as exc:
+        return json.dumps(_mismatch_record(names, exc))
+
+
 def cmd_batch(args):
     rows = _batch_rows(args.csv_path)
-
-    def compute_one(item):
-        name, spec = item
+    deltas = {}
+    for name, spec in rows:
+        delta = None
         try:
-            return json.dumps(_compute_record(name, spec))
+            record, delta = _compute_record(name, spec, args.max_crossings)
         except (ParseError, DiagramError) as exc:
-            return json.dumps({"name": name, "spec": spec,
-                               "error": {"kind": "parse", "message": str(exc)}})
+            record = {"name": name, "spec": spec,
+                      "error": {"kind": "parse", "message": str(exc)}}
         except ComputationError as exc:
-            return json.dumps({"name": name, "spec": spec,
-                               "error": {"kind": "compute", "message": str(exc)}})
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            lines = list(pool.map(compute_one, rows))
-    else:
-        lines = [compute_one(r) for r in rows]
-    for line in lines:
-        print(line)
+            record = {"name": name, "spec": spec,
+                      "error": {"kind": "compute", "message": str(exc)}}
+        deltas[name] = delta
+        print(json.dumps(record))
 
     if args.pairs:
-        deltas = {}
-        for name, spec in rows:
-            try:
-                deltas[name] = alexander_polynomial(_load(spec))
-            except (ParseError, DiagramError, ComputationError):
-                deltas[name] = None
-
-        def one_pair(pair):
-            (name_j, name_l) = pair
-            dj, dl = deltas[name_j], deltas[name_l]
-            if dj is None or dl is None:
-                return json.dumps({"direction": [name_j, name_l],
-                                   "error": {"kind": "parse",
-                                             "message": "unparseable operand"}})
-            try:
-                report = obstruction_from_polynomials(dj, dl,
-                                                      names=(name_j, name_l))
-                return report.to_json()
-            except ComponentMismatch as exc:
-                return json.dumps({"direction": [name_j, name_l],
-                                   "verdict": "component_mismatch",
-                                   "reason": str(exc)})
-
-        pairs = [(a, b) for a, _ in rows for b, _ in rows]
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                for line in pool.map(one_pair, pairs):
-                    print(line)
-        else:
-            for pair in pairs:
-                print(one_pair(pair))
+        for name_j, _ in rows:
+            for name_l, _ in rows:
+                print(_pair_line(deltas[name_j], deltas[name_l],
+                                 (name_j, name_l)))
     return EXIT_OK
 
 
 def cmd_validate(args):
-    diagram = _load(args.spec)
+    diagram = _load(args.spec, args.max_crossings)
     pres, phi = wirtinger_presentation(diagram)
     print(json.dumps({
         "spec": args.spec,
@@ -186,7 +175,7 @@ def cmd_validate(args):
 
 
 def cmd_oracle_check(args):
-    diagram = _load(args.spec)
+    diagram = _load(args.spec, args.max_crossings)
     results = []
     if diagram.num_components == 1:
         pres, phi = wirtinger_presentation(diagram)
@@ -230,7 +219,8 @@ def build_parser():
     p.add_argument("csv_path")
     p.add_argument("--pairs", action="store_true",
                    help="also emit the full pairwise obstruction matrix")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="accepted and ignored; rows run one after another")
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("validate", help="parse and structurally check a spec")
@@ -249,6 +239,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.max_crossings = _max_crossings()
         return args.func(args)
     except (ParseError, DiagramError, FileNotFoundError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -20,7 +20,8 @@ from typing import Optional, Tuple
 
 from . import laurent
 from .laurent import LaurentPoly, exact_divide
-from .alexander import AlexanderPolynomial, alexander_polynomial
+from .alexander import (AlexanderPolynomial, ComputationError,
+                        alexander_polynomial)
 
 
 class ComponentMismatch(ValueError):
@@ -71,31 +72,23 @@ def ribbon_obstruction(diagram_j, diagram_l, names=("J", "L")):
     >>> r.verdict
     'obstructed'
     """
-    if diagram_j.num_components != diagram_l.num_components:
-        raise ComponentMismatch(
-            "component counts differ (%d vs %d); concordance preserves them"
-            % (diagram_j.num_components, diagram_l.num_components))
-    dj = alexander_polynomial(diagram_j)
-    dl = alexander_polynomial(diagram_l)
-    return _report(dj, dl, names)
-
-
-def _report(dj, dl, names):
-    g = laurent.gcd(dj.value, dl.value)
-    quotient = exact_divide(dj.value, dl.value)
-    verdict = NOT_OBSTRUCTED if quotient is not None else OBSTRUCTED
-    if quotient is not None and dl.value * quotient != dj.value:
-        raise AssertionError("division witness failed verification")
-    return ObstructionReport(tuple(names), dj, dl, verdict, quotient, g)
+    return obstruction_from_polynomials(alexander_polynomial(diagram_j),
+                                        alexander_polynomial(diagram_l), names)
 
 
 def obstruction_from_polynomials(delta_j, delta_l, names=("J", "L")):
-    """Build a report from polynomials already computed (batch mode)."""
+    """Apply the divisibility test to polynomials already computed."""
     if delta_j.nvars != delta_l.nvars:
         raise ComponentMismatch(
             "component counts differ (%d vs %d); concordance preserves them"
             % (delta_j.nvars, delta_l.nvars))
-    return _report(delta_j, delta_l, names)
+    g = laurent.gcd(delta_j.value, delta_l.value)
+    quotient = exact_divide(delta_j.value, delta_l.value)
+    verdict = NOT_OBSTRUCTED if quotient is not None else OBSTRUCTED
+    if quotient is not None and delta_l.value * quotient != delta_j.value:
+        raise ComputationError("division witness failed verification")
+    return ObstructionReport(tuple(names), delta_j, delta_l, verdict,
+                             quotient, g)
 
 
 def coprimality_report(diagram_j, diagram_l):
@@ -103,10 +96,4 @@ def coprimality_report(diagram_j, diagram_l):
     gcd of the two polynomials, canonicalized.  A unit gcd obstructs in
     both directions as soon as both polynomials are nonunits.
     """
-    if diagram_j.num_components != diagram_l.num_components:
-        raise ComponentMismatch(
-            "component counts differ (%d vs %d)"
-            % (diagram_j.num_components, diagram_l.num_components))
-    dj = alexander_polynomial(diagram_j)
-    dl = alexander_polynomial(diagram_l)
-    return laurent.gcd(dj.value, dl.value)
+    return ribbon_obstruction(diagram_j, diagram_l).gcd_value

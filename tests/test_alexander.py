@@ -102,6 +102,7 @@ class TestModuleRank:
                 sub = [[pres.matrix[i][j] for j in cert.pivot_columns]
                        for i in cert.pivot_rows]
                 assert not determinant(sub).is_zero()
+                assert canonical(cert.minor) == canonical(determinant(sub))
 
 
 class TestTorsionOrder:

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from ribboncheck import alexander, cli, obstruct
 from ribboncheck.tables import table_path
 
 
@@ -48,6 +49,10 @@ class TestCompute:
                     env={"RIBBONCHECK_MAX_CROSSINGS": "40"})
         assert r.returncode == 0
         assert r.stdout.splitlines()[0].startswith("t^24")
+        r = run_cli("compute", "braid:n=2:1 1 1",
+                    env={"RIBBONCHECK_MAX_CROSSINGS": "abc"})
+        assert r.returncode == 2
+        assert "RIBBONCHECK_MAX_CROSSINGS" in r.stderr
 
 
 class TestObstruct:
@@ -163,6 +168,48 @@ class TestBatch:
         path.write_text("a,b\nx,y\n")
         r = run_cli("batch", str(path))
         assert r.returncode == 2
+
+
+class TestSinglePass:
+    """In-process runs of cli.main, so that module functions can be patched."""
+
+    def count_torsion_calls(self, monkeypatch):
+        calls = []
+        original = alexander.torsion_order
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(alexander, "torsion_order", counted)
+        return calls
+
+    def test_batch_pairs_computes_each_delta_once(self, tmp_path, monkeypatch,
+                                                   capsys):
+        path = tmp_path / "table.csv"
+        path.write_text("name,spec\ntrefoil,braid:n=2:1 1 1\n"
+                        "fig8,braid:n=3:1 -2 1 -2\nhopf,braid:n=2:1 1\n"
+                        "unknot,braid:n=1:\n")
+        calls = self.count_torsion_calls(monkeypatch)
+        assert cli.main(["batch", str(path), "--pairs"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4 + 16
+        assert len(calls) == 4
+
+    def test_obstruct_both_directions_computes_each_delta_once(
+            self, monkeypatch, capsys):
+        calls = self.count_torsion_calls(monkeypatch)
+        assert cli.main(["obstruct", "--both-directions", "braid:n=2:1 1 1",
+                         "braid:n=3:1 -2 1 -2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        assert len(calls) == 2
+
+    def test_failed_division_witness_is_a_computation_error(
+            self, monkeypatch, capsys):
+        # Delta_J itself is no quotient of trefoil by trefoil
+        monkeypatch.setattr(obstruct, "exact_divide", lambda a, b: a)
+        code = cli.main(["obstruct", "braid:n=2:1 1 1", "braid:n=2:1 1 1"])
+        assert code == 3
+        assert "division witness" in capsys.readouterr().err
 
 
 class TestValidate:
