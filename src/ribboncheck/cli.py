@@ -10,9 +10,14 @@ Command-line interface.
 Exit codes carry operational status only: 0 success, 2 input/parse
 error, 3 computation error.  Mathematical verdicts are data, never exit
 codes.  RIBBONCHECK_MAX_CROSSINGS (default 24, a non-negative integer)
-bounds accepted diagram sizes.  batch accepts --jobs N and ignores it:
-each row's polynomial is computed once, in one thread, and reused for
-the --pairs matrix.
+bounds accepted diagram sizes: a diagram may have at most that many
+crossings, and a braid spec at most twice that many strands plus one
+(a crossing joins two strands), checked before its closure is built.
+
+batch records an error in one row, including an unexpected one (kind
+"internal", with the traceback on stderr), and goes on with the next
+row.  It accepts --jobs N and ignores it: each row's polynomial is
+computed once, in one thread, and reused for the --pairs matrix.
 """
 
 import argparse
@@ -21,7 +26,7 @@ import json
 import os
 import sys
 
-from .linkcodec import DiagramError, ParseError, parse_link_spec
+from .linkcodec import DiagramError, ParseError, parse_link_spec, spec_strands
 from .alexander import ComputationError, alexander_polynomial
 from .obstruct import ComponentMismatch, obstruction_from_polynomials
 from .oracles import (cyclic_cover_check, reidemeister_schreier, torres_check)
@@ -49,6 +54,12 @@ def _max_crossings():
 
 
 def _load(spec, limit):
+    strands = spec_strands(spec)
+    if strands is not None and strands > 2 * limit + 1:
+        raise ParseError(
+            "braid has %d strands; limit is %d, twice the crossing limit "
+            "plus one (raise RIBBONCHECK_MAX_CROSSINGS to accept)"
+            % (strands, 2 * limit + 1))
     diagram = parse_link_spec(spec)
     if diagram.num_crossings > limit:
         raise ParseError(
@@ -149,6 +160,13 @@ def cmd_batch(args):
         except ComputationError as exc:
             record = {"name": name, "spec": spec,
                       "error": {"kind": "compute", "message": str(exc)}}
+        except Exception as exc:
+            # one row's bug must not cost the other rows their results
+            import traceback
+            traceback.print_exc(file=sys.stderr)
+            record = {"name": name, "spec": spec,
+                      "error": {"kind": "internal", "message": "%s: %s"
+                                % (type(exc).__name__, exc)}}
         deltas[name] = delta
         print(json.dumps(record))
 

@@ -193,6 +193,21 @@ def parse_braid(text):
     >>> parse_braid("n=2: 1 1 1")
     BraidWord(strands=2, letters=(1, 1, 1))
     """
+    n, tail = _braid_head(text)
+    letters = []
+    for tok in tail.replace(",", " ").split():
+        try:
+            k = int(tok)
+        except ValueError:
+            raise ParseError("braid letter %r is not an integer" % tok)
+        if k == 0 or abs(k) > n - 1:
+            raise ParseError("generator %d out of range for %d strands" % (k, n))
+        letters.append(k)
+    return BraidWord(n, tuple(letters))
+
+
+def _braid_head(text):
+    """Split "n=3: 1 -2 1 -2" into the strand count and the letter text."""
     s = text.strip()
     if not s.startswith("n"):
         raise ParseError("braid spec must start with 'n='", 0)
@@ -208,16 +223,21 @@ def parse_braid(text):
         raise ParseError("strand count %r is not an integer" % head.strip())
     if n < 1:
         raise ParseError("strand count must be >= 1")
-    letters = []
-    for tok in tail.replace(",", " ").split():
-        try:
-            k = int(tok)
-        except ValueError:
-            raise ParseError("braid letter %r is not an integer" % tok)
-        if k == 0 or abs(k) > n - 1:
-            raise ParseError("generator %d out of range for %d strands" % (k, n))
-        letters.append(k)
-    return BraidWord(n, tuple(letters))
+    return n, tail
+
+
+def spec_strands(text):
+    """
+    Strand count of a "braid:..." spec, read from its head alone, before
+    anything is built; None for any other spec.
+
+    >>> spec_strands("braid:n=1000000:1"), spec_strands("pd:X(1,2,2,1)")
+    (1000000, None)
+    """
+    s = text.strip()
+    if s.lower().startswith("braid:"):
+        return _braid_head(s[6:])[0]
+    return None
 
 
 def parse_link_spec(text):

@@ -1,12 +1,17 @@
 import random
 from itertools import combinations
 
-from ribboncheck.alexander import (alexander_polynomial, determinant,
-                                   module_rank, torsion_order)
+import pytest
+
+from ribboncheck import alexander
+from ribboncheck.alexander import (ComputationError, alexander_polynomial,
+                                   determinant, module_rank, torsion_order)
 from ribboncheck.foxcalc import AlexanderPresentation, jacobian
-from ribboncheck.laurent import LaurentPoly, canonical, parse_poly
-from ribboncheck.linkcodec import braid_closure, connected_sum, parse_braid, \
-    parse_link_spec
+from ribboncheck.laurent import LaurentPoly, canonical, divides, gcd, \
+    parse_poly
+from ribboncheck.linkcodec import BraidWord, braid_closure, connected_sum, \
+    parse_braid, parse_link_spec
+from ribboncheck.tables import knot_table, link_table
 from ribboncheck.wirtinger import wirtinger_presentation
 
 from conftest import random_braid_knot, random_poly
@@ -224,3 +229,241 @@ class TestInvariance:
         d = alexander_polynomial(
             braid_closure(connected_sum(w, w.inverse()))).value
         assert d == parse_poly("t^4 - 2*t^3 + 3*t^2 - 2*t + 1", 1)
+
+
+def definition_delta(pres):
+    """
+    The torsion order by its definition on the matrix as given, with no
+    reduction and no blocks: the gcd of all r x r minors, r the rank.
+    """
+    r = module_rank(pres).rank
+    if r == 0:
+        return LaurentPoly.one(pres.nvars)
+    running = LaurentPoly.zero(pres.nvars)
+    for rows in combinations(range(pres.num_relators), r):
+        for cols in combinations(range(pres.num_generators), r):
+            d = determinant([[pres.matrix[i][j] for j in cols] for i in rows])
+            if not d.is_zero() and not (running and divides(running, d)):
+                running = gcd(running, d)
+    return canonical(running)
+
+
+def fox_matrix(diagram):
+    return jacobian(*wirtinger_presentation(diagram))
+
+
+def split_union(*words):
+    """The braid side by side: the closure is the split union of theirs."""
+    letters, offset = [], 0
+    for w in words:
+        letters += [k + offset if k > 0 else k - offset for k in w.letters]
+        offset += w.strands
+    return BraidWord(offset, tuple(letters))
+
+
+def random_braid(rng, max_strands, max_letters):
+    n = rng.randint(1, max_strands)
+    if n == 1:
+        return BraidWord(1, ())
+    return BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
+                              for _ in range(rng.randint(0, max_letters))))
+
+
+class TestReducedAgainstDefinition:
+    """Delta after reduction and blocks against the unreduced definition."""
+
+    def check(self, diagram):
+        A = fox_matrix(diagram)
+        assert torsion_order(A).value == definition_delta(A), diagram
+        # without its last relator no row is redundant, so a block that
+        # lost a row would lose rank
+        if A.num_relators:
+            B = AlexanderPresentation(A.matrix[:-1], A.nvars,
+                                      A.generator_component)
+            assert torsion_order(B).value == definition_delta(B), diagram
+
+    def test_random_closures(self):
+        rng = random.Random(8128)
+        for _ in range(40):
+            self.check(braid_closure(random_braid(rng, 4, 7)))
+
+    def test_split_unions(self):
+        rng = random.Random(6174)
+        for _ in range(8):
+            w1 = random_braid(rng, 3, 4)
+            w2 = random_braid(rng, 3, 7 - len(w1.letters))
+            self.check(braid_closure(split_union(w1, w2)))
+
+    def test_bundled_pd_codes(self):
+        for name, spec in knot_table() + link_table():
+            if spec.startswith("pd:"):
+                self.check(parse_link_spec(spec))
+
+
+def random_knot_braid(rng, strands, low, high):
+    """A random braid knot; an n-cycle has the parity of n - 1 letters."""
+    crossings = rng.choice([c for c in range(low, high + 1)
+                            if (c - strands + 1) % 2 == 0])
+    while True:
+        word = BraidWord(strands, tuple(
+            rng.choice([1, -1]) * rng.randint(1, strands - 1)
+            for _ in range(crossings)))
+        if len(word.cycles()) == 1:
+            return word
+
+
+def reduced_burau_delta(word):
+    """
+    Delta of the closure of a braid knot from the reduced Burau
+    representation psi, written with sympy: for a braid on n strands,
+    det(I - psi(beta)) * (1 - t) / (1 - t^n) = Delta(t) up to a unit.
+    Returns the coefficients of that polynomial, lowest degree first,
+    stripped of powers of t and with a positive leading coefficient.
+
+    psi(sigma_i) is the identity but for row i: t, -t, 1 in columns
+    i - 1, i, i + 1 (those that exist).  t * psi(sigma_i)^-1 is t times
+    the identity but for row i: t, -1, 1.  With m inverse letters,
+    psi(beta) = t^-m P for a polynomial matrix P, and
+    det(I - psi(beta)) = t^-m(n-1) det(t^m I - P), all over Z[t].
+    """
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    t = sympy.Symbol("t")
+    ring = sympy.ZZ[t]
+    T = ring.convert(t)
+    size = word.strands - 1
+
+    def letter(k):
+        diagonal = ring.one if k > 0 else T
+        rows = [[diagonal if a == b else ring.zero for b in range(size)]
+                for a in range(size)]
+        i = abs(k) - 1
+        row = (T, -T, ring.one) if k > 0 else (T, -ring.one, ring.one)
+        for j, entry in zip((i - 1, i, i + 1), row):
+            if 0 <= j < size:
+                rows[i][j] = entry
+        return DomainMatrix(rows, (size, size), ring)
+
+    product = DomainMatrix.eye(size, ring)
+    for k in word.letters:
+        product = product * letter(k)
+    m = sum(1 for k in word.letters if k < 0)
+    det = (DomainMatrix.eye(size, ring) * T ** m - product).det()
+    numer = sympy.Poly(ring.to_sympy(det) * (1 - t), t)
+    quotient, remainder = sympy.div(numer, sympy.Poly(1 - t ** word.strands, t))
+    assert remainder.is_zero
+    coeffs = quotient.all_coeffs()[::-1]
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    if coeffs[-1] < 0:
+        coeffs = [-c for c in coeffs]
+    return [int(c) for c in coeffs]
+
+
+def coefficient_list(value):
+    """Coefficients of a canonical one-variable polynomial, lowest first."""
+    top = max(e for (e,) in value.terms)
+    return [value.terms.get((e,), 0) for e in range(top + 1)]
+
+
+class TestBurauIdentity:
+    """Delta of random braid knots against an independent route."""
+
+    def test_burau_trefoil_and_figure_eight(self):
+        assert reduced_burau_delta(parse_braid("n=2:1 1 1")) == [1, -1, 1]
+        assert reduced_burau_delta(parse_braid("n=3:1 -2 1 -2")) == [1, -3, 1]
+
+    def test_random_braid_knots(self):
+        rng = random.Random(1729)
+        for _ in range(20):
+            word = random_knot_braid(rng, rng.randint(3, 5), 16, 24)
+            value = alexander_polynomial(braid_closure(word)).value
+            assert coefficient_list(value) == reduced_burau_delta(word), word
+
+
+def embedded(value, offset, nvars):
+    """A polynomial in t_1..t_k as one in t_{offset+1}..t_{offset+k} of nvars."""
+    pad = nvars - offset - value.nvars
+    return LaurentPoly(nvars, {(0,) * offset + e + (0,) * pad: c
+                               for e, c in value.terms.items()})
+
+
+class TestSplitUnions:
+    """Split unions: Delta is the product of the pieces' Delta, per block."""
+
+    PIECES = {"3_1": "n=2:1 1 1", "4_1": "n=3:1 -2 1 -2",
+              "5_1": "n=2:1 1 1 1 1", "T(2,4)": "n=2:1 1 1 1"}
+
+    def check(self, names, blocks):
+        words = [parse_braid(self.PIECES[name]) for name in names]
+        union = braid_closure(split_union(*words))
+        result = alexander_polynomial(union)
+        expected = LaurentPoly.one(union.num_components)
+        offset = 0
+        for word in words:
+            piece = braid_closure(word)
+            expected = expected * embedded(
+                alexander_polynomial(piece).value, offset,
+                union.num_components)
+            offset += piece.num_components
+        assert result.value == canonical(expected)
+        assert len(result.source["blocks"]) == blocks
+        assert {b["path"] for b in result.source["blocks"]} == {"shortcut"}
+        return result
+
+    def test_two_cinquefoils(self):
+        result = self.check(("5_1", "5_1"), 2)
+        assert result.value == (
+            parse_poly("t1^4 - t1^3 + t1^2 - t1 + 1", 2) *
+            parse_poly("t2^4 - t2^3 + t2^2 - t2 + 1", 2))
+        assert delta("braid:n=4:1 1 1 1 1 3 3 3 3 3").value == result.value
+
+    def test_three_components_eleven_crossings(self):
+        self.check(("3_1", "3_1", "5_1"), 3)
+
+    def test_five_components_fifteen_crossings(self):
+        self.check(("3_1", "4_1", "4_1", "T(2,4)"), 4)
+
+
+class TestReductionAndBlocks:
+    def test_hand_built_matrices_against_the_definition(self):
+        zero, one = LaurentPoly.zero(1), LaurentPoly.one(1)
+        two = LaurentPoly.constant(2, 1)
+        a, b = parse_poly("t + 1", 1), parse_poly("t^2 + 1", 1)
+        diagonal = presentation_from_rows([[a, zero], [zero, b]], 1, 2)
+        chain = presentation_from_rows([[a, two, zero], [zero, a, two]], 1, 3)
+        # the unit pivot leaves the one-entry row [b - a]
+        pivot = presentation_from_rows([[one, a], [one, b]], 1, 2)
+        # diagram-shaped, but the row sets' minors a and b differ
+        shaped = presentation_from_rows([[a, -a], [b, -b]], 1, 2)
+        for pres, expected, blocks in (
+                (diagonal, canonical(a * b), 2),
+                (chain, one, 1),
+                (pivot, parse_poly("t - 1", 1), 1),
+                (shaped, one, 1)):
+            result = torsion_order(pres)
+            assert result.value == expected == definition_delta(pres)
+            assert len(result.source["blocks"]) == blocks
+
+    def test_blocks_in_source(self):
+        a = delta("braid:n=2:1 1 1")
+        assert a.source["blocks"] == [{"rows": 2, "columns": 2,
+                                       "path": "shortcut"}]
+        unlink = delta("braid:n=3:")
+        assert [b["path"] for b in unlink.source["blocks"]] == ["rank0"] * 3
+
+    def test_fallback_and_its_budget(self, monkeypatch):
+        rows = [[parse_poly(p, 1) for p in ("t + 1", "t^2 - 1", "2*t + 2")],
+                [parse_poly(p, 1) for p in ("2*t + 2", "2*t^2 - 2", "4*t + 4")]]
+        pres = presentation_from_rows(rows, 1, 3)
+        result = torsion_order(pres)
+        assert result.value == parse_poly("t + 1", 1)
+        assert result.source["blocks"] == [{"rows": 2, "columns": 3,
+                                            "path": "fallback"}]
+        # rank 1 on a 2x3 block: C(2,1) * C(3,1) = 6 minors
+        monkeypatch.setattr(alexander, "FALLBACK_MINOR_BUDGET", 5)
+        with pytest.raises(ComputationError) as info:
+            torsion_order(pres)
+        assert "budget of 5" in str(info.value)
+        assert "2x3" in str(info.value)

@@ -54,6 +54,17 @@ class TestCompute:
         assert r.returncode == 2
         assert "RIBBONCHECK_MAX_CROSSINGS" in r.stderr
 
+    def test_strand_bound(self):
+        # at most 2 * 24 + 1 strands under the default crossing limit
+        r = run_cli("compute", "braid:n=1000000:1")
+        assert r.returncode == 2
+        assert "RIBBONCHECK_MAX_CROSSINGS" in r.stderr
+        assert run_cli("compute", "braid:n=49:1").returncode == 0
+        assert run_cli("compute", "braid:n=50:1").returncode == 2
+        r = run_cli("compute", "braid:n=50:1",
+                    env={"RIBBONCHECK_MAX_CROSSINGS": "25"})
+        assert r.returncode == 0
+
 
 class TestObstruct:
     def test_obstructed_pair(self):
@@ -210,6 +221,42 @@ class TestSinglePass:
         code = cli.main(["obstruct", "braid:n=2:1 1 1", "braid:n=2:1 1 1"])
         assert code == 3
         assert "division witness" in capsys.readouterr().err
+
+
+    def test_strand_bound_is_checked_before_the_closure(self, monkeypatch,
+                                                       capsys):
+        def refuse(spec):
+            raise AssertionError("closure built for %s" % spec)
+
+        monkeypatch.setattr(cli, "parse_link_spec", refuse)
+        assert cli.main(["compute", "braid:n=99999999:1"]) == 2
+        assert "RIBBONCHECK_MAX_CROSSINGS" in capsys.readouterr().err
+
+    def test_unexpected_row_error_is_isolated(self, tmp_path, monkeypatch,
+                                              capsys):
+        path = tmp_path / "table.csv"
+        path.write_text("name,spec\ntrefoil,braid:n=2:1 1 1\n"
+                        "fig8,braid:n=3:1 -2 1 -2\nunknot,braid:n=1:\n")
+        original = cli.alexander_polynomial
+
+        def fails_on_fig8(diagram):
+            if diagram.num_crossings == 4:
+                raise ValueError("boom")
+            return original(diagram)
+
+        monkeypatch.setattr(cli, "alexander_polynomial", fails_on_fig8)
+        assert cli.main(["batch", str(path), "--pairs"]) == 0
+        out, err = capsys.readouterr()
+        assert "ValueError: boom" in err  # the traceback
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert len(lines) == 3 + 9
+        assert lines[0]["alexander"] == "t^2 - t + 1"
+        assert lines[1]["error"] == {"kind": "internal",
+                                     "message": "ValueError: boom"}
+        assert lines[2]["alexander"] == "1"
+        pairs = {tuple(line["direction"]): line for line in lines[3:]}
+        assert pairs[("unknot", "trefoil")]["verdict"] == "obstructed"
+        assert "error" in pairs[("fig8", "trefoil")]
 
 
 class TestValidate:
