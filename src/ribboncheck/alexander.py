@@ -34,6 +34,7 @@ of the orders of its split pieces.
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Tuple
@@ -70,8 +71,13 @@ class AlexanderPolynomial:
     nvars: int
     source: dict = field(compare=False, default_factory=dict)
 
-    def __str__(self):
+    @cached_property
+    def text(self):
+        """The value in the exchange format, rendered once."""
         return laurent.poly_to_str(self.value)
+
+    def __str__(self):
+        return self.text
 
 
 def _eliminate(rows, nvars):

@@ -107,14 +107,17 @@ def cmd_obstruct(args):
     directions = [("J", "L")]
     if args.both_directions:
         directions.append(("L", "J"))
+    gcd_value = None
     for names in directions:
         try:
             report = obstruction_from_polynomials(
-                deltas[names[0]], deltas[names[1]], names=names)
+                deltas[names[0]], deltas[names[1]], names=names,
+                gcd_value=gcd_value)
         except ComponentMismatch as exc:
             print(json.dumps(_mismatch_record(names, exc)) if args.json
                   else "component mismatch: %s" % exc)
             continue
+        gcd_value = report.gcd_value
         print(report.to_json() if args.json else report.summary())
     return EXIT_OK
 
@@ -135,21 +138,18 @@ def _batch_rows(path):
         return rows
 
 
-def _pair_line(delta_j, delta_l, names):
-    if delta_j is None or delta_l is None:
-        return json.dumps({"direction": list(names),
-                           "error": {"kind": "parse",
-                                     "message": "unparseable operand"}})
-    try:
-        return obstruction_from_polynomials(delta_j, delta_l,
-                                            names=names).to_json()
-    except ComponentMismatch as exc:
-        return json.dumps(_mismatch_record(names, exc))
+# what a pair line says when an operand's row has no polynomial, by the
+# kind of that row's error
+_OPERAND_ERRORS = {"parse": "unparseable operand",
+                   "compute": "operand's polynomial could not be computed",
+                   "internal": "internal error in operand"}
 
 
 def cmd_batch(args):
     rows = _batch_rows(args.csv_path)
-    deltas = {}
+    # per row, by index (names may repeat): its polynomial, or None and
+    # the kind of its error
+    deltas, kinds = [], []
     for name, spec in rows:
         delta = None
         try:
@@ -167,14 +167,30 @@ def cmd_batch(args):
             record = {"name": name, "spec": spec,
                       "error": {"kind": "internal", "message": "%s: %s"
                                 % (type(exc).__name__, exc)}}
-        deltas[name] = delta
+        deltas.append(delta)
+        kinds.append(record["error"]["kind"] if delta is None else None)
         print(json.dumps(record))
 
     if args.pairs:
-        for name_j, _ in rows:
-            for name_l, _ in rows:
-                print(_pair_line(deltas[name_j], deltas[name_l],
-                                 (name_j, name_l)))
+        gcds = {}  # (i, j) with i <= j -> gcd of the two rows' polynomials
+        for i, (name_j, _) in enumerate(rows):
+            for j, (name_l, _) in enumerate(rows):
+                names = (name_j, name_l)
+                failed = kinds[i] or kinds[j]
+                if failed:
+                    print(json.dumps({"direction": list(names), "error": {
+                        "kind": failed, "message": _OPERAND_ERRORS[failed]}}))
+                    continue
+                key = (min(i, j), max(i, j))
+                try:
+                    report = obstruction_from_polynomials(
+                        deltas[i], deltas[j], names=names,
+                        gcd_value=gcds.get(key))
+                except ComponentMismatch as exc:
+                    print(json.dumps(_mismatch_record(names, exc)))
+                    continue
+                gcds[key] = report.gcd_value
+                print(report.to_json())
     return EXIT_OK
 
 

@@ -482,12 +482,15 @@ def divides(d, p):
 # ----- gcd -------------------------------------------------------------------
 #
 # Z[t1^±1,...,tm^±1] is a UFD, so gcds exist up to units.  We compute on
-# the unit-shifted ordinary polynomials, treating the ring recursively as
-# (Z[t1..t_{m-1}])[t_m]: split off the content in the last variable, take
-# a subresultant polynomial remainder sequence of the primitive parts, and
-# recurse on the coefficient ring.  The recursion bottoms out at constants
-# (0 variables), where the gcd is the integer gcd: integer content is part
-# of divisibility here since only ±monomials are units.
+# the unit-shifted ordinary polynomials.  With two or more variables the
+# ring is treated recursively as (Z[t1..t_{m-1}])[t_m]: split off the
+# content in the last variable, take a subresultant polynomial remainder
+# sequence of the primitive parts, and recurse on the coefficient ring.
+# The recursion bottoms out at one variable, on dense lists of Python
+# ints: take the integer contents apart, run Euclid on the primitive
+# parts with pseudo-remainders made primitive at each step (Knuth, TAOCP
+# vol. 2, 4.6.1), and multiply back by the gcd of the contents.  Integer
+# content is part of divisibility here, since only ±monomials are units.
 
 def gcd(p, q):
     """
@@ -504,6 +507,8 @@ def gcd(p, q):
         return canonical(q)
     if q.is_zero():
         return canonical(p)
+    if p.nvars == 0:
+        return LaurentPoly.constant(_int_gcd(p.terms[()], q.terms[()]), 0)
     a = p.shifted(tuple(-v for v in p.min_exponents()))
     b = q.shifted(tuple(-v for v in q.min_exponents()))
     return canonical(_gcd_poly(a, b))
@@ -574,14 +579,64 @@ def _pseudo_rem(a, b):
     return r
 
 
+def _dense(p):
+    """Coefficient list, constant term first, of an ordinary 1-variable p."""
+    out = [0] * (max(e for (e,) in p.terms) + 1)
+    for (e,), c in p.terms.items():
+        out[e] = c
+    return out
+
+
+def _prem_dense(a, b):
+    """
+    A nonzero integer multiple of the remainder of a by b, for coefficient
+    lists with len(a) >= len(b): each step scales by lc(b) / g and
+    subtracts lead / g times the shifted b, g = gcd(lc(b), lead), which
+    keeps the coefficients smaller than the classical lc(b)^k factor.
+    """
+    r = list(a)
+    lcb, db = b[-1], len(b) - 1
+    while len(r) > db:
+        lead = r.pop()
+        if lead:
+            g = _int_gcd(lcb, lead)
+            scale, factor, k = lcb // g, lead // g, len(r) - db
+            r = [x * scale for x in r]
+            for i in range(db):
+                r[k + i] -= factor * b[i]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _gcd_dense(a, b):
+    """gcd in Z[t] of two nonzero coefficient lists, leading term positive."""
+    ca, cb = _int_gcd(*a), _int_gcd(*b)
+    a = [x // ca for x in a]
+    b = [x // cb for x in b]
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem_dense(a, b)
+        if not r:
+            break
+        cr = _int_gcd(*r)
+        a, b = b, [x // cr for x in r]
+    # b is primitive: the gcd of the primitive parts, or ±1 if constant
+    c = _int_gcd(ca, cb) if b[-1] > 0 else -_int_gcd(ca, cb)
+    return [x * c for x in b]
+
+
 def _gcd_poly(p, q):
-    # ordinary (min-exponent-0) polynomials; result defined up to sign
+    # ordinary (min-exponent-0) polynomials in 1 or more variables;
+    # result defined up to sign
     if p.is_zero():
         return q
     if q.is_zero():
         return p
-    if p.nvars == 0:
-        return LaurentPoly.constant(_int_gcd(p.terms[()], q.terms[()]), 0)
+    if p.nvars == 1:
+        g = _gcd_dense(_dense(p), _dense(q))
+        return LaurentPoly(1, {(e,): c for e, c in enumerate(g) if c})
     ca, pa = _content_and_primitive(_split_last(p), p.nvars - 1)
     cb, pb = _content_and_primitive(_split_last(q), q.nvars - 1)
     cont = _gcd_poly(ca, cb)

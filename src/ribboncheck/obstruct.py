@@ -76,17 +76,29 @@ def ribbon_obstruction(diagram_j, diagram_l, names=("J", "L")):
                                         alexander_polynomial(diagram_l), names)
 
 
-def obstruction_from_polynomials(delta_j, delta_l, names=("J", "L")):
-    """Apply the divisibility test to polynomials already computed."""
+def obstruction_from_polynomials(delta_j, delta_l, names=("J", "L"),
+                                 gcd_value=None):
+    """
+    Apply the divisibility test to polynomials already computed.
+
+    gcd_value, when given, is the gcd of the same two polynomials from
+    the other direction's report; it is used when Delta_L does not
+    divide Delta_J.  When it does, the gcd is Delta_L itself and no gcd
+    is computed.
+    """
     if delta_j.nvars != delta_l.nvars:
         raise ComponentMismatch(
             "component counts differ (%d vs %d); concordance preserves them"
             % (delta_j.nvars, delta_l.nvars))
-    g = laurent.gcd(delta_j.value, delta_l.value)
     quotient = exact_divide(delta_j.value, delta_l.value)
-    verdict = NOT_OBSTRUCTED if quotient is not None else OBSTRUCTED
-    if quotient is not None and delta_l.value * quotient != delta_j.value:
-        raise ComputationError("division witness failed verification")
+    if quotient is not None:
+        if delta_l.value * quotient != delta_j.value:
+            raise ComputationError("division witness failed verification")
+        verdict, g = NOT_OBSTRUCTED, laurent.canonical(delta_l.value)
+    else:
+        verdict = OBSTRUCTED
+        g = (gcd_value if gcd_value is not None
+             else laurent.gcd(delta_j.value, delta_l.value))
     return ObstructionReport(tuple(names), delta_j, delta_l, verdict,
                              quotient, g)
 

@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from ribboncheck import alexander, cli, obstruct
+from ribboncheck import alexander, cli, laurent, obstruct
 from ribboncheck.tables import table_path
 
 
@@ -153,6 +153,33 @@ class TestBatch:
         assert lines[1]["error"]["kind"] == "parse"
         assert "alexander" in lines[2]
 
+    def test_duplicate_names_keep_their_own_polynomials(self, tmp_path):
+        path = self.make_csv(tmp_path, [
+            "A,braid:n=2:1 1 1",
+            "A,braid:n=3:1 -2 1 -2",
+        ])
+        r = run_cli("batch", path, "--pairs")
+        lines = [json.loads(line) for line in r.stdout.splitlines()]
+        assert len(lines) == 2 + 4
+        first_second = lines[3]  # rows (0, 1): 3_1 against 4_1
+        assert first_second["deltaJ"] == "t^2 - t + 1"
+        assert first_second["deltaL"] == "t^2 - 3*t + 1"
+        assert first_second["verdict"] == "obstructed"
+        assert lines[5]["deltaJ"] == lines[5]["deltaL"] == "t^2 - 3*t + 1"
+
+    def test_pair_lines_of_an_unparseable_row(self, tmp_path):
+        path = self.make_csv(tmp_path, [
+            "good,braid:n=2:1 1 1",
+            "bad,braid:n=2: 9",
+        ])
+        r = run_cli("batch", path, "--pairs")
+        assert r.returncode == 0
+        lines = r.stdout.splitlines()
+        assert lines[3] == ('{"direction": ["good", "bad"], "error": '
+                            '{"kind": "parse", "message": "unparseable operand"}}')
+        assert all(json.loads(line)["error"]["kind"] == "parse"
+                   for line in lines[3:])
+
     def test_jobs_output_identical_to_serial(self, tmp_path):
         path = self.make_csv(tmp_path, [
             "trefoil,braid:n=2:1 1 1",
@@ -195,6 +222,17 @@ class TestSinglePass:
         monkeypatch.setattr(alexander, "torsion_order", counted)
         return calls
 
+    def record_gcd_calls(self, monkeypatch):
+        calls = []
+        original = laurent.gcd
+
+        def recorded(p, q):
+            calls.append((str(p), str(q)))
+            return original(p, q)
+
+        monkeypatch.setattr(laurent, "gcd", recorded)
+        return calls
+
     def test_batch_pairs_computes_each_delta_once(self, tmp_path, monkeypatch,
                                                    capsys):
         path = tmp_path / "table.csv"
@@ -209,10 +247,67 @@ class TestSinglePass:
     def test_obstruct_both_directions_computes_each_delta_once(
             self, monkeypatch, capsys):
         calls = self.count_torsion_calls(monkeypatch)
+        gcds = self.record_gcd_calls(monkeypatch)
         assert cli.main(["obstruct", "--both-directions", "braid:n=2:1 1 1",
                          "braid:n=3:1 -2 1 -2"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
         assert len(calls) == 2
+        # neither divides the other: one gcd, reused for (L, J)
+        assert gcds == [("t^2 - t + 1", "t^2 - 3*t + 1")]
+
+    def test_batch_pairs_takes_one_gcd_per_unordered_pair(
+            self, tmp_path, monkeypatch, capsys):
+        # 3_1, 3_1 # 4_1, 4_1 and the Hopf link: Delta(4_1) divides
+        # Delta(3_1 # 4_1), and so does Delta(3_1)
+        path = tmp_path / "table.csv"
+        path.write_text("name,spec\ntrefoil,braid:n=2:1 1 1\n"
+                        "sum,braid:n=4:1 1 1 2 -3 2 -3\n"
+                        "fig8,braid:n=3:1 -2 1 -2\nhopf,braid:n=2:1 1\n")
+        gcds = self.record_gcd_calls(monkeypatch)
+        assert cli.main(["batch", str(path), "--pairs"]) == 0
+        lines = [json.loads(line) for line in
+                 capsys.readouterr().out.splitlines()[4:]]
+        assert len(lines) == 16
+        verdicts = {tuple(line["direction"]): line.get("verdict")
+                    for line in lines}
+        assert verdicts[("sum", "fig8")] == "not_obstructed"
+        assert verdicts[("fig8", "sum")] == "obstructed"
+        # No gcd where the quotient exists (the diagonal, (sum, trefoil),
+        # (sum, fig8)) or the components differ, and the gcd of (J, L)
+        # serves (L, J).  The pair (trefoil, sum) is met first in the
+        # direction that does not divide, so it takes its gcd there.
+        assert gcds == [("t^2 - t + 1", "t^4 - 4*t^3 + 5*t^2 - 4*t + 1"),
+                        ("t^2 - t + 1", "t^2 - 3*t + 1")]
+
+    def test_batch_pair_lines_match_obstruct(self, tmp_path, capsys):
+        # knots and 2-component links; 3_1 twice (braid and PD), the
+        # unknot and the Hopf link divide everything of their count, and
+        # 3_1 and 4_1 divide 3_1 # 4_1: reused and skipped gcds both occur
+        rows = [("trefoil", "braid:n=2:1 1 1"),
+                ("trefoil_pd", "pd:X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"),
+                ("unknot", "braid:n=1:"), ("fig8", "braid:n=3:1 -2 1 -2"),
+                ("sum", "braid:n=4:1 1 1 2 -3 2 -3"),
+                ("hopf", "braid:n=2:1 1"), ("t24", "braid:n=2:1 1 1 1"),
+                ("t26", "braid:n=2:1 1 1 1 1 1")]
+        path = tmp_path / "table.csv"
+        path.write_text("name,spec\n" + "".join(
+            '%s,"%s"\n' % row for row in rows))
+        assert cli.main(["batch", str(path), "--pairs"]) == 0
+        pair_lines = capsys.readouterr().out.splitlines()[len(rows):]
+        assert len(pair_lines) == len(rows) ** 2
+        lines = iter(pair_lines)
+        verdicts = set()
+        for name_j, spec_j in rows:
+            for name_l, spec_l in rows:
+                assert cli.main(["obstruct", "--json", spec_j, spec_l]) == 0
+                single = json.loads(capsys.readouterr().out)
+                assert single.pop("direction") == ["J", "L"]
+                line = json.loads(next(lines))
+                assert line.pop("direction") == [name_j, name_l]
+                assert line == single
+                verdicts.add(line["verdict"])
+        assert verdicts == {"obstructed", "not_obstructed",
+                            "component_mismatch"}
 
     def test_failed_division_witness_is_a_computation_error(
             self, monkeypatch, capsys):
@@ -256,7 +351,30 @@ class TestSinglePass:
         assert lines[2]["alexander"] == "1"
         pairs = {tuple(line["direction"]): line for line in lines[3:]}
         assert pairs[("unknot", "trefoil")]["verdict"] == "obstructed"
-        assert "error" in pairs[("fig8", "trefoil")]
+        fig8_pairs = [line for names, line in pairs.items() if "fig8" in names]
+        assert len(fig8_pairs) == 5
+        assert all(line["error"]["kind"] == "internal" for line in fig8_pairs)
+
+    def test_pair_lines_carry_a_compute_error(self, tmp_path, monkeypatch,
+                                              capsys):
+        path = tmp_path / "table.csv"
+        path.write_text("name,spec\ntrefoil,braid:n=2:1 1 1\n"
+                        "fig8,braid:n=3:1 -2 1 -2\n")
+        original = cli.alexander_polynomial
+
+        def fails_on_fig8(diagram):
+            if diagram.num_crossings == 4:
+                raise alexander.ComputationError("past the budget")
+            return original(diagram)
+
+        monkeypatch.setattr(cli, "alexander_polynomial", fails_on_fig8)
+        assert cli.main(["batch", str(path), "--pairs"]) == 0
+        lines = [json.loads(line) for line in
+                 capsys.readouterr().out.splitlines()]
+        assert lines[1]["error"] == {"kind": "compute",
+                                     "message": "past the budget"}
+        assert lines[2]["verdict"] == "not_obstructed"
+        assert [line["error"]["kind"] for line in lines[3:]] == ["compute"] * 3
 
 
 class TestValidate:

@@ -123,6 +123,8 @@ class TestGcd:
     def test_subresultant_example(self):
         # content gcd(2, 1) = 1 times primitive gcd t - 1
         assert gcd(P("2*t - 2"), P("t^2 - 1")) == P("t - 1")
+        assert gcd(LaurentPoly.constant(6, 0), LaurentPoly.constant(-4, 0)) \
+            == LaurentPoly.constant(2, 0)
 
     def test_gcd_divides_both_random(self):
         rng = random.Random(4242)
@@ -157,34 +159,64 @@ class TestGcd:
     def test_against_sympy(self, seed):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(seed)
-        symbols = sympy.symbols("x0 x1")
-        done = 0
-        while done < 25:
+        symbols = sympy.symbols("x0 x1 x2")
+
+        def draw(m, **size):
+            return random_poly(rng, m, laurent=False, **size)
+
+        def factor(m, **size):
+            # a planted factor with at least two terms, so not a unit
+            while True:
+                f = draw(m, **size)
+                if len(f.terms) > 1:
+                    return f
+
+        cases = []
+        while len(cases) < 25:
             m = rng.choice((1, 2))
-            p = random_poly(rng, m, max_terms=4, max_exp=2, max_coeff=4,
-                            laurent=False)
-            q = random_poly(rng, m, max_terms=4, max_exp=2, max_coeff=4,
-                            laurent=False)
+            p = draw(m, max_terms=4, max_exp=2, max_coeff=4)
+            q = draw(m, max_terms=4, max_exp=2, max_coeff=4)
+            if not (p.is_zero() or q.is_zero()):
+                cases.append((m, p, q))
+        # integer content: gcd(2t - 2, 4t^2 - 4) = 2t - 2
+        cases.append((1, P("2*t - 2"), P("4*t^2 - 4")))
+        for m in (1, 1, 2, 2, 3):
+            # a planted common factor, and integer content on top
+            f = factor(m, max_terms=3, max_exp=2, max_coeff=3)
+            p = draw(m, max_terms=3, max_exp=2, max_coeff=3) * f
+            q = draw(m, max_terms=3, max_exp=2, max_coeff=3) * f
+            k = rng.randint(1, 4)
+            cases.append((m, p * (k * rng.randint(1, 3)), q * k))
+        for _ in range(5):
+            # one variable up to degree 10, with a planted factor
+            f = factor(1, max_terms=4, max_exp=4, max_coeff=5)
+            cases.append((1, draw(1, max_terms=6, max_exp=6, max_coeff=5) * f,
+                          draw(1, max_terms=6, max_exp=6, max_coeff=5) * f))
+        for _ in range(4):
+            # three variables: the recursion passes through two into one
+            f = factor(3, max_terms=3, max_exp=1, max_coeff=3)
+            cases.append((3, draw(3, max_terms=3, max_exp=2, max_coeff=4) * f,
+                          draw(3, max_terms=3, max_exp=2, max_coeff=4) * f))
+
+        def lift(poly):
+            expr = sympy.Integer(0)
+            for exps, coeff in poly.terms.items():
+                term = sympy.Integer(coeff)
+                for s, a in zip(symbols, exps):
+                    term *= s ** a
+                expr += term
+            return expr
+
+        def lower(expr, m):
+            poly = sympy.Poly(expr, *symbols[:m])
+            terms = {tuple(int(a) for a in mono): int(c)
+                     for mono, c in poly.terms()}
+            return LaurentPoly(m, terms)
+
+        for m, p, q in cases:
             if p.is_zero() or q.is_zero():
                 continue
-            done += 1
-
-            def lift(poly):
-                expr = sympy.Integer(0)
-                for exps, coeff in poly.terms.items():
-                    term = sympy.Integer(coeff)
-                    for s, a in zip(symbols, exps):
-                        term *= s ** a
-                    expr += term
-                return expr
-
-            def lower(expr):
-                poly = sympy.Poly(expr, *symbols[:m])
-                terms = {tuple(int(a) for a in mono): int(c)
-                         for mono, c in poly.terms()}
-                return LaurentPoly(m, terms)
-
-            expected = lower(sympy.gcd(lift(p), lift(q)))
+            expected = lower(sympy.gcd(lift(p), lift(q)), m)
             # Laurent gcds agree with polynomial gcds only up to monomial
             # units, so compare canonical forms
             assert gcd(p, q) == canonical(expected), (p, q)
