@@ -107,17 +107,16 @@ def cmd_obstruct(args):
     directions = [("J", "L")]
     if args.both_directions:
         directions.append(("L", "J"))
-    gcd_value = None
+    shared = {} if args.both_directions else None
     for names in directions:
         try:
             report = obstruction_from_polynomials(
                 deltas[names[0]], deltas[names[1]], names=names,
-                gcd_value=gcd_value)
+                shared=shared)
         except ComponentMismatch as exc:
             print(json.dumps(_mismatch_record(names, exc)) if args.json
                   else "component mismatch: %s" % exc)
             continue
-        gcd_value = report.gcd_value
         print(report.to_json() if args.json else report.summary())
     return EXIT_OK
 
@@ -172,7 +171,8 @@ def cmd_batch(args):
         print(json.dumps(record))
 
     if args.pairs:
-        gcds = {}  # (i, j) with i <= j -> gcd of the two rows' polynomials
+        # (i, j) with i < j -> what the two directions of rows i and j share
+        shared = {}
         for i, (name_j, _) in enumerate(rows):
             for j, (name_l, _) in enumerate(rows):
                 names = (name_j, name_l)
@@ -181,15 +181,14 @@ def cmd_batch(args):
                     print(json.dumps({"direction": list(names), "error": {
                         "kind": failed, "message": _OPERAND_ERRORS[failed]}}))
                     continue
-                key = (min(i, j), max(i, j))
+                pair = (None if i == j else
+                        shared.setdefault((min(i, j), max(i, j)), {}))
                 try:
                     report = obstruction_from_polynomials(
-                        deltas[i], deltas[j], names=names,
-                        gcd_value=gcds.get(key))
+                        deltas[i], deltas[j], names=names, shared=pair)
                 except ComponentMismatch as exc:
                     print(json.dumps(_mismatch_record(names, exc)))
                     continue
-                gcds[key] = report.gcd_value
                 print(report.to_json())
     return EXIT_OK
 

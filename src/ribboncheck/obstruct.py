@@ -77,28 +77,43 @@ def ribbon_obstruction(diagram_j, diagram_l, names=("J", "L")):
 
 
 def obstruction_from_polynomials(delta_j, delta_l, names=("J", "L"),
-                                 gcd_value=None):
+                                 shared=None):
     """
     Apply the divisibility test to polynomials already computed.
 
-    gcd_value, when given, is the gcd of the same two polynomials from
-    the other direction's report; it is used when Delta_L does not
-    divide Delta_J.  When it does, the gcd is Delta_L itself and no gcd
-    is computed.
+    The division comes first; when Delta_L divides Delta_J the gcd is
+    Delta_L itself.  shared, when given, is one dict that both
+    directions of the same two polynomials pass, in either order.  It
+    carries the gcd to the second direction and, when the first one
+    does not divide, the second direction's quotient: to know whether a
+    gcd is needed the first direction divides the other way too.  So a
+    pair takes one division per direction, in whichever order its
+    directions come, and a gcd only when neither polynomial divides the
+    other.
     """
     if delta_j.nvars != delta_l.nvars:
         raise ComponentMismatch(
             "component counts differ (%d vs %d); concordance preserves them"
             % (delta_j.nvars, delta_l.nvars))
-    quotient = exact_divide(delta_j.value, delta_l.value)
+    if shared is not None and "quotient" in shared:
+        quotient = shared.pop("quotient")
+    else:
+        quotient = exact_divide(delta_j.value, delta_l.value)
     if quotient is not None:
         if delta_l.value * quotient != delta_j.value:
             raise ComputationError("division witness failed verification")
         verdict, g = NOT_OBSTRUCTED, laurent.canonical(delta_l.value)
+    elif shared is None:
+        verdict, g = OBSTRUCTED, laurent.gcd(delta_j.value, delta_l.value)
     else:
-        verdict = OBSTRUCTED
-        g = (gcd_value if gcd_value is not None
-             else laurent.gcd(delta_j.value, delta_l.value))
+        verdict, g = OBSTRUCTED, shared.get("gcd")
+        if g is None:
+            shared["quotient"] = exact_divide(delta_l.value, delta_j.value)
+            g = (laurent.gcd(delta_j.value, delta_l.value)
+                 if shared["quotient"] is None
+                 else laurent.canonical(delta_j.value))
+    if shared is not None:
+        shared["gcd"] = g
     return ObstructionReport(tuple(names), delta_j, delta_l, verdict,
                              quotient, g)
 

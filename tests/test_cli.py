@@ -257,27 +257,43 @@ class TestSinglePass:
 
     def test_batch_pairs_takes_one_gcd_per_unordered_pair(
             self, tmp_path, monkeypatch, capsys):
-        # 3_1, 3_1 # 4_1, 4_1 and the Hopf link: Delta(4_1) divides
-        # Delta(3_1 # 4_1), and so does Delta(3_1)
-        path = tmp_path / "table.csv"
-        path.write_text("name,spec\ntrefoil,braid:n=2:1 1 1\n"
-                        "sum,braid:n=4:1 1 1 2 -3 2 -3\n"
-                        "fig8,braid:n=3:1 -2 1 -2\nhopf,braid:n=2:1 1\n")
+        # 3_1, 3_1 # 4_1, 4_1, T(2,4), the Hopf link and T(2,6):
+        # Delta(4_1) divides Delta(3_1 # 4_1), and so does Delta(3_1)
+        rows = ["trefoil,braid:n=2:1 1 1\n", "sum,braid:n=4:1 1 1 2 -3 2 -3\n",
+                "fig8,braid:n=3:1 -2 1 -2\n", "t24,braid:n=2:1 1 1 1\n",
+                "hopf,braid:n=2:1 1\n", "t26,braid:n=2:1 1 1 1 1 1\n"]
+        divisions = []
+        original = obstruct.exact_divide
+
+        def counted(a, b):
+            divisions.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(obstruct, "exact_divide", counted)
         gcds = self.record_gcd_calls(monkeypatch)
-        assert cli.main(["batch", str(path), "--pairs"]) == 0
-        lines = [json.loads(line) for line in
-                 capsys.readouterr().out.splitlines()[4:]]
-        assert len(lines) == 16
-        verdicts = {tuple(line["direction"]): line.get("verdict")
-                    for line in lines}
-        assert verdicts[("sum", "fig8")] == "not_obstructed"
-        assert verdicts[("fig8", "sum")] == "obstructed"
-        # No gcd where the quotient exists (the diagonal, (sum, trefoil),
-        # (sum, fig8)) or the components differ, and the gcd of (J, L)
-        # serves (L, J).  The pair (trefoil, sum) is met first in the
-        # direction that does not divide, so it takes its gcd there.
-        assert gcds == [("t^2 - t + 1", "t^4 - 4*t^3 + 5*t^2 - 4*t + 1"),
-                        ("t^2 - t + 1", "t^2 - 3*t + 1")]
+        # the same work in every row order, so a shuffled CSV costs the same
+        for order in (rows, rows[::-1], rows[1::2] + rows[0::2]):
+            del divisions[:], gcds[:]
+            path = tmp_path / "table.csv"
+            path.write_text("name,spec\n" + "".join(order))
+            assert cli.main(["batch", str(path), "--pairs"]) == 0
+            lines = [json.loads(line) for line in
+                     capsys.readouterr().out.splitlines()[6:]]
+            assert len(lines) == 36
+            verdicts = {tuple(line["direction"]): line.get("verdict")
+                        for line in lines}
+            assert verdicts[("sum", "fig8")] == "not_obstructed"
+            assert verdicts[("fig8", "sum")] == "obstructed"
+            # One division per same-component ordered pair (3 knots
+            # squared, 3 two-component links squared).  No gcd where the
+            # components differ or either polynomial divides the other,
+            # also for (trefoil, sum) when met first in the direction that
+            # does not divide; the gcd of (J, L) serves (L, J).
+            assert len(divisions) == 18
+            assert set(map(frozenset, gcds)) == {
+                frozenset(["t^2 - t + 1", "t^2 - 3*t + 1"]),
+                frozenset(["t1*t2 + 1", "t1^2*t2^2 + t1*t2 + 1"])}
+            assert len(gcds) == 2
 
     def test_batch_pair_lines_match_obstruct(self, tmp_path, capsys):
         # knots and 2-component links; 3_1 twice (braid and PD), the
