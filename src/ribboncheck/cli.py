@@ -12,7 +12,8 @@ error, 3 computation error.  Mathematical verdicts are data, never exit
 codes.  RIBBONCHECK_MAX_CROSSINGS (default 24, a non-negative integer)
 bounds accepted diagram sizes: a diagram may have at most that many
 crossings, and a braid spec at most twice that many strands plus one
-(a crossing joins two strands), checked before its closure is built.
+(a crossing joins two strands); a braid spec's strands and letters
+(its crossings) are counted from the text before its closure is built.
 
 batch records an error in one row, including an unexpected one (kind
 "internal", with the traceback on stderr), and goes on with the next
@@ -26,7 +27,8 @@ import json
 import os
 import sys
 
-from .linkcodec import DiagramError, ParseError, parse_link_spec, spec_strands
+from .linkcodec import (DiagramError, ParseError, braid_spec_size,
+                        parse_link_spec)
 from .alexander import ComputationError, alexander_polynomial
 from .obstruct import ComponentMismatch, obstruction_from_polynomials
 from .oracles import (cyclic_cover_check, reidemeister_schreier, torres_check)
@@ -53,19 +55,26 @@ def _max_crossings():
     return limit
 
 
-def _load(spec, limit):
-    strands = spec_strands(spec)
-    if strands is not None and strands > 2 * limit + 1:
-        raise ParseError(
-            "braid has %d strands; limit is %d, twice the crossing limit "
-            "plus one (raise RIBBONCHECK_MAX_CROSSINGS to accept)"
-            % (strands, 2 * limit + 1))
-    diagram = parse_link_spec(spec)
-    if diagram.num_crossings > limit:
+def _check_crossings(crossings, limit):
+    if crossings > limit:
         raise ParseError(
             "diagram has %d crossings; limit is %d "
             "(raise RIBBONCHECK_MAX_CROSSINGS to accept)"
-            % (diagram.num_crossings, limit))
+            % (crossings, limit))
+
+
+def _load(spec, limit):
+    size = braid_spec_size(spec)
+    if size is not None:
+        strands, letters = size
+        if strands > 2 * limit + 1:
+            raise ParseError(
+                "braid has %d strands; limit is %d, twice the crossing limit "
+                "plus one (raise RIBBONCHECK_MAX_CROSSINGS to accept)"
+                % (strands, 2 * limit + 1))
+        _check_crossings(letters, limit)
+    diagram = parse_link_spec(spec)
+    _check_crossings(diagram.num_crossings, limit)
     return diagram
 
 
@@ -208,6 +217,9 @@ def cmd_validate(args):
 
 
 def cmd_oracle_check(args):
+    for k in args.covers:
+        if k < 2:
+            raise ParseError("cover degree must be at least 2, not %d" % k)
     diagram = _load(args.spec, args.max_crossings)
     results = []
     if diagram.num_components == 1:

@@ -226,17 +226,21 @@ def _braid_head(text):
     return n, tail
 
 
-def spec_strands(text):
+def braid_spec_size(text):
     """
-    Strand count of a "braid:..." spec, read from its head alone, before
-    anything is built; None for any other spec.
+    (strands, letters) of a "braid:..." spec, read from its text before
+    anything is built (a closure has one crossing per letter); None for
+    any other spec.
 
-    >>> spec_strands("braid:n=1000000:1"), spec_strands("pd:X(1,2,2,1)")
-    (1000000, None)
+    >>> braid_spec_size("braid:n=1000000:1 -2,3")
+    (1000000, 3)
+    >>> braid_spec_size("pd:X(1,2,2,1)") is None
+    True
     """
     s = text.strip()
     if s.lower().startswith("braid:"):
-        return _braid_head(s[6:])[0]
+        n, tail = _braid_head(s[6:])
+        return n, len(tail.replace(",", " ").split())
     return None
 
 

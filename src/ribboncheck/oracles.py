@@ -11,16 +11,18 @@ pipeline:
 * The classical finite-cover order formula: the torsion of the k-fold
   cover has order |prod_{j=1}^{k-1} Delta(zeta_k^j)|, computed exactly
   as the integer resultant of Delta(t) and (t^k - 1)/(t - 1).  No
-  floating point anywhere; the two integers must agree exactly.  (For
+  floating point anywhere; the two integers must agree exactly.  For
   prime k the right side never vanishes for a knot polynomial, since
-  Delta(1) = ±1 rules out the k-th cyclotomic factor.)
+  Delta(1) = ±1 rules out the k-th cyclotomic factor.  For composite k
+  it vanishes when Delta shares a root with t^k - 1 (the trefoil at
+  k = 6); the cover then has free rank above 1 instead.
 
 * The Torres condition ties a 2-component link polynomial at t2 = 1 to
   the first component's polynomial and the linking number.
 
 The cover computed here is the cover of the exterior (unbranched), whose
 torsion agrees with the branched cover's H_1 for knots; the comparison
-is of torsion parts only, with the free rank reported alongside.
+is of torsion parts, with the free rank checked alongside.
 """
 
 from dataclasses import dataclass
@@ -71,9 +73,10 @@ def smith_normal_form(matrix):
     return the nonzero diagonal d1 | d2 | ... (unit entries included, so
     the length of the result is the rank).
 
-    Entries are cleared with single extended-gcd 2x2 transforms rather
-    than repeated quotient chains; that keeps coefficient growth tame on
-    the rewritten cover matrices, whose endgame otherwise explodes.
+    A sparse phase eliminates at +-1 pivots first (the shortest row that
+    holds one, its sparsest such column), each a unit factor; the dense
+    phase diagonalizes the core left.  The rewritten cover matrices have
+    at most four +-1 entries a row, so that core is small.
 
     >>> smith_normal_form([[2, 4], [6, 8]])
     [2, 4]
@@ -82,7 +85,55 @@ def smith_normal_form(matrix):
     >>> smith_normal_form([[1, 2], [3, 4]])
     [1, 2]
     """
-    m = [list(map(int, row)) for row in matrix]
+    rows = {}  # row id -> {column: nonzero value}
+    cols = {}  # column -> ids of the rows that use it
+    for i, row in enumerate(matrix):
+        r = {j: int(v) for j, v in enumerate(row) if v}
+        if r:
+            rows[i] = r
+            for j in r:
+                cols.setdefault(j, set()).add(i)
+    units = 0
+    while True:
+        piv = None
+        for i, r in rows.items():
+            if piv is None or len(r) < len(rows[piv[0]]):
+                unit = [j for j, v in r.items() if v in (1, -1)]
+                if unit:
+                    piv = i, min(unit, key=lambda j: len(cols[j]))
+        if piv is None:
+            break
+        p, c = piv
+        prow = rows.pop(p)
+        for i in cols[c] - {p}:
+            r = rows[i]
+            f = r[c] * prow[c]  # the pivot is its own inverse
+            for j, v in prow.items():
+                w = r.get(j, 0) - f * v
+                if w:
+                    r[j] = w
+                    cols[j].add(i)
+                else:
+                    del r[j]
+                    cols[j].discard(i)
+            if not r:
+                del rows[i]
+        for j in prow:
+            cols[j].discard(p)
+        units += 1
+    used = sorted(j for j, ids in cols.items() if ids)
+    core = [[r.get(j, 0) for j in used] for r in rows.values()]
+    return [1] * units + _dense_diagonal(core)
+
+
+def _dense_diagonal(m):
+    """
+    The Smith diagonal of a dense list-of-lists matrix, modified in place.
+
+    Entries are cleared with single extended-gcd 2x2 transforms rather
+    than repeated quotient chains; that keeps coefficient growth tame on
+    the cores of the rewritten cover matrices.
+    """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     diag = []
@@ -269,12 +320,17 @@ def cover_torsion_from_polynomial(delta, k):
 
 def cyclic_cover_check(delta, k, invariants):
     """
-    True iff the resultant magnitude equals the product of the cover's
-    torsion factors.  `delta` from the Fox pipeline, `invariants` from
-    reidemeister_schreier at the same k.
+    True iff the cover agrees with the resultant.  `delta` from the Fox
+    pipeline, `invariants` from reidemeister_schreier at the same k.  A
+    nonzero resultant must equal the cover's torsion order, with free
+    rank 1; a vanishing one (Delta shares a root with t^k - 1, which
+    needs composite k) must come with free rank above 1.
     """
     value = delta.value if hasattr(delta, "value") else delta
-    return cover_torsion_from_polynomial(value, k) == invariants.torsion_order()
+    order = cover_torsion_from_polynomial(value, k)
+    if order == 0:
+        return invariants.free_rank > 1
+    return invariants.free_rank == 1 and order == invariants.torsion_order()
 
 
 @dataclass(frozen=True)

@@ -343,6 +343,20 @@ class TestSinglePass:
         assert cli.main(["compute", "braid:n=99999999:1"]) == 2
         assert "RIBBONCHECK_MAX_CROSSINGS" in capsys.readouterr().err
 
+    def test_crossing_bound_is_checked_before_the_closure(self, monkeypatch,
+                                                         capsys):
+        def refuse(spec):
+            raise AssertionError("closure built for a long braid")
+
+        monkeypatch.setattr(cli, "parse_link_spec", refuse)
+        spec = "braid:n=2:" + " 1" * 300000
+        assert cli.main(["compute", spec]) == 2
+        assert ("diagram has 300000 crossings; limit is 24 "
+                "(raise RIBBONCHECK_MAX_CROSSINGS to accept)"
+                in capsys.readouterr().err)
+        assert cli.main(["compute", "braid:n=2:1,1 1" + ",1" * 22]) == 2
+        assert "diagram has 25 crossings" in capsys.readouterr().err
+
     def test_unexpected_row_error_is_isolated(self, tmp_path, monkeypatch,
                                               capsys):
         path = tmp_path / "table.csv"
@@ -415,6 +429,26 @@ class TestOracleCheck:
             {"kind": "cyclic_cover", "k": 2, "pass": True},
             {"kind": "cyclic_cover", "k": 3, "pass": True},
         ]
+
+    def test_composite_degrees(self):
+        # the resultant vanishes at k = 6 and 12 (Phi_6 = Delta of 3_1)
+        r = run_cli("oracle-check", "braid:n=2:1 1 1", "--covers", "6", "12")
+        assert r.returncode == 0
+        assert all(o["pass"] for o in json.loads(r.stdout)["oracles"])
+
+    def test_cover_degree_below_two_is_an_input_error(self, monkeypatch,
+                                                      capsys):
+        def refuse(spec):
+            raise AssertionError("diagram built for %s" % spec)
+
+        # rejected before any work is done
+        monkeypatch.setattr(cli, "parse_link_spec", refuse)
+        for k in ("1", "0", "-2"):
+            assert cli.main(["oracle-check", "braid:n=2:1 1 1",
+                             "--covers", "2", k]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "cover degree must be at least 2, not %s" % k in err
 
     def test_link(self):
         r = run_cli("oracle-check", "braid:n=2:1 1 1 1")

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
 
+from ribboncheck import oracles
 from ribboncheck.alexander import alexander_polynomial
 from ribboncheck.laurent import parse_poly
 from ribboncheck.linkcodec import DiagramError, parse_link_spec
@@ -43,11 +46,92 @@ class TestSmithNormalForm:
                     prod *= d
                 assert prod == abs(det)
 
+    def test_dense_against_sympy(self):
+        rng = random.Random(608)
+        for _ in range(150):
+            nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+            mat = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
+            assert smith_normal_form(mat) == _sympy_diagonal(mat), mat
+
+    def test_sparse_units_against_sympy(self):
+        # mostly +-1 entries, the shape of the rewritten cover matrices,
+        # with zero rows and columns mixed in
+        rng = random.Random(609)
+        entries = [0] * 12 + [1, -1] * 3 + [2, -2, 3]
+        for _ in range(300):
+            nr, nc = rng.randint(1, 12), rng.randint(1, 12)
+            mat = [[rng.choice(entries) for _ in range(nc)] for _ in range(nr)]
+            for row in rng.sample(range(nr), rng.randint(0, nr // 3)):
+                mat[row] = [0] * nc
+            for col in rng.sample(range(nc), rng.randint(0, nc // 3)):
+                for row in mat:
+                    row[col] = 0
+            assert smith_normal_form(mat) == _sympy_diagonal(mat), mat
+
+    def test_unit_made_by_elimination(self, monkeypatch):
+        # row 1 holds no unit until the pivot of row 0 clears its first
+        # column, and then row 2 none until that unit clears the second
+        cores = _record_cores(monkeypatch)
+        mat = [[1, 1, 0], [2, 3, 0], [0, 2, 3], [0, 0, 0]]
+        assert smith_normal_form(mat) == [1, 1, 3] == _sympy_diagonal(mat)
+        assert cores == [[[3]]]
+
+    def test_cover_matrices_against_sympy(self, monkeypatch):
+        from conftest import random_braid_knot
+        from ribboncheck.linkcodec import braid_closure
+        matrices = []
+        original = oracles.abelian_invariants
+
+        def record(matrix, num_generators):
+            matrices.append(matrix)
+            return original(matrix, num_generators)
+
+        monkeypatch.setattr(oracles, "abelian_invariants", record)
+        rng = random.Random(610)
+        for _ in range(15):
+            word = random_braid_knot(rng, max_strands=4, max_letters=9)
+            pres, phi = wirtinger_presentation(braid_closure(word))
+            for k in range(2, 8):
+                reidemeister_schreier(pres, phi, k)
+        assert len(matrices) == 15 * 6
+        for mat in matrices:
+            assert smith_normal_form(mat) == _sympy_diagonal(mat)
+
+    def test_dense_phase_gets_a_small_core(self, bundled_knots, monkeypatch):
+        # the sparse phase leaves at most 10 x 6 of inputs up to 49 x 45;
+        # without it the dense phase would see the whole matrix
+        cores = _record_cores(monkeypatch)
+        for name, diagram in bundled_knots:
+            pres, phi = wirtinger_presentation(diagram)
+            for k in (2, 3, 5):
+                reidemeister_schreier(pres, phi, k)
+        assert len(cores) == 3 * len(bundled_knots)
+        assert max(len(core) for core in cores) <= 12
+
     def test_abelian_invariants(self):
         inv = abelian_invariants([[2, 0], [0, 0]], 3)
         assert inv.free_rank == 2
         assert inv.torsion_factors == (2,)
         assert inv.torsion_order() == 2
+
+
+def _sympy_diagonal(mat):
+    """The nonzero invariant factors by sympy, an independent route."""
+    factors = invariant_factors(Matrix(mat), domain=ZZ)
+    return [abs(int(d)) for d in factors if d]
+
+
+def _record_cores(monkeypatch):
+    """Record every matrix the dense phase of the Smith form receives."""
+    cores = []
+    original = oracles._dense_diagonal
+
+    def record(m):
+        cores.append([list(row) for row in m])
+        return original(m)
+
+    monkeypatch.setattr(oracles, "_dense_diagonal", record)
+    return cores
 
 
 def _int_determinant(mat):
@@ -144,6 +228,27 @@ class TestCyclicCoverAgreement:
         for k in (2, 3, 5):
             inv = reidemeister_schreier(pres, phi, k)
             assert cyclic_cover_check(delta, k, inv)
+
+    def test_composite_degrees(self):
+        # Phi_6 = Delta(3_1): the resultant vanishes at k = 6 and 12, and
+        # the cover has free rank 3 instead of torsion of order 0
+        trefoil = parse_link_spec("braid:n=2:1 1 1")
+        pres, phi = wirtinger_presentation(trefoil)
+        delta = alexander_polynomial(trefoil)
+        for k in (6, 12):
+            inv = reidemeister_schreier(pres, phi, k)
+            assert cover_torsion_from_polynomial(delta.value, k) == 0
+            assert inv.free_rank == 3 and inv.torsion_factors == ()
+            assert cyclic_cover_check(delta, k, inv)
+        fig8 = parse_link_spec("braid:n=3:1 -2 1 -2")
+        pres8, phi8 = wirtinger_presentation(fig8)
+        delta8 = alexander_polynomial(fig8)
+        for k in (4, 6, 10):
+            inv = reidemeister_schreier(pres8, phi8, k)
+            assert cyclic_cover_check(delta8, k, inv), k
+        for k in (2, 3, 5, 6, 12):
+            inv = reidemeister_schreier(pres, phi, k)
+            assert not cyclic_cover_check(delta8, k, inv), k
 
     def test_random_braid_knots(self):
         # the two computation routes share no code, so agreement across
