@@ -12,8 +12,9 @@ error, 3 computation error.  Mathematical verdicts are data, never exit
 codes.  RIBBONCHECK_MAX_CROSSINGS (default 24, a non-negative integer)
 bounds accepted diagram sizes: a diagram may have at most that many
 crossings, and a braid spec at most twice that many strands plus one
-(a crossing joins two strands); a braid spec's strands and letters
-(its crossings) are counted from the text before its closure is built.
+(a crossing joins two strands).  A braid spec's strands and letters
+(its crossings) and a PD code's crossing entries are counted from the
+text before the diagram is built.
 
 batch records an error in one row, including an unexpected one (kind
 "internal", with the traceback on stderr), and goes on with the next
@@ -27,8 +28,8 @@ import json
 import os
 import sys
 
-from .linkcodec import (DiagramError, ParseError, braid_spec_size,
-                        parse_link_spec)
+from .linkcodec import (DiagramError, ParseError, parse_link_spec,
+                        spec_size)
 from .alexander import ComputationError, alexander_polynomial
 from .obstruct import ComponentMismatch, obstruction_from_polynomials
 from .oracles import (cyclic_cover_check, reidemeister_schreier, torres_check)
@@ -55,27 +56,23 @@ def _max_crossings():
     return limit
 
 
-def _check_crossings(crossings, limit):
-    if crossings > limit:
-        raise ParseError(
-            "diagram has %d crossings; limit is %d "
-            "(raise RIBBONCHECK_MAX_CROSSINGS to accept)"
-            % (crossings, limit))
-
-
 def _load(spec, limit):
-    size = braid_spec_size(spec)
+    # spec_size reads every kind of spec that parse_link_spec accepts, so
+    # nothing over the limit gets built
+    size = spec_size(spec)
     if size is not None:
-        strands, letters = size
-        if strands > 2 * limit + 1:
+        strands, crossings = size
+        if strands is not None and strands > 2 * limit + 1:
             raise ParseError(
                 "braid has %d strands; limit is %d, twice the crossing limit "
                 "plus one (raise RIBBONCHECK_MAX_CROSSINGS to accept)"
                 % (strands, 2 * limit + 1))
-        _check_crossings(letters, limit)
-    diagram = parse_link_spec(spec)
-    _check_crossings(diagram.num_crossings, limit)
-    return diagram
+        if crossings > limit:
+            raise ParseError(
+                "diagram has %d crossings; limit is %d "
+                "(raise RIBBONCHECK_MAX_CROSSINGS to accept)"
+                % (crossings, limit))
+    return parse_link_spec(spec)
 
 
 def _compute_record(name, spec, limit):

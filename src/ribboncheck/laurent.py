@@ -4,7 +4,9 @@ Exact sparse arithmetic in the Laurent polynomial ring Z[t1^±1, ..., tm^±1].
 Polynomials are stored as finite maps from exponent vectors (tuples of
 signed integers, one slot per variable) to nonzero integer coefficients.
 All coefficients are arbitrary-precision Python ints; the zero polynomial
-is the empty map.
+is the empty map.  At one variable (knots), exact division and gcd run on
+a dense coefficient list instead, kept on the polynomial after its first
+use: polynomials are never mutated.
 
 The units of this ring are exactly ±t1^a1···tm^am.  Quantities such as
 link polynomial invariants are only well defined up to a unit, so we fix
@@ -42,7 +44,9 @@ class LaurentPoly:
     0
     """
 
-    __slots__ = ("nvars", "terms")
+    # _coeffs: at one variable, the (lowest exponent, coefficient list)
+    # pair of _dense, filled on first use; a LaurentPoly is never mutated
+    __slots__ = ("nvars", "terms", "_coeffs")
 
     def __init__(self, nvars, terms=None):
         if nvars < 0:
@@ -58,6 +62,7 @@ class LaurentPoly:
                     clean[tuple(exps)] = int(coeff)
         self.nvars = nvars
         self.terms = clean
+        self._coeffs = None
 
     # ----- constructors ---------------------------------------------------
 
@@ -101,9 +106,6 @@ class LaurentPoly:
         if len(self.terms) != 1:
             return False
         return abs(next(iter(self.terms.values()))) == 1
-
-    def is_constant(self):
-        return all(e == (0,) * self.nvars for e in self.terms)
 
     def leading_term(self):
         """Graded-lex greatest (exponents, coefficient) pair; None if zero."""
@@ -167,6 +169,16 @@ class LaurentPoly:
                                {e: c * other for e, c in self.terms.items()} if other else {})
         self._check(other)
         out = {}
+        if self.nvars == 1:
+            for (a,), c1 in self.terms.items():
+                for (b,), c2 in other.terms.items():
+                    e = (a + b,)
+                    s = out.get(e, 0) + c1 * c2
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
+            return LaurentPoly(1, out)
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
@@ -418,14 +430,42 @@ def is_canonical(p):
     return p.leading_term()[1] > 0
 
 
+# ----- the dense one-variable form --------------------------------------------
+
+def _to_dense(p):
+    """(lowest exponent, coefficients from it upwards) of a nonzero 1-variable p."""
+    low = min(e for (e,) in p.terms)
+    out = [0] * (max(e for (e,) in p.terms) - low + 1)
+    for (e,), c in p.terms.items():
+        out[e - low] = c
+    return low, out
+
+
+def _dense(p):
+    """_to_dense(p), kept on p after the first call: no caller may change it."""
+    if p._coeffs is None:
+        p._coeffs = _to_dense(p)
+    return p._coeffs
+
+
+def _from_dense(low, coeffs):
+    """sum of coeffs[i] * t^(low + i); both ends of coeffs must be nonzero."""
+    p = LaurentPoly(1, {(low + i,): c for i, c in enumerate(coeffs) if c})
+    p._coeffs = (low, coeffs)
+    return p
+
+
 # ----- exact division --------------------------------------------------------
 
 def exact_divide(p, d):
     """
     The exact quotient q with d * q == p, or None when no such q exists
     in the Laurent ring.  Both arguments are unit-shifted to ordinary
-    polynomials first; graded-lex leading-term elimination then either
-    terminates with remainder 0 or certifies non-divisibility.
+    polynomials first.  At one variable, long division on the coefficient
+    lists runs from the top and certifies non-divisibility by a leading
+    coefficient that does not divide or by a nonzero remainder; at two or
+    more, graded-lex leading-term elimination either terminates with
+    remainder 0 or certifies non-divisibility.
 
     >>> t = LaurentPoly.variable(0, 1)
     >>> print(exact_divide(t**2 - 1, t - 1))
@@ -438,6 +478,23 @@ def exact_divide(p, d):
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return LaurentPoly.zero(p.nvars)
+    if p.nvars == 1:
+        plow, num = _dense(p)
+        dlow, den = _dense(d)
+        n, lead = len(den) - 1, den[-1]
+        size = len(num) - n  # of the quotient; below 1 if d is longer
+        rem = list(num)
+        quot = [0] * size
+        for k in range(size - 1, -1, -1):
+            c, r = divmod(rem[k + n], lead)
+            if r:
+                return None
+            if c:
+                quot[k] = c
+                rem[k:k + n] = [x - c * y for x, y in zip(rem[k:k + n], den)]
+        if any(rem[:n]):  # a remainder, or all of p when d is longer
+            return None
+        return _from_dense(plow - dlow, quot)
     pmin = p.min_exponents()
     dmin = d.min_exponents()
     rem = {tuple(a - b for a, b in zip(e, pmin)): c for e, c in p.terms.items()}
@@ -482,7 +539,8 @@ def divides(d, p):
 # ----- gcd -------------------------------------------------------------------
 #
 # Z[t1^±1,...,tm^±1] is a UFD, so gcds exist up to units.  We compute on
-# the unit-shifted ordinary polynomials.  With two or more variables the
+# the unit-shifted ordinary polynomials; at one variable these are the
+# dense coefficient lists themselves.  With two or more variables the
 # ring is treated recursively as (Z[t1..t_{m-1}])[t_m]: split off the
 # content in the last variable, take a subresultant polynomial remainder
 # sequence of the primitive parts, and recurse on the coefficient ring.
@@ -509,6 +567,10 @@ def gcd(p, q):
         return canonical(p)
     if p.nvars == 0:
         return LaurentPoly.constant(_int_gcd(p.terms[()], q.terms[()]), 0)
+    if p.nvars == 1:
+        # both lists have a nonzero constant term, and so has their gcd,
+        # whose leading coefficient _gcd_dense makes positive: canonical
+        return _from_dense(0, _gcd_dense(_dense(p)[1], _dense(q)[1]))
     a = p.shifted(tuple(-v for v in p.min_exponents()))
     b = q.shifted(tuple(-v for v in q.min_exponents()))
     return canonical(_gcd_poly(a, b))
@@ -579,14 +641,6 @@ def _pseudo_rem(a, b):
     return r
 
 
-def _dense(p):
-    """Coefficient list, constant term first, of an ordinary 1-variable p."""
-    out = [0] * (max(e for (e,) in p.terms) + 1)
-    for (e,), c in p.terms.items():
-        out[e] = c
-    return out
-
-
 def _prem_dense(a, b):
     """
     A nonzero integer multiple of the remainder of a by b, for coefficient
@@ -635,8 +689,9 @@ def _gcd_poly(p, q):
     if q.is_zero():
         return p
     if p.nvars == 1:
-        g = _gcd_dense(_dense(p), _dense(q))
-        return LaurentPoly(1, {(e,): c for e, c in enumerate(g) if c})
+        # t^min(lp, lq) times the gcd of the parts with a nonzero constant
+        (lp, a), (lq, b) = _dense(p), _dense(q)
+        return _from_dense(min(lp, lq), _gcd_dense(a, b))
     ca, pa = _content_and_primitive(_split_last(p), p.nvars - 1)
     cb, pb = _content_and_primitive(_split_last(q), q.nvars - 1)
     cont = _gcd_poly(ca, cb)

@@ -226,18 +226,22 @@ def _braid_head(text):
     return n, tail
 
 
-def braid_spec_size(text):
+def spec_size(text):
     """
-    (strands, letters) of a "braid:..." spec, read from its text before
-    anything is built (a closure has one crossing per letter); None for
-    any other spec.
+    (strands, crossings) of a link spec, read from its text before
+    anything is built: a braid closure has one crossing per letter, a PD
+    code one per ';'-separated entry.  strands is None for a PD code; the
+    result is None for a spec of neither kind.
 
-    >>> braid_spec_size("braid:n=1000000:1 -2,3")
+    >>> spec_size("braid:n=1000000:1 -2,3")
     (1000000, 3)
-    >>> braid_spec_size("pd:X(1,2,2,1)") is None
-    True
+    >>> spec_size("pd:X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)")
+    (None, 3)
     """
     s = text.strip()
+    if s.lower().startswith("pd:"):
+        body = s[3:].strip()
+        return None, body.count(";") + 1 if body else 0
     if s.lower().startswith("braid:"):
         n, tail = _braid_head(s[6:])
         return n, len(tail.replace(",", " ").split())

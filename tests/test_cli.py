@@ -1,14 +1,20 @@
 import json
+import os
 import subprocess
 import sys
 
-from ribboncheck import alexander, cli, laurent, obstruct
+import ribboncheck
+from ribboncheck import alexander, cli, laurent, linkcodec, obstruct
 from ribboncheck.tables import table_path
+
+# the child runs the package these tests import, from wherever it is
+SRC = os.path.dirname(os.path.dirname(ribboncheck.__file__))
 
 
 def run_cli(*args, env=None):
-    import os
     full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, full_env.get("PYTHONPATH")]))
     if env:
         full_env.update(env)
     return subprocess.run([sys.executable, "-m", "ribboncheck.cli", *args],
@@ -255,13 +261,15 @@ class TestSinglePass:
         # neither divides the other: one gcd, reused for (L, J)
         assert gcds == [("t^2 - t + 1", "t^2 - 3*t + 1")]
 
-    def test_batch_pairs_takes_one_gcd_per_unordered_pair(
-            self, tmp_path, monkeypatch, capsys):
-        # 3_1, 3_1 # 4_1, 4_1, T(2,4), the Hopf link and T(2,6):
-        # Delta(4_1) divides Delta(3_1 # 4_1), and so does Delta(3_1)
-        rows = ["trefoil,braid:n=2:1 1 1\n", "sum,braid:n=4:1 1 1 2 -3 2 -3\n",
+    # 3_1, 3_1 # 4_1, 4_1, T(2,4), the Hopf link and T(2,6):
+    # Delta(4_1) divides Delta(3_1 # 4_1), and so does Delta(3_1)
+    SIX_ROWS = ["trefoil,braid:n=2:1 1 1\n", "sum,braid:n=4:1 1 1 2 -3 2 -3\n",
                 "fig8,braid:n=3:1 -2 1 -2\n", "t24,braid:n=2:1 1 1 1\n",
                 "hopf,braid:n=2:1 1\n", "t26,braid:n=2:1 1 1 1 1 1\n"]
+
+    def test_batch_pairs_takes_one_gcd_per_unordered_pair(
+            self, tmp_path, monkeypatch, capsys):
+        rows = self.SIX_ROWS
         divisions = []
         original = obstruct.exact_divide
 
@@ -294,6 +302,34 @@ class TestSinglePass:
                 frozenset(["t^2 - t + 1", "t^2 - 3*t + 1"]),
                 frozenset(["t1*t2 + 1", "t1^2*t2^2 + t1*t2 + 1"])}
             assert len(gcds) == 2
+
+    def test_batch_pairs_converts_each_knot_delta_once(
+            self, tmp_path, monkeypatch, capsys):
+        deltas = []
+        original_delta = cli.alexander_polynomial
+
+        def recorded(diagram):
+            deltas.append(original_delta(diagram))
+            return deltas[-1]
+
+        converted = []
+        original_convert = laurent._to_dense
+
+        def counted(p):
+            converted.append(p)
+            return original_convert(p)
+
+        monkeypatch.setattr(cli, "alexander_polynomial", recorded)
+        monkeypatch.setattr(laurent, "_to_dense", counted)
+        path = tmp_path / "table.csv"
+        path.write_text("name,spec\n" + "".join(self.SIX_ROWS))
+        assert cli.main(["batch", str(path), "--pairs"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 6 + 36
+        knots = [delta.value for delta in deltas if delta.nvars == 1]
+        assert len(knots) == 3
+        # each takes part in 5 divisions and the trefoil and 4_1 in a gcd,
+        # all on the dense list kept on the polynomial
+        assert [sum(p is knot for p in converted) for knot in knots] == [1] * 3
 
     def test_batch_pair_lines_match_obstruct(self, tmp_path, capsys):
         # knots and 2-component links; 3_1 twice (braid and PD), the
@@ -355,6 +391,25 @@ class TestSinglePass:
                 "(raise RIBBONCHECK_MAX_CROSSINGS to accept)"
                 in capsys.readouterr().err)
         assert cli.main(["compute", "braid:n=2:1,1 1" + ",1" * 22]) == 2
+        assert "diagram has 25 crossings" in capsys.readouterr().err
+
+    def test_pd_crossing_bound_is_checked_before_the_diagram(
+            self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("PD code parsed or built")
+
+        trefoil = "pd:X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"
+        assert cli.main(["compute", trefoil]) == 0
+        assert capsys.readouterr().out.startswith("t^2 - t + 1\n")
+        monkeypatch.setattr(linkcodec, "parse_pd", refuse)
+        monkeypatch.setattr(linkcodec, "pd_diagram", refuse)
+        spec = "pd:" + ";".join(["X(1,2,3,4)"] * 100001)
+        assert cli.main(["compute", spec]) == 2
+        assert ("diagram has 100001 crossings; limit is 24 "
+                "(raise RIBBONCHECK_MAX_CROSSINGS to accept)"
+                in capsys.readouterr().err)
+        assert cli.main(["compute", " pd: " + "X(1,1,2,2) ;" * 24
+                         + "X(3,3,4,4)"]) == 2
         assert "diagram has 25 crossings" in capsys.readouterr().err
 
     def test_unexpected_row_error_is_isolated(self, tmp_path, monkeypatch,

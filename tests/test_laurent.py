@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ribboncheck import laurent
 from ribboncheck.laurent import (DimensionError, LaurentPoly, canonical,
                                  divides, exact_divide, gcd, is_canonical,
                                  parse_poly, poly_to_str)
@@ -220,6 +221,93 @@ class TestGcd:
             # Laurent gcds agree with polynomial gcds only up to monomial
             # units, so compare canonical forms
             assert gcd(p, q) == canonical(expected), (p, q)
+
+
+def embed(p):
+    """p in Z[t2^±1] inside Z[t1^±1, t2^±1]: the two-variable code runs."""
+    return LaurentPoly(2, {(0, e): c for (e,), c in p.terms.items()})
+
+
+class TestOneVariableAgainstTwo:
+    """
+    One-variable division, gcd and product run on dense coefficient lists;
+    the same operands embedded in two variables, in the last one, run the
+    sparse graded-lex division and the subresultant gcd over Z[t1].
+    """
+
+    def check(self, p, d):
+        assert embed(p * d) == embed(p) * embed(d)
+        assert embed(gcd(p, d)) == gcd(embed(p), embed(d)), (p, d)
+        if d.is_zero():
+            return
+        q = exact_divide(p, d)
+        expected = exact_divide(embed(p), embed(d))
+        if expected is None:
+            assert q is None, (p, d)
+        else:
+            assert q is not None and embed(q) == expected, (p, d)
+            assert q.is_zero() or laurent._dense(q) == laurent._to_dense(q)
+
+    def test_random_pairs(self):
+        rng = random.Random(606)
+        for k in range(400):
+            d = random_poly(rng, 1, max_terms=5, max_exp=4, max_coeff=5)
+            p = random_poly(rng, 1, max_terms=5, max_exp=4, max_coeff=5)
+            if k % 2:
+                # divisible, or off by a term or an integer factor
+                p = p * d
+                if k % 3 == 0:
+                    p = p + random_poly(rng, 1, max_terms=1, max_exp=4)
+                elif k % 5 == 0:
+                    d = d * rng.choice((2, -3))
+            self.check(p, d)
+
+    def test_special_operands(self):
+        zero, two = LaurentPoly.zero(1), LaurentPoly.constant(2, 1)
+        unit = LaurentPoly.monomial(-1, (-3,))
+        cases = [
+            (T, two),  # 2 does not divide t
+            (P("4*t^2 - 4"), P("2*t - 2")),  # quotient 2t + 2
+            (P("2*t - 2"), P("4*t^2 - 4")),  # divisor longer than dividend
+            (P("6*t^2 - 11*t - 10"), P("3*t + 2")),  # non-monic divisor
+            (P("6*t^2 - 11*t - 9"), P("3*t + 2")),
+            (P("t^2 + 1"), P("2*t + 1")),
+            (LaurentPoly(1, {(-2,): 3, (-1,): -5, (4,): 1}), P("t - 1")),
+            (LaurentPoly(1, {(-4,): 2, (-3,): -2}), P("t - 1")),  # shifts
+            (zero, P("t^2 - t + 1")), (zero, unit), (zero, two),
+            (P("t^2 - t + 1"), unit), (unit, unit), (P("t^3 - 3"), ONE),
+            (P("6*t^3 - 3"), LaurentPoly.constant(-3, 1)),
+            (P("6*t^3 - 2"), LaurentPoly.constant(3, 1)),
+            (two, LaurentPoly.constant(-6, 1)), (ONE, T),
+            (P("t^2 - t + 1"), zero),
+        ]
+        for p, d in cases:
+            self.check(p, d)
+        assert exact_divide(P("4*t^2 - 4"), P("2*t - 2")) == P("2*t + 2")
+        assert exact_divide(P("2*t - 2"), P("4*t^2 - 4")) is None
+        assert gcd(P("2*t - 2"), P("4*t^2 - 4")) == P("2*t - 2")
+        assert exact_divide(T, two) is None
+
+    def test_operands_and_their_lists_are_left_alone(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            d = random_poly(rng, 1, max_terms=4, max_exp=3, max_coeff=5)
+            p = random_poly(rng, 1, max_terms=4, max_exp=3, max_coeff=5) * d
+            if d.is_zero():
+                continue
+            before = {id(x): (dict(x.terms), laurent._to_dense(x))
+                      for x in (p, d) if x}
+            for result in (exact_divide(p, d), exact_divide(d, d),
+                           exact_divide(p, ONE), gcd(p, d), gcd(d, d),
+                           p * d, d * d):
+                if result:
+                    # whatever the caller does to a result's list does
+                    # not reach an operand's
+                    _, coeffs = laurent._dense(result)
+                    coeffs[0] += 1
+            for x in (p, d):
+                if x:
+                    assert (x.terms, laurent._dense(x)) == before[id(x)]
 
 
 class TestCanonical:
