@@ -6,7 +6,12 @@ signed integers, one slot per variable) to nonzero integer coefficients.
 All coefficients are arbitrary-precision Python ints; the zero polynomial
 is the empty map.  At one variable (knots), exact division and gcd run on
 a dense coefficient list instead, kept on the polynomial after its first
-use: polynomials are never mutated.
+use: polynomials are never mutated.  At two or more variables (links),
+products and exact division key each term by one integer, its exponent
+vector as a mixed-radix number over the operands' exponent box.  Division
+checks each quotient term's digits against the box the quotient must lie
+in, so that no carry fakes a quotient, and stays sparse: the box of an
+m-variable minor has (span + 1)^m cells.
 
 The units of this ring are exactly ±t1^a1···tm^am.  Quantities such as
 link polynomial invariants are only well defined up to a unit, so we fix
@@ -20,6 +25,15 @@ matters: 2 does not divide t, and gcd(2t - 2, t^2 - 1) is t - 1.
 """
 
 from math import gcd as _int_gcd
+from operator import add, sub
+
+# Products at two or more variables pack their keys once both operands
+# have this many terms: below it, packing costs more than it saves.  On
+# the products of perfbench's large_single and split_fallback Delta
+# computations (CPU, best of 7, 2-core Xeon VM, three measurements),
+# packing from 2 terms up took 20-26 % and 90-180 % longer than from 5
+# up; 4 to 8 were within noise of each other.
+_PACK_MIN_TERMS = 5
 
 
 class DimensionError(ValueError):
@@ -63,6 +77,15 @@ class LaurentPoly:
         self.nvars = nvars
         self.terms = clean
         self._coeffs = None
+
+    @classmethod
+    def _make(cls, nvars, terms):
+        """For ring operations: terms clean by construction, unchecked."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        p._coeffs = None
+        return p
 
     # ----- constructors ---------------------------------------------------
 
@@ -149,7 +172,7 @@ class LaurentPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly._make(self.nvars, out)
 
     def __radd__(self, other):
         return self + other
@@ -161,33 +184,51 @@ class LaurentPoly:
         return (-self) + other
 
     def __neg__(self):
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._make(self.nvars,
+                                 {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly(self.nvars,
-                               {e: c * other for e, c in self.terms.items()} if other else {})
+            return LaurentPoly._make(self.nvars, {
+                e: c * other for e, c in self.terms.items()} if other else {})
         self._check(other)
-        out = {}
+        a, b = self.terms, other.terms
         if self.nvars == 1:
-            for (a,), c1 in self.terms.items():
-                for (b,), c2 in other.terms.items():
-                    e = (a + b,)
+            out = {}
+            for (x,), c1 in a.items():
+                for (y,), c2 in b.items():
+                    e = (x + y,)
                     s = out.get(e, 0) + c1 * c2
                     if s:
                         out[e] = s
                     else:
                         del out[e]
-            return LaurentPoly(1, out)
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return LaurentPoly(self.nvars, out)
+            return LaurentPoly._make(1, out)
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) < _PACK_MIN_TERMS:  # a shift when b is one term
+            out = {}
+            get = out.get
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = tuple(map(add, e1, e2))
+                    out[e] = get(e, 0) + c1 * c2
+            return LaurentPoly._make(self.nvars,
+                                     {e: c for e, c in out.items() if c})
+        # convolve on packed keys: digits of a sum stay below the radix
+        (alow, ahigh), (blow, bhigh) = _box(a), _box(b)
+        radix = [x1 - x0 + y1 - y0 + 1
+                 for x0, x1, y0, y1 in zip(alow, ahigh, blow, bhigh)]
+        pb = list(_pack(b, blow, radix).items())
+        out = {}
+        get = out.get
+        for k1, c1 in _pack(a, alow, radix).items():
+            for k2, c2 in pb:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return LaurentPoly._make(self.nvars, _unpack(
+            {k: c for k, c in out.items() if c}, list(map(add, alow, blow)),
+            radix))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -216,14 +257,13 @@ class LaurentPoly:
         """Multiply by the monomial t^exps (a unit)."""
         if len(exps) != self.nvars:
             raise DimensionError("shift vector has wrong length")
-        return LaurentPoly(
+        return LaurentPoly._make(
             self.nvars,
-            {tuple(a + b for a, b in zip(e, exps)): c
-             for e, c in self.terms.items()})
+            {tuple(map(add, e, exps)): c for e, c in self.terms.items()})
 
     def inverted_variables(self):
         """Substitute t_i -> t_i^-1 for every variable."""
-        return LaurentPoly(
+        return LaurentPoly._make(
             self.nvars,
             {tuple(-a for a in e): c for e, c in self.terms.items()})
 
@@ -239,7 +279,7 @@ class LaurentPoly:
                 out[e2] = s
             else:
                 out.pop(e2, None)
-        return LaurentPoly(self.nvars - 1, out)
+        return LaurentPoly._make(self.nvars - 1, out)
 
     def evaluate(self, values):
         """Exact evaluation at a tuple of nonzero integers.
@@ -450,9 +490,53 @@ def _dense(p):
 
 def _from_dense(low, coeffs):
     """sum of coeffs[i] * t^(low + i); both ends of coeffs must be nonzero."""
-    p = LaurentPoly(1, {(low + i,): c for i, c in enumerate(coeffs) if c})
+    p = LaurentPoly._make(1, {(low + i,): c
+                              for i, c in enumerate(coeffs) if c})
     p._coeffs = (low, coeffs)
     return p
+
+
+# ----- packed exponent keys --------------------------------------------------
+#
+# Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
+# and packed exponent vectors" (CASC 2007).  In the box low_i <= e_i <
+# low_i + radix_i the key of e is sum((e_i - low_i) * W_i), W_1 = 1 and
+# W_{i+1} = W_i * radix_i.  Inside the box no digit carries, so adding
+# keys multiplies monomials and the order of keys is a monomial order
+# (lexicographic, last variable first).
+
+def _box(terms):
+    """Per-variable (minimum, maximum) exponent lists of nonempty terms."""
+    cols = list(zip(*terms))
+    return list(map(min, cols)), list(map(max, cols))
+
+
+def _pack(terms, low, radix):
+    """terms re-keyed by their packed exponents in the box at low."""
+    keys, w = [0] * len(terms), 1
+    for col, l, r in zip(zip(*terms), low, radix):
+        keys = [k + (x - l) * w for k, x in zip(keys, col)]
+        w *= r
+    return dict(zip(keys, terms.values()))
+
+
+def _digits(key, radix):
+    """The shifted exponents of a packed key, first variable first."""
+    out = []
+    for r in radix:
+        key, x = divmod(key, r)
+        out.append(x)
+    return out
+
+
+def _unpack(packed, low, radix):
+    """The inverse of _pack: terms keyed by exponent tuples again."""
+    keys, cols = list(packed), []
+    for l, r in zip(low[:-1], radix):
+        cols.append([k % r + l for k in keys])
+        keys = [k // r for k in keys]
+    cols.append([k + low[-1] for k in keys])  # the top digit is the rest
+    return dict(zip(zip(*cols), packed.values()))
 
 
 # ----- exact division --------------------------------------------------------
@@ -460,12 +544,19 @@ def _from_dense(low, coeffs):
 def exact_divide(p, d):
     """
     The exact quotient q with d * q == p, or None when no such q exists
-    in the Laurent ring.  Both arguments are unit-shifted to ordinary
-    polynomials first.  At one variable, long division on the coefficient
-    lists runs from the top and certifies non-divisibility by a leading
-    coefficient that does not divide or by a nonzero remainder; at two or
-    more, graded-lex leading-term elimination either terminates with
-    remainder 0 or certifies non-divisibility.
+    in the Laurent ring.  At one variable, long division runs on the
+    coefficient lists from the top.  At two or more, leading-term
+    elimination runs on sparse dicts of keys packed in the box of p
+    (radix_i = span_i(p) + 1, the divisor shifted to its own minimum):
+    a dense array over the box would have (span + 1)^m cells.  The
+    quotient lies in the box 0 <= e_i <= q_i = span_i(p) - span_i(d), so
+    a negative q_i, or a leading remainder term whose digits minus the
+    divisor's leading digits leave [0, q_i], means there is none.  This
+    is sound both ways: if d divides p, every quotient term lies in that
+    box, as per-variable spans add under multiplication; if every one
+    does, no key sum carries, so remainder 0 means d * q == p.  Without
+    the digit check a carry fakes quotients: in the radix (3, 2) of
+    t1^2 + t2, t1 + 1 packs to T + 1, which divides T^2 + T^3.
 
     >>> t = LaurentPoly.variable(0, 1)
     >>> print(exact_divide(t**2 - 1, t - 1))
@@ -495,31 +586,43 @@ def exact_divide(p, d):
         if any(rem[:n]):  # a remainder, or all of p when d is longer
             return None
         return _from_dense(plow - dlow, quot)
-    pmin = p.min_exponents()
-    dmin = d.min_exponents()
-    rem = {tuple(a - b for a, b in zip(e, pmin)): c for e, c in p.terms.items()}
-    div = {tuple(a - b for a, b in zip(e, dmin)): c for e, c in d.terms.items()}
-    dlead = max(div, key=_grlex)
-    dcoeff = div[dlead]
+    if len(d.terms) == 1:  # a shift, if every coefficient divides
+        ((e, c),) = d.terms.items()
+        quot = {x: divmod(c1, c) for x, c1 in p.terms.items()}
+        if any(r for _, r in quot.values()):
+            return None
+        return LaurentPoly._make(p.nvars, {
+            tuple(map(sub, x, e)): q for x, (q, _) in quot.items()})
+    (plow, phigh), (dlow, dhigh) = _box(p.terms), _box(d.terms)
+    radix = [h - l + 1 for l, h in zip(plow, phigh)]
+    qspan = [r - 1 - h + l for r, l, h in zip(radix, dlow, dhigh)]
+    if min(qspan) < 0:
+        return None
+    rem = _pack(p.terms, plow, radix)
+    div = _pack(d.terms, dlow, radix)
+    dlead = max(div)
+    dcoeff, ddigits = div[dlead], _digits(dlead, radix)
+    div = list(div.items())
     quot = {}
     while rem:
-        rlead = max(rem, key=_grlex)
-        delta = tuple(a - b for a, b in zip(rlead, dlead))
-        if any(a < 0 for a in delta):
-            return None
+        rlead = max(rem)
+        for x, y, q in zip(_digits(rlead, radix), ddigits, qspan):
+            if not 0 <= x - y <= q:
+                return None
         c, r = divmod(rem[rlead], dcoeff)
         if r:
             return None
+        delta = rlead - dlead
         quot[delta] = c
-        for e, dc in div.items():
-            key = tuple(a + b for a, b in zip(e, delta))
-            s = rem.get(key, 0) - c * dc
+        for k, dc in div:
+            k += delta
+            s = rem.get(k, 0) - c * dc
             if s:
-                rem[key] = s
+                rem[k] = s
             else:
-                rem.pop(key, None)
-    shift = tuple(a - b for a, b in zip(pmin, dmin))
-    return LaurentPoly(p.nvars, quot).shifted(shift)
+                del rem[k]
+    return LaurentPoly._make(p.nvars, _unpack(quot, list(map(sub, plow, dlow)),
+                                              radix))
 
 
 def divides(d, p):
@@ -581,7 +684,7 @@ def _split_last(p):
     coeffs = {}
     for e, c in p.terms.items():
         coeffs.setdefault(e[-1], {})[e[:-1]] = c
-    return {d: LaurentPoly(p.nvars - 1, t) for d, t in coeffs.items()}
+    return {d: LaurentPoly._make(p.nvars - 1, t) for d, t in coeffs.items()}
 
 
 def _join_last(nvars, coeffs):
@@ -589,7 +692,7 @@ def _join_last(nvars, coeffs):
     for d, poly in coeffs.items():
         for e, c in poly.terms.items():
             terms[e + (d,)] = c
-    return LaurentPoly(nvars, terms)
+    return LaurentPoly._make(nvars, terms)
 
 
 def _content_and_primitive(coeffs, nvars_coeff):

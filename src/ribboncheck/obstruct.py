@@ -42,6 +42,9 @@ class ObstructionReport:
     gcd_value: LaurentPoly
 
     def to_dict(self):
+        # a gcd equal to either polynomial reuses that one's rendered text
+        gcd_text = next((str(delta) for delta in (self.delta_l, self.delta_j)
+                         if delta.value == self.gcd_value), None)
         return {
             "direction": list(self.direction),
             "deltaJ": str(self.delta_j),
@@ -49,7 +52,7 @@ class ObstructionReport:
             "verdict": self.verdict,
             "quotient": None if self.quotient is None else
                         laurent.poly_to_str(self.quotient),
-            "gcd": laurent.poly_to_str(self.gcd_value),
+            "gcd": gcd_text or laurent.poly_to_str(self.gcd_value),
         }
 
     def to_json(self):
@@ -102,7 +105,7 @@ def obstruction_from_polynomials(delta_j, delta_l, names=("J", "L"),
     if quotient is not None:
         if delta_l.value * quotient != delta_j.value:
             raise ComputationError("division witness failed verification")
-        verdict, g = NOT_OBSTRUCTED, laurent.canonical(delta_l.value)
+        verdict, g = NOT_OBSTRUCTED, delta_l.value  # canonical already
     elif shared is None:
         verdict, g = OBSTRUCTED, laurent.gcd(delta_j.value, delta_l.value)
     else:
@@ -110,8 +113,7 @@ def obstruction_from_polynomials(delta_j, delta_l, names=("J", "L"),
         if g is None:
             shared["quotient"] = exact_divide(delta_l.value, delta_j.value)
             g = (laurent.gcd(delta_j.value, delta_l.value)
-                 if shared["quotient"] is None
-                 else laurent.canonical(delta_j.value))
+                 if shared["quotient"] is None else delta_j.value)
     if shared is not None:
         shared["gcd"] = g
     return ObstructionReport(tuple(names), delta_j, delta_l, verdict,

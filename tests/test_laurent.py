@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+import laurent_reference as reference
 from ribboncheck import laurent
 from ribboncheck.laurent import (DimensionError, LaurentPoly, canonical,
                                  divides, exact_divide, gcd, is_canonical,
@@ -15,6 +17,35 @@ ONE = LaurentPoly.one(1)
 
 def P(text, nvars=1):
     return parse_poly(text, nvars)
+
+
+def lift(poly, symbols):
+    """A polynomial with nonnegative exponents as a sympy expression."""
+    import sympy
+    expr = sympy.Integer(0)
+    for exps, coeff in poly.terms.items():
+        term = sympy.Integer(coeff)
+        for s, a in zip(symbols, exps):
+            term *= s ** a
+        expr += term
+    return expr
+
+
+def lower(expr, symbols):
+    """The inverse of lift, in len(symbols) variables."""
+    import sympy
+    poly = sympy.Poly(expr, *symbols)
+    terms = {tuple(int(a) for a in mono): int(c) for mono, c in poly.terms()}
+    return LaurentPoly(len(symbols), terms)
+
+
+def assert_clean(p):
+    """What the unchecked constructor trusts its callers for."""
+    assert type(p.terms) is dict
+    for e, c in p.terms.items():
+        assert type(e) is tuple and len(e) == p.nvars, (p, e)
+        assert all(type(a) is int for a in e), (p, e)
+        assert type(c) is int and c != 0, (p, e, c)
 
 
 class TestRingOps:
@@ -92,6 +123,149 @@ class TestExactDivide:
             prod = p * q
             assert divides(p, prod)
             assert exact_divide(prod, p) == q
+
+
+def variables(m):
+    return [LaurentPoly.variable(i, m) for i in range(m)]
+
+
+class TestPackedAgainstReference:
+    """
+    At two or more variables the product and exact division run on packed
+    exponent keys; laurent_reference keeps the tuple-keyed code they
+    replaced.  Random operands in 2, 3 and 4 variables, with negative
+    exponents and integer content, including monomials and constants.
+    """
+
+    @staticmethod
+    def operand(rng, m):
+        kind = rng.randrange(10)
+        if kind == 0:
+            exps = tuple(rng.randint(-3, 3) for _ in range(m))
+            return LaurentPoly.monomial(rng.choice((1, -1, 2, -3)), exps)
+        if kind == 1:
+            return LaurentPoly.constant(rng.choice((1, -1, 2, -6)), m)
+        p = random_poly(rng, m, max_terms=rng.choice((3, 6, 10)), max_exp=3)
+        return p * rng.choice((1, 1, 2, -3))  # integer content
+
+    def cases(self, rng, m, count):
+        """(p, d) pairs: divisible, off by one term, off by an integer factor."""
+        for k in range(count):
+            d = self.operand(rng, m)
+            while d.is_zero():
+                d = self.operand(rng, m)
+            a = self.operand(rng, m)
+            if k % 4 == 0:
+                yield a, d  # mostly not divisible
+            elif k % 4 == 1:
+                yield a * d, d
+            elif k % 4 == 2:
+                yield a * d + random_poly(rng, m, max_terms=1, max_exp=3), d
+            else:
+                yield a * d, d * rng.choice((2, -3, 5))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_product_and_division(self, m):
+        rng = random.Random(7000 + m)
+        packed_products = packed_quotients = 0
+        for p, d in self.cases(rng, m, 300):
+            for x, y in ((p, d), (d, p)):
+                prod = x * y
+                assert_clean(prod)
+                assert prod == reference.multiply(x, y), (x, y)
+                if min(len(x.terms), len(y.terms)) >= laurent._PACK_MIN_TERMS:
+                    packed_products += 1
+            q = exact_divide(p, d)
+            assert q == reference.exact_divide(p, d), (p, d)
+            if q is not None:
+                assert_clean(q)
+                assert d * q == p
+                if len(d.terms) > 1 and q:
+                    packed_quotients += 1
+        # the packed paths, not only the shortcuts, ran
+        assert packed_products >= 40 and packed_quotients >= 40
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_against_sympy(self, m):
+        sympy = pytest.importorskip("sympy")
+        symbols = sympy.symbols("x0:%d" % m)
+        rng = random.Random(8000 + m)
+
+        def ordinary(p):
+            return p.shifted(tuple(-a for a in p.min_exponents()))
+
+        for p, d in self.cases(rng, m, 40):
+            expected = lower(sympy.expand(lift(ordinary(p), symbols)
+                                          * lift(ordinary(d), symbols)),
+                             symbols)
+            shift = tuple(a + b for a, b in zip(p.min_exponents(),
+                                                d.min_exponents()))
+            assert p * d == expected.shifted(shift)
+            if p.is_zero():
+                continue
+            quot, rem = sympy.div(sympy.Poly(lift(ordinary(p), symbols),
+                                             *symbols, domain="QQ"),
+                                  sympy.Poly(lift(ordinary(d), symbols),
+                                             *symbols, domain="QQ"))
+            divisible = rem.is_zero and all(c.is_integer
+                                            for c in quot.coeffs())
+            q = exact_divide(p, d)
+            if not divisible:
+                assert q is None, (p, d)
+                continue
+            shift = tuple(a - b for a, b in zip(p.min_exponents(),
+                                                d.min_exponents()))
+            assert q == lower(quot.as_expr(), symbols).shifted(shift), (p, d)
+
+
+class TestPackedBox:
+    def test_carry_false_positives(self):
+        # in the radix (3, 2) of the dividend, t1^2 + t2 packs to T^2 + T^3
+        # and t1 + 1 to T + 1, a divisor of it: the digit check refuses
+        t1, t2 = variables(2)
+        assert exact_divide(t1**2 + t2, t1 + 1) is None
+        # radix (2, 2, 2): the quotient t1 would fit its digit, but the
+        # quotient box is 0 <= e1 <= 0
+        t1, t2, t3 = variables(3)
+        assert exact_divide(t1 * t3 + t2, t1 + t3) is None
+        assert exact_divide((t1 * t3 + t2) * (t1 + t3), t1 + t3) \
+            == t1 * t3 + t2
+
+    def test_negative_quotient_span(self):
+        t1, t2 = variables(2)
+        # the divisor spans 2 in t2, the dividend 1
+        assert exact_divide(t1**3 + t2, t2**2 + t1) is None
+        assert exact_divide(t1 * t2 + 1, t2**2 - 1) is None
+
+    def test_eight_variables_stay_sparse(self):
+        # spans of 6: a dense array over the box would have 7^8 cells
+        ts = variables(8)
+        one = LaurentPoly.one(8)
+        d = one + sum((t**3 for t in ts), LaurentPoly.zero(8))
+        q = 2 * one - sum(((k + 1) * t**3 for k, t in enumerate(ts)),
+                          LaurentPoly.zero(8))
+        p = d * q
+        assert [h - l for l, h in zip(*laurent._box(p.terms))] == [6] * 8
+        start = time.process_time()
+        assert exact_divide(p, d) == q
+        assert exact_divide(p + ts[0], d) is None
+        assert exact_divide(p, d + ts[7]) is None
+        assert time.process_time() - start < 0.5
+
+
+class TestPublicConstructor:
+    def test_wrong_length_raises(self):
+        with pytest.raises(DimensionError):
+            LaurentPoly(2, {(1,): 1})
+        with pytest.raises(DimensionError):
+            LaurentPoly(2, {(0, 0): 1, (1, 2, 3): 4})
+
+    def test_zero_coefficients_dropped(self):
+        p = LaurentPoly(2, {(0, 0): 0, (1, -1): 3, (0, 1): 0})
+        assert p.terms == {(1, -1): 3}
+        assert_clean(p)
+        assert LaurentPoly(3, {(1, 2, 3): 0}).is_zero()
+        assert parse_poly("t1 - t1 + t2", 2).terms == {(0, 1): 1}
 
 
 class TestDivides:
@@ -199,25 +373,11 @@ class TestGcd:
             cases.append((3, draw(3, max_terms=3, max_exp=2, max_coeff=4) * f,
                           draw(3, max_terms=3, max_exp=2, max_coeff=4) * f))
 
-        def lift(poly):
-            expr = sympy.Integer(0)
-            for exps, coeff in poly.terms.items():
-                term = sympy.Integer(coeff)
-                for s, a in zip(symbols, exps):
-                    term *= s ** a
-                expr += term
-            return expr
-
-        def lower(expr, m):
-            poly = sympy.Poly(expr, *symbols[:m])
-            terms = {tuple(int(a) for a in mono): int(c)
-                     for mono, c in poly.terms()}
-            return LaurentPoly(m, terms)
-
         for m, p, q in cases:
             if p.is_zero() or q.is_zero():
                 continue
-            expected = lower(sympy.gcd(lift(p), lift(q)), m)
+            expected = lower(sympy.gcd(lift(p, symbols), lift(q, symbols)),
+                             symbols[:m])
             # Laurent gcds agree with polynomial gcds only up to monomial
             # units, so compare canonical forms
             assert gcd(p, q) == canonical(expected), (p, q)
@@ -232,7 +392,9 @@ class TestOneVariableAgainstTwo:
     """
     One-variable division, gcd and product run on dense coefficient lists;
     the same operands embedded in two variables, in the last one, run the
-    sparse graded-lex division and the subresultant gcd over Z[t1].
+    packed-key division and product (checked against the tuple-keyed
+    reference in TestPackedAgainstReference) and the subresultant gcd
+    over Z[t1].
     """
 
     def check(self, p, d):
