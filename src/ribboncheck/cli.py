@@ -16,6 +16,10 @@ crossings, and a braid spec at most twice that many strands plus one
 (its crossings) and a PD code's crossing entries are counted from the
 text before the diagram is built.
 
+main may be called any number of times in one process: it parses with
+one parser, built when this module is imported, and reads
+RIBBONCHECK_MAX_CROSSINGS anew on every call.
+
 batch records an error in one row, including an unexpected one (kind
 "internal", with the traceback on stderr), and goes on with the next
 row.  It accepts --jobs N and ignores it: each row's polynomial is
@@ -271,15 +275,19 @@ def build_parser():
 
     p = sub.add_parser("oracle-check", help="run independent verification")
     p.add_argument("spec")
-    p.add_argument("--covers", type=int, nargs="+", default=[2, 3, 5],
+    p.add_argument("--covers", type=int, nargs="+", default=(2, 3, 5),
                    metavar="K", help="cyclic cover degrees (knots)")
     p.set_defaults(func=cmd_oracle_check)
     return parser
 
 
+# built once: parse_args leaves the parser as it found it, and every
+# default is immutable, so no call sees what an earlier one parsed
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         args.max_crossings = _max_crossings()
         return args.func(args)

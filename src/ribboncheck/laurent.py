@@ -462,14 +462,6 @@ def canonical(p):
     return q
 
 
-def is_canonical(p):
-    if p.is_zero():
-        return True
-    if any(a != 0 for a in p.min_exponents()):
-        return False
-    return p.leading_term()[1] > 0
-
-
 # ----- the dense one-variable form --------------------------------------------
 
 def _to_dense(p):
@@ -697,6 +689,9 @@ def _join_last(nvars, coeffs):
 
 def _content_and_primitive(coeffs, nvars_coeff):
     """gcd of the coefficient polys and the coefficient-wise quotient."""
+    if len(coeffs) == 1:
+        (d, c), = coeffs.items()
+        return c, {d: LaurentPoly.one(nvars_coeff)}
     cont = LaurentPoly.zero(nvars_coeff)
     for d in sorted(coeffs):
         cont = _gcd_poly(cont, coeffs[d])

@@ -254,11 +254,6 @@ def reidemeister_schreier(pres, phi, k):
     return abelian_invariants(rows, k * g)
 
 
-def rewriting_sizes(pres, k):
-    """Raw Schreier rewriting bookkeeping: (generators, relators)."""
-    return k * pres.num_generators, k * len(pres.relators)
-
-
 def _sylvester_resultant(f, g):
     """Exact resultant of two integer polynomials (coefficient dicts)."""
     df, dg = max(f), max(g)

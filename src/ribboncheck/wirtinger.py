@@ -105,19 +105,3 @@ def apply_phi(word, phi):
     for g, e in word:
         exps[phi.component_of[g]] += e
     return tuple(exps)
-
-
-def word_to_str(word):
-    """Debug rendering, e.g. "x3 x1 x2^-1 x1^-1"; identity renders as "1"."""
-    if not word:
-        return "1"
-    parts = []
-    for g, e in word:
-        parts.append("x%d" % (g + 1) if e == 1 else "x%d^-1" % (g + 1))
-    return " ".join(parts)
-
-
-def presentation_to_str(pres):
-    gens = " ".join("x%d" % (i + 1) for i in range(pres.num_generators))
-    rels = "; ".join(word_to_str(r) for r in pres.relators)
-    return "<%s | %s>" % (gens, rels)

@@ -1,7 +1,10 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import ribboncheck
 from ribboncheck import alexander, cli, laurent, linkcodec, obstruct
@@ -11,14 +14,18 @@ from ribboncheck.tables import table_path
 SRC = os.path.dirname(os.path.dirname(ribboncheck.__file__))
 
 
-def run_cli(*args, env=None):
+def child_env(env=None):
     full_env = dict(os.environ)
     full_env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [SRC, full_env.get("PYTHONPATH")]))
     if env:
         full_env.update(env)
+    return full_env
+
+
+def run_cli(*args, env=None):
     return subprocess.run([sys.executable, "-m", "ribboncheck.cli", *args],
-                          capture_output=True, text=True, env=full_env)
+                          capture_output=True, text=True, env=child_env(env))
 
 
 class TestCompute:
@@ -510,6 +517,137 @@ class TestOracleCheck:
         payload = json.loads(r.stdout)
         assert payload["oracles"][0]["kind"] == "torres"
         assert payload["oracles"][0]["pass"] is True
+
+
+class TestSharedParser:
+    """
+    cli.main parses with one parser, built when the module is imported; a
+    sequence of calls in one process must behave as if each call had a
+    process of its own.
+    """
+
+    # three components whose reduced block (3x2, rank 1) takes the
+    # full-minor fallback: C(3,1) * C(2,1) = 6 minors
+    FALLBACK = "braid:n=3:2 -1 -2 1 2 1"
+
+    def run_alone(self, argv, env, budget=None):
+        """argv run by a child process of its own: (exit code, out, err)."""
+        if budget is None:
+            r = run_cli(*argv, env=env)
+        else:
+            program = ("import sys\n"
+                       "from ribboncheck import alexander, cli\n"
+                       "alexander.FALLBACK_MINOR_BUDGET = %d\n"
+                       "sys.exit(cli.main(sys.argv[1:]))" % budget)
+            r = subprocess.run([sys.executable, "-c", program, *argv],
+                               capture_output=True, text=True,
+                               env=child_env(env))
+        return r.returncode, r.stdout, r.stderr
+
+    def run_here(self, argv, env, budget, monkeypatch, capsys):
+        """argv run by cli.main in this process: (exit code, out, err)."""
+        with monkeypatch.context() as patch:
+            for name, value in env.items():
+                patch.setenv(name, value)
+            if budget is not None:
+                patch.setattr(alexander, "FALLBACK_MINOR_BUDGET", budget)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_main_builds_no_parser(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a parser was built")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", refuse)
+        for _ in range(3):
+            assert cli.main(["compute", "--json", "braid:n=2:1 1 1"]) == 0
+            assert cli.main(["oracle-check", "braid:n=2:1 1 1"]) == 0
+            assert cli.main(["compute", "braid:n=2: 5"]) == 2
+            with pytest.raises(SystemExit) as info:
+                cli.main(["compute"])
+            assert info.value.code == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == out[2] == out[4]
+        assert json.loads(out[0])["alexander"] == "t^2 - t + 1"
+
+    def test_each_call_parses_into_a_namespace_of_its_own(
+            self, tmp_path, monkeypatch, capsys):
+        made = []
+
+        class Recorded(argparse.Namespace):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                made.append(self)
+
+        path = tmp_path / "table.csv"
+        path.write_text("name,spec\ntrefoil,braid:n=2:1 1 1\n")
+        monkeypatch.setattr(cli.argparse, "Namespace", Recorded)
+        used = []
+        for argv in (["batch", str(path), "--pairs"],
+                     ["compute", "braid:n=2:1 1 1"],
+                     ["compute", "braid:n=2:1 1 1"]):
+            made.clear()
+            assert cli.main(argv) == 0
+            # the namespace main ran the command with
+            mine = [ns for ns in made if hasattr(ns, "max_crossings")]
+            assert len(mine) == 1
+            used.append(mine[0])
+        assert len({id(ns) for ns in used}) == 3
+        assert not hasattr(used[1], "pairs")
+
+    def test_covers_default_is_immutable(self):
+        args = cli._PARSER.parse_args(["oracle-check", "braid:n=2:1 1 1"])
+        assert args.covers == (2, 3, 5)
+
+    def test_sequence_matches_one_process_per_call(self, tmp_path,
+                                                   monkeypatch, capsys):
+        path = tmp_path / "table.csv"
+        path.write_text("name,spec\ntrefoil,braid:n=2:1 1 1\n"
+                        "fig8,braid:n=3:1 -2 1 -2\nhopf,braid:n=2:1 1\n")
+        trefoil = "braid:n=2:1 1 1"
+        monkeypatch.delenv("RIBBONCHECK_MAX_CROSSINGS", raising=False)
+        # argparse wraps --help to the terminal width, read from COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        # (argv, environment, fallback budget or None, expected exit code)
+        steps = [
+            (["compute", "--json", trefoil], {}, None, 0),
+            (["compute", trefoil], {}, None, 0),
+            (["batch", str(path), "--pairs"], {}, None, 0),
+            (["batch", str(path)], {}, None, 0),
+            (["oracle-check", trefoil], {}, None, 0),
+            (["oracle-check", trefoil, "--covers", "2"], {}, None, 0),
+            (["oracle-check", trefoil], {}, None, 0),
+            (["compute"], {}, None, 2),
+            (["compute", "--json", trefoil], {}, None, 0),
+            (["compute", "braid:n=2: 5"], {}, None, 2),
+            (["obstruct", trefoil, "braid:n=3:1 -2 1 -2", "--json"], {},
+             None, 0),
+            (["compute", self.FALLBACK], {}, 5, 3),
+            (["compute", "--json", self.FALLBACK], {}, None, 0),
+            (["compute", trefoil], {"RIBBONCHECK_MAX_CROSSINGS": "3"},
+             None, 0),
+            (["compute", trefoil], {"RIBBONCHECK_MAX_CROSSINGS": "2"},
+             None, 2),
+            (["compute", trefoil], {}, None, 0),
+            (["oracle-check", "--help"], {}, None, 0),
+            (["validate", trefoil], {}, None, 0),
+        ]
+        results = []
+        for argv, env, budget, expected in steps:
+            here = self.run_here(argv, env, budget, monkeypatch, capsys)
+            assert here == self.run_alone(argv, env, budget), argv
+            assert here[0] == expected, argv
+            results.append(here)
+        covers = [[o["k"] for o in json.loads(results[i][1])["oracles"]]
+                  for i in (4, 5, 6)]
+        assert covers == [[2, 3, 5], [2], [2, 3, 5]]
+        assert "budget of 5" in results[11][2]
+        assert "limit is 2 " in results[14][2]
 
 
 class TestDeterminism:

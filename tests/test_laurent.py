@@ -6,10 +6,11 @@ import pytest
 import laurent_reference as reference
 from ribboncheck import laurent
 from ribboncheck.laurent import (DimensionError, LaurentPoly, canonical,
-                                 divides, exact_divide, gcd, is_canonical,
-                                 parse_poly, poly_to_str)
+                                 divides, exact_divide, gcd, parse_poly,
+                                 poly_to_str)
 
 from conftest import random_poly
+from helpers import is_canonical
 
 T = LaurentPoly.variable(0, 1)
 ONE = LaurentPoly.one(1)
@@ -381,6 +382,22 @@ class TestGcd:
             # Laurent gcds agree with polynomial gcds only up to monomial
             # units, so compare canonical forms
             assert gcd(p, q) == canonical(expected), (p, q)
+
+    def test_content_of_one_coefficient(self, monkeypatch):
+        # the content of a single coefficient c is c, its primitive part
+        # 1: what the general loop computes, as _gcd_poly(0, c) and c / c
+        c = P("-3*t^2 + 6", 1)
+        assert laurent._gcd_poly(LaurentPoly.zero(1), c) == c
+        assert exact_divide(c, c) == ONE
+
+        def refuse(*args):
+            raise AssertionError("one coefficient divided or gcd taken")
+
+        monkeypatch.setattr(laurent, "exact_divide", refuse)
+        monkeypatch.setattr(laurent, "_gcd_poly", refuse)
+        cont, prim = laurent._content_and_primitive({4: c}, 1)
+        assert cont == c
+        assert prim == {4: ONE}
 
 
 def embed(p):

@@ -11,9 +11,10 @@ from ribboncheck.linkcodec import DiagramError, parse_link_spec
 from ribboncheck.oracles import (abelian_invariants,
                                  cover_torsion_from_polynomial,
                                  cyclic_cover_check, reidemeister_schreier,
-                                 rewriting_sizes, smith_normal_form,
-                                 torres_check)
+                                 smith_normal_form, torres_check)
 from ribboncheck.wirtinger import wirtinger_presentation
+
+from helpers import rewriting_sizes
 
 
 class TestSmithNormalForm:

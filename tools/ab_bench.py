@@ -20,7 +20,12 @@ Output, to --out or standard output, one JSON object a line:
 - then one summary line per workload: for every metric, each side's
   median and quartiles, the change's median over the parent's, and in
   how many pairs the change read better (ties count for neither), with
-  "better" taken from BENCHMARK.json.
+  "better" taken from BENCHMARK.json; each end-to-end metric also
+  carries the verdicts the benchmark gate reaches on these runs:
+  claim_met (the change read better in at least 9 of 10 pairs, and its
+  median is better than the parent's by more than the parent's
+  interquartile range) and within_bound (the change's median is worse
+  than the parent's by no more than the metric's relative bound).
 The exit code is 1 if any run failed or reported a wrong result.
 """
 
@@ -83,8 +88,11 @@ def quartiles(values):
     return q1, q3
 
 
-def summarise(workload, trace, runs, better):
-    """Per metric medians, quartiles and win counts over the pairs."""
+def summarise(workload, trace, runs, better, bounds):
+    """
+    Per metric medians, quartiles and win counts over the pairs, and for
+    the metrics in bounds (name -> relative bound) the gate's verdicts.
+    """
     by_pair = {}
     for r in runs:
         if r["result"]:
@@ -109,6 +117,11 @@ def summarise(workload, trace, runs, better):
             "parent_iqr": a3 - a1, "change_iqr": b3 - b1,
             "change_wins": "%d/%d" % (wins, len(pairs)) if sign else None,
         }
+        if sign and name in bounds:
+            summary[name]["claim_met"] = (10 * wins >= 9 * len(pairs) and
+                                          sign * (mb - ma) > a3 - a1)
+            summary[name]["within_bound"] = (sign * (mb - ma) >=
+                                             -bounds[name] * abs(ma))
     return summary
 
 
@@ -133,6 +146,7 @@ def main(argv=None):
     spec = json.loads(git("show", revs["parent"] + ":BENCHMARK.json"))
     better = {m["name"]: m["better"]
               for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     out = open(args.out, "a") if args.out else sys.stdout
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
@@ -160,7 +174,7 @@ def main(argv=None):
                     print(json.dumps(line), file=out, flush=True)
                 pair += 1
             print(json.dumps({"summary": summarise(workload, args.trace, runs,
-                                                   better)}),
+                                                   better, bounds)}),
                   file=out, flush=True)
     if out is not sys.stdout:
         out.close()
