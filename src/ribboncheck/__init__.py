@@ -10,7 +10,7 @@ from .linkcodec import (BraidWord, LinkDiagram, PDCode, braid_closure,
                         parse_link_spec, parse_pd, sublink)
 from .wirtinger import (AbelianizationMap, GroupPresentation, apply_phi,
                         wirtinger_presentation)
-from .foxcalc import AlexanderPresentation, fox_derivative, jacobian
+from .foxcalc import AlexanderPresentation, jacobian
 from .alexander import (AlexanderPolynomial, RankCertificate,
                         alexander_polynomial, module_rank, torsion_order)
 from .obstruct import (ObstructionReport, coprimality_report,
@@ -27,7 +27,7 @@ __all__ = [
     "linking_number", "parse_braid", "parse_link_spec", "parse_pd", "sublink",
     "AbelianizationMap", "GroupPresentation", "apply_phi",
     "wirtinger_presentation",
-    "AlexanderPresentation", "fox_derivative", "jacobian",
+    "AlexanderPresentation", "jacobian",
     "AlexanderPolynomial", "RankCertificate", "alexander_polynomial",
     "module_rank", "torsion_order",
     "ObstructionReport", "coprimality_report", "ribbon_obstruction",

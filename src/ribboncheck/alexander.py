@@ -33,6 +33,7 @@ of the orders of its split pieces.
 """
 
 import hashlib
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -40,17 +41,13 @@ from math import comb
 from typing import Tuple
 
 from . import laurent
-from .laurent import LaurentPoly, canonical, exact_divide
+from .laurent import ComputationError, LaurentPoly, canonical, exact_divide
 from .foxcalc import AlexanderPresentation, jacobian
 from .wirtinger import wirtinger_presentation
 
 
 # most r x r minors the last-resort fallback evaluates on one reduced block
 FALLBACK_MINOR_BUDGET = 10000
-
-
-class ComputationError(RuntimeError):
-    """Internal inconsistency, or a computation past its stated budget."""
 
 
 @dataclass(frozen=True)
@@ -75,6 +72,11 @@ class AlexanderPolynomial:
     def text(self):
         """The value in the exchange format, rendered once."""
         return laurent.poly_to_str(self.value)
+
+    @cached_property
+    def json_text(self):
+        """The text as a JSON string, encoded once."""
+        return json.dumps(self.text)
 
     def __str__(self):
         return self.text

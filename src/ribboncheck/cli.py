@@ -35,7 +35,7 @@ import sys
 from .linkcodec import (DiagramError, ParseError, parse_link_spec,
                         spec_size)
 from .alexander import ComputationError, alexander_polynomial
-from .obstruct import ComponentMismatch, obstruction_from_polynomials
+from .obstruct import component_mismatch, obstruction_from_polynomials
 from .oracles import (cyclic_cover_check, reidemeister_schreier, torres_check)
 from .wirtinger import wirtinger_presentation
 
@@ -105,9 +105,9 @@ def cmd_compute(args):
     return EXIT_OK
 
 
-def _mismatch_record(names, exc):
+def _mismatch_record(names, reason):
     return {"direction": list(names), "verdict": "component_mismatch",
-            "reason": str(exc)}
+            "reason": reason}
 
 
 def cmd_obstruct(args):
@@ -119,32 +119,39 @@ def cmd_obstruct(args):
         directions.append(("L", "J"))
     shared = {} if args.both_directions else None
     for names in directions:
-        try:
-            report = obstruction_from_polynomials(
-                deltas[names[0]], deltas[names[1]], names=names,
-                shared=shared)
-        except ComponentMismatch as exc:
-            print(json.dumps(_mismatch_record(names, exc)) if args.json
-                  else "component mismatch: %s" % exc)
+        reason = component_mismatch(deltas[names[0]], deltas[names[1]])
+        if reason:
+            print(json.dumps(_mismatch_record(names, reason)) if args.json
+                  else "component mismatch: %s" % reason)
             continue
+        report = obstruction_from_polynomials(
+            deltas[names[0]], deltas[names[1]], names=names, shared=shared)
         print(report.to_json() if args.json else report.summary())
     return EXIT_OK
 
 
 def _batch_rows(path):
-    with open(path, newline="") as fh:
+    # utf-8-sig: a byte-order mark is not part of the header
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["name", "spec"]:
-            raise ParseError("batch CSV must have header 'name,spec'")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise ParseError("row %d needs both name and spec" % lineno)
-            rows.append((row[0].strip(), row[1].strip()))
-        return rows
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip().lower() for h in header[:2]] != ["name", "spec"]:
+                raise ParseError("batch CSV must have header 'name,spec'")
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) < 2:
+                    raise ParseError("row %d needs both name and spec" % lineno)
+                rows.append((row[0].strip(), row[1].strip()))
+            return rows
+        except UnicodeDecodeError as exc:
+            raise ParseError("batch CSV %s is not UTF-8 text (%s)"
+                             % (path, exc.reason)) from None
+        except csv.Error as exc:
+            raise ParseError("batch CSV %s, line %d: %s"
+                             % (path, reader.line_num, exc)) from None
 
 
 # what a pair line says when an operand's row has no polynomial, by the
@@ -191,15 +198,14 @@ def cmd_batch(args):
                     print(json.dumps({"direction": list(names), "error": {
                         "kind": failed, "message": _OPERAND_ERRORS[failed]}}))
                     continue
+                reason = component_mismatch(deltas[i], deltas[j])
+                if reason:
+                    print(json.dumps(_mismatch_record(names, reason)))
+                    continue
                 pair = (None if i == j else
                         shared.setdefault((min(i, j), max(i, j)), {}))
-                try:
-                    report = obstruction_from_polynomials(
-                        deltas[i], deltas[j], names=names, shared=pair)
-                except ComponentMismatch as exc:
-                    print(json.dumps(_mismatch_record(names, exc)))
-                    continue
-                print(report.to_json())
+                print(obstruction_from_polynomials(
+                    deltas[i], deltas[j], names=names, shared=pair).to_json())
     return EXIT_OK
 
 

@@ -10,74 +10,15 @@ the Jacobian matrix that presents the rel-basepoint Alexander module.
 
 Derivatives are computed in a single left-to-right pass carrying the
 accumulated prefix, so long relators stay linear-time.  The group ring
-is only materialised by fox_derivative itself; the Jacobian applies the
-abelianization eagerly, term by term, since Laurent arithmetic is far
-cheaper than free-group ring arithmetic.
+is never materialised: the Jacobian applies the abelianization eagerly,
+term by term, since Laurent arithmetic is far cheaper than free-group
+ring arithmetic.
 """
 
 from dataclasses import dataclass
 from typing import Tuple
 
 from .laurent import LaurentPoly
-from .wirtinger import free_reduce, word_multiply
-
-
-class GroupRingElement(dict):
-    """Finite map from freely reduced words to nonzero integer coefficients."""
-
-    def __init__(self, data=None):
-        super().__init__()
-        if data:
-            for w, c in data.items():
-                self.add(w, c)
-
-    def add(self, word, coeff):
-        word = free_reduce(word)
-        s = self.get(word, 0) + coeff
-        if s:
-            self[word] = s
-        else:
-            self.pop(word, None)
-
-    def __add__(self, other):
-        out = GroupRingElement(self)
-        for w, c in other.items():
-            out.add(w, c)
-        return out
-
-    def __neg__(self):
-        return GroupRingElement({w: -c for w, c in self.items()})
-
-    def left_multiply(self, word):
-        out = GroupRingElement()
-        for w, c in self.items():
-            out.add(word_multiply(word, w), c)
-        return out
-
-
-def fox_derivative(word, gen):
-    """
-    The Fox derivative of a free word with respect to generator `gen`,
-    as a GroupRingElement.
-
-    >>> x = ((0, 1),)
-    >>> dict(fox_derivative(x, 0))
-    {(): 1}
-    >>> dict(fox_derivative(((0, -1),), 0))
-    {((0, -1),): -1}
-    """
-    result = GroupRingElement()
-    prefix = ()
-    for g, e in word:
-        if e == 1:
-            if g == gen:
-                result.add(prefix, 1)
-            prefix = word_multiply(prefix, ((g, 1),))
-        else:
-            prefix = word_multiply(prefix, ((g, -1),))
-            if g == gen:
-                result.add(prefix, -1)
-    return result
 
 
 @dataclass(frozen=True)

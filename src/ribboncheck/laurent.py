@@ -24,7 +24,7 @@ Divisibility and gcd are taken in the full ring, so integer content
 matters: 2 does not divide t, and gcd(2t - 2, t^2 - 1) is t - 1.
 """
 
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, isqrt
 from operator import add, sub
 
 # Products at two or more variables pack their keys once both operands
@@ -562,22 +562,9 @@ def exact_divide(p, d):
     if p.is_zero():
         return LaurentPoly.zero(p.nvars)
     if p.nvars == 1:
-        plow, num = _dense(p)
-        dlow, den = _dense(d)
-        n, lead = len(den) - 1, den[-1]
-        size = len(num) - n  # of the quotient; below 1 if d is longer
-        rem = list(num)
-        quot = [0] * size
-        for k in range(size - 1, -1, -1):
-            c, r = divmod(rem[k + n], lead)
-            if r:
-                return None
-            if c:
-                quot[k] = c
-                rem[k:k + n] = [x - c * y for x, y in zip(rem[k:k + n], den)]
-        if any(rem[:n]):  # a remainder, or all of p when d is longer
-            return None
-        return _from_dense(plow - dlow, quot)
+        (plow, num), (dlow, den) = _dense(p), _dense(d)
+        quot = _divide_dense(num, den)
+        return None if quot is None else _from_dense(plow - dlow, quot)
     if len(d.terms) == 1:  # a shift, if every coefficient divides
         ((e, c),) = d.terms.items()
         quot = {x: divmod(c1, c) for x, c1 in p.terms.items()}
@@ -617,6 +604,24 @@ def exact_divide(p, d):
                                               radix))
 
 
+def _divide_dense(num, den):
+    """The list q with den * q == num in Z[t] by long division, or None."""
+    n, lead = len(den) - 1, den[-1]
+    size = len(num) - n  # of the quotient; below 1 if den is longer
+    rem = list(num)
+    quot = [0] * size
+    for k in range(size - 1, -1, -1):
+        c, r = divmod(rem[k + n], lead)
+        if r:
+            return None
+        if c:
+            quot[k] = c
+            rem[k:k + n] = [x - c * y for x, y in zip(rem[k:k + n], den)]
+    if any(rem[:n]):  # a remainder, or all of num when den is longer
+        return None
+    return quot
+
+
 def divides(d, p):
     """
     Whether d divides p in the Laurent ring.  divides(d, 0) holds for all
@@ -633,21 +638,35 @@ def divides(d, p):
 
 # ----- gcd -------------------------------------------------------------------
 #
-# Z[t1^±1,...,tm^±1] is a UFD, so gcds exist up to units.  We compute on
-# the unit-shifted ordinary polynomials; at one variable these are the
-# dense coefficient lists themselves.  With two or more variables the
-# ring is treated recursively as (Z[t1..t_{m-1}])[t_m]: split off the
-# content in the last variable, take a subresultant polynomial remainder
-# sequence of the primitive parts, and recurse on the coefficient ring.
-# The recursion bottoms out at one variable, on dense lists of Python
-# ints: take the integer contents apart, run Euclid on the primitive
-# parts with pseudo-remainders made primitive at each step (Knuth, TAOCP
-# vol. 2, 4.6.1), and multiply back by the gcd of the contents.  Integer
-# content is part of divisibility here, since only ±monomials are units.
+# Z[t1^±1,...,tm^±1] is a UFD, so gcds exist up to units; as only
+# ±monomials are units, integer content is part of divisibility.  We
+# compute on the unit-shifted ordinary polynomials, at one variable on the
+# dense coefficient lists themselves, by GCDHEU (Char, Geddes and Gonnet,
+# "GCDHEU: heuristic polynomial GCD algorithm based on integer GCD
+# computation", J. Symbolic Comput. 7, 1989): evaluate the last variable
+# of the primitive parts a and b at an integer xi >= 2 min(|a|, |b|) + 2
+# (|.| the largest coefficient; the first xi is 2 min(|a|, |b|) + 29, as
+# in sympy's dup_zz_heu_gcd), take the gcd of the two values (an
+# integer gcd at one variable, else this gcd one variable down), rebuild
+# a polynomial G from its symmetric xi-adic digits, and accept pp(G),
+# its primitive part, once it divides both a and b: it is then gcd(a, b)
+# (see _gcd_poly).  A failed check retries at a larger xi, at _HEU_TRIES
+# points in all.  Past them one variable falls back to Euclid on the
+# primitive parts with pseudo-remainders made primitive at each step
+# (Knuth, TAOCP vol. 2, 4.6.1); two or more raise ComputationError.
+
+# evaluation points GCDHEU tries before it gives up
+_HEU_TRIES = 6
+
+
+class ComputationError(RuntimeError):
+    """Internal inconsistency, or a computation past its stated budget."""
+
 
 def gcd(p, q):
     """
-    A greatest common divisor of p and q, in canonical form.
+    A greatest common divisor of p and q, in canonical form.  Raises
+    ComputationError when GCDHEU finds none at two or more variables.
 
     >>> t = LaurentPoly.variable(0, 1)
     >>> print(gcd(t**2 - t + 1, t**2 - 3*t + 1))
@@ -662,81 +681,133 @@ def gcd(p, q):
         return canonical(p)
     if p.nvars == 0:
         return LaurentPoly.constant(_int_gcd(p.terms[()], q.terms[()]), 0)
+    g = _gcd_poly(p, q)
+    if g is None:
+        raise ComputationError(
+            "gcd of two polynomials in %d variables: GCDHEU found no common "
+            "divisor at %d evaluation points (laurent._HEU_TRIES)"
+            % (p.nvars, _HEU_TRIES))
+    return g if p.nvars == 1 else canonical(g)
+
+
+def _gcd_poly(p, q):
+    """
+    A gcd of nonzero p and q up to units, divisible by no variable, or
+    None where GCDHEU gives up (at two or more variables).
+
+    Why pp(G) is gcd(a, b) once it divides both, for xi >= 2B + 2 with B
+    the smaller of |a| and |b| (Char, Geddes and Gonnet, 1989): let f be
+    the one of a, b with |f| = B, and gcd(a, b) = pp(G) k.  gcd(a, b)(xi)
+    divides G(xi), so k(xi) divides the content of G: it is an integer
+    of at most xi/2.  Unless k lies in Z[t_m], its part of top degree in
+    t1..t_{m-1} then vanishes at t_m = xi, and so does the top part of
+    f, whose coefficients are polynomials in t_m with coefficients at
+    most B; but such a nonzero polynomial has no root of modulus 1 + B
+    or more (Cauchy).  So k lies in Z[t_m], divides those coefficients,
+    and |k(xi)| > (xi - 1 - B)^deg k >= xi/2 unless k is a constant: +-1,
+    as pp(G) and the gcd of primitive a and b are primitive.  The same
+    argument without t1..t_{m-1} covers one variable.  No variable
+    divides G either, so the checks, divisions in the Laurent ring, hold
+    only if pp(G) divides a and b as polynomials: for i < m, t_i would
+    divide f(xi), so the part of f free of t_i would vanish at t_m = xi,
+    against the same root bound; t_m would mean that xi divides G(xi),
+    hence f(xi), hence f at t_m = 0, whose coefficients, below xi/2,
+    would all be 0: t_m would divide f.
+    """
     if p.nvars == 1:
         # both lists have a nonzero constant term, and so has their gcd,
-        # whose leading coefficient _gcd_dense makes positive: canonical
-        return _from_dense(0, _gcd_dense(_dense(p)[1], _dense(q)[1]))
-    a = p.shifted(tuple(-v for v in p.min_exponents()))
-    b = q.shifted(tuple(-v for v in q.min_exponents()))
-    return canonical(_gcd_poly(a, b))
+        # whose leading coefficient _gcd_heu_dense makes positive: canonical
+        return _from_dense(0, _gcd_heu_dense(_dense(p)[1], _dense(q)[1]))
+    c = _int_gcd(*p.terms.values(), *q.terms.values())
+    a, b = _primitive_part(p), _primitive_part(q)
+    xi = 2 * min(max(map(abs, a.terms.values())),
+                 max(map(abs, b.terms.values()))) + 29
+    for _ in range(_HEU_TRIES):
+        va, vb = _evaluate_last(a, xi), _evaluate_last(b, xi)
+        g = _gcd_poly(va, vb) if va and vb else va or vb
+        if g:
+            h = _interpolate(g, xi)
+            # one term: h = +-1, as no variable divides it
+            if len(h.terms) == 1 or divides(h, a) and divides(h, b):
+                return h * c
+        xi = _next_xi(xi)
+    return None
 
 
-def _split_last(p):
-    """View p in nvars variables as a map degree -> coefficient in nvars-1."""
-    coeffs = {}
-    for e, c in p.terms.items():
-        coeffs.setdefault(e[-1], {})[e[:-1]] = c
-    return {d: LaurentPoly._make(p.nvars - 1, t) for d, t in coeffs.items()}
+def _primitive_part(p):
+    """p over its integer content, shifted so that no variable divides it."""
+    c, low = _int_gcd(*p.terms.values()), p.min_exponents()
+    if c == 1 and not any(low):
+        return p
+    return exact_divide(p, LaurentPoly.monomial(c, low))
 
 
-def _join_last(nvars, coeffs):
-    terms = {}
-    for d, poly in coeffs.items():
-        for e, c in poly.terms.items():
-            terms[e + (d,)] = c
-    return LaurentPoly._make(nvars, terms)
+def _next_xi(xi):
+    # the growth of sympy's dup_zz_heu_gcd: xi times about 2.73 xi^(1/4)
+    return 73794 * xi * isqrt(isqrt(xi)) // 27011
 
 
-def _content_and_primitive(coeffs, nvars_coeff):
-    """gcd of the coefficient polys and the coefficient-wise quotient."""
-    if len(coeffs) == 1:
-        (d, c), = coeffs.items()
-        return c, {d: LaurentPoly.one(nvars_coeff)}
-    cont = LaurentPoly.zero(nvars_coeff)
-    for d in sorted(coeffs):
-        cont = _gcd_poly(cont, coeffs[d])
-        if cont.is_one():
-            return cont, dict(coeffs)
-    if cont.is_zero():
-        return cont, dict(coeffs)
-    prim = {d: exact_divide(c, cont) for d, c in coeffs.items()}
-    return cont, prim
+def _symmetric_digits(n, xi):
+    """Digits d_i of n = sum d_i xi^i, lowest first, |d_i| <= xi/2."""
+    out, half = [], xi // 2
+    while n:
+        out.append((n + half) % xi - half)
+        n = (n - out[-1]) // xi
+    return out
 
 
-def _x_mul(coeffs, factor, shift=0):
+def _evaluate_last(p, xi):
+    """p at t_m = xi, a polynomial in t1..t_{m-1}."""
+    powers = [xi ** i for i in range(max(e[-1] for e in p.terms) + 1)]
     out = {}
-    for d, c in coeffs.items():
-        v = c * factor
-        if not v.is_zero():
-            out[d + shift] = v
-    return out
+    for e, c in p.terms.items():
+        k = e[:-1]
+        out[k] = out.get(k, 0) + c * powers[e[-1]]
+    return LaurentPoly._make(p.nvars - 1, {k: c for k, c in out.items() if c})
 
 
-def _x_sub(a, b):
-    out = dict(a)
-    for d, c in b.items():
-        s = out.get(d, LaurentPoly.zero(c.nvars)) - c
-        if s.is_zero():
-            out.pop(d, None)
-        else:
-            out[d] = s
-    return out
+def _interpolate(g, xi):
+    """pp(G): G(xi) = g, with g's symmetric xi-adic digits at t_m^i."""
+    terms = {}
+    for e, c in g.terms.items():
+        for i, d in enumerate(_symmetric_digits(c, xi)):
+            if d:
+                terms[e + (i,)] = d
+    k = _int_gcd(*terms.values())
+    return LaurentPoly._make(g.nvars + 1,
+                             {e: d // k for e, d in terms.items()})
 
 
-def _pseudo_rem(a, b):
-    """prem(a, b) = lc(b)^(deg a - deg b + 1) * a  mod  b, fraction-free."""
-    da, db = max(a), max(b)
-    lcb = b[db]
-    r = dict(a)
-    e = da - db + 1
-    while r and max(r) >= db:
-        dr = max(r)
-        lead = r[dr]
-        r = _x_sub(_x_mul(r, lcb), _x_mul(b, lead, dr - db))
-        e -= 1
-    for _ in range(e):
-        r = _x_mul(r, lcb)
-    return r
+def _gcd_heu_dense(a, b):
+    """
+    gcd in Z[t] of two coefficient lists with nonzero ends, its leading
+    coefficient positive: GCDHEU on the lists, as in _gcd_poly, then
+    _gcd_dense once _HEU_TRIES points have failed.
+    """
+    ca, cb = _int_gcd(*a), _int_gcd(*b)
+    c = _int_gcd(ca, cb)
+    a = [x // ca for x in a] if ca != 1 else a
+    b = [x // cb for x in b] if cb != 1 else b
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(_HEU_TRIES):
+        va = vb = 0
+        for x in reversed(a):
+            va = va * xi + x
+        for x in reversed(b):
+            vb = vb * xi + x
+        # xi lies beyond the roots of the one of a, b with the smaller
+        # largest coefficient (Cauchy), so va or vb is nonzero
+        g = _int_gcd(va, vb)
+        if g <= xi // 2:  # G = g, a constant: pp(G) = 1
+            return [c]
+        h = _symmetric_digits(g, xi)
+        k = _int_gcd(*h) if h[-1] > 0 else -_int_gcd(*h)
+        h = [x // k for x in h]
+        if (_divide_dense(a, h) is not None and
+                _divide_dense(b, h) is not None):
+            return [x * c for x in h] if c != 1 else h
+        xi = _next_xi(xi)
+    return [x * c for x in _gcd_dense(a, b)]
 
 
 def _prem_dense(a, b):
@@ -777,44 +848,3 @@ def _gcd_dense(a, b):
     # b is primitive: the gcd of the primitive parts, or ±1 if constant
     c = _int_gcd(ca, cb) if b[-1] > 0 else -_int_gcd(ca, cb)
     return [x * c for x in b]
-
-
-def _gcd_poly(p, q):
-    # ordinary (min-exponent-0) polynomials in 1 or more variables;
-    # result defined up to sign
-    if p.is_zero():
-        return q
-    if q.is_zero():
-        return p
-    if p.nvars == 1:
-        # t^min(lp, lq) times the gcd of the parts with a nonzero constant
-        (lp, a), (lq, b) = _dense(p), _dense(q)
-        return _from_dense(min(lp, lq), _gcd_dense(a, b))
-    ca, pa = _content_and_primitive(_split_last(p), p.nvars - 1)
-    cb, pb = _content_and_primitive(_split_last(q), q.nvars - 1)
-    cont = _gcd_poly(ca, cb)
-    if max(pa) < max(pb):
-        pa, pb = pb, pa
-    one = LaurentPoly.one(p.nvars - 1)
-    g = h = one
-    while True:
-        delta = max(pa) - max(pb)
-        rem = _pseudo_rem(pa, pb)
-        if not rem:
-            _, result = _content_and_primitive(pb, p.nvars - 1)
-            break
-        if max(rem) == 0:
-            result = {0: one}
-            break
-        divisor = g * h ** delta
-        pa = pb
-        pb = {d: exact_divide(c, divisor) for d, c in rem.items()}
-        g = pa[max(pa)]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = exact_divide(g ** delta, h ** (delta - 1))
-    lifted = _join_last(p.nvars, result)
-    if cont.is_one():
-        return lifted
-    return lifted * _join_last(p.nvars, {0: cont})

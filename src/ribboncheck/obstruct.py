@@ -56,7 +56,19 @@ class ObstructionReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict())
+        """json.dumps(self.to_dict()), from the polynomials' encoded texts."""
+        g = self.gcd_value
+        gcd_json = ('"1"' if g.is_one() else
+                    self.delta_l.json_text if g == self.delta_l.value else
+                    self.delta_j.json_text if g == self.delta_j.value else
+                    json.dumps(laurent.poly_to_str(g)))
+        quotient_json = ("null" if self.quotient is None else
+                         json.dumps(laurent.poly_to_str(self.quotient)))
+        return ('{"direction": [%s], "deltaJ": %s, "deltaL": %s, '
+                '"verdict": %s, "quotient": %s, "gcd": %s}' % (
+                    ", ".join(map(json.dumps, self.direction)),
+                    self.delta_j.json_text, self.delta_l.json_text,
+                    json.dumps(self.verdict), quotient_json, gcd_json))
 
     def summary(self):
         if self.verdict == OBSTRUCTED:
@@ -79,6 +91,13 @@ def ribbon_obstruction(diagram_j, diagram_l, names=("J", "L")):
                                         alexander_polynomial(diagram_l), names)
 
 
+def component_mismatch(delta_j, delta_l):
+    """Why the theorem does not apply to the polynomials' links, or None."""
+    if delta_j.nvars != delta_l.nvars:
+        return ("component counts differ (%d vs %d); concordance preserves "
+                "them" % (delta_j.nvars, delta_l.nvars))
+
+
 def obstruction_from_polynomials(delta_j, delta_l, names=("J", "L"),
                                  shared=None):
     """
@@ -94,10 +113,9 @@ def obstruction_from_polynomials(delta_j, delta_l, names=("J", "L"),
     directions come, and a gcd only when neither polynomial divides the
     other.
     """
-    if delta_j.nvars != delta_l.nvars:
-        raise ComponentMismatch(
-            "component counts differ (%d vs %d); concordance preserves them"
-            % (delta_j.nvars, delta_l.nvars))
+    reason = component_mismatch(delta_j, delta_l)
+    if reason:
+        raise ComponentMismatch(reason)
     if shared is not None and "quotient" in shared:
         quotient = shared.pop("quotient")
     else:

@@ -88,12 +88,49 @@ class TestVerdicts:
                         )["latency_p50_ms"]
             assert m["within_bound"] is within, value
 
+    def test_unresolved_when_the_parent_spreads_past_the_bound(
+            self, ab_bench):
+        # parent interquartile range 40 against a bound of 0.25 * 100
+        parent = [80.0, 120.0] * 5
+
+        def verdicts(change):
+            m = summary(ab_bench, {"latency_p50_ms": parent},
+                        {"latency_p50_ms": change})["latency_p50_ms"]
+            assert m["parent_iqr"] == 40.0
+            return m["unresolved"], m["within_bound"]
+
+        # overlapping runs: within the bound by the medians, yet unresolved
+        assert verdicts([x + 5 for x in parent]) == (True, True)
+        assert verdicts([x - 10 for x in parent]) == (True, True)
+        # every change run better than every parent run: resolved
+        assert verdicts([79.0] * 10) == (False, True)
+        # one change run at a parent run's value is not better than it
+        assert verdicts([79.0] * 9 + [80.0]) == (True, True)
+
+    def test_resolved_when_the_parent_spreads_within_the_bound(
+            self, ab_bench):
+        parent = [95.0, 105.0] * 5  # interquartile range 10 < 25
+        m = summary(ab_bench, {"latency_p50_ms": parent},
+                    {"latency_p50_ms": [x + 30 for x in parent]}
+                    )["latency_p50_ms"]
+        assert m["unresolved"] is False
+        assert m["within_bound"] is False
+        # a higher-is-better metric, same rule
+        m = summary(ab_bench, {"requests_per_s": [10.0, 20.0] * 5},
+                    {"requests_per_s": [21.0] * 10})["requests_per_s"]
+        assert m["parent_iqr"] == 10.0
+        assert m["unresolved"] is False
+        m = summary(ab_bench, {"requests_per_s": [10.0, 20.0] * 5},
+                    {"requests_per_s": [20.0] * 10})["requests_per_s"]
+        assert m["unresolved"] is True
+
     def test_per_layer_metrics_get_no_verdict(self, ab_bench):
         s = summary(ab_bench, {"cli.self_ms": [1.6] * 10},
                     {"cli.self_ms": [0.3] * 10})
         assert s["cli.self_ms"]["change_wins"] == "10/10"
         assert "claim_met" not in s["cli.self_ms"]
         assert "within_bound" not in s["cli.self_ms"]
+        assert "unresolved" not in s["cli.self_ms"]
 
     def test_unpaired_runs_are_left_out(self, ab_bench):
         lines = runs({"latency_p50_ms": [4.0] * 3},

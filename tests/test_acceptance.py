@@ -8,7 +8,7 @@ import random
 import time
 
 from ribboncheck.alexander import alexander_polynomial, module_rank
-from ribboncheck.foxcalc import fox_derivative, jacobian
+from ribboncheck.foxcalc import jacobian
 from ribboncheck.laurent import LaurentPoly, canonical, gcd, parse_poly
 from ribboncheck.linkcodec import (braid_closure, connected_sum,
                                    linking_number, parse_braid,
@@ -21,6 +21,7 @@ from ribboncheck.wirtinger import (AbelianizationMap, apply_phi, free_reduce,
                                    wirtinger_presentation)
 
 from conftest import random_braid_knot, random_free_word
+from helpers import fox_derivative
 
 TREFOIL_BRAID = "n=2:1 1 1"
 FIG8_BRAID = "n=3:1 -2 1 -2"

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -220,6 +221,37 @@ class TestBatch:
         r = run_cli("batch", str(path))
         assert r.returncode == 2
 
+    def test_file_that_is_not_utf8_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("name,spec\ncaf\xe9,braid:n=2:1 1 1\n"
+                         .encode("latin-1"))
+        assert cli.main(["batch", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: batch CSV %s is not UTF-8 text "
+                       "(invalid continuation byte)\n" % path)
+
+    def test_field_past_the_csv_limit_is_an_input_error(self, tmp_path,
+                                                        capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("name,spec\ntrefoil,braid:n=2:1 1 1\n"
+                        "long,braid:n=2:" + "1 " * 70000 + "\n")
+        assert cli.main(["batch", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: batch CSV %s, line 3: field larger than "
+                       "field limit (131072)\n" % path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_text("name,spec\ntrefoil,braid:n=2:1 1 1\n",
+                        encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbfname")
+        assert cli.main(["batch", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "name": "trefoil", "spec": "braid:n=2:1 1 1", "components": 1,
+            "crossings": 3, "alexander": "t^2 - t + 1"}
+
 
 class TestSinglePass:
     """In-process runs of cli.main, so that module functions can be patched."""
@@ -367,6 +399,54 @@ class TestSinglePass:
                 verdicts.add(line["verdict"])
         assert verdicts == {"obstructed", "not_obstructed",
                             "component_mismatch"}
+
+    def test_pair_line_bytes_with_escaped_names(self, tmp_path, capsys):
+        # knots and 2-component links mixed, under names that JSON
+        # escapes: every line is json.dumps of its record
+        rows = [('say "3_1"', "braid:n=2:1 1 1"),
+                ("back\\slash", "braid:n=3:1 -2 1 -2"),
+                ("caf\u00e9", "braid:n=2:1 1"),
+                ("snow\u2603man", "braid:n=2:1 1 1 1"),
+                ("unknot", "braid:n=1:")]
+        path = tmp_path / "table.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([("name", "spec")] + rows)
+        assert cli.main(["batch", str(path), "--pairs"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5 + 25
+        deltas = [alexander.alexander_polynomial(linkcodec.parse_link_spec(
+            spec)) for _, spec in rows]
+        pair_lines = iter(lines[5:])
+        mismatches = 0
+        for (name_j, _), delta_j in zip(rows, deltas):
+            for (name_l, _), delta_l in zip(rows, deltas):
+                line = next(pair_lines)
+                if delta_j.nvars != delta_l.nvars:
+                    mismatches += 1
+                    assert line == json.dumps({
+                        "direction": [name_j, name_l],
+                        "verdict": "component_mismatch",
+                        "reason": "component counts differ (%d vs %d); "
+                                  "concordance preserves them"
+                                  % (delta_j.nvars, delta_l.nvars)})
+                else:
+                    assert line == json.dumps(
+                        obstruct.obstruction_from_polynomials(
+                            delta_j, delta_l, names=(name_j, name_l)
+                        ).to_dict())
+        assert mismatches == 12
+        assert '"direction": ["say \\"3_1\\"", "back\\\\slash"]' in lines[6]
+        assert '"snow\\u2603man"' in lines[5 + 3 * 5 + 1]
+
+    def test_exhausted_multivariable_gcd_exits_3(self, monkeypatch, capsys):
+        # T(2,4) and T(2,6): neither polynomial divides the other
+        monkeypatch.setattr(laurent, "_HEU_TRIES", 0)
+        code = cli.main(["obstruct", "braid:n=2:1 1 1 1",
+                         "braid:n=2:1 1 1 1 1 1"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: gcd of two polynomials in 2 variables: GCDHEU found no "
+            "common divisor at 0 evaluation points (laurent._HEU_TRIES)\n")
 
     def test_failed_division_witness_is_a_computation_error(
             self, monkeypatch, capsys):

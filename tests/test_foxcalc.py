@@ -1,6 +1,6 @@
 import random
 
-from ribboncheck.foxcalc import GroupRingElement, fox_derivative, jacobian
+from ribboncheck.foxcalc import jacobian
 from ribboncheck.laurent import LaurentPoly, parse_poly
 from ribboncheck.linkcodec import parse_link_spec
 from ribboncheck.wirtinger import (AbelianizationMap, GroupPresentation,
@@ -8,6 +8,7 @@ from ribboncheck.wirtinger import (AbelianizationMap, GroupPresentation,
                                    wirtinger_presentation, word_multiply)
 
 from conftest import random_free_word
+from helpers import GroupRingElement, fox_derivative
 
 
 def recursive_fox(word, gen):

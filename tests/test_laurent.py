@@ -383,21 +383,146 @@ class TestGcd:
             # units, so compare canonical forms
             assert gcd(p, q) == canonical(expected), (p, q)
 
-    def test_content_of_one_coefficient(self, monkeypatch):
-        # the content of a single coefficient c is c, its primitive part
-        # 1: what the general loop computes, as _gcd_poly(0, c) and c / c
-        c = P("-3*t^2 + 6", 1)
-        assert laurent._gcd_poly(LaurentPoly.zero(1), c) == c
-        assert exact_divide(c, c) == ONE
 
-        def refuse(*args):
-            raise AssertionError("one coefficient divided or gcd taken")
+def dense_poly(rng, nvars, terms, max_exp, max_coeff=9):
+    """Exactly `terms` terms with exponents in [0, max_exp]."""
+    out = {}
+    while len(out) < terms:
+        exps = tuple(rng.randint(0, max_exp) for _ in range(nvars))
+        out[exps] = rng.choice((-1, 1)) * rng.randint(1, max_coeff)
+    return LaurentPoly(nvars, out)
 
-        monkeypatch.setattr(laurent, "exact_divide", refuse)
-        monkeypatch.setattr(laurent, "_gcd_poly", refuse)
-        cont, prim = laurent._content_and_primitive({4: c}, 1)
-        assert cont == c
-        assert prim == {4: ONE}
+
+def sympy_gcd(p, q):
+    """canonical(sympy.gcd) of two polynomials with nonnegative exponents."""
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols("x0:%d" % p.nvars)
+    return canonical(lower(sympy.gcd(lift(p, symbols), lift(q, symbols)),
+                           symbols))
+
+
+class TestHeuristicGcd:
+    """
+    GCDHEU (laurent._gcd_poly and _gcd_heu_dense) against sympy.gcd, on
+    the sizes at which the subresultant recursion it replaced ran for
+    seconds, at a point that fails, and with its retries used up.
+    """
+
+    # per variable count: (terms of the cofactors, of the planted factor,
+    # largest exponent of the cofactors, of the factor)
+    SIZES = {1: (6, 4, 8, 5), 2: (5, 3, 3, 2), 3: (4, 3, 2, 1)}
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_against_sympy(self, m):
+        rng = random.Random(9000 + m)
+        terms, fterms, exp, fexp = self.SIZES[m]
+        for k in range(100):
+            p = random_poly(rng, m, terms, exp, 7, laurent=False)
+            q = random_poly(rng, m, terms, exp, 7, laurent=False)
+            if k % 4:
+                # a planted common factor of one to fterms terms
+                f = random_poly(rng, m, fterms, fexp, 5, laurent=False)
+                p, q = p * f, q * f
+            if k % 3 == 0:
+                # integer contents, with a common part
+                c = rng.choice((2, 3, 6))
+                p, q = p * (c * rng.randint(1, 4)), q * (c * rng.randint(1, 4))
+            if p.is_zero() or q.is_zero():
+                continue
+            expected = sympy_gcd(p, q)
+            # Laurent shifts change neither gcd
+            shift = [tuple(rng.randint(-5, 5) for _ in range(m)) for _ in "pq"]
+            assert gcd(p.shifted(shift[0]), q.shifted(shift[1])) == expected, \
+                (p, q)
+            assert gcd(q, p) == expected, (p, q)
+
+    def test_coprime_pairs_of_21_and_42_terms(self):
+        # two variables, exponents below 30: the subresultant recursion did
+        # not finish within 20 s on such pairs
+        rng = random.Random(21)
+        for _ in range(3):
+            p, q = dense_poly(rng, 2, 21, 29), dense_poly(rng, 2, 42, 29)
+            start = time.perf_counter()
+            g = gcd(p, q)
+            assert time.perf_counter() - start < 1.0
+            assert g == LaurentPoly.one(2) == sympy_gcd(p, q)
+
+    def test_pairs_sharing_a_four_term_factor(self):
+        # 8 and 12 terms times a common 4-term factor: 2.8-4.7 s each by
+        # the subresultant recursion
+        rng = random.Random(4)
+        for _ in range(3):
+            f = dense_poly(rng, 2, 4, 6)
+            p = dense_poly(rng, 2, 8, 12) * f
+            q = dense_poly(rng, 2, 12, 12) * f
+            start = time.perf_counter()
+            g = gcd(p, q)
+            assert time.perf_counter() - start < 1.0
+            assert exact_divide(g, f) is not None
+            assert g == sympy_gcd(p, q)
+
+    def test_a_failed_point_is_retried(self, monkeypatch):
+        points = []
+        original = laurent._next_xi
+
+        def recorded(xi):
+            points.append(xi)
+            return original(xi)
+
+        def refuse(a, b):
+            raise AssertionError("fell back to Euclid")
+
+        monkeypatch.setattr(laurent, "_next_xi", recorded)
+        monkeypatch.setattr(laurent, "_gcd_dense", refuse)
+        # at xi = 31, 3t + 2 and t^2 - t + 1 take the values 95 and 931,
+        # both multiples of 19: G = t - 12, which divides neither
+        assert gcd(P("-3*t - 2"), P("-3*t^2 + 3*t - 3")) == ONE
+        assert points == [31]
+        # at xi = 2 * 7 + 29 = 43, t1^2 - t2 + 7 takes the value
+        # (t1 - 6)(t1 + 6), and (t1 - 6)(t2 + 20) the value 63 (t1 - 6):
+        # G = t1 - 6, which does not divide t1^2 - t2 + 7
+        a = P("t1^2 - t2 + 7", 2)
+        b = P("t1*t2 + 20*t1 - 6*t2 - 120", 2)
+        del points[:]
+        assert gcd(a, b) == LaurentPoly.one(2)
+        assert points == [43]
+        assert gcd(a * 6, b.shifted((-2, 5)) * 4) == \
+            LaurentPoly.constant(2, 2)
+
+    def test_one_variable_fallback_gives_the_same_gcd(self, monkeypatch):
+        rng = random.Random(33)
+        cases = []
+        for k in range(60):
+            f = dense_poly(rng, 1, 3, 4, 5) if k % 2 else ONE
+            p, q = (dense_poly(rng, 1, rng.randint(2, 6), 8, 6) * f
+                    * rng.randint(1, 6) for _ in "pq")
+            cases.append((p.shifted((rng.randint(-3, 3),)), q, gcd(p, q)))
+        fallbacks = []
+        original = laurent._gcd_dense
+
+        def counted(a, b):
+            fallbacks.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(laurent, "_gcd_dense", counted)
+        for p, q, g in cases:
+            assert gcd(p, q) == g
+        assert not fallbacks  # GCDHEU found every one of them
+        monkeypatch.setattr(laurent, "_HEU_TRIES", 0)
+        for p, q, g in cases:
+            assert gcd(p, q) == g
+        assert len(fallbacks) == len(cases)
+
+    def test_multivariable_exhaustion_is_a_computation_error(
+            self, monkeypatch):
+        p, q = P("t1*t2 + 1", 2), P("t1^2*t2^2 + t1*t2 + 1", 2)
+        assert gcd(p, q) == LaurentPoly.one(2)
+        monkeypatch.setattr(laurent, "_HEU_TRIES", 0)
+        with pytest.raises(laurent.ComputationError, match="gcd of two "
+                           "polynomials in 2 variables"):
+            gcd(p, q)
+        # one variable falls back instead
+        assert gcd(P("t^2 - 1"), P("2*t + 2")) == P("t + 1")
 
 
 def embed(p):
@@ -410,8 +535,8 @@ class TestOneVariableAgainstTwo:
     One-variable division, gcd and product run on dense coefficient lists;
     the same operands embedded in two variables, in the last one, run the
     packed-key division and product (checked against the tuple-keyed
-    reference in TestPackedAgainstReference) and the subresultant gcd
-    over Z[t1].
+    reference in TestPackedAgainstReference) and the two-variable GCDHEU,
+    which evaluates t2 and so ends on the one-variable one.
     """
 
     def check(self, p, d):

@@ -9,6 +9,7 @@ from ribboncheck.linkcodec import braid_closure, connected_sum, parse_braid, \
     parse_link_spec
 from ribboncheck.obstruct import (ComponentMismatch, NOT_OBSTRUCTED,
                                   OBSTRUCTED, coprimality_report,
+                                  obstruction_from_polynomials,
                                   ribbon_obstruction)
 
 from conftest import random_braid_knot
@@ -121,6 +122,24 @@ class TestReportShape:
         assert payload["verdict"] == "not_obstructed"
         assert payload["quotient"] == "t^2 - t + 1"
         assert payload["deltaL"] == "1"
+
+    @pytest.mark.parametrize("table", ["knots", "links"])
+    def test_to_json_is_dumps_of_to_dict(self, table, bundled_knots,
+                                         bundled_links):
+        rows = {"knots": bundled_knots, "links": bundled_links}[table]
+        deltas = [(name, alexander_polynomial(d)) for name, d in rows]
+        gcds = set()
+        for name_j, delta_j in deltas:
+            for name_l, delta_l in deltas:
+                report = obstruction_from_polynomials(
+                    delta_j, delta_l, names=(name_j, name_l))
+                assert report.to_json() == json.dumps(report.to_dict())
+                g = report.gcd_value
+                gcds.add("1" if g.is_one() else "L" if g == delta_l.value
+                         else "J" if g == delta_j.value else "other")
+        # every way to_json renders a gcd
+        assert gcds == ({"1", "L", "J", "other"} if table == "knots"
+                        else {"1", "L"})
 
     def test_obstructed_summary_text(self):
         report = ribbon_obstruction(parse_link_spec("braid:n=1:"),

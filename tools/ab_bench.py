@@ -24,8 +24,12 @@ Output, to --out or standard output, one JSON object a line:
   carries the verdicts the benchmark gate reaches on these runs:
   claim_met (the change read better in at least 9 of 10 pairs, and its
   median is better than the parent's by more than the parent's
-  interquartile range) and within_bound (the change's median is worse
-  than the parent's by no more than the metric's relative bound).
+  interquartile range), within_bound (the change's median is worse
+  than the parent's by no more than the metric's relative bound) and
+  unresolved (the parent's interquartile range is wider than the bound,
+  relative to its median, and not every run of the change reads better
+  than every run of the parent: the runs spread too widely to tell
+  whether the metric moved, whatever within_bound says).
 The exit code is 1 if any run failed or reported a wrong result.
 """
 
@@ -122,6 +126,10 @@ def summarise(workload, trace, runs, better, bounds):
                                           sign * (mb - ma) > a3 - a1)
             summary[name]["within_bound"] = (sign * (mb - ma) >=
                                              -bounds[name] * abs(ma))
+            separated = (min(sign * y for y in b) >
+                         max(sign * x for x in a))
+            summary[name]["unresolved"] = (
+                a3 - a1 > bounds[name] * abs(ma) and not separated)
     return summary
 
 
