@@ -22,8 +22,10 @@ RIBBONCHECK_MAX_CROSSINGS anew on every call.
 
 batch records an error in one row, including an unexpected one (kind
 "internal", with the traceback on stderr), and goes on with the next
-row.  It accepts --jobs N and ignores it: each row's polynomial is
-computed once, in one thread, and reused for the --pairs matrix.
+row; a computation error in one pair of --pairs is that pair's line
+(kind "compute"), and the next pair follows.  It accepts --jobs N and
+ignores it: each row's polynomial is computed once, in one thread, and
+reused for the --pairs matrix.
 """
 
 import argparse
@@ -204,8 +206,14 @@ def cmd_batch(args):
                     continue
                 pair = (None if i == j else
                         shared.setdefault((min(i, j), max(i, j)), {}))
-                print(obstruction_from_polynomials(
-                    deltas[i], deltas[j], names=names, shared=pair).to_json())
+                try:
+                    report = obstruction_from_polynomials(
+                        deltas[i], deltas[j], names=names, shared=pair)
+                except ComputationError as exc:
+                    print(json.dumps({"direction": list(names), "error": {
+                        "kind": "compute", "message": str(exc)}}))
+                    continue
+                print(report.to_json())
     return EXIT_OK
 
 

@@ -6,7 +6,14 @@ pipeline:
 
 * Reidemeister-Schreier rewriting presents the fundamental group of the
   k-fold cyclic cover of a knot exterior; integer Smith normal form of
-  its abelianized relation matrix gives H_1 of the cover directly.
+  its abelianized relation matrix gives H_1 of the cover directly.  The
+  k rewritten copies of a relator are cyclic shifts of one another, so
+  each relator is kept once, as an element of Z[t]/(t^k - 1) per
+  generator, and a unit entry ±t^j eliminates a generator's k columns
+  in one step before the Smith form sees the rest (at most 19 x 15 for
+  the bundled knots at k = 2, 3, 5, from 49 x 45).  The orbits are
+  plain integer dicts: neither laurent nor foxcalc takes part, so a
+  fault there cannot hide in both routes.
 
 * The classical finite-cover order formula: the torsion of the k-fold
   cover has order |prod_{j=1}^{k-1} Delta(zeta_k^j)|, computed exactly
@@ -71,12 +78,13 @@ def smith_normal_form(matrix):
     """
     Diagonalize an integer matrix by unimodular row/column operations and
     return the nonzero diagonal d1 | d2 | ... (unit entries included, so
-    the length of the result is the rank).
+    the length of the result is the rank).  A row is a list of entries
+    or a dict {column: entry}; either is copied into a dict of its
+    nonzero entries, which the sparse phase works on.
 
     A sparse phase eliminates at +-1 pivots first (the shortest row that
     holds one, its sparsest such column), each a unit factor; the dense
-    phase diagonalizes the core left.  The rewritten cover matrices have
-    at most four +-1 entries a row, so that core is small.
+    phase diagonalizes the core left.
 
     >>> smith_normal_form([[2, 4], [6, 8]])
     [2, 4]
@@ -84,11 +92,14 @@ def smith_normal_form(matrix):
     True
     >>> smith_normal_form([[1, 2], [3, 4]])
     [1, 2]
+    >>> smith_normal_form([{0: 2, 5: 4}, {0: 6, 5: 8}])
+    [2, 4]
     """
     rows = {}  # row id -> {column: nonzero value}
     cols = {}  # column -> ids of the rows that use it
     for i, row in enumerate(matrix):
-        r = {j: int(v) for j, v in enumerate(row) if v}
+        r = {j: int(v) for j, v in (row.items() if isinstance(row, dict)
+                                    else enumerate(row)) if v}
         if r:
             rows[i] = r
             for j in r:
@@ -214,10 +225,23 @@ def reidemeister_schreier(pres, phi, k):
     rewriting of the index-k subgroup phi^-1(kZ) with transversal
     x1^0, ..., x1^(k-1), followed by integer Smith normal form.
 
-    Returns AbelianGroupInvariants; the raw rewritten presentation has
-    k * (number of generators) Schreier generators and k * (number of
-    relators) rewritten relators (transversal trivializations are added
-    only at the abelianization step).
+    Every letter moves the coset by +-1, so the k rewritten copies of a
+    relator are cyclic shifts of one another.  Each relator is kept once,
+    as generator -> {coset: coefficient}, an element of Z[t]/(t^k - 1)
+    per generator whose k shifts are the copies (its orbit).  Where an
+    orbit holds +-t^j at a generator other than x1, that entry is a unit
+    of the ring: subtracting multiples of the orbit clears the generator
+    from every other orbit, and the orbit and the generator's k columns
+    split off as k unit factors of the Smith form.  What is left is
+    expanded to sparse integer rows, with the k - 1 transversal
+    trivializations, for smith_normal_form.  Its matrix has fewer than
+    k * (number of generators) columns whenever an orbit was eliminated:
+    at most 19 x 15 for the bundled knots at k = 2, 3, 5, against 49 x 45
+    with every column.  The orbits are integer dicts, not laurent
+    polynomials, so this route shares no code with the Fox pipeline that
+    it checks.
+
+    Returns AbelianGroupInvariants.
     """
     if phi.num_components != 1:
         raise DiagramError("cyclic-cover rewriting supports knots only")
@@ -227,31 +251,66 @@ def reidemeister_schreier(pres, phi, k):
     if g == 0:
         raise DiagramError("presentation has no generators")
 
-    def gen_index(coset, gen):
-        return coset * g + gen
-
-    rows = []
+    orbits = []  # the relators rewritten from coset 0
     for rel in pres.relators:
         if any(apply_phi(rel, phi)):
             raise DiagramError("relator does not vanish under phi")
-        for start in range(k):
-            row = [0] * (k * g)
-            coset = start
-            for gen, e in rel:
-                if e == 1:
-                    row[gen_index(coset, gen)] += 1
-                    coset = (coset + 1) % k
-                else:
-                    coset = (coset - 1) % k
-                    row[gen_index(coset, gen)] -= 1
-            rows.append(row)
+        orbit = {}
+        coset = 0
+        for gen, e in rel:
+            if e == -1:
+                coset = (coset - 1) % k
+            entry = orbit.setdefault(gen, {})
+            entry[coset] = entry.get(coset, 0) + e
+            if e == 1:
+                coset = (coset + 1) % k
+        for gen in list(orbit):
+            orbit[gen] = {c: v for c, v in orbit[gen].items() if v}
+            if not orbit[gen]:
+                del orbit[gen]
+        if orbit:
+            orbits.append(orbit)
+
+    gone = set()  # generators whose columns split off
+    while True:
+        # the first orbit with a unit entry at a generator other than x1
+        piv = next(((i, gen) for i, orbit in enumerate(orbits)
+                    for gen, entry in orbit.items() if gen and len(entry) == 1
+                    and next(iter(entry.values())) in (1, -1)), None)
+        if piv is None:
+            break
+        i, x = piv
+        pivot = orbits.pop(i)
+        gone.add(x)
+        ((j, e),) = pivot.pop(x).items()
+        for orbit in orbits:
+            f = orbit.pop(x, None)
+            if f is None:
+                continue
+            # orbit -= f * e * t^-j * pivot
+            for gen, entry in pivot.items():
+                target = orbit.setdefault(gen, {})
+                for c, a in f.items():
+                    for d, b in entry.items():
+                        pos = (c - j + d) % k
+                        w = target.get(pos, 0) - e * a * b
+                        if w:
+                            target[pos] = w
+                        else:
+                            del target[pos]
+                if not target:
+                    del orbit[gen]
+        orbits = [orbit for orbit in orbits if orbit]
+
+    column = {gen: i * k for i, gen in
+              enumerate(gen for gen in range(g) if gen not in gone)}
+    rows = [{column[gen] + (c + s) % k: v
+             for gen, entry in orbit.items() for c, v in entry.items()}
+            for orbit in orbits for s in range(k)]
     # transversal trivializations: x1^c x1 x1^-(c+1) is freely trivial
     # for c < k-1, so those Schreier generators die
-    for c in range(k - 1):
-        row = [0] * (k * g)
-        row[gen_index(c, 0)] = 1
-        rows.append(row)
-    return abelian_invariants(rows, k * g)
+    rows.extend({column[0] + c: 1} for c in range(k - 1))
+    return abelian_invariants(rows, k * len(column))
 
 
 def _sylvester_resultant(f, g):

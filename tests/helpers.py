@@ -1,12 +1,16 @@
 """
 Small functions that only the tests call, kept out of the package:
 debug renderings of words and presentations, the raw Schreier rewriting
-sizes, the check that a polynomial is in canonical form, and the Fox
+sizes, the check that a polynomial is in canonical form, the Fox
 derivative in the free group ring, the slow and independent reference
-that the package's one-pass Jacobian is checked against.
+that the package's one-pass Jacobian is checked against, and the full
+Schreier rewriting of the cover oracle, the reference its orbit
+elimination is checked against.
 """
 
-from ribboncheck.wirtinger import free_reduce, word_multiply
+from ribboncheck import oracles
+from ribboncheck.linkcodec import DiagramError
+from ribboncheck.wirtinger import apply_phi, free_reduce, word_multiply
 
 
 def word_to_str(word):
@@ -94,3 +98,49 @@ def fox_derivative(word, gen):
             if g == gen:
                 result.add(prefix, -1)
     return result
+
+
+def full_reidemeister_schreier(pres, phi, k):
+    """
+    H_1 of the k-fold cyclic cover of a knot exterior, from Schreier
+    rewriting of the index-k subgroup phi^-1(kZ) with transversal
+    x1^0, ..., x1^(k-1), followed by integer Smith normal form.
+
+    Returns AbelianGroupInvariants; the raw rewritten presentation has
+    k * (number of generators) Schreier generators and k * (number of
+    relators) rewritten relators (transversal trivializations are added
+    only at the abelianization step).
+    """
+    if phi.num_components != 1:
+        raise DiagramError("cyclic-cover rewriting supports knots only")
+    if k < 2:
+        raise ValueError("cover degree must be at least 2")
+    g = pres.num_generators
+    if g == 0:
+        raise DiagramError("presentation has no generators")
+
+    def gen_index(coset, gen):
+        return coset * g + gen
+
+    rows = []
+    for rel in pres.relators:
+        if any(apply_phi(rel, phi)):
+            raise DiagramError("relator does not vanish under phi")
+        for start in range(k):
+            row = [0] * (k * g)
+            coset = start
+            for gen, e in rel:
+                if e == 1:
+                    row[gen_index(coset, gen)] += 1
+                    coset = (coset + 1) % k
+                else:
+                    coset = (coset - 1) % k
+                    row[gen_index(coset, gen)] -= 1
+            rows.append(row)
+    # transversal trivializations: x1^c x1 x1^-(c+1) is freely trivial
+    # for c < k-1, so those Schreier generators die
+    for c in range(k - 1):
+        row = [0] * (k * g)
+        row[gen_index(c, 0)] = 1
+        rows.append(row)
+    return oracles.abelian_invariants(rows, k * g)

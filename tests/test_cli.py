@@ -448,6 +448,41 @@ class TestSinglePass:
             "error: gcd of two polynomials in 2 variables: GCDHEU found no "
             "common divisor at 0 evaluation points (laurent._HEU_TRIES)\n")
 
+    def test_exhausted_gcd_in_batch_pairs_is_that_pair_s_line(
+            self, monkeypatch, capsys, tmp_path):
+        # T(2,4) and T(2,6) need a two-variable gcd; the trefoil's
+        # one-variable gcds fall back to Euclid and finish
+        monkeypatch.setattr(laurent, "_HEU_TRIES", 0)
+        path = tmp_path / "t.csv"
+        path.write_text("name,spec\n3_1,braid:n=2:1 1 1\n"
+                        "T24,braid:n=2:1 1 1 1\nT26,braid:n=2:1 1 1 1 1 1\n")
+        assert cli.main(["batch", str(path), "--pairs"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        lines = out.out.splitlines()
+        assert len(lines) == 12
+        failed = [line for line in lines if '"error"' in line]
+        message = ("gcd of two polynomials in 2 variables: GCDHEU found no "
+                   "common divisor at 0 evaluation points (laurent._HEU_TRIES)")
+        assert failed == [json.dumps({"direction": names, "error": {
+            "kind": "compute", "message": message}})
+            for names in (["T24", "T26"], ["T26", "T24"])]
+        assert all("verdict" in json.loads(line) for line in lines[3:]
+                   if line not in failed)
+
+    def test_failed_division_witness_in_batch_pairs(self, monkeypatch, capsys,
+                                                    tmp_path):
+        monkeypatch.setattr(obstruct, "exact_divide", lambda a, b: a)
+        path = tmp_path / "t.csv"
+        path.write_text("name,spec\nA,braid:n=2:1 1 1\nB,braid:n=1:\n")
+        assert cli.main(["batch", str(path), "--pairs"]) == 0
+        lines = [json.loads(line) for line in
+                 capsys.readouterr().out.splitlines()]
+        assert len(lines) == 6
+        assert lines[2] == {"direction": ["A", "A"], "error": {
+            "kind": "compute",
+            "message": "division witness failed verification"}}
+
     def test_failed_division_witness_is_a_computation_error(
             self, monkeypatch, capsys):
         # Delta_J itself is no quotient of trefoil by trefoil

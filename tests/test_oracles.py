@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from sympy import ZZ, Matrix
@@ -14,7 +15,7 @@ from ribboncheck.oracles import (abelian_invariants,
                                  smith_normal_form, torres_check)
 from ribboncheck.wirtinger import wirtinger_presentation
 
-from helpers import rewriting_sizes
+from helpers import full_reidemeister_schreier, rewriting_sizes
 
 
 class TestSmithNormalForm:
@@ -78,13 +79,15 @@ class TestSmithNormalForm:
         assert cores == [[[3]]]
 
     def test_cover_matrices_against_sympy(self, monkeypatch):
+        # the orbit route's dict rows and the full rewriting's dense rows,
+        # as the Smith form receives them; densified for sympy
         from conftest import random_braid_knot
         from ribboncheck.linkcodec import braid_closure
         matrices = []
         original = oracles.abelian_invariants
 
         def record(matrix, num_generators):
-            matrices.append(matrix)
+            matrices.append((matrix, num_generators))
             return original(matrix, num_generators)
 
         monkeypatch.setattr(oracles, "abelian_invariants", record)
@@ -94,12 +97,21 @@ class TestSmithNormalForm:
             pres, phi = wirtinger_presentation(braid_closure(word))
             for k in range(2, 8):
                 reidemeister_schreier(pres, phi, k)
-        assert len(matrices) == 15 * 6
-        for mat in matrices:
-            assert smith_normal_form(mat) == _sympy_diagonal(mat)
+                full_reidemeister_schreier(pres, phi, k)
+        assert len(matrices) == 2 * 15 * 6
+        for mat, columns in matrices:
+            assert smith_normal_form(mat) == \
+                _sympy_diagonal(_dense(mat, columns))
+
+    def test_dict_rows(self):
+        assert smith_normal_form([{3: 2, 0: 4}, {0: 8, 3: 6}]) == \
+            smith_normal_form([[4, 0, 0, 2], [8, 0, 0, 6]]) == [2, 4]
+        row = {0: 1, 2: 0, 1: 2}
+        assert smith_normal_form([row, {1: 3}]) == [1, 3]
+        assert row == {0: 1, 2: 0, 1: 2}  # the caller's rows are not consumed
 
     def test_dense_phase_gets_a_small_core(self, bundled_knots, monkeypatch):
-        # the sparse phase leaves at most 10 x 6 of inputs up to 49 x 45;
+        # the sparse phase leaves at most 10 x 6 of inputs up to 19 x 15;
         # without it the dense phase would see the whole matrix
         cores = _record_cores(monkeypatch)
         for name, diagram in bundled_knots:
@@ -114,6 +126,11 @@ class TestSmithNormalForm:
         assert inv.free_rank == 2
         assert inv.torsion_factors == (2,)
         assert inv.torsion_order() == 2
+
+
+def _dense(matrix, num_columns):
+    return [[r.get(j, 0) for j in range(num_columns)]
+            if isinstance(r, dict) else list(r) for r in matrix]
 
 
 def _sympy_diagonal(mat):
@@ -177,6 +194,68 @@ class TestReidemeisterSchreier:
         pres, phi = wirtinger_presentation(parse_link_spec("braid:n=2:1 1 1"))
         with pytest.raises(ValueError):
             reidemeister_schreier(pres, phi, 1)
+
+    def test_against_full_rewriting_bundled(self, bundled_knots):
+        # the orbit elimination against the k * g-column rewriting it
+        # replaces, through k = 6 and 12, where the trefoil's resultant
+        # vanishes
+        for name, diagram in bundled_knots:
+            pres, phi = wirtinger_presentation(diagram)
+            for k in range(2, 13):
+                assert reidemeister_schreier(pres, phi, k) == \
+                    full_reidemeister_schreier(pres, phi, k), (name, k)
+
+    def test_against_full_rewriting_random(self):
+        from conftest import random_braid_knot
+        from ribboncheck.linkcodec import braid_closure
+        rng = random.Random(611)
+        for _ in range(200):
+            word = random_braid_knot(rng, max_strands=5, max_letters=12)
+            pres, phi = wirtinger_presentation(braid_closure(word))
+            for k in range(2, 13):
+                assert reidemeister_schreier(pres, phi, k) == \
+                    full_reidemeister_schreier(pres, phi, k), (word, k)
+
+    def test_composite_degrees_against_full_rewriting(self):
+        pres, phi = wirtinger_presentation(parse_link_spec("braid:n=2:1 1 1"))
+        for k in (6, 12):
+            inv = reidemeister_schreier(pres, phi, k)
+            assert inv == full_reidemeister_schreier(pres, phi, k)
+            assert inv == oracles.AbelianGroupInvariants(3, ())
+
+    def test_smith_input_shrinks(self, bundled_knots, monkeypatch):
+        # at the parent of the orbit elimination the largest input was
+        # 49 x 45, all k * g columns
+        shapes = []
+        original = oracles.abelian_invariants
+
+        def record(matrix, num_generators):
+            shapes.append((len(matrix), num_generators))
+            return original(matrix, num_generators)
+
+        monkeypatch.setattr(oracles, "abelian_invariants", record)
+        for name, diagram in bundled_knots:
+            pres, phi = wirtinger_presentation(diagram)
+            for k in (2, 3, 5):
+                reidemeister_schreier(pres, phi, k)
+                assert shapes[-1][1] < k * pres.num_generators, (name, k)
+        assert max(r for r, _ in shapes) <= 19
+        assert max(c for _, c in shapes) <= 15
+
+    def test_large_degree(self, bundled_knots):
+        # k = 45 took minutes with all k * g columns
+        braid = "braid:n=3:" + " ".join(["1 -2"] * 7)
+        start = time.perf_counter()
+        inv = self.cover(braid, 45)
+        assert time.perf_counter() - start < 1
+        assert inv == oracles.AbelianGroupInvariants(
+            1, (2,) * 8 + (125587574,) * 4)
+        diagram = dict(bundled_knots)["8_8"]
+        pres, phi = wirtinger_presentation(diagram)
+        start = time.perf_counter()
+        inv = reidemeister_schreier(pres, phi, 45)
+        assert time.perf_counter() - start < 1
+        assert cyclic_cover_check(alexander_polynomial(diagram), 45, inv)
 
     def test_rewriting_bookkeeping(self, bundled_knots):
         # raw Schreier rewriting multiplies the deficiency by the index

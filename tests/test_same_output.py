@@ -1,0 +1,74 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_output.py"
+
+
+@pytest.fixture(scope="module")
+def same_output():
+    spec = importlib.util.spec_from_file_location("same_output", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+COMMANDS = [["compute", "--json", "braid:n=2:1 1 1"],
+            ["validate", "braid:n=1:"],
+            ["batch", "t.csv", "--pairs"]]
+RESULTS = [[0, '{"alexander": "t^2 - t + 1"}\n', ""],
+           [0, '{"spec": "braid:n=1:"}\n', ""],
+           [0, "row 1\nrow 2\npair 1\n", ""]]
+
+
+def changed(index, field, value):
+    results = [list(r) for r in RESULTS]
+    results[index][field] = value
+    return results
+
+
+class TestFirstDifference:
+    def test_identical(self, same_output):
+        assert same_output.first_difference(COMMANDS, RESULTS,
+                                            [list(r) for r in RESULTS]) is None
+
+    def test_exit_code(self, same_output):
+        diff = same_output.first_difference(COMMANDS, RESULTS,
+                                            changed(1, 0, 3))
+        assert diff == "validate braid:n=1:: exit code differs: 0 against 3"
+
+    def test_stdout_names_the_line(self, same_output):
+        diff = same_output.first_difference(
+            COMMANDS, RESULTS, changed(2, 1, "row 1\nrow 2\npair 2\n"))
+        assert diff == ("batch t.csv --pairs: stdout line 3 differs: "
+                        "'pair 1\\n' against 'pair 2\\n'")
+
+    def test_missing_last_line(self, same_output):
+        diff = same_output.first_difference(
+            COMMANDS, RESULTS, changed(2, 1, "row 1\nrow 2\n"))
+        assert diff == ("batch t.csv --pairs: stdout line 3 differs: "
+                        "'pair 1\\n' against ''")
+
+    def test_trailing_newline(self, same_output):
+        diff = same_output.first_difference(
+            COMMANDS, RESULTS, changed(1, 1, '{"spec": "braid:n=1:"}'))
+        assert diff == ("validate braid:n=1:: stdout line 1 differs: "
+                        "'{\"spec\": \"braid:n=1:\"}\\n' against "
+                        "'{\"spec\": \"braid:n=1:\"}'")
+
+    def test_stderr(self, same_output):
+        diff = same_output.first_difference(
+            COMMANDS, RESULTS, changed(0, 2, "error: x\n"))
+        assert diff == ("compute --json braid:n=2:1 1 1: stderr line 1 "
+                        "differs: '' against 'error: x\\n'")
+
+    def test_first_of_several(self, same_output):
+        results = changed(2, 0, 1)
+        results[1][2] = "warning\n"
+        diff = same_output.first_difference(COMMANDS, RESULTS, results)
+        assert diff.startswith("validate braid:n=1:: stderr line 1")
+
+    def test_result_counts(self, same_output):
+        diff = same_output.first_difference(COMMANDS, RESULTS, RESULTS[:2])
+        assert diff == "result counts differ: 3 commands, 3 and 2 results"

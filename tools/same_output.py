@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""
+Check that two revisions of this repository print the same thing.
+
+    python tools/same_output.py PARENT CHANGE
+
+Both revisions are exported with tools/ab_bench.py's `export` into a
+temporary directory each.  Each side runs the whole corpus in one child
+process, which calls `ribboncheck.cli.main` once per command with
+standard output and standard error captured.  The corpus:
+- `compute --json`, `validate`, `oracle-check` and `oracle-check
+  --covers 2 3 ... 12` on every bundled diagram (knots.csv, links.csv);
+- every request of the four perfbench workloads at seeds 1-3, as
+  perfbench/workloads.py builds them (its batch CSVs are written into
+  both trees);
+- `batch --pairs` on both bundled tables.
+
+Each command's exit code, stdout and stderr are compared, with each
+tree's own path replaced by "<tree>".  The exit code is 0 when every
+command agrees, and 1 after naming the first command that does not.
+"""
+
+import argparse
+import csv
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from itertools import zip_longest
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+_spec = importlib.util.spec_from_file_location("ab_bench", HERE / "ab_bench.py")
+ab_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_bench)
+
+COVERS = [str(k) for k in range(2, 13)]
+SEEDS = (1, 2, 3)
+TABLES = ("src/ribboncheck/data/knots.csv", "src/ribboncheck/data/links.csv")
+
+# runs in the child: argv lists on stdin, [exit, stdout, stderr] lists out
+CHILD = r"""
+import contextlib, io, json, sys
+from ribboncheck import cli
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.__stdout__)
+"""
+
+
+def corpus(tree, seeds):
+    """The commands, and the files they read: {path relative to tree: text}."""
+    commands, files = [], {}
+    for table in TABLES:
+        with open(tree / table, newline="") as fh:
+            rows = [row for row in csv.reader(fh)][1:]
+        for row in rows:
+            if row:
+                spec = row[1].strip()
+                commands += [["compute", "--json", spec], ["validate", spec],
+                             ["oracle-check", spec],
+                             ["oracle-check", spec, "--covers"] + COVERS]
+    sys.path.insert(0, str(tree / "perfbench"))
+    try:
+        import workloads
+        for name in workloads.WORKLOADS:
+            for seed in seeds:
+                workload = workloads.generate(name, seed, tree)
+                files.update(workload.files)
+                commands += [list(r.argv) for r in workload.requests]
+    finally:
+        sys.path.remove(str(tree / "perfbench"))
+    commands += [["batch", table, "--pairs"] for table in TABLES]
+    return commands, files
+
+
+def run_side(tree, commands):
+    """[exit code, stdout, stderr] of every command, in one process."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run((sys.executable, "-c", CHILD), cwd=tree, env=env,
+                          input=json.dumps(commands), capture_output=True,
+                          text=True)
+    if proc.returncode:
+        raise SystemExit("the child in %s failed:\n%s" % (tree, proc.stderr))
+    return [[code, out.replace(str(tree), "<tree>"),
+             err.replace(str(tree), "<tree>")]
+            for code, out, err in json.loads(proc.stdout)]
+
+
+def first_difference(commands, parent, change):
+    """None if every result agrees, else a message naming the first miss."""
+    if len(parent) != len(change) or len(parent) != len(commands):
+        return "result counts differ: %d commands, %d and %d results" % (
+            len(commands), len(parent), len(change))
+    for argv, a, b in zip(commands, parent, change):
+        for name, x, y in zip(("exit code", "stdout", "stderr"), a, b):
+            if x == y:
+                continue
+            if name != "exit code":
+                lines = zip_longest(x.splitlines(True), y.splitlines(True),
+                                    fillvalue="")
+                n, (x, y) = next((n, pair) for n, pair in enumerate(lines, 1)
+                                 if pair[0] != pair[1])
+                name += " line %d" % n
+            return "%s: %s differs: %r against %r" % (
+                " ".join(argv)[:200], name, x, y)
+    return None
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description=__doc__.strip().split("\n\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {}
+        for side in ("parent", "change"):
+            trees[side] = Path(tmp) / side
+            trees[side].mkdir()
+            ab_bench.export(getattr(args, side), trees[side])
+        commands, files = corpus(trees["parent"], SEEDS)
+        for tree in trees.values():
+            for path, text in files.items():
+                (tree / path).parent.mkdir(parents=True, exist_ok=True)
+                (tree / path).write_text(text)
+        results = {side: run_side(tree, commands)
+                   for side, tree in trees.items()}
+    diff = first_difference(commands, results["parent"], results["change"])
+    if diff:
+        print(diff)
+        return 1
+    print("%d commands: identical exit codes, stdout and stderr"
+          % len(commands))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
