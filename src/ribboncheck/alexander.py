@@ -24,7 +24,9 @@ computed on its own small matrix.
 All other elimination is fraction-free (Bareiss) and goes through one
 routine, _eliminate, which both module_rank and determinant call: every
 division performed is exact in the Laurent ring, so no rational-function
-arithmetic is needed.
+arithmetic is needed.  Each update of either elimination, x - f*g at a
+unit pivot and the Bareiss numerator a*b - c*d, is one laurent.mul_add
+call, which builds no intermediate polynomial.
 
 Convention: the gcd of the empty set of 0 x 0 minors is 1, so a module
 with no torsion (the unlink, or a split union of unknots) gets
@@ -41,7 +43,8 @@ from math import comb
 from typing import Tuple
 
 from . import laurent
-from .laurent import ComputationError, LaurentPoly, canonical, exact_divide
+from .laurent import (ComputationError, LaurentPoly, canonical,
+                      exact_divide, mul_add)
 from .foxcalc import AlexanderPresentation, jacobian
 from .wirtinger import wirtinger_presentation
 
@@ -105,22 +108,24 @@ def _eliminate(rows, nvars):
     for c in range(ncols):
         if k == nrows:
             break
-        piv = next((i for i in range(k, nrows) if not m[i][c].is_zero()), None)
+        piv = next((i for i in range(k, nrows) if m[i][c].terms), None)
         if piv is None:
             continue
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             order[k], order[piv] = order[piv], order[k]
             sign = -sign
-        for i in range(k + 1, nrows):
+        top, lead = m[k], m[k][c]
+        for row in m[k + 1:]:  # column c below the pivot is never read again
+            below = row[c]
             for j in range(c + 1, ncols):
-                num = m[k][c] * m[i][j] - m[i][c] * m[k][j]
-                q = exact_divide(num, prev)
-                if q is None:
-                    raise ComputationError("Bareiss division failed")
-                m[i][j] = q
-            m[i][c] = LaurentPoly.zero(nvars)
-        prev = m[k][c]
+                num = mul_add(((lead, row[j], 1), (below, top[j], -1)))
+                if k:  # else prev is the initial 1
+                    num = exact_divide(num, prev)
+                    if num is None:
+                        raise ComputationError("Bareiss division failed")
+                row[j] = num
+        prev = lead
         pivot_cols.append(c)
         k += 1
     return k, order[:k], pivot_cols, prev, sign
@@ -175,14 +180,8 @@ def _column_weights(pres):
 def _row_relation_holds(pres, weights):
     # every relator dies under the abelianization, which makes each row
     # satisfy sum_j entry_j * (t_{comp(j)} - 1) = 0 exactly
-    zero = LaurentPoly.zero(pres.nvars)
-    for row in pres.matrix:
-        total = zero
-        for e, u in zip(row, weights):
-            total = total + e * u
-        if not total.is_zero():
-            return False
-    return True
+    return not any(mul_add([(e, u, 1) for e, u in zip(row, weights)])
+                   for row in pres.matrix)
 
 
 def torsion_order(pres, source=None):
@@ -229,7 +228,7 @@ def _reduced_blocks(pres):
     cols = {j: set() for j in range(pres.num_generators)}
     units = set()
     for i, row in enumerate(pres.matrix):
-        entries = {j: e for j, e in enumerate(row) if not e.is_zero()}
+        entries = {j: e for j, e in enumerate(row) if e.terms}
         if entries:
             rows[i] = entries
         for j, e in entries.items():
@@ -254,8 +253,8 @@ def _reduced_blocks(pres):
             units.discard((i, c))
             factor = row.pop(c) * inverse
             for j, e in pivot_row.items():
-                v = row.get(j, zero) - factor * e
-                if v.is_zero():
+                v = mul_add(((factor, e, -1),), row.get(j))
+                if not v.terms:
                     del row[j]
                     cols[j].discard(i)
                     units.discard((i, j))

@@ -12,7 +12,9 @@ Derivatives are computed in a single left-to-right pass carrying the
 accumulated prefix, so long relators stay linear-time.  The group ring
 is never materialised: the Jacobian applies the abelianization eagerly,
 term by term, since Laurent arithmetic is far cheaper than free-group
-ring arithmetic.
+ring arithmetic.  A row builds cells only for the generators its relator
+touches, at most three in a Wirtinger relator; all other cells of one
+Jacobian are one shared zero, in a matrix that stays dense.
 """
 
 from dataclasses import dataclass
@@ -37,28 +39,29 @@ class AlexanderPresentation:
         return len(self.generator_component)
 
 
-def _fox_row(word, num_generators, phi):
+def _fox_row(word, num_generators, phi, zero):
     """phi-image of all Fox derivatives of one word, in a single pass."""
     m = phi.num_components
-    cells = [dict() for _ in range(num_generators)]
-
-    def bump(g, exps, delta):
-        s = cells[g].get(exps, 0) + delta
-        if s:
-            cells[g][exps] = s
-        else:
-            del cells[g][exps]
-
+    cells = {}
     prefix = [0] * m
     for g, e in word:
         comp = phi.component_of[g]
-        if e == 1:
-            bump(g, tuple(prefix), 1)
-            prefix[comp] += 1
-        else:
+        if e == -1:
             prefix[comp] -= 1
-            bump(g, tuple(prefix), -1)
-    return tuple(LaurentPoly(m, c) for c in cells)
+        cell = cells.setdefault(g, {})
+        exps = tuple(prefix)
+        s = cell.get(exps, 0) + e
+        if s:
+            cell[exps] = s
+        else:
+            del cell[exps]
+        if e == 1:
+            prefix[comp] += 1
+    row = [zero] * num_generators
+    for g, cell in cells.items():
+        if cell:
+            row[g] = LaurentPoly._make(m, cell)
+    return tuple(row)
 
 
 def jacobian(pres, phi):
@@ -74,5 +77,7 @@ def jacobian(pres, phi):
     """
     if len(phi.component_of) != pres.num_generators:
         raise ValueError("abelianization map does not match presentation")
-    rows = tuple(_fox_row(r, pres.num_generators, phi) for r in pres.relators)
+    zero = LaurentPoly.zero(phi.num_components)
+    rows = tuple(_fox_row(r, pres.num_generators, phi, zero)
+                 for r in pres.relators)
     return AlexanderPresentation(rows, phi.num_components, phi.component_of)

@@ -6,12 +6,14 @@ signed integers, one slot per variable) to nonzero integer coefficients.
 All coefficients are arbitrary-precision Python ints; the zero polynomial
 is the empty map.  At one variable (knots), exact division and gcd run on
 a dense coefficient list instead, kept on the polynomial after its first
-use: polynomials are never mutated.  At two or more variables (links),
-products and exact division key each term by one integer, its exponent
-vector as a mixed-radix number over the operands' exponent box.  Division
-checks each quotient term's digits against the box the quotient must lie
-in, so that no carry fakes a quotient, and stays sparse: the box of an
-m-variable minor has (span + 1)^m cells.
+use: polynomials are never mutated.  Every product is one call of
+mul_add, which also fuses the sums of products that eliminations need.
+At two or more variables (links), large products and exact division key
+each term by one integer, its exponent vector as a mixed-radix number
+over the operands' exponent box.  Division checks each quotient term's
+digits against the box the quotient must lie in, so that no carry fakes
+a quotient, and stays sparse: the box of an m-variable minor has
+(span + 1)^m cells.
 
 The units of this ring are exactly ±t1^a1···tm^am.  Quantities such as
 link polynomial invariants are only well defined up to a unit, so we fix
@@ -27,12 +29,15 @@ matters: 2 does not divide t, and gcd(2t - 2, t^2 - 1) is t - 1.
 from math import gcd as _int_gcd, isqrt
 from operator import add, sub
 
-# Products at two or more variables pack their keys once both operands
-# have this many terms: below it, packing costs more than it saves.  On
-# the products of perfbench's large_single and split_fallback Delta
-# computations (CPU, best of 7, 2-core Xeon VM, three measurements),
-# packing from 2 terms up took 20-26 % and 90-180 % longer than from 5
-# up; 4 to 8 were within noise of each other.
+# mul_add at two or more variables packs its keys once both operands of
+# some product have this many terms: below it, packing costs more than
+# it saves.  On the products of perfbench's large_single and
+# split_fallback Delta computations (CPU, best of 7, 2-core Xeon VM,
+# three measurements), packing from 2 terms up took 20-26 % and 90-180 %
+# longer than from 5 up; 4 to 8 were within noise of each other.  With
+# the eliminations' updates fused, 3 to 8 stay within noise, and no
+# packing doubles the CPU time of large_single's slowest request (24
+# crossings, 2 components: 8.3 ms against 16.4-19.0 ms, best of 15).
 _PACK_MIN_TERMS = 5
 
 
@@ -192,43 +197,7 @@ class LaurentPoly:
             return LaurentPoly._make(self.nvars, {
                 e: c * other for e, c in self.terms.items()} if other else {})
         self._check(other)
-        a, b = self.terms, other.terms
-        if self.nvars == 1:
-            out = {}
-            for (x,), c1 in a.items():
-                for (y,), c2 in b.items():
-                    e = (x + y,)
-                    s = out.get(e, 0) + c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-            return LaurentPoly._make(1, out)
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) < _PACK_MIN_TERMS:  # a shift when b is one term
-            out = {}
-            get = out.get
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = tuple(map(add, e1, e2))
-                    out[e] = get(e, 0) + c1 * c2
-            return LaurentPoly._make(self.nvars,
-                                     {e: c for e, c in out.items() if c})
-        # convolve on packed keys: digits of a sum stay below the radix
-        (alow, ahigh), (blow, bhigh) = _box(a), _box(b)
-        radix = [x1 - x0 + y1 - y0 + 1
-                 for x0, x1, y0, y1 in zip(alow, ahigh, blow, bhigh)]
-        pb = list(_pack(b, blow, radix).items())
-        out = {}
-        get = out.get
-        for k1, c1 in _pack(a, alow, radix).items():
-            for k2, c2 in pb:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        return LaurentPoly._make(self.nvars, _unpack(
-            {k: c for k, c in out.items() if c}, list(map(add, alow, blow)),
-            radix))
+        return mul_add(((self, other, 1),))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -529,6 +498,79 @@ def _unpack(packed, low, radix):
         keys = [k // r for k in keys]
     cols.append([k + low[-1] for k in keys])  # the top digit is the rest
     return dict(zip(zip(*cols), packed.values()))
+
+
+# ----- the product kernel ----------------------------------------------------
+
+def mul_add(products, base=None):
+    """
+    base + the sum of s * f * g over the triples (f, g, s) of products (s
+    an int, base None for 0), built as one result from one dict: a
+    product is one triple, alexander's updates x - f*g and a*b - c*d are
+    one call each.  The dict is keyed by the exponent at one variable,
+    else by its tuple, or, once both operands of some product have
+    _PACK_MIN_TERMS terms, by packed keys over the union of the boxes of
+    base and every product, where no digit of a sum carries.
+
+    >>> t = LaurentPoly.variable(0, 1)
+    >>> print(mul_add(((t, t, 1), (t + 1, t - 1, -1)), base=t))
+    t + 1
+    """
+    nvars = (products[0][0] if base is None else base).nvars
+    base = {} if base is None else base.terms
+    pack = False
+    for f, g, _ in products:
+        if f.nvars != nvars or g.nvars != nvars:
+            raise DimensionError("variable counts differ: %d, %d and %d"
+                                 % (nvars, f.nvars, g.nvars))
+        if len(f.terms) >= _PACK_MIN_TERMS <= len(g.terms):
+            pack = True
+    if nvars == 1:
+        out = {x: c for (x,), c in base.items()} if base else {}
+        get = out.get
+        for f, g, s in products:
+            b = g.terms
+            for (x,), c1 in f.terms.items():
+                c1 *= s
+                for (y,), c2 in b.items():
+                    k = x + y
+                    out[k] = get(k, 0) + c1 * c2
+        return LaurentPoly._make(1, {(x,): c for x, c in out.items() if c})
+    if not pack:
+        out = dict(base)
+        get = out.get
+        for f, g, s in products:
+            a, b = f.terms, g.terms
+            if len(a) < len(b):  # the longer operand in the outer loop
+                a, b = b, a
+            for e1, c1 in a.items():
+                c1 *= s
+                for e2, c2 in b.items():
+                    e = tuple(map(add, e1, e2))
+                    out[e] = get(e, 0) + c1 * c2
+        return LaurentPoly._make(nvars, {e: c for e, c in out.items() if c})
+    work = [(f.terms, g.terms, s) for f, g, s in products if f and g]
+    # the box of a product's terms is the sum of its operands' boxes
+    boxes = [(_box(a), _box(b)) for a, b, _ in work]
+    corners = [(list(map(add, al, bl)), list(map(add, ah, bh)))
+               for (al, ah), (bl, bh) in boxes]
+    if base:
+        corners.append(_box(base))
+    low = [min(col) for col in zip(*(x for x, _ in corners))]
+    radix = [max(col) - x + 1
+             for x, col in zip(low, zip(*(y for _, y in corners)))]
+    out = _pack(base, low, radix) if base else {}
+    get = out.get
+    for (a, b, s), (_, (bl, _)) in zip(work, boxes):
+        # a's digits from low - bl: those of a sum are e1 + e2 - low
+        pb = list(_pack(b, bl, radix).items())
+        for k1, c1 in _pack(a, list(map(sub, low, bl)), radix).items():
+            c1 *= s
+            for k2, c2 in pb:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    return LaurentPoly._make(nvars, _unpack(
+        {k: c for k, c in out.items() if c}, low, radix))
 
 
 # ----- exact division --------------------------------------------------------

@@ -15,6 +15,7 @@ from ribboncheck.tables import knot_table, link_table
 from ribboncheck.wirtinger import wirtinger_presentation
 
 from conftest import random_braid_knot, random_poly
+import pipeline_reference as reference
 
 
 def presentation_from_rows(rows, nvars, ncols):
@@ -467,3 +468,60 @@ class TestReductionAndBlocks:
             torsion_order(pres)
         assert "budget of 5" in str(info.value)
         assert "2x3" in str(info.value)
+
+
+# 3- to 6-component closures whose Delta takes the full-minor fallback
+FALLBACK_SPECS = ("braid:n=7:4 2 1 1 -2 -2 -1 4 5 4 1 -3 -6 -3 2",
+                  "braid:n=7:-1 -6 2 1 4 -6 -2 -6 -1 -2 -3",
+                  "braid:n=4:3 3 3 -3 -2 -3 2 3 2 1 3 -2 2",
+                  "braid:n=7:-5 6 6 -4 -2 2 -3 -3 4 -2 -2")
+
+
+class TestAgainstReplacedLoops:
+    """
+    The sparse Fox rows and the eliminations on laurent.mul_add against
+    the loops they replaced, kept in pipeline_reference: the same
+    Jacobian entries, blocks, rank certificates and Delta.
+    """
+
+    def check(self, diagram, monkeypatch):
+        pres, phi = wirtinger_presentation(diagram)
+        A = jacobian(pres, phi)
+        assert A == reference.jacobian(pres, phi), diagram
+        blocks = alexander._reduced_blocks(A)
+        assert blocks == reference._reduced_blocks(A), diagram
+        certificates = [module_rank(b) for b in blocks]
+        delta = torsion_order(A)
+        with monkeypatch.context() as patch:
+            patch.setattr(alexander, "_eliminate", reference._eliminate)
+            patch.setattr(alexander, "_reduced_blocks",
+                          reference._reduced_blocks)
+            assert certificates == [module_rank(b) for b in blocks]
+            old = torsion_order(A)
+        assert delta.value == old.value, diagram
+        assert delta.source == old.source, diagram
+        return delta
+
+    def test_random_closures(self, monkeypatch):
+        rng = random.Random(2411)
+        components = set()
+        for _ in range(200):
+            while True:  # 1-4 components, up to 24 crossings
+                n = rng.randint(2, 6)
+                word = BraidWord(n, tuple(
+                    rng.choice((1, -1)) * rng.randint(1, n - 1)
+                    for _ in range(rng.randint(1, 24))))
+                if len(word.cycles()) <= 4:
+                    break
+            components.add(len(word.cycles()))
+            self.check(braid_closure(word), monkeypatch)
+        assert components == {1, 2, 3, 4}
+
+    def test_bundled_diagrams(self, monkeypatch):
+        for name, spec in knot_table() + link_table():
+            self.check(parse_link_spec(spec), monkeypatch)
+
+    def test_fallback_closures(self, monkeypatch):
+        for spec in FALLBACK_SPECS:
+            delta = self.check(parse_link_spec(spec), monkeypatch)
+            assert "fallback" in [b["path"] for b in delta.source["blocks"]]

@@ -1,5 +1,7 @@
 import random
+from itertools import permutations
 
+from ribboncheck.alexander import module_rank, torsion_order
 from ribboncheck.foxcalc import jacobian
 from ribboncheck.laurent import LaurentPoly, parse_poly
 from ribboncheck.linkcodec import parse_link_spec
@@ -9,6 +11,7 @@ from ribboncheck.wirtinger import (AbelianizationMap, GroupPresentation,
 
 from conftest import random_free_word
 from helpers import GroupRingElement, fox_derivative
+import pipeline_reference as reference
 
 
 def recursive_fox(word, gen):
@@ -133,6 +136,35 @@ class TestJacobian:
         A = jacobian(pres, phi)
         assert A.matrix == ()
         assert A.num_generators == 1
+
+    def test_sparse_rows_share_one_zero(self, bundled_knots, bundled_links):
+        shared = 0
+        for name, diagram in bundled_knots + bundled_links:
+            pres, phi = wirtinger_presentation(diagram)
+            A = jacobian(pres, phi)
+            assert len(A.matrix) == A.num_relators == len(pres.relators)
+            for row in A.matrix:
+                assert len(row) == A.num_generators == pres.num_generators
+                assert all(type(e) is LaurentPoly and
+                           e.nvars == phi.num_components for e in row)
+            # perfbench's foxcalc.jacobian_terms count
+            dense = reference.jacobian(pres, phi)
+            assert (sum(len(e.terms) for row in A.matrix for e in row) ==
+                    sum(len(e.terms) for row in dense.matrix for e in row))
+            zeros = [e for row in A.matrix for e in row if not e.terms]
+            assert len({id(e) for e in zeros}) <= 1, name
+            shared += len(zeros)
+            module_rank(A)
+            torsion_order(A)
+            assert all(e._coeffs is None for e in zeros), name
+        assert shared > 1000
+        # a touched cell whose terms cancel is the shared zero too: under
+        # one variable, d(x_g x_a x_b^-1 x_g^-1)/dx_g = 1 - 1
+        for g, a, b in permutations(range(3)):
+            (row,) = jacobian(
+                GroupPresentation(4, (((g, 1), (a, 1), (b, -1), (g, -1)),)),
+                AbelianizationMap((0, 0, 0, 0), 1)).matrix
+            assert row[g] is row[3] and not row[3].terms
 
     def test_eager_phi_matches_group_ring_route(self, bundled_knots):
         for name, diagram in bundled_knots[:6]:

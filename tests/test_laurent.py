@@ -254,6 +254,103 @@ class TestPackedBox:
         assert time.process_time() - start < 0.5
 
 
+class TestMulAdd:
+    """
+    laurent.mul_add, the fused kernel behind every product and both
+    eliminations' updates, against the unfused a - f*g and a*b - c*d made
+    from laurent_reference's tuple-keyed product, negation and sum.
+    """
+
+    @staticmethod
+    def operand(rng, m, far):
+        """Zero, one term, a few terms or at least _PACK_MIN_TERMS terms,
+        shifted by far in every variable (a box away from the others)."""
+        kind = rng.randrange(6)
+        if kind == 0:
+            p = LaurentPoly.zero(m)
+        elif kind == 1:
+            p = LaurentPoly.monomial(rng.choice((1, -1, 3, -7)),
+                                     [rng.randint(-3, 3) for _ in range(m)])
+        elif kind == 2 or m == 0:
+            p = random_poly(rng, m, max_terms=4, max_exp=3)
+        else:
+            terms = {}
+            while len(terms) < laurent._PACK_MIN_TERMS + rng.randrange(8):
+                exps = tuple(rng.randint(-3, 3) for _ in range(m))
+                terms[exps] = rng.choice((1, -1, 2, -5, 9))
+            p = LaurentPoly(m, terms)
+        return p.shifted((far,) * m) if far else p
+
+    def expected(self, products, base):
+        out = base
+        for f, g, s in products:
+            prod = reference.multiply(f, g)
+            out = out + (prod if s == 1 else -prod)
+        return out
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_against_unfused(self, m):
+        rng = random.Random(9100 + m)
+        packed = 0
+        for k in range(400):
+            far = [0, 0, 0, 0]
+            if k % 3 == 1:  # each operand's box apart from the others
+                far = [10 * rng.randint(-3, 3) for _ in range(4)]
+            a, f, g, h = (self.operand(rng, m, x) for x in far)
+            b = self.operand(rng, m, far[0])
+            for products, base in (
+                    (((f, g, -1),), a),  # a - f*g
+                    (((a, b, 1), (f, g, -1)), None),  # a*b - f*g
+                    (((f, g, 1), (g, h, 1), (h, f, -1)), a),
+                    (((f, g, 1),), None)):  # the product
+                got = laurent.mul_add(products, base)
+                assert_clean(got)
+                assert got == self.expected(
+                    products, base or LaurentPoly.zero(m)), (products, base)
+                if any(min(len(x.terms), len(y.terms)) >=
+                       laurent._PACK_MIN_TERMS for x, y, _ in products):
+                    packed += 1
+        assert packed >= (100 if m >= 2 else 0)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_cancellation_to_zero(self, m):
+        rng = random.Random(9200 + m)
+        for _ in range(60):
+            f, g = (self.operand(rng, m, 0) for _ in range(2))
+            fg = reference.multiply(f, g)
+            for products, base in ((((f, g, -1),), fg),
+                                   (((f, g, 1), (g, f, -1)), None),
+                                   (((f, g, 1), (f, -g, 1)), None),
+                                   (((f, g, 1), (f, g, 1)), -2 * fg)):
+                got = laurent.mul_add(products, base)
+                assert got.terms == {} and type(got.terms) is dict
+
+    def test_zero_and_one_term_operands(self):
+        for m in (0, 1, 2, 3):
+            zero, one = LaurentPoly.zero(m), LaurentPoly.one(m)
+            p = random_poly(random.Random(m), m, max_terms=9) + one
+            unit = LaurentPoly.monomial(-1, (2,) * m)
+            assert laurent.mul_add(((zero, p, 1),)) == zero
+            assert laurent.mul_add(((p, zero, -1),), p) == p
+            assert laurent.mul_add(((zero, zero, 1),), zero) == zero
+            assert laurent.mul_add(((one, p, 1),)) == p
+            assert laurent.mul_add(((p, unit, 1),)) == p.shifted((2,) * m) * -1
+            assert laurent.mul_add(((unit, one, 1),), unit) == unit * 2
+
+    def test_mixed_variable_counts_raise(self):
+        one1, one2 = LaurentPoly.one(1), LaurentPoly.one(2)
+        with pytest.raises(DimensionError):
+            laurent.mul_add(((one1, one2, 1),))
+        with pytest.raises(DimensionError):
+            laurent.mul_add(((one2, one1, 1),))
+        with pytest.raises(DimensionError):
+            laurent.mul_add(((one2, one2, 1), (one1, one1, 1)))
+        with pytest.raises(DimensionError):
+            laurent.mul_add(((one2, one2, 1),), one1)
+        with pytest.raises(DimensionError):
+            laurent.mul_add(((one1, one1, 1),), LaurentPoly.zero(0))
+
+
 class TestPublicConstructor:
     def test_wrong_length_raises(self):
         with pytest.raises(DimensionError):

@@ -72,3 +72,15 @@ class TestFirstDifference:
     def test_result_counts(self, same_output):
         diff = same_output.first_difference(COMMANDS, RESULTS, RESULTS[:2])
         assert diff == "result counts differ: 3 commands, 3 and 2 results"
+
+
+def test_fallback_closures_reach_the_fallback(same_output):
+    from ribboncheck.alexander import alexander_polynomial
+    from ribboncheck.linkcodec import parse_link_spec
+    assert len(same_output.FALLBACK_CLOSURES) == 12
+    for spec in same_output.FALLBACK_CLOSURES:
+        diagram = parse_link_spec(spec)
+        assert diagram.num_components >= 3, spec
+        paths = [b["path"] for b in
+                 alexander_polynomial(diagram).source["blocks"]]
+        assert "fallback" in paths, spec

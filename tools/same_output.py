@@ -13,7 +13,9 @@ standard output and standard error captured.  The corpus:
 - every request of the four perfbench workloads at seeds 1-3, as
   perfbench/workloads.py builds them (its batch CSVs are written into
   both trees);
-- `batch --pairs` on both bundled tables.
+- `batch --pairs` on both bundled tables;
+- `compute --json` on FALLBACK_CLOSURES, the only commands that reach
+  the full-minor fallback.
 
 Each command's exit code, stdout and stderr are compared, with each
 tree's own path replaced by "<tree>".  The exit code is 0 when every
@@ -39,6 +41,23 @@ _spec.loader.exec_module(ab_bench)
 COVERS = [str(k) for k in range(2, 13)]
 SEEDS = (1, 2, 3)
 TABLES = ("src/ribboncheck/data/knots.csv", "src/ribboncheck/data/links.csv")
+# closures of 3 to 6 components with a block on the full-minor fallback,
+# each under 0.05 s of CPU on a 2-core Xeon VM: the first 12 of
+# random.Random(21)'s draws of 4-8 strands and 10-16 letters, each
+# letter +-randint(1, strands - 1)
+FALLBACK_CLOSURES = (
+    "braid:n=6:2 -3 -1 -4 1 -4 4 5 -2 4 -5 -4 1 -5 2 2",
+    "braid:n=6:2 -2 -3 4 -1 -2 -2 -5 -1 -5 -2 -5 -5 -2 1 -4",
+    "braid:n=7:4 2 1 1 -2 -2 -1 4 5 4 1 -3 -6 -3 2",
+    "braid:n=7:5 -2 -6 -1 2 -3 -3 3 1 2 1",
+    "braid:n=4:3 3 3 -3 -2 -3 2 3 2 1 3 -2 2",
+    "braid:n=7:6 3 3 6 3 -4 -2 -1 -5 2 4 -3",
+    "braid:n=7:-1 2 1 -5 -6 -6 -5 -2 -6 -1 -4 -2 3",
+    "braid:n=7:-1 -6 2 1 4 -6 -2 -6 -1 -2 -3",
+    "braid:n=8:6 6 -5 1 -4 3 -6 4 5 -2 -7 -2",
+    "braid:n=7:4 -3 -6 -2 -3 -2 5 -3 2 3 1 1 3 -4",
+    "braid:n=4:-1 3 3 1 -2 -1 -1 -1 1 2 3",
+    "braid:n=7:-5 6 6 -4 -2 2 -3 -3 4 -2 -2")
 
 # runs in the child: argv lists on stdin, [exit, stdout, stderr] lists out
 CHILD = r"""
@@ -80,6 +99,7 @@ def corpus(tree, seeds):
     finally:
         sys.path.remove(str(tree / "perfbench"))
     commands += [["batch", table, "--pairs"] for table in TABLES]
+    commands += [["compute", "--json", spec] for spec in FALLBACK_CLOSURES]
     return commands, files
 
 
