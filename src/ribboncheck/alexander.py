@@ -21,6 +21,15 @@ its nonzero pattern.  The module is the direct sum of the blocks'
 modules, so the torsion order is the product of the blocks' orders, each
 computed on its own small matrix.
 
+On a block M of rank r the r x r minors form a table of rank one: M is
+A * B with A of r columns over the fraction field, so by Cauchy-Binet
+det M[S,T] * c = det M[S,Q] * det M[P,T] for all r-row sets S and
+r-column sets T, where P, Q and c = det M[P,Q] are the rank
+certificate's rows, columns and minor.  So the gcd of all minors is
+gcd_S det M[S,Q] * gcd_T det M[P,T] / c, exactly, from C(R,r) + C(G,r)
+- 1 minors in place of C(R,r) * C(G,r).  On a diagram-shaped block the
+column side has a closed form (_block_order).
+
 All other elimination is fraction-free (Bareiss) and goes through one
 routine, _eliminate, which both module_rank and determinant call: every
 division performed is exact in the Laurent ring, so no rational-function
@@ -49,7 +58,9 @@ from .foxcalc import AlexanderPresentation, jacobian
 from .wirtinger import wirtinger_presentation
 
 
-# most r x r minors the last-resort fallback evaluates on one reduced block
+# most r x r minors evaluated on one reduced block besides its rank
+# certificate's: the row side's C(R,r) - 1, and the guard minor or the
+# column side's C(G,r) - 1
 FALLBACK_MINOR_BUDGET = 10000
 
 
@@ -188,8 +199,8 @@ def torsion_order(pres, source=None):
     """
     Order of the torsion submodule of the presented module: the gcd of
     all rank x rank minors of the matrix, canonicalized.  Raises
-    ComputationError if a gcd computes to zero (a rank miscount) or the
-    fallback would pass its budget.
+    ComputationError if a block would pass the minor budget or its
+    minors break the rank-one identity (an inconsistency).
 
     The matrix is reduced at unit pivots and split into blocks first
     (see the module docstring); each block's order comes from
@@ -297,104 +308,89 @@ def _block_order(block):
     Torsion order of one reduced block and the path that gave it:
     "rank0" (no torsion), "shortcut" or "fallback".
 
-    Diagram-shaped blocks (rank = generators - 1, Fox row relation
-    holding row-wise) admit the classical shortcut: on an independent
-    row set the signed column-deleted minors span the kernel of the
-    matrix, which contains the weight vector (t_{comp(j)} - 1)_j, so
-    M_j = ±lambda * (t_{comp(j)} - 1).  When all columns belong to one
-    component all weights agree and the order is a single minor;
-    otherwise it is a single minor divided by its weight.  The minor is
-    the gcd over all row sets only if they all give it up to a unit,
-    which _rows_agree checks; a second column is always evaluated as a
-    consistency guard.  Full minor enumeration is the fallback.
+    By the rank-one table of minors (module docstring) the order is
+    gcd_S det M[S,Q] / k with k = c / gcd_T det M[P,T].  The row side is
+    always the gcd over the C(R,r) row sets.  On a diagram-shaped block
+    (rank = generators - 1, Fox row relation holding row-wise) k has a
+    closed form, checked by one guard minor ("shortcut"); every other
+    block, and one whose guard disagrees, takes the gcd over the C(G,r)
+    column sets ("fallback").
     """
     cert = module_rank(block)
     r = cert.rank
     if r == 0:
         return LaurentPoly.one(block.nvars), "rank0"
-    value, path = None, "shortcut"
-    if r == block.num_generators - 1:
-        weights = _column_weights(block)
-        if _row_relation_holds(block, weights):
-            value = _classical_delta(block, cert, weights)
-    if value is None:
-        value, path = _full_minor_gcd(block, r), "fallback"
-    if value.is_zero():
+    nrows, ncols = block.num_relators, block.num_generators
+    rows, cols, c = cert.pivot_rows, cert.pivot_columns, cert.minor
+    weights = _column_weights(block) if r == ncols - 1 else None
+    shaped = weights is not None and _row_relation_holds(block, weights)
+    k = _closed_form(block, cert, weights) if shaped else None
+    # besides the certificate's: the row side, the guard, the column side
+    needed = (comb(nrows, r) - 1 + (1 if shaped else 0)
+              + (comb(ncols, r) - 1 if k is None else 0))
+    if needed > FALLBACK_MINOR_BUDGET:
         raise ComputationError(
-            "all %dx%d minors vanish although rank is %d" % (r, r, r))
+            "the torsion order needs %d minors of rank %d on a %dx%d "
+            "reduced block, past its budget of %d "
+            "(alexander.FALLBACK_MINOR_BUDGET)"
+            % (needed, r, nrows, ncols, FALLBACK_MINOR_BUDGET))
+    value = _minor_gcd(c, (_minor(block, s, cols)
+                           for s in combinations(range(nrows), r)
+                           if s != rows))
+    path = "shortcut"
+    if k is None:
+        k = exact_divide(c, _minor_gcd(c, (
+            _minor(block, rows, t) for t in combinations(range(ncols), r)
+            if t != cols)))
+        path = "fallback"
+    if not k.is_one():  # k = 1: one component, nothing to divide
+        value = exact_divide(value, k)
+        if value is None:
+            raise ComputationError(
+                "the minors of a %dx%d block of rank %d break the rank-one "
+                "identity" % (nrows, ncols, r))
     return value, path
 
 
-def _column_deleted_minor(pres, rows, skip_col):
-    cols = [j for j in range(pres.num_generators) if j != skip_col]
-    return _minor(pres, rows, cols)
-
-
-def _rows_agree(pres, cert, missing):
+def _closed_form(block, cert, weights):
     """
-    Whether every r-row set gives the pivot rows' minor up to a unit.
-    The shortcut reads one row set, while the order is the gcd over all
-    of them; they agree when the left kernel's entries are units, as for
-    a diagram's Jacobian, whose relators each follow from the others.
-    More than r + 1 rows are left to the fallback.
+    k of a diagram-shaped block, or None if the guard column disagrees.
+    On the rows P the signed column-deleted minors span the kernel,
+    which holds the weight vector (t_comp(j) - 1)_j, so det M[P, all but
+    j] = ±lambda * w_j, and k = w_q for the column q outside Q.  Here
+    w_j = t_comp(j) - 1, or 1 when all columns belong to one component
+    (the weights agree, and their gcd is t - 1).  The minor without a
+    second column, of another component if there is one, must give the
+    same lambda.
     """
-    spare = pres.num_relators - cert.rank
-    if spare != 1:
-        return spare == 0
-    first = canonical(cert.minor)
-    all_rows = range(pres.num_relators)
-    return all(canonical(_column_deleted_minor(
-        pres, [k for k in all_rows if k != i], missing)) == first
-        for i in cert.pivot_rows)
-
-
-def _classical_delta(pres, cert, weights):
-    """Single-minor evaluation with guards; None if the shape lies."""
-    g = pres.num_generators
-    missing = next(j for j in range(g) if j not in cert.pivot_columns)
-    if not _rows_agree(pres, cert, missing):
+    comp, g = block.generator_component, block.num_generators
+    cols = cert.pivot_columns
+    q = next(j for j in range(g) if j not in cols)
+    guard_col = next((j for j in cols if comp[j] != comp[q]), cols[0])
+    guard = _minor(block, cert.pivot_rows, [j for j in range(g)
+                                            if j != guard_col])
+    if comp[guard_col] == comp[q]:  # one component: every weight is 1
+        k, lam = LaurentPoly.one(block.nvars), cert.minor
+    else:
+        k, lam = weights[q], exact_divide(cert.minor, weights[q])
+        guard = exact_divide(guard, weights[guard_col])
+    if lam is None or guard is None or canonical(lam) != canonical(guard):
         return None
-    first = cert.minor  # determinant of pivot rows x pivot columns, up to sign
-    comp_missing = pres.generator_component[missing]
-    if len(set(pres.generator_component)) == 1:
-        candidate = first
-        guard_col = next(j for j in range(g) if j != missing)
-        guard = _column_deleted_minor(pres, cert.pivot_rows, guard_col)
-        if canonical(guard) != canonical(candidate):
-            return None
-        return candidate
-    guard_col = next(j for j in range(g)
-                     if pres.generator_component[j] != comp_missing)
-    candidate = exact_divide(first, weights[missing])
-    guard_minor = _column_deleted_minor(pres, cert.pivot_rows, guard_col)
-    guard = exact_divide(guard_minor, weights[guard_col])
-    if candidate is None or guard is None:
-        return None
-    if canonical(guard) != canonical(candidate):
-        return None
-    return candidate
+    return k
 
 
-def _full_minor_gcd(pres, r):
-    """gcd of all r x r minors, at most FALLBACK_MINOR_BUDGET of them."""
-    needed = comb(pres.num_relators, r) * comb(pres.num_generators, r)
-    if needed > FALLBACK_MINOR_BUDGET:
-        raise ComputationError(
-            "the full-minor fallback needs %d minors of rank %d on a %dx%d "
-            "reduced block, past its budget of %d "
-            "(alexander.FALLBACK_MINOR_BUDGET)"
-            % (needed, r, pres.num_relators, pres.num_generators,
-               FALLBACK_MINOR_BUDGET))
-    running = LaurentPoly.zero(pres.nvars)
-    one = LaurentPoly.one(pres.nvars)
-    for rows in combinations(range(pres.num_relators), r):
-        for cols in combinations(range(pres.num_generators), r):
-            d = _minor(pres, rows, cols)
-            if d.is_zero():
-                continue
+def _minor_gcd(first, minors):
+    """
+    gcd of the nonzero first and the minors, canonical.  A gcd is taken
+    only for a nonzero minor whose canonical form differs from the
+    running value, and the loop stops once that value is 1.
+    """
+    running = canonical(first)
+    for d in minors:
+        if d.terms and canonical(d) != running:
             running = laurent.gcd(running, d)
-            if running == one:
-                return running
+            if running.is_one():
+                break
     return running
 
 

@@ -258,6 +258,29 @@ def parse_link_spec(text):
     raise ParseError("link spec must start with 'pd:' or 'braid:'", 0)
 
 
+def _classes(elements, pairs):
+    """
+    Merge the elements joined by the pairs (union-find, each root the
+    least element of its class): ({element: class}, number of classes),
+    the classes numbered 0, 1, ... in the order of their least elements.
+    """
+    parent = {e: e for e in elements}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    roots = {e: find(e) for e in parent}
+    number = {r: i for i, r in enumerate(sorted(set(roots.values())))}
+    return {e: number[r] for e, r in roots.items()}, len(number)
+
+
 # ----- braid closure -----------------------------------------------------------
 
 def braid_closure(b):
@@ -276,24 +299,11 @@ def braid_closure(b):
         for s in cyc:
             comp_of_strand[s] = ci
 
-    parent = []  # union-find over arc ids; grows as arcs appear
-    arc_comp = []
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
+    arc_comp = []  # the component of each arc before merging
 
     def new_arc(comp):
-        parent.append(len(parent))
         arc_comp.append(comp)
-        return len(parent) - 1
+        return len(arc_comp) - 1
 
     pos_strand = list(range(n))
     start_arc = [new_arc(comp_of_strand[s]) for s in pos_strand]
@@ -311,18 +321,13 @@ def braid_closure(b):
         current[under_pos] = out_arc
         current[i], current[i + 1] = current[i + 1], current[i]
         pos_strand[i], pos_strand[i + 1] = pos_strand[i + 1], pos_strand[i]
-    for p in range(n):
-        union(current[p], start_arc[p])
-
-    roots = sorted({find(a) for a in range(len(parent))})
-    arc_index = {r: i for i, r in enumerate(roots)}
-    comp_of_arc = [None] * len(roots)
-    for a in range(len(parent)):
-        comp_of_arc[arc_index[find(a)]] = arc_comp[a]
-    crossings = tuple(
-        Crossing(arc_index[find(o)], arc_index[find(u)], arc_index[find(v)], s)
-        for o, u, v, s in raw_crossings)
-    return LinkDiagram(len(roots), tuple(comp_of_arc), crossings)
+    arc, num_arcs = _classes(range(len(arc_comp)), zip(current, start_arc))
+    comp_of_arc = [None] * num_arcs
+    for a, i in arc.items():
+        comp_of_arc[i] = arc_comp[a]
+    crossings = tuple(Crossing(arc[o], arc[u], arc[v], s)
+                      for o, u, v, s in raw_crossings)
+    return LinkDiagram(num_arcs, tuple(comp_of_arc), crossings)
 
 
 def connected_sum(b1, b2):
@@ -445,33 +450,17 @@ def pd_diagram(pd):
     comp_rank = {old: new for new, old in enumerate(order)}
 
     # arcs: merge each over edge pair; under passes keep edges separate
-    arc_parent = list(range(n_edges + 1))
-
-    def find(x):
-        while arc_parent[x] != x:
-            arc_parent[x] = arc_parent[arc_parent[x]]
-            x = arc_parent[x]
-        return x
-
-    for ci in range(len(pd.crossings)):
-        oin, oout = over_dir[ci]
-        ra, rb = find(oin), find(oout)
-        if ra != rb:
-            arc_parent[max(ra, rb)] = min(ra, rb)
-
-    roots = sorted({find(e) for e in range(1, n_edges + 1)})
-    arc_index = {r: i for i, r in enumerate(roots)}
-    comp_of_arc = [comp_rank[comp_of_edge[r]] for r in roots]
+    arc, num_arcs = _classes(range(1, n_edges + 1), over_dir.values())
+    comp_of_arc = [None] * num_arcs
+    for e, i in arc.items():
+        comp_of_arc[i] = comp_rank[comp_of_edge[e]]
 
     crossings = []
     for ci, (a, bb, c, d) in enumerate(pd.crossings):
         oin, oout = over_dir[ci]
         sign = 1 if oin == bb else -1
-        crossings.append(Crossing(arc_index[find(oin)],
-                                  arc_index[find(a)],
-                                  arc_index[find(c)],
-                                  sign))
-    return LinkDiagram(len(roots), tuple(comp_of_arc), tuple(crossings))
+        crossings.append(Crossing(arc[oin], arc[a], arc[c], sign))
+    return LinkDiagram(num_arcs, tuple(comp_of_arc), tuple(crossings))
 
 
 # ----- diagram-level quantities --------------------------------------------------
@@ -509,28 +498,16 @@ def sublink(diagram, component):
         raise DiagramError("component index out of range")
     comp = diagram.component_of_arc
     keep_arcs = [a for a in range(diagram.num_arcs) if comp[a] == component]
-    parent = {a: a for a in keep_arcs}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     kept_crossings = []
+    fused = []  # under strand survives; fuse the split arcs back together
     for c in diagram.crossings:
-        over_in = comp[c.over] == component
-        under_in_comp = comp[c.under_in] == component
-        if over_in and under_in_comp:
-            kept_crossings.append(c)
-        elif under_in_comp:
-            # under strand survives; fuse the split arcs back together
-            ra, rb = find(c.under_in), find(c.under_out)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    roots = sorted({find(a) for a in keep_arcs})
-    index = {r: i for i, r in enumerate(roots)}
-    crossings = tuple(Crossing(index[find(c.over)], index[find(c.under_in)],
-                               index[find(c.under_out)], c.sign)
+        if comp[c.under_in] == component:
+            if comp[c.over] == component:
+                kept_crossings.append(c)
+            else:
+                fused.append((c.under_in, c.under_out))
+    arc, num_arcs = _classes(keep_arcs, fused)
+    crossings = tuple(Crossing(arc[c.over], arc[c.under_in],
+                               arc[c.under_out], c.sign)
                       for c in kept_crossings)
-    return LinkDiagram(len(roots), (0,) * len(roots), crossings)
+    return LinkDiagram(num_arcs, (0,) * num_arcs, crossings)

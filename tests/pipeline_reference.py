@@ -1,15 +1,26 @@
 """
-The Fox Jacobian's row loop and the two eliminations of
-ribboncheck.alexander as they were before every update went through
-laurent.mul_add, kept unchanged as the reference the fused code is
-tested against: _fox_row built all n cells of a row through the
-checked constructor, and _eliminate and _reduced_blocks made each
-update from separate products, negations and sums.  jacobian is the
-package's assembly around this _fox_row.
+Replaced code of ribboncheck.alexander, kept unchanged as the reference
+the current code is tested against.
+
+- The Fox Jacobian's row loop and the two eliminations as they were
+  before every update went through laurent.mul_add: _fox_row built all
+  n cells of a row through the checked constructor, and _eliminate and
+  _reduced_blocks made each update from separate products, negations
+  and sums.  jacobian is the package's assembly around this _fox_row.
+- _block_order as it was before the rank-one table of minors: the
+  single-minor shortcut behind _rows_agree's row check, and otherwise
+  _full_minor_gcd's loop over all C(R,r) * C(G,r) minors.
 """
 
+from itertools import combinations
+from math import comb
+
+from ribboncheck import laurent
+from ribboncheck.alexander import (FALLBACK_MINOR_BUDGET, _column_weights,
+                                   _minor, _row_relation_holds, module_rank)
 from ribboncheck.foxcalc import AlexanderPresentation
-from ribboncheck.laurent import ComputationError, LaurentPoly, exact_divide
+from ribboncheck.laurent import (ComputationError, LaurentPoly, canonical,
+                                 exact_divide)
 
 
 def _fox_row(word, num_generators, phi):
@@ -170,3 +181,108 @@ def _reduced_blocks(pres):
             tuple(pres.generator_component[j] for j in block_cols)))
     return blocks
 
+
+def _block_order(block):
+    """
+    Torsion order of one reduced block and the path that gave it:
+    "rank0" (no torsion), "shortcut" or "fallback".
+
+    Diagram-shaped blocks (rank = generators - 1, Fox row relation
+    holding row-wise) admit the classical shortcut: on an independent
+    row set the signed column-deleted minors span the kernel of the
+    matrix, which contains the weight vector (t_{comp(j)} - 1)_j, so
+    M_j = ±lambda * (t_{comp(j)} - 1).  When all columns belong to one
+    component all weights agree and the order is a single minor;
+    otherwise it is a single minor divided by its weight.  The minor is
+    the gcd over all row sets only if they all give it up to a unit,
+    which _rows_agree checks; a second column is always evaluated as a
+    consistency guard.  Full minor enumeration is the fallback.
+    """
+    cert = module_rank(block)
+    r = cert.rank
+    if r == 0:
+        return LaurentPoly.one(block.nvars), "rank0"
+    value, path = None, "shortcut"
+    if r == block.num_generators - 1:
+        weights = _column_weights(block)
+        if _row_relation_holds(block, weights):
+            value = _classical_delta(block, cert, weights)
+    if value is None:
+        value, path = _full_minor_gcd(block, r), "fallback"
+    if value.is_zero():
+        raise ComputationError(
+            "all %dx%d minors vanish although rank is %d" % (r, r, r))
+    return value, path
+
+
+def _column_deleted_minor(pres, rows, skip_col):
+    cols = [j for j in range(pres.num_generators) if j != skip_col]
+    return _minor(pres, rows, cols)
+
+
+def _rows_agree(pres, cert, missing):
+    """
+    Whether every r-row set gives the pivot rows' minor up to a unit.
+    The shortcut reads one row set, while the order is the gcd over all
+    of them; they agree when the left kernel's entries are units, as for
+    a diagram's Jacobian, whose relators each follow from the others.
+    More than r + 1 rows are left to the fallback.
+    """
+    spare = pres.num_relators - cert.rank
+    if spare != 1:
+        return spare == 0
+    first = canonical(cert.minor)
+    all_rows = range(pres.num_relators)
+    return all(canonical(_column_deleted_minor(
+        pres, [k for k in all_rows if k != i], missing)) == first
+        for i in cert.pivot_rows)
+
+
+def _classical_delta(pres, cert, weights):
+    """Single-minor evaluation with guards; None if the shape lies."""
+    g = pres.num_generators
+    missing = next(j for j in range(g) if j not in cert.pivot_columns)
+    if not _rows_agree(pres, cert, missing):
+        return None
+    first = cert.minor  # determinant of pivot rows x pivot columns, up to sign
+    comp_missing = pres.generator_component[missing]
+    if len(set(pres.generator_component)) == 1:
+        candidate = first
+        guard_col = next(j for j in range(g) if j != missing)
+        guard = _column_deleted_minor(pres, cert.pivot_rows, guard_col)
+        if canonical(guard) != canonical(candidate):
+            return None
+        return candidate
+    guard_col = next(j for j in range(g)
+                     if pres.generator_component[j] != comp_missing)
+    candidate = exact_divide(first, weights[missing])
+    guard_minor = _column_deleted_minor(pres, cert.pivot_rows, guard_col)
+    guard = exact_divide(guard_minor, weights[guard_col])
+    if candidate is None or guard is None:
+        return None
+    if canonical(guard) != canonical(candidate):
+        return None
+    return candidate
+
+
+def _full_minor_gcd(pres, r):
+    """gcd of all r x r minors, at most FALLBACK_MINOR_BUDGET of them."""
+    needed = comb(pres.num_relators, r) * comb(pres.num_generators, r)
+    if needed > FALLBACK_MINOR_BUDGET:
+        raise ComputationError(
+            "the full-minor fallback needs %d minors of rank %d on a %dx%d "
+            "reduced block, past its budget of %d "
+            "(alexander.FALLBACK_MINOR_BUDGET)"
+            % (needed, r, pres.num_relators, pres.num_generators,
+               FALLBACK_MINOR_BUDGET))
+    running = LaurentPoly.zero(pres.nvars)
+    one = LaurentPoly.one(pres.nvars)
+    for rows in combinations(range(pres.num_relators), r):
+        for cols in combinations(range(pres.num_generators), r):
+            d = _minor(pres, rows, cols)
+            if d.is_zero():
+                continue
+            running = laurent.gcd(running, d)
+            if running == one:
+                return running
+    return running

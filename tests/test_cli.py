@@ -641,8 +641,8 @@ class TestSharedParser:
     process of its own.
     """
 
-    # three components whose reduced block (3x2, rank 1) takes the
-    # full-minor fallback: C(3,1) * C(2,1) = 6 minors
+    # three components whose reduced block (3x2, rank 1) has two spare
+    # rows: C(3,1) - 1 row-side minors and one guard minor, 3 in all
     FALLBACK = "braid:n=3:2 -1 -2 1 2 1"
 
     def run_alone(self, argv, env, budget=None):
@@ -742,7 +742,7 @@ class TestSharedParser:
             (["compute", "braid:n=2: 5"], {}, None, 2),
             (["obstruct", trefoil, "braid:n=3:1 -2 1 -2", "--json"], {},
              None, 0),
-            (["compute", self.FALLBACK], {}, 5, 3),
+            (["compute", self.FALLBACK], {}, 1, 3),
             (["compute", "--json", self.FALLBACK], {}, None, 0),
             (["compute", trefoil], {"RIBBONCHECK_MAX_CROSSINGS": "3"},
              None, 0),
@@ -761,7 +761,7 @@ class TestSharedParser:
         covers = [[o["k"] for o in json.loads(results[i][1])["oracles"]]
                   for i in (4, 5, 6)]
         assert covers == [[2, 3, 5], [2], [2, 3, 5]]
-        assert "budget of 5" in results[11][2]
+        assert "budget of 1" in results[11][2]
         assert "limit is 2 " in results[14][2]
 
 

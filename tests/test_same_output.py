@@ -74,13 +74,25 @@ class TestFirstDifference:
         assert diff == "result counts differ: 3 commands, 3 and 2 results"
 
 
+# the path of each block of each FALLBACK_CLOSURES entry, in order
+FALLBACK_PATHS = (
+    ["shortcut", "rank0"], ["shortcut", "rank0"], ["fallback"],
+    ["fallback", "rank0"], ["shortcut", "rank0"], ["fallback", "rank0"],
+    ["fallback"], ["shortcut", "shortcut", "rank0"], ["shortcut", "rank0"],
+    ["fallback", "rank0"], ["shortcut", "rank0"],
+    ["rank0", "shortcut", "rank0"], ["rank0", "fallback", "rank0"],
+    ["rank0", "fallback", "rank0"], ["fallback", "rank0"], ["fallback"],
+    ["fallback"], ["fallback"], ["fallback"])
+
+
 def test_fallback_closures_reach_the_fallback(same_output):
     from ribboncheck.alexander import alexander_polynomial
     from ribboncheck.linkcodec import parse_link_spec
-    assert len(same_output.FALLBACK_CLOSURES) == 12
+    paths = []
     for spec in same_output.FALLBACK_CLOSURES:
         diagram = parse_link_spec(spec)
         assert diagram.num_components >= 3, spec
-        paths = [b["path"] for b in
-                 alexander_polynomial(diagram).source["blocks"]]
-        assert "fallback" in paths, spec
+        paths.append([b["path"] for b in
+                      alexander_polynomial(diagram).source["blocks"]])
+    assert tuple(paths) == FALLBACK_PATHS
+    assert sum("fallback" in p for p in paths) == 12

@@ -14,8 +14,10 @@ standard output and standard error captured.  The corpus:
   perfbench/workloads.py builds them (its batch CSVs are written into
   both trees);
 - `batch --pairs` on both bundled tables;
-- `compute --json` on FALLBACK_CLOSURES, the only commands that reach
-  the full-minor fallback.
+- `compute --json` on FALLBACK_CLOSURES, SPARE_ROW_CLOSURES and
+  CENSUS_FALLBACKS, the only commands with a reduced block that has two
+  or more spare rows or is not diagram-shaped: every other block above
+  of nonzero rank is square, of rank one less than its size.
 
 Each command's exit code, stdout and stderr are compared, with each
 tree's own path replaced by "<tree>".  The exit code is 0 when every
@@ -41,10 +43,11 @@ _spec.loader.exec_module(ab_bench)
 COVERS = [str(k) for k in range(2, 13)]
 SEEDS = (1, 2, 3)
 TABLES = ("src/ribboncheck/data/knots.csv", "src/ribboncheck/data/links.csv")
-# closures of 3 to 6 components with a block on the full-minor fallback,
-# each under 0.05 s of CPU on a 2-core Xeon VM: the first 12 of
-# random.Random(21)'s draws of 4-8 strands and 10-16 letters, each
-# letter +-randint(1, strands - 1)
+# closures of 3 to 6 components whose blocks once took the full-minor
+# fallback, each under 0.05 s of CPU on a 2-core Xeon VM: the first 12
+# of random.Random(21)'s draws of 4-8 strands and 10-16 letters, each
+# letter +-randint(1, strands - 1), then the next 7 whose torsion order
+# enumerates the column side of the table of minors
 FALLBACK_CLOSURES = (
     "braid:n=6:2 -3 -1 -4 1 -4 4 5 -2 4 -5 -4 1 -5 2 2",
     "braid:n=6:2 -2 -3 4 -1 -2 -2 -5 -1 -5 -2 -5 -5 -2 1 -4",
@@ -57,7 +60,26 @@ FALLBACK_CLOSURES = (
     "braid:n=8:6 6 -5 1 -4 3 -6 4 5 -2 -7 -2",
     "braid:n=7:4 -3 -6 -2 -3 -2 5 -3 2 3 1 1 3 -4",
     "braid:n=4:-1 3 3 1 -2 -1 -1 -1 1 2 3",
-    "braid:n=7:-5 6 6 -4 -2 2 -3 -3 4 -2 -2")
+    "braid:n=7:-5 6 6 -4 -2 2 -3 -3 4 -2 -2",
+    "braid:n=7:1 -5 4 4 -6 6 4 -3 -4 -1 5 -3 2 -6 -6 -3",
+    "braid:n=6:-3 -3 -5 3 5 -3 -1 1 -1 1 -4 5 5 4 -3",
+    "braid:n=5:1 2 -1 -4 -2 -1 2 -2 -4 -2 2 2 4 -3 -4",
+    "braid:n=7:5 -4 -5 -5 6 -5 -6 1 -5 4 -5 -3 -2 1",
+    "braid:n=5:4 4 1 1 3 -2 1 -3 -3 3",
+    "braid:n=5:4 -4 4 -3 2 4 1 -4 4 4 1 2 -2 -4 1 -2",
+    "braid:n=6:1 -2 -3 3 -5 -5 -2 3 -4 -5 2 4 1 4 3 -5")
+# later draws of the same kind with a 5 x 4 block of rank 3: two spare
+# rows, so C(5,3) row sets
+SPARE_ROW_CLOSURES = (
+    "braid:n=5:3 -3 1 3 -4 2 -2 -4 -3 1 2 2",
+    "braid:n=8:5 3 3 2 -6 4 -3 -2 1 1 -6 -2 -6 -3 -2",
+    "braid:n=8:2 -4 5 -1 -1 -1 -3 -3 2 4 5 2 7 -4")
+# from a census of 68,073 random closures (ROADMAP item 6): the slowest
+# input, 6 components, and an 8-component one, 16 and 6 s of CPU on the
+# full-minor fallback, under 2 s on the table of minors' two sides
+CENSUS_FALLBACKS = (
+    "braid:n=10:1 -4 6 -9 -3 6 5 -9 8 9 7 -3 -2 4 6 -9 -4 -7 -5 8 -2 -2 1 6",
+    "braid:n=10:7 8 -6 -4 -1 2 -9 -7 -1 2 -7 -8 -4 3 -1 5 9 -6 -2 -8 5 6 5 7")
 
 # runs in the child: argv lists on stdin, [exit, stdout, stderr] lists out
 CHILD = r"""
@@ -99,7 +121,8 @@ def corpus(tree, seeds):
     finally:
         sys.path.remove(str(tree / "perfbench"))
     commands += [["batch", table, "--pairs"] for table in TABLES]
-    commands += [["compute", "--json", spec] for spec in FALLBACK_CLOSURES]
+    commands += [["compute", "--json", spec] for spec in
+                 FALLBACK_CLOSURES + SPARE_ROW_CLOSURES + CENSUS_FALLBACKS]
     return commands, files
 
 
