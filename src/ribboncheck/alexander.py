@@ -43,7 +43,6 @@ Delta = 1, not the classical Delta = 0.  A split link gets the product
 of the orders of its split pieces.
 """
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -407,8 +406,6 @@ def alexander_polynomial(diagram):
     """
     pres, phi = wirtinger_presentation(diagram)
     A = jacobian(pres, phi)
-    digest = hashlib.sha256(repr(diagram.key()).encode()).hexdigest()[:12]
-    source = {"diagram": digest,
-              "generators": pres.num_generators,
+    source = {"generators": pres.num_generators,
               "relators": len(pres.relators)}
     return torsion_order(A, source)

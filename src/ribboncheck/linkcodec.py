@@ -130,12 +130,6 @@ class LinkDiagram:
     def num_crossings(self):
         return len(self.crossings)
 
-    def key(self):
-        """Stable identity of the combinatorial data, for provenance."""
-        return (self.num_arcs, self.component_of_arc,
-                tuple((c.over, c.under_in, c.under_out, c.sign)
-                      for c in self.crossings))
-
 
 # ----- parsing ----------------------------------------------------------------
 

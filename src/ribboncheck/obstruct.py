@@ -42,9 +42,6 @@ class ObstructionReport:
     gcd_value: LaurentPoly
 
     def to_dict(self):
-        # a gcd equal to either polynomial reuses that one's rendered text
-        gcd_text = next((str(delta) for delta in (self.delta_l, self.delta_j)
-                         if delta.value == self.gcd_value), None)
         return {
             "direction": list(self.direction),
             "deltaJ": str(self.delta_j),
@@ -52,7 +49,7 @@ class ObstructionReport:
             "verdict": self.verdict,
             "quotient": None if self.quotient is None else
                         laurent.poly_to_str(self.quotient),
-            "gcd": gcd_text or laurent.poly_to_str(self.gcd_value),
+            "gcd": laurent.poly_to_str(self.gcd_value),
         }
 
     def to_json(self):

@@ -16,13 +16,17 @@ pipeline:
   fault there cannot hide in both routes.
 
 * The classical finite-cover order formula: the torsion of the k-fold
-  cover has order |prod_{j=1}^{k-1} Delta(zeta_k^j)|, computed exactly
-  as the integer resultant of Delta(t) and (t^k - 1)/(t - 1).  No
-  floating point anywhere; the two integers must agree exactly.  For
-  prime k the right side never vanishes for a knot polynomial, since
-  Delta(1) = ±1 rules out the k-th cyclotomic factor.  For composite k
-  it vanishes when Delta shares a root with t^k - 1 (the trefoil at
-  k = 6); the cover then has free rank above 1 instead.
+  cover has order |prod_{j=1}^{k-1} Delta(zeta_k^j)|, the norm of Delta
+  in Z[t]/(Psi_k), Psi_k = 1 + t + ... + t^(k-1): the determinant of
+  multiplication by Delta on the basis 1, t, ..., t^(k-2), a
+  (k-1) x (k-1) integer matrix of cyclic shifts of Delta's coefficients
+  folded mod k, and the resultant of the monic Psi_k with Delta.  It
+  reads Delta's terms and calls nothing in laurent.  No floating point
+  anywhere; the two integers must agree exactly.  For prime k the right
+  side never vanishes for a knot polynomial, since Delta(1) = ±1 rules
+  out the k-th cyclotomic factor.  For composite k it vanishes when
+  Delta shares a root with t^k - 1 (the trefoil at k = 6); the cover
+  then has free rank above 1 instead.
 
 * The Torres condition ties a 2-component link polynomial at t2 = 1 to
   the first component's polynomial and the linking number.
@@ -313,22 +317,6 @@ def reidemeister_schreier(pres, phi, k):
     return abelian_invariants(rows, k * len(column))
 
 
-def _sylvester_resultant(f, g):
-    """Exact resultant of two integer polynomials (coefficient dicts)."""
-    df, dg = max(f), max(g)
-    if dg == 0:
-        return g[0] ** df
-    n = df + dg
-    rows = []
-    fc = [f.get(i, 0) for i in range(df, -1, -1)]
-    gc = [g.get(i, 0) for i in range(dg, -1, -1)]
-    for i in range(dg):
-        rows.append([0] * i + fc + [0] * (n - df - 1 - i))
-    for i in range(df):
-        rows.append([0] * i + gc + [0] * (n - dg - 1 - i))
-    return _int_det(rows)
-
-
 def _int_det(rows):
     n = len(rows)
     m = [list(r) for r in rows]
@@ -351,8 +339,10 @@ def _int_det(rows):
 
 def cover_torsion_from_polynomial(delta, k):
     """
-    |prod_{j=1}^{k-1} Delta(zeta_k^j)| as an exact integer: the resultant
-    of (t^k - 1)/(t - 1) with Delta(t).
+    |prod_{j=1}^{k-1} Delta(zeta_k^j)| as an exact integer: the norm of
+    Delta in Z[t]/(Psi_k), Psi_k = 1 + t + ... + t^(k-1), which is the
+    determinant of multiplication by Delta on the basis 1, t, ...,
+    t^(k-2), and the resultant of the monic Psi_k with Delta.
 
     >>> from .laurent import parse_poly
     >>> cover_torsion_from_polynomial(parse_poly("t^2 - t + 1", 1), 2)
@@ -362,14 +352,18 @@ def cover_torsion_from_polynomial(delta, k):
     """
     if delta.nvars != 1:
         raise ValueError("cover order formula needs a one-variable polynomial")
-    p = canonical(delta)
-    f = {}  # (t^k - 1)/(t - 1) = 1 + t + ... + t^(k-1), monic
-    for i in range(k):
-        f[i] = 1
-    g = {e[0]: c for e, c in p.terms.items()}
-    if not g:
+    if not delta.terms:
         raise ValueError("zero polynomial has no cover order")
-    return abs(_sylvester_resultant(f, g))
+    if k < 2:
+        raise ValueError("cover degree must be at least 2")
+    # Delta in Z[t]/(t^k - 1), where t^k = 1: exponents, negative ones
+    # too, fold mod k (a shift by t^a would change only the sign)
+    v = [0] * k
+    for (e,), c in delta.terms.items():
+        v[e % k] += c
+    # row i is t^i * Delta, reduced by t^(k-1) = -(1 + t + ... + t^(k-2))
+    return abs(_int_det([[v[(j - i) % k] - v[(k - 1 - i) % k]
+                          for j in range(k - 1)] for i in range(k - 1)]))
 
 
 def cyclic_cover_check(delta, k, invariants):

@@ -9,8 +9,9 @@ meridian is conjugated by the over strand's,
 
     v = o^e u o^-e,
 
-stored as the relator  v (o^e u o^-e)^-1.  All relators are kept; the
-classical redundancy of any single one is checked downstream, not used.
+stored as the relator  v (o^e u o^-e)^-1 = v o^e u^-1 o^-e, freely
+reduced.  All relators are kept; the classical redundancy of any single
+one is checked downstream, not used.
 
 Alongside the presentation we return the map onto Z^m sending each
 generator to the basis vector of its arc's component.  Free words are
@@ -86,9 +87,8 @@ def wirtinger_presentation(diagram):
         raise DiagramError("diagram has no arcs")
     relators = []
     for c in diagram.crossings:
-        conj = free_reduce(
-            ((c.over, c.sign), (c.under_in, 1), (c.over, -c.sign)))
-        relators.append(word_multiply(((c.under_out, 1),), word_inverse(conj)))
+        relators.append(free_reduce(((c.under_out, 1), (c.over, c.sign),
+                                     (c.under_in, -1), (c.over, -c.sign))))
     phi = AbelianizationMap(diagram.component_of_arc, diagram.num_components)
     return GroupPresentation(diagram.num_arcs, tuple(relators)), phi
 

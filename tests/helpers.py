@@ -5,11 +5,15 @@ sizes, the check that a polynomial is in canonical form, the Fox
 derivative in the free group ring, the slow and independent reference
 that the package's one-pass Jacobian is checked against, and the full
 Schreier rewriting of the cover oracle, the reference its orbit
-elimination is checked against.
+elimination is checked against, and the Sylvester-matrix resultant that
+the oracle's cover order formula used before it became a determinant in
+Z[t]/(1 + t + ... + t^(k-1)).
 """
 
 from ribboncheck import oracles
+from ribboncheck.laurent import canonical
 from ribboncheck.linkcodec import DiagramError
+from ribboncheck.oracles import _int_det
 from ribboncheck.wirtinger import apply_phi, free_reduce, word_multiply
 
 
@@ -144,3 +148,33 @@ def full_reidemeister_schreier(pres, phi, k):
         row[gen_index(c, 0)] = 1
         rows.append(row)
     return oracles.abelian_invariants(rows, k * g)
+
+
+def _sylvester_resultant(f, g):
+    """Exact resultant of two integer polynomials (coefficient dicts)."""
+    df, dg = max(f), max(g)
+    if dg == 0:
+        return g[0] ** df
+    n = df + dg
+    rows = []
+    fc = [f.get(i, 0) for i in range(df, -1, -1)]
+    gc = [g.get(i, 0) for i in range(dg, -1, -1)]
+    for i in range(dg):
+        rows.append([0] * i + fc + [0] * (n - df - 1 - i))
+    for i in range(df):
+        rows.append([0] * i + gc + [0] * (n - dg - 1 - i))
+    return _int_det(rows)
+
+
+def sylvester_cover_order(delta, k):
+    """
+    The cover order formula as a Sylvester resultant: |Res((t^k - 1) /
+    (t - 1), Delta(t))| for a nonzero one-variable Delta, made a
+    polynomial by canonical first.
+    """
+    p = canonical(delta)
+    f = {}  # (t^k - 1)/(t - 1) = 1 + t + ... + t^(k-1), monic
+    for i in range(k):
+        f[i] = 1
+    g = {e[0]: c for e, c in p.terms.items()}
+    return abs(_sylvester_resultant(f, g))

@@ -150,7 +150,6 @@ class TestPipeline:
         a = delta("braid:n=2:1 1 1")
         assert a.source["generators"] == 3
         assert a.source["relators"] == 3
-        assert len(a.source["diagram"]) == 12
 
     def test_determinism(self):
         a = delta("pd:X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)")

@@ -2,12 +2,12 @@ import random
 import time
 
 import pytest
-from sympy import ZZ, Matrix
+from sympy import ZZ, Matrix, Poly, resultant, symbols
 from sympy.matrices.normalforms import invariant_factors
 
 from ribboncheck import oracles
 from ribboncheck.alexander import alexander_polynomial
-from ribboncheck.laurent import parse_poly
+from ribboncheck.laurent import LaurentPoly, parse_poly
 from ribboncheck.linkcodec import DiagramError, parse_link_spec
 from ribboncheck.oracles import (abelian_invariants,
                                  cover_torsion_from_polynomial,
@@ -15,7 +15,8 @@ from ribboncheck.oracles import (abelian_invariants,
                                  smith_normal_form, torres_check)
 from ribboncheck.wirtinger import wirtinger_presentation
 
-from helpers import full_reidemeister_schreier, rewriting_sizes
+from helpers import (full_reidemeister_schreier, rewriting_sizes,
+                     sylvester_cover_order)
 
 
 class TestSmithNormalForm:
@@ -300,6 +301,62 @@ class TestCoverOrderFormula:
                 abs(value.evaluate([-1])), name
 
 
+def _sympy_cover_order(delta, k):
+    """|Res(1 + t + ... + t^(k-1), Delta)| by sympy, Delta made a polynomial."""
+    t = symbols("t")
+    low = min(e for (e,) in delta.terms)
+    g = Poly(sum(c * t ** (e - low) for (e,), c in delta.terms.items()), t)
+    return abs(int(resultant(Poly(sum(t ** i for i in range(k)), t), g)))
+
+
+def _random_cover_case(rng):
+    """A nonzero one-variable Laurent polynomial and a degree k in 2..30."""
+    k = rng.randint(2, 30)
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            e = rng.randint(-5, 15)
+            terms[(e,)] = terms.get((e,), 0) + rng.randint(-9, 9)
+        delta = LaurentPoly(1, terms)
+        if not delta.is_zero():
+            break
+    divisors = [d for d in range(2, k + 1) if k % d == 0]
+    if len(divisors) > 1 and rng.random() < 0.2:
+        # a factor 1 + t + ... + t^(d-1) with d | k makes the order 0
+        delta = delta * LaurentPoly(1, {(i,): 1 for i in
+                                        range(rng.choice(divisors))})
+    return delta * rng.choice([1, -1, 2, -3, 6]), k
+
+
+class TestCoverOrderDifferential:
+    def test_random_against_sylvester_and_sympy(self):
+        rng = random.Random(0x5E5)
+        zeros = 0
+        for _ in range(3000):
+            delta, k = _random_cover_case(rng)
+            order = cover_torsion_from_polynomial(delta, k)
+            assert order == sylvester_cover_order(delta, k) == \
+                _sympy_cover_order(delta, k), (delta, k)
+            zeros += order == 0
+        assert zeros >= 300
+
+    def test_bundled_knots_against_sylvester_and_sympy(self, bundled_knots):
+        for name, diagram in bundled_knots:
+            value = alexander_polynomial(diagram).value
+            for k in list(range(2, 13)) + [20, 30, 45]:
+                order = cover_torsion_from_polynomial(value, k)
+                assert order == sylvester_cover_order(value, k) == \
+                    _sympy_cover_order(value, k), (name, k)
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="one-variable polynomial"):
+            cover_torsion_from_polynomial(parse_poly("t1 - t2", 2), 2)
+        with pytest.raises(ValueError, match="zero polynomial"):
+            cover_torsion_from_polynomial(LaurentPoly.zero(1), 2)
+        with pytest.raises(ValueError, match="at least 2"):
+            cover_torsion_from_polynomial(parse_poly("t^2 - t + 1", 1), 1)
+
+
 class TestCyclicCoverAgreement:
     def test_trefoil_all_listed_degrees(self):
         d = parse_link_spec("braid:n=2:1 1 1")
@@ -329,6 +386,16 @@ class TestCyclicCoverAgreement:
         for k in (2, 3, 5, 6, 12):
             inv = reidemeister_schreier(pres, phi, k)
             assert not cyclic_cover_check(delta8, k, inv), k
+
+    def test_bundled_knots_at_large_degrees(self, bundled_knots):
+        started = time.process_time()
+        for name, diagram in bundled_knots:
+            pres, phi = wirtinger_presentation(diagram)
+            delta = alexander_polynomial(diagram)
+            for k in (20, 30, 45):
+                inv = reidemeister_schreier(pres, phi, k)
+                assert cyclic_cover_check(delta, k, inv), (name, k)
+        assert time.process_time() - started < 5
 
     def test_random_braid_knots(self):
         # the two computation routes share no code, so agreement across

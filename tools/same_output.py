@@ -10,6 +10,7 @@ process, which calls `ribboncheck.cli.main` once per command with
 standard output and standard error captured.  The corpus:
 - `compute --json`, `validate`, `oracle-check` and `oracle-check
   --covers 2 3 ... 12` on every bundled diagram (knots.csv, links.csv);
+- `oracle-check --covers 20 30 45` on every bundled knot (knots.csv);
 - every request of the four perfbench workloads at seeds 1-3, as
   perfbench/workloads.py builds them (its batch CSVs are written into
   both trees);
@@ -110,6 +111,10 @@ def corpus(tree, seeds):
                 commands += [["compute", "--json", spec], ["validate", spec],
                              ["oracle-check", spec],
                              ["oracle-check", spec, "--covers"] + COVERS]
+                # knots: all 35 under 1 s of CPU on a 2-core Xeon VM
+                if table == TABLES[0]:
+                    commands.append(["oracle-check", spec, "--covers",
+                                     "20", "30", "45"])
     sys.path.insert(0, str(tree / "perfbench"))
     try:
         import workloads
