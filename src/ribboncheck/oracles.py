@@ -11,9 +11,12 @@ pipeline:
   each relator is kept once, as an element of Z[t]/(t^k - 1) per
   generator, and a unit entry ±t^j eliminates a generator's k columns
   in one step before the Smith form sees the rest (at most 19 x 15 for
-  the bundled knots at k = 2, 3, 5, from 49 x 45).  The orbits are
-  plain integer dicts: neither laurent nor foxcalc takes part, so a
-  fault there cannot hide in both routes.
+  the bundled knots at k = 2, 3, 5, from 49 x 45).  The Smith form
+  eliminates at +-1 pivots, diagonalizes the core left by division
+  with remainder at its least entry, and makes the diagonal a divisor
+  chain by gcd and lcm.  The orbits are plain integer dicts and the
+  Smith form works on plain integers: neither laurent nor foxcalc takes
+  part, so a fault there cannot hide in both routes.
 
 * The classical finite-cover order formula: the torsion of the k-fold
   cover has order |prod_{j=1}^{k-1} Delta(zeta_k^j)|, the norm of Delta
@@ -37,6 +40,7 @@ is of torsion parts, with the free rank checked alongside.
 """
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Tuple
 
 from .laurent import LaurentPoly, canonical
@@ -65,19 +69,6 @@ class AbelianGroupInvariants:
         return n
 
 
-def _gcdex(a, b):
-    """(g, x, y) with x*a + y*b == g == gcd(a, b) >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        return -a, -x0, -y0
-    return a, x0, y0
-
-
 def smith_normal_form(matrix):
     """
     Diagonalize an integer matrix by unimodular row/column operations and
@@ -88,7 +79,8 @@ def smith_normal_form(matrix):
 
     A sparse phase eliminates at +-1 pivots first (the shortest row that
     holds one, its sparsest such column), each a unit factor; the dense
-    phase diagonalizes the core left.
+    phase diagonalizes the core left by division with remainder
+    (_dense_diagonal).
 
     >>> smith_normal_form([[2, 4], [6, 8]])
     [2, 4]
@@ -145,70 +137,47 @@ def _dense_diagonal(m):
     """
     The Smith diagonal of a dense list-of-lists matrix, modified in place.
 
-    Entries are cleared with single extended-gcd 2x2 transforms rather
-    than repeated quotient chains; that keeps coefficient growth tame on
-    the cores of the rewritten cover matrices.
+    The pivot is the least nonzero |entry|, the first in row-major
+    order.  Floor division clears its column by row operations and its
+    row by column operations; a nonzero remainder is smaller than the
+    pivot, so the next pass pivots on a smaller entry and the loop ends.
+    A pivot alone in its row and column is recorded as |pivot|, and both
+    are deleted.  Last, (d_a, d_b) <- (gcd, lcm) for each a < b makes
+    the record a divisor chain: diag(a, b) and diag(gcd, lcm) are
+    equivalent, and the Smith form is unique.
     """
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
     diag = []
-    top = 0
-    while top < min(nrows, ncols):
-        piv = None
-        best = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                v = abs(m[i][j])
-                if v and (best is None or v < best):
-                    best, piv = v, (i, j)
-        if piv is None:
+    while True:
+        best = 0
+        for r, row in enumerate(m):
+            for c, v in enumerate(row):
+                if v and (not best or abs(v) < best):
+                    best, i, j = abs(v), r, c
+        if not best:
             break
-        pi, pj = piv
-        m[top], m[pi] = m[pi], m[top]
+        prow = m[i]
+        p = prow[j]
+        for r, row in enumerate(m):
+            q = row[j] // p
+            if q and r != i:
+                m[r] = [x - q * y for x, y in zip(row, prow)]
+        quotients = [(c, v // p) for c, v in enumerate(prow) if v and c != j]
         for row in m:
-            row[top], row[pj] = row[pj], row[top]
-        while True:
-            for i in range(top + 1, nrows):
-                a, b = m[top][top], m[i][top]
-                if not b:
-                    continue
-                if b % a == 0:
-                    q = b // a
-                    m[i] = [x - q * y for x, y in zip(m[i], m[top])]
-                else:
-                    g, x, y = _gcdex(a, b)
-                    u, v = a // g, b // g
-                    new_top = [x * p + y * q for p, q in zip(m[top], m[i])]
-                    m[i] = [-v * p + u * q for p, q in zip(m[top], m[i])]
-                    m[top] = new_top
-            for j in range(top + 1, ncols):
-                a, b = m[top][top], m[top][j]
-                if not b:
-                    continue
-                if b % a == 0:
-                    q = b // a
-                    for row in m:
-                        row[j] -= q * row[top]
-                else:
-                    g, x, y = _gcdex(a, b)
-                    u, v = a // g, b // g
-                    for row in m:
-                        rt, rj = row[top], row[j]
-                        row[top] = x * rt + y * rj
-                        row[j] = -v * rt + u * rj
-            if all(m[i][top] == 0 for i in range(top + 1, nrows)) and \
-               all(m[top][j] == 0 for j in range(top + 1, ncols)):
-                break
-        # enforce divisibility of the remaining block by the pivot
-        p = m[top][top]
-        fix = next((i for i in range(top + 1, nrows)
-                    for j in range(top + 1, ncols) if m[i][j] % p), None)
-        if fix is not None:
-            for j in range(top, ncols):
-                m[top][j] += m[fix][j]
+            a = row[j]
+            if a:
+                for c, q in quotients:
+                    row[c] -= q * a
+        if any(row[j] for r, row in enumerate(m) if r != i) or \
+           any(v for c, v in enumerate(prow) if c != j):
             continue
         diag.append(abs(p))
-        top += 1
+        del m[i]
+        for row in m:
+            del row[j]
+    for a in range(len(diag)):
+        for b in range(a + 1, len(diag)):
+            g = gcd(diag[a], diag[b])
+            diag[a], diag[b] = g, diag[a] // g * diag[b]
     return diag
 
 

@@ -5,9 +5,11 @@ sizes, the check that a polynomial is in canonical form, the Fox
 derivative in the free group ring, the slow and independent reference
 that the package's one-pass Jacobian is checked against, and the full
 Schreier rewriting of the cover oracle, the reference its orbit
-elimination is checked against, and the Sylvester-matrix resultant that
+elimination is checked against, the Sylvester-matrix resultant that
 the oracle's cover order formula used before it became a determinant in
-Z[t]/(1 + t + ... + t^(k-1)).
+Z[t]/(1 + t + ... + t^(k-1)), and the extended-gcd Smith diagonal that
+the oracle's dense phase used before it became elimination by division
+with remainder.
 """
 
 from ribboncheck import oracles
@@ -178,3 +180,87 @@ def sylvester_cover_order(delta, k):
         f[i] = 1
     g = {e[0]: c for e, c in p.terms.items()}
     return abs(_sylvester_resultant(f, g))
+
+
+def _gcdex(a, b):
+    """(g, x, y) with x*a + y*b == g == gcd(a, b) >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        return -a, -x0, -y0
+    return a, x0, y0
+
+
+def gcdex_dense_diagonal(m):
+    """
+    The Smith diagonal of a dense list-of-lists matrix, modified in place.
+
+    Entries are cleared with single extended-gcd 2x2 transforms rather
+    than repeated quotient chains; that keeps coefficient growth tame on
+    the cores of the rewritten cover matrices.
+    """
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    diag = []
+    top = 0
+    while top < min(nrows, ncols):
+        piv = None
+        best = None
+        for i in range(top, nrows):
+            for j in range(top, ncols):
+                v = abs(m[i][j])
+                if v and (best is None or v < best):
+                    best, piv = v, (i, j)
+        if piv is None:
+            break
+        pi, pj = piv
+        m[top], m[pi] = m[pi], m[top]
+        for row in m:
+            row[top], row[pj] = row[pj], row[top]
+        while True:
+            for i in range(top + 1, nrows):
+                a, b = m[top][top], m[i][top]
+                if not b:
+                    continue
+                if b % a == 0:
+                    q = b // a
+                    m[i] = [x - q * y for x, y in zip(m[i], m[top])]
+                else:
+                    g, x, y = _gcdex(a, b)
+                    u, v = a // g, b // g
+                    new_top = [x * p + y * q for p, q in zip(m[top], m[i])]
+                    m[i] = [-v * p + u * q for p, q in zip(m[top], m[i])]
+                    m[top] = new_top
+            for j in range(top + 1, ncols):
+                a, b = m[top][top], m[top][j]
+                if not b:
+                    continue
+                if b % a == 0:
+                    q = b // a
+                    for row in m:
+                        row[j] -= q * row[top]
+                else:
+                    g, x, y = _gcdex(a, b)
+                    u, v = a // g, b // g
+                    for row in m:
+                        rt, rj = row[top], row[j]
+                        row[top] = x * rt + y * rj
+                        row[j] = -v * rt + u * rj
+            if all(m[i][top] == 0 for i in range(top + 1, nrows)) and \
+               all(m[top][j] == 0 for j in range(top + 1, ncols)):
+                break
+        # enforce divisibility of the remaining block by the pivot
+        p = m[top][top]
+        fix = next((i for i in range(top + 1, nrows)
+                    for j in range(top + 1, ncols) if m[i][j] % p), None)
+        if fix is not None:
+            for j in range(top, ncols):
+                m[top][j] += m[fix][j]
+            continue
+        diag.append(abs(p))
+        top += 1
+    return diag

@@ -15,8 +15,8 @@ from ribboncheck.oracles import (abelian_invariants,
                                  smith_normal_form, torres_check)
 from ribboncheck.wirtinger import wirtinger_presentation
 
-from helpers import (full_reidemeister_schreier, rewriting_sizes,
-                     sylvester_cover_order)
+from helpers import (full_reidemeister_schreier, gcdex_dense_diagonal,
+                     rewriting_sizes, sylvester_cover_order)
 
 
 class TestSmithNormalForm:
@@ -121,6 +121,40 @@ class TestSmithNormalForm:
                 reidemeister_schreier(pres, phi, k)
         assert len(cores) == 3 * len(bundled_knots)
         assert max(len(core) for core in cores) <= 12
+
+    def test_dense_against_gcdex_reference(self):
+        # half of the matrices are products through 1-7 inner columns,
+        # so that most of them are rank-deficient
+        rng = random.Random(612)
+        for n in range(3000):
+            nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+            if n % 2:
+                s = rng.randint(1, 7)
+                a = [[rng.randint(-9, 9) for _ in range(s)] for _ in range(nr)]
+                b = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(s)]
+                mat = [[sum(x * y for x, y in zip(row, col))
+                        for col in zip(*b)] for row in a]
+            else:
+                mat = [[rng.randint(-9, 9) for _ in range(nc)]
+                       for _ in range(nr)]
+            diag = oracles._dense_diagonal([list(row) for row in mat])
+            assert diag == gcdex_dense_diagonal([list(row) for row in mat]), \
+                mat
+            if n % 10 == 0:
+                assert diag == _sympy_diagonal(mat), mat
+
+    def test_cover_cores_against_gcdex_reference(self, bundled_knots,
+                                                 monkeypatch):
+        dense = oracles._dense_diagonal
+        cores = _record_cores(monkeypatch)
+        for name, diagram in bundled_knots:
+            pres, phi = wirtinger_presentation(diagram)
+            for k in list(range(2, 13)) + [20, 30, 45]:
+                reidemeister_schreier(pres, phi, k)
+        assert len(cores) == 14 * len(bundled_knots)
+        for core in cores:
+            assert dense([list(row) for row in core]) == \
+                gcdex_dense_diagonal([list(row) for row in core]), core
 
     def test_abelian_invariants(self):
         inv = abelian_invariants([[2, 0], [0, 0]], 3)
@@ -395,6 +429,26 @@ class TestCyclicCoverAgreement:
             for k in (20, 30, 45):
                 inv = reidemeister_schreier(pres, phi, k)
                 assert cyclic_cover_check(delta, k, inv), (name, k)
+        assert time.process_time() - started < 5
+
+    @pytest.mark.parametrize("name, k", [("8_4", 80), ("8_8", 100),
+                                         ("9_6", 60), ("9_35", 100)])
+    def test_former_dense_phase_cliff(self, bundled_knots, name, k):
+        # minutes each with extended-gcd transforms in the dense phase
+        diagram = dict(bundled_knots)[name]
+        pres, phi = wirtinger_presentation(diagram)
+        delta = alexander_polynomial(diagram)
+        started = time.process_time()
+        assert cyclic_cover_check(delta, k, reidemeister_schreier(pres, phi, k))
+        assert time.process_time() - started < 2
+
+    def test_bundled_knots_at_degree_60(self, bundled_knots):
+        started = time.process_time()
+        for name, diagram in bundled_knots:
+            pres, phi = wirtinger_presentation(diagram)
+            delta = alexander_polynomial(diagram)
+            inv = reidemeister_schreier(pres, phi, 60)
+            assert cyclic_cover_check(delta, 60, inv), name
         assert time.process_time() - started < 5
 
     def test_random_braid_knots(self):

@@ -10,7 +10,8 @@ process, which calls `ribboncheck.cli.main` once per command with
 standard output and standard error captured.  The corpus:
 - `compute --json`, `validate`, `oracle-check` and `oracle-check
   --covers 2 3 ... 12` on every bundled diagram (knots.csv, links.csv);
-- `oracle-check --covers 20 30 45` on every bundled knot (knots.csv);
+- `oracle-check --covers 13 14 ... 19` and `oracle-check --covers 20 30
+  45` on every bundled knot (knots.csv);
 - every request of the four perfbench workloads at seeds 1-3, as
   perfbench/workloads.py builds them (its batch CSVs are written into
   both trees);
@@ -42,6 +43,7 @@ ab_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_bench)
 
 COVERS = [str(k) for k in range(2, 13)]
+KNOT_COVERS = [str(k) for k in range(13, 20)]
 SEEDS = (1, 2, 3)
 TABLES = ("src/ribboncheck/data/knots.csv", "src/ribboncheck/data/links.csv")
 # closures of 3 to 6 components whose blocks once took the full-minor
@@ -113,8 +115,9 @@ def corpus(tree, seeds):
                              ["oracle-check", spec, "--covers"] + COVERS]
                 # knots: all 35 under 1 s of CPU on a 2-core Xeon VM
                 if table == TABLES[0]:
-                    commands.append(["oracle-check", spec, "--covers",
-                                     "20", "30", "45"])
+                    commands += [
+                        ["oracle-check", spec, "--covers"] + KNOT_COVERS,
+                        ["oracle-check", spec, "--covers", "20", "30", "45"]]
     sys.path.insert(0, str(tree / "perfbench"))
     try:
         import workloads
