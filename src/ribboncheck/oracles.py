@@ -8,10 +8,11 @@ pipeline:
   k-fold cyclic cover of a knot exterior; integer Smith normal form of
   its abelianized relation matrix gives H_1 of the cover directly.  The
   k rewritten copies of a relator are cyclic shifts of one another, so
-  each relator is kept once, as an element of Z[t]/(t^k - 1) per
-  generator, and a unit entry ±t^j eliminates a generator's k columns
-  in one step before the Smith form sees the rest (at most 19 x 15 for
-  the bundled knots at k = 2, 3, 5, from 49 x 45).  The Smith form
+  each relator is kept once, as its Fox derivatives in Z[t^±1], built
+  once per knot for every k: a unit entry ±t^j eliminates a generator,
+  Fox's fundamental formula makes x1's column redundant, and each k
+  only folds the rest mod t^k - 1 (at most 15 x 11 for the bundled
+  knots at k = 2, 3, 5, from 49 x 45 with every column).  The Smith form
   eliminates at +-1 pivots, diagonalizes the core left by division
   with remainder at its least entry, and makes the diagonal a divisor
   chain by gcd and lcm.  The orbits are plain integer dicts and the
@@ -40,6 +41,7 @@ is of torsion parts, with the free rank checked alongside.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Tuple
 
@@ -199,20 +201,22 @@ def reidemeister_schreier(pres, phi, k):
     x1^0, ..., x1^(k-1), followed by integer Smith normal form.
 
     Every letter moves the coset by +-1, so the k rewritten copies of a
-    relator are cyclic shifts of one another.  Each relator is kept once,
-    as generator -> {coset: coefficient}, an element of Z[t]/(t^k - 1)
-    per generator whose k shifts are the copies (its orbit).  Where an
-    orbit holds +-t^j at a generator other than x1, that entry is a unit
-    of the ring: subtracting multiples of the orbit clears the generator
-    from every other orbit, and the orbit and the generator's k columns
-    split off as k unit factors of the Smith form.  What is left is
-    expanded to sparse integer rows, with the k - 1 transversal
-    trivializations, for smith_normal_form.  Its matrix has fewer than
-    k * (number of generators) columns whenever an orbit was eliminated:
-    at most 19 x 15 for the bundled knots at k = 2, 3, 5, against 49 x 45
-    with every column.  The orbits are integer dicts, not laurent
-    polynomials, so this route shares no code with the Fox pipeline that
-    it checks.
+    relator are cyclic shifts of one another: the relator rewritten from
+    coset 0 with integer cosets (its orbit) holds its Fox derivatives in
+    Z[t^+-1], and folding them mod t^k - 1 gives the copies.  Fox's
+    fundamental formula, sum_j (dr/dx_j)(x_j - 1) = r - 1, with every
+    x_j sent to t makes sum_j dr/dx_j = 0 for every relator, before
+    folding and after.  The k - 1 transversal rows kill x1's columns
+    at cosets 0, ..., k - 2, and the identity makes the one left minus
+    the sum of the other generators' columns at coset k - 1: a column
+    operation clears it, a free Z.  So x1 is never rewritten and the
+    transversal rows are never built.  The k-free work is done once per
+    presentation (_relator_module, a one-entry memo, so the degrees of
+    one oracle-check share it); per k the orbits are only folded into
+    k shifted integer rows each, at most 15 x 11 for the bundled knots
+    at k = 2, 3, 5.  The orbits are integer dicts, not laurent
+    polynomials, so this route shares no code with the Fox pipeline
+    that it checks.
 
     Returns AbelianGroupInvariants.
     """
@@ -220,11 +224,33 @@ def reidemeister_schreier(pres, phi, k):
         raise DiagramError("cyclic-cover rewriting supports knots only")
     if k < 2:
         raise ValueError("cover degree must be at least 2")
-    g = pres.num_generators
-    if g == 0:
+    if pres.num_generators == 0:
         raise DiagramError("presentation has no generators")
+    columns, orbits = _relator_module(pres, phi)
+    rows = []
+    for orbit in orbits:
+        folded = {}
+        for i, c, v in orbit:
+            folded[i, c % k] = folded.get((i, c % k), 0) + v
+        rows.extend({i * k + (c + s) % k: v for (i, c), v in folded.items()}
+                    for s in range(k))
+    return abelian_invariants(rows, k * columns + 1)
 
-    orbits = []  # the relators rewritten from coset 0
+
+@lru_cache(maxsize=1)
+def _relator_module(pres, phi):
+    """
+    The relator module over Z[t^+-1] with x1's column left out, as
+    (number of columns, orbits); an orbit is a tuple of (column,
+    exponent, coefficient) triples.  Where an orbit holds +-t^j at a
+    generator, that entry is a unit, and stays one mod t^k - 1:
+    subtracting multiples of the orbit clears the generator from every
+    other orbit, and the orbit and the generator's columns split off as
+    unit factors of the Smith form at every k.  An orbit that is +-t^a
+    times an earlier one is dropped, since its shifts are +- copies of
+    the earlier one's.  The value is shared by every call: read-only.
+    """
+    orbits = []  # the relators rewritten from coset 0, without folding
     for rel in pres.relators:
         if any(apply_phi(rel, phi)):
             raise DiagramError("relator does not vanish under phi")
@@ -232,11 +258,12 @@ def reidemeister_schreier(pres, phi, k):
         coset = 0
         for gen, e in rel:
             if e == -1:
-                coset = (coset - 1) % k
-            entry = orbit.setdefault(gen, {})
-            entry[coset] = entry.get(coset, 0) + e
+                coset -= 1
+            if gen:
+                entry = orbit.setdefault(gen, {})
+                entry[coset] = entry.get(coset, 0) + e
             if e == 1:
-                coset = (coset + 1) % k
+                coset += 1
         for gen in list(orbit):
             orbit[gen] = {c: v for c, v in orbit[gen].items() if v}
             if not orbit[gen]:
@@ -246,9 +273,9 @@ def reidemeister_schreier(pres, phi, k):
 
     gone = set()  # generators whose columns split off
     while True:
-        # the first orbit with a unit entry at a generator other than x1
+        # the first orbit with a unit entry
         piv = next(((i, gen) for i, orbit in enumerate(orbits)
-                    for gen, entry in orbit.items() if gen and len(entry) == 1
+                    for gen, entry in orbit.items() if len(entry) == 1
                     and next(iter(entry.values())) in (1, -1)), None)
         if piv is None:
             break
@@ -265,7 +292,7 @@ def reidemeister_schreier(pres, phi, k):
                 target = orbit.setdefault(gen, {})
                 for c, a in f.items():
                     for d, b in entry.items():
-                        pos = (c - j + d) % k
+                        pos = c - j + d
                         w = target.get(pos, 0) - e * a * b
                         if w:
                             target[pos] = w
@@ -275,15 +302,16 @@ def reidemeister_schreier(pres, phi, k):
                     del orbit[gen]
         orbits = [orbit for orbit in orbits if orbit]
 
-    column = {gen: i * k for i, gen in
-              enumerate(gen for gen in range(g) if gen not in gone)}
-    rows = [{column[gen] + (c + s) % k: v
-             for gen, entry in orbit.items() for c, v in entry.items()}
-            for orbit in orbits for s in range(k)]
-    # transversal trivializations: x1^c x1 x1^-(c+1) is freely trivial
-    # for c < k-1, so those Schreier generators die
-    rows.extend({column[0] + c: 1} for c in range(k - 1))
-    return abelian_invariants(rows, k * len(column))
+    column = {gen: i for i, gen in enumerate(
+        gen for gen in range(1, pres.num_generators) if gen not in gone)}
+    module = {}  # orbit normalized to least exponent 0, first entry > 0
+    for orbit in orbits:
+        terms = sorted((column[gen], c, v)
+                       for gen, entry in orbit.items() for c, v in entry.items())
+        low = min(c for _, c, _ in terms)
+        sign = 1 if terms[0][2] > 0 else -1
+        module.setdefault(tuple((i, c - low, sign * v) for i, c, v in terms))
+    return len(column), tuple(module)
 
 
 def _int_det(rows):
