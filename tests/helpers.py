@@ -5,7 +5,9 @@ sizes, the check that a polynomial is in canonical form, the Fox
 derivative in the free group ring, the slow and independent reference
 that the package's one-pass Jacobian is checked against, and the full
 Schreier rewriting of the cover oracle, the reference its orbit
-elimination is checked against, the Sylvester-matrix resultant that
+elimination is checked against, the per-degree orbit route that the
+oracle used before it built one relator module over Z[t^+-1] for every
+degree, the Sylvester-matrix resultant that
 the oracle's cover order formula used before it became a determinant in
 Z[t]/(1 + t + ... + t^(k-1)), and the extended-gcd Smith diagonal that
 the oracle's dense phase used before it became elimination by division
@@ -150,6 +152,100 @@ def full_reidemeister_schreier(pres, phi, k):
         row[gen_index(c, 0)] = 1
         rows.append(row)
     return oracles.abelian_invariants(rows, k * g)
+
+
+def per_degree_reidemeister_schreier(pres, phi, k):
+    """
+    H_1 of the k-fold cyclic cover of a knot exterior, from Schreier
+    rewriting of the index-k subgroup phi^-1(kZ) with transversal
+    x1^0, ..., x1^(k-1), followed by integer Smith normal form.
+
+    Every letter moves the coset by +-1, so the k rewritten copies of a
+    relator are cyclic shifts of one another.  Each relator is kept once,
+    as generator -> {coset: coefficient}, an element of Z[t]/(t^k - 1)
+    per generator whose k shifts are the copies (its orbit).  Where an
+    orbit holds +-t^j at a generator other than x1, that entry is a unit
+    of the ring: subtracting multiples of the orbit clears the generator
+    from every other orbit, and the orbit and the generator's k columns
+    split off as k unit factors of the Smith form.  What is left is
+    expanded to sparse integer rows, with the k - 1 transversal
+    trivializations, for smith_normal_form.  Its matrix has fewer than
+    k * (number of generators) columns whenever an orbit was eliminated:
+    at most 19 x 15 for the bundled knots at k = 2, 3, 5, against 49 x 45
+    with every column.  The orbits are integer dicts, not laurent
+    polynomials, so this route shares no code with the Fox pipeline that
+    it checks.
+
+    Returns AbelianGroupInvariants.
+    """
+    if phi.num_components != 1:
+        raise DiagramError("cyclic-cover rewriting supports knots only")
+    if k < 2:
+        raise ValueError("cover degree must be at least 2")
+    g = pres.num_generators
+    if g == 0:
+        raise DiagramError("presentation has no generators")
+
+    orbits = []  # the relators rewritten from coset 0
+    for rel in pres.relators:
+        if any(apply_phi(rel, phi)):
+            raise DiagramError("relator does not vanish under phi")
+        orbit = {}
+        coset = 0
+        for gen, e in rel:
+            if e == -1:
+                coset = (coset - 1) % k
+            entry = orbit.setdefault(gen, {})
+            entry[coset] = entry.get(coset, 0) + e
+            if e == 1:
+                coset = (coset + 1) % k
+        for gen in list(orbit):
+            orbit[gen] = {c: v for c, v in orbit[gen].items() if v}
+            if not orbit[gen]:
+                del orbit[gen]
+        if orbit:
+            orbits.append(orbit)
+
+    gone = set()  # generators whose columns split off
+    while True:
+        # the first orbit with a unit entry at a generator other than x1
+        piv = next(((i, gen) for i, orbit in enumerate(orbits)
+                    for gen, entry in orbit.items() if gen and len(entry) == 1
+                    and next(iter(entry.values())) in (1, -1)), None)
+        if piv is None:
+            break
+        i, x = piv
+        pivot = orbits.pop(i)
+        gone.add(x)
+        ((j, e),) = pivot.pop(x).items()
+        for orbit in orbits:
+            f = orbit.pop(x, None)
+            if f is None:
+                continue
+            # orbit -= f * e * t^-j * pivot
+            for gen, entry in pivot.items():
+                target = orbit.setdefault(gen, {})
+                for c, a in f.items():
+                    for d, b in entry.items():
+                        pos = (c - j + d) % k
+                        w = target.get(pos, 0) - e * a * b
+                        if w:
+                            target[pos] = w
+                        else:
+                            del target[pos]
+                if not target:
+                    del orbit[gen]
+        orbits = [orbit for orbit in orbits if orbit]
+
+    column = {gen: i * k for i, gen in
+              enumerate(gen for gen in range(g) if gen not in gone)}
+    rows = [{column[gen] + (c + s) % k: v
+             for gen, entry in orbit.items() for c, v in entry.items()}
+            for orbit in orbits for s in range(k)]
+    # transversal trivializations: x1^c x1 x1^-(c+1) is freely trivial
+    # for c < k-1, so those Schreier generators die
+    rows.extend({column[0] + c: 1} for c in range(k - 1))
+    return oracles.abelian_invariants(rows, k * len(column))
 
 
 def _sylvester_resultant(f, g):

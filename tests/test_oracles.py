@@ -15,7 +15,8 @@ from ribboncheck.oracles import (abelian_invariants,
                                  smith_normal_form, torres_check)
 from ribboncheck.wirtinger import wirtinger_presentation
 
-from helpers import (full_reidemeister_schreier, gcdex_dense_diagonal,
+from helpers import (fox_derivative, full_reidemeister_schreier,
+                     gcdex_dense_diagonal, per_degree_reidemeister_schreier,
                      rewriting_sizes, sylvester_cover_order)
 
 
@@ -300,6 +301,138 @@ class TestReidemeisterSchreier:
                 gens, rels = rewriting_sizes(pres, k)
                 assert gens - rels == k * (pres.num_generators -
                                            len(pres.relators)), name
+
+
+def _random_knots(seed, count):
+    """`count` random braid knots on 3 or 4 strands, as presentations."""
+    from conftest import random_braid_knot
+    from ribboncheck.linkcodec import braid_closure
+    rng = random.Random(seed)
+    knots = []
+    while len(knots) < count:
+        word = random_braid_knot(rng, max_strands=4, max_letters=12)
+        if word.strands >= 3:
+            knots.append((word, wirtinger_presentation(braid_closure(word))))
+    return knots
+
+
+def _unfolded_orbit(rel):
+    """Generator -> {coset: coefficient} of a relator rewritten from
+    coset 0 with integer cosets, every generator x1 included."""
+    orbit, coset = {}, 0
+    for gen, e in rel:
+        if e == -1:
+            coset -= 1
+        entry = orbit.setdefault(gen, {})
+        entry[coset] = entry.get(coset, 0) + e
+        if e == 1:
+            coset += 1
+    return orbit
+
+
+class TestRelatorModule:
+    """The relator module over Z[t^+-1], built once per presentation and
+    folded per degree, against the per-degree orbit route it replaced
+    and the full rewriting."""
+
+    DEGREES = list(range(2, 13)) + [20, 30, 45]
+
+    def test_bundled_against_per_degree_and_full(self, bundled_knots):
+        for name, diagram in bundled_knots:
+            pres, phi = wirtinger_presentation(diagram)
+            for k in self.DEGREES:
+                inv = reidemeister_schreier(pres, phi, k)
+                assert inv == per_degree_reidemeister_schreier(pres, phi, k) \
+                    == full_reidemeister_schreier(pres, phi, k), (name, k)
+
+    def test_random_against_per_degree_and_full(self):
+        for word, (pres, phi) in _random_knots(1601, 200):
+            for k in range(2, 9):
+                inv = reidemeister_schreier(pres, phi, k)
+                assert inv == per_degree_reidemeister_schreier(pres, phi, k) \
+                    == full_reidemeister_schreier(pres, phi, k), (word, k)
+
+    def test_fox_identity(self, bundled_knots):
+        """
+        Fox's fundamental formula, sum_j (dr/dx_j)(x_j - 1) = r - 1, with
+        every x_j sent to t and r a relator: sum_j dr/dx_j = 0 in
+        Z[t^+-1].  The unfolded orbit's entry at x_j is dr/dx_j, so the
+        entries summed over all generators vanish at every coset; this
+        is what makes x1's column redundant.
+        """
+        presentations = [wirtinger_presentation(diagram)
+                         for _, diagram in bundled_knots]
+        presentations += [pres for _, pres in _random_knots(1602, 200)]
+        for pres, phi in presentations:
+            for rel in pres.relators:
+                orbit = _unfolded_orbit(rel)
+                total = {}
+                for gen, entry in orbit.items():
+                    fox = {}
+                    for word, c in fox_derivative(rel, gen).items():
+                        e = sum(x for _, x in word)
+                        fox[e] = fox.get(e, 0) + c
+                    assert {c: v for c, v in entry.items() if v} == \
+                        {e: c for e, c in fox.items() if c}, (rel, gen)
+                    for c, v in entry.items():
+                        total[c] = total.get(c, 0) + v
+                assert not any(total.values()), rel
+
+    def test_repeated_orbits(self):
+        # a relator appended again, inverted or conjugated by x1 is +-t^a
+        # times one already there: same module, same invariants
+        pres, phi = wirtinger_presentation(parse_link_spec("braid:n=2:1 1 1"))
+        plain = oracles._relator_module(pres, phi)
+        rel = pres.relators[0]
+        inverse = tuple((gen, -e) for gen, e in reversed(rel))
+        conjugate = ((0, 1),) + rel + ((0, -1),)
+        for extra in (rel, inverse, conjugate):
+            more = type(pres)(pres.num_generators, pres.relators + (extra,))
+            assert oracles._relator_module(more, phi) == plain
+            for k in range(2, 13):
+                assert reidemeister_schreier(more, phi, k) == \
+                    reidemeister_schreier(pres, phi, k) == \
+                    per_degree_reidemeister_schreier(more, phi, k), (extra, k)
+
+    def test_one_module_per_request(self, capsys):
+        from ribboncheck import cli
+        oracles._relator_module.cache_clear()
+        assert cli.main(["oracle-check", "braid:n=2:1 1 1",
+                         "--covers", "2", "3", "5"]) == 0
+        capsys.readouterr()
+        info = oracles._relator_module.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_alternating_knots_get_their_own_module(self):
+        oracles._relator_module.cache_clear()
+        for spec in ("braid:n=2:1 1 1", "braid:n=3:1 -2 1 -2",
+                     "braid:n=2:1 1 1"):
+            pres, phi = wirtinger_presentation(parse_link_spec(spec))
+            for k in (2, 3, 5, 6):
+                assert reidemeister_schreier(pres, phi, k) == \
+                    per_degree_reidemeister_schreier(pres, phi, k), (spec, k)
+        assert oracles._relator_module.cache_info().misses == 3
+
+    def test_no_transversal_rows(self, bundled_knots, monkeypatch):
+        # with the k - 1 transversal rows and every orbit the largest
+        # Smith input was 19 x 15 and the largest dense core 10 rows
+        shapes = []
+        original = oracles.abelian_invariants
+
+        def record(matrix, num_generators):
+            shapes.append((len(matrix), num_generators))
+            return original(matrix, num_generators)
+
+        monkeypatch.setattr(oracles, "abelian_invariants", record)
+        cores = _record_cores(monkeypatch)
+        for name, diagram in bundled_knots:
+            pres, phi = wirtinger_presentation(diagram)
+            for k in (2, 3, 5):
+                reidemeister_schreier(pres, phi, k)
+        assert len(cores) == len(shapes) == 3 * len(bundled_knots)
+        assert max(r for r, _ in shapes) <= 15
+        assert max(c for _, c in shapes) <= 11
+        assert max(len(core) for core in cores) <= 7
 
 
 class TestCoverOrderFormula:

@@ -15,6 +15,9 @@ standard output and standard error captured.  The corpus:
 - every request of the four perfbench workloads at seeds 1-3, as
   perfbench/workloads.py builds them (its batch CSVs are written into
   both trees);
+- `oracle-check --covers 2 3 ... 12` on the 36 random knots of
+  oracle_verify's fixed corpus, the only knots besides the bundled ones
+  that reach composite degrees;
 - `batch --pairs` on both bundled tables;
 - `compute --json` on FALLBACK_CLOSURES, SPARE_ROW_CLOSURES and
   CENSUS_FALLBACKS, the only commands with a reduced block that has two
@@ -126,6 +129,10 @@ def corpus(tree, seeds):
                 workload = workloads.generate(name, seed, tree)
                 files.update(workload.files)
                 commands += [list(r.argv) for r in workload.requests]
+        commands += [["oracle-check", r.link.spec, "--covers"] + COVERS
+                     for r in workloads.generate("oracle_verify", SEEDS[0],
+                                                 tree).requests
+                     if r.link.ref[0] == "burau"]
     finally:
         sys.path.remove(str(tree / "perfbench"))
     commands += [["batch", table, "--pairs"] for table in TABLES]
