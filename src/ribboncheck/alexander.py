@@ -30,6 +30,15 @@ gcd_S det M[S,Q] * gcd_T det M[P,T] / c, exactly, from C(R,r) + C(G,r)
 - 1 minors in place of C(R,r) * C(G,r).  On a diagram-shaped block the
 column side has a closed form (_block_order).
 
+A braid closure's Jacobian comes with a left kernel vector y of units
+(linkcodec.braid_closure); a unit-pivot step and restriction to a
+block's rows keep it in the left kernel.  On a G x G block B with y * B
+= 0 and B * w = 0 (w_j = t_comp(j) - 1), y != 0 bounds the rank by
+G - 1.  At rank G - 1 both kernels are lines, so adj(B) = mu * w * y^T:
+each (G - 1)-minor c is ±mu * w_q * y_p, zero exactly when the rank is
+lower, and their gcd is canonical(c / w_q), or canonical(c) when B spans
+one component (w is then t - 1 times all ones).
+
 All other elimination is fraction-free (Bareiss) and goes through one
 routine, _eliminate, which both module_rank and determinant call: every
 division performed is exact in the Laurent ring, so no rational-function
@@ -44,7 +53,7 @@ of the orders of its split pieces.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -294,11 +303,13 @@ def _reduced_blocks(pres):
                         block_cols.append(j)
                         stack.append(j)
         block_cols.sort()
+        block_rows = sorted(block_rows)
         matrix = tuple(tuple(rows[i].get(j, zero) for j in block_cols)
-                       for i in sorted(block_rows))
+                       for i in block_rows)
         blocks.append(AlexanderPresentation(
             matrix, pres.nvars,
-            tuple(pres.generator_component[j] for j in block_cols)))
+            tuple(pres.generator_component[j] for j in block_cols),
+            pres.kernel and tuple(pres.kernel[i] for i in block_rows)))
     return blocks
 
 
@@ -307,14 +318,23 @@ def _block_order(block):
     Torsion order of one reduced block and the path that gave it:
     "rank0" (no torsion), "shortcut" or "fallback".
 
-    By the rank-one table of minors (module docstring) the order is
-    gcd_S det M[S,Q] / k with k = c / gcd_T det M[P,T].  The row side is
-    always the gcd over the C(R,r) row sets.  On a diagram-shaped block
-    (rank = generators - 1, Fox row relation holding row-wise) k has a
-    closed form, checked by one guard minor ("shortcut"); every other
-    block, and one whose guard disagrees, takes the gcd over the C(G,r)
-    column sets ("fallback").
+    A square block whose left kernel certificate checks out and whose
+    (G - 1)-minor c is nonzero has order c / k by the adjugate argument
+    (module docstring), k from the closed form below ("shortcut").  Every
+    other block takes the rank-one table of minors: the order is gcd_S
+    det M[S,Q] / k with k = c / gcd_T det M[P,T], the row side always the
+    gcd over the C(R,r) row sets.  On a diagram-shaped block (rank =
+    generators - 1, Fox row relation holding row-wise) k has a closed
+    form, checked by one guard minor ("shortcut"); every other block,
+    and one whose guard disagrees, takes the gcd over the C(G,r) column
+    sets ("fallback").
     """
+    cert = _kernel_certificate(block)
+    if cert is not None:
+        k = _closed_form(block, cert, _column_weights(block))
+        if k is not None:
+            value = cert.minor if k.is_one() else exact_divide(cert.minor, k)
+            return value, "shortcut"
     cert = module_rank(block)
     r = cert.rank
     if r == 0:
@@ -349,6 +369,24 @@ def _block_order(block):
                 "the minors of a %dx%d block of rank %d break the rank-one "
                 "identity" % (nrows, ncols, r))
     return value, path
+
+
+def _kernel_certificate(block):
+    """
+    The minor c without the last row and column of a G x G block B, G >=
+    2, as its rank certificate if B's kernel y is all units, y * B = 0
+    and B * w = 0 hold exactly, and c != 0; else None.
+    """
+    y, g = block.kernel, block.num_generators
+    if (y is None or g < 2 or block.num_relators != g
+            or not all(e.is_unit() for e in y)
+            or any(mul_add([(e, row[j], 1) for e, row in zip(y, block.matrix)])
+                   for j in range(g))
+            or not _row_relation_holds(block, _column_weights(block))):
+        return None
+    rows = tuple(range(g - 1))
+    c = _minor(block, rows, rows)
+    return RankCertificate(g - 1, rows, rows, c) if c.terms else None
 
 
 def _closed_form(block, cert, weights):
@@ -406,6 +444,9 @@ def alexander_polynomial(diagram):
     """
     pres, phi = wirtinger_presentation(diagram)
     A = jacobian(pres, phi)
+    if diagram.kernel is not None:  # one relator per crossing, in order
+        A = replace(A, kernel=tuple(LaurentPoly.monomial(1, e)
+                                    for e in diagram.kernel))
     source = {"generators": pres.num_generators,
               "relators": len(pres.relators)}
     return torsion_order(A, source)

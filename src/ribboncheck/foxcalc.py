@@ -17,8 +17,8 @@ touches, at most three in a Wirtinger relator; all other cells of one
 Jacobian are one shared zero, in a matrix that stays dense.
 """
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 from .laurent import LaurentPoly
 
@@ -29,6 +29,9 @@ class AlexanderPresentation:
     matrix: Tuple[Tuple[LaurentPoly, ...], ...]
     nvars: int
     generator_component: Tuple[int, ...]
+    # if given, a unit per row claimed to give kernel * matrix = 0, unchecked
+    kernel: Optional[Tuple[LaurentPoly, ...]] = field(default=None,
+                                                      compare=False)
 
     @property
     def num_relators(self):

@@ -28,8 +28,8 @@ are inverses.  Components of a closure are ordered by least strand index,
 PD components by least edge label.
 """
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 
 class ParseError(ValueError):
@@ -121,6 +121,9 @@ class LinkDiagram:
     num_arcs: int
     component_of_arc: Tuple[int, ...]
     crossings: Tuple[Crossing, ...]
+    # exponents of y_k per crossing, sum_k y_k * Fox row k = 0 (braid_closure)
+    kernel: Optional[Tuple[Tuple[int, ...], ...]] = field(default=None,
+                                                          compare=False)
 
     @property
     def num_components(self):
@@ -279,7 +282,15 @@ def _classes(elements, pairs):
 
 def braid_closure(b):
     """
-    The trace closure of a braid word as a LinkDiagram.
+    The trace closure of a braid word as a LinkDiagram, with its left
+    kernel certificate.  Let P_k be the product of the arcs at positions
+    0 .. n-1 as letter k is read, A that of the arcs left of the
+    crossing, o the over arc and r_k the crossing's relator.  Then
+    P_(k+1) = (W r_k W^-1) P_k with W = A for a positive letter and
+    W = A o for a negative one (Artin: x_1 ... x_n is invariant under the
+    braid action).  The closure makes the last P the first, so the
+    product of these conjugates is 1 in the free group, and its Fox
+    derivatives give sum_k phi(W_k) * d r_k / d x_j = 0: y_k = phi(W_k).
 
     >>> d = braid_closure(parse_braid("n=2:1 1 1"))
     >>> d.num_components, d.num_crossings
@@ -287,9 +298,9 @@ def braid_closure(b):
     >>> braid_closure(parse_braid("n=2:")).num_components
     2
     """
-    n = b.strands
+    n, cycles = b.strands, b.cycles()
     comp_of_strand = {}
-    for ci, cyc in enumerate(b.cycles()):
+    for ci, cyc in enumerate(cycles):
         for s in cyc:
             comp_of_strand[s] = ci
 
@@ -302,12 +313,17 @@ def braid_closure(b):
     pos_strand = list(range(n))
     start_arc = [new_arc(comp_of_strand[s]) for s in pos_strand]
     current = list(start_arc)
-    raw_crossings = []
+    raw_crossings, kernel = [], []
     for k in b.letters:
         i = abs(k) - 1
         sign = 1 if k > 0 else -1
         # positive letter: strand at position i passes over
         over_pos, under_pos = (i, i + 1) if k > 0 else (i + 1, i)
+        exps = [0] * len(cycles)
+        # W: the strands left of position i, and the over one if k < 0
+        for s in pos_strand[:i] + pos_strand[i + 1:over_pos + 1]:
+            exps[comp_of_strand[s]] += 1
+        kernel.append(tuple(exps))
         under_strand = pos_strand[under_pos]
         out_arc = new_arc(comp_of_strand[under_strand])
         raw_crossings.append(
@@ -321,7 +337,8 @@ def braid_closure(b):
         comp_of_arc[i] = arc_comp[a]
     crossings = tuple(Crossing(arc[o], arc[u], arc[v], s)
                       for o, u, v, s in raw_crossings)
-    return LinkDiagram(num_arcs, tuple(comp_of_arc), crossings)
+    return LinkDiagram(num_arcs, tuple(comp_of_arc), crossings,
+                       tuple(kernel))
 
 
 def connected_sum(b1, b2):

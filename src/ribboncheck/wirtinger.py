@@ -10,8 +10,7 @@ meridian is conjugated by the over strand's,
     v = o^e u o^-e,
 
 stored as the relator  v (o^e u o^-e)^-1 = v o^e u^-1 o^-e, freely
-reduced.  All relators are kept; the classical redundancy of any single
-one is checked downstream, not used.
+reduced.  All relators are kept.
 
 Alongside the presentation we return the map onto Z^m sending each
 generator to the basis vector of its arc's component.  Free words are
