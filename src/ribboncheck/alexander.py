@@ -444,7 +444,7 @@ def alexander_polynomial(diagram):
     """
     pres, phi = wirtinger_presentation(diagram)
     A = jacobian(pres, phi)
-    if diagram.kernel is not None:  # one relator per crossing, in order
+    if diagram.kernel and len(diagram.kernel) == len(pres.relators):
         A = replace(A, kernel=tuple(LaurentPoly.monomial(1, e)
                                     for e in diagram.kernel))
     source = {"generators": pres.num_generators,
