@@ -31,13 +31,12 @@ gcd_S det M[S,Q] * gcd_T det M[P,T] / c, exactly, from C(R,r) + C(G,r)
 column side has a closed form (_block_order).
 
 A braid closure's Jacobian comes with a left kernel vector y of units
-(linkcodec.braid_closure); a unit-pivot step and restriction to a
-block's rows keep it in the left kernel.  On a G x G block B with y * B
-= 0 and B * w = 0 (w_j = t_comp(j) - 1), y != 0 bounds the rank by
-G - 1.  At rank G - 1 both kernels are lines, so adj(B) = mu * w * y^T:
-each (G - 1)-minor c is ±mu * w_q * y_p, zero exactly when the rank is
-lower, and their gcd is canonical(c / w_q), or canonical(c) when B spans
-one component (w is then t - 1 times all ones).
+(linkcodec.braid_closure), which unit-pivot steps and restriction to a
+block's rows keep.  On a G x G block B with y * B = 0 and B * w = 0
+(w_j = t_comp(j) - 1), y != 0 bounds the rank by G - 1; at rank G - 1
+adj(B) = mu * w * y^T, so each (G - 1)-minor c is ±mu * w_q * y_p, zero
+exactly when the rank is lower, and their gcd is canonical(c / w_q), or
+canonical(c) when B spans one component (w is then (t - 1) * ones).
 
 All other elimination is fraction-free (Bareiss) and goes through one
 routine, _eliminate, which both module_rank and determinant call: every
@@ -318,16 +317,15 @@ def _block_order(block):
     Torsion order of one reduced block and the path that gave it:
     "rank0" (no torsion), "shortcut" or "fallback".
 
-    A square block whose left kernel certificate checks out and whose
-    (G - 1)-minor c is nonzero has order c / k by the adjugate argument
-    (module docstring), k from the closed form below ("shortcut").  Every
-    other block takes the rank-one table of minors: the order is gcd_S
-    det M[S,Q] / k with k = c / gcd_T det M[P,T], the row side always the
-    gcd over the C(R,r) row sets.  On a diagram-shaped block (rank =
-    generators - 1, Fox row relation holding row-wise) k has a closed
-    form, checked by one guard minor ("shortcut"); every other block,
-    and one whose guard disagrees, takes the gcd over the C(G,r) column
-    sets ("fallback").
+    A block that passes _kernel_certificate has order c / k, c its minor
+    and k the closed form below ("shortcut").  On every other block, by
+    the rank-one table of minors (module docstring) the order is gcd_S
+    det M[S,Q] / k with k = c / gcd_T det M[P,T], the row side always
+    the gcd over the C(R,r) row sets.  On a diagram-shaped block
+    (rank = generators - 1, Fox row relation holding row-wise) k has a
+    closed form, checked by one guard minor ("shortcut"); every other
+    block, and one whose guard disagrees, takes the gcd over the C(G,r)
+    column sets ("fallback").
     """
     cert = _kernel_certificate(block)
     if cert is not None:
@@ -373,9 +371,8 @@ def _block_order(block):
 
 def _kernel_certificate(block):
     """
-    The minor c without the last row and column of a G x G block B, G >=
-    2, as its rank certificate if B's kernel y is all units, y * B = 0
-    and B * w = 0 hold exactly, and c != 0; else None.
+    The minor c of a G x G block B (G >= 2) without its last row and
+    column if B's kernel y is units, y * B = B * w = 0 and c != 0.
     """
     y, g = block.kernel, block.num_generators
     if (y is None or g < 2 or block.num_relators != g

@@ -29,6 +29,7 @@ PD components by least edge label.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional, Tuple
 
 
@@ -283,14 +284,11 @@ def _classes(elements, pairs):
 def braid_closure(b):
     """
     The trace closure of a braid word as a LinkDiagram, with its left
-    kernel certificate.  Let P_k be the product of the arcs at positions
-    0 .. n-1 as letter k is read, A that of the arcs left of the
-    crossing, o the over arc and r_k the crossing's relator.  Then
-    P_(k+1) = (W r_k W^-1) P_k with W = A for a positive letter and
-    W = A o for a negative one (Artin: x_1 ... x_n is invariant under the
-    braid action).  The closure makes the last P the first, so the
-    product of these conjugates is 1 in the free group, and its Fox
-    derivatives give sum_k phi(W_k) * d r_k / d x_j = 0: y_k = phi(W_k).
+    kernel certificate.  Reading letter k turns the product P of the arcs
+    at positions 0 .. n - 1 into (W r_k W^-1) P, with r_k the crossing's
+    relator and W the product of the arcs left of it, times the over arc
+    if k < 0 (Artin).  The closure makes the last P the first, so the
+    conjugates multiply to 1: sum_k phi(W_k) * d r_k / d x_j = 0.
 
     >>> d = braid_closure(parse_braid("n=2:1 1 1"))
     >>> d.num_components, d.num_crossings
@@ -310,20 +308,22 @@ def braid_closure(b):
         arc_comp.append(comp)
         return len(arc_comp) - 1
 
+    def bumped(exps, c):  # exps with one added at index c
+        return exps[:c] + (exps[c] + 1,) + exps[c + 1:]
+
     pos_strand = list(range(n))
     start_arc = [new_arc(comp_of_strand[s]) for s in pos_strand]
     current = list(start_arc)
     raw_crossings, kernel = [], []
+    # prefix[j]: phi of the arcs at positions < j, so phi(W) is prefix[i],
+    # or prefix[i + 1] once the swap has put the over arc at i if k < 0
+    prefix = list(accumulate((comp_of_strand[s] for s in pos_strand),
+                             bumped, initial=(0,) * len(cycles)))
     for k in b.letters:
         i = abs(k) - 1
         sign = 1 if k > 0 else -1
         # positive letter: strand at position i passes over
         over_pos, under_pos = (i, i + 1) if k > 0 else (i + 1, i)
-        exps = [0] * len(cycles)
-        # W: the strands left of position i, and the over one if k < 0
-        for s in pos_strand[:i] + pos_strand[i + 1:over_pos + 1]:
-            exps[comp_of_strand[s]] += 1
-        kernel.append(tuple(exps))
         under_strand = pos_strand[under_pos]
         out_arc = new_arc(comp_of_strand[under_strand])
         raw_crossings.append(
@@ -331,14 +331,17 @@ def braid_closure(b):
         current[under_pos] = out_arc
         current[i], current[i + 1] = current[i + 1], current[i]
         pos_strand[i], pos_strand[i + 1] = pos_strand[i + 1], pos_strand[i]
+        c = comp_of_strand[pos_strand[i]]
+        if c != comp_of_strand[pos_strand[i + 1]]:
+            prefix[i + 1] = bumped(prefix[i], c)
+        kernel.append(prefix[i] if k > 0 else prefix[i + 1])
     arc, num_arcs = _classes(range(len(arc_comp)), zip(current, start_arc))
     comp_of_arc = [None] * num_arcs
     for a, i in arc.items():
         comp_of_arc[i] = arc_comp[a]
     crossings = tuple(Crossing(arc[o], arc[u], arc[v], s)
                       for o, u, v, s in raw_crossings)
-    return LinkDiagram(num_arcs, tuple(comp_of_arc), crossings,
-                       tuple(kernel))
+    return LinkDiagram(num_arcs, tuple(comp_of_arc), crossings, tuple(kernel))
 
 
 def connected_sum(b1, b2):
