@@ -376,7 +376,7 @@ def _kernel_certificate(block):
     """
     y, g = block.kernel, block.num_generators
     if (y is None or g < 2 or block.num_relators != g
-            or not all(e.is_unit() for e in y)
+            or not all(e.is_unit() and e.nvars == block.nvars for e in y)
             or any(mul_add([(e, row[j], 1) for e, row in zip(y, block.matrix)])
                    for j in range(g))
             or not _row_relation_holds(block, _column_weights(block))):

@@ -10,6 +10,10 @@ the current code is tested against.
 - _block_order as it was before the rank-one table of minors: the
   single-minor shortcut behind _rows_agree's row check, and otherwise
   _full_minor_gcd's loop over all C(R,r) * C(G,r) minors.
+- minor_table_block_order, _block_order as it was before the left kernel
+  certificate: module_rank on every block, then the row side of the
+  rank-one table of minors, then _closed_form (which it calls as this
+  module's copy) or the column side.
 """
 
 from itertools import combinations
@@ -17,7 +21,8 @@ from math import comb
 
 from ribboncheck import laurent
 from ribboncheck.alexander import (FALLBACK_MINOR_BUDGET, _column_weights,
-                                   _minor, _row_relation_holds, module_rank)
+                                   _minor, _minor_gcd, _row_relation_holds,
+                                   module_rank)
 from ribboncheck.foxcalc import AlexanderPresentation
 from ribboncheck.laurent import (ComputationError, LaurentPoly, canonical,
                                  exact_divide)
@@ -286,3 +291,79 @@ def _full_minor_gcd(pres, r):
             if running == one:
                 return running
     return running
+
+
+def minor_table_block_order(block):
+    """
+    Torsion order of one reduced block and the path that gave it:
+    "rank0" (no torsion), "shortcut" or "fallback".
+
+    By the rank-one table of minors (module docstring) the order is
+    gcd_S det M[S,Q] / k with k = c / gcd_T det M[P,T].  The row side is
+    always the gcd over the C(R,r) row sets.  On a diagram-shaped block
+    (rank = generators - 1, Fox row relation holding row-wise) k has a
+    closed form, checked by one guard minor ("shortcut"); every other
+    block, and one whose guard disagrees, takes the gcd over the C(G,r)
+    column sets ("fallback").
+    """
+    cert = module_rank(block)
+    r = cert.rank
+    if r == 0:
+        return LaurentPoly.one(block.nvars), "rank0"
+    nrows, ncols = block.num_relators, block.num_generators
+    rows, cols, c = cert.pivot_rows, cert.pivot_columns, cert.minor
+    weights = _column_weights(block) if r == ncols - 1 else None
+    shaped = weights is not None and _row_relation_holds(block, weights)
+    k = _closed_form(block, cert, weights) if shaped else None
+    # besides the certificate's: the row side, the guard, the column side
+    needed = (comb(nrows, r) - 1 + (1 if shaped else 0)
+              + (comb(ncols, r) - 1 if k is None else 0))
+    if needed > FALLBACK_MINOR_BUDGET:
+        raise ComputationError(
+            "the torsion order needs %d minors of rank %d on a %dx%d "
+            "reduced block, past its budget of %d "
+            "(alexander.FALLBACK_MINOR_BUDGET)"
+            % (needed, r, nrows, ncols, FALLBACK_MINOR_BUDGET))
+    value = _minor_gcd(c, (_minor(block, s, cols)
+                           for s in combinations(range(nrows), r)
+                           if s != rows))
+    path = "shortcut"
+    if k is None:
+        k = exact_divide(c, _minor_gcd(c, (
+            _minor(block, rows, t) for t in combinations(range(ncols), r)
+            if t != cols)))
+        path = "fallback"
+    if not k.is_one():  # k = 1: one component, nothing to divide
+        value = exact_divide(value, k)
+        if value is None:
+            raise ComputationError(
+                "the minors of a %dx%d block of rank %d break the rank-one "
+                "identity" % (nrows, ncols, r))
+    return value, path
+
+
+def _closed_form(block, cert, weights):
+    """
+    k of a diagram-shaped block, or None if the guard column disagrees.
+    On the rows P the signed column-deleted minors span the kernel,
+    which holds the weight vector (t_comp(j) - 1)_j, so det M[P, all but
+    j] = ±lambda * w_j, and k = w_q for the column q outside Q.  Here
+    w_j = t_comp(j) - 1, or 1 when all columns belong to one component
+    (the weights agree, and their gcd is t - 1).  The minor without a
+    second column, of another component if there is one, must give the
+    same lambda.
+    """
+    comp, g = block.generator_component, block.num_generators
+    cols = cert.pivot_columns
+    q = next(j for j in range(g) if j not in cols)
+    guard_col = next((j for j in cols if comp[j] != comp[q]), cols[0])
+    guard = _minor(block, cert.pivot_rows, [j for j in range(g)
+                                            if j != guard_col])
+    if comp[guard_col] == comp[q]:  # one component: every weight is 1
+        k, lam = LaurentPoly.one(block.nvars), cert.minor
+    else:
+        k, lam = weights[q], exact_divide(cert.minor, weights[q])
+        guard = exact_divide(guard, weights[guard_col])
+    if lam is None or guard is None or canonical(lam) != canonical(guard):
+        return None
+    return k

@@ -1,6 +1,9 @@
+import importlib.util
 import random
 import time
+from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +14,7 @@ from ribboncheck.foxcalc import AlexanderPresentation, jacobian
 from ribboncheck.laurent import LaurentPoly, canonical, divides, gcd, \
     parse_poly
 from ribboncheck.linkcodec import BraidWord, braid_closure, connected_sum, \
-    parse_braid, parse_link_spec
+    parse_braid, parse_link_spec, sublink
 from ribboncheck.tables import knot_table, link_table
 from ribboncheck.wirtinger import wirtinger_presentation
 
@@ -655,6 +658,205 @@ class TestAgainstFullMinorGcd:
                 torsion_order(pres)
 
 
+def same_output_closures():
+    """
+    FALLBACK_CLOSURES, SPARE_ROW_CLOSURES and CENSUS_FALLBACKS of
+    tools/same_output.py.
+    """
+    path = Path(__file__).resolve().parent.parent / "tools" / "same_output.py"
+    spec = importlib.util.spec_from_file_location("same_output", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return (module.FALLBACK_CLOSURES + module.SPARE_ROW_CLOSURES
+            + module.CENSUS_FALLBACKS)
+
+
+def blocks_and_delta(diagram, monkeypatch):
+    """The reduced blocks alexander_polynomial hands to _block_order."""
+    blocks, block_order = [], alexander._block_order
+    with monkeypatch.context() as patch:
+        patch.setattr(alexander, "_block_order",
+                      lambda block: blocks.append(block) or block_order(block))
+        result = alexander_polynomial(diagram)
+    return blocks, result
+
+
+def counting_module_rank(monkeypatch):
+    """Count alexander.module_rank's calls from here on."""
+    calls, module_rank = [], alexander.module_rank
+    monkeypatch.setattr(alexander, "module_rank",
+                        lambda pres: calls.append(pres) or module_rank(pres))
+    return calls
+
+
+class TestKernelCertificate:
+    """
+    The left kernel certificate of braid closures.  y * J = 0 holds
+    exactly on each closure's full Jacobian, and Delta and every block's
+    path equal those of minor_table_block_order, the block order the
+    certificate bypasses, kept in pipeline_reference.
+    """
+
+    def check(self, diagram, monkeypatch, certified=None):
+        if diagram.kernel is not None:
+            J = fox_matrix(diagram)
+            assert len(diagram.kernel) == J.num_relators
+            y = [LaurentPoly.monomial(1, e) for e in diagram.kernel]
+            assert all(len(e) == diagram.num_components
+                       for e in diagram.kernel)
+            zero = LaurentPoly.zero(J.nvars)
+            for j in range(J.num_generators):
+                assert sum((yi * row[j] for yi, row in zip(y, J.matrix)),
+                           zero).is_zero(), diagram
+        blocks, delta = blocks_and_delta(diagram, monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(alexander, "_block_order",
+                          reference.minor_table_block_order)
+            old = alexander_polynomial(diagram)
+        assert delta.value == old.value, diagram
+        assert delta.source == old.source, diagram
+        if certified is not None:
+            for block, record in zip(blocks, delta.source["blocks"]):
+                if alexander._kernel_certificate(block) is not None:
+                    certified.append(block)
+                    assert record["path"] == "shortcut"
+        return delta
+
+    def test_random_closures(self, monkeypatch):
+        rng = random.Random(1818)
+        components, certified, blocks = set(), [], 0
+        for _ in range(800):
+            while True:  # 1-6 components, 2-8 strands, up to 24 letters
+                n = rng.randint(2, 8)
+                word = BraidWord(n, tuple(
+                    rng.choice((1, -1)) * rng.randint(1, n - 1)
+                    for _ in range(rng.randint(1, 24))))
+                if len(word.cycles()) <= 6:
+                    break
+            components.add(len(word.cycles()))
+            delta = self.check(braid_closure(word), monkeypatch, certified)
+            blocks += sum(b["path"] != "rank0" for b in delta.source["blocks"])
+        assert components == {1, 2, 3, 4, 5, 6}
+        assert 0 < len(certified) < blocks
+        assert any(len(set(b.generator_component)) > 1 for b in certified)
+
+    def test_bundled_diagrams_and_split_unions(self, monkeypatch):
+        for name, spec in knot_table() + link_table():
+            self.check(parse_link_spec(spec), monkeypatch)
+        pieces = [parse_braid(w) for w in TestSplitUnions.PIECES.values()]
+        rng = random.Random(1819)
+        for _ in range(12):
+            words = rng.sample(pieces, 2) + [random_braid(rng, 4, 8)]
+            self.check(braid_closure(split_union(*words)), monkeypatch)
+
+    def test_same_output_closures(self, monkeypatch):
+        certified = []
+        for spec in same_output_closures():
+            self.check(parse_link_spec(spec), monkeypatch, certified)
+        assert certified
+
+    def test_corrupted_kernel_takes_module_rank(self, monkeypatch):
+        calls = counting_module_rank(monkeypatch)
+        specs = ["braid:n=3:1 -2 1 -2", "braid:n=2:1 1 1 1",
+                 "braid:n=4:1 1 1 1 1 3 3 3 3 3"] + list(FALLBACK_SPECS)[1:4]
+        corrupted = 0
+        for spec in specs:
+            blocks, _ = blocks_and_delta(parse_link_spec(spec), monkeypatch)
+            for block in blocks:
+                if alexander._kernel_certificate(block) is None:
+                    continue
+                value, path = alexander._block_order(block)
+                t1 = LaurentPoly.variable(0, block.nvars)
+                for i, yi in enumerate(block.kernel):
+                    for wrong in (yi * t1, -yi):
+                        kernel = block.kernel[:i] + (wrong,) + \
+                            block.kernel[i + 1:]
+                        bad = replace(block, kernel=kernel)
+                        assert alexander._kernel_certificate(bad) is None
+                        calls.clear()
+                        got, got_path = alexander._block_order(bad)
+                        assert len(calls) == 1, spec
+                        assert canonical(got) == canonical(value), spec
+                        assert got_path == path, spec
+                        corrupted += 1
+        assert corrupted >= 20
+        # on the full Jacobian: a wrong entry of an eliminated row drops
+        # out of every block's kernel, any other one fails its check
+        d = parse_link_spec("braid:n=3:1 -2 1 -2")
+        expected = alexander_polynomial(d)
+        calls.clear()
+        for i in range(d.num_crossings):
+            exps = tuple(x + 1 for x in d.kernel[i])
+            kernel = d.kernel[:i] + (exps,) + d.kernel[i + 1:]
+            result = alexander_polynomial(replace(d, kernel=kernel))
+            assert result.value == expected.value
+            assert result.source == expected.source
+        assert 0 < len(calls) < d.num_crossings
+        # a kernel of the wrong length is not attached at all, and one in
+        # the wrong number of variables fails the check
+        for kernel in (d.kernel[:-1], tuple((0, 0) for _ in d.kernel)):
+            calls.clear()
+            result = alexander_polynomial(replace(d, kernel=kernel))
+            assert result.value == expected.value and len(calls) == 1
+
+    def test_hand_built_kernels_the_check_refuses(self):
+        # y = (g, -f) kills both rows, but is not all units: the minors'
+        # gcd is 1, not the one minor f * (t2 - 1) divided by t2 - 1
+        f, g = parse_poly("t1^2 - t2", 2), parse_poly("t1*t2 + 3", 2)
+        u1, u2 = parse_poly("t1 - 1", 2), parse_poly("t2 - 1", 2)
+        non_units = AlexanderPresentation(
+            ((f * u2, -f * u1), (g * u2, -g * u1)), 2, (0, 1), (g, -f))
+        # y = (1, -1) kills both rows, but the Fox row relation fails
+        a, two = parse_poly("t + 1", 1), LaurentPoly.constant(2, 1)
+        one = LaurentPoly.one(1)
+        no_relation = AlexanderPresentation(((a, two), (a, two)), 1, (0, 0),
+                                            (one, -one))
+        for block, path in ((non_units, "shortcut"),
+                            (no_relation, "fallback")):
+            assert alexander._kernel_certificate(block) is None
+            value, got = alexander._block_order(block)
+            assert canonical(value) == definition_delta(block) == \
+                LaurentPoly.one(block.nvars)
+            assert got == path
+
+    def test_pd_and_sublink_diagrams_carry_no_kernel(self, monkeypatch):
+        for name, spec in knot_table():
+            if spec.startswith("pd:"):
+                d = parse_link_spec(spec)
+                assert d.kernel is None, name
+                blocks, _ = blocks_and_delta(d, monkeypatch)
+                assert all(b.kernel is None for b in blocks), name
+        for name, spec in link_table():
+            d = parse_link_spec(spec)
+            assert d.kernel is not None
+            for c in range(d.num_components):
+                assert sublink(d, c).kernel is None, name
+        assert fox_matrix(parse_link_spec("braid:n=2:1 1 1")).kernel is None
+
+    def test_census_block_of_rank_six_gets_c_zero(self, monkeypatch):
+        spec = list(TestCensusFallbacks.CASES)[0]
+        blocks, delta = blocks_and_delta(parse_link_spec(spec), monkeypatch)
+        block = blocks[0]
+        assert (block.num_relators, block.num_generators) == (8, 8)
+        zero = LaurentPoly.zero(block.nvars)
+        for j in range(8):  # the certificate holds, yet c = 0
+            assert sum((yi * row[j] for yi, row in
+                        zip(block.kernel, block.matrix)), zero).is_zero()
+        assert alexander._minor(block, range(7), range(7)).is_zero()
+        assert alexander._kernel_certificate(block) is None
+        assert module_rank(block).rank == 6
+        assert delta.source["blocks"][0]["path"] == "fallback"
+        assert delta.text == TestCensusFallbacks.CASES[spec][0]
+
+    def test_module_rank_calls(self, monkeypatch):
+        calls = counting_module_rank(monkeypatch)
+        assert str(delta("braid:n=3:1 -2 1 -2")) == "t^2 - 3*t + 1"
+        assert len(calls) == 0
+        figure_eight = "pd:X(4,2,5,1);X(8,6,1,5);X(6,3,7,4);X(2,7,3,8)"
+        assert str(delta(figure_eight)) == "t^2 - 3*t + 1"
+        assert len(calls) == 1
+
+
 class TestCensusFallbacks:
     """
     The slowest fallback inputs of a census of random closures, pinned to
@@ -688,3 +890,76 @@ class TestCensusFallbacks:
         assert result.text == text
         assert [b["path"] for b in result.source["blocks"]][0] == "fallback"
         assert spent < bound, spent
+
+
+class TestSlowShortcut:
+    """
+    ROADMAP item 11's example, the slowest shortcut input known: 5
+    components, one 6 x 6 block.  Pinned to the Delta the row side of the
+    table of minors gave, within a CPU bound about three times its time
+    on the left kernel certificate (0.3 s on a 2-core Xeon VM, against
+    1.9-2.1 s before).
+    """
+
+    SPEC = ("braid:n=8:-5 -1 3 -4 -4 5 6 7 -4 -4 -3 -5 7 2 -1 -3 -3 -1 6 6 "
+            "7 2 -5")
+    TEXT = (
+            "2*t1^2*t2^3*t4^2*t5^4 - 3*t1^2*t2^3*t4^2*t5^3 - "
+            "3*t1^2*t2^3*t4*t5^4 - 5*t1^2*t2^2*t4^2*t5^4 - "
+            "4*t1*t2^3*t4^2*t5^4 + 3*t1^2*t2^3*t4^2*t5^2 + "
+            "6*t1^2*t2^3*t4*t5^3 + t1^2*t2^3*t5^4 + 8*t1^2*t2^2*t4^2*t5^3 + "
+            "8*t1^2*t2^2*t4*t5^4 + 4*t1^2*t2*t4^2*t5^4 + "
+            "6*t1*t2^3*t4^2*t5^3 + 6*t1*t2^3*t4*t5^4 + 10*t1*t2^2*t4^2*t5^4 "
+            "+ 2*t2^3*t4^2*t5^4 - 3*t1^2*t2^3*t4^2*t5 - 6*t1^2*t2^3*t4*t5^2 "
+            "- 2*t1^2*t2^3*t5^3 - 8*t1^2*t2^2*t4^2*t5^2 - "
+            "18*t1^2*t2^2*t4*t5^3 - 3*t1^2*t2^2*t5^4 - 7*t1^2*t2*t4^2*t5^3 "
+            "- 7*t1^2*t2*t4*t5^4 - t1^2*t4^2*t5^4 - 6*t1*t2^3*t4^2*t5^2 - "
+            "12*t1*t2^3*t4*t5^3 - 2*t1*t2^3*t5^4 - 16*t1*t2^2*t4^2*t5^3 - "
+            "16*t1*t2^2*t4*t5^4 - 8*t1*t2*t4^2*t5^4 - 3*t2^3*t4^2*t5^3 - "
+            "3*t2^3*t4*t5^4 - 5*t2^2*t4^2*t5^4 + t1^2*t2^3*t4^2 + "
+            "6*t1^2*t2^3*t4*t5 + 2*t1^2*t2^3*t5^2 + 8*t1^2*t2^2*t4^2*t5 + "
+            "18*t1^2*t2^2*t4*t5^2 + 7*t1^2*t2^2*t5^3 + 7*t1^2*t2*t4^2*t5^2 "
+            "+ 18*t1^2*t2*t4*t5^3 + 3*t1^2*t2*t5^4 + 2*t1^2*t4^2*t5^3 + "
+            "2*t1^2*t4*t5^4 + 6*t1*t2^3*t4^2*t5 + 12*t1*t2^3*t4*t5^2 + "
+            "4*t1*t2^3*t5^3 + 16*t1*t2^2*t4^2*t5^2 + 36*t1*t2^2*t4*t5^3 + "
+            "6*t1*t2^2*t5^4 + 14*t1*t2*t4^2*t5^3 + 14*t1*t2*t4*t5^4 + "
+            "2*t1*t4^2*t5^4 + 3*t2^3*t4^2*t5^2 + 6*t2^3*t4*t5^3 + t2^3*t5^4 "
+            "+ 8*t2^2*t4^2*t5^3 + 8*t2^2*t4*t5^4 + 4*t2*t4^2*t5^4 - "
+            "2*t1^2*t2^3*t4 - 2*t1^2*t2^3*t5 - 3*t1^2*t2^2*t4^2 - "
+            "18*t1^2*t2^2*t4*t5 - 7*t1^2*t2^2*t5^2 - 7*t1^2*t2*t4^2*t5 - "
+            "18*t1^2*t2*t4*t5^2 - 8*t1^2*t2*t5^3 - 2*t1^2*t4^2*t5^2 - "
+            "6*t1^2*t4*t5^3 - t1^2*t5^4 - 2*t1*t2^3*t4^2 - 12*t1*t2^3*t4*t5 "
+            "- 4*t1*t2^3*t5^2 - 16*t1*t2^2*t4^2*t5 - 36*t1*t2^2*t4*t5^2 - "
+            "14*t1*t2^2*t5^3 - 14*t1*t2*t4^2*t5^2 - 36*t1*t2*t4*t5^3 - "
+            "6*t1*t2*t5^4 - 4*t1*t4^2*t5^3 - 4*t1*t4*t5^4 - 3*t2^3*t4^2*t5 "
+            "- 6*t2^3*t4*t5^2 - 2*t2^3*t5^3 - 8*t2^2*t4^2*t5^2 - "
+            "18*t2^2*t4*t5^3 - 3*t2^2*t5^4 - 7*t2*t4^2*t5^3 - 7*t2*t4*t5^4 "
+            "- t4^2*t5^4 + t1^2*t2^3 + 7*t1^2*t2^2*t4 + 7*t1^2*t2^2*t5 + "
+            "3*t1^2*t2*t4^2 + 18*t1^2*t2*t4*t5 + 8*t1^2*t2*t5^2 + "
+            "2*t1^2*t4^2*t5 + 6*t1^2*t4*t5^2 + 3*t1^2*t5^3 + 4*t1*t2^3*t4 + "
+            "4*t1*t2^3*t5 + 6*t1*t2^2*t4^2 + 36*t1*t2^2*t4*t5 + "
+            "14*t1*t2^2*t5^2 + 14*t1*t2*t4^2*t5 + 36*t1*t2*t4*t5^2 + "
+            "16*t1*t2*t5^3 + 4*t1*t4^2*t5^2 + 12*t1*t4*t5^3 + 2*t1*t5^4 + "
+            "t2^3*t4^2 + 6*t2^3*t4*t5 + 2*t2^3*t5^2 + 8*t2^2*t4^2*t5 + "
+            "18*t2^2*t4*t5^2 + 7*t2^2*t5^3 + 7*t2*t4^2*t5^2 + 18*t2*t4*t5^3 "
+            "+ 3*t2*t5^4 + 2*t4^2*t5^3 + 2*t4*t5^4 - 4*t1^2*t2^2 - "
+            "8*t1^2*t2*t4 - 8*t1^2*t2*t5 - t1^2*t4^2 - 6*t1^2*t4*t5 - "
+            "3*t1^2*t5^2 - 2*t1*t2^3 - 14*t1*t2^2*t4 - 14*t1*t2^2*t5 - "
+            "6*t1*t2*t4^2 - 36*t1*t2*t4*t5 - 16*t1*t2*t5^2 - 4*t1*t4^2*t5 - "
+            "12*t1*t4*t5^2 - 6*t1*t5^3 - 2*t2^3*t4 - 2*t2^3*t5 - "
+            "3*t2^2*t4^2 - 18*t2^2*t4*t5 - 7*t2^2*t5^2 - 7*t2*t4^2*t5 - "
+            "18*t2*t4*t5^2 - 8*t2*t5^3 - 2*t4^2*t5^2 - 6*t4*t5^3 - t5^4 + "
+            "5*t1^2*t2 + 3*t1^2*t4 + 3*t1^2*t5 + 8*t1*t2^2 + 16*t1*t2*t4 + "
+            "16*t1*t2*t5 + 2*t1*t4^2 + 12*t1*t4*t5 + 6*t1*t5^2 + t2^3 + "
+            "7*t2^2*t4 + 7*t2^2*t5 + 3*t2*t4^2 + 18*t2*t4*t5 + 8*t2*t5^2 + "
+            "2*t4^2*t5 + 6*t4*t5^2 + 3*t5^3 - 2*t1^2 - 10*t1*t2 - 6*t1*t4 - "
+            "6*t1*t5 - 4*t2^2 - 8*t2*t4 - 8*t2*t5 - t4^2 - 6*t4*t5 - 3*t5^2 "
+            "+ 4*t1 + 5*t2 + 3*t4 + 3*t5 - 2")
+
+    def test_delta_within_the_bound(self):
+        started = time.process_time()
+        result = delta(self.SPEC)
+        spent = time.process_time() - started
+        assert result.text == self.TEXT
+        assert [b["path"] for b in result.source["blocks"]] == ["shortcut"]
+        assert spent < 1.0, spent

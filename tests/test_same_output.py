@@ -96,3 +96,28 @@ def test_fallback_closures_reach_the_fallback(same_output):
                       alexander_polynomial(diagram).source["blocks"]])
     assert tuple(paths) == FALLBACK_PATHS
     assert sum("fallback" in p for p in paths) == 12
+
+
+def test_shortcut_closures_reach_the_kernel_certificate(same_output,
+                                                         monkeypatch):
+    from ribboncheck import alexander
+    from ribboncheck.alexander import alexander_polynomial
+    from ribboncheck.linkcodec import parse_link_spec
+    calls, module_rank = [], alexander.module_rank
+    monkeypatch.setattr(alexander, "module_rank",
+                        lambda pres: calls.append(pres) or module_rank(pres))
+    blocks, block_order = [], alexander._block_order
+    monkeypatch.setattr(alexander, "_block_order",
+                        lambda block: blocks.append(block) or block_order(block))
+    specs = (same_output.SLOW_SHORTCUT,) + same_output.SHORTCUT_CLOSURES
+    assert len(specs) == 13
+    for spec in specs:
+        diagram = parse_link_spec(spec)
+        assert 3 <= diagram.num_components <= 6, spec
+        blocks.clear()
+        result = alexander_polynomial(diagram)
+        assert [b["path"] for b in result.source["blocks"]] == ["shortcut"]
+        block, = blocks
+        assert block.num_relators == block.num_generators, spec
+        assert len(set(block.generator_component)) >= 2, spec
+    assert calls == []

@@ -22,7 +22,11 @@ standard output and standard error captured.  The corpus:
 - `compute --json` on FALLBACK_CLOSURES, SPARE_ROW_CLOSURES and
   CENSUS_FALLBACKS, the only commands with a reduced block that has two
   or more spare rows or is not diagram-shaped: every other block above
-  of nonzero rank is square, of rank one less than its size.
+  of nonzero rank is square, of rank one less than its size;
+- `compute --json` on SLOW_SHORTCUT and SHORTCUT_CLOSURES, braid
+  closures of 3 to 6 components whose one block is square and spans two
+  or more components, so that the left kernel certificate's order
+  divides its minor by a weight t_c - 1.
 
 Each command's exit code, stdout and stderr are compared, with each
 tree's own path replaced by "<tree>".  The exit code is 0 when every
@@ -86,6 +90,29 @@ SPARE_ROW_CLOSURES = (
 CENSUS_FALLBACKS = (
     "braid:n=10:1 -4 6 -9 -3 6 5 -9 8 9 7 -3 -2 4 6 -9 -4 -7 -5 8 -2 -2 1 6",
     "braid:n=10:7 8 -6 -4 -1 2 -9 -7 -1 2 -7 -8 -4 3 -1 5 9 -6 -2 -8 5 6 5 7")
+# ROADMAP item 11's example, the slowest shortcut input known: 5
+# components, one 6 x 6 block, 1.9-2.1 s of CPU on the row side of the
+# table of minors and 0.3 s on the left kernel certificate
+SLOW_SHORTCUT = ("braid:n=8:-5 -1 3 -4 -4 5 6 7 -4 -4 -3 -5 7 2 -1 -3 -3 -1 6 "
+                 "6 7 2 -5")
+# the first 12 of random.Random(18)'s draws of 4-8 strands and 16-24
+# letters, each letter +-randint(1, strands - 1), that close to 3-6
+# components and reduce to one square block spanning two or more of
+# them, each under 0.03 s of CPU on the row side of the table of minors
+SHORTCUT_CLOSURES = (
+    "braid:n=8:3 -5 4 2 6 -2 -5 -5 6 5 -5 -7 -1 -2 -2 -1 6 5 -2 -7",
+    "braid:n=6:1 -5 5 2 -1 5 2 -1 -1 -3 5 -3 4 -5 -5 3 -1 -4 -1 3 3 4 1",
+    "braid:n=6:-5 2 4 -2 2 -5 -5 -4 -4 5 2 1 -3 5 3 2 3 2 4 -1",
+    "braid:n=8:4 3 7 4 -3 -2 7 -6 1 4 5 -1 -5 -1 -7 3 3 5 6 6 7 2",
+    "braid:n=7:-5 -6 -5 2 6 -3 4 2 2 6 3 1 3 6 -2 -1 2 -4",
+    "braid:n=8:-7 4 4 6 2 -4 7 1 2 6 6 -1 5 -7 5 6 7 -3 -7 -5 -3",
+    "braid:n=5:-1 -3 -3 3 -4 -3 -2 -2 -1 1 -4 -3 1 1 2 1 -1 1",
+    "braid:n=8:3 5 -1 -5 -6 5 -6 2 -4 -3 -1 -3 -5 -3 -7 -1 -2 5 1 1 -7",
+    "braid:n=7:-3 1 5 6 -4 5 -3 5 6 -2 -5 3 -4 2 3 -3 2 -4 -1 -2 4 -3 4 3",
+    "braid:n=4:-1 1 3 1 3 -1 -3 2 2 -2 -2 3 3 2 2 -1 3 1 -1 3 3 1 -1 -1",
+    "braid:n=6:-3 -2 -2 -1 -2 -4 -2 4 -1 1 2 5 5 3 3 3 -4",
+    "braid:n=5:-3 3 -4 4 -2 -4 -3 -4 3 -3 -1 4 -2 -3 4 4 -3 -2 -3 1 -1 4 "
+    "-3 2")
 
 # runs in the child: argv lists on stdin, [exit, stdout, stderr] lists out
 CHILD = r"""
@@ -137,7 +164,8 @@ def corpus(tree, seeds):
         sys.path.remove(str(tree / "perfbench"))
     commands += [["batch", table, "--pairs"] for table in TABLES]
     commands += [["compute", "--json", spec] for spec in
-                 FALLBACK_CLOSURES + SPARE_ROW_CLOSURES + CENSUS_FALLBACKS]
+                 FALLBACK_CLOSURES + SPARE_ROW_CLOSURES + CENSUS_FALLBACKS
+                 + (SLOW_SHORTCUT,) + SHORTCUT_CLOSURES]
     return commands, files
 
 
