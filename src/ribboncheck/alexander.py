@@ -27,16 +27,23 @@ det M[S,T] * c = det M[S,Q] * det M[P,T] for all r-row sets S and
 r-column sets T, where P, Q and c = det M[P,Q] are the rank
 certificate's rows, columns and minor.  So the gcd of all minors is
 gcd_S det M[S,Q] * gcd_T det M[P,T] / c, exactly, from C(R,r) + C(G,r)
-- 1 minors in place of C(R,r) * C(G,r).  On a diagram-shaped block the
-column side has a closed form (_block_order).
+- 1 minors in place of C(R,r) * C(G,r).
+
+On a diagram-shaped block (r = G - 1, and every row satisfies the Fox
+row relation M * w = 0, w_j = t_comp(j) - 1) the column side needs no
+minor.  c != 0 makes M[P, :] of rank G - 1, so its kernel is spanned by
+w, and by Cramer's rule its signed column-deleted minors are ±lambda *
+w_j.  With two components some w_j is coprime to w_q (q the column
+outside Q), so lambda lies in the ring, gcd_T det M[P,T] = lambda and
+k = c / lambda = w_q; on one component every such minor is ±c and
+k = 1.
 
 A braid closure's Jacobian comes with a left kernel vector y of units
 (linkcodec.braid_closure), which unit-pivot steps and restriction to a
-block's rows keep.  On a G x G block B with y * B = 0 and B * w = 0
-(w_j = t_comp(j) - 1), y != 0 bounds the rank by G - 1; at rank G - 1
-adj(B) = mu * w * y^T, so each (G - 1)-minor c is ±mu * w_q * y_p, zero
-exactly when the rank is lower, and their gcd is canonical(c / w_q), or
-canonical(c) when B spans one component (w is then (t - 1) * ones).
+block's rows keep.  On a G x G block B with y * B = 0 and B * w = 0,
+y != 0 bounds the rank by G - 1; at rank G - 1 adj(B) = mu * w * y^T,
+so each (G - 1)-minor c is ±mu * w_q * y_p, zero exactly when the rank
+is lower.  The y_p being units, c alone is the row side.
 
 All other elimination is fraction-free (Bareiss) and goes through one
 routine, _eliminate, which both module_rank and determinant call: every
@@ -66,8 +73,8 @@ from .wirtinger import wirtinger_presentation
 
 
 # most r x r minors evaluated on one reduced block besides its rank
-# certificate's: the row side's C(R,r) - 1, and the guard minor or the
-# column side's C(G,r) - 1
+# certificate's: the row side's C(R,r) - 1 (none on a kernel
+# certificate) and, off a diagram-shaped block, the column side's C(G,r) - 1
 FALLBACK_MINOR_BUDGET = 10000
 
 
@@ -207,7 +214,8 @@ def torsion_order(pres, source=None):
     Order of the torsion submodule of the presented module: the gcd of
     all rank x rank minors of the matrix, canonicalized.  Raises
     ComputationError if a block would pass the minor budget or its
-    minors break the rank-one identity (an inconsistency).
+    minors break the rank-one identity (an inconsistency: a row side
+    that k, Cramer's w_q or the column side's, does not divide).
 
     The matrix is reduced at unit pivots and split into blocks first
     (see the module docstring); each block's order comes from
@@ -317,56 +325,55 @@ def _block_order(block):
     Torsion order of one reduced block and the path that gave it:
     "rank0" (no torsion), "shortcut" or "fallback".
 
-    A block that passes _kernel_certificate has order c / k, c its minor
-    and k the closed form below ("shortcut").  On every other block, by
-    the rank-one table of minors (module docstring) the order is gcd_S
-    det M[S,Q] / k with k = c / gcd_T det M[P,T], the row side always
-    the gcd over the C(R,r) row sets.  On a diagram-shaped block
-    (rank = generators - 1, Fox row relation holding row-wise) k has a
-    closed form, checked by one guard minor ("shortcut"); every other
-    block, and one whose guard disagrees, takes the gcd over the C(G,r)
-    column sets ("fallback").
+    By the rank-one table of minors (module docstring) the order is the
+    row side gcd_S det M[S,Q] divided by k = c / gcd_T det M[P,T].  A
+    block that passes _kernel_certificate takes its minor c as the row
+    side; every other block takes module_rank's certificate and the gcd
+    over the C(R,r) row sets.  On a diagram-shaped block, which a kernel
+    certificate's block always is, Cramer's rule gives k = w_q, or 1 on
+    one component ("shortcut"); every other block takes the gcd over the
+    C(G,r) column sets ("fallback").  An inexact division by k is an
+    inconsistency and raises ComputationError.
     """
     cert = _kernel_certificate(block)
-    if cert is not None:
-        k = _closed_form(block, cert, _column_weights(block))
-        if k is not None:
-            value = cert.minor if k.is_one() else exact_divide(cert.minor, k)
-            return value, "shortcut"
-    cert = module_rank(block)
+    certified = cert is not None
+    if not certified:
+        cert = module_rank(block)
     r = cert.rank
     if r == 0:
         return LaurentPoly.one(block.nvars), "rank0"
     nrows, ncols = block.num_relators, block.num_generators
     rows, cols, c = cert.pivot_rows, cert.pivot_columns, cert.minor
     weights = _column_weights(block) if r == ncols - 1 else None
-    shaped = weights is not None and _row_relation_holds(block, weights)
-    k = _closed_form(block, cert, weights) if shaped else None
-    # besides the certificate's: the row side, the guard, the column side
-    needed = (comb(nrows, r) - 1 + (1 if shaped else 0)
-              + (comb(ncols, r) - 1 if k is None else 0))
+    shaped = weights is not None and (certified
+                                      or _row_relation_holds(block, weights))
+    # besides the certificate's: the row side, the column side
+    needed = ((0 if certified else comb(nrows, r) - 1)
+              + (0 if shaped else comb(ncols, r) - 1))
     if needed > FALLBACK_MINOR_BUDGET:
         raise ComputationError(
             "the torsion order needs %d minors of rank %d on a %dx%d "
             "reduced block, past its budget of %d "
             "(alexander.FALLBACK_MINOR_BUDGET)"
             % (needed, r, nrows, ncols, FALLBACK_MINOR_BUDGET))
-    value = _minor_gcd(c, (_minor(block, s, cols)
-                           for s in combinations(range(nrows), r)
-                           if s != rows))
-    path = "shortcut"
-    if k is None:
+    value = c if certified else _minor_gcd(c, (
+        _minor(block, s, cols) for s in combinations(range(nrows), r)
+        if s != rows))
+    if not shaped:
         k = exact_divide(c, _minor_gcd(c, (
             _minor(block, rows, t) for t in combinations(range(ncols), r)
             if t != cols)))
-        path = "fallback"
-    if not k.is_one():  # k = 1: one component, nothing to divide
+    elif len(set(block.generator_component)) == 1:
+        k = LaurentPoly.one(block.nvars)
+    else:
+        k = weights[next(j for j in range(ncols) if j not in cols)]
+    if not k.is_one():  # k = 1: nothing to divide
         value = exact_divide(value, k)
         if value is None:
             raise ComputationError(
                 "the minors of a %dx%d block of rank %d break the rank-one "
                 "identity" % (nrows, ncols, r))
-    return value, path
+    return value, "shortcut" if shaped else "fallback"
 
 
 def _kernel_certificate(block):
@@ -384,33 +391,6 @@ def _kernel_certificate(block):
     rows = tuple(range(g - 1))
     c = _minor(block, rows, rows)
     return RankCertificate(g - 1, rows, rows, c) if c.terms else None
-
-
-def _closed_form(block, cert, weights):
-    """
-    k of a diagram-shaped block, or None if the guard column disagrees.
-    On the rows P the signed column-deleted minors span the kernel,
-    which holds the weight vector (t_comp(j) - 1)_j, so det M[P, all but
-    j] = ±lambda * w_j, and k = w_q for the column q outside Q.  Here
-    w_j = t_comp(j) - 1, or 1 when all columns belong to one component
-    (the weights agree, and their gcd is t - 1).  The minor without a
-    second column, of another component if there is one, must give the
-    same lambda.
-    """
-    comp, g = block.generator_component, block.num_generators
-    cols = cert.pivot_columns
-    q = next(j for j in range(g) if j not in cols)
-    guard_col = next((j for j in cols if comp[j] != comp[q]), cols[0])
-    guard = _minor(block, cert.pivot_rows, [j for j in range(g)
-                                            if j != guard_col])
-    if comp[guard_col] == comp[q]:  # one component: every weight is 1
-        k, lam = LaurentPoly.one(block.nvars), cert.minor
-    else:
-        k, lam = weights[q], exact_divide(cert.minor, weights[q])
-        guard = exact_divide(guard, weights[guard_col])
-    if lam is None or guard is None or canonical(lam) != canonical(guard):
-        return None
-    return k
 
 
 def _minor_gcd(first, minors):

@@ -14,6 +14,11 @@ the current code is tested against.
   certificate: module_rank on every block, then the row side of the
   rank-one table of minors, then _closed_form (which it calls as this
   module's copy) or the column side.
+- guarded_block_order, _block_order as it was before the column side of
+  a diagram-shaped block came from Cramer's rule alone: the kernel
+  certificate's minor divided by _closed_form's k, which evaluates one
+  guard minor, and every other block, or one whose guard disagrees,
+  by minor_table_block_order.
 """
 
 from itertools import combinations
@@ -21,8 +26,8 @@ from math import comb
 
 from ribboncheck import laurent
 from ribboncheck.alexander import (FALLBACK_MINOR_BUDGET, _column_weights,
-                                   _minor, _minor_gcd, _row_relation_holds,
-                                   module_rank)
+                                   _kernel_certificate, _minor, _minor_gcd,
+                                   _row_relation_holds, module_rank)
 from ribboncheck.foxcalc import AlexanderPresentation
 from ribboncheck.laurent import (ComputationError, LaurentPoly, canonical,
                                  exact_divide)
@@ -367,3 +372,21 @@ def _closed_form(block, cert, weights):
     if lam is None or guard is None or canonical(lam) != canonical(guard):
         return None
     return k
+
+
+def guarded_block_order(block):
+    """
+    Torsion order of one reduced block and the path that gave it:
+    "rank0" (no torsion), "shortcut" or "fallback".
+
+    A block that passes _kernel_certificate has order c / k, c its minor
+    and k the closed form ("shortcut"); every other block, and one whose
+    guard disagrees, takes minor_table_block_order.
+    """
+    cert = _kernel_certificate(block)
+    if cert is not None:
+        k = _closed_form(block, cert, _column_weights(block))
+        if k is not None:
+            value = cert.minor if k.is_one() else exact_divide(cert.minor, k)
+            return value, "shortcut"
+    return minor_table_block_order(block)

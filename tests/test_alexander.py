@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ribboncheck import alexander
+from ribboncheck import alexander, cli
 from ribboncheck.alexander import (ComputationError, alexander_polynomial,
                                    determinant, module_rank, torsion_order)
 from ribboncheck.foxcalc import AlexanderPresentation, jacobian
@@ -578,14 +578,16 @@ class TestAgainstFullMinorGcd:
             self.check(parse_link_spec(spec), monkeypatch)
 
     def test_column_side_gives_the_closed_form(self, monkeypatch):
-        # a block whose guard fails enumerates the column side; forced on
-        # every diagram-shaped block, that side must give the same Delta
+        # a block whose rows fail the Fox row relation enumerates the
+        # column side; forced on every diagram-shaped block, that side
+        # must give the same Delta
         specs = [spec for _, spec in knot_table() + link_table()]
         for spec in specs + list(FALLBACK_SPECS):
             A = fox_matrix(parse_link_spec(spec))
             delta = torsion_order(A)
             with monkeypatch.context() as patch:
-                patch.setattr(alexander, "_closed_form", lambda *args: None)
+                patch.setattr(alexander, "_row_relation_holds",
+                              lambda *args: False)
                 forced = torsion_order(A)
             assert forced.value == delta.value, spec
             assert {b["path"] for b in forced.source["blocks"]} <= {
@@ -636,7 +638,7 @@ class TestAgainstFullMinorGcd:
     def test_minors_evaluated_match_the_budget_count(self, monkeypatch):
         a, b = parse_poly("t + 1", 1), parse_poly("t^2 + 1", 1)
         # rank 1 on a 2x3 block: 1 row-side and 2 column-side minors;
-        # on a diagram-shaped 3x2 block: 2 row-side minors and the guard
+        # on a diagram-shaped 3x2 block: 2 row-side minors
         fallback = [[a, a * (a - 2), 2 * a], [2 * a, 2 * a * (a - 2), 4 * a]]
         shortcut = [[a, -a], [a * b, -a * b], [2 * a, -2 * a]]
         calls = []
@@ -647,15 +649,25 @@ class TestAgainstFullMinorGcd:
             return minor(*args)
 
         monkeypatch.setattr(alexander, "_minor", counted)
-        for rows, ncols in ((fallback, 3), (shortcut, 2)):
+        for rows, ncols, needed in ((fallback, 3, 3), (shortcut, 2, 2)):
             pres = presentation_from_rows(rows, 1, ncols)
-            monkeypatch.setattr(alexander, "FALLBACK_MINOR_BUDGET", 3)
+            monkeypatch.setattr(alexander, "FALLBACK_MINOR_BUDGET", needed)
             calls.clear()
             assert torsion_order(pres).value == definition_delta(pres)
-            assert len(calls) == 3
-            monkeypatch.setattr(alexander, "FALLBACK_MINOR_BUDGET", 2)
+            assert len(calls) == needed
+            monkeypatch.setattr(alexander, "FALLBACK_MINOR_BUDGET",
+                                needed - 1)
             with pytest.raises(ComputationError):
                 torsion_order(pres)
+
+
+def same_output_module():
+    """tools/same_output.py, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "same_output.py"
+    spec = importlib.util.spec_from_file_location("same_output", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def same_output_closures():
@@ -663,10 +675,7 @@ def same_output_closures():
     FALLBACK_CLOSURES, SPARE_ROW_CLOSURES and CENSUS_FALLBACKS of
     tools/same_output.py.
     """
-    path = Path(__file__).resolve().parent.parent / "tools" / "same_output.py"
-    spec = importlib.util.spec_from_file_location("same_output", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = same_output_module()
     return (module.FALLBACK_CLOSURES + module.SPARE_ROW_CLOSURES
             + module.CENSUS_FALLBACKS)
 
@@ -855,6 +864,119 @@ class TestKernelCertificate:
         figure_eight = "pd:X(4,2,5,1);X(8,6,1,5);X(6,3,7,4);X(2,7,3,8)"
         assert str(delta(figure_eight)) == "t^2 - 3*t + 1"
         assert len(calls) == 1
+
+
+class TestAgainstGuardedClosedForm:
+    """
+    The column side of a diagram-shaped block by Cramer's rule alone
+    against guarded_block_order, the block order that checked it by one
+    guard minor, kept in pipeline_reference.  Each reduced block runs
+    with its kernel and, if one passes _kernel_certificate, without it,
+    so that both the certificate's and module_rank's row side run: the same order and
+    path on each, the guard never disagreeing, and exactly one minor
+    fewer on each diagram-shaped block.
+    """
+
+    def check(self, diagram, monkeypatch, tally):
+        blocks, delta = blocks_and_delta(diagram, monkeypatch)
+        variants = [blocks]
+        # without a certificate the kernel changes nothing
+        if any(alexander._kernel_certificate(b) for b in blocks):
+            variants.append([replace(b, kernel=None) for b in blocks])
+        for variant in variants:
+            new, old = LaurentPoly.one(delta.nvars), LaurentPoly.one(
+                delta.nvars)
+            for block in variant:
+                tally["minors"].clear()
+                value, path = alexander._block_order(block)
+                minors = len(tally["minors"])
+                tally["minors"].clear()
+                guards = tally["guards"]
+                old_value, old_path = reference.guarded_block_order(block)
+                assert canonical(value) == canonical(old_value), diagram
+                assert path == old_path, diagram
+                assert len(tally["minors"]) - minors == (
+                    path == "shortcut"), diagram
+                assert tally["guards"] - guards == (path == "shortcut")
+                assert not tally["disagreed"], diagram
+                tally["paths"].add((path, block.kernel is not None,
+                                    len(set(block.generator_component))
+                                    > 1))
+                new, old = new * value, old * old_value
+            assert canonical(new) == canonical(old) == delta.value, diagram
+
+    @pytest.fixture
+    def tally(self, monkeypatch):
+        """Count _minor calls and _closed_form's disagreeing guards."""
+        tally = {"minors": [], "guards": 0, "disagreed": 0,
+                 "paths": set()}
+        minor, closed_form = alexander._minor, reference._closed_form
+
+        def counted(*args):
+            tally["minors"].append(args)
+            return minor(*args)
+
+        def guarded(*args):
+            k = closed_form(*args)
+            tally["guards"] += 1
+            tally["disagreed"] += k is None
+            return k
+
+        for module in (alexander, reference):
+            monkeypatch.setattr(module, "_minor", counted)
+        monkeypatch.setattr(reference, "_closed_form", guarded)
+        return tally
+
+    def test_random_closures(self, monkeypatch, tally):
+        rng = random.Random(19)
+        for _ in range(1000):
+            n = rng.randint(2, 8)
+            word = BraidWord(n, tuple(
+                rng.choice((1, -1)) * rng.randint(1, n - 1)
+                for _ in range(rng.randint(1, 22))))
+            self.check(braid_closure(word), monkeypatch, tally)
+        # shortcut blocks of one and of several components, both routes
+        assert {(p, k, m) for p in ("shortcut",) for k in (True, False)
+                for m in (True, False)} <= tally["paths"]
+        assert any(p == "fallback" and m for p, _, m in tally["paths"])
+
+    def test_bundled_diagrams(self, monkeypatch, tally):
+        for name, spec in knot_table() + link_table():
+            self.check(parse_link_spec(spec), monkeypatch, tally)
+
+    def test_same_output_closures(self, monkeypatch, tally):
+        module = same_output_module()
+        for spec in (module.FALLBACK_CLOSURES + module.SPARE_ROW_CLOSURES
+                     + module.CENSUS_FALLBACKS + module.SHORTCUT_CLOSURES
+                     + (module.SLOW_SHORTCUT,)):
+            self.check(parse_link_spec(spec), monkeypatch, tally)
+
+    def test_corrupted_row_side_raises(self, monkeypatch, capsys):
+        # a two-component link whose one 2 x 2 block is diagram-shaped and
+        # carries a kernel certificate: c + 1 is not divisible by w_q, on
+        # either route, and the fault must surface, not yield a Delta
+        spec = "braid:n=2:1 1 1 1"
+        d = parse_link_spec(spec)
+        assert str(alexander_polynomial(d)) == "t1*t2 + 1"
+        certificate, rank = alexander._kernel_certificate, module_rank
+
+        def corrupt(cert):
+            return cert and replace(cert, minor=cert.minor + LaurentPoly.one(
+                cert.minor.nvars))
+
+        for patches in (
+                {"_kernel_certificate": lambda b: corrupt(certificate(b))},
+                {"_kernel_certificate": lambda b: None,
+                 "module_rank": lambda b: corrupt(rank(b))}):
+            with monkeypatch.context() as patch:
+                for name, wrong in patches.items():
+                    patch.setattr(alexander, name, wrong)
+                with pytest.raises(ComputationError, match="rank-one"):
+                    alexander_polynomial(d)
+                capsys.readouterr()
+                assert cli.main(["compute", spec]) == 3
+                out, err = capsys.readouterr()
+                assert out == "" and "rank-one identity" in err
 
 
 class TestCensusFallbacks:

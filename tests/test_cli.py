@@ -642,7 +642,7 @@ class TestSharedParser:
     """
 
     # three components whose reduced block (3x2, rank 1) has two spare
-    # rows: C(3,1) - 1 row-side minors and one guard minor, 3 in all
+    # rows: C(3,1) - 1 row-side minors, 2 in all
     FALLBACK = "braid:n=3:2 -1 -2 1 2 1"
 
     def run_alone(self, argv, env, budget=None):
