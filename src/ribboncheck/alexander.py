@@ -33,10 +33,10 @@ On a diagram-shaped block (r = G - 1, and every row satisfies the Fox
 row relation M * w = 0, w_j = t_comp(j) - 1) the column side needs no
 minor.  c != 0 makes M[P, :] of rank G - 1, so its kernel is spanned by
 w, and by Cramer's rule its signed column-deleted minors are ±lambda *
-w_j.  With two components some w_j is coprime to w_q (q the column
-outside Q), so lambda lies in the ring, gcd_T det M[P,T] = lambda and
-k = c / lambda = w_q; on one component every such minor is ±c and
-k = 1.
+w_j.  With two or more components some w_j is coprime to w_q (q the
+column outside Q), so lambda lies in the ring, gcd_T det M[P,T] =
+lambda and k = c / lambda = w_q; on one component every such minor is
+±c and k = 1.
 
 A braid closure's Jacobian comes with a left kernel vector y of units
 (linkcodec.braid_closure), which unit-pivot steps and restriction to a

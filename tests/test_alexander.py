@@ -870,11 +870,12 @@ class TestAgainstGuardedClosedForm:
     """
     The column side of a diagram-shaped block by Cramer's rule alone
     against guarded_block_order, the block order that checked it by one
-    guard minor, kept in pipeline_reference.  Each reduced block runs
-    with its kernel and, if one passes _kernel_certificate, without it,
-    so that both the certificate's and module_rank's row side run: the same order and
-    path on each, the guard never disagreeing, and exactly one minor
-    fewer on each diagram-shaped block.
+    guard minor, kept in pipeline_reference.  A diagram's reduced blocks
+    run with their kernel and, if one passes _kernel_certificate,
+    without it, so that both the certificate's and module_rank's row
+    side run: the same order and path on each block, the guard never
+    disagreeing, and exactly one minor fewer on each diagram-shaped
+    block.
     """
 
     def check(self, diagram, monkeypatch, tally):
@@ -884,8 +885,7 @@ class TestAgainstGuardedClosedForm:
         if any(alexander._kernel_certificate(b) for b in blocks):
             variants.append([replace(b, kernel=None) for b in blocks])
         for variant in variants:
-            new, old = LaurentPoly.one(delta.nvars), LaurentPoly.one(
-                delta.nvars)
+            new = old = LaurentPoly.one(delta.nvars)
             for block in variant:
                 tally["minors"].clear()
                 value, path = alexander._block_order(block)
@@ -936,7 +936,7 @@ class TestAgainstGuardedClosedForm:
                 for _ in range(rng.randint(1, 22))))
             self.check(braid_closure(word), monkeypatch, tally)
         # shortcut blocks of one and of several components, both routes
-        assert {(p, k, m) for p in ("shortcut",) for k in (True, False)
+        assert {("shortcut", k, m) for k in (True, False)
                 for m in (True, False)} <= tally["paths"]
         assert any(p == "fallback" and m for p, _, m in tally["paths"])
 
