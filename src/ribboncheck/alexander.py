@@ -193,13 +193,11 @@ def _minor(pres, rows, cols):
 
 def _column_weights(pres):
     """u_j = t_{comp(j)} - 1, the weights in the Fox column relation."""
-    nvars = pres.nvars
-    one = LaurentPoly.one(nvars)
-    weights = []
-    for comp in pres.generator_component:
-        exps = tuple(1 if i == comp else 0 for i in range(nvars))
-        weights.append(LaurentPoly.monomial(1, exps) - one)
-    return weights
+    zero = (0,) * pres.nvars
+    weight = {c: LaurentPoly._make(pres.nvars, {
+        zero[:c] + (1,) + zero[c + 1:]: 1, zero: -1})
+        for c in set(pres.generator_component)}
+    return [weight[c] for c in pres.generator_component]
 
 
 def _row_relation_holds(pres, weights):

@@ -37,7 +37,8 @@ import sys
 from .linkcodec import (DiagramError, ParseError, parse_link_spec,
                         spec_size)
 from .alexander import ComputationError, alexander_polynomial
-from .obstruct import component_mismatch, obstruction_from_polynomials
+from .obstruct import (REPORT_JSON, component_mismatch,
+                       obstruction_from_polynomials)
 from .oracles import (cyclic_cover_check, reidemeister_schreier, torres_check)
 from .wirtinger import wirtinger_presentation
 
@@ -107,9 +108,10 @@ def cmd_compute(args):
     return EXIT_OK
 
 
-def _mismatch_record(names, reason):
-    return {"direction": list(names), "verdict": "component_mismatch",
-            "reason": reason}
+# the other pair lines, from JSON texts encoded once like REPORT_JSON's
+_MISMATCH_JSON = ('{"direction": [%s, %s], "verdict": "component_mismatch", '
+                  '"reason": %s}')
+_ERROR_JSON = '{"direction": [%s, %s], "error": {"kind": "%s", "message": %s}}'
 
 
 def cmd_obstruct(args):
@@ -123,7 +125,8 @@ def cmd_obstruct(args):
     for names in directions:
         reason = component_mismatch(deltas[names[0]], deltas[names[1]])
         if reason:
-            print(json.dumps(_mismatch_record(names, reason)) if args.json
+            print(_MISMATCH_JSON % (json.dumps(names[0]), json.dumps(names[1]),
+                                    json.dumps(reason)) if args.json
                   else "component mismatch: %s" % reason)
             continue
         report = obstruction_from_polynomials(
@@ -190,31 +193,53 @@ def cmd_batch(args):
         print(json.dumps(record))
 
     if args.pairs:
-        # (i, j) with i < j -> what the two directions of rows i and j share
-        shared = {}
-        for i, (name_j, _) in enumerate(rows):
-            for j, (name_l, _) in enumerate(rows):
-                names = (name_j, name_l)
-                failed = kinds[i] or kinds[j]
-                if failed:
-                    print(json.dumps({"direction": list(names), "error": {
-                        "kind": failed, "message": _OPERAND_ERRORS[failed]}}))
-                    continue
-                reason = component_mismatch(deltas[i], deltas[j])
-                if reason:
-                    print(json.dumps(_mismatch_record(names, reason)))
-                    continue
-                pair = (None if i == j else
-                        shared.setdefault((min(i, j), max(i, j)), {}))
-                try:
-                    report = obstruction_from_polynomials(
-                        deltas[i], deltas[j], names=names, shared=pair)
-                except ComputationError as exc:
-                    print(json.dumps({"direction": list(names), "error": {
-                        "kind": "compute", "message": str(exc)}}))
-                    continue
-                print(report.to_json())
+        for text in _pair_lines(rows, deltas, kinds):
+            sys.stdout.write(text)
     return EXIT_OK
+
+
+def _pair_lines(rows, deltas, kinds):
+    """
+    Each row's --pairs lines, as one text a row.  Rows with equal
+    polynomials share their pair work: every pair of the same two values
+    passes one shared memo, and its quotient and gcd are encoded once.
+    """
+    # per row: its name, as JSON too, its polynomial, the kind of its
+    # error, and the index of the first row of an equal polynomial
+    first = {}
+    table = [(name, json.dumps(name), delta, kind,
+              delta and first.setdefault((delta.nvars, delta.text), i))
+             for i, ((name, _), delta, kind)
+             in enumerate(zip(rows, deltas, kinds))]
+    shared, witnesses, reasons = {}, {}, {}
+    for name_j, text_j, dj, kind_j, a in table:
+        lines = []
+        for name_l, text_l, dl, kind_l, b in table:
+            failed = kind_j or kind_l
+            if failed:
+                lines.append(_ERROR_JSON % (text_j, text_l, failed,
+                                            json.dumps(_OPERAND_ERRORS[failed])))
+                continue
+            if dj.nvars != dl.nvars:
+                key = dj.nvars, dl.nvars
+                if key not in reasons:
+                    reasons[key] = json.dumps(component_mismatch(dj, dl))
+                lines.append(_MISMATCH_JSON % (text_j, text_l, reasons[key]))
+                continue
+            try:
+                report = obstruction_from_polynomials(
+                    dj, dl, names=(name_j, name_l),
+                    shared=shared.setdefault((a, b) if a < b else (b, a), {}))
+            except ComputationError as exc:
+                lines.append(_ERROR_JSON % (text_j, text_l, "compute",
+                                            json.dumps(str(exc))))
+                continue
+            if (a, b) not in witnesses:
+                witnesses[a, b] = report.witness_json()
+            lines.append(REPORT_JSON % (text_j, text_l, dj.json_text,
+                                        dl.json_text, report.verdict,
+                                        *witnesses[a, b]))
+        yield "\n".join(lines) + "\n"
 
 
 def cmd_validate(args):

@@ -31,6 +31,11 @@ class ComponentMismatch(ValueError):
 OBSTRUCTED = "obstructed"
 NOT_OBSTRUCTED = "not_obstructed"
 
+# a report as one JSON line, filled in from JSON texts by to_json and by
+# batch --pairs (the verdict is plain text that needs no escape)
+REPORT_JSON = ('{"direction": [%s, %s], "deltaJ": %s, "deltaL": %s, '
+               '"verdict": "%s", "quotient": %s, "gcd": %s}')
+
 
 @dataclass(frozen=True)
 class ObstructionReport:
@@ -52,20 +57,22 @@ class ObstructionReport:
             "gcd": laurent.poly_to_str(self.gcd_value),
         }
 
+    def witness_json(self):
+        """The quotient and the gcd as JSON texts, in that order."""
+        g = self.gcd_value
+        return ("null" if self.quotient is None else
+                json.dumps(laurent.poly_to_str(self.quotient)),
+                '"1"' if g.is_one() else
+                self.delta_l.json_text if g == self.delta_l.value else
+                self.delta_j.json_text if g == self.delta_j.value else
+                json.dumps(laurent.poly_to_str(g)))
+
     def to_json(self):
         """json.dumps(self.to_dict()), from the polynomials' encoded texts."""
-        g = self.gcd_value
-        gcd_json = ('"1"' if g.is_one() else
-                    self.delta_l.json_text if g == self.delta_l.value else
-                    self.delta_j.json_text if g == self.delta_j.value else
-                    json.dumps(laurent.poly_to_str(g)))
-        quotient_json = ("null" if self.quotient is None else
-                         json.dumps(laurent.poly_to_str(self.quotient)))
-        return ('{"direction": [%s], "deltaJ": %s, "deltaL": %s, '
-                '"verdict": %s, "quotient": %s, "gcd": %s}' % (
-                    ", ".join(map(json.dumps, self.direction)),
-                    self.delta_j.json_text, self.delta_l.json_text,
-                    json.dumps(self.verdict), quotient_json, gcd_json))
+        return REPORT_JSON % (
+            json.dumps(self.direction[0]), json.dumps(self.direction[1]),
+            self.delta_j.json_text, self.delta_l.json_text, self.verdict,
+            *self.witness_json())
 
     def summary(self):
         if self.verdict == OBSTRUCTED:
@@ -101,36 +108,36 @@ def obstruction_from_polynomials(delta_j, delta_l, names=("J", "L"),
     Apply the divisibility test to polynomials already computed.
 
     The division comes first; when Delta_L divides Delta_J the gcd is
-    Delta_L itself.  shared, when given, is one dict that both
-    directions of the same two polynomials pass, in either order.  It
-    carries the gcd to the second direction and, when the first one
-    does not divide, the second direction's quotient: to know whether a
-    gcd is needed the first direction divides the other way too.  So a
-    pair takes one division per direction, in whichever order its
-    directions come, and a gcd only when neither polynomial divides the
-    other.
+    Delta_L itself.  Without shared a call takes that one division, and
+    the gcd when it does not divide.  shared, when given, is one dict
+    that every call on the same two polynomial values passes, in either
+    order and any number of times.  It keeps each direction's quotient,
+    under its dividend's text, and the gcd, under "gcd" (no polynomial's
+    text).  To know whether a gcd is needed, the first direction that
+    does not divide divides the other way too.  So two values take at
+    most one division per direction, whatever the order of the calls,
+    and a gcd only when neither divides the other.  Every call that
+    divides checks its quotient.
     """
     reason = component_mismatch(delta_j, delta_l)
     if reason:
         raise ComponentMismatch(reason)
-    if shared is not None and "quotient" in shared:
-        quotient = shared.pop("quotient")
-    else:
-        quotient = exact_divide(delta_j.value, delta_l.value)
+    memo = {} if shared is None else shared
+    if delta_j.text not in memo:
+        memo[delta_j.text] = exact_divide(delta_j.value, delta_l.value)
+    quotient = memo[delta_j.text]
     if quotient is not None:
         if delta_l.value * quotient != delta_j.value:
             raise ComputationError("division witness failed verification")
         verdict, g = NOT_OBSTRUCTED, delta_l.value  # canonical already
-    elif shared is None:
-        verdict, g = OBSTRUCTED, laurent.gcd(delta_j.value, delta_l.value)
     else:
-        verdict, g = OBSTRUCTED, shared.get("gcd")
+        verdict, g = OBSTRUCTED, memo.get("gcd")
         if g is None:
-            shared["quotient"] = exact_divide(delta_l.value, delta_j.value)
-            g = (laurent.gcd(delta_j.value, delta_l.value)
-                 if shared["quotient"] is None else delta_j.value)
-    if shared is not None:
-        shared["gcd"] = g
+            if shared is not None and delta_l.text not in memo:
+                memo[delta_l.text] = exact_divide(delta_l.value, delta_j.value)
+            g = memo["gcd"] = (
+                delta_j.value if memo.get(delta_l.text) is not None
+                else laurent.gcd(delta_j.value, delta_l.value))
     return ObstructionReport(tuple(names), delta_j, delta_l, verdict,
                              quotient, g)
 

@@ -1,6 +1,7 @@
 """
-Replaced code of ribboncheck.alexander, kept unchanged as the reference
-the current code is tested against.
+Replaced code of ribboncheck.alexander, ribboncheck.obstruct and
+ribboncheck.cli, kept unchanged as the reference the current code is
+tested against.
 
 - The Fox Jacobian's row loop and the two eliminations as they were
   before every update went through laurent.mul_add: _fox_row built all
@@ -19,18 +20,30 @@ the current code is tested against.
   certificate's minor divided by _closed_form's k, which evaluates one
   guard minor, and every other block, or one whose guard disagrees,
   by minor_table_block_order.
+- column_weights, _column_weights as it was before it built each
+  component's t_c - 1 once: monomial(...) - one for every column.
+- obstruction_from_polynomials and cmd_batch as they were before batch
+  --pairs shared its work by polynomial value: a memo for each unordered
+  pair of distinct rows, none on the diagonal, and each line a
+  json.dumps of its record, a report's being json.dumps(to_dict()).
 """
 
+import json
+import sys
 from itertools import combinations
 from math import comb
 
-from ribboncheck import laurent
+from ribboncheck import cli, laurent
 from ribboncheck.alexander import (FALLBACK_MINOR_BUDGET, _column_weights,
                                    _kernel_certificate, _minor, _minor_gcd,
                                    _row_relation_holds, module_rank)
 from ribboncheck.foxcalc import AlexanderPresentation
 from ribboncheck.laurent import (ComputationError, LaurentPoly, canonical,
                                  exact_divide)
+from ribboncheck.linkcodec import DiagramError, ParseError
+from ribboncheck.obstruct import (NOT_OBSTRUCTED, OBSTRUCTED,
+                                  ComponentMismatch, ObstructionReport,
+                                  component_mismatch)
 
 
 def _fox_row(word, num_generators, phi):
@@ -390,3 +403,115 @@ def guarded_block_order(block):
             value = cert.minor if k.is_one() else exact_divide(cert.minor, k)
             return value, "shortcut"
     return minor_table_block_order(block)
+
+
+def column_weights(pres):
+    """u_j = t_{comp(j)} - 1, the weights in the Fox column relation."""
+    nvars = pres.nvars
+    one = LaurentPoly.one(nvars)
+    weights = []
+    for comp in pres.generator_component:
+        exps = tuple(1 if i == comp else 0 for i in range(nvars))
+        weights.append(LaurentPoly.monomial(1, exps) - one)
+    return weights
+
+
+def obstruction_from_polynomials(delta_j, delta_l, names=("J", "L"),
+                                 shared=None):
+    """
+    Apply the divisibility test to polynomials already computed.
+
+    The division comes first; when Delta_L divides Delta_J the gcd is
+    Delta_L itself.  shared, when given, is one dict that both
+    directions of the same two polynomials pass, in either order.  It
+    carries the gcd to the second direction and, when the first one
+    does not divide, the second direction's quotient: to know whether a
+    gcd is needed the first direction divides the other way too.  So a
+    pair takes one division per direction, in whichever order its
+    directions come, and a gcd only when neither polynomial divides the
+    other.
+    """
+    reason = component_mismatch(delta_j, delta_l)
+    if reason:
+        raise ComponentMismatch(reason)
+    if shared is not None and "quotient" in shared:
+        quotient = shared.pop("quotient")
+    else:
+        quotient = exact_divide(delta_j.value, delta_l.value)
+    if quotient is not None:
+        if delta_l.value * quotient != delta_j.value:
+            raise ComputationError("division witness failed verification")
+        verdict, g = NOT_OBSTRUCTED, delta_l.value  # canonical already
+    elif shared is None:
+        verdict, g = OBSTRUCTED, laurent.gcd(delta_j.value, delta_l.value)
+    else:
+        verdict, g = OBSTRUCTED, shared.get("gcd")
+        if g is None:
+            shared["quotient"] = exact_divide(delta_l.value, delta_j.value)
+            g = (laurent.gcd(delta_j.value, delta_l.value)
+                 if shared["quotient"] is None else delta_j.value)
+    if shared is not None:
+        shared["gcd"] = g
+    return ObstructionReport(tuple(names), delta_j, delta_l, verdict,
+                             quotient, g)
+
+
+def _mismatch_record(names, reason):
+    return {"direction": list(names), "verdict": "component_mismatch",
+            "reason": reason}
+
+
+def cmd_batch(args):
+    """cli.cmd_batch, with the rows' polynomials from cli._compute_record."""
+    rows = cli._batch_rows(args.csv_path)
+    # per row, by index (names may repeat): its polynomial, or None and
+    # the kind of its error
+    deltas, kinds = [], []
+    for name, spec in rows:
+        delta = None
+        try:
+            record, delta = cli._compute_record(name, spec, args.max_crossings)
+        except (ParseError, DiagramError) as exc:
+            record = {"name": name, "spec": spec,
+                      "error": {"kind": "parse", "message": str(exc)}}
+        except ComputationError as exc:
+            record = {"name": name, "spec": spec,
+                      "error": {"kind": "compute", "message": str(exc)}}
+        except Exception as exc:
+            # one row's bug must not cost the other rows their results
+            import traceback
+            traceback.print_exc(file=sys.stderr)
+            record = {"name": name, "spec": spec,
+                      "error": {"kind": "internal", "message": "%s: %s"
+                                % (type(exc).__name__, exc)}}
+        deltas.append(delta)
+        kinds.append(record["error"]["kind"] if delta is None else None)
+        print(json.dumps(record))
+
+    if args.pairs:
+        # (i, j) with i < j -> what the two directions of rows i and j share
+        shared = {}
+        for i, (name_j, _) in enumerate(rows):
+            for j, (name_l, _) in enumerate(rows):
+                names = (name_j, name_l)
+                failed = kinds[i] or kinds[j]
+                if failed:
+                    print(json.dumps({"direction": list(names), "error": {
+                        "kind": failed,
+                        "message": cli._OPERAND_ERRORS[failed]}}))
+                    continue
+                reason = component_mismatch(deltas[i], deltas[j])
+                if reason:
+                    print(json.dumps(_mismatch_record(names, reason)))
+                    continue
+                pair = (None if i == j else
+                        shared.setdefault((min(i, j), max(i, j)), {}))
+                try:
+                    report = obstruction_from_polynomials(
+                        deltas[i], deltas[j], names=names, shared=pair)
+                except ComputationError as exc:
+                    print(json.dumps({"direction": list(names), "error": {
+                        "kind": "compute", "message": str(exc)}}))
+                    continue
+                print(json.dumps(report.to_dict()))
+    return cli.EXIT_OK

@@ -539,6 +539,30 @@ class TestAgainstReplacedLoops:
             delta = self.check(parse_link_spec(spec), monkeypatch)
             assert [b["path"] for b in delta.source["blocks"]] == paths
 
+    def test_column_weights(self):
+        # one t_c - 1 a component, term for term (in order) what the
+        # loop of monomial(...) - one gave every column
+        rng = random.Random(2007)
+        specs = [spec for _, spec in knot_table() + link_table()]
+        specs += list(FALLBACK_SPECS)
+        for _ in range(100):
+            n = rng.randint(2, 6)
+            specs.append("braid:n=%d:%s" % (n, " ".join(
+                str(rng.choice((1, -1)) * rng.randint(1, n - 1))
+                for _ in range(rng.randint(1, 16)))))
+        nvars = set()
+        for spec in specs:
+            pres, phi = wirtinger_presentation(parse_link_spec(spec))
+            for block in alexander._reduced_blocks(jacobian(pres, phi)):
+                weights = alexander._column_weights(block)
+                old = reference.column_weights(block)
+                assert [(w.nvars, list(w.terms.items())) for w in weights] \
+                    == [(w.nvars, list(w.terms.items())) for w in old], spec
+                assert len(set(map(id, weights))) == len(
+                    set(block.generator_component))
+                nvars.add(block.nvars)
+        assert {1, 2, 3} <= nvars
+
 
 def reference_delta(pres, monkeypatch):
     """torsion_order with the block order of pipeline_reference."""

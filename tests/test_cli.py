@@ -11,6 +11,8 @@ import ribboncheck
 from ribboncheck import alexander, cli, laurent, linkcodec, obstruct
 from ribboncheck.tables import table_path
 
+import pipeline_reference as reference
+
 # the child runs the package these tests import, from wherever it is
 SRC = os.path.dirname(os.path.dirname(ribboncheck.__file__))
 
@@ -342,6 +344,71 @@ class TestSinglePass:
                 frozenset(["t1*t2 + 1", "t1^2*t2^2 + t1*t2 + 1"])}
             assert len(gcds) == 2
 
+    def count_divisions(self, monkeypatch):
+        divisions = []
+        original = obstruct.exact_divide
+
+        def counted(a, b):
+            divisions.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(obstruct, "exact_divide", counted)
+        return divisions
+
+    # a second row for five of SIX_ROWS' polynomials: 3_1 as a PD code,
+    # the mirror 4_1, the negative Hopf link, the 2-component unlink
+    # (Delta 1, as the Hopf link's) and the mirror T(2,4)
+    REPEATS = ['trefoil_pd,"pd:X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"\n',
+               "mirror_fig8,braid:n=3:-1 2 -1 2\n", "hopf_neg,braid:n=2:-1 -1\n",
+               "unlink,braid:n=2:\n", "t24_mirror,braid:n=2:-1 -1 -1 -1\n"]
+
+    def repeated_rows(self):
+        rows = self.SIX_ROWS
+        return rows[:2] + self.REPEATS[:2] + rows[2:] + self.REPEATS[2:]
+
+    def test_batch_pairs_work_is_per_pair_of_distinct_polynomials(
+            self, tmp_path, monkeypatch, capsys):
+        divisions = self.count_divisions(monkeypatch)
+        gcds = self.record_gcd_calls(monkeypatch)
+        repeated = self.repeated_rows()
+        work = []
+        # the de-duplicated CSV first, then the repeated one in three orders
+        for order in (self.SIX_ROWS, repeated, repeated[::-1],
+                      repeated[1::2] + repeated[0::2]):
+            del divisions[:], gcds[:]
+            path = tmp_path / "table.csv"
+            path.write_text("name,spec\n" + "".join(order))
+            assert cli.main(["batch", str(path), "--pairs"]) == 0
+            records = [json.loads(line) for line in
+                       capsys.readouterr().out.splitlines()[:len(order)]]
+            assert len({(r["components"], r["alexander"])
+                        for r in records}) == 6
+            work.append((len(divisions),
+                         sorted(tuple(sorted(pair)) for pair in gcds)))
+        assert work[0][0] == 18
+        assert work == [work[0]] * 4
+
+    def test_batch_pairs_calls_obstruction_once_per_same_component_pair(
+            self, tmp_path, monkeypatch, capsys):
+        calls = []
+        original = cli.obstruction_from_polynomials
+
+        def recorded(delta_j, delta_l, names, shared):
+            calls.append(names)
+            return original(delta_j, delta_l, names=names, shared=shared)
+
+        monkeypatch.setattr(cli, "obstruction_from_polynomials", recorded)
+        path = tmp_path / "table.csv"
+        path.write_text("name,spec\n" + "".join(self.repeated_rows()))
+        assert cli.main(["batch", str(path), "--pairs"]) == 0
+        lines = [json.loads(line) for line in
+                 capsys.readouterr().out.splitlines()[11:]]
+        assert len(lines) == 11 * 11
+        # 5 knots and 6 two-component links
+        assert len(calls) == 5 * 5 + 6 * 6
+        assert calls == [tuple(line["direction"]) for line in lines
+                         if line["verdict"] != "component_mismatch"]
+
     def test_batch_pairs_converts_each_knot_delta_once(
             self, tmp_path, monkeypatch, capsys):
         deltas = []
@@ -582,6 +649,86 @@ class TestSinglePass:
                                      "message": "past the budget"}
         assert lines[2]["verdict"] == "not_obstructed"
         assert [line["error"]["kind"] for line in lines[3:]] == ["compute"] * 3
+
+
+class TestPairsAgainstReference:
+    """
+    batch --pairs against the row and pair loops it replaced, kept in
+    pipeline_reference: the same stdout bytes and exit code in each row
+    order of the shuffle test above, on rows that repeat polynomials,
+    fail, or carry names that JSON escapes.
+    """
+
+    def outputs(self, tmp_path, capsys, rows):
+        """(stdout of batch --pairs, of the reference) in each row order."""
+        for order in (rows, rows[::-1], rows[1::2] + rows[0::2]):
+            path = tmp_path / "table.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([("name", "spec")] + order)
+            assert cli.main(["batch", str(path), "--pairs"]) == 0
+            new = capsys.readouterr().out
+            args = argparse.Namespace(csv_path=str(path), pairs=True,
+                                      max_crossings=cli._max_crossings())
+            assert reference.cmd_batch(args) == 0
+            yield new, capsys.readouterr().out
+
+    # 3_1 as a braid and as a PD code, the mirror images of 3_1 and 4_1,
+    # two Hopf links and the 2-component unlink (all three Delta 1),
+    # names that JSON escapes, and a row each that fails to parse, to
+    # compute (the 5 crossings of T(2,5)) and for an unexpected reason
+    # (the 8 of T(2,8))
+    ROWS = [("3_1", "braid:n=2:1 1 1"),
+            ("3_1 pd", "pd:X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"),
+            ('mirror "3_1"', "braid:n=2:-1 -1 -1"),
+            ("4_1", "braid:n=3:1 -2 1 -2"),
+            ("mirror\\4_1", "braid:n=3:-1 2 -1 2"),
+            ("hopf", "braid:n=2:1 1"), ("hopf\u2603", "braid:n=2:-1 -1"),
+            ("unlink", "braid:n=2:"), ("caf\u00e9", "braid:n=1:"),
+            ("sum", "braid:n=4:1 1 1 2 -3 2 -3"),
+            ("t24", "braid:n=2:1 1 1 1"), ("bad", "braid:n=2: 9"),
+            ("t25", "braid:n=2:1 1 1 1 1"),
+            ("t28", "braid:n=2:1 1 1 1 1 1 1 1")]
+
+    def test_rows_of_every_kind(self, tmp_path, monkeypatch, capsys):
+        original = cli.alexander_polynomial
+
+        def fails(diagram):
+            if diagram.num_crossings == 5:
+                raise alexander.ComputationError("past the budget")
+            if diagram.num_crossings == 8:
+                raise ValueError("boom")
+            return original(diagram)
+
+        monkeypatch.setattr(cli, "alexander_polynomial", fails)
+        n = len(self.ROWS)
+        for new, old in self.outputs(tmp_path, capsys, self.ROWS):
+            assert new == old
+            lines = [json.loads(line) for line in new.splitlines()]
+            assert len(lines) == n + n * n
+            kinds = {line.get("verdict") or line["error"]["kind"]
+                     for line in lines[n:]}
+            assert kinds == {"obstructed", "not_obstructed",
+                             "component_mismatch", "parse", "compute",
+                             "internal"}
+            assert '"mirror \\"3_1\\"", "mirror\\\\4_1"' in new
+            assert '"hopf\\u2603"' in new
+
+    def test_pair_level_compute_errors(self, tmp_path, monkeypatch, capsys):
+        # T(2,4) and T(2,6) twice each: their two-variable gcd runs out of
+        # evaluation points in every pair of rows, in both directions
+        monkeypatch.setattr(laurent, "_HEU_TRIES", 0)
+        rows = [("3_1", "braid:n=2:1 1 1"), ("T24", "braid:n=2:1 1 1 1"),
+                ("T26", "braid:n=2:1 1 1 1 1 1"),
+                ("T24 mirror", "braid:n=2:-1 -1 -1 -1"),
+                ("T26 again", "braid:n=2:1 1 1 1 1 1"),
+                ("4_1", "braid:n=3:1 -2 1 -2")]
+        for new, old in self.outputs(tmp_path, capsys, rows):
+            assert new == old
+            errors = [json.loads(line)["direction"] for line in
+                      new.splitlines() if '"error"' in line]
+            assert len(errors) == 8
+            assert all({"T24", "T26"} == {name.split()[0] for name in names}
+                       for names in errors)
 
 
 class TestValidate:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ribboncheck import laurent, obstruct
 from ribboncheck.alexander import alexander_polynomial
 from ribboncheck.laurent import LaurentPoly, canonical, parse_poly
 from ribboncheck.linkcodec import braid_closure, connected_sum, parse_braid, \
@@ -146,3 +147,47 @@ class TestReportShape:
                                     braid_closure(TREFOIL))
         assert report.summary().startswith("OBSTRUCTED")
         assert report.quotient is None
+
+
+class TestSharedMemo:
+    """One shared dict for any number of calls on the same two values."""
+
+    def count_work(self, monkeypatch):
+        work = {"divide": 0, "gcd": 0}
+
+        def counted(name, original):
+            def call(a, b):
+                work[name] += 1
+                return original(a, b)
+            return call
+
+        monkeypatch.setattr(obstruct, "exact_divide",
+                            counted("divide", obstruct.exact_divide))
+        monkeypatch.setattr(laurent, "gcd", counted("gcd", laurent.gcd))
+        return work
+
+    @pytest.mark.parametrize("specs, divisions, gcds", [
+        (("braid:n=2:1 1 1", "braid:n=3:1 -2 1 -2"), 2, 1),  # coprime
+        (("braid:n=4:1 1 1 2 -3 2 -3", "braid:n=2:1 1 1"), 2, 0),  # divides
+        (("braid:n=2:1 1 1", "pd:X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"), 1, 0),
+        (("braid:n=2:1 1 1 1", "braid:n=2:1 1 1 1 1 1"), 2, 1)])  # links
+    def test_one_division_per_direction_in_any_order(
+            self, monkeypatch, specs, divisions, gcds):
+        a, b = (alexander_polynomial(parse_link_spec(s)) for s in specs)
+        expected = {order: obstruction_from_polynomials(*order).to_dict()
+                    for order in ((a, b), (b, a))}
+        work = self.count_work(monkeypatch)
+        for calls in ([(a, b), (a, b), (b, a), (b, a), (a, b)],
+                      [(b, a), (a, b), (b, a)]):
+            shared = {}
+            work.update(divide=0, gcd=0)
+            for order in calls:
+                report = obstruction_from_polynomials(*order, shared=shared)
+                assert report.to_dict() == expected[order]
+            assert work == {"divide": divisions, "gcd": gcds}
+
+    def test_without_shared_one_division_then_the_gcd(self, monkeypatch):
+        work = self.count_work(monkeypatch)
+        a, b = (alexander_polynomial(braid_closure(w)) for w in (TREFOIL, FIG8))
+        assert obstruction_from_polynomials(a, b).verdict == OBSTRUCTED
+        assert work == {"divide": 1, "gcd": 1}

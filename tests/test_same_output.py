@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -121,3 +122,18 @@ def test_shortcut_closures_reach_the_kernel_certificate(same_output,
         assert block.num_relators == block.num_generators, spec
         assert len(set(block.generator_component)) >= 2, spec
     assert calls == []
+
+
+def test_duplicates_csv_repeats_polynomials(same_output, tmp_path, capsys):
+    from ribboncheck import cli
+    path = tmp_path / "duplicates.csv"
+    path.write_text(same_output.DUPLICATES_CSV, encoding="utf-8")
+    assert cli.main(["batch", str(path)]) == 0
+    records = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()]
+    values = [(r["components"], r["alexander"]) for r in records
+              if "alexander" in r]
+    assert (len(records), len(values), len(set(values))) == (14, 13, 7)
+    assert [r["error"]["kind"] for r in records if "error" in r] == ["parse"]
+    names = [r["name"] for r in records]
+    assert sum(json.dumps(n) != '"%s"' % n for n in names) == 4

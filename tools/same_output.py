@@ -18,7 +18,9 @@ standard output and standard error captured.  The corpus:
 - `oracle-check --covers 2 3 ... 12` on the 36 random knots of
   oracle_verify's fixed corpus, the only knots besides the bundled ones
   that reach composite degrees;
-- `batch --pairs` on both bundled tables;
+- `batch --pairs` on both bundled tables, and on DUPLICATES_CSV, whose
+  rows repeat polynomials and which holds a row that does not parse
+  and names that JSON escapes;
 - `compute --json` on FALLBACK_CLOSURES, SPARE_ROW_CLOSURES and
   CENSUS_FALLBACKS, the only commands with a reduced block that has two
   or more spare rows or is not diagram-shaped: every other block above
@@ -114,6 +116,27 @@ SHORTCUT_CLOSURES = (
     "braid:n=5:-3 3 -4 4 -2 -4 -3 -4 3 -3 -1 4 -2 -3 4 4 -3 -2 -3 1 -1 4 "
     "-3 2")
 
+# 3_1 as a braid, a PD code and its mirror, 4_1 and its mirror, two
+# Hopf links and the 2-component unlink (Delta 1 all three), T(2,4) and
+# its mirror, T(2,6), the unknot, 3_1 # 4_1, a row that does not parse,
+# and names with a quote, a backslash and characters past ASCII
+DUPLICATES_CSV = (
+    'name,spec\n'
+    '3_1,braid:n=2:1 1 1\n'
+    '"say ""3_1""","pd:X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"\n'
+    'mirror 3_1,braid:n=2:-1 -1 -1\n'
+    '4_1,braid:n=3:1 -2 1 -2\n'
+    'hopf,braid:n=2:1 1\n'
+    'bad,braid:n=2: 9\n'
+    'back\\slash,braid:n=3:-1 2 -1 2\n'
+    'hopf\u2603,braid:n=2:-1 -1\n'
+    'unlink,braid:n=2:\n'
+    'T24,braid:n=2:1 1 1 1\n'
+    'caf\u00e9,braid:n=1:\n'
+    'T24 mirror,braid:n=2:-1 -1 -1 -1\n'
+    'T26,braid:n=2:1 1 1 1 1 1\n'
+    'sum,braid:n=4:1 1 1 2 -3 2 -3\n')
+
 # runs in the child: argv lists on stdin, [exit, stdout, stderr] lists out
 CHILD = r"""
 import contextlib, io, json, sys
@@ -163,6 +186,8 @@ def corpus(tree, seeds):
     finally:
         sys.path.remove(str(tree / "perfbench"))
     commands += [["batch", table, "--pairs"] for table in TABLES]
+    files["duplicates.csv"] = DUPLICATES_CSV
+    commands.append(["batch", "duplicates.csv", "--pairs"])
     commands += [["compute", "--json", spec] for spec in
                  FALLBACK_CLOSURES + SPARE_ROW_CLOSURES + CENSUS_FALLBACKS
                  + (SLOW_SHORTCUT,) + SHORTCUT_CLOSURES]
@@ -219,7 +244,7 @@ def main(argv=None):
         for tree in trees.values():
             for path, text in files.items():
                 (tree / path).parent.mkdir(parents=True, exist_ok=True)
-                (tree / path).write_text(text)
+                (tree / path).write_text(text, encoding="utf-8")
         results = {side: run_side(tree, commands)
                    for side, tree in trees.items()}
     diff = first_difference(commands, results["parent"], results["change"])
