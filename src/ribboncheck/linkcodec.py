@@ -417,10 +417,15 @@ def pd_diagram(pd):
                 raise DiagramError(
                     "no consistent over-strand orientation at crossing %d" % ci)
         if not progressed and undecided:
-            # residual symmetric choice; prefer the label-successor direction
+            # residual symmetric choice; prefer the label-successor
+            # direction, but max -> min on a two-edge component, which
+            # passes over with the same pair at both its crossings
             ci = min(undecided)
             a, bb, c, d = pd.crossings[ci]
-            oin, oout = (bb, d) if d == bb + 1 else (max(bb, d), min(bb, d))
+            lo, hi = sorted((bb, d))
+            twice = [sorted(x[1::2]) for x in pd.crossings].count([lo, hi]) > 1
+            oin, oout = (lo, hi) if hi == lo + 1 and not (twice and bb > d) \
+                else (hi, lo)
             set_head(oin, ci)
             set_tail(oout, ci)
             over_dir[ci] = (oin, oout)

@@ -13,9 +13,10 @@ pipeline:
   Fox's fundamental formula makes x1's column redundant, and each k
   only folds the rest mod t^k - 1 (at most 15 x 11 for the bundled
   knots at k = 2, 3, 5, from 49 x 45 with every column).  The Smith form
-  eliminates at +-1 pivots, diagonalizes the core left by division
-  with remainder at its least entry, and makes the diagonal a divisor
-  chain by gcd and lcm.  The orbits are plain integer dicts and the
+  is one loop on sparse rows: it pivots on a +-1 where a row holds one
+  and on the least entry otherwise, clears the pivot's column and row
+  by division with remainder, and makes the diagonal a divisor chain
+  by gcd and lcm.  The orbits are plain integer dicts and the
   Smith form works on plain integers: neither laurent nor foxcalc takes
   part, so a fault there cannot hide in both routes.
 
@@ -77,16 +78,25 @@ def smith_normal_form(matrix):
     return the nonzero diagonal d1 | d2 | ... (unit entries included, so
     the length of the result is the rank).  A row is a list of entries
     or a dict {column: entry}; either is copied into a dict of its
-    nonzero entries, which the sparse phase works on.
+    nonzero entries, and the rows stay sparse, with a column -> rows
+    index, to the end.
 
-    A sparse phase eliminates at +-1 pivots first (the shortest row that
-    holds one, its sparsest such column), each a unit factor; the dense
-    phase diagonalizes the core left by division with remainder
-    (_dense_diagonal).
+    Each pivot is a +-1 of the shortest row that holds one, at its
+    sparsest such column, or else the least nonzero |entry|.  Floor
+    division clears the pivot's column by row operations; the least
+    nonzero remainder, smaller than the pivot, becomes the next one.  Then
+    the pivot row is the only row in that column, so the column
+    operations that clear the row touch that row alone: each entry
+    becomes its remainder mod the pivot, and again the least nonzero
+    remainder is the next pivot.  A pivot alone in its row and column is
+    recorded, and both are deleted.  Last, (d_a, d_b) <- (gcd, lcm) for
+    each a < b among the pivots other than +-1 makes the record a
+    divisor chain: diag(a, b) and diag(gcd, lcm) are equivalent, and the
+    Smith form is unique.
 
     >>> smith_normal_form([[2, 4], [6, 8]])
     [2, 4]
-    >>> smith_normal_form([[0, 0]]) == []
+    >>> smith_normal_form([[0, 0]]) == smith_normal_form([]) == []
     True
     >>> smith_normal_form([[1, 2], [3, 4]])
     [1, 2]
@@ -103,7 +113,8 @@ def smith_normal_form(matrix):
             for j in r:
                 cols.setdefault(j, set()).add(i)
     units = 0
-    while True:
+    diag = []
+    while rows:
         piv = None
         for i, r in rows.items():
             if piv is None or len(r) < len(rows[piv[0]]):
@@ -111,76 +122,51 @@ def smith_normal_form(matrix):
                 if unit:
                     piv = i, min(unit, key=lambda j: len(cols[j]))
         if piv is None:
-            break
+            piv = min(((i, j) for i, r in rows.items() for j in r),
+                      key=lambda ij: abs(rows[ij[0]][ij[1]]))
         p, c = piv
-        prow = rows.pop(p)
-        for i in cols[c] - {p}:
-            r = rows[i]
-            f = r[c] * prow[c]  # the pivot is its own inverse
-            for j, v in prow.items():
-                w = r.get(j, 0) - f * v
-                if w:
-                    r[j] = w
-                    cols[j].add(i)
-                else:
-                    del r[j]
-                    cols[j].discard(i)
-            if not r:
-                del rows[i]
+        while True:
+            prow = rows[p]
+            d = prow[c]
+            left = []  # rows with a remainder in column c
+            for i in cols[c] - {p}:
+                r = rows[i]
+                f = r[c] // d
+                if f:
+                    for j, v in prow.items():
+                        w = r.get(j, 0) - f * v
+                        if w:
+                            r[j] = w
+                            cols[j].add(i)
+                        else:
+                            del r[j]
+                            cols[j].discard(i)
+                if c in r:
+                    left.append(i)
+                elif not r:
+                    del rows[i]
+            if left:
+                p = min(left, key=lambda i: abs(rows[i][c]))
+                continue
+            rest = {j: v % d for j, v in prow.items() if j != c and v % d}
+            if not rest:
+                break
+            for j in prow.keys() - rest.keys() - {c}:
+                cols[j].discard(p)
+            rows[p] = {c: d, **rest}
+            c = min(rest, key=lambda j: abs(rest[j]))
+        del rows[p]
         for j in prow:
             cols[j].discard(p)
-        units += 1
-    used = sorted(j for j, ids in cols.items() if ids)
-    core = [[r.get(j, 0) for j in used] for r in rows.values()]
-    return [1] * units + _dense_diagonal(core)
-
-
-def _dense_diagonal(m):
-    """
-    The Smith diagonal of a dense list-of-lists matrix, modified in place.
-
-    The pivot is the least nonzero |entry|, the first in row-major
-    order.  Floor division clears its column by row operations and its
-    row by column operations; a nonzero remainder is smaller than the
-    pivot, so the next pass pivots on a smaller entry and the loop ends.
-    A pivot alone in its row and column is recorded as |pivot|, and both
-    are deleted.  Last, (d_a, d_b) <- (gcd, lcm) for each a < b makes
-    the record a divisor chain: diag(a, b) and diag(gcd, lcm) are
-    equivalent, and the Smith form is unique.
-    """
-    diag = []
-    while True:
-        best = 0
-        for r, row in enumerate(m):
-            for c, v in enumerate(row):
-                if v and (not best or abs(v) < best):
-                    best, i, j = abs(v), r, c
-        if not best:
-            break
-        prow = m[i]
-        p = prow[j]
-        for r, row in enumerate(m):
-            q = row[j] // p
-            if q and r != i:
-                m[r] = [x - q * y for x, y in zip(row, prow)]
-        quotients = [(c, v // p) for c, v in enumerate(prow) if v and c != j]
-        for row in m:
-            a = row[j]
-            if a:
-                for c, q in quotients:
-                    row[c] -= q * a
-        if any(row[j] for r, row in enumerate(m) if r != i) or \
-           any(v for c, v in enumerate(prow) if c != j):
-            continue
-        diag.append(abs(p))
-        del m[i]
-        for row in m:
-            del row[j]
+        if d in (1, -1):
+            units += 1
+        else:
+            diag.append(abs(d))
     for a in range(len(diag)):
         for b in range(a + 1, len(diag)):
             g = gcd(diag[a], diag[b])
             diag[a], diag[b] = g, diag[a] // g * diag[b]
-    return diag
+    return [1] * units + diag
 
 
 def abelian_invariants(matrix, num_generators):
@@ -189,7 +175,7 @@ def abelian_invariants(matrix, num_generators):
     the diagonal's length is the relation rank, its nontrivial entries
     the torsion chain.
     """
-    diag = smith_normal_form(matrix) if matrix else []
+    diag = smith_normal_form(matrix)
     factors = tuple(d for d in diag if d > 1)
     return AbelianGroupInvariants(num_generators - len(diag), factors)
 
@@ -214,7 +200,8 @@ def reidemeister_schreier(pres, phi, k):
     presentation (_relator_module, a one-entry memo, so the degrees of
     one oracle-check share it); per k the orbits are only folded into
     k shifted integer rows each, at most 15 x 11 for the bundled knots
-    at k = 2, 3, 5.  The orbits are integer dicts, not laurent
+    at k = 2, 3, 5, and those sparse rows are the Smith form's input as
+    they are, at every k.  The orbits are integer dicts, not laurent
     polynomials, so this route shares no code with the Fox pipeline
     that it checks.
 

@@ -11,12 +11,12 @@ degree, the Sylvester-matrix resultant that
 the oracle's cover order formula used before it became a determinant in
 Z[t]/(1 + t + ... + t^(k-1)), and the extended-gcd Smith diagonal that
 the oracle's dense phase used before it became elimination by division
-with remainder.
+with remainder, and a braid word's PD code (its closure's PD twin).
 """
 
 from ribboncheck import oracles
 from ribboncheck.laurent import canonical
-from ribboncheck.linkcodec import DiagramError
+from ribboncheck.linkcodec import DiagramError, PDCode
 from ribboncheck.oracles import _int_det
 from ribboncheck.wirtinger import apply_phi, free_reduce, word_multiply
 
@@ -360,3 +360,46 @@ def gcdex_dense_diagonal(m):
         diag.append(abs(p))
         top += 1
     return diag
+
+
+def braid_to_pd(word):
+    """
+    A PD code of the closure of a braid word in linkcodec's conventions,
+    or None when a strand takes part in no crossing (a PD code cannot
+    hold a component without one).  Each component's edges are numbered
+    consecutively along its orientation, the strands running in letter
+    order, and the components in BraidWord.cycles() order, so that
+    pd_diagram keeps their order and orientation.  A crossing lists its
+    incoming under edge, then the over strand's edges, in then out for a
+    positive letter and out then in for a negative one, with the
+    outgoing under edge between them.
+    """
+    edges = {}  # (letter index, position before it) -> (edge in, edge out)
+    label = 1
+    for cyc in word.cycles():
+        passes = []
+        top = cyc[0]
+        while True:
+            pos = top
+            for k, letter in enumerate(word.letters):
+                i = abs(letter) - 1
+                if pos in (i, i + 1):
+                    passes.append((k, pos))
+                    pos = 2 * i + 1 - pos
+            top = pos
+            if top == cyc[0]:
+                break
+        if not passes:
+            return None
+        m = len(passes)
+        for j, key in enumerate(passes):
+            edges[key] = (label + j, label + (j + 1) % m)
+        label += m
+    crossings = []
+    for k, letter in enumerate(word.letters):
+        i = abs(letter) - 1
+        over, under = (i, i + 1) if letter > 0 else (i + 1, i)
+        (a, c), (oin, oout) = edges[k, under], edges[k, over]
+        crossings.append((a, oin, c, oout) if letter > 0 else
+                         (a, oout, c, oin))
+    return PDCode(tuple(crossings))

@@ -1,7 +1,7 @@
 """
-Replaced code of ribboncheck.alexander, ribboncheck.obstruct and
-ribboncheck.cli, kept unchanged as the reference the current code is
-tested against.
+Replaced code of ribboncheck.alexander, ribboncheck.obstruct,
+ribboncheck.cli, ribboncheck.oracles and ribboncheck.linkcodec, kept
+unchanged as the reference the current code is tested against.
 
 - The Fox Jacobian's row loop and the two eliminations as they were
   before every update went through laurent.mul_add: _fox_row built all
@@ -26,12 +26,20 @@ tested against.
   --pairs shared its work by polynomial value: a memo for each unordered
   pair of distinct rows, none on the diagonal, and each line a
   json.dumps of its record, a report's being json.dumps(to_dict()).
+- two_phase_smith_normal_form, the cover oracle's Smith form as it was
+  before one sparse loop did all of it: elimination at +-1 pivots on
+  sparse rows, then _dense_diagonal on a dense copy of the core left,
+  pivoting on the first least entry in row-major order.
+- label_successor_pd_diagram, pd_diagram as it was when its stalled
+  propagation always took the over edges b, d as b -> d if d = b + 1
+  and max -> min otherwise, which rejects valid codes where b = d + 1
+  on a component of three or more edges.
 """
 
 import json
 import sys
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 from ribboncheck import cli, laurent
 from ribboncheck.alexander import (FALLBACK_MINOR_BUDGET, _column_weights,
@@ -40,7 +48,8 @@ from ribboncheck.alexander import (FALLBACK_MINOR_BUDGET, _column_weights,
 from ribboncheck.foxcalc import AlexanderPresentation
 from ribboncheck.laurent import (ComputationError, LaurentPoly, canonical,
                                  exact_divide)
-from ribboncheck.linkcodec import DiagramError, ParseError
+from ribboncheck.linkcodec import (Crossing, DiagramError, LinkDiagram,
+                                   ParseError, _classes)
 from ribboncheck.obstruct import (NOT_OBSTRUCTED, OBSTRUCTED,
                                   ComponentMismatch, ObstructionReport,
                                   component_mismatch)
@@ -515,3 +524,229 @@ def cmd_batch(args):
                     continue
                 print(json.dumps(report.to_dict()))
     return cli.EXIT_OK
+
+
+def two_phase_smith_normal_form(matrix):
+    """
+    Diagonalize an integer matrix by unimodular row/column operations and
+    return the nonzero diagonal d1 | d2 | ... (unit entries included, so
+    the length of the result is the rank).  A row is a list of entries
+    or a dict {column: entry}; either is copied into a dict of its
+    nonzero entries, which the sparse phase works on.
+
+    A sparse phase eliminates at +-1 pivots first (the shortest row that
+    holds one, its sparsest such column), each a unit factor; the dense
+    phase diagonalizes the core left by division with remainder
+    (_dense_diagonal).
+
+    >>> two_phase_smith_normal_form([[2, 4], [6, 8]])
+    [2, 4]
+    >>> two_phase_smith_normal_form([[0, 0]]) == []
+    True
+    >>> two_phase_smith_normal_form([[1, 2], [3, 4]])
+    [1, 2]
+    >>> two_phase_smith_normal_form([{0: 2, 5: 4}, {0: 6, 5: 8}])
+    [2, 4]
+    """
+    rows = {}  # row id -> {column: nonzero value}
+    cols = {}  # column -> ids of the rows that use it
+    for i, row in enumerate(matrix):
+        r = {j: int(v) for j, v in (row.items() if isinstance(row, dict)
+                                    else enumerate(row)) if v}
+        if r:
+            rows[i] = r
+            for j in r:
+                cols.setdefault(j, set()).add(i)
+    units = 0
+    while True:
+        piv = None
+        for i, r in rows.items():
+            if piv is None or len(r) < len(rows[piv[0]]):
+                unit = [j for j, v in r.items() if v in (1, -1)]
+                if unit:
+                    piv = i, min(unit, key=lambda j: len(cols[j]))
+        if piv is None:
+            break
+        p, c = piv
+        prow = rows.pop(p)
+        for i in cols[c] - {p}:
+            r = rows[i]
+            f = r[c] * prow[c]  # the pivot is its own inverse
+            for j, v in prow.items():
+                w = r.get(j, 0) - f * v
+                if w:
+                    r[j] = w
+                    cols[j].add(i)
+                else:
+                    del r[j]
+                    cols[j].discard(i)
+            if not r:
+                del rows[i]
+        for j in prow:
+            cols[j].discard(p)
+        units += 1
+    used = sorted(j for j, ids in cols.items() if ids)
+    core = [[r.get(j, 0) for j in used] for r in rows.values()]
+    return [1] * units + _dense_diagonal(core)
+
+
+def _dense_diagonal(m):
+    """
+    The Smith diagonal of a dense list-of-lists matrix, modified in place.
+
+    The pivot is the least nonzero |entry|, the first in row-major
+    order.  Floor division clears its column by row operations and its
+    row by column operations; a nonzero remainder is smaller than the
+    pivot, so the next pass pivots on a smaller entry and the loop ends.
+    A pivot alone in its row and column is recorded as |pivot|, and both
+    are deleted.  Last, (d_a, d_b) <- (gcd, lcm) for each a < b makes
+    the record a divisor chain: diag(a, b) and diag(gcd, lcm) are
+    equivalent, and the Smith form is unique.
+    """
+    diag = []
+    while True:
+        best = 0
+        for r, row in enumerate(m):
+            for c, v in enumerate(row):
+                if v and (not best or abs(v) < best):
+                    best, i, j = abs(v), r, c
+        if not best:
+            break
+        prow = m[i]
+        p = prow[j]
+        for r, row in enumerate(m):
+            q = row[j] // p
+            if q and r != i:
+                m[r] = [x - q * y for x, y in zip(row, prow)]
+        quotients = [(c, v // p) for c, v in enumerate(prow) if v and c != j]
+        for row in m:
+            a = row[j]
+            if a:
+                for c, q in quotients:
+                    row[c] -= q * a
+        if any(row[j] for r, row in enumerate(m) if r != i) or \
+           any(v for c, v in enumerate(prow) if c != j):
+            continue
+        diag.append(abs(p))
+        del m[i]
+        for row in m:
+            del row[j]
+    for a in range(len(diag)):
+        for b in range(a + 1, len(diag)):
+            g = gcd(diag[a], diag[b])
+            diag[a], diag[b] = g, diag[a] // g * diag[b]
+    return diag
+
+
+def label_successor_pd_diagram(pd):
+    """
+    Compile a PDCode to a LinkDiagram.  Resolves over-strand directions by
+    propagating the constraint that every edge label has exactly one head
+    and one tail among the crossing slots, then checks the per-component
+    consecutive-labelling convention.
+    """
+    if not pd.crossings:
+        raise DiagramError("empty PD code has no strands; use a braid spec")
+    n_edges = 2 * len(pd.crossings)
+    head = {}  # edge -> crossing index where the edge points in
+    tail = {}
+
+    def set_head(e, c):
+        if e in head:
+            raise DiagramError("edge %d is incoming at two crossings" % e)
+        head[e] = c
+
+    def set_tail(e, c):
+        if e in tail:
+            raise DiagramError("edge %d is outgoing at two crossings" % e)
+        tail[e] = c
+
+    for ci, (a, bb, c, d) in enumerate(pd.crossings):
+        set_head(a, ci)
+        set_tail(c, ci)
+
+    # orient the over strand of each crossing: over_dir[ci] = (in_edge, out_edge)
+    over_dir = {}
+    undecided = set(range(len(pd.crossings)))
+    while undecided:
+        progressed = False
+        for ci in sorted(undecided):
+            a, bb, c, d = pd.crossings[ci]
+            if bb == d:
+                # over strand is a closed loop through this crossing
+                candidates = ((bb, bb),)
+            else:
+                candidates = ((bb, d), (d, bb))
+            choices = []
+            for oin, oout in candidates:
+                if oin not in head and oout not in tail:
+                    choices.append((oin, oout))
+            if len(choices) == 1:
+                oin, oout = choices[0]
+                set_head(oin, ci)
+                set_tail(oout, ci)
+                over_dir[ci] = (oin, oout)
+                undecided.discard(ci)
+                progressed = True
+            elif not choices:
+                raise DiagramError(
+                    "no consistent over-strand orientation at crossing %d" % ci)
+        if not progressed and undecided:
+            # residual symmetric choice; prefer the label-successor direction
+            ci = min(undecided)
+            a, bb, c, d = pd.crossings[ci]
+            oin, oout = (bb, d) if d == bb + 1 else (max(bb, d), min(bb, d))
+            set_head(oin, ci)
+            set_tail(oout, ci)
+            over_dir[ci] = (oin, oout)
+            undecided.discard(ci)
+
+    succ = {}
+    for ci, (a, bb, c, d) in enumerate(pd.crossings):
+        succ[a] = c
+        oin, oout = over_dir[ci]
+        succ[oin] = oout
+    if sorted(succ) != list(range(1, n_edges + 1)):
+        raise DiagramError("orientation resolution left edges unassigned")
+
+    # components as cycles of succ; labels in a component must be consecutive
+    comp_of_edge = {}
+    comp_min = []
+    seen = set()
+    for e in range(1, n_edges + 1):
+        if e in seen:
+            continue
+        cyc = []
+        x = e
+        while x not in seen:
+            seen.add(x)
+            cyc.append(x)
+            x = succ[x]
+        lo, hi = min(cyc), max(cyc)
+        if sorted(cyc) != list(range(lo, hi + 1)):
+            raise DiagramError(
+                "edge labels %s are not consecutive along one component"
+                % sorted(cyc))
+        for y in cyc:
+            if succ[y] != (y + 1 if y < hi else lo):
+                raise DiagramError(
+                    "labels must step by one along each component (edge %d)" % y)
+        ci = len(comp_min)
+        comp_min.append(lo)
+        for y in cyc:
+            comp_of_edge[y] = ci
+    order = sorted(range(len(comp_min)), key=lambda i: comp_min[i])
+    comp_rank = {old: new for new, old in enumerate(order)}
+
+    # arcs: merge each over edge pair; under passes keep edges separate
+    arc, num_arcs = _classes(range(1, n_edges + 1), over_dir.values())
+    comp_of_arc = [None] * num_arcs
+    for e, i in arc.items():
+        comp_of_arc[i] = comp_rank[comp_of_edge[e]]
+
+    crossings = []
+    for ci, (a, bb, c, d) in enumerate(pd.crossings):
+        oin, oout = over_dir[ci]
+        sign = 1 if oin == bb else -1
+        crossings.append(Crossing(arc[oin], arc[a], arc[c], sign))
+    return LinkDiagram(num_arcs, tuple(comp_of_arc), tuple(crossings))

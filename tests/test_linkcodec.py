@@ -205,3 +205,59 @@ class TestSublink:
             # hence c arcs
             if diagram.num_crossings:
                 assert diagram.num_arcs == diagram.num_crossings
+
+
+class TestPdTieBreak:
+    """pd_diagram's stalled propagation reads the over edges b, d as
+    d -> b where b = d + 1, except on a two-edge component, against the
+    label-successor rule it replaced, which rejected such valid codes."""
+
+    UNLINK_PD = "pd:X(1,6,2,5);X(2,6,3,7);X(3,8,4,7);X(4,8,1,5)"
+
+    def test_successor_read_backwards(self, capsys):
+        # the closure of s1^-1 s1 s1^-1 s1, a diagram of the 2-component
+        # unlink; the label-successor rule rejected it
+        from ribboncheck import cli
+        from pipeline_reference import label_successor_pd_diagram
+        pd = parse_pd(self.UNLINK_PD[3:])
+        with pytest.raises(DiagramError, match="step by one"):
+            label_successor_pd_diagram(pd)
+        assert pd_diagram(pd).num_components == 2
+        assert cli.main(["compute", self.UNLINK_PD]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert cli.main(["compute", "braid:n=2:-1 1 -1 1"]) == 0
+        assert first == capsys.readouterr().out.splitlines()[0] == "1"
+
+    def test_pd_twins_against_label_successor(self):
+        # every code the old rule accepts keeps its diagram, and every one
+        # it rejected parses to its braid's Delta
+        import time
+        from helpers import braid_to_pd
+        from pipeline_reference import label_successor_pd_diagram
+        from ribboncheck.alexander import alexander_polynomial
+        started = time.process_time()
+        rng = random.Random(1717)
+        accepted = rejected = 0
+        while accepted + rejected < 1500:
+            n = rng.randint(2, 12)
+            word = BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
+                                      for _ in range(rng.randint(2, 24))))
+            pd = braid_to_pd(word)
+            if pd is None:
+                continue
+            try:
+                old = label_successor_pd_diagram(pd)
+            except DiagramError:
+                old = None
+            new = pd_diagram(pd)
+            if old is not None:
+                assert new == old, word
+                accepted += 1
+                if accepted % 25:
+                    continue
+            else:
+                rejected += 1
+            assert alexander_polynomial(new).text == \
+                alexander_polynomial(braid_closure(word)).text, word
+        assert rejected >= 15
+        assert time.process_time() - started < 10

@@ -15,9 +15,11 @@ from ribboncheck.oracles import (abelian_invariants,
                                  smith_normal_form, torres_check)
 from ribboncheck.wirtinger import wirtinger_presentation
 
+import pipeline_reference
 from helpers import (fox_derivative, full_reidemeister_schreier,
                      gcdex_dense_diagonal, per_degree_reidemeister_schreier,
                      rewriting_sizes, sylvester_cover_order)
+from pipeline_reference import two_phase_smith_normal_form
 
 
 class TestSmithNormalForm:
@@ -72,13 +74,12 @@ class TestSmithNormalForm:
                     row[col] = 0
             assert smith_normal_form(mat) == _sympy_diagonal(mat), mat
 
-    def test_unit_made_by_elimination(self, monkeypatch):
+    def test_unit_made_by_elimination(self):
         # row 1 holds no unit until the pivot of row 0 clears its first
         # column, and then row 2 none until that unit clears the second
-        cores = _record_cores(monkeypatch)
         mat = [[1, 1, 0], [2, 3, 0], [0, 2, 3], [0, 0, 0]]
-        assert smith_normal_form(mat) == [1, 1, 3] == _sympy_diagonal(mat)
-        assert cores == [[[3]]]
+        assert smith_normal_form(mat) == [1, 1, 3] == _sympy_diagonal(mat) \
+            == two_phase_smith_normal_form(mat)
 
     def test_cover_matrices_against_sympy(self, monkeypatch):
         # the orbit route's dict rows and the full rewriting's dense rows,
@@ -112,16 +113,17 @@ class TestSmithNormalForm:
         assert smith_normal_form([row, {1: 3}]) == [1, 3]
         assert row == {0: 1, 2: 0, 1: 2}  # the caller's rows are not consumed
 
-    def test_dense_phase_gets_a_small_core(self, bundled_knots, monkeypatch):
-        # the sparse phase leaves at most 10 x 6 of inputs up to 19 x 15;
-        # without it the dense phase would see the whole matrix
-        cores = _record_cores(monkeypatch)
+    def test_bundled_smith_inputs_against_two_phase(self, bundled_knots,
+                                                    monkeypatch):
+        # oracle-check's default degrees on every bundled knot
+        inputs = _record_smith_inputs(monkeypatch)
         for name, diagram in bundled_knots:
             pres, phi = wirtinger_presentation(diagram)
             for k in (2, 3, 5):
                 reidemeister_schreier(pres, phi, k)
-        assert len(cores) == 3 * len(bundled_knots)
-        assert max(len(core) for core in cores) <= 12
+        assert len(inputs) == 3 * len(bundled_knots)
+        for mat in inputs:
+            assert smith_normal_form(mat) == two_phase_smith_normal_form(mat)
 
     def test_dense_against_gcdex_reference(self):
         # half of the matrices are products through 1-7 inner columns,
@@ -138,24 +140,44 @@ class TestSmithNormalForm:
             else:
                 mat = [[rng.randint(-9, 9) for _ in range(nc)]
                        for _ in range(nr)]
-            diag = oracles._dense_diagonal([list(row) for row in mat])
-            assert diag == gcdex_dense_diagonal([list(row) for row in mat]), \
-                mat
+            diag = smith_normal_form(mat)
+            assert diag == gcdex_dense_diagonal([list(row) for row in mat]) \
+                == two_phase_smith_normal_form(mat), mat
             if n % 10 == 0:
                 assert diag == _sympy_diagonal(mat), mat
 
     def test_cover_cores_against_gcdex_reference(self, bundled_knots,
                                                  monkeypatch):
-        dense = oracles._dense_diagonal
-        cores = _record_cores(monkeypatch)
+        # the two phases, and the two phases with the extended-gcd loop on
+        # the core the sparse one leaves; at k = 60 that loop takes
+        # minutes on some cores, so there only the two phases
+        inputs = _record_smith_inputs(monkeypatch)
         for name, diagram in bundled_knots:
             pres, phi = wirtinger_presentation(diagram)
-            for k in list(range(2, 13)) + [20, 30, 45]:
+            for k in list(range(2, 13)) + [20, 30, 45, 60]:
                 reidemeister_schreier(pres, phi, k)
-        assert len(cores) == 14 * len(bundled_knots)
-        for core in cores:
-            assert dense([list(row) for row in core]) == \
-                gcdex_dense_diagonal([list(row) for row in core]), core
+        assert len(inputs) == 15 * len(bundled_knots)
+        diagonals = [two_phase_smith_normal_form(mat) for mat in inputs]
+        monkeypatch.setattr(pipeline_reference, "_dense_diagonal",
+                            gcdex_dense_diagonal)
+        for n, (mat, diag) in enumerate(zip(inputs, diagonals)):
+            assert smith_normal_form(mat) == diag, mat
+            if n % 15 < 14:
+                assert two_phase_smith_normal_form(mat) == diag, mat
+
+    @pytest.mark.parametrize("k", [100, 150])
+    def test_large_degrees_against_two_phase(self, bundled_knots, monkeypatch,
+                                             k):
+        # the knots whose Smith form was slowest in one phase or the other
+        inputs = _record_smith_inputs(monkeypatch)
+        for name in ("8_4", "9_6", "9_35"):
+            pres, phi = wirtinger_presentation(dict(bundled_knots)[name])
+            reidemeister_schreier(pres, phi, k)
+        started = time.process_time()
+        diagonals = [smith_normal_form(mat) for mat in inputs]
+        assert time.process_time() - started < 5
+        assert diagonals == [two_phase_smith_normal_form(mat)
+                             for mat in inputs]
 
     def test_abelian_invariants(self):
         inv = abelian_invariants([[2, 0], [0, 0]], 3)
@@ -175,17 +197,17 @@ def _sympy_diagonal(mat):
     return [abs(int(d)) for d in factors if d]
 
 
-def _record_cores(monkeypatch):
-    """Record every matrix the dense phase of the Smith form receives."""
-    cores = []
-    original = oracles._dense_diagonal
+def _record_smith_inputs(monkeypatch):
+    """Record every matrix the cover oracle gives the Smith form."""
+    inputs = []
+    original = oracles.abelian_invariants
 
-    def record(m):
-        cores.append([list(row) for row in m])
-        return original(m)
+    def record(matrix, num_generators):
+        inputs.append(matrix)
+        return original(matrix, num_generators)
 
-    monkeypatch.setattr(oracles, "_dense_diagonal", record)
-    return cores
+    monkeypatch.setattr(oracles, "abelian_invariants", record)
+    return inputs
 
 
 def _int_determinant(mat):
@@ -415,7 +437,7 @@ class TestRelatorModule:
 
     def test_no_transversal_rows(self, bundled_knots, monkeypatch):
         # with the k - 1 transversal rows and every orbit the largest
-        # Smith input was 19 x 15 and the largest dense core 10 rows
+        # Smith input was 19 x 15
         shapes = []
         original = oracles.abelian_invariants
 
@@ -424,15 +446,13 @@ class TestRelatorModule:
             return original(matrix, num_generators)
 
         monkeypatch.setattr(oracles, "abelian_invariants", record)
-        cores = _record_cores(monkeypatch)
         for name, diagram in bundled_knots:
             pres, phi = wirtinger_presentation(diagram)
             for k in (2, 3, 5):
                 reidemeister_schreier(pres, phi, k)
-        assert len(cores) == len(shapes) == 3 * len(bundled_knots)
+        assert len(shapes) == 3 * len(bundled_knots)
         assert max(r for r, _ in shapes) <= 15
         assert max(c for _, c in shapes) <= 11
-        assert max(len(core) for core in cores) <= 7
 
 
 class TestCoverOrderFormula:
@@ -567,8 +587,9 @@ class TestCyclicCoverAgreement:
     @pytest.mark.parametrize("name, k", [("8_4", 80), ("8_8", 100),
                                          ("9_6", 60), ("9_35", 100)])
     def test_former_dense_phase_cliff(self, bundled_knots, name, k):
-        # extended-gcd transforms took from 1.8 s (9_35) to minutes (8_4,
-        # 9_6) on these cores
+        # the extended-gcd transforms of the former dense phase took from
+        # 1.8 s (9_35) to minutes (8_4, 9_6) on the core that its sparse
+        # phase left of these inputs
         diagram = dict(bundled_knots)[name]
         pres, phi = wirtinger_presentation(diagram)
         delta = alexander_polynomial(diagram)

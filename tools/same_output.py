@@ -11,7 +11,9 @@ standard output and standard error captured.  The corpus:
 - `compute --json`, `validate`, `oracle-check` and `oracle-check
   --covers 2 3 ... 12` on every bundled diagram (knots.csv, links.csv);
 - `oracle-check --covers 13 14 ... 19` and `oracle-check --covers 20 30
-  45` on every bundled knot (knots.csv);
+  45` on every bundled knot (knots.csv), and `oracle-check --covers 60
+  100 150` on LARGE_COVER_KNOTS, whose Smith forms were the slowest
+  at large degrees;
 - every request of the four perfbench workloads at seeds 1-3, as
   perfbench/workloads.py builds them (its batch CSVs are written into
   both trees);
@@ -53,6 +55,11 @@ _spec.loader.exec_module(ab_bench)
 
 COVERS = [str(k) for k in range(2, 13)]
 KNOT_COVERS = [str(k) for k in range(13, 20)]
+LARGE_COVERS = ["60", "100", "150"]
+# 8_4, 8_8 and 9_6 met the cliff of the Smith form's extended-gcd dense
+# phase at k = 60-100, and 9_35 was the slowest knot of the dense phase
+# that replaced it, at k = 150 and 200
+LARGE_COVER_KNOTS = ("8_4", "8_8", "9_6", "9_35")
 SEEDS = (1, 2, 3)
 TABLES = ("src/ribboncheck/data/knots.csv", "src/ribboncheck/data/links.csv")
 # closures of 3 to 6 components whose blocks once took the full-minor
@@ -171,6 +178,9 @@ def corpus(tree, seeds):
                     commands += [
                         ["oracle-check", spec, "--covers"] + KNOT_COVERS,
                         ["oracle-check", spec, "--covers", "20", "30", "45"]]
+                    if row[0] in LARGE_COVER_KNOTS:
+                        commands.append(
+                            ["oracle-check", spec, "--covers"] + LARGE_COVERS)
     sys.path.insert(0, str(tree / "perfbench"))
     try:
         import workloads
