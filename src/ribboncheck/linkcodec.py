@@ -16,8 +16,10 @@ Spec string grammar (whitespace-insensitive between tokens):
 PD convention: the first entry of each tuple is the incoming under-strand
 edge; the remaining three follow counterclockwise.  Edge labels number
 1..2c consecutively along each component's orientation (label x exits
-into label x+1, wrapping within the component).  A crossing is positive
-when the over strand runs from the second tuple entry to the fourth.
+into label x+1, wrapping within the component), and every direction is
+read from them: an over strand runs whichever way its labels step.  A
+crossing is positive when the over strand runs from the second tuple
+entry to the fourth.
 Planarity is not verified; non-planar (virtual) codes that are
 arc-consistent are accepted and simply produce the module invariants of
 their combinatorial data.
@@ -48,7 +50,20 @@ class DiagramError(ValueError):
 
 @dataclass(frozen=True)
 class PDCode:
+    """PD crossing tuples whose edge labels are 1..2c, each used twice."""
     crossings: Tuple[Tuple[int, int, int, int], ...]
+
+    def __post_init__(self):
+        counts = {}
+        for tup in self.crossings:
+            for v in tup:
+                counts[v] = counts.get(v, 0) + 1
+        bad = sorted(v for v, k in counts.items() if k != 2)
+        if bad:
+            raise DiagramError("edge labels %s do not occur exactly twice" % bad)
+        if set(counts) != set(range(1, 2 * len(self.crossings) + 1)):
+            raise DiagramError(
+                "edge labels must be exactly 1..%d" % (2 * len(self.crossings)))
 
     def __len__(self):
         return len(self.crossings)
@@ -139,8 +154,8 @@ class LinkDiagram:
 
 def parse_pd(text):
     """
-    Parse "X(a,b,c,d);X(...)..." into a validated PDCode.  Each edge label
-    must occur exactly twice and labels must be 1..2c.
+    Parse "X(a,b,c,d);X(...)..." into a PDCode, which checks that each
+    edge label occurs exactly twice and that the labels are 1..2c.
 
     >>> parse_pd("X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)").crossings[0]
     (1, 4, 2, 5)
@@ -171,16 +186,6 @@ def parse_pd(text):
             raise ParseError("edge labels must be positive", pos)
         tuples.append(labels)
         pos += len(chunk) + 1
-    counts = {}
-    for tup in tuples:
-        for v in tup:
-            counts[v] = counts.get(v, 0) + 1
-    bad = sorted(v for v, k in counts.items() if k != 2)
-    if bad:
-        raise DiagramError("edge labels %s do not occur exactly twice" % bad)
-    expected = set(range(1, 2 * len(tuples) + 1))
-    if set(counts) != expected:
-        raise DiagramError("edge labels must be exactly 1..%d" % (2 * len(tuples)))
     return PDCode(tuple(tuples))
 
 
@@ -365,121 +370,60 @@ def connected_sum(b1, b2):
 
 def pd_diagram(pd):
     """
-    Compile a PDCode to a LinkDiagram.  Resolves over-strand directions by
-    propagating the constraint that every edge label has exactly one head
-    and one tail among the crossing slots, then checks the per-component
-    consecutive-labelling convention.
+    Compile a PDCode to a LinkDiagram, reading every direction from the
+    labelling convention, with no search.  A component is a run of
+    labels lo..hi, x and x + 1 joined by a strand, and every strand
+    steps x -> x + 1, or hi -> lo: a strand that joins two runs steps
+    along neither and is rejected.  The under strand must run a -> c.
+    The over strand runs b -> d if d follows b and b is not yet incoming
+    anywhere, else d -> b under the same test.  Both directions fit only
+    on a component of two edges: where it passes under, that crossing
+    has made one edge incoming, and where it passes over at both its
+    crossings it runs b -> d at the first in code order.
     """
     if not pd.crossings:
         raise DiagramError("empty PD code has no strands; use a braid spec")
-    n_edges = 2 * len(pd.crossings)
-    head = {}  # edge -> crossing index where the edge points in
-    tail = {}
+    edges = range(1, 2 * len(pd.crossings) + 1)
+    # a component is a run of labels, x and x + 1 joined by a strand
+    joined = {min(x, y) for a, b, c, d in pd.crossings
+              for x, y in ((a, c), (b, d)) if abs(x - y) == 1}
+    runs = [[]]
+    for e in edges:
+        runs[-1].append(e)
+        if e not in joined:
+            runs.append([])
+    comp, step = {}, {}
+    for i, run in enumerate(runs[:-1]):
+        comp.update(dict.fromkeys(run, i))
+        step.update(zip(run, run[1:] + run[:1]))
 
-    def set_head(e, c):
-        if e in head:
-            raise DiagramError("edge %d is incoming at two crossings" % e)
-        head[e] = c
-
-    def set_tail(e, c):
-        if e in tail:
-            raise DiagramError("edge %d is outgoing at two crossings" % e)
-        tail[e] = c
-
-    for ci, (a, bb, c, d) in enumerate(pd.crossings):
-        set_head(a, ci)
-        set_tail(c, ci)
-
-    # orient the over strand of each crossing: over_dir[ci] = (in_edge, out_edge)
-    over_dir = {}
-    undecided = set(range(len(pd.crossings)))
-    while undecided:
-        progressed = False
-        for ci in sorted(undecided):
-            a, bb, c, d = pd.crossings[ci]
-            if bb == d:
-                # over strand is a closed loop through this crossing
-                candidates = ((bb, bb),)
-            else:
-                candidates = ((bb, d), (d, bb))
-            choices = []
-            for oin, oout in candidates:
-                if oin not in head and oout not in tail:
-                    choices.append((oin, oout))
-            if len(choices) == 1:
-                oin, oout = choices[0]
-                set_head(oin, ci)
-                set_tail(oout, ci)
-                over_dir[ci] = (oin, oout)
-                undecided.discard(ci)
-                progressed = True
-            elif not choices:
-                raise DiagramError(
-                    "no consistent over-strand orientation at crossing %d" % ci)
-        if not progressed and undecided:
-            # residual symmetric choice; prefer the label-successor
-            # direction, but max -> min on a two-edge component, which
-            # passes over with the same pair at both its crossings
-            ci = min(undecided)
-            a, bb, c, d = pd.crossings[ci]
-            lo, hi = sorted((bb, d))
-            twice = [sorted(x[1::2]) for x in pd.crossings].count([lo, hi]) > 1
-            oin, oout = (lo, hi) if hi == lo + 1 and not (twice and bb > d) \
-                else (hi, lo)
-            set_head(oin, ci)
-            set_tail(oout, ci)
-            over_dir[ci] = (oin, oout)
-            undecided.discard(ci)
-
-    succ = {}
-    for ci, (a, bb, c, d) in enumerate(pd.crossings):
-        succ[a] = c
-        oin, oout = over_dir[ci]
-        succ[oin] = oout
-    if sorted(succ) != list(range(1, n_edges + 1)):
-        raise DiagramError("orientation resolution left edges unassigned")
-
-    # components as cycles of succ; labels in a component must be consecutive
-    comp_of_edge = {}
-    comp_min = []
-    seen = set()
-    for e in range(1, n_edges + 1):
-        if e in seen:
-            continue
-        cyc = []
-        x = e
-        while x not in seen:
-            seen.add(x)
-            cyc.append(x)
-            x = succ[x]
-        lo, hi = min(cyc), max(cyc)
-        if sorted(cyc) != list(range(lo, hi + 1)):
+    incoming = set()
+    for a, _, c, _ in pd.crossings:
+        if step[a] != c:
             raise DiagramError(
-                "edge labels %s are not consecutive along one component"
-                % sorted(cyc))
-        for y in cyc:
-            if succ[y] != (y + 1 if y < hi else lo):
-                raise DiagramError(
-                    "labels must step by one along each component (edge %d)" % y)
-        ci = len(comp_min)
-        comp_min.append(lo)
-        for y in cyc:
-            comp_of_edge[y] = ci
-    order = sorted(range(len(comp_min)), key=lambda i: comp_min[i])
-    comp_rank = {old: new for new, old in enumerate(order)}
+                "labels must step by one along each component (edge %d)" % a)
+        if a in incoming:
+            raise DiagramError("edge %d is incoming at two crossings" % a)
+        incoming.add(a)
+    over = []
+    for ci, (_, b, _, d) in enumerate(pd.crossings):
+        if step[b] == d and b not in incoming:
+            over.append((b, d))
+        elif step[d] == b and d not in incoming:
+            over.append((d, b))
+        else:
+            raise DiagramError(
+                "no consistent over-strand orientation at crossing %d" % ci)
+        incoming.add(over[-1][0])
 
     # arcs: merge each over edge pair; under passes keep edges separate
-    arc, num_arcs = _classes(range(1, n_edges + 1), over_dir.values())
+    arc, num_arcs = _classes(edges, over)
     comp_of_arc = [None] * num_arcs
     for e, i in arc.items():
-        comp_of_arc[i] = comp_rank[comp_of_edge[e]]
-
-    crossings = []
-    for ci, (a, bb, c, d) in enumerate(pd.crossings):
-        oin, oout = over_dir[ci]
-        sign = 1 if oin == bb else -1
-        crossings.append(Crossing(arc[oin], arc[a], arc[c], sign))
-    return LinkDiagram(num_arcs, tuple(comp_of_arc), tuple(crossings))
+        comp_of_arc[i] = comp[e]
+    crossings = tuple(Crossing(arc[oin], arc[a], arc[c], 1 if oin == b else -1)
+                      for (a, b, c, _), (oin, _) in zip(pd.crossings, over))
+    return LinkDiagram(num_arcs, tuple(comp_of_arc), crossings)
 
 
 # ----- diagram-level quantities --------------------------------------------------

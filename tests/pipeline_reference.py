@@ -34,6 +34,12 @@ unchanged as the reference the current code is tested against.
   propagation always took the over edges b, d as b -> d if d = b + 1
   and max -> min otherwise, which rejects valid codes where b = d + 1
   on a component of three or more edges.
+- propagation_pd_diagram, pd_diagram as it was before it read each
+  direction from the labelling convention in one pass: head/tail
+  propagation over the crossings until it stalls, a tie-break for the
+  stalled over strands (d -> b where b = d + 1, except where the same
+  over pair occurs at two crossings), then the check that every strand
+  steps x -> x + 1 along its component.
 """
 
 import json
@@ -696,6 +702,125 @@ def label_successor_pd_diagram(pd):
             ci = min(undecided)
             a, bb, c, d = pd.crossings[ci]
             oin, oout = (bb, d) if d == bb + 1 else (max(bb, d), min(bb, d))
+            set_head(oin, ci)
+            set_tail(oout, ci)
+            over_dir[ci] = (oin, oout)
+            undecided.discard(ci)
+
+    succ = {}
+    for ci, (a, bb, c, d) in enumerate(pd.crossings):
+        succ[a] = c
+        oin, oout = over_dir[ci]
+        succ[oin] = oout
+    if sorted(succ) != list(range(1, n_edges + 1)):
+        raise DiagramError("orientation resolution left edges unassigned")
+
+    # components as cycles of succ; labels in a component must be consecutive
+    comp_of_edge = {}
+    comp_min = []
+    seen = set()
+    for e in range(1, n_edges + 1):
+        if e in seen:
+            continue
+        cyc = []
+        x = e
+        while x not in seen:
+            seen.add(x)
+            cyc.append(x)
+            x = succ[x]
+        lo, hi = min(cyc), max(cyc)
+        if sorted(cyc) != list(range(lo, hi + 1)):
+            raise DiagramError(
+                "edge labels %s are not consecutive along one component"
+                % sorted(cyc))
+        for y in cyc:
+            if succ[y] != (y + 1 if y < hi else lo):
+                raise DiagramError(
+                    "labels must step by one along each component (edge %d)" % y)
+        ci = len(comp_min)
+        comp_min.append(lo)
+        for y in cyc:
+            comp_of_edge[y] = ci
+    order = sorted(range(len(comp_min)), key=lambda i: comp_min[i])
+    comp_rank = {old: new for new, old in enumerate(order)}
+
+    # arcs: merge each over edge pair; under passes keep edges separate
+    arc, num_arcs = _classes(range(1, n_edges + 1), over_dir.values())
+    comp_of_arc = [None] * num_arcs
+    for e, i in arc.items():
+        comp_of_arc[i] = comp_rank[comp_of_edge[e]]
+
+    crossings = []
+    for ci, (a, bb, c, d) in enumerate(pd.crossings):
+        oin, oout = over_dir[ci]
+        sign = 1 if oin == bb else -1
+        crossings.append(Crossing(arc[oin], arc[a], arc[c], sign))
+    return LinkDiagram(num_arcs, tuple(comp_of_arc), tuple(crossings))
+
+
+def propagation_pd_diagram(pd):
+    """
+    Compile a PDCode to a LinkDiagram.  Resolves over-strand directions by
+    propagating the constraint that every edge label has exactly one head
+    and one tail among the crossing slots, then checks the per-component
+    consecutive-labelling convention.
+    """
+    if not pd.crossings:
+        raise DiagramError("empty PD code has no strands; use a braid spec")
+    n_edges = 2 * len(pd.crossings)
+    head = {}  # edge -> crossing index where the edge points in
+    tail = {}
+
+    def set_head(e, c):
+        if e in head:
+            raise DiagramError("edge %d is incoming at two crossings" % e)
+        head[e] = c
+
+    def set_tail(e, c):
+        if e in tail:
+            raise DiagramError("edge %d is outgoing at two crossings" % e)
+        tail[e] = c
+
+    for ci, (a, bb, c, d) in enumerate(pd.crossings):
+        set_head(a, ci)
+        set_tail(c, ci)
+
+    # orient the over strand of each crossing: over_dir[ci] = (in_edge, out_edge)
+    over_dir = {}
+    undecided = set(range(len(pd.crossings)))
+    while undecided:
+        progressed = False
+        for ci in sorted(undecided):
+            a, bb, c, d = pd.crossings[ci]
+            if bb == d:
+                # over strand is a closed loop through this crossing
+                candidates = ((bb, bb),)
+            else:
+                candidates = ((bb, d), (d, bb))
+            choices = []
+            for oin, oout in candidates:
+                if oin not in head and oout not in tail:
+                    choices.append((oin, oout))
+            if len(choices) == 1:
+                oin, oout = choices[0]
+                set_head(oin, ci)
+                set_tail(oout, ci)
+                over_dir[ci] = (oin, oout)
+                undecided.discard(ci)
+                progressed = True
+            elif not choices:
+                raise DiagramError(
+                    "no consistent over-strand orientation at crossing %d" % ci)
+        if not progressed and undecided:
+            # residual symmetric choice; prefer the label-successor
+            # direction, but max -> min on a two-edge component, which
+            # passes over with the same pair at both its crossings
+            ci = min(undecided)
+            a, bb, c, d = pd.crossings[ci]
+            lo, hi = sorted((bb, d))
+            twice = [sorted(x[1::2]) for x in pd.crossings].count([lo, hi]) > 1
+            oin, oout = (lo, hi) if hi == lo + 1 and not (twice and bb > d) \
+                else (hi, lo)
             set_head(oin, ci)
             set_tail(oout, ci)
             over_dir[ci] = (oin, oout)

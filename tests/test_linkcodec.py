@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ribboncheck.linkcodec import (BraidWord, DiagramError, ParseError,
-                                   braid_closure, connected_sum,
+                                   PDCode, braid_closure, connected_sum,
                                    linking_number, parse_braid,
                                    parse_link_spec, parse_pd, pd_diagram,
                                    sublink)
@@ -30,6 +30,13 @@ class TestParsePD:
     def test_label_range_error(self):
         with pytest.raises(DiagramError):
             parse_pd("X(1,4,2,5);X(3,7,4,1);X(5,2,7,3)")
+
+    @pytest.mark.parametrize("crossings", [((1, 3, 2, 4), (2, 4, 1, 5)),
+                                           ((0, 1, 0, 1),), ((1, 1, 1, 1),)])
+    def test_hand_built_labels_checked(self, crossings):
+        # the label checks live in PDCode, not only in parse_pd
+        with pytest.raises(DiagramError, match="edge labels"):
+            pd_diagram(PDCode(crossings))
 
     def test_whitespace_insensitive(self):
         pd = parse_pd(" X( 1 ,4, 2,5) ; X(3,6,4,1);X(5,2,6,3) ")
@@ -260,4 +267,92 @@ class TestPdTieBreak:
             assert alexander_polynomial(new).text == \
                 alexander_polynomial(braid_closure(word)).text, word
         assert rejected >= 15
+        assert time.process_time() - started < 10
+
+
+def _mutated(rng, crossings):
+    """The crossings after one edit that keeps every label used twice:
+    over edges swapped, a tuple rotated or mirrored, or the labels
+    permuted, two of them swapped, or all shifted."""
+    xs = [list(x) for x in crossings]
+    i, kind = rng.randrange(len(xs)), rng.randrange(6)
+    if kind == 0:
+        xs[i][1], xs[i][3] = xs[i][3], xs[i][1]
+    elif kind == 1:
+        r = rng.randint(1, 3)
+        xs[i] = xs[i][r:] + xs[i][:r]
+    elif kind == 2:
+        xs[i].reverse()
+    else:
+        relabel = list(range(1, 2 * len(xs) + 1))
+        if kind == 3:
+            rng.shuffle(relabel)
+        elif kind == 4:
+            u, v = rng.sample(range(len(relabel)), 2)
+            relabel[u], relabel[v] = relabel[v], relabel[u]
+        else:
+            k = rng.randrange(len(relabel))
+            relabel = relabel[k:] + relabel[:k]
+        xs = [[relabel[e - 1] for e in x] for x in xs]
+    return tuple(map(tuple, xs))
+
+
+class TestAgainstPropagation:
+    """pd_diagram reads each direction from the labels; the head/tail
+    propagation with its stalled tie-break, which it replaced, must
+    accept the same codes and give the same diagrams."""
+
+    @staticmethod
+    def agree(codes):
+        from pipeline_reference import propagation_pd_diagram
+        accepted = rejected = 0
+        for crossings in codes:
+            pd = PDCode(crossings)
+            try:
+                old = propagation_pd_diagram(pd)
+            except DiagramError:
+                with pytest.raises(DiagramError):
+                    pd_diagram(pd)
+                rejected += 1
+            else:
+                assert pd_diagram(pd) == old, crossings
+                accepted += 1
+        return accepted, rejected
+
+    @staticmethod
+    def twins(rng, count):
+        from helpers import braid_to_pd
+        out = []
+        while len(out) < count:
+            n = rng.randint(2, 12)
+            word = BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
+                                      for _ in range(rng.randint(1, 24))))
+            pd = braid_to_pd(word)
+            if pd is not None:
+                out.append(pd.crossings)
+        return out
+
+    def test_bundled(self):
+        from ribboncheck.tables import knot_table, link_table
+        codes = [parse_pd(spec[3:]).crossings
+                 for _, spec in knot_table() + link_table()
+                 if spec.startswith("pd:")]
+        assert self.agree(codes) == (29, 0)
+
+    def test_twins_mutated_and_random_pairings(self):
+        import time
+        started = time.process_time()
+        rng = random.Random(2205)
+        twins = self.twins(rng, 2000)
+        assert self.agree(twins) == (2000, 0)
+        accepted, rejected = self.agree(_mutated(rng, x) for x in twins)
+        assert accepted >= 500 and rejected >= 500
+        pairings = []
+        for _ in range(4000):
+            labels = [e for e in range(1, 2 * rng.randint(1, 8) + 1)
+                      for _ in range(2)]
+            rng.shuffle(labels)
+            pairings.append(tuple(zip(*[iter(labels)] * 4)))
+        accepted, rejected = self.agree(pairings)
+        assert accepted >= 300 and rejected >= 2000
         assert time.process_time() - started < 10

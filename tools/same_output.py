@@ -30,7 +30,11 @@ standard output and standard error captured.  The corpus:
 - `compute --json` on SLOW_SHORTCUT and SHORTCUT_CLOSURES, braid
   closures of 3 to 6 components whose one block is square and spans two
   or more components, so that the left kernel certificate's order
-  divides its minor by a weight t_c - 1.
+  divides its minor by a weight t_c - 1;
+- `compute --json` on the PD twin (tests/helpers.py's braid_to_pd) of
+  every closure in the last two items that has one, 35 of them: PD
+  codes of up to 8 components, which take module_rank and the row side
+  where their braids take the certificate.
 
 Each command's exit code, stdout and stderr are compared, with each
 tree's own path replaced by "<tree>".  The exit code is 0 when every
@@ -49,9 +53,20 @@ from itertools import zip_longest
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-_spec = importlib.util.spec_from_file_location("ab_bench", HERE / "ab_bench.py")
-ab_bench = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(ab_bench)
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ab_bench = _load("ab_bench", HERE / "ab_bench.py")
+# the tests' braid -> PD converter, which imports ribboncheck from src/
+sys.path.insert(0, str(HERE.parent / "src"))
+helpers = _load("helpers", HERE.parent / "tests" / "helpers.py")
+from ribboncheck.linkcodec import parse_braid  # noqa: E402
 
 COVERS = [str(k) for k in range(2, 13)]
 KNOT_COVERS = [str(k) for k in range(13, 20)]
@@ -198,10 +213,19 @@ def corpus(tree, seeds):
     commands += [["batch", table, "--pairs"] for table in TABLES]
     files["duplicates.csv"] = DUPLICATES_CSV
     commands.append(["batch", "duplicates.csv", "--pairs"])
-    commands += [["compute", "--json", spec] for spec in
-                 FALLBACK_CLOSURES + SPARE_ROW_CLOSURES + CENSUS_FALLBACKS
-                 + (SLOW_SHORTCUT,) + SHORTCUT_CLOSURES]
+    closures = (FALLBACK_CLOSURES + SPARE_ROW_CLOSURES + CENSUS_FALLBACKS
+                + (SLOW_SHORTCUT,) + SHORTCUT_CLOSURES)
+    commands += [["compute", "--json", spec]
+                 for spec in closures + pd_twins(closures)]
     return commands, files
+
+
+def pd_twins(specs):
+    """The PD twin of each braid closure that has one, as a spec."""
+    twins = (helpers.braid_to_pd(parse_braid(spec[len("braid:"):]))
+             for spec in specs)
+    return tuple("pd:" + ";".join("X(%d,%d,%d,%d)" % x for x in pd.crossings)
+                 for pd in twins if pd is not None)
 
 
 def run_side(tree, commands):
