@@ -50,10 +50,12 @@ class DiagramError(ValueError):
 
 @dataclass(frozen=True)
 class PDCode:
-    """PD crossing tuples whose edge labels are 1..2c, each used twice."""
+    """PD crossing 4-tuples whose edge labels are 1..2c, each used twice."""
     crossings: Tuple[Tuple[int, int, int, int], ...]
 
     def __post_init__(self):
+        if any(len(tup) != 4 for tup in self.crossings):
+            raise DiagramError("crossing tuples must have 4 entries")
         counts = {}
         for tup in self.crossings:
             for v in tup:

@@ -32,10 +32,11 @@ class TestParsePD:
             parse_pd("X(1,4,2,5);X(3,7,4,1);X(5,2,7,3)")
 
     @pytest.mark.parametrize("crossings", [((1, 3, 2, 4), (2, 4, 1, 5)),
-                                           ((0, 1, 0, 1),), ((1, 1, 1, 1),)])
-    def test_hand_built_labels_checked(self, crossings):
-        # the label checks live in PDCode, not only in parse_pd
-        with pytest.raises(DiagramError, match="edge labels"):
+                                           ((0, 1, 0, 1),), ((1, 1, 1, 1),),
+                                           ((1, 2, 3, 4, 1), (2, 3, 4))])
+    def test_hand_built_code_checked(self, crossings):
+        # the checks live in PDCode, not only in parse_pd
+        with pytest.raises(DiagramError):
             pd_diagram(PDCode(crossings))
 
     def test_whitespace_insensitive(self):
