@@ -124,6 +124,19 @@ def test_shortcut_closures_reach_the_kernel_certificate(same_output,
     assert calls == []
 
 
+def test_pd_twins_of_the_closures(same_output):
+    from ribboncheck.linkcodec import parse_link_spec
+    closures = (same_output.FALLBACK_CLOSURES + same_output.SPARE_ROW_CLOSURES
+                + same_output.CENSUS_FALLBACKS + (same_output.SLOW_SHORTCUT,)
+                + same_output.SHORTCUT_CLOSURES)
+    kept = [spec for spec in closures if same_output.pd_twins((spec,))]
+    twins = same_output.pd_twins(closures)
+    assert (len(closures), len(twins)) == (37, 35)
+    for spec, twin in zip(kept, twins):
+        assert parse_link_spec(twin).num_components == \
+            parse_link_spec(spec).num_components, spec
+
+
 def test_duplicates_csv_repeats_polynomials(same_output, tmp_path, capsys):
     from ribboncheck import cli
     path = tmp_path / "duplicates.csv"
