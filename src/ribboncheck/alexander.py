@@ -62,7 +62,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 from typing import Tuple
 
 from . import laurent
@@ -71,6 +71,19 @@ from .laurent import (ComputationError, LaurentPoly, canonical,
 from .foxcalc import AlexanderPresentation, jacobian
 from .wirtinger import wirtinger_presentation
 
+
+# the integer points at which each polynomial is evaluated once for
+# obstruct's screen: the k-th point gives t_i the value
+# SCREEN_POINTS[(k + i) % 6], so a knot's points are these integers, t =
+# -1 among them.  Over the distinct polynomials of the bundled tables,
+# perfbench's table_pairs CSV, tools/same_output.py's closures and 600
+# random closures of 2-5 strands and 4-12 letters, t = -3 alone shows
+# every one of the 1,218 ordered knot pairs that do not divide, and the
+# six points every one of the 1,706 such pairs of 2-5 component links.
+SCREEN_POINTS = (-3, -1, 2, 5, -2, 3)
+# the point of the one-point gcd test, past the roots of every
+# polynomial whose coefficients are below 2^31 in absolute value
+XI = 2 ** 32
 
 # most r x r minors evaluated on one reduced block besides its rank
 # certificate's: the row side's C(R,r) - 1 (none on a kernel
@@ -105,6 +118,30 @@ class AlexanderPolynomial:
     def json_text(self):
         """The text as a JSON string, encoded once."""
         return json.dumps(self.text)
+
+    @cached_property
+    def point_values(self):
+        """
+        The value at each of the SCREEN_POINTS, in their order.  The
+        canonical form is a polynomial in Z[t1..tm] that no variable
+        divides, so every value is an integer.
+        """
+        n = len(SCREEN_POINTS)
+        return tuple(self.value.evaluate(tuple(
+            SCREEN_POINTS[(k + i) % n] for i in range(self.nvars)))
+            for k in range(n))
+
+    @cached_property
+    def xi_value(self):
+        """
+        In one variable: the value at t = XI, the content and the largest
+        |coefficient|, for obstruct's one-point gcd test; else None.
+        """
+        if self.nvars != 1:
+            return None
+        coeffs = self.value.terms.values()
+        return (self.value.evaluate((XI,)), gcd(*coeffs),
+                max(map(abs, coeffs)))
 
     def __str__(self):
         return self.text

@@ -37,7 +37,7 @@ import sys
 from .linkcodec import (DiagramError, ParseError, parse_link_spec,
                         spec_size)
 from .alexander import ComputationError, alexander_polynomial
-from .obstruct import (REPORT_JSON, component_mismatch,
+from .obstruct import (LINE_JSON, component_mismatch,
                        obstruction_from_polynomials)
 from .oracles import (cyclic_cover_check, reidemeister_schreier, torres_check)
 from .wirtinger import wirtinger_presentation
@@ -108,10 +108,10 @@ def cmd_compute(args):
     return EXIT_OK
 
 
-# the other pair lines, from JSON texts encoded once like REPORT_JSON's
-_MISMATCH_JSON = ('{"direction": [%s, %s], "verdict": "component_mismatch", '
-                  '"reason": %s}')
-_ERROR_JSON = '{"direction": [%s, %s], "error": {"kind": "%s", "message": %s}}'
+# the tails of the other pair lines (see obstruct.LINE_JSON), from JSON
+# texts encoded once like a report's
+_MISMATCH_TAIL = '"verdict": "component_mismatch", "reason": %s'
+_ERROR_TAIL = '"error": {"kind": "%s", "message": %s}'
 
 
 def cmd_obstruct(args):
@@ -125,9 +125,9 @@ def cmd_obstruct(args):
     for names in directions:
         reason = component_mismatch(deltas[names[0]], deltas[names[1]])
         if reason:
-            print(_MISMATCH_JSON % (json.dumps(names[0]), json.dumps(names[1]),
-                                    json.dumps(reason)) if args.json
-                  else "component mismatch: %s" % reason)
+            print(LINE_JSON % (json.dumps(names[0]), json.dumps(names[1]),
+                               _MISMATCH_TAIL % json.dumps(reason))
+                  if args.json else "component mismatch: %s" % reason)
             continue
         report = obstruction_from_polynomials(
             deltas[names[0]], deltas[names[1]], names=names, shared=shared)
@@ -200,46 +200,56 @@ def cmd_batch(args):
 
 def _pair_lines(rows, deltas, kinds):
     """
-    Each row's --pairs lines, as one text a row.  Rows with equal
-    polynomials share their pair work: every pair of the same two values
-    passes one shared memo, and its quotient and gcd are encoded once.
+    Each row's --pairs lines, as one text a row.  A line is its direction
+    and a tail (obstruct.LINE_JSON), and rows with equal polynomials
+    share their tails: each ordered pair of distinct polynomial values
+    is decided by one obstruction_from_polynomials call and encoded
+    once, each pair of component counts once, and each pair that an
+    operand's error decides once.
     """
-    # per row: its name, as JSON too, its polynomial, the kind of its
-    # error, and the index of the first row of an equal polynomial
+    # per row: its name, as JSON too, its polynomial and its key, the
+    # kind of its error or the index of the first row of an equal
+    # polynomial
     first = {}
-    table = [(name, json.dumps(name), delta, kind,
-              delta and first.setdefault((delta.nvars, delta.text), i))
+    table = [(name, json.dumps(name), delta,
+              kind or first.setdefault((delta.nvars, delta.text), i))
              for i, ((name, _), delta, kind)
              in enumerate(zip(rows, deltas, kinds))]
-    shared, witnesses, reasons = {}, {}, {}
-    for name_j, text_j, dj, kind_j, a in table:
+    tails, shared, reasons = {}, {}, {}
+    for row_j in table:
+        row_tails = tails.setdefault(row_j[3], {})
         lines = []
-        for name_l, text_l, dl, kind_l, b in table:
-            failed = kind_j or kind_l
-            if failed:
-                lines.append(_ERROR_JSON % (text_j, text_l, failed,
-                                            json.dumps(_OPERAND_ERRORS[failed])))
-                continue
-            if dj.nvars != dl.nvars:
-                key = dj.nvars, dl.nvars
-                if key not in reasons:
-                    reasons[key] = json.dumps(component_mismatch(dj, dl))
-                lines.append(_MISMATCH_JSON % (text_j, text_l, reasons[key]))
-                continue
-            try:
-                report = obstruction_from_polynomials(
-                    dj, dl, names=(name_j, name_l),
-                    shared=shared.setdefault((a, b) if a < b else (b, a), {}))
-            except ComputationError as exc:
-                lines.append(_ERROR_JSON % (text_j, text_l, "compute",
-                                            json.dumps(str(exc))))
-                continue
-            if (a, b) not in witnesses:
-                witnesses[a, b] = report.witness_json()
-            lines.append(REPORT_JSON % (text_j, text_l, dj.json_text,
-                                        dl.json_text, report.verdict,
-                                        *witnesses[a, b]))
+        for row_l in table:
+            tail = row_tails.get(row_l[3])
+            if tail is None:
+                tail = row_tails[row_l[3]] = _pair_tail(row_j, row_l, shared,
+                                                        reasons)
+            lines.append(LINE_JSON % (row_j[1], row_l[1], tail))
         yield "\n".join(lines) + "\n"
+
+
+def _pair_tail(row_j, row_l, shared, reasons):
+    """
+    The tail of the pair lines of two rows of _pair_lines' table.  Both
+    directions of two values pass one shared memo; reasons holds the
+    mismatch reason of each pair of component counts, as JSON.
+    """
+    (name_j, _, dj, a), (name_l, _, dl, b) = row_j, row_l
+    failed = a if dj is None else b if dl is None else None
+    if failed:
+        return _ERROR_TAIL % (failed, json.dumps(_OPERAND_ERRORS[failed]))
+    if dj.nvars != dl.nvars:
+        key = dj.nvars, dl.nvars
+        if key not in reasons:
+            reasons[key] = json.dumps(component_mismatch(dj, dl))
+        return _MISMATCH_TAIL % reasons[key]
+    try:
+        return obstruction_from_polynomials(
+            dj, dl, names=(name_j, name_l),
+            shared=shared.setdefault((a, b) if a < b else (b, a), {})
+        ).tail_json()
+    except ComputationError as exc:
+        return _ERROR_TAIL % ("compute", json.dumps(str(exc)))
 
 
 def cmd_validate(args):

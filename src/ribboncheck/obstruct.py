@@ -16,11 +16,12 @@ silently folded into a verdict.
 
 import json
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional, Tuple
 
 from . import laurent
 from .laurent import LaurentPoly, exact_divide
-from .alexander import (AlexanderPolynomial, ComputationError,
+from .alexander import (XI, AlexanderPolynomial, ComputationError,
                         alexander_polynomial)
 
 
@@ -31,10 +32,15 @@ class ComponentMismatch(ValueError):
 OBSTRUCTED = "obstructed"
 NOT_OBSTRUCTED = "not_obstructed"
 
-# a report as one JSON line, filled in from JSON texts by to_json and by
-# batch --pairs (the verdict is plain text that needs no escape)
-REPORT_JSON = ('{"direction": [%s, %s], "deltaJ": %s, "deltaL": %s, '
-               '"verdict": "%s", "quotient": %s, "gcd": %s}')
+# the gcd that _coprime proves, shared: a LaurentPoly is never mutated
+_ONE = LaurentPoly.one(1)
+
+# a pair's JSON line: its direction, then the rest, its tail; a
+# report's tail is filled in from JSON texts by to_json and by batch
+# --pairs (the verdict is plain text that needs no escape)
+LINE_JSON = '{"direction": [%s, %s], %s}'
+REPORT_TAIL = ('"deltaJ": %s, "deltaL": %s, "verdict": "%s", '
+               '"quotient": %s, "gcd": %s')
 
 
 @dataclass(frozen=True)
@@ -67,12 +73,15 @@ class ObstructionReport:
                 self.delta_j.json_text if g == self.delta_j.value else
                 json.dumps(laurent.poly_to_str(g)))
 
+    def tail_json(self):
+        """The JSON line's text after the direction, see LINE_JSON."""
+        return REPORT_TAIL % (self.delta_j.json_text, self.delta_l.json_text,
+                              self.verdict, *self.witness_json())
+
     def to_json(self):
         """json.dumps(self.to_dict()), from the polynomials' encoded texts."""
-        return REPORT_JSON % (
-            json.dumps(self.direction[0]), json.dumps(self.direction[1]),
-            self.delta_j.json_text, self.delta_l.json_text, self.verdict,
-            *self.witness_json())
+        return LINE_JSON % (json.dumps(self.direction[0]),
+                            json.dumps(self.direction[1]), self.tail_json())
 
     def summary(self):
         if self.verdict == OBSTRUCTED:
@@ -108,24 +117,27 @@ def obstruction_from_polynomials(delta_j, delta_l, names=("J", "L"),
     Apply the divisibility test to polynomials already computed.
 
     The division comes first; when Delta_L divides Delta_J the gcd is
-    Delta_L itself.  Without shared a call takes that one division, and
-    the gcd when it does not divide.  shared, when given, is one dict
-    that every call on the same two polynomial values passes, in either
-    order and any number of times.  It keeps each direction's quotient,
-    under its dividend's text, and the gcd, under "gcd" (no polynomial's
-    text).  To know whether a gcd is needed, the first direction that
-    does not divide divides the other way too.  So two values take at
-    most one division per direction, whatever the order of the calls,
-    and a gcd only when neither divides the other.  Every call that
-    divides checks its quotient.
+    Delta_L itself.  Without shared a call takes at most that one
+    division, and the gcd when it does not divide.  shared, when given,
+    is one dict that every call on the same two polynomial values
+    passes, in either order and any number of times.  It keeps each
+    direction's quotient, under its dividend's text, and the gcd, under
+    "gcd" (no polynomial's text).  To know whether a gcd is needed, the
+    first direction that does not divide divides the other way too.  So
+    two values take at most one division per direction, whatever the
+    order of the calls, and a gcd only when neither divides the other.
+    Every call that divides checks its quotient.
+
+    Integers decide most of this (see _screened and _coprime): a
+    division is skipped where a point of the screen shows that it
+    fails, and the gcd is 1 without laurent.gcd where one GCDHEU point
+    proves it.  Every other case divides or takes the gcd as above.
     """
     reason = component_mismatch(delta_j, delta_l)
     if reason:
         raise ComponentMismatch(reason)
     memo = {} if shared is None else shared
-    if delta_j.text not in memo:
-        memo[delta_j.text] = exact_divide(delta_j.value, delta_l.value)
-    quotient = memo[delta_j.text]
+    quotient = _quotient(delta_j, delta_l, memo)
     if quotient is not None:
         if delta_l.value * quotient != delta_j.value:
             raise ComputationError("division witness failed verification")
@@ -133,13 +145,54 @@ def obstruction_from_polynomials(delta_j, delta_l, names=("J", "L"),
     else:
         verdict, g = OBSTRUCTED, memo.get("gcd")
         if g is None:
-            if shared is not None and delta_l.text not in memo:
-                memo[delta_l.text] = exact_divide(delta_l.value, delta_j.value)
             g = memo["gcd"] = (
-                delta_j.value if memo.get(delta_l.text) is not None
+                delta_j.value if shared is not None
+                and _quotient(delta_l, delta_j, memo) is not None
+                else _ONE if _coprime(delta_j, delta_l)
                 else laurent.gcd(delta_j.value, delta_l.value))
     return ObstructionReport(tuple(names), delta_j, delta_l, verdict,
                              quotient, g)
+
+
+def _quotient(delta_j, delta_l, memo):
+    """Delta_J / Delta_L or None, kept in memo under Delta_J's text."""
+    if delta_j.text not in memo:
+        memo[delta_j.text] = (None if _screened(delta_j, delta_l) else
+                              exact_divide(delta_j.value, delta_l.value))
+    return memo[delta_j.text]
+
+
+def _screened(delta_j, delta_l):
+    """
+    Whether a point of the screen (alexander.SCREEN_POINTS) shows that
+    Delta_L does not divide Delta_J.  Canonical forms are polynomials P
+    in Z[t1..tm] that no variable divides.  If Delta_L divides Delta_J,
+    then P_J = t^e * P_L * Q with Q a polynomial that no variable
+    divides.  Z[t1..tm] is a UFD (Gauss's lemma) in which each t_i is
+    prime, so no t_i divides P_L * Q either, and e = 0: P_J = P_L * Q.
+    Then P_L(a) divides P_J(a) at every integer point a, and one point
+    where it does not (P_L(a) = 0 != P_J(a) included) proves that
+    Delta_L does not divide Delta_J.
+    """
+    for x, y in zip(delta_l.point_values, delta_j.point_values):
+        if y % x if x else y:
+            return True
+    return False
+
+
+def _coprime(delta_j, delta_l):
+    """
+    Whether one GCDHEU point proves that the gcd of two one-variable
+    polynomials is 1: both primitive, XI >= 2B + 2 with B the smaller of
+    their largest |coefficients|, and gcd(P_J(XI), P_L(XI)) <= XI / 2.
+    This is _gcd_heu_dense's acceptance of G = that integer, whose
+    primitive part 1 divides both (proof at laurent._gcd_poly).
+    """
+    if delta_j.nvars != 1:
+        return False
+    (vj, cj, bj), (vl, cl, bl) = delta_j.xi_value, delta_l.xi_value
+    return (cj == cl == 1 and XI >= 2 * min(bj, bl) + 2
+            and gcd(vj, vl) <= XI // 2)
 
 
 def coprimality_report(diagram_j, diagram_l):

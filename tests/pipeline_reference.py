@@ -26,6 +26,12 @@ unchanged as the reference the current code is tested against.
   --pairs shared its work by polynomial value: a memo for each unordered
   pair of distinct rows, none on the diagonal, and each line a
   json.dumps of its record, a report's being json.dumps(to_dict()).
+- memo_obstruction_from_polynomials and memo_pair_lines,
+  obstruction_from_polynomials and cli._pair_lines as they were before
+  the integer screen: a division for every ordered pair of distinct
+  polynomial values and laurent.gcd wherever neither divides the other,
+  each shared through one memo per unordered pair of values, and a line
+  format of its own for a report, a mismatch and an error.
 - two_phase_smith_normal_form, the cover oracle's Smith form as it was
   before one sparse loop did all of it: elimination at +-1 pivots on
   sparse rows, then _dense_diagonal on a dense copy of the core left,
@@ -530,6 +536,100 @@ def cmd_batch(args):
                     continue
                 print(json.dumps(report.to_dict()))
     return cli.EXIT_OK
+
+
+# the pair lines of memo_pair_lines and the reports of
+# memo_obstruction_from_polynomials, as JSON templates
+REPORT_JSON = ('{"direction": [%s, %s], "deltaJ": %s, "deltaL": %s, '
+               '"verdict": "%s", "quotient": %s, "gcd": %s}')
+_MISMATCH_JSON = ('{"direction": [%s, %s], "verdict": "component_mismatch", '
+                  '"reason": %s}')
+_ERROR_JSON = '{"direction": [%s, %s], "error": {"kind": "%s", "message": %s}}'
+_OPERAND_ERRORS = cli._OPERAND_ERRORS
+
+
+def memo_obstruction_from_polynomials(delta_j, delta_l, names=("J", "L"),
+                                      shared=None):
+    """
+    Apply the divisibility test to polynomials already computed.
+
+    The division comes first; when Delta_L divides Delta_J the gcd is
+    Delta_L itself.  Without shared a call takes that one division, and
+    the gcd when it does not divide.  shared, when given, is one dict
+    that every call on the same two polynomial values passes, in either
+    order and any number of times.  It keeps each direction's quotient,
+    under its dividend's text, and the gcd, under "gcd" (no polynomial's
+    text).  To know whether a gcd is needed, the first direction that
+    does not divide divides the other way too.  So two values take at
+    most one division per direction, whatever the order of the calls,
+    and a gcd only when neither divides the other.  Every call that
+    divides checks its quotient.
+    """
+    reason = component_mismatch(delta_j, delta_l)
+    if reason:
+        raise ComponentMismatch(reason)
+    memo = {} if shared is None else shared
+    if delta_j.text not in memo:
+        memo[delta_j.text] = exact_divide(delta_j.value, delta_l.value)
+    quotient = memo[delta_j.text]
+    if quotient is not None:
+        if delta_l.value * quotient != delta_j.value:
+            raise ComputationError("division witness failed verification")
+        verdict, g = NOT_OBSTRUCTED, delta_l.value  # canonical already
+    else:
+        verdict, g = OBSTRUCTED, memo.get("gcd")
+        if g is None:
+            if shared is not None and delta_l.text not in memo:
+                memo[delta_l.text] = exact_divide(delta_l.value, delta_j.value)
+            g = memo["gcd"] = (
+                delta_j.value if memo.get(delta_l.text) is not None
+                else laurent.gcd(delta_j.value, delta_l.value))
+    return ObstructionReport(tuple(names), delta_j, delta_l, verdict,
+                             quotient, g)
+
+
+def memo_pair_lines(rows, deltas, kinds):
+    """
+    Each row's --pairs lines, as one text a row.  Rows with equal
+    polynomials share their pair work: every pair of the same two values
+    passes one shared memo, and its quotient and gcd are encoded once.
+    """
+    # per row: its name, as JSON too, its polynomial, the kind of its
+    # error, and the index of the first row of an equal polynomial
+    first = {}
+    table = [(name, json.dumps(name), delta, kind,
+              delta and first.setdefault((delta.nvars, delta.text), i))
+             for i, ((name, _), delta, kind)
+             in enumerate(zip(rows, deltas, kinds))]
+    shared, witnesses, reasons = {}, {}, {}
+    for name_j, text_j, dj, kind_j, a in table:
+        lines = []
+        for name_l, text_l, dl, kind_l, b in table:
+            failed = kind_j or kind_l
+            if failed:
+                lines.append(_ERROR_JSON % (text_j, text_l, failed,
+                                            json.dumps(_OPERAND_ERRORS[failed])))
+                continue
+            if dj.nvars != dl.nvars:
+                key = dj.nvars, dl.nvars
+                if key not in reasons:
+                    reasons[key] = json.dumps(component_mismatch(dj, dl))
+                lines.append(_MISMATCH_JSON % (text_j, text_l, reasons[key]))
+                continue
+            try:
+                report = memo_obstruction_from_polynomials(
+                    dj, dl, names=(name_j, name_l),
+                    shared=shared.setdefault((a, b) if a < b else (b, a), {}))
+            except ComputationError as exc:
+                lines.append(_ERROR_JSON % (text_j, text_l, "compute",
+                                            json.dumps(str(exc))))
+                continue
+            if (a, b) not in witnesses:
+                witnesses[a, b] = report.witness_json()
+            lines.append(REPORT_JSON % (text_j, text_l, dj.json_text,
+                                        dl.json_text, report.verdict,
+                                        *witnesses[a, b]))
+        yield "\n".join(lines) + "\n"
 
 
 def two_phase_smith_normal_form(matrix):

@@ -295,12 +295,16 @@ class TestSinglePass:
             self, monkeypatch, capsys):
         calls = self.count_torsion_calls(monkeypatch)
         gcds = self.record_gcd_calls(monkeypatch)
-        assert cli.main(["obstruct", "--both-directions", "braid:n=2:1 1 1",
-                         "braid:n=3:1 -2 1 -2"]) == 0
+        # 3_1 # 3_1 and 3_1 # 4_1
+        assert cli.main(["obstruct", "--both-directions",
+                         "braid:n=3:1 1 1 2 2 2",
+                         "braid:n=4:1 1 1 2 -3 2 -3"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
         assert len(calls) == 2
-        # neither divides the other: one gcd, reused for (L, J)
-        assert gcds == [("t^2 - t + 1", "t^2 - 3*t + 1")]
+        # neither divides the other and they share t^2 - t + 1: one gcd,
+        # reused for (L, J)
+        assert gcds == [("t^4 - 2*t^3 + 3*t^2 - 2*t + 1",
+                         "t^4 - 4*t^3 + 5*t^2 - 4*t + 1")]
 
     # 3_1, 3_1 # 4_1, 4_1, T(2,4), the Hopf link and T(2,6):
     # Delta(4_1) divides Delta(3_1 # 4_1), and so does Delta(3_1)
@@ -315,8 +319,9 @@ class TestSinglePass:
         original = obstruct.exact_divide
 
         def counted(a, b):
-            divisions.append(1)
-            return original(a, b)
+            quotient = original(a, b)
+            divisions.append(quotient is not None)
+            return quotient
 
         monkeypatch.setattr(obstruct, "exact_divide", counted)
         gcds = self.record_gcd_calls(monkeypatch)
@@ -333,24 +338,26 @@ class TestSinglePass:
                         for line in lines}
             assert verdicts[("sum", "fig8")] == "not_obstructed"
             assert verdicts[("fig8", "sum")] == "obstructed"
-            # One division per same-component ordered pair (3 knots
-            # squared, 3 two-component links squared).  No gcd where the
-            # components differ or either polynomial divides the other,
-            # also for (trefoil, sum) when met first in the direction that
-            # does not divide; the gcd of (J, L) serves (L, J).
-            assert len(divisions) == 18
-            assert set(map(frozenset, gcds)) == {
-                frozenset(["t^2 - t + 1", "t^2 - 3*t + 1"]),
-                frozenset(["t1*t2 + 1", "t1^2*t2^2 + t1*t2 + 1"])}
-            assert len(gcds) == 2
+            # A division only where no point of the screen shows that it
+            # fails: the 10 ordered pairs that divide (3 knots and 3
+            # two-component links with themselves, sum by trefoil and by
+            # fig8, t24 and t26 by hopf), also when (trefoil, sum) comes
+            # first and needs the other direction for its gcd.  A gcd
+            # only where the one-point test fails: not for trefoil and
+            # fig8, and once for t24 and t26, whose gcd of (J, L) serves
+            # (L, J).
+            assert divisions == [True] * 10
+            assert [frozenset(pair) for pair in gcds] == [
+                frozenset(["t1*t2 + 1", "t1^2*t2^2 + t1*t2 + 1"])]
 
     def count_divisions(self, monkeypatch):
         divisions = []
         original = obstruct.exact_divide
 
         def counted(a, b):
-            divisions.append(1)
-            return original(a, b)
+            quotient = original(a, b)
+            divisions.append(quotient is not None)
+            return quotient
 
         monkeypatch.setattr(obstruct, "exact_divide", counted)
         return divisions
@@ -383,9 +390,11 @@ class TestSinglePass:
                        capsys.readouterr().out.splitlines()[:len(order)]]
             assert len({(r["components"], r["alexander"])
                         for r in records}) == 6
-            work.append((len(divisions),
+            work.append((divisions[:],
                          sorted(tuple(sorted(pair)) for pair in gcds)))
-        assert work[0][0] == 18
+        # only the 10 divisions that divide, and one gcd (t24, t26)
+        assert work[0] == ([True] * 10,
+                           [("t1*t2 + 1", "t1^2*t2^2 + t1*t2 + 1")])
         assert work == [work[0]] * 4
 
     def test_batch_pairs_calls_obstruction_once_per_same_component_pair(
@@ -404,10 +413,16 @@ class TestSinglePass:
         lines = [json.loads(line) for line in
                  capsys.readouterr().out.splitlines()[11:]]
         assert len(lines) == 11 * 11
-        # 5 knots and 6 two-component links
-        assert len(calls) == 5 * 5 + 6 * 6
-        assert calls == [tuple(line["direction"]) for line in lines
-                         if line["verdict"] != "component_mismatch"]
+        # one call per ordered pair of distinct polynomial values, under
+        # the names of the first line that has it: 5 knots of 3 values
+        # and 6 two-component links of 3 values
+        assert len(calls) == 3 * 3 + 3 * 3
+        first = {}
+        for line in lines:
+            if line["verdict"] != "component_mismatch":
+                first.setdefault((line["deltaJ"], line["deltaL"]),
+                                 tuple(line["direction"]))
+        assert calls == list(first.values())
 
     def test_batch_pairs_converts_each_knot_delta_once(
             self, tmp_path, monkeypatch, capsys):

@@ -216,9 +216,10 @@ class TestSublink:
 
 
 class TestPdTieBreak:
-    """pd_diagram's stalled propagation reads the over edges b, d as
-    d -> b where b = d + 1, except on a two-edge component, against the
-    label-successor rule it replaced, which rejected such valid codes."""
+    """pd_diagram's label rule, which runs every strand x -> x + 1 (or
+    hi -> lo) along its component's run of labels, so that the over edges
+    b, d run d -> b where b = d + 1, against the label-successor rule
+    that read them b -> d and rejected such valid codes."""
 
     UNLINK_PD = "pd:X(1,6,2,5);X(2,6,3,7);X(3,8,4,7);X(4,8,1,5)"
 

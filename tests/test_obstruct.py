@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from ribboncheck import laurent, obstruct
-from ribboncheck.alexander import alexander_polynomial
+import pipeline_reference as reference
+from ribboncheck import cli, laurent, obstruct
+from ribboncheck.alexander import (SCREEN_POINTS, XI, AlexanderPolynomial,
+                                   alexander_polynomial)
 from ribboncheck.laurent import LaurentPoly, canonical, parse_poly
 from ribboncheck.linkcodec import braid_closure, connected_sum, parse_braid, \
     parse_link_spec
@@ -149,8 +151,27 @@ class TestReportShape:
         assert report.quotient is None
 
 
+def poly(expr, nvars=1):
+    """The value of a Python expression in t (or t1, t2, ...), ^ for **."""
+    names = ({"t": LaurentPoly.variable(0, 1)} if nvars == 1 else
+             {"t%d" % (i + 1): LaurentPoly.variable(i, nvars)
+              for i in range(nvars)})
+    value = eval(expr.replace("^", "**"), {}, names)
+    return (LaurentPoly.constant(value, nvars) if isinstance(value, int)
+            else value)
+
+
+def delta_of(expr, nvars=1):
+    """A hand-built AlexanderPolynomial: the canonical form of expr."""
+    return AlexanderPolynomial(canonical(poly(expr, nvars)), nvars)
+
+
 class TestSharedMemo:
-    """One shared dict for any number of calls on the same two values."""
+    """
+    One shared dict for any number of calls on the same two values.  A
+    division runs only where no point of the screen shows that it fails,
+    and a gcd only where the one-point test does not prove it 1.
+    """
 
     def count_work(self, monkeypatch):
         work = {"divide": 0, "gcd": 0}
@@ -167,10 +188,15 @@ class TestSharedMemo:
         return work
 
     @pytest.mark.parametrize("specs, divisions, gcds", [
-        (("braid:n=2:1 1 1", "braid:n=3:1 -2 1 -2"), 2, 1),  # coprime
-        (("braid:n=4:1 1 1 2 -3 2 -3", "braid:n=2:1 1 1"), 2, 0),  # divides
+        # coprime: a point shows each direction, one point proves gcd 1
+        (("braid:n=2:1 1 1", "braid:n=3:1 -2 1 -2"), 0, 0),
+        # 3_1 divides 3_1 # 4_1; a point shows the other direction
+        (("braid:n=4:1 1 1 2 -3 2 -3", "braid:n=2:1 1 1"), 1, 0),
         (("braid:n=2:1 1 1", "pd:X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"), 1, 0),
-        (("braid:n=2:1 1 1 1", "braid:n=2:1 1 1 1 1 1"), 2, 1)])  # links
+        # links: no one-point gcd test at two variables
+        (("braid:n=2:1 1 1 1", "braid:n=2:1 1 1 1 1 1"), 0, 1),
+        # 3_1 # 3_1 and 3_1 # 4_1 share the factor t^2 - t + 1
+        (("braid:n=3:1 1 1 2 2 2", "braid:n=4:1 1 1 2 -3 2 -3"), 0, 1)])
     def test_one_division_per_direction_in_any_order(
             self, monkeypatch, specs, divisions, gcds):
         a, b = (alexander_polynomial(parse_link_spec(s)) for s in specs)
@@ -187,7 +213,197 @@ class TestSharedMemo:
             assert work == {"divide": divisions, "gcd": gcds}
 
     def test_without_shared_one_division_then_the_gcd(self, monkeypatch):
+        # Delta_J = Delta_L * (t + 1) + f * prod(t - a) over the screen's
+        # points, f = t^2 - t + 1 a factor of Delta_L = f * (t^2 - 3t + 1):
+        # no point shows that Delta_L does not divide, and the gcd is f
+        screen = "*".join("(t - (%d))" % a for a in SCREEN_POINTS)
+        delta_l = delta_of("(t^2 - t + 1)*(t^2 - 3*t + 1)")
+        delta_j = delta_of("(t^2 - t + 1)*((t^2 - 3*t + 1)*(t + 1) + %s)"
+                           % screen)
         work = self.count_work(monkeypatch)
-        a, b = (alexander_polynomial(braid_closure(w)) for w in (TREFOIL, FIG8))
-        assert obstruction_from_polynomials(a, b).verdict == OBSTRUCTED
+        report = obstruction_from_polynomials(delta_j, delta_l)
+        assert report.verdict == OBSTRUCTED
+        assert report.gcd_value == parse_poly("t^2 - t + 1", 1)
         assert work == {"divide": 1, "gcd": 1}
+
+
+def pair_outputs(named, kinds=None):
+    """
+    batch --pairs' pair lines of (name, AlexanderPolynomial or None) rows,
+    and the reference's, as two texts.
+    """
+    rows = [(name, "") for name, _ in named]
+    deltas = [delta for _, delta in named]
+    kinds = kinds or [None] * len(named)
+    return ("".join(cli._pair_lines(rows, deltas, kinds)),
+            "".join(reference.memo_pair_lines(rows, deltas, kinds)))
+
+
+def verdicts(text):
+    return {json.loads(line).get("verdict") for line in text.splitlines()}
+
+
+class TestScreenAgainstReference:
+    """
+    The integer screen and the one-point gcd test against the pair loop
+    they replaced (pipeline_reference.memo_pair_lines): the same bytes,
+    also where every point passes and the division still fails, where a
+    value is 0 at a point, and where the content is not 1.
+    """
+
+    def test_bundled_tables(self, bundled_knots, bundled_links):
+        for table in (bundled_knots, bundled_links):
+            new, old = pair_outputs([(name, alexander_polynomial(d))
+                                     for name, d in table])
+            assert new == old
+            assert verdicts(new) == {OBSTRUCTED, NOT_OBSTRUCTED}
+
+    def test_random_closures(self):
+        # 1-4 components; some rows repeat a polynomial
+        rng = random.Random(2301)
+        named = []
+        for i in range(60):
+            n = rng.randint(2, 5)
+            word = parse_braid("n=%d:" % n + " ".join(
+                str(rng.choice((1, -1)) * rng.randint(1, n - 1))
+                for _ in range(rng.randint(1, 12))))
+            named.append(("r%d" % i, alexander_polynomial(braid_closure(word))))
+        assert {d.nvars for _, d in named} >= {1, 2, 3, 4}
+        new, old = pair_outputs(named)
+        assert new == old
+        assert verdicts(new) == {OBSTRUCTED, NOT_OBSTRUCTED,
+                                 "component_mismatch"}
+
+    def test_pairs_that_pass_every_point_but_do_not_divide(self, monkeypatch):
+        # Delta_J = Delta_L * q + c * prod(t1 - a) over the screen's
+        # points: Delta_L(a) divides Delta_J(a) at each of them, so
+        # exact_divide must decide, and finds no quotient
+        screen = "*".join("(t1 - (%d))" % a for a in SCREEN_POINTS)
+        cases = [("t1^2 - t1 + 1", "t1 + 2", 1, 1),
+                 ("t1^2 - 3*t1 + 1", "1", -1, 1),
+                 ("2*t1^4 - 3*t1^3 + 3*t1^2 - 3*t1 + 2", "t1^2 + 1", 3, 1),
+                 ("t1*t2 + 1", "t2 + 1", 1, 2),
+                 ("t1^2*t2^2 + t1*t2 + 1", "t1 - 2", 2, 2),
+                 ("t1*t2*t3 + t1 + 1", "t3 + 3", 1, 3)]
+        divisions = []
+        original = obstruct.exact_divide
+
+        def recorded(p, d):
+            divisions.append((p, d))
+            return original(p, d)
+
+        monkeypatch.setattr(obstruct, "exact_divide", recorded)
+        for low, q, c, nvars in cases:
+            text = "(%s)*(%s) + (%d)*%s" % (low, q, c, screen)
+            if nvars == 1:
+                low, text = low.replace("t1", "t"), text.replace("t1", "t")
+            delta_l, delta_j = delta_of(low, nvars), delta_of(text, nvars)
+            # the canonical form is the polynomial itself, up to sign
+            assert delta_j.value in (poly(text, nvars), -poly(text, nvars))
+            assert not obstruct._screened(delta_j, delta_l)
+            del divisions[:]
+            new, old = pair_outputs([("J", delta_j), ("L", delta_l)])
+            assert new == old
+            line = json.loads(new.splitlines()[1])
+            assert line["direction"] == ["J", "L"]
+            assert line["verdict"] == OBSTRUCTED
+            assert (delta_j.value, delta_l.value) in divisions
+
+    def test_shared_factor_gcd_comes_from_laurent(self, monkeypatch):
+        # 3_1 # 3_1 and 3_1 # 4_1: neither divides, gcd t^2 - t + 1
+        gcds = []
+        original = laurent.gcd
+
+        def recorded(p, q):
+            gcds.append((str(p), str(q)))
+            return original(p, q)
+
+        monkeypatch.setattr(laurent, "gcd", recorded)
+        named = [(name, alexander_polynomial(parse_link_spec(spec)))
+                 for name, spec in (("granny", "braid:n=3:1 1 1 2 2 2"),
+                                    ("sum", "braid:n=4:1 1 1 2 -3 2 -3"),
+                                    ("trefoil", "braid:n=2:1 1 1"))]
+        new, old = pair_outputs(named)
+        assert new == old
+        lines = [json.loads(line) for line in new.splitlines()]
+        granny_sum = [line for line in lines
+                      if set(line["direction"]) == {"granny", "sum"}]
+        assert [line["gcd"] for line in granny_sum] == ["t^2 - t + 1"] * 2
+        # the reference's gcd, then the new code's, once
+        assert gcds == [("t^4 - 2*t^3 + 3*t^2 - 2*t + 1",
+                         "t^4 - 4*t^3 + 5*t^2 - 4*t + 1")] * 2
+
+    # content 2, values that vanish at a point of the screen (t = -3,
+    # t = 2, or all six), and their products with 3_1's and 4_1's
+    HAND_BUILT = ["2", "2*t^2 - 2*t + 2", "2*t^2 - 6*t + 2",
+                  "4*t^4 - 8*t^3 + 12*t^2 - 8*t + 4", "t^2 - t + 1",
+                  "t^2 - 3*t + 1", "t + 3", "(t + 3)*(t^2 - t + 1)",
+                  "(t + 3)*(t - 2)", "2*t - 4", "(t - 2)*(t^2 - 3*t + 1)",
+                  "*".join("(t - (%d))" % a for a in SCREEN_POINTS),
+                  "(t^2 - t + 1)*" + "*".join("(t - (%d))" % a
+                                              for a in SCREEN_POINTS),
+                  "1"]
+
+    def test_content_and_zeros_at_the_points(self):
+        named = [("p%d" % i, delta_of(text))
+                 for i, text in enumerate(self.HAND_BUILT)]
+        zero = [any(v == 0 for v in d.point_values) for _, d in named]
+        assert sum(zero) == 7
+        assert sum(d.xi_value[1] > 1 for _, d in named) == 5
+        new, old = pair_outputs(named)
+        assert new == old
+        lines = [json.loads(line) for line in new.splitlines()]
+        gcds = {line["gcd"] for line in lines}
+        assert {"2", "2*t^2 - 2*t + 2", "t + 3", "t - 2"} <= gcds
+
+    def test_two_variable_content_and_zeros(self):
+        texts = ["2*t1*t2 + 2", "t1*t2 + 1", "t1 + 3", "(t1 + 3)*(t1*t2 + 1)",
+                 "(t2 + 1)*(t1 - 2)", "2", "1"]
+        named = [("p%d" % i, delta_of(text, 2))
+                 for i, text in enumerate(texts)]
+        new, old = pair_outputs(named)
+        assert new == old
+        assert verdicts(new) == {OBSTRUCTED, NOT_OBSTRUCTED}
+
+    def test_operand_errors_and_mismatches(self):
+        named = [("knot", delta_of("t^2 - t + 1")), ("bad", None),
+                 ("link", delta_of("t1*t2 + 1", 2)), ("broken", None),
+                 ("knot again", delta_of("t^2 - t + 1")),
+                 ("fig8", delta_of("t^2 - 3*t + 1"))]
+        kinds = [None, "parse", None, "compute", None, None]
+        new, old = pair_outputs(named, kinds)
+        assert new == old
+        assert verdicts(new) == {OBSTRUCTED, NOT_OBSTRUCTED,
+                                 "component_mismatch", None}
+
+
+class TestIntegerValues:
+    def test_point_values_and_xi(self):
+        delta = delta_of("t^2 - 3*t + 1")
+        assert delta.point_values == tuple(a * a - 3 * a + 1
+                                           for a in SCREEN_POINTS)
+        assert delta.xi_value == (XI * XI - 3 * XI + 1, 1, 3)
+        # t = -1 is a point: the determinant of 4_1
+        assert abs(delta.point_values[SCREEN_POINTS.index(-1)]) == 5
+
+    def test_link_points_cycle_through_the_screen(self):
+        delta = delta_of("t1 - 2*t2 + 3*t3", 3)
+        n = len(SCREEN_POINTS)
+        assert delta.point_values == tuple(
+            SCREEN_POINTS[k] - 2 * SCREEN_POINTS[(k + 1) % n]
+            + 3 * SCREEN_POINTS[(k + 2) % n] for k in range(n))
+        assert delta.xi_value is None
+
+    def test_one_point_gcd_test(self):
+        trefoil, fig8 = delta_of("t^2 - t + 1"), delta_of("t^2 - 3*t + 1")
+        assert obstruct._coprime(trefoil, fig8)
+        # not primitive, or a common factor: the test does not apply
+        assert not obstruct._coprime(delta_of("2*t^2 - 2*t + 2"),
+                                     delta_of("2*t^2 - 6*t + 2"))
+        assert not obstruct._coprime(
+            trefoil, delta_of("(t^2 - t + 1)*(t^2 - 3*t + 1)"))
+        # coefficients past XI / 2: the root bound does not hold
+        big = delta_of("%d*t^2 + t + %d" % (XI, XI))
+        assert not obstruct._coprime(big, delta_of("%d*t + 1" % XI))
+        assert not obstruct._coprime(delta_of("t1 + 1", 2),
+                                     delta_of("t1*t2 + 1", 2))

@@ -150,3 +150,26 @@ def test_duplicates_csv_repeats_polynomials(same_output, tmp_path, capsys):
     assert [r["error"]["kind"] for r in records if "error" in r] == ["parse"]
     names = [r["name"] for r in records]
     assert sum(json.dumps(n) != '"%s"' % n for n in names) == 4
+
+
+def test_screen_pairs_csv(same_output, tmp_path, capsys):
+    from ribboncheck import cli
+    path = tmp_path / "screen_pairs.csv"
+    path.write_text(same_output.screen_pairs_csv(), encoding="utf-8")
+    assert cli.main(["batch", str(path), "--pairs"]) == 0
+    lines = [json.loads(line)
+             for line in capsys.readouterr().out.splitlines()]
+    records = [line for line in lines if "spec" in line]
+    assert len(records) == 4 + 12 + 12 + 19
+    counts = [r["components"] for r in records]
+    # same-count pairs of 3 to 6 components
+    assert {c for c in counts if counts.count(c) > 1} == {1, 3, 4, 5}
+    assert max(counts) == 6
+    # each shortcut closure and its PD twin: two diagrams of one polynomial
+    values = {r["name"]: r["alexander"] for r in records}
+    assert all(values["shortcut %d" % i] == values["twin %d" % i]
+               for i in range(1, 13))
+    pairs = {tuple(line["direction"]): line for line in lines
+             if "direction" in line}
+    assert pairs["3_1 # 3_1", "3_1 # 4_1"]["gcd"] == "t^2 - t + 1"
+    assert pairs["3_1 # 4_1", "4_1"]["verdict"] == "not_obstructed"

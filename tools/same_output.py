@@ -23,6 +23,11 @@ standard output and standard error captured.  The corpus:
 - `batch --pairs` on both bundled tables, and on DUPLICATES_CSV, whose
   rows repeat polynomials and which holds a row that does not parse
   and names that JSON escapes;
+- `batch --pairs` on screen_pairs_csv(): SHORTCUT_CLOSURES with the PD
+  twin of each (two diagrams of one polynomial) and FALLBACK_CLOSURES,
+  so that obstruct's integer screen is compared on 3 to 6 variables,
+  and SCREEN_ROWS, connected sums whose gcd is neither 1 nor either
+  polynomial;
 - `compute --json` on FALLBACK_CLOSURES, SPARE_ROW_CLOSURES and
   CENSUS_FALLBACKS, the only commands with a reduced block that has two
   or more spare rows or is not diagram-shaped: every other block above
@@ -44,6 +49,7 @@ command agrees, and 1 after naming the first command that does not.
 import argparse
 import csv
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -159,6 +165,12 @@ DUPLICATES_CSV = (
     'T26,braid:n=2:1 1 1 1 1 1\n'
     'sum,braid:n=4:1 1 1 2 -3 2 -3\n')
 
+# 3_1 # 3_1 and 3_1 # 4_1, which share the factor t^2 - t + 1, and the
+# 3_1 and 4_1 that divide them
+SCREEN_ROWS = (("3_1 # 3_1", "braid:n=3:1 1 1 2 2 2"),
+               ("3_1 # 4_1", "braid:n=4:1 1 1 2 -3 2 -3"),
+               ("3_1", "braid:n=2:1 1 1"), ("4_1", "braid:n=3:1 -2 1 -2"))
+
 # runs in the child: argv lists on stdin, [exit, stdout, stderr] lists out
 CHILD = r"""
 import contextlib, io, json, sys
@@ -212,12 +224,31 @@ def corpus(tree, seeds):
         sys.path.remove(str(tree / "perfbench"))
     commands += [["batch", table, "--pairs"] for table in TABLES]
     files["duplicates.csv"] = DUPLICATES_CSV
-    commands.append(["batch", "duplicates.csv", "--pairs"])
+    files["screen_pairs.csv"] = screen_pairs_csv()
+    commands += [["batch", name, "--pairs"]
+                 for name in ("duplicates.csv", "screen_pairs.csv")]
     closures = (FALLBACK_CLOSURES + SPARE_ROW_CLOSURES + CENSUS_FALLBACKS
                 + (SLOW_SHORTCUT,) + SHORTCUT_CLOSURES)
     commands += [["compute", "--json", spec]
                  for spec in closures + pd_twins(closures)]
     return commands, files
+
+
+def screen_pairs_csv():
+    """
+    The batch CSV of SCREEN_ROWS, SHORTCUT_CLOSURES, their PD twins and
+    FALLBACK_CLOSURES.
+    """
+    rows = (SCREEN_ROWS
+            + tuple(("shortcut %d" % i, spec)
+                    for i, spec in enumerate(SHORTCUT_CLOSURES, 1))
+            + tuple(("twin %d" % i, spec)
+                    for i, spec in enumerate(pd_twins(SHORTCUT_CLOSURES), 1))
+            + tuple(("fallback %d" % i, spec)
+                    for i, spec in enumerate(FALLBACK_CLOSURES, 1)))
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows((("name", "spec"),) + rows)
+    return out.getvalue()
 
 
 def pd_twins(specs):
