@@ -48,9 +48,11 @@ is lower.  The y_p being units, c alone is the row side.
 All other elimination is fraction-free (Bareiss) and goes through one
 routine, _eliminate, which both module_rank and determinant call: every
 division performed is exact in the Laurent ring, so no rational-function
-arithmetic is needed.  Each update of either elimination, x - f*g at a
-unit pivot and the Bareiss numerator a*b - c*d, is one laurent.mul_add
-call, which builds no intermediate polynomial.
+arithmetic is needed.  Each Bareiss update, the numerator a*b - c*d,
+is one laurent.mul_add call, which builds no intermediate polynomial.
+The unit-pivot reduction and the kernel certificate's checks run before
+that, on the integer keys of foxcalc.PackedMatrix rows, so LaurentPolys
+first appear in the reduced blocks.
 
 Convention: the gcd of the empty set of 0 x 0 minors is 1, so a module
 with no torsion (the unlink, or a split union of unknots) gets
@@ -68,7 +70,7 @@ from typing import Tuple
 from . import laurent
 from .laurent import (ComputationError, LaurentPoly, canonical,
                       exact_divide, mul_add)
-from .foxcalc import AlexanderPresentation, jacobian
+from .foxcalc import AlexanderPresentation, PackedMatrix, jacobian
 from .wirtinger import wirtinger_presentation
 
 
@@ -237,11 +239,44 @@ def _column_weights(pres):
     return [weight[c] for c in pres.generator_component]
 
 
-def _row_relation_holds(pres, weights):
-    # every relator dies under the abelianization, which makes each row
-    # satisfy sum_j entry_j * (t_{comp(j)} - 1) = 0 exactly
-    return not any(mul_add([(e, u, 1) for e, u in zip(row, weights)])
-                   for row in pres.matrix)
+def _max_exponent(row):
+    """The largest |exponent| in a row of LaurentPolys, 0 for none."""
+    return max((abs(x) for e in row for exps in e.terms for x in exps),
+               default=0)
+
+
+def _packed(block, reach):
+    """
+    The block's matrix as a PackedMatrix whose radius covers every
+    exponent of its entries plus reach: the reduction's own if it is wide
+    enough, else the entries packed anew.
+    """
+    matrix = block.matrix
+    radius = reach + max(map(_max_exponent, matrix), default=0)
+    if isinstance(matrix, PackedMatrix) and radius <= matrix.radius:
+        return matrix
+    return PackedMatrix.pack(matrix, block.num_generators, block.nvars,
+                             radius)
+
+
+def _row_relation_holds(packed, components):
+    """
+    Whether each row satisfies sum_j entry_j * (t_{comp(j)} - 1) = 0, as
+    every relator dies under the abelianization, on a PackedMatrix whose
+    radius covers its exponents plus 1.
+    """
+    shift = [packed.key((0,) * c + (1,)) for c in components]
+    for row in packed.rows:
+        total = {}
+        get = total.get
+        for j, cell in row.items():
+            s = shift[j]
+            for k, x in cell.items():
+                total[k + s] = get(k + s, 0) + x
+                total[k] = get(k, 0) - x
+        if any(total.values()):
+            return False
+    return True
 
 
 def torsion_order(pres, source=None):
@@ -283,18 +318,26 @@ def _reduced_blocks(pres):
     Fox row relation sum_j a_ij (t_comp(j) - 1) = 0, so the blocks admit
     the same shortcut as the full matrix.  The nonzero counts and the
     set of unit entries are kept up to date as entries change.
+
+    All of it runs on packed rows (foxcalc.PackedMatrix): the Jacobian's
+    own, or a matrix of LaurentPolys packed here with radius 2 * the sum
+    over rows of the row's largest |exponent|.  After pivots on rows P
+    and columns Q an entry is det M[P+i, Q+j] / det M[P, Q], a unit, so
+    none of its exponents exceeds that radius, and the blocks keep it.
     """
-    zero = LaurentPoly.zero(pres.nvars)
+    matrix = pres.matrix
+    if not isinstance(matrix, PackedMatrix):
+        matrix = PackedMatrix.pack(matrix, pres.num_generators, pres.nvars,
+                                   2 * sum(map(_max_exponent, matrix)))
     rows = {}
     cols = {j: set() for j in range(pres.num_generators)}
     units = set()
-    for i, row in enumerate(pres.matrix):
-        entries = {j: e for j, e in enumerate(row) if e.terms}
-        if entries:
-            rows[i] = entries
-        for j, e in entries.items():
+    for i, row in enumerate(matrix.rows):
+        if row:  # cells change in place below: the input keeps its own
+            rows[i] = {j: dict(cell) for j, cell in row.items()}
+        for j, cell in row.items():
             cols[j].add(i)
-            if e.is_unit():
+            if len(cell) == 1 and abs(next(iter(cell.values()))) == 1:
                 units.add((i, j))
 
     def fill(ij):
@@ -303,8 +346,7 @@ def _reduced_blocks(pres):
     while units:
         p, c = min(units, key=fill)
         pivot_row = rows.pop(p)
-        (exps, coeff), = pivot_row.pop(c).terms.items()
-        inverse = LaurentPoly.monomial(coeff, tuple(-e for e in exps))
+        (key, coeff), = pivot_row.pop(c).items()
         for j in pivot_row:
             cols[j].discard(p)
             units.discard((p, j))
@@ -312,17 +354,25 @@ def _reduced_blocks(pres):
         for i in sorted(cols.pop(c) - {p}):
             row = rows[i]
             units.discard((i, c))
-            factor = row.pop(c) * inverse
+            # row -= row[c] * pivot^-1 * pivot_row, pivot^-1 = coeff * t^-key
+            factor = [(k - key, -coeff * x) for k, x in row.pop(c).items()]
             for j, e in pivot_row.items():
-                v = mul_add(((factor, e, -1),), row.get(j))
-                if not v.terms:
+                cell = row.setdefault(j, {})
+                get = cell.get
+                for k1, x1 in factor:
+                    for k2, x2 in e.items():
+                        s = get(k1 + k2, 0) + x1 * x2
+                        if s:
+                            cell[k1 + k2] = s
+                        else:
+                            del cell[k1 + k2]
+                if not cell:
                     del row[j]
                     cols[j].discard(i)
                     units.discard((i, j))
                     continue
-                row[j] = v
                 cols[j].add(i)
-                if v.is_unit():
+                if len(cell) == 1 and abs(next(iter(cell.values()))) == 1:
                     units.add((i, j))
                 else:
                     units.discard((i, j))
@@ -346,10 +396,12 @@ def _reduced_blocks(pres):
                         stack.append(j)
         block_cols.sort()
         block_rows = sorted(block_rows)
-        matrix = tuple(tuple(rows[i].get(j, zero) for j in block_cols)
-                       for i in block_rows)
+        at = {j: n for n, j in enumerate(block_cols)}
+        packed = PackedMatrix(
+            [{at[j]: cell for j, cell in rows[i].items()} for i in block_rows],
+            len(block_cols), pres.nvars, matrix.radius)
         blocks.append(AlexanderPresentation(
-            matrix, pres.nvars,
+            packed, pres.nvars,
             tuple(pres.generator_component[j] for j in block_cols),
             pres.kernel and tuple(pres.kernel[i] for i in block_rows)))
     return blocks
@@ -380,8 +432,8 @@ def _block_order(block):
     nrows, ncols = block.num_relators, block.num_generators
     rows, cols, c = cert.pivot_rows, cert.pivot_columns, cert.minor
     weights = _column_weights(block) if r == ncols - 1 else None
-    shaped = weights is not None and (certified
-                                      or _row_relation_holds(block, weights))
+    shaped = weights is not None and (certified or _row_relation_holds(
+        _packed(block, 1), block.generator_component))
     # besides the certificate's: the row side, the column side
     needed = ((0 if certified else comb(nrows, r) - 1)
               + (0 if shaped else comb(ncols, r) - 1))
@@ -414,14 +466,27 @@ def _block_order(block):
 def _kernel_certificate(block):
     """
     The minor c of a G x G block B (G >= 2) without its last row and
-    column if B's kernel y is units, y * B = B * w = 0 and c != 0.
+    column if B's kernel y is G units, y * B = B * w = 0 and c != 0.
+    Both checks run on B's packed rows (_packed), with a radius that
+    covers every exponent of y_i * B_ij and B_ij * t_c: packing is then
+    injective on both sums, and a wrong y is never certified by keys
+    that alias.
     """
     y, g = block.kernel, block.num_generators
-    if (y is None or g < 2 or block.num_relators != g
-            or not all(e.is_unit() and e.nvars == block.nvars for e in y)
-            or any(mul_add([(e, row[j], 1) for e, row in zip(y, block.matrix)])
-                   for j in range(g))
-            or not _row_relation_holds(block, _column_weights(block))):
+    if (y is None or g < 2 or block.num_relators != g or len(y) != g
+            or not all(e.is_unit() and e.nvars == block.nvars for e in y)):
+        return None
+    packed = _packed(block, max(1, _max_exponent(y)))
+    total = [{} for _ in range(g)]
+    for (exps, sign), row in zip((next(iter(e.terms.items())) for e in y),
+                                 packed.rows):
+        shift = packed.key(exps)
+        for j, cell in row.items():
+            column = total[j]
+            for k, x in cell.items():
+                column[k + shift] = column.get(k + shift, 0) + sign * x
+    if (any(any(column.values()) for column in total)
+            or not _row_relation_holds(packed, block.generator_component)):
         return None
     rows = tuple(range(g - 1))
     c = _minor(block, rows, rows)

@@ -11,25 +11,105 @@ the Jacobian matrix that presents the rel-basepoint Alexander module.
 Derivatives are computed in a single left-to-right pass carrying the
 accumulated prefix, so long relators stay linear-time.  The group ring
 is never materialised: the Jacobian applies the abelianization eagerly,
-term by term, since Laurent arithmetic is far cheaper than free-group
-ring arithmetic.  A row builds cells only for the generators its relator
-touches, at most three in a Wirtinger relator; all other cells of one
-Jacobian are one shared zero, in a matrix that stays dense.
+term by term.  Each exponent vector is one integer key (PackedMatrix),
+so the prefix is one int and a cell is a dict {key: coefficient}.  A
+row holds cells only for the generators its relator touches, at most
+three in a Wirtinger relator.  alexander's unit-pivot reduction runs on
+these rows; the LaurentPoly matrix is decoded only where it is read.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .laurent import LaurentPoly
 
 
+class PackedMatrix(Sequence):
+    """
+    A matrix over Z[t1^±1..tm^±1] held as rows {column: {key:
+    coefficient}} of its nonzero cells.  The key of t^e is sum_i e_i * R^i
+    with R = 2 * radius + 1, so in one variable it is the exponent.  Keys
+    add as exponents do, which makes packing a ring homomorphism, and it
+    is injective on the exponent vectors whose entries but the last lie in
+    [-radius, radius] (balanced digits), where zero and unit tests on keys
+    are exact.  Read as a sequence it is the matrix's LaurentPoly rows,
+    decoded on first read, every empty cell one shared zero.
+    """
+
+    __slots__ = ("rows", "ncols", "nvars", "radius", "_decoded")
+
+    def __init__(self, rows, ncols, nvars, radius):
+        self.rows, self.ncols = rows, ncols
+        self.nvars, self.radius = nvars, radius
+        self._decoded = None
+
+    @classmethod
+    def pack(cls, matrix, ncols, nvars, radius):
+        """The rows of LaurentPolys of matrix, packed."""
+        out = cls([], ncols, nvars, radius)
+        out.rows = [{j: {out.key(e): c for e, c in x.terms.items()}
+                     for j, x in enumerate(row) if x.terms} for row in matrix]
+        return out
+
+    def key(self, exps):
+        radix, k = 2 * self.radius + 1, 0
+        for e in reversed(exps):
+            k = k * radix + e
+        return k
+
+    def exponents(self, key):
+        radius = self.radius
+        radix, out = 2 * radius + 1, []
+        for _ in range(self.nvars - 1):
+            e = (key + radius) % radix - radius
+            out.append(e)
+            key = (key - e) // radix
+        out.append(key)
+        return tuple(out)
+
+    def _matrix(self):
+        if self._decoded is None:
+            zero, exponents = LaurentPoly.zero(self.nvars), self.exponents
+            decoded = []
+            for packed in self.rows:
+                row = [zero] * self.ncols
+                for j, cell in packed.items():
+                    row[j] = LaurentPoly._make(self.nvars, {
+                        exponents(k): c for k, c in cell.items()})
+                decoded.append(tuple(row))
+            self._decoded = tuple(decoded)
+        return self._decoded
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        return self._matrix()[i]
+
+    def __iter__(self):
+        return iter(self._matrix())
+
+    def __eq__(self, other):
+        if isinstance(other, PackedMatrix):
+            other = other._matrix()
+        return self._matrix() == other
+
+    def __hash__(self):
+        return hash(self._matrix())
+
+    def __repr__(self):
+        return repr(self._matrix())
+
+
 @dataclass(frozen=True)
 class AlexanderPresentation:
     """Fox Jacobian over Z[t1^±1..tm^±1]; rows are relators, columns generators."""
-    matrix: Tuple[Tuple[LaurentPoly, ...], ...]
+    matrix: Sequence  # rows of LaurentPolys, or a PackedMatrix
     nvars: int
     generator_component: Tuple[int, ...]
-    # if given, a unit per row claimed to give kernel * matrix = 0, unchecked
+    # if given, a unit per row claimed to give kernel * matrix = 0; only
+    # alexander._kernel_certificate checks it, on the packed block rows
     kernel: Optional[Tuple[LaurentPoly, ...]] = field(default=None,
                                                       compare=False)
 
@@ -42,35 +122,13 @@ class AlexanderPresentation:
         return len(self.generator_component)
 
 
-def _fox_row(word, num_generators, phi, zero):
-    """phi-image of all Fox derivatives of one word, in a single pass."""
-    m = phi.num_components
-    cells = {}
-    prefix = [0] * m
-    for g, e in word:
-        comp = phi.component_of[g]
-        if e == -1:
-            prefix[comp] -= 1
-        cell = cells.setdefault(g, {})
-        exps = tuple(prefix)
-        s = cell.get(exps, 0) + e
-        if s:
-            cell[exps] = s
-        else:
-            del cell[exps]
-        if e == 1:
-            prefix[comp] += 1
-    row = [zero] * num_generators
-    for g, cell in cells.items():
-        if cell:
-            row[g] = LaurentPoly._make(m, cell)
-    return tuple(row)
-
-
 def jacobian(pres, phi):
     """
     Assemble the Alexander presentation matrix with entries
-    phi(d r_i / d x_j).
+    phi(d r_i / d x_j), as a PackedMatrix.  A row's exponents are
+    prefixes of its relator, at most its length in absolute value, and
+    the radius is twice their sum, which bounds every exponent the
+    unit-pivot reduction meets (alexander._reduced_blocks).
 
     >>> from .wirtinger import GroupPresentation, AbelianizationMap
     >>> p = GroupPresentation(2, ((((0,1),(1,1),(0,-1),(1,-1)),)))
@@ -80,7 +138,24 @@ def jacobian(pres, phi):
     """
     if len(phi.component_of) != pres.num_generators:
         raise ValueError("abelianization map does not match presentation")
-    zero = LaurentPoly.zero(phi.num_components)
-    rows = tuple(_fox_row(r, pres.num_generators, phi, zero)
-                 for r in pres.relators)
-    return AlexanderPresentation(rows, phi.num_components, phi.component_of)
+    radius = 2 * sum(map(len, pres.relators))
+    weight = [(2 * radius + 1) ** c for c in phi.component_of]
+    rows = []
+    for word in pres.relators:
+        cells, prefix = {}, 0
+        for g, e in word:
+            if e == -1:
+                prefix -= weight[g]
+            cell = cells.setdefault(g, {})
+            s = cell.get(prefix, 0) + e
+            if s:
+                cell[prefix] = s
+            else:
+                del cell[prefix]
+            if e == 1:
+                prefix += weight[g]
+        rows.append({g: cell for g, cell in cells.items() if cell})
+    m = phi.num_components
+    return AlexanderPresentation(
+        PackedMatrix(rows, pres.num_generators, m, radius), m,
+        phi.component_of)

@@ -7,7 +7,9 @@ All coefficients are arbitrary-precision Python ints; the zero polynomial
 is the empty map.  At one variable (knots), exact division and gcd run on
 a dense coefficient list instead, kept on the polynomial after its first
 use: polynomials are never mutated.  Every product is one call of
-mul_add, which also fuses the sums of products that eliminations need.
+mul_add, which also fuses the sums of products of the Bareiss
+elimination (the unit-pivot reduction before it runs on foxcalc's
+packed rows, with no LaurentPoly).
 At two or more variables (links), large products and exact division key
 each term by one integer, its exponent vector as a mixed-radix number
 over the operands' exponent box.  Division checks each quotient term's

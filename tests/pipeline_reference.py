@@ -22,6 +22,13 @@ unchanged as the reference the current code is tested against.
   by minor_table_block_order.
 - column_weights, _column_weights as it was before it built each
   component's t_c - 1 once: monomial(...) - one for every column.
+- laurent_fox_row, laurent_jacobian, laurent_reduced_blocks,
+  laurent_kernel_certificate and _row_relation_holds, the Fox Jacobian,
+  the unit-pivot reduction and the kernel certificate's checks as they
+  were before they ran on packed exponent keys: the Jacobian's cells
+  and every update were LaurentPolys keyed by exponent tuples, each
+  update one laurent.mul_add call, and both checks sums of mul_add
+  products.  laurent_jacobian's doctest is left out.
 - obstruction_from_polynomials and cmd_batch as they were before batch
   --pairs shared its work by polynomial value: a memo for each unordered
   pair of distinct rows, none on the diagonal, and each line a
@@ -54,12 +61,13 @@ from itertools import combinations
 from math import comb, gcd
 
 from ribboncheck import cli, laurent
-from ribboncheck.alexander import (FALLBACK_MINOR_BUDGET, _column_weights,
+from ribboncheck.alexander import (FALLBACK_MINOR_BUDGET, RankCertificate,
+                                   _column_weights,
                                    _kernel_certificate, _minor, _minor_gcd,
-                                   _row_relation_holds, module_rank)
+                                   module_rank)
 from ribboncheck.foxcalc import AlexanderPresentation
 from ribboncheck.laurent import (ComputationError, LaurentPoly, canonical,
-                                 exact_divide)
+                                 exact_divide, mul_add)
 from ribboncheck.linkcodec import (Crossing, DiagramError, LinkDiagram,
                                    ParseError, _classes)
 from ribboncheck.obstruct import (NOT_OBSTRUCTED, OBSTRUCTED,
@@ -435,6 +443,153 @@ def column_weights(pres):
         exps = tuple(1 if i == comp else 0 for i in range(nvars))
         weights.append(LaurentPoly.monomial(1, exps) - one)
     return weights
+
+
+def _row_relation_holds(pres, weights):
+    # every relator dies under the abelianization, which makes each row
+    # satisfy sum_j entry_j * (t_{comp(j)} - 1) = 0 exactly
+    return not any(mul_add([(e, u, 1) for e, u in zip(row, weights)])
+                   for row in pres.matrix)
+
+
+def laurent_fox_row(word, num_generators, phi, zero):
+    """phi-image of all Fox derivatives of one word, in a single pass."""
+    m = phi.num_components
+    cells = {}
+    prefix = [0] * m
+    for g, e in word:
+        comp = phi.component_of[g]
+        if e == -1:
+            prefix[comp] -= 1
+        cell = cells.setdefault(g, {})
+        exps = tuple(prefix)
+        s = cell.get(exps, 0) + e
+        if s:
+            cell[exps] = s
+        else:
+            del cell[exps]
+        if e == 1:
+            prefix[comp] += 1
+    row = [zero] * num_generators
+    for g, cell in cells.items():
+        if cell:
+            row[g] = LaurentPoly._make(m, cell)
+    return tuple(row)
+
+
+def laurent_jacobian(pres, phi):
+    """
+    Assemble the Alexander presentation matrix with entries
+    phi(d r_i / d x_j).
+    """
+    if len(phi.component_of) != pres.num_generators:
+        raise ValueError("abelianization map does not match presentation")
+    zero = LaurentPoly.zero(phi.num_components)
+    rows = tuple(laurent_fox_row(r, pres.num_generators, phi, zero)
+                 for r in pres.relators)
+    return AlexanderPresentation(rows, phi.num_components, phi.component_of)
+
+
+def laurent_reduced_blocks(pres):
+    """
+    Eliminate generator/relator pairs at unit pivots, drop zero rows and
+    split what is left into the connected blocks of its nonzero pattern,
+    each returned as an AlexanderPresentation on its own columns.
+
+    Each step pivots on the unit whose row and column have the fewest
+    other nonzeros, the least (row nonzeros - 1) * (column nonzeros - 1)
+    bound on fill-in, and clears the rest of its column with row
+    operations.  Row operations and deleting the cleared column keep the
+    Fox row relation sum_j a_ij (t_comp(j) - 1) = 0, so the blocks admit
+    the same shortcut as the full matrix.  The nonzero counts and the
+    set of unit entries are kept up to date as entries change.
+    """
+    zero = LaurentPoly.zero(pres.nvars)
+    rows = {}
+    cols = {j: set() for j in range(pres.num_generators)}
+    units = set()
+    for i, row in enumerate(pres.matrix):
+        entries = {j: e for j, e in enumerate(row) if e.terms}
+        if entries:
+            rows[i] = entries
+        for j, e in entries.items():
+            cols[j].add(i)
+            if e.is_unit():
+                units.add((i, j))
+
+    def fill(ij):
+        return (len(rows[ij[0]]) - 1) * (len(cols[ij[1]]) - 1), ij
+
+    while units:
+        p, c = min(units, key=fill)
+        pivot_row = rows.pop(p)
+        (exps, coeff), = pivot_row.pop(c).terms.items()
+        inverse = LaurentPoly.monomial(coeff, tuple(-e for e in exps))
+        for j in pivot_row:
+            cols[j].discard(p)
+            units.discard((p, j))
+        units.discard((p, c))
+        for i in sorted(cols.pop(c) - {p}):
+            row = rows[i]
+            units.discard((i, c))
+            factor = row.pop(c) * inverse
+            for j, e in pivot_row.items():
+                v = mul_add(((factor, e, -1),), row.get(j))
+                if not v.terms:
+                    del row[j]
+                    cols[j].discard(i)
+                    units.discard((i, j))
+                    continue
+                row[j] = v
+                cols[j].add(i)
+                if v.is_unit():
+                    units.add((i, j))
+                else:
+                    units.discard((i, j))
+            if not row:
+                del rows[i]
+
+    seen = set()
+    blocks = []
+    for start in sorted(cols):
+        if start in seen:
+            continue
+        seen.add(start)
+        block_rows, block_cols, stack = set(), [start], [start]
+        while stack:
+            for i in cols[stack.pop()] - block_rows:
+                block_rows.add(i)
+                for j in rows[i]:
+                    if j not in seen:
+                        seen.add(j)
+                        block_cols.append(j)
+                        stack.append(j)
+        block_cols.sort()
+        block_rows = sorted(block_rows)
+        matrix = tuple(tuple(rows[i].get(j, zero) for j in block_cols)
+                       for i in block_rows)
+        blocks.append(AlexanderPresentation(
+            matrix, pres.nvars,
+            tuple(pres.generator_component[j] for j in block_cols),
+            pres.kernel and tuple(pres.kernel[i] for i in block_rows)))
+    return blocks
+
+
+def laurent_kernel_certificate(block):
+    """
+    The minor c of a G x G block B (G >= 2) without its last row and
+    column if B's kernel y is units, y * B = B * w = 0 and c != 0.
+    """
+    y, g = block.kernel, block.num_generators
+    if (y is None or g < 2 or block.num_relators != g
+            or not all(e.is_unit() and e.nvars == block.nvars for e in y)
+            or any(mul_add([(e, row[j], 1) for e, row in zip(y, block.matrix)])
+                   for j in range(g))
+            or not _row_relation_holds(block, _column_weights(block))):
+        return None
+    rows = tuple(range(g - 1))
+    c = _minor(block, rows, rows)
+    return RankCertificate(g - 1, rows, rows, c) if c.terms else None
 
 
 def obstruction_from_polynomials(delta_j, delta_l, names=("J", "L"),

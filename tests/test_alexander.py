@@ -10,7 +10,8 @@ import pytest
 from ribboncheck import alexander, cli
 from ribboncheck.alexander import (ComputationError, alexander_polynomial,
                                    determinant, module_rank, torsion_order)
-from ribboncheck.foxcalc import AlexanderPresentation, jacobian
+from ribboncheck.foxcalc import AlexanderPresentation, PackedMatrix, \
+    jacobian
 from ribboncheck.laurent import LaurentPoly, canonical, divides, gcd, \
     parse_poly
 from ribboncheck.linkcodec import BraidWord, braid_closure, connected_sum, \
@@ -704,14 +705,59 @@ def same_output_closures():
             + module.CENSUS_FALLBACKS)
 
 
-def blocks_and_delta(diagram, monkeypatch):
-    """The reduced blocks alexander_polynomial hands to _block_order."""
+def blocks_and_delta(diagram, monkeypatch, orders=None):
+    """
+    The reduced blocks alexander_polynomial hands to _block_order, and
+    the result; what _block_order returned is appended to orders if given.
+    """
     blocks, block_order = [], alexander._block_order
+
+    def recorded(block):
+        blocks.append(block)
+        order = block_order(block)
+        if orders is not None:
+            orders.append(order)
+        return order
+
     with monkeypatch.context() as patch:
-        patch.setattr(alexander, "_block_order",
-                      lambda block: blocks.append(block) or block_order(block))
+        patch.setattr(alexander, "_block_order", recorded)
         result = alexander_polynomial(diagram)
     return blocks, result
+
+
+def laurent_blocks(diagram):
+    """
+    The reduced blocks of the LaurentPoly route kept in pipeline_reference,
+    after asserting that jacobian's decoded matrix equals that route's.
+    """
+    pres, phi = wirtinger_presentation(diagram)
+    A = reference.laurent_jacobian(pres, phi)
+    new = jacobian(pres, phi)
+    assert new == A and [[e.terms for e in row] for row in new.matrix] == \
+        [[e.terms for e in row] for row in A.matrix], diagram
+    if diagram.kernel and len(diagram.kernel) == len(pres.relators):
+        A = replace(A, kernel=tuple(LaurentPoly.monomial(1, e)
+                                    for e in diagram.kernel))
+    return reference.laurent_reduced_blocks(A)
+
+
+def assert_same_blocks(blocks, old, orders):
+    """
+    Blocks of the reduction on packed keys against the LaurentPoly
+    route's: the same matrix, generator components and kernel, the same
+    kernel certificate and Fox row relation, and, unless orders is None,
+    from _block_order on the old blocks the (order, path) in orders.
+    """
+    assert blocks == old
+    assert [b.kernel for b in blocks] == [b.kernel for b in old]
+    for n, (block, ref) in enumerate(zip(blocks, old)):
+        assert alexander._kernel_certificate(block) == \
+            reference.laurent_kernel_certificate(ref)
+        assert alexander._row_relation_holds(
+            alexander._packed(block, 1), block.generator_component) == \
+            reference._row_relation_holds(ref, alexander._column_weights(ref))
+        if orders is not None:
+            assert alexander._block_order(ref) == orders[n]
 
 
 def counting_module_rank(monkeypatch):
@@ -800,18 +846,20 @@ class TestKernelCertificate:
                     continue
                 value, path = alexander._block_order(block)
                 t1 = LaurentPoly.variable(0, block.nvars)
-                for i, yi in enumerate(block.kernel):
-                    for wrong in (yi * t1, -yi):
-                        kernel = block.kernel[:i] + (wrong,) + \
-                            block.kernel[i + 1:]
-                        bad = replace(block, kernel=kernel)
-                        assert alexander._kernel_certificate(bad) is None
-                        calls.clear()
-                        got, got_path = alexander._block_order(bad)
-                        assert len(calls) == 1, spec
-                        assert canonical(got) == canonical(value), spec
-                        assert got_path == path, spec
-                        corrupted += 1
+                y = block.kernel
+                # one exponent shifted, one sign flipped, the wrong length
+                wrongs = [y[:i] + (wrong,) + y[i + 1:]
+                          for i, yi in enumerate(y)
+                          for wrong in (yi * t1, -yi)]
+                for kernel in wrongs + [y[:-1], y + y[:1]]:
+                    bad = replace(block, kernel=kernel)
+                    assert alexander._kernel_certificate(bad) is None
+                    calls.clear()
+                    got, got_path = alexander._block_order(bad)
+                    assert len(calls) == 1, spec
+                    assert canonical(got) == canonical(value), spec
+                    assert got_path == path, spec
+                    corrupted += 1
         assert corrupted >= 20
         # on the full Jacobian: a wrong entry of an eliminated row drops
         # out of every block's kernel, any other one fails its check
@@ -899,11 +947,15 @@ class TestAgainstGuardedClosedForm:
     without it, so that both the certificate's and module_rank's row
     side run: the same order and path on each block, the guard never
     disagreeing, and exactly one minor fewer on each diagram-shaped
-    block.
+    block.  The same reduction's blocks and orders are checked against
+    the LaurentPoly route kept in pipeline_reference (assert_same_blocks).
     """
 
     def check(self, diagram, monkeypatch, tally):
-        blocks, delta = blocks_and_delta(diagram, monkeypatch)
+        orders = []
+        blocks, delta = blocks_and_delta(diagram, monkeypatch, orders)
+        # the same blocks and orders on the LaurentPoly route
+        assert_same_blocks(blocks, laurent_blocks(diagram), orders)
         variants = [blocks]
         # without a certificate the kernel changes nothing
         if any(alexander._kernel_certificate(b) for b in blocks):
@@ -953,12 +1005,15 @@ class TestAgainstGuardedClosedForm:
 
     def test_random_closures(self, monkeypatch, tally):
         rng = random.Random(19)
+        components = set()
         for _ in range(1000):
             n = rng.randint(2, 8)
             word = BraidWord(n, tuple(
                 rng.choice((1, -1)) * rng.randint(1, n - 1)
                 for _ in range(rng.randint(1, 22))))
+            components.add(len(word.cycles()))
             self.check(braid_closure(word), monkeypatch, tally)
+        assert components == set(range(1, 9))
         # shortcut blocks of one and of several components, both routes
         assert {("shortcut", k, m) for k in (True, False)
                 for m in (True, False)} <= tally["paths"]
@@ -1001,6 +1056,155 @@ class TestAgainstGuardedClosedForm:
                 assert cli.main(["compute", spec]) == 3
                 out, err = capsys.readouterr()
                 assert out == "" and "rank-one identity" in err
+
+
+def unit_inverse(u):
+    (exps, coeff), = u.terms.items()
+    return LaurentPoly.monomial(coeff, tuple(-e for e in exps))
+
+
+class TestPackedKeys:
+    """
+    The reduction and the kernel certificate's checks on packed exponent
+    keys (foxcalc.PackedMatrix) against the LaurentPoly route kept in
+    pipeline_reference, on PD codes and hand-built matrices, and at the
+    edges of the packing's radius.
+    """
+
+    def check(self, pres, orders=True):
+        blocks = alexander._reduced_blocks(pres)
+        assert_same_blocks(blocks, reference.laurent_reduced_blocks(pres),
+                           [alexander._block_order(b) for b in blocks]
+                           if orders else None)
+        return blocks
+
+    def test_pd_twins_of_the_same_output_closures(self, monkeypatch):
+        module = same_output_module()
+        twins = module.pd_twins(
+            same_output_closures() + module.SHORTCUT_CLOSURES
+            + (module.SLOW_SHORTCUT,))
+        assert len(twins) == 35
+        for spec in twins:
+            orders = []
+            diagram = parse_link_spec(spec)
+            blocks, _ = blocks_and_delta(diagram, monkeypatch, orders)
+            assert_same_blocks(blocks, laurent_blocks(diagram), orders)
+
+    def test_hand_built_matrices(self):
+        # Jacobians of closures of 1-5 components with each row times a
+        # unit of exponents up to 1,000 in absolute value and the kernel
+        # divided by it, so that the Fox row relation and y * B = 0 hold;
+        # then sparse matrices of units and of units times short sums,
+        # whose orders' gcds would run on spans of thousands
+        rng = random.Random(2424)
+        nvars, certified = set(), 0
+        for _ in range(120):
+            while True:
+                n = rng.randint(2, 6)
+                word = BraidWord(n, tuple(
+                    rng.choice((1, -1)) * rng.randint(1, n - 1)
+                    for _ in range(rng.randint(1, 10))))
+                if len(word.cycles()) <= 5:
+                    break
+            diagram = braid_closure(word)
+            pres, phi = wirtinger_presentation(diagram)
+            A = reference.laurent_jacobian(pres, phi)
+            units = [LaurentPoly.monomial(rng.choice((1, -1)), tuple(
+                rng.randint(-1000, 1000) for _ in range(A.nvars)))
+                for _ in A.matrix]
+            blocks = self.check(AlexanderPresentation(
+                tuple(tuple(u * e for e in row)
+                      for u, row in zip(units, A.matrix)),
+                A.nvars, A.generator_component,
+                tuple(LaurentPoly.monomial(1, e) * unit_inverse(u)
+                      for e, u in zip(diagram.kernel, units))))
+            certified += sum(alexander._kernel_certificate(b) is not None
+                             for b in blocks)
+            nvars.add(A.nvars)
+        assert nvars == {1, 2, 3, 4, 5} and certified > 20
+        for _ in range(300):
+            m = rng.randint(1, 5)
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+
+            def entry():
+                u = LaurentPoly.monomial(rng.choice((1, -1)), tuple(
+                    rng.randint(-1000, 1000) for _ in range(m)))
+                kind = rng.random()
+                if kind < 0.4:
+                    return LaurentPoly.zero(m)
+                return u if kind < 0.8 else u * random_poly(rng, m, 3, 1, 3)
+
+            self.check(AlexanderPresentation(
+                tuple(tuple(entry() for _ in range(ncols))
+                      for _ in range(nrows)),
+                m, tuple(rng.randrange(m) for _ in range(ncols))), False)
+
+    def test_schur_entries_reach_the_radius(self):
+        # one pivot, u, and a row of constants: the radius is 2 * s, and
+        # the one entry left is -6 u^-2 = -6 t1^2s t2^-2s t3^2s
+        s = 500
+        u = parse_poly("t1^-%d*t2^%d*t3^-%d" % (s, s, s), 3)
+        zero, three = LaurentPoly.zero(3), LaurentPoly.constant(3, 3)
+        five = LaurentPoly.constant(5, 3)
+        pres = AlexanderPresentation(
+            ((u, 2 * unit_inverse(u), zero), (three, zero, five)), 3,
+            (0, 1, 2))
+        block, = self.check(pres)
+        assert block.matrix.radius == 2 * s
+        expected = parse_poly("-6*t1^%d*t2^-%d*t3^%d" % (2 * s, 2 * s, 2 * s),
+                              3)
+        assert block.matrix == ((expected, five),)
+        assert block.generator_component == (1, 2)
+
+    def test_check_radius_is_tight(self):
+        # B = (f_i * (t2 - 1, -(t1 - 1)))_i holds the Fox row relation,
+        # and y * B = (t1 * f0 + t1^-1 * f1) * (t2 - 1, -(t1 - 1)): 0 for
+        # f1 = -t1^3, but t1^2 - t1^-3 * t2 for f1 = -t1^-2 * t2.  Every
+        # exponent of y_i * B_ij is at most 3 in absolute value, the
+        # radius packing gives; at radius 2, a radix of 5, t1^2 and
+        # t1^-3 * t2 share the key 2, and the wrong y would pass
+        t1, t2 = parse_poly("t1", 2), parse_poly("t2", 2)
+        one = LaurentPoly.one(2)
+        y = (t1, unit_inverse(t1))
+        for f1, certified in ((-t1 ** 3, True),
+                              (-parse_poly("t1^-2*t2", 2), False)):
+            block = AlexanderPresentation(
+                ((t1 * (t2 - one), -t1 * (t1 - one)),
+                 (f1 * (t2 - one), -f1 * (t1 - one))), 2, (0, 1), y)
+            assert (alexander._kernel_certificate(block) is not None) \
+                == certified
+        narrow = PackedMatrix([], 2, 2, 2)
+        assert narrow.key((2, 0)) == narrow.key((-3, 1))
+        assert alexander._packed(block, 1).radius == 3
+
+    def test_kernel_past_the_radius_widens_it(self, monkeypatch):
+        # y = (t1^3, t1^-3) on B = (f_i * (t2 - 1, -(t1 - 1)))_i, f0 = 1
+        # and f1 = -t1^-1 * t2: y * B has t1^3 - t1^-4 * t2, which only
+        # the kernel's widening keeps apart (radius 5, not 3)
+        t1, t2 = parse_poly("t1", 2), parse_poly("t2", 2)
+        one, f1 = LaurentPoly.one(2), -parse_poly("t1^-1*t2", 2)
+        block = AlexanderPresentation(
+            ((t2 - one, one - t1), (f1 * (t2 - one), -f1 * (t1 - one))), 2,
+            (0, 1), (t1 ** 3, unit_inverse(t1 ** 3)))
+        assert alexander._kernel_certificate(block) is None
+        assert alexander._packed(block, 3).radius == 5
+        # a reduced block's kernel moved by t1^R / t2, R the radix of its
+        # keys, packs to the same keys: it is checked on wider ones
+        calls = counting_module_rank(monkeypatch)
+        blocks, _ = blocks_and_delta(parse_link_spec("braid:n=2:1 1 1 1"),
+                                     monkeypatch)
+        block, = blocks
+        value, path = alexander._block_order(block)
+        radix = 2 * block.matrix.radius + 1
+        y = block.kernel
+        shifted = y[0] * parse_poly("t1^%d*t2^-1" % radix, 2)
+        bad = replace(block, kernel=(shifted,) + y[1:])
+        assert block.matrix.key((radix, -1)) == 0
+        assert alexander._kernel_certificate(bad) is None
+        calls.clear()
+        got, got_path = alexander._block_order(bad)
+        assert len(calls) == 1
+        assert (canonical(got), got_path) == (canonical(value), path)
 
 
 class TestCensusFallbacks:

@@ -70,6 +70,18 @@ class TestFirstDifference:
         diff = same_output.first_difference(COMMANDS, RESULTS, results)
         assert diff.startswith("validate braid:n=1:: stderr line 1")
 
+    def test_blocks(self, same_output):
+        blocks = [{"rows": 2, "columns": 2, "path": "shortcut"}]
+        parent = [r + [None] for r in RESULTS]
+        parent[0][3] = [blocks]
+        change = [list(r) for r in parent]
+        change[0][3] = [[dict(blocks[0], path="fallback")]]
+        assert same_output.first_difference(COMMANDS, parent, [
+            list(r) for r in parent]) is None
+        diff = same_output.first_difference(COMMANDS, parent, change)
+        assert diff.startswith("compute --json braid:n=2:1 1 1: blocks "
+                               "differs: [[{'rows': 2")
+
     def test_result_counts(self, same_output):
         diff = same_output.first_difference(COMMANDS, RESULTS, RESULTS[:2])
         assert diff == "result counts differ: 3 commands, 3 and 2 results"
@@ -173,3 +185,15 @@ def test_screen_pairs_csv(same_output, tmp_path, capsys):
              if "direction" in line}
     assert pairs["3_1 # 3_1", "3_1 # 4_1"]["gcd"] == "t^2 - t + 1"
     assert pairs["3_1 # 4_1", "4_1"]["verdict"] == "not_obstructed"
+
+
+def test_child_records_the_blocks_of_compute_commands(same_output):
+    tree = TOOL.parent.parent
+    results = same_output.run_side(tree, [
+        ["compute", "--json", "braid:n=3:1 -2 1 -2"],
+        ["compute", "braid:n=3:1"], ["validate", "braid:n=2:1 1 1"]])
+    assert [r[0] for r in results] == [0, 0, 0]
+    assert [r[3] for r in results] == [
+        [[{"rows": 2, "columns": 2, "path": "shortcut"}]],
+        [[{"rows": 0, "columns": 1, "path": "rank0"},
+          {"rows": 0, "columns": 1, "path": "rank0"}]], None]

@@ -42,8 +42,12 @@ standard output and standard error captured.  The corpus:
   where their braids take the certificate.
 
 Each command's exit code, stdout and stderr are compared, with each
-tree's own path replaced by "<tree>".  The exit code is 0 when every
-command agrees, and 1 after naming the first command that does not.
+tree's own path replaced by "<tree>".  For every `compute` command the
+child also records source["blocks"] of each polynomial that
+`ribboncheck.cli.alexander_polynomial` returns, the rows, columns and
+path of every reduced block, and those are compared too.  The exit code
+is 0 when every command agrees, and 1 after naming the first command
+that does not.
 """
 
 import argparse
@@ -171,19 +175,30 @@ SCREEN_ROWS = (("3_1 # 3_1", "braid:n=3:1 1 1 2 2 2"),
                ("3_1 # 4_1", "braid:n=4:1 1 1 2 -3 2 -3"),
                ("3_1", "braid:n=2:1 1 1"), ("4_1", "braid:n=3:1 -2 1 -2"))
 
-# runs in the child: argv lists on stdin, [exit, stdout, stderr] lists out
+# runs in the child: argv lists on stdin, [exit, stdout, stderr, blocks]
+# lists out, blocks None for a command other than compute
 CHILD = r"""
 import contextlib, io, json, sys
 from ribboncheck import cli
+compute, blocks = cli.alexander_polynomial, []
+
+def recorded(diagram):
+    result = compute(diagram)
+    blocks.append(result.source["blocks"])
+    return result
+
+cli.alexander_polynomial = recorded
 results = []
 for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
+    blocks.clear()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    results.append([code, out.getvalue(), err.getvalue()])
+    results.append([code, out.getvalue(), err.getvalue(),
+                    list(blocks) if argv[0] == "compute" else None])
 json.dump(results, sys.__stdout__)
 """
 
@@ -260,7 +275,7 @@ def pd_twins(specs):
 
 
 def run_side(tree, commands):
-    """[exit code, stdout, stderr] of every command, in one process."""
+    """[exit code, stdout, stderr, blocks] of every command, in one process."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run((sys.executable, "-c", CHILD), cwd=tree, env=env,
@@ -269,8 +284,8 @@ def run_side(tree, commands):
     if proc.returncode:
         raise SystemExit("the child in %s failed:\n%s" % (tree, proc.stderr))
     return [[code, out.replace(str(tree), "<tree>"),
-             err.replace(str(tree), "<tree>")]
-            for code, out, err in json.loads(proc.stdout)]
+             err.replace(str(tree), "<tree>"), blocks]
+            for code, out, err, blocks in json.loads(proc.stdout)]
 
 
 def first_difference(commands, parent, change):
@@ -279,10 +294,11 @@ def first_difference(commands, parent, change):
         return "result counts differ: %d commands, %d and %d results" % (
             len(commands), len(parent), len(change))
     for argv, a, b in zip(commands, parent, change):
-        for name, x, y in zip(("exit code", "stdout", "stderr"), a, b):
+        for name, x, y in zip(("exit code", "stdout", "stderr", "blocks"),
+                              a, b):
             if x == y:
                 continue
-            if name != "exit code":
+            if name in ("stdout", "stderr"):
                 lines = zip_longest(x.splitlines(True), y.splitlines(True),
                                     fillvalue="")
                 n, (x, y) = next((n, pair) for n, pair in enumerate(lines, 1)
@@ -316,7 +332,7 @@ def main(argv=None):
     if diff:
         print(diff)
         return 1
-    print("%d commands: identical exit codes, stdout and stderr"
+    print("%d commands: identical exit codes, stdout, stderr and blocks"
           % len(commands))
     return 0
 
