@@ -46,13 +46,15 @@ so each (G - 1)-minor c is ±mu * w_q * y_p, zero exactly when the rank
 is lower.  The y_p being units, c alone is the row side.
 
 All other elimination is fraction-free (Bareiss) and goes through one
-routine, _eliminate, which both module_rank and determinant call: every
-division performed is exact in the Laurent ring, so no rational-function
-arithmetic is needed.  Each Bareiss update, the numerator a*b - c*d,
-is one laurent.mul_add call, which builds no intermediate polynomial.
-The unit-pivot reduction and the kernel certificate's checks run before
-that, on the integer keys of foxcalc.PackedMatrix rows, so LaurentPolys
-first appear in the reduced blocks.
+routine, _eliminate, which module_rank, determinant and every minor
+call: every division performed is exact in the Laurent ring, so no
+rational-function arithmetic is needed.  Everything from the Jacobian to
+the blocks' minors runs on the integer keys of foxcalc.PackedMatrix
+rows: the unit-pivot reduction, the kernel certificate's checks, each
+Bareiss numerator a*b - c*d and its exact division, and the division of
+a certificate's minor by w_q.  A block's LaurentPolys are only what
+leaves this stage: its order, the minors whose gcd is taken and the
+rank certificates' minors.
 
 Convention: the gcd of the empty set of 0 x 0 minors is 1, so a module
 with no torsion (the unlink, or a split union of unknots) gets
@@ -68,8 +70,7 @@ from math import comb, gcd
 from typing import Tuple
 
 from . import laurent
-from .laurent import (ComputationError, LaurentPoly, canonical,
-                      exact_divide, mul_add)
+from .laurent import ComputationError, LaurentPoly, canonical, exact_divide
 from .foxcalc import AlexanderPresentation, PackedMatrix, jacobian
 from .wirtinger import wirtinger_presentation
 
@@ -149,50 +150,125 @@ class AlexanderPolynomial:
         return self.text
 
 
-def _eliminate(rows, nvars):
+def _eliminate(packed, rows=None, cols=None):
     """
-    Fraction-free (Bareiss) row echelon form of a matrix of LaurentPolys,
-    the one elimination routine of this module.  Pivots on rows, column
-    by column; a column with no nonzero entry left is skipped.
+    Fraction-free (Bareiss) row echelon form of the rows x cols submatrix
+    of a PackedMatrix (by default all of it, columns in order), the one
+    elimination routine of this module.  Pivots on rows, column by
+    column; a column with no nonzero entry left is skipped.
 
     Returns (rank, pivot rows, pivot columns, last pivot, sign).  The
-    pivot rows are in the order the swaps left them; the last pivot is
-    the determinant of the pivot rows x pivot columns submatrix in that
-    row order, so of a square matrix of full rank it is the determinant
-    times sign, the parity of the row swaps.
+    pivot rows are in the order the swaps left them; the last pivot, a
+    packed cell, is the determinant of the pivot rows x pivot columns
+    submatrix in that row order, so of a square matrix of full rank it
+    is the determinant times sign, the parity of the row swaps.
+
+    Every update a*b - c*d is built on the packed keys and divided by the
+    previous pivot exactly (_divide).  Each entry is then a minor of the
+    submatrix, so its exponents lie within the bound h of the matrix's
+    radius 2h, and a numerator, a product of two minors, within 2h.
+    Packing is injective on both, so every zero test is exact, and a
+    quotient whose exponents lie within h is the true one: its product
+    with the pivot lies within 2h too and packs to the numerator's keys.
     """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    order = list(range(nrows))
+    rows = range(len(packed.rows)) if rows is None else rows
+    cols = range(packed.ncols) if cols is None else cols
+    keep = set(cols)
+    m = [{j: cell for j, cell in packed.rows[i].items() if j in keep}
+         for i in rows]
+    n = len(m)
+    order = list(rows)
     pivot_cols = []
-    prev = LaurentPoly.one(nvars)
+    prev = {0: 1}
     sign = 1
     k = 0
-    for c in range(ncols):
-        if k == nrows:
+    for c in cols:
+        if k == n:
             break
-        piv = next((i for i in range(k, nrows) if m[i][c].terms), None)
+        piv = next((i for i in range(k, n) if c in m[i]), None)
         if piv is None:
             continue
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             order[k], order[piv] = order[piv], order[k]
             sign = -sign
-        top, lead = m[k], m[k][c]
-        for row in m[k + 1:]:  # column c below the pivot is never read again
-            below = row[c]
-            for j in range(c + 1, ncols):
-                num = mul_add(((lead, row[j], 1), (below, top[j], -1)))
-                if k:  # else prev is the initial 1
-                    num = exact_divide(num, prev)
+        top = m[k]
+        lead = top.pop(c)  # column c below the pivot is never read again
+        for i in range(k + 1, n):
+            row = m[i]
+            below = row.pop(c, None)
+            new = {}
+            for j in (row.keys() | top.keys()) if below else row:
+                num = {}
+                get = num.get
+                cell = row.get(j)
+                if cell:
+                    for k1, x1 in lead.items():
+                        for k2, x2 in cell.items():
+                            num[k1 + k2] = get(k1 + k2, 0) + x1 * x2
+                cell = below and top.get(j)
+                if cell:
+                    for k1, x1 in below.items():
+                        for k2, x2 in cell.items():
+                            num[k1 + k2] = get(k1 + k2, 0) - x1 * x2
+                num = {key: x for key, x in num.items() if x}
+                if num and k:  # else prev is the initial 1
+                    num = _divide(num, prev, packed)
                     if num is None:
                         raise ComputationError("Bareiss division failed")
-                row[j] = num
+                if num:
+                    new[j] = num
+            m[i] = new
         prev = lead
         pivot_cols.append(c)
         k += 1
     return k, order[:k], pivot_cols, prev, sign
+
+
+def _divide(num, den, packed):
+    """
+    The packed quotient num / den of two cells of packed, or None if den
+    does not divide num in the Laurent ring; num within 2h and den within
+    h, 2h the radius.  Leading-term division on the keys from the top,
+    each quotient term checked: its coefficient must divide, its key must
+    not fall below min(num) - min(den), and at two or more variables its
+    exponents but the last must lie within h.  That digit check is what
+    makes the keys as strong as the exponents: if den divides num, the
+    quotient lies within h (a minor, in _eliminate) and passes; if every
+    term passes, den * quotient lies within 2h, where packing is
+    injective, so remainder 0 means den * quotient == num.  In one
+    variable the key is the exponent and no bound is needed.
+    """
+    h = packed.radius // 2
+    within = packed.within if packed.nvars > 1 else None
+    dlead = max(den)
+    dcoeff, low = den[dlead], min(num) - min(den)
+    rest = [(k - dlead, x) for k, x in den.items() if k != dlead]
+    rem, out = dict(num), {}
+    while rem:
+        top = max(rem)
+        q, r = divmod(rem.pop(top), dcoeff)
+        key = top - dlead
+        if r or key < low or within and not within(key, h):
+            return None
+        out[key] = q
+        for offset, x in rest:
+            k = top + offset
+            s = rem.get(k, 0) - q * x
+            if s:
+                rem[k] = s
+            else:
+                del rem[k]
+    return out
+
+
+def _det(packed, rows, cols):
+    """The square rows x cols minor of a PackedMatrix, decoded."""
+    rank, _, _, pivot, sign = _eliminate(packed, rows, cols)
+    if rank < len(rows):
+        return LaurentPoly.zero(packed.nvars)
+    pivot = packed.poly(pivot)
+    return -pivot if sign < 0 else pivot
 
 
 def determinant(rows):
@@ -201,11 +277,8 @@ def determinant(rows):
     if n == 0:
         raise ValueError("determinant of an empty matrix is a convention; "
                          "handle 0x0 at the call site")
-    nvars = rows[0][0].nvars
-    rank, _, _, pivot, sign = _eliminate(rows, nvars)
-    if rank < n:
-        return LaurentPoly.zero(nvars)
-    return -pivot if sign < 0 else pivot
+    pres = AlexanderPresentation(rows, rows[0][0].nvars, (0,) * n)
+    return _det(_packed(pres), range(n), range(n))
 
 
 def module_rank(pres):
@@ -221,13 +294,14 @@ def module_rank(pres):
     >>> module_rank(A).rank
     0
     """
-    rank, rows, cols, pivot, _ = _eliminate(pres.matrix, pres.nvars)
-    return RankCertificate(rank, tuple(sorted(rows)), tuple(cols), pivot)
+    packed = _packed(pres)
+    rank, rows, cols, pivot, _ = _eliminate(packed)
+    return RankCertificate(rank, tuple(sorted(rows)), tuple(cols),
+                           packed.poly(pivot))
 
 
 def _minor(pres, rows, cols):
-    sub = [[pres.matrix[i][j] for j in cols] for i in rows]
-    return determinant(sub)
+    return _det(_packed(pres), rows, cols)
 
 
 def _column_weights(pres):
@@ -245,18 +319,20 @@ def _max_exponent(row):
                default=0)
 
 
-def _packed(block, reach):
+def _packed(pres):
     """
-    The block's matrix as a PackedMatrix whose radius covers every
-    exponent of its entries plus reach: the reduction's own if it is wide
-    enough, else the entries packed anew.
+    The presentation's PackedMatrix: its own, or its LaurentPoly rows
+    packed at radius 2h, h = max(1, 2 * the sum over rows of each row's
+    largest |exponent|, the kernel's largest |exponent|).  A minor of the
+    matrix, or of a block that the unit-pivot reduction leaves of it,
+    then lies within h (_reduced_blocks), and so does the kernel.
     """
-    matrix = block.matrix
-    radius = reach + max(map(_max_exponent, matrix), default=0)
-    if isinstance(matrix, PackedMatrix) and radius <= matrix.radius:
+    matrix = pres.matrix
+    if isinstance(matrix, PackedMatrix):
         return matrix
-    return PackedMatrix.pack(matrix, block.num_generators, block.nvars,
-                             radius)
+    h = max(1, 2 * sum(map(_max_exponent, matrix)),
+            _max_exponent(pres.kernel or ()))
+    return PackedMatrix.pack(matrix, pres.num_generators, pres.nvars, 2 * h)
 
 
 def _row_relation_holds(packed, components):
@@ -320,15 +396,15 @@ def _reduced_blocks(pres):
     set of unit entries are kept up to date as entries change.
 
     All of it runs on packed rows (foxcalc.PackedMatrix): the Jacobian's
-    own, or a matrix of LaurentPolys packed here with radius 2 * the sum
-    over rows of the row's largest |exponent|.  After pivots on rows P
-    and columns Q an entry is det M[P+i, Q+j] / det M[P, Q], a unit, so
-    none of its exponents exceeds that radius, and the blocks keep it.
+    own, or a matrix of LaurentPolys packed once here (_packed).  After
+    pivots on rows P and columns Q a minor of the rest is det M[P+S,
+    Q+T] / det M[P, Q], the divisor a unit; with rho_i row i's largest
+    |exponent|, the dividend's exponents lie within sum_i rho_i and the
+    unit's within the same sum, so every minor of a block lies within h
+    = 2 * sum_i rho_i (at most twice the relators' total length on a
+    Jacobian).  The blocks keep the matrix's radius 2h.
     """
-    matrix = pres.matrix
-    if not isinstance(matrix, PackedMatrix):
-        matrix = PackedMatrix.pack(matrix, pres.num_generators, pres.nvars,
-                                   2 * sum(map(_max_exponent, matrix)))
+    matrix = _packed(pres)
     rows = {}
     cols = {j: set() for j in range(pres.num_generators)}
     units = set()
@@ -340,11 +416,9 @@ def _reduced_blocks(pres):
             if len(cell) == 1 and abs(next(iter(cell.values()))) == 1:
                 units.add((i, j))
 
-    def fill(ij):
-        return (len(rows[ij[0]]) - 1) * (len(cols[ij[1]]) - 1), ij
-
     while units:
-        p, c = min(units, key=fill)
+        _, p, c = min([((len(rows[i]) - 1) * (len(cols[j]) - 1), i, j)
+                       for i, j in units])
         pivot_row = rows.pop(p)
         (key, coeff), = pivot_row.pop(c).items()
         for j in pivot_row:
@@ -419,8 +493,10 @@ def _block_order(block):
     over the C(R,r) row sets.  On a diagram-shaped block, which a kernel
     certificate's block always is, Cramer's rule gives k = w_q, or 1 on
     one component ("shortcut"); every other block takes the gcd over the
-    C(G,r) column sets ("fallback").  An inexact division by k is an
-    inconsistency and raises ComputationError.
+    C(G,r) column sets ("fallback").  A certificate's c, a block minor,
+    is divided by w_q on the block's keys (_divide); a gcd of minors by
+    laurent.exact_divide.  An inexact division by k is an inconsistency
+    and raises ComputationError.
     """
     cert = _kernel_certificate(block)
     certified = cert is not None
@@ -433,7 +509,7 @@ def _block_order(block):
     rows, cols, c = cert.pivot_rows, cert.pivot_columns, cert.minor
     weights = _column_weights(block) if r == ncols - 1 else None
     shaped = weights is not None and (certified or _row_relation_holds(
-        _packed(block, 1), block.generator_component))
+        _packed(block), block.generator_component))
     # besides the certificate's: the row side, the column side
     needed = ((0 if certified else comb(nrows, r) - 1)
               + (0 if shaped else comb(ncols, r) - 1))
@@ -455,7 +531,12 @@ def _block_order(block):
     else:
         k = weights[next(j for j in range(ncols) if j not in cols)]
     if not k.is_one():  # k = 1: nothing to divide
-        value = exact_divide(value, k)
+        if certified:  # c = value, a block minor, by w_q = k on keys
+            packed = _packed(block)
+            value = _divide(packed.cell(value), packed.cell(k), packed)
+            value = None if value is None else packed.poly(value)
+        else:
+            value = exact_divide(value, k)
         if value is None:
             raise ComputationError(
                 "the minors of a %dx%d block of rank %d break the rank-one "
@@ -467,16 +548,19 @@ def _kernel_certificate(block):
     """
     The minor c of a G x G block B (G >= 2) without its last row and
     column if B's kernel y is G units, y * B = B * w = 0 and c != 0.
-    Both checks run on B's packed rows (_packed), with a radius that
-    covers every exponent of y_i * B_ij and B_ij * t_c: packing is then
-    injective on both sums, and a wrong y is never certified by keys
-    that alias.
+    Both checks run on B's packed rows (_packed).  B's entries lie within
+    h, its radius being 2h, so a kernel within h (and h >= 1) keeps
+    every exponent of y_i * B_ij and B_ij * t_c within the radius:
+    packing is then injective on both sums, and a wrong y is never
+    certified by keys that alias.  A kernel past h is refused.
     """
     y, g = block.kernel, block.num_generators
     if (y is None or g < 2 or block.num_relators != g or len(y) != g
             or not all(e.is_unit() and e.nvars == block.nvars for e in y)):
         return None
-    packed = _packed(block, max(1, _max_exponent(y)))
+    packed = _packed(block)
+    if max(1, _max_exponent(y)) > packed.radius - packed.radius // 2:
+        return None
     total = [{} for _ in range(g)]
     for (exps, sign), row in zip((next(iter(e.terms.items())) for e in y),
                                  packed.rows):

@@ -14,8 +14,9 @@ is never materialised: the Jacobian applies the abelianization eagerly,
 term by term.  Each exponent vector is one integer key (PackedMatrix),
 so the prefix is one int and a cell is a dict {key: coefficient}.  A
 row holds cells only for the generators its relator touches, at most
-three in a Wirtinger relator.  alexander's unit-pivot reduction runs on
-these rows; the LaurentPoly matrix is decoded only where it is read.
+three in a Wirtinger relator.  alexander's unit-pivot reduction and
+every minor of the blocks it leaves run on these rows; the LaurentPoly
+matrix is decoded only where it is read.
 """
 
 from collections.abc import Sequence
@@ -33,8 +34,10 @@ class PackedMatrix(Sequence):
     add as exponents do, which makes packing a ring homomorphism, and it
     is injective on the exponent vectors whose entries but the last lie in
     [-radius, radius] (balanced digits), where zero and unit tests on keys
-    are exact.  Read as a sequence it is the matrix's LaurentPoly rows,
-    decoded on first read, every empty cell one shared zero.
+    are exact.  The radius is 2h, h a bound on the exponents of every
+    minor (alexander._eliminate).  Read as a sequence it is the matrix's
+    LaurentPoly rows, decoded on first read, every empty cell one shared
+    zero.
     """
 
     __slots__ = ("rows", "ncols", "nvars", "radius", "_decoded")
@@ -48,9 +51,29 @@ class PackedMatrix(Sequence):
     def pack(cls, matrix, ncols, nvars, radius):
         """The rows of LaurentPolys of matrix, packed."""
         out = cls([], ncols, nvars, radius)
-        out.rows = [{j: {out.key(e): c for e, c in x.terms.items()}
-                     for j, x in enumerate(row) if x.terms} for row in matrix]
+        out.rows = [{j: out.cell(x) for j, x in enumerate(row) if x.terms}
+                    for row in matrix]
         return out
+
+    def cell(self, poly):
+        """The terms of a LaurentPoly keyed by their packed exponents."""
+        key = self.key
+        return {key(e): c for e, c in poly.terms.items()}
+
+    def poly(self, cell):
+        """The LaurentPoly of a packed cell."""
+        exponents = self.exponents
+        return LaurentPoly._make(self.nvars, {
+            exponents(k): c for k, c in cell.items()})
+
+    def within(self, key, bound):
+        """Whether every exponent of key but the last lies in [-bound, bound]."""
+        radius, radix = self.radius, 2 * self.radius + 1
+        for _ in range(self.nvars - 1):
+            if (key + bound) % radix > 2 * bound:
+                return False
+            key = (key + radius) // radix
+        return True
 
     def key(self, exps):
         radix, k = 2 * self.radius + 1, 0
@@ -70,13 +93,11 @@ class PackedMatrix(Sequence):
 
     def _matrix(self):
         if self._decoded is None:
-            zero, exponents = LaurentPoly.zero(self.nvars), self.exponents
-            decoded = []
+            zero, decoded = LaurentPoly.zero(self.nvars), []
             for packed in self.rows:
                 row = [zero] * self.ncols
                 for j, cell in packed.items():
-                    row[j] = LaurentPoly._make(self.nvars, {
-                        exponents(k): c for k, c in cell.items()})
+                    row[j] = self.poly(cell)
                 decoded.append(tuple(row))
             self._decoded = tuple(decoded)
         return self._decoded
@@ -109,7 +130,8 @@ class AlexanderPresentation:
     nvars: int
     generator_component: Tuple[int, ...]
     # if given, a unit per row claimed to give kernel * matrix = 0; only
-    # alexander._kernel_certificate checks it, on the packed block rows
+    # alexander._kernel_certificate checks it, on the packed block rows,
+    # and only if its exponents lie within the matrix's bound h
     kernel: Optional[Tuple[LaurentPoly, ...]] = field(default=None,
                                                       compare=False)
 
@@ -126,9 +148,9 @@ def jacobian(pres, phi):
     """
     Assemble the Alexander presentation matrix with entries
     phi(d r_i / d x_j), as a PackedMatrix.  A row's exponents are
-    prefixes of its relator, at most its length in absolute value, and
-    the radius is twice their sum, which bounds every exponent the
-    unit-pivot reduction meets (alexander._reduced_blocks).
+    prefixes of its relator, at most its length in absolute value, so
+    h = twice their sum bounds every minor of a reduced block
+    (alexander._reduced_blocks), and the radius is 2h.
 
     >>> from .wirtinger import GroupPresentation, AbelianizationMap
     >>> p = GroupPresentation(2, ((((0,1),(1,1),(0,-1),(1,-1)),)))
@@ -138,7 +160,7 @@ def jacobian(pres, phi):
     """
     if len(phi.component_of) != pres.num_generators:
         raise ValueError("abelianization map does not match presentation")
-    radius = 2 * sum(map(len, pres.relators))
+    radius = 4 * sum(map(len, pres.relators))
     weight = [(2 * radius + 1) ** c for c in phi.component_of]
     rows = []
     for word in pres.relators:

@@ -7,9 +7,9 @@ All coefficients are arbitrary-precision Python ints; the zero polynomial
 is the empty map.  At one variable (knots), exact division and gcd run on
 a dense coefficient list instead, kept on the polynomial after its first
 use: polynomials are never mutated.  Every product is one call of
-mul_add, which also fuses the sums of products of the Bareiss
-elimination (the unit-pivot reduction before it runs on foxcalc's
-packed rows, with no LaurentPoly).
+mul_add, which also fuses sums of products into one result (the
+eliminations of alexander run on foxcalc's packed rows, with no
+LaurentPoly).
 At two or more variables (links), large products and exact division key
 each term by one integer, its exponent vector as a mixed-radix number
 over the operands' exponent box.  Division checks each quotient term's
@@ -508,8 +508,8 @@ def mul_add(products, base=None):
     """
     base + the sum of s * f * g over the triples (f, g, s) of products (s
     an int, base None for 0), built as one result from one dict: a
-    product is one triple, alexander's updates x - f*g and a*b - c*d are
-    one call each.  The dict is keyed by the exponent at one variable,
+    product is one triple, an update x - f*g or a*b - c*d one call.
+    The dict is keyed by the exponent at one variable,
     else by its tuple, or, once both operands of some product have
     _PACK_MIN_TERMS terms, by packed keys over the union of the boxes of
     base and every product, where no digit of a sum carries.

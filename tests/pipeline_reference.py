@@ -53,6 +53,18 @@ unchanged as the reference the current code is tested against.
   stalled over strands (d -> b where b = d + 1, except where the same
   over pair occurs at two crossings), then the check that every strand
   steps x -> x + 1 along its component.
+- decoded_eliminate, decoded_determinant, decoded_module_rank,
+  decoded_minor, decoded_packed, decoded_kernel_certificate and
+  decoded_block_order, the block stage as it was before its minors ran
+  on packed exponent keys: every block was decoded to LaurentPolys, to
+  measure its exponents (decoded_packed, which packed it anew when the
+  reduction's radius was too narrow for the kernel certificate's
+  checks) and for each minor, and the one Bareiss routine made each
+  update one laurent.mul_add call and each division one
+  laurent.exact_divide call.  They call one another, not the package's
+  block stage, and run the package's _row_relation_holds as
+  packed_row_relation_holds.  decoded_module_rank's doctest is left
+  out.
 """
 
 import json
@@ -63,9 +75,11 @@ from math import comb, gcd
 from ribboncheck import cli, laurent
 from ribboncheck.alexander import (FALLBACK_MINOR_BUDGET, RankCertificate,
                                    _column_weights,
-                                   _kernel_certificate, _minor, _minor_gcd,
-                                   module_rank)
-from ribboncheck.foxcalc import AlexanderPresentation
+                                   _kernel_certificate, _max_exponent, _minor,
+                                   _minor_gcd, module_rank)
+from ribboncheck.alexander import \
+    _row_relation_holds as packed_row_relation_holds
+from ribboncheck.foxcalc import AlexanderPresentation, PackedMatrix
 from ribboncheck.laurent import (ComputationError, LaurentPoly, canonical,
                                  exact_divide, mul_add)
 from ribboncheck.linkcodec import (Crossing, DiagramError, LinkDiagram,
@@ -1130,3 +1144,177 @@ def propagation_pd_diagram(pd):
         sign = 1 if oin == bb else -1
         crossings.append(Crossing(arc[oin], arc[a], arc[c], sign))
     return LinkDiagram(num_arcs, tuple(comp_of_arc), tuple(crossings))
+
+
+def decoded_eliminate(rows, nvars):
+    """
+    Fraction-free (Bareiss) row echelon form of a matrix of LaurentPolys,
+    the one elimination routine of this module.  Pivots on rows, column
+    by column; a column with no nonzero entry left is skipped.
+
+    Returns (rank, pivot rows, pivot columns, last pivot, sign).  The
+    pivot rows are in the order the swaps left them; the last pivot is
+    the determinant of the pivot rows x pivot columns submatrix in that
+    row order, so of a square matrix of full rank it is the determinant
+    times sign, the parity of the row swaps.
+    """
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    order = list(range(nrows))
+    pivot_cols = []
+    prev = LaurentPoly.one(nvars)
+    sign = 1
+    k = 0
+    for c in range(ncols):
+        if k == nrows:
+            break
+        piv = next((i for i in range(k, nrows) if m[i][c].terms), None)
+        if piv is None:
+            continue
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            order[k], order[piv] = order[piv], order[k]
+            sign = -sign
+        top, lead = m[k], m[k][c]
+        for row in m[k + 1:]:  # column c below the pivot is never read again
+            below = row[c]
+            for j in range(c + 1, ncols):
+                num = mul_add(((lead, row[j], 1), (below, top[j], -1)))
+                if k:  # else prev is the initial 1
+                    num = exact_divide(num, prev)
+                    if num is None:
+                        raise ComputationError("Bareiss division failed")
+                row[j] = num
+        prev = lead
+        pivot_cols.append(c)
+        k += 1
+    return k, order[:k], pivot_cols, prev, sign
+
+
+def decoded_determinant(rows):
+    """Exact determinant of a square matrix of LaurentPolys."""
+    n = len(rows)
+    if n == 0:
+        raise ValueError("determinant of an empty matrix is a convention; "
+                         "handle 0x0 at the call site")
+    nvars = rows[0][0].nvars
+    rank, _, _, pivot, sign = decoded_eliminate(rows, nvars)
+    if rank < n:
+        return LaurentPoly.zero(nvars)
+    return -pivot if sign < 0 else pivot
+
+
+def decoded_module_rank(pres):
+    """
+    Rank of the presentation matrix over the fraction field, with a
+    witnessing set of pivot rows/columns and the corresponding nonzero
+    minor.
+    """
+    rank, rows, cols, pivot, _ = decoded_eliminate(pres.matrix, pres.nvars)
+    return RankCertificate(rank, tuple(sorted(rows)), tuple(cols), pivot)
+
+
+def decoded_minor(pres, rows, cols):
+    sub = [[pres.matrix[i][j] for j in cols] for i in rows]
+    return decoded_determinant(sub)
+
+
+def decoded_packed(block, reach):
+    """
+    The block's matrix as a PackedMatrix whose radius covers every
+    exponent of its entries plus reach: the reduction's own if it is wide
+    enough, else the entries packed anew.
+    """
+    matrix = block.matrix
+    radius = reach + max(map(_max_exponent, matrix), default=0)
+    if isinstance(matrix, PackedMatrix) and radius <= matrix.radius:
+        return matrix
+    return PackedMatrix.pack(matrix, block.num_generators, block.nvars,
+                             radius)
+
+
+def decoded_kernel_certificate(block):
+    """
+    The minor c of a G x G block B (G >= 2) without its last row and
+    column if B's kernel y is G units, y * B = B * w = 0 and c != 0.
+    Both checks run on B's packed rows (_packed), with a radius that
+    covers every exponent of y_i * B_ij and B_ij * t_c: packing is then
+    injective on both sums, and a wrong y is never certified by keys
+    that alias.
+    """
+    y, g = block.kernel, block.num_generators
+    if (y is None or g < 2 or block.num_relators != g or len(y) != g
+            or not all(e.is_unit() and e.nvars == block.nvars for e in y)):
+        return None
+    packed = decoded_packed(block, max(1, _max_exponent(y)))
+    total = [{} for _ in range(g)]
+    for (exps, sign), row in zip((next(iter(e.terms.items())) for e in y),
+                                 packed.rows):
+        shift = packed.key(exps)
+        for j, cell in row.items():
+            column = total[j]
+            for k, x in cell.items():
+                column[k + shift] = column.get(k + shift, 0) + sign * x
+    if (any(any(column.values()) for column in total)
+            or not packed_row_relation_holds(packed, block.generator_component)):
+        return None
+    rows = tuple(range(g - 1))
+    c = decoded_minor(block, rows, rows)
+    return RankCertificate(g - 1, rows, rows, c) if c.terms else None
+
+
+def decoded_block_order(block):
+    """
+    Torsion order of one reduced block and the path that gave it:
+    "rank0" (no torsion), "shortcut" or "fallback".
+
+    By the rank-one table of minors (module docstring) the order is the
+    row side gcd_S det M[S,Q] divided by k = c / gcd_T det M[P,T].  A
+    block that passes _kernel_certificate takes its minor c as the row
+    side; every other block takes module_rank's certificate and the gcd
+    over the C(R,r) row sets.  On a diagram-shaped block, which a kernel
+    certificate's block always is, Cramer's rule gives k = w_q, or 1 on
+    one component ("shortcut"); every other block takes the gcd over the
+    C(G,r) column sets ("fallback").  An inexact division by k is an
+    inconsistency and raises ComputationError.
+    """
+    cert = decoded_kernel_certificate(block)
+    certified = cert is not None
+    if not certified:
+        cert = decoded_module_rank(block)
+    r = cert.rank
+    if r == 0:
+        return LaurentPoly.one(block.nvars), "rank0"
+    nrows, ncols = block.num_relators, block.num_generators
+    rows, cols, c = cert.pivot_rows, cert.pivot_columns, cert.minor
+    weights = _column_weights(block) if r == ncols - 1 else None
+    shaped = weights is not None and (certified or packed_row_relation_holds(
+        decoded_packed(block, 1), block.generator_component))
+    # besides the certificate's: the row side, the column side
+    needed = ((0 if certified else comb(nrows, r) - 1)
+              + (0 if shaped else comb(ncols, r) - 1))
+    if needed > FALLBACK_MINOR_BUDGET:
+        raise ComputationError(
+            "the torsion order needs %d minors of rank %d on a %dx%d "
+            "reduced block, past its budget of %d "
+            "(alexander.FALLBACK_MINOR_BUDGET)"
+            % (needed, r, nrows, ncols, FALLBACK_MINOR_BUDGET))
+    value = c if certified else _minor_gcd(c, (
+        decoded_minor(block, s, cols) for s in combinations(range(nrows), r)
+        if s != rows))
+    if not shaped:
+        k = exact_divide(c, _minor_gcd(c, (
+            decoded_minor(block, rows, t) for t in combinations(range(ncols), r)
+            if t != cols)))
+    elif len(set(block.generator_component)) == 1:
+        k = LaurentPoly.one(block.nvars)
+    else:
+        k = weights[next(j for j in range(ncols) if j not in cols)]
+    if not k.is_one():  # k = 1: nothing to divide
+        value = exact_divide(value, k)
+        if value is None:
+            raise ComputationError(
+                "the minors of a %dx%d block of rank %d break the rank-one "
+                "identity" % (nrows, ncols, r))
+    return value, "shortcut" if shaped else "fallback"

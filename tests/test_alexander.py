@@ -493,9 +493,11 @@ FALLBACK_SPECS = {
 
 class TestAgainstReplacedLoops:
     """
-    The sparse Fox rows and the eliminations on laurent.mul_add against
-    the loops they replaced, kept in pipeline_reference: the same
-    Jacobian entries, blocks, rank certificates and Delta.
+    The sparse Fox rows, the reduction and the Bareiss routine on packed
+    keys against the loops they replaced, kept in pipeline_reference
+    (the Bareiss routine before laurent.mul_add, run through the block
+    stage on decoded blocks): the same Jacobian entries, blocks, rank
+    certificates and Delta.
     """
 
     def check(self, diagram, monkeypatch):
@@ -507,10 +509,13 @@ class TestAgainstReplacedLoops:
         certificates = [module_rank(b) for b in blocks]
         delta = torsion_order(A)
         with monkeypatch.context() as patch:
-            patch.setattr(alexander, "_eliminate", reference._eliminate)
+            patch.setattr(reference, "decoded_eliminate", reference._eliminate)
+            patch.setattr(alexander, "_block_order",
+                          reference.decoded_block_order)
             patch.setattr(alexander, "_reduced_blocks",
                           reference._reduced_blocks)
-            assert certificates == [module_rank(b) for b in blocks]
+            assert certificates == [reference.decoded_module_rank(b)
+                                    for b in blocks]
             old = torsion_order(A)
         assert delta.value == old.value, diagram
         assert delta.source == old.source, diagram
@@ -754,7 +759,7 @@ def assert_same_blocks(blocks, old, orders):
         assert alexander._kernel_certificate(block) == \
             reference.laurent_kernel_certificate(ref)
         assert alexander._row_relation_holds(
-            alexander._packed(block, 1), block.generator_component) == \
+            alexander._packed(block), block.generator_component) == \
             reference._row_relation_holds(ref, alexander._column_weights(ref))
         if orders is not None:
             assert alexander._block_order(ref) == orders[n]
@@ -1140,8 +1145,9 @@ class TestPackedKeys:
                 m, tuple(rng.randrange(m) for _ in range(ncols))), False)
 
     def test_schur_entries_reach_the_radius(self):
-        # one pivot, u, and a row of constants: the radius is 2 * s, and
-        # the one entry left is -6 u^-2 = -6 t1^2s t2^-2s t3^2s
+        # one pivot, u, and a row of constants: the bound h is 2 * s, the
+        # radius 2h, and the one entry left is -6 u^-2 = -6 t1^2s t2^-2s
+        # t3^2s, at h
         s = 500
         u = parse_poly("t1^-%d*t2^%d*t3^-%d" % (s, s, s), 3)
         zero, three = LaurentPoly.zero(3), LaurentPoly.constant(3, 3)
@@ -1150,7 +1156,7 @@ class TestPackedKeys:
             ((u, 2 * unit_inverse(u), zero), (three, zero, five)), 3,
             (0, 1, 2))
         block, = self.check(pres)
-        assert block.matrix.radius == 2 * s
+        assert block.matrix.radius == 4 * s
         expected = parse_poly("-6*t1^%d*t2^-%d*t3^%d" % (2 * s, 2 * s, 2 * s),
                               3)
         assert block.matrix == ((expected, five),)
@@ -1159,10 +1165,11 @@ class TestPackedKeys:
     def test_check_radius_is_tight(self):
         # B = (f_i * (t2 - 1, -(t1 - 1)))_i holds the Fox row relation,
         # and y * B = (t1 * f0 + t1^-1 * f1) * (t2 - 1, -(t1 - 1)): 0 for
-        # f1 = -t1^3, but t1^2 - t1^-3 * t2 for f1 = -t1^-2 * t2.  Every
-        # exponent of y_i * B_ij is at most 3 in absolute value, the
-        # radius packing gives; at radius 2, a radix of 5, t1^2 and
-        # t1^-3 * t2 share the key 2, and the wrong y would pass
+        # f1 = -t1^3, but t1^2 - t1^-3 * t2 for f1 = -t1^-2 * t2.  The
+        # entries of the second B lie within 2 and y within 1, so at
+        # radius 4 (h = 2) every exponent of y_i * B_ij, at most 3, has a
+        # key of its own; at radius 2, a radix of 5, t1^2 and t1^-3 * t2
+        # share the key 2, and the wrong y passes
         t1, t2 = parse_poly("t1", 2), parse_poly("t2", 2)
         one = LaurentPoly.one(2)
         y = (t1, unit_inverse(t1))
@@ -1173,23 +1180,33 @@ class TestPackedKeys:
                  (f1 * (t2 - one), -f1 * (t1 - one))), 2, (0, 1), y)
             assert (alexander._kernel_certificate(block) is not None) \
                 == certified
-        narrow = PackedMatrix([], 2, 2, 2)
-        assert narrow.key((2, 0)) == narrow.key((-3, 1))
-        assert alexander._packed(block, 1).radius == 3
+        assert alexander._packed(block).radius == 2 * 2 * (2 + 2)
+        for radius, certified in ((4, False), (2, True)):
+            narrow = replace(block, matrix=PackedMatrix.pack(
+                block.matrix, 2, 2, radius))
+            assert (alexander._kernel_certificate(narrow) is not None) \
+                == certified
+        assert narrow.matrix.key((2, 0)) == narrow.matrix.key((-3, 1))
 
-    def test_kernel_past_the_radius_widens_it(self, monkeypatch):
+    def test_kernel_past_the_radius_is_refused(self, monkeypatch):
         # y = (t1^3, t1^-3) on B = (f_i * (t2 - 1, -(t1 - 1)))_i, f0 = 1
-        # and f1 = -t1^-1 * t2: y * B has t1^3 - t1^-4 * t2, which only
-        # the kernel's widening keeps apart (radius 5, not 3)
+        # and f1 = -t1^-1 * t2: y * B has t1^3 - t1^-4 * t2.  Packed at
+        # radius 4 (h = 2, its entries' bound), B cannot check a kernel
+        # of 3, which is refused; packed on its own, h = 2 * (1 + 2)
+        # covers the kernel, and the check refuses the wrong y
         t1, t2 = parse_poly("t1", 2), parse_poly("t2", 2)
         one, f1 = LaurentPoly.one(2), -parse_poly("t1^-1*t2", 2)
         block = AlexanderPresentation(
             ((t2 - one, one - t1), (f1 * (t2 - one), -f1 * (t1 - one))), 2,
             (0, 1), (t1 ** 3, unit_inverse(t1 ** 3)))
         assert alexander._kernel_certificate(block) is None
-        assert alexander._packed(block, 3).radius == 5
+        assert alexander._packed(block).radius == 2 * 2 * (1 + 2)
+        narrow = replace(block, matrix=PackedMatrix.pack(
+            block.matrix, 2, 2, 4))
+        assert narrow.matrix.key((3, 0)) != narrow.matrix.key((-4, 1))
+        assert alexander._kernel_certificate(narrow) is None
         # a reduced block's kernel moved by t1^R / t2, R the radix of its
-        # keys, packs to the same keys: it is checked on wider ones
+        # keys, packs to the same keys: it lies past h and is refused
         calls = counting_module_rank(monkeypatch)
         blocks, _ = blocks_and_delta(parse_link_spec("braid:n=2:1 1 1 1"),
                                      monkeypatch)
@@ -1205,6 +1222,210 @@ class TestPackedKeys:
         got, got_path = alexander._block_order(bad)
         assert len(calls) == 1
         assert (canonical(got), got_path) == (canonical(value), path)
+
+
+def decoded_block_check(blocks, orders=None):
+    """
+    Each block's (order, path), from orders if given (what _block_order
+    returned on it), and module_rank's and _kernel_certificate's rank
+    certificates (rank, rows, columns and minor), against the block
+    stage on decoded blocks kept in pipeline_reference.
+    """
+    if orders is None:
+        orders = [alexander._block_order(block) for block in blocks]
+    assert orders == [reference.decoded_block_order(b) for b in blocks]
+    for block in blocks:
+        assert module_rank(block) == reference.decoded_module_rank(block)
+        assert alexander._kernel_certificate(block) == \
+            reference.decoded_kernel_certificate(block)
+
+
+class TestAgainstDecodedBlocks:
+    """
+    The block stage on packed keys (_eliminate on PackedMatrix rows)
+    against the one it replaced, on decoded LaurentPoly blocks, kept in
+    pipeline_reference: the same order and path of every reduced block,
+    the same rank certificates and Delta, and the same determinants.
+    """
+
+    def check(self, diagram, monkeypatch):
+        # Delta is the canonical product of these orders, and its source
+        # the shapes and paths of these blocks
+        orders = []
+        blocks, _ = blocks_and_delta(diagram, monkeypatch, orders)
+        decoded_block_check(blocks, orders)
+        return orders
+
+    def test_bundled_diagrams(self, monkeypatch):
+        for name, spec in knot_table() + link_table():
+            self.check(parse_link_spec(spec), monkeypatch)
+
+    def test_same_output_closures_and_their_pd_twins(self, monkeypatch):
+        module = same_output_module()
+        specs = (same_output_closures() + module.SHORTCUT_CLOSURES
+                 + (module.SLOW_SHORTCUT,))
+        for spec in specs + module.pd_twins(specs):
+            self.check(parse_link_spec(spec), monkeypatch)
+
+    def test_random_closures_and_sublinks(self, monkeypatch):
+        rng = random.Random(2525)
+        components, sublinks, paths = set(), 0, set()
+        for _ in range(1000):
+            n = rng.randint(2, 8)
+            word = BraidWord(n, tuple(
+                rng.choice((1, -1)) * rng.randint(1, n - 1)
+                for _ in range(rng.randint(1, 20))))
+            diagram = braid_closure(word)
+            components.add(diagram.num_components)
+            paths.update(path for _, path in self.check(diagram, monkeypatch))
+            if diagram.num_components > 1 and rng.random() < 0.25:
+                self.check(sublink(diagram, rng.randrange(
+                    diagram.num_components)), monkeypatch)
+                sublinks += 1
+        assert components == set(range(1, 9)) and sublinks > 100
+        assert paths == {"rank0", "shortcut", "fallback"}
+
+    def test_hand_built_matrices(self):
+        # small random entries times a unit for each row and each column,
+        # of exponents up to 1,000 in absolute value, so that every minor
+        # is a unit times a small one; some rows empty, some the sum of
+        # multiples of others (rank deficient); then the blocks of the
+        # row-scaled Jacobians of closures, which carry their kernel
+        rng = random.Random(2526)
+        nvars, deficient, empty = set(), 0, 0
+
+        def unit(m):
+            return LaurentPoly.monomial(rng.choice((1, -1)), tuple(
+                rng.randint(-1000, 1000) for _ in range(m)))
+
+        for _ in range(200):
+            m = rng.randint(1, 5)
+            nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+            zero = LaurentPoly.zero(m)
+            small = [[zero if rng.random() < 0.3 else
+                      random_poly(rng, m, 2, 1, 4) for _ in range(ncols)]
+                     for _ in range(nrows)]
+            if nrows > 2 and rng.random() < 0.4:
+                a, b = (random_poly(rng, m, 2, 1, 2) for _ in range(2))
+                small[-1] = [a * x + b * y
+                             for x, y in zip(small[0], small[1])]
+            if rng.random() < 0.2:
+                small[rng.randrange(nrows)] = [zero] * ncols
+                empty += 1
+            us, vs = [unit(m) for _ in small], [unit(m) for _ in small[0]]
+            rows = tuple(tuple(u * v * x for v, x in zip(vs, row))
+                         for u, row in zip(us, small))
+            pres = AlexanderPresentation(rows, m, tuple(
+                rng.randrange(m) for _ in range(ncols)))
+            cert = module_rank(pres)
+            assert cert == reference.decoded_module_rank(pres)
+            deficient += cert.rank < min(nrows, ncols)
+            assert alexander._block_order(pres) == \
+                reference.decoded_block_order(pres)
+            decoded_block_check(alexander._reduced_blocks(pres))
+            n = min(nrows, ncols)
+            square = [row[:n] for row in rows[:n]]
+            assert determinant(square) == \
+                reference.decoded_determinant(square)
+            nvars.add(m)
+        assert nvars == {1, 2, 3, 4, 5} and deficient > 20 and empty > 20
+        certified = 0
+        for _ in range(100):
+            while True:
+                n = rng.randint(2, 6)
+                word = BraidWord(n, tuple(
+                    rng.choice((1, -1)) * rng.randint(1, n - 1)
+                    for _ in range(rng.randint(1, 10))))
+                if len(word.cycles()) <= 5:
+                    break
+            diagram = braid_closure(word)
+            A = fox_matrix(diagram)
+            units = [unit(A.nvars) for _ in A.matrix]
+            blocks = alexander._reduced_blocks(AlexanderPresentation(
+                tuple(tuple(u * e for e in row)
+                      for u, row in zip(units, A.matrix)),
+                A.nvars, A.generator_component,
+                tuple(LaurentPoly.monomial(1, e) * unit_inverse(u)
+                      for e, u in zip(diagram.kernel, units))))
+            decoded_block_check(blocks)
+            certified += sum(alexander._kernel_certificate(b) is not None
+                             for b in blocks)
+        assert certified > 20
+
+
+class TestPackedBareiss:
+    """
+    The exactness of _eliminate and _divide on packed keys: numerators
+    at the radius, quotients at the bound h, and inexact divisions.
+    """
+
+    def test_numerators_reach_the_radius(self):
+        # one unit pivot u = t1^-s * t2 whose row holds t1^s, above three
+        # rows of constants, none of them a unit: h = 2 * s, the radius
+        # 4 * s, and the 3 x 3 block left has entries c_ij - c_i0 * a_j *
+        # T, T = t1^2s * t2^-1.  Its 2 x 2 minors reach T, and the
+        # numerators of the second Bareiss step, the first pivot times
+        # the block's determinant, T^2 = t1^4s * t2^-2, at the radius
+        s = 40
+        u, v = parse_poly("t1^-%d*t2" % s, 2), parse_poly("t1^%d" % s, 2)
+        consts = [[2, 3, 5, 7], [11, -2, 3, 4], [3, 5, -7, 2]]
+        rows = [[u, 2 * v, 3 * v, -5 * v]]
+        rows += [[LaurentPoly.constant(x, 2) for x in row] for row in consts]
+        pres = presentation_from_rows(rows, 2, 4)
+        block, = alexander._reduced_blocks(pres)
+        assert block.matrix.radius == 4 * s
+        B = block.matrix
+        d = determinant(list(B))
+        reach = max(e[0] for e in (B[0][0] * d).terms)
+        assert reach == B.radius and max(e[0] for e in d.terms) == 2 * s
+        cert = module_rank(block)
+        assert cert == reference.decoded_module_rank(block)
+        assert cert.rank == 3
+        assert d == reference.decoded_determinant(list(B))
+        assert alexander._block_order(block) == \
+            reference.decoded_block_order(block)
+        assert canonical(torsion_order(pres).value) == definition_delta(pres)
+
+    def test_inexact_division_is_refused(self):
+        # at radius 2h, p = t1^2h + t1^-2h * t2 packs to T^2h * (1 + T)
+        # and t1 + 1 to 1 + T: the keys divide, by t1^2h, whose exponent
+        # is past h, and t1 + 1 does not divide p (t1 = -1 leaves 1 + t2)
+        h = 3
+        packed = PackedMatrix([], 2, 2, 2 * h)
+        p = packed.cell(parse_poly("t1^%d + t1^-%d*t2" % (2 * h, 2 * h), 2))
+        d = packed.cell(parse_poly("t1 + 1", 2))
+        assert sorted(p) == [2 * h, 2 * h + 1]
+        assert alexander._divide(p, d, packed) is None
+        for num, den, quotient in (
+                ("t1^2*t2 - t2", "t1 - 1", "t1*t2 + t2"),
+                ("t1^2 + 1", "t1 - 1", None),
+                ("2*t1*t2 + 1", "2", None),
+                ("6*t1^-1*t2^5 - 4*t1^2", "2*t1^-1", "3*t2^5 - 2*t1^3"),
+                ("6*t1^-3*t2^5 - 4*t1^3", "2*t1^-3", None)):  # t1^6: past h
+            got = alexander._divide(packed.cell(parse_poly(num, 2)),
+                                    packed.cell(parse_poly(den, 2)), packed)
+            assert (got and packed.poly(got)) == (
+                quotient and parse_poly(quotient, 2)), num
+        one = PackedMatrix([], 1, 1, 0)  # one variable: no bound
+        t = parse_poly("t^5000 - 1", 1)
+        got = alexander._divide(one.cell(t), one.cell(parse_poly("t - 1", 1)),
+                                one)
+        assert one.poly(got) == sum((parse_poly("t^%d" % i, 1)
+                                     for i in range(5000)),
+                                    LaurentPoly.zero(1))
+
+    def test_minors_past_the_bound_raise(self):
+        # a 3 x 3 matrix packed at radius 2 (h = 1) with entries of t1
+        # degree 1: its determinant reaches t1^3, past h, and the second
+        # Bareiss step's quotient fails the digit check
+        t1, t2 = parse_poly("t1", 2), parse_poly("t2", 2)
+        one = LaurentPoly.one(2)
+        rows = ((t1 + one, t2, 3 * one), (2 * one, t1 - t2, t1),
+                (t1 * t2, 5 * one, t1 + 2 * one))
+        assert max(e[0] for e in determinant(rows).terms) == 3
+        narrow = PackedMatrix.pack(rows, 3, 2, 2)
+        with pytest.raises(ComputationError, match="Bareiss"):
+            module_rank(AlexanderPresentation(narrow, 2, (0, 1, 1)))
 
 
 class TestCensusFallbacks:
