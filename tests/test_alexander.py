@@ -1190,10 +1190,10 @@ class TestPackedKeys:
 
     def test_kernel_past_the_radius_is_refused(self, monkeypatch):
         # y = (t1^3, t1^-3) on B = (f_i * (t2 - 1, -(t1 - 1)))_i, f0 = 1
-        # and f1 = -t1^-1 * t2: y * B has t1^3 - t1^-4 * t2.  Packed at
-        # radius 4 (h = 2, its entries' bound), B cannot check a kernel
-        # of 3, which is refused; packed on its own, h = 2 * (1 + 2)
-        # covers the kernel, and the check refuses the wrong y
+        # and f1 = -t1^-1 * t2: y * B has t1^3 - t1^-4 * t2.  Packed on
+        # its own, h = 2 * (1 + 2) covers the kernel, and the check
+        # refuses the wrong y; packed at radius 4 (h = 2, its entries'
+        # bound), B takes no kernel of 3 at all
         t1, t2 = parse_poly("t1", 2), parse_poly("t2", 2)
         one, f1 = LaurentPoly.one(2), -parse_poly("t1^-1*t2", 2)
         block = AlexanderPresentation(
@@ -1203,7 +1203,6 @@ class TestPackedKeys:
         assert alexander._packed(block).radius == 2 * 2 * (1 + 2)
         narrow = replace(block, matrix=PackedMatrix.pack(
             block.matrix, 2, 2, 4))
-        assert narrow.matrix.key((3, 0)) != narrow.matrix.key((-4, 1))
         assert alexander._kernel_certificate(narrow) is None
         # a reduced block's kernel moved by t1^R / t2, R the radix of its
         # keys, packs to the same keys: it lies past h and is refused
