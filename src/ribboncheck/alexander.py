@@ -50,11 +50,11 @@ routine, _eliminate, which module_rank, determinant and every minor
 call: every division performed is exact in the Laurent ring, so no
 rational-function arithmetic is needed.  Everything from the Jacobian to
 the blocks' minors runs on the integer keys of foxcalc.PackedMatrix
-rows: the unit-pivot reduction, the kernel certificate's checks, each
-Bareiss numerator a*b - c*d and its exact division, and the division of
-a certificate's minor by w_q.  A block's LaurentPolys are only what
-leaves this stage: its order, the minors whose gcd is taken and the
-rank certificates' minors.
+rows: the unit-pivot reduction, the kernel certificate's checks, and
+each Bareiss numerator a*b - c*d and its exact division.  A block's
+LaurentPolys are only what leaves this stage: the minors whose gcd is
+taken, the rank certificates' minors, and its order, which
+laurent.exact_divide gives from them.
 
 Convention: the gcd of the empty set of 0 x 0 minors is 1, so a module
 with no torsion (the unlink, or a split union of unknots) gets
@@ -165,8 +165,8 @@ def _eliminate(packed, rows=None, cols=None):
 
     Every update a*b - c*d is built on the packed keys and divided by the
     previous pivot exactly (_divide).  Each entry is then a minor of the
-    submatrix, so its exponents lie within the bound h of the matrix's
-    radius 2h, and a numerator, a product of two minors, within 2h.
+    submatrix, so its exponents lie within the matrix's bound h, and a
+    numerator, a product of two minors, within 2h, its radius.
     Packing is injective on both, so every zero test is exact, and a
     quotient whose exponents lie within h is the true one: its product
     with the pivot lies within 2h too and packs to the numerator's keys.
@@ -229,17 +229,18 @@ def _divide(num, den, packed):
     """
     The packed quotient num / den of two cells of packed, or None if den
     does not divide num in the Laurent ring; num within 2h and den within
-    h, 2h the radius.  Leading-term division on the keys from the top,
-    each quotient term checked: its coefficient must divide, its key must
-    not fall below min(num) - min(den), and at two or more variables its
-    exponents but the last must lie within h.  That digit check is what
-    makes the keys as strong as the exponents: if den divides num, the
-    quotient lies within h (a minor, in _eliminate) and passes; if every
-    term passes, den * quotient lies within 2h, where packing is
-    injective, so remainder 0 means den * quotient == num.  In one
-    variable the key is the exponent and no bound is needed.
+    h, h the matrix's bound (PackedMatrix.bound).  Leading-term division
+    on the keys from the top, each quotient term checked: its coefficient
+    must divide, its key must not fall below min(num) - min(den), and at
+    two or more variables its exponents but the last must lie within h.
+    That digit check is what makes the keys as strong as the exponents:
+    if den divides num, the quotient lies within h (a minor, in
+    _eliminate) and passes; if every term passes, den * quotient lies
+    within 2h, where packing is injective, so remainder 0 means den *
+    quotient == num.  In one variable the key is the exponent and no
+    bound is needed.
     """
-    h = packed.radius // 2
+    h = packed.bound
     within = packed.within if packed.nvars > 1 else None
     dlead = max(den)
     dcoeff, low = den[dlead], min(num) - min(den)
@@ -493,10 +494,8 @@ def _block_order(block):
     over the C(R,r) row sets.  On a diagram-shaped block, which a kernel
     certificate's block always is, Cramer's rule gives k = w_q, or 1 on
     one component ("shortcut"); every other block takes the gcd over the
-    C(G,r) column sets ("fallback").  A certificate's c, a block minor,
-    is divided by w_q on the block's keys (_divide); a gcd of minors by
-    laurent.exact_divide.  An inexact division by k is an inconsistency
-    and raises ComputationError.
+    C(G,r) column sets ("fallback").  An inexact division by k is an
+    inconsistency and raises ComputationError.
     """
     cert = _kernel_certificate(block)
     certified = cert is not None
@@ -531,12 +530,7 @@ def _block_order(block):
     else:
         k = weights[next(j for j in range(ncols) if j not in cols)]
     if not k.is_one():  # k = 1: nothing to divide
-        if certified:  # c = value, a block minor, by w_q = k on keys
-            packed = _packed(block)
-            value = _divide(packed.cell(value), packed.cell(k), packed)
-            value = None if value is None else packed.poly(value)
-        else:
-            value = exact_divide(value, k)
+        value = exact_divide(value, k)
         if value is None:
             raise ComputationError(
                 "the minors of a %dx%d block of rank %d break the rank-one "
@@ -549,8 +543,8 @@ def _kernel_certificate(block):
     The minor c of a G x G block B (G >= 2) without its last row and
     column if B's kernel y is G units, y * B = B * w = 0 and c != 0.
     Both checks run on B's packed rows (_packed).  B's entries lie within
-    h, its radius being 2h, so a kernel within h (and h >= 1) keeps
-    every exponent of y_i * B_ij and B_ij * t_c within the radius:
+    its bound h, so a kernel within h (and h >= 1) keeps every exponent
+    of y_i * B_ij and B_ij * t_c within 2h, inside the radius:
     packing is then injective on both sums, and a wrong y is never
     certified by keys that alias.  A kernel past h is refused.
     """
@@ -559,7 +553,7 @@ def _kernel_certificate(block):
             or not all(e.is_unit() and e.nvars == block.nvars for e in y)):
         return None
     packed = _packed(block)
-    if max(1, _max_exponent(y)) > packed.radius - packed.radius // 2:
+    if max(1, _max_exponent(y)) > packed.bound:
         return None
     total = [{} for _ in range(g)]
     for (exps, sign), row in zip((next(iter(e.terms.items())) for e in y),

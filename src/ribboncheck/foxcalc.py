@@ -34,10 +34,8 @@ class PackedMatrix(Sequence):
     add as exponents do, which makes packing a ring homomorphism, and it
     is injective on the exponent vectors whose entries but the last lie in
     [-radius, radius] (balanced digits), where zero and unit tests on keys
-    are exact.  The radius is 2h, h a bound on the exponents of every
-    minor (alexander._eliminate).  Read as a sequence it is the matrix's
-    LaurentPoly rows, decoded on first read, every empty cell one shared
-    zero.
+    are exact.  Read as a sequence it is the matrix's LaurentPoly rows,
+    decoded on first read, every empty cell one shared zero.
     """
 
     __slots__ = ("rows", "ncols", "nvars", "radius", "_decoded")
@@ -54,6 +52,15 @@ class PackedMatrix(Sequence):
         out.rows = [{j: out.cell(x) for j, x in enumerate(row) if x.terms}
                     for row in matrix]
         return out
+
+    @property
+    def bound(self):
+        """
+        h = radius // 2: the bound on the exponents of every minor that
+        alexander's eliminations and kernel check take on this matrix,
+        so that a product of two of them, within 2h, packs injectively.
+        """
+        return self.radius // 2
 
     def cell(self, poly):
         """The terms of a LaurentPoly keyed by their packed exponents."""
@@ -150,7 +157,7 @@ def jacobian(pres, phi):
     phi(d r_i / d x_j), as a PackedMatrix.  A row's exponents are
     prefixes of its relator, at most its length in absolute value, so
     h = twice their sum bounds every minor of a reduced block
-    (alexander._reduced_blocks), and the radius is 2h.
+    (alexander._reduced_blocks): the matrix is packed with bound h.
 
     >>> from .wirtinger import GroupPresentation, AbelianizationMap
     >>> p = GroupPresentation(2, ((((0,1),(1,1),(0,-1),(1,-1)),)))
@@ -160,9 +167,9 @@ def jacobian(pres, phi):
     """
     if len(phi.component_of) != pres.num_generators:
         raise ValueError("abelianization map does not match presentation")
-    radius = 4 * sum(map(len, pres.relators))
-    weight = [(2 * radius + 1) ** c for c in phi.component_of]
-    rows = []
+    m, h = phi.num_components, 2 * sum(map(len, pres.relators))
+    out = PackedMatrix([], pres.num_generators, m, 2 * h)
+    weight = [out.key((0,) * c + (1,)) for c in phi.component_of]
     for word in pres.relators:
         cells, prefix = {}, 0
         for g, e in word:
@@ -176,8 +183,5 @@ def jacobian(pres, phi):
                 del cell[prefix]
             if e == 1:
                 prefix += weight[g]
-        rows.append({g: cell for g, cell in cells.items() if cell})
-    m = phi.num_components
-    return AlexanderPresentation(
-        PackedMatrix(rows, pres.num_generators, m, radius), m,
-        phi.component_of)
+        out.rows.append({g: cell for g, cell in cells.items() if cell})
+    return AlexanderPresentation(out, m, phi.component_of)

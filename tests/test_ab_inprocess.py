@@ -5,11 +5,14 @@ from pathlib import Path
 
 import pytest
 
+import ribboncheck
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab_inprocess.py"
 
 
 @pytest.fixture
-def ab_inprocess():
+def ab_inprocess(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOL.parent))  # as when run as a script
     spec = importlib.util.spec_from_file_location("ab_inprocess", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -28,6 +31,8 @@ def test_head_against_head(ab_inprocess, capsys):
         assert 0 < low <= result[side]["median_ms"] <= high
     assert result["change_faster"].endswith("/3")
     assert set(sys.modules) == modules and sys.path == path
+    # the package imported before was set aside for the run, then restored
+    assert sys.modules["ribboncheck"] is ribboncheck
 
 
 def test_refuses_when_the_outputs_differ(ab_inprocess, monkeypatch, capsys):
@@ -48,15 +53,17 @@ def test_refuses_when_the_outputs_differ(ab_inprocess, monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_refuses_different_perfbench_trees(ab_inprocess, monkeypatch):
-    git, trees = ab_inprocess.git, []
+@pytest.mark.parametrize("shared", ["perfbench", "src/ribboncheck/data"])
+def test_refuses_different_shared_trees(ab_inprocess, monkeypatch, shared):
+    ab_bench = sys.modules["ab_bench"]
+    git, trees = ab_bench.git, []
 
-    def differing(*args):  # each side's perfbench/ tree a new object
-        if args[-1].endswith(":perfbench"):
+    def differing(*args):  # each side's tree at shared a new object
+        if args[-1].endswith(":" + shared):
             trees.append(args)
             return str(len(trees))
         return git(*args)
 
-    monkeypatch.setattr(ab_inprocess, "git", differing)
-    with pytest.raises(SystemExit, match="different perfbench"):
+    monkeypatch.setattr(ab_bench, "git", differing)
+    with pytest.raises(SystemExit, match="different %s/ trees" % shared):
         ab_inprocess.main(["HEAD", "HEAD", "--workload", "split_fallback"])

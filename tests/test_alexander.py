@@ -1156,7 +1156,7 @@ class TestPackedKeys:
             ((u, 2 * unit_inverse(u), zero), (three, zero, five)), 3,
             (0, 1, 2))
         block, = self.check(pres)
-        assert block.matrix.radius == 4 * s
+        assert block.matrix.radius == 4 * s and block.matrix.bound == 2 * s
         expected = parse_poly("-6*t1^%d*t2^-%d*t3^%d" % (2 * s, 2 * s, 2 * s),
                               3)
         assert block.matrix == ((expected, five),)

@@ -142,6 +142,7 @@ class TestJacobian:
         for name, diagram in bundled_knots + bundled_links:
             pres, phi = wirtinger_presentation(diagram)
             A = jacobian(pres, phi)
+            assert A.matrix.bound == 2 * sum(map(len, pres.relators))
             assert len(A.matrix) == A.num_relators == len(pres.relators)
             for row in A.matrix:
                 assert len(row) == A.num_generators == pres.num_generators

@@ -61,6 +61,21 @@ def export(rev, into):
         raise SystemExit("git archive %s failed" % rev)
 
 
+def revisions(parent, change, shared=("perfbench",)):
+    """
+    {"parent": hash, "change": hash} of the two revisions; refuses them
+    unless they hold the same tree at every path in shared.
+    """
+    revs = {"parent": git("rev-parse", parent),
+            "change": git("rev-parse", change)}
+    for path in shared:
+        if len({git("rev-parse", "%s:%s" % (rev, path))
+                for rev in revs.values()}) > 1:
+            raise SystemExit("the two revisions hold different %s/ trees"
+                             % path)
+    return revs
+
+
 def seeds(text):
     """'5' -> [5]; '1001-1003' -> [1001, 1002, 1003]; commas join lists."""
     out = []
@@ -147,10 +162,7 @@ def main(argv=None):
     parser.add_argument("--out", help="append the JSON lines to this file")
     args = parser.parse_args(argv)
 
-    revs = {"parent": git("rev-parse", args.parent),
-            "change": git("rev-parse", args.change)}
-    if len({git("rev-parse", r + ":perfbench") for r in revs.values()}) > 1:
-        raise SystemExit("the two revisions hold different perfbench/ trees")
+    revs = revisions(args.parent, args.change)
     spec = json.loads(git("show", revs["parent"] + ":BENCHMARK.json"))
     better = {m["name"]: m["better"]
               for m in spec["end_to_end"] + spec["per_layer"]}

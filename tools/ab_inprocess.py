@@ -7,16 +7,19 @@ for sizing a change before measuring it.
         [--seed 1] [--passes 40]
 
 Each revision is exported with `git archive` into a temporary directory
-of its own, and both must hold the same `perfbench/` tree (the tool
-refuses otherwise); the workload's requests are built from the parent's.
-Each side's `src/ribboncheck` is imported into this one process under a
-package name of its own (ab_parent, ab_change), so that both run on the
-same interpreter, warmed the same way.  One module still goes through
-the name `ribboncheck`: `tables` reads the bundled CSVs with
-importlib.resources.files("ribboncheck"), so both sides read the data
-of the package that name resolves to: the parent's, its `src` being put
-first on sys.path, unless the process has imported a ribboncheck before.
-Everything the run imports is dropped from sys.modules when it ends.
+of its own (ab_bench.export), and both must hold the same `perfbench/`
+tree (ab_bench.revisions refuses otherwise); the workload's requests
+are built from the parent's.  Each side's `src/ribboncheck` is imported
+into this one process under a package name of its own (ab_parent,
+ab_change), so that both run on the same interpreter, warmed the same
+way.  One module still goes through the name `ribboncheck`: `tables`
+reads the bundled CSVs with importlib.resources.files("ribboncheck"),
+so both sides read the data of the package that name resolves to.  The
+run makes that the parent's: its `src` goes first on sys.path, and a
+ribboncheck the process imported before is set aside until the run
+ends.  The tool also refuses two revisions whose `src/ribboncheck/data`
+trees differ, so that each side reads its own data.  Everything the run
+imports is dropped from sys.modules when it ends.
 
 Every request of the workload runs once on each side first, and the
 tool refuses to time anything unless the exit codes and standard outputs
@@ -38,30 +41,14 @@ import io
 import json
 import os
 import statistics
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
 
-ROOT = Path(__file__).resolve().parent.parent
+from ab_bench import export, revisions
+
 SIDES = ("parent", "change")
-
-
-def git(*args):
-    return subprocess.run(("git", "-C", str(ROOT)) + args, check=True,
-                          capture_output=True, text=True).stdout.strip()
-
-
-def export(rev, into):
-    """Extract the tree of rev into the directory into."""
-    archive = subprocess.Popen(("git", "-C", str(ROOT), "archive", rev),
-                               stdout=subprocess.PIPE)
-    subprocess.run(("tar", "-x", "-C", str(into)), stdin=archive.stdout,
-                   check=True)
-    archive.stdout.close()
-    if archive.wait():
-        raise SystemExit("git archive %s failed" % rev)
 
 
 def load(tree, name):
@@ -133,10 +120,8 @@ def main(argv=None):
                         help="pairs of passes, at least 2")
     args = parser.parse_args(argv)
 
-    revs = {"parent": git("rev-parse", args.parent),
-            "change": git("rev-parse", args.change)}
-    if len({git("rev-parse", r + ":perfbench") for r in revs.values()}) > 1:
-        raise SystemExit("the two revisions hold different perfbench/ trees")
+    revs = revisions(args.parent, args.change,
+                     ("perfbench", "src/ribboncheck/data"))
     cwd, path, modules = os.getcwd(), list(sys.path), set(sys.modules)
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
@@ -145,6 +130,8 @@ def main(argv=None):
             export(revs[side], tree)
         parent = trees["parent"]
         sys.path[:0] = [str(parent / "src"), str(parent / "perfbench")]
+        aside = {name: sys.modules.pop(name) for name in list(sys.modules)
+                 if name.partition(".")[0] == "ribboncheck"}
         try:
             import workloads
             work = workloads.generate(args.workload, args.seed, parent)
@@ -165,6 +152,7 @@ def main(argv=None):
             sys.path[:] = path
             for name in set(sys.modules) - modules:
                 del sys.modules[name]
+            sys.modules.update(aside)
     print(json.dumps(dict(summarise(times), workload=args.workload,
                           seed=args.seed, passes=len(times["parent"]),
                           revisions=[revs[side][:12] for side in SIDES])))
