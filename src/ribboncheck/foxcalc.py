@@ -167,9 +167,10 @@ def jacobian(pres, phi):
     """
     if len(phi.component_of) != pres.num_generators:
         raise ValueError("abelianization map does not match presentation")
-    m, h = phi.num_components, 2 * sum(map(len, pres.relators))
-    out = PackedMatrix([], pres.num_generators, m, 2 * h)
-    weight = [out.key((0,) * c + (1,)) for c in phi.component_of]
+    h = 2 * sum(map(len, pres.relators))
+    radius = 2 * h
+    weight = [(2 * radius + 1) ** c for c in phi.component_of]
+    rows = []
     for word in pres.relators:
         cells, prefix = {}, 0
         for g, e in word:
@@ -183,5 +184,8 @@ def jacobian(pres, phi):
                 del cell[prefix]
             if e == 1:
                 prefix += weight[g]
-        out.rows.append({g: cell for g, cell in cells.items() if cell})
-    return AlexanderPresentation(out, m, phi.component_of)
+        rows.append({g: cell for g, cell in cells.items() if cell})
+    m = phi.num_components
+    return AlexanderPresentation(
+        PackedMatrix(rows, pres.num_generators, m, radius), m,
+        phi.component_of)
