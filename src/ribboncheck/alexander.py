@@ -51,9 +51,10 @@ call: every division performed is exact in the Laurent ring, so no
 rational-function arithmetic is needed.  Everything from the Jacobian to
 the blocks' minors runs on the integer keys of foxcalc.PackedMatrix
 rows: the unit-pivot reduction, the kernel certificate's checks, and
-each Bareiss numerator a*b - c*d and its exact division.  A block's
-LaurentPolys are only what leaves this stage: the minors whose gcd is
-taken, the rank certificates' minors, and its order, which
+each Bareiss numerator a*b - c*d and its exact division, which is
+laurent.divide_cells, the keyed division behind laurent.exact_divide.
+A block's LaurentPolys are only what leaves this stage: the minors
+whose gcd is taken, the rank certificates' minors, and its order, which
 laurent.exact_divide gives from them.
 
 Convention: the gcd of the empty set of 0 x 0 minors is 1, so a module
@@ -70,7 +71,8 @@ from math import comb, gcd
 from typing import Tuple
 
 from . import laurent
-from .laurent import ComputationError, LaurentPoly, canonical, exact_divide
+from .laurent import (ComputationError, LaurentPoly, canonical, divide_cells,
+                      exact_divide)
 from .foxcalc import AlexanderPresentation, PackedMatrix, jacobian
 from .wirtinger import wirtinger_presentation
 
@@ -164,7 +166,8 @@ def _eliminate(packed, rows=None, cols=None):
     is the determinant times sign, the parity of the row swaps.
 
     Every update a*b - c*d is built on the packed keys and divided by the
-    previous pivot exactly (_divide).  Each entry is then a minor of the
+    previous pivot exactly (laurent.divide_cells, the one keyed division,
+    which exact_divide calls too).  Each entry is then a minor of the
     submatrix, so its exponents lie within the matrix's bound h, and a
     numerator, a product of two minors, within 2h, its radius.
     Packing is injective on both, so every zero test is exact, and a
@@ -213,7 +216,7 @@ def _eliminate(packed, rows=None, cols=None):
                             num[k1 + k2] = get(k1 + k2, 0) - x1 * x2
                 num = {key: x for key, x in num.items() if x}
                 if num and k:  # else prev is the initial 1
-                    num = _divide(num, prev, packed)
+                    num = divide_cells(num, prev, packed)
                     if num is None:
                         raise ComputationError("Bareiss division failed")
                 if num:
@@ -223,44 +226,6 @@ def _eliminate(packed, rows=None, cols=None):
         pivot_cols.append(c)
         k += 1
     return k, order[:k], pivot_cols, prev, sign
-
-
-def _divide(num, den, packed):
-    """
-    The packed quotient num / den of two cells of packed, or None if den
-    does not divide num in the Laurent ring; num within 2h and den within
-    h, h the matrix's bound (PackedMatrix.bound).  Leading-term division
-    on the keys from the top, each quotient term checked: its coefficient
-    must divide, its key must not fall below min(num) - min(den), and at
-    two or more variables its exponents but the last must lie within h.
-    That digit check is what makes the keys as strong as the exponents:
-    if den divides num, the quotient lies within h (a minor, in
-    _eliminate) and passes; if every term passes, den * quotient lies
-    within 2h, where packing is injective, so remainder 0 means den *
-    quotient == num.  In one variable the key is the exponent and no
-    bound is needed.
-    """
-    h = packed.bound
-    within = packed.within if packed.nvars > 1 else None
-    dlead = max(den)
-    dcoeff, low = den[dlead], min(num) - min(den)
-    rest = [(k - dlead, x) for k, x in den.items() if k != dlead]
-    rem, out = dict(num), {}
-    while rem:
-        top = max(rem)
-        q, r = divmod(rem.pop(top), dcoeff)
-        key = top - dlead
-        if r or key < low or within and not within(key, h):
-            return None
-        out[key] = q
-        for offset, x in rest:
-            k = top + offset
-            s = rem.get(k, 0) - q * x
-            if s:
-                rem[k] = s
-            else:
-                del rem[k]
-    return out
 
 
 def _det(packed, rows, cols):

@@ -11,7 +11,7 @@ the Jacobian matrix that presents the rel-basepoint Alexander module.
 Derivatives are computed in a single left-to-right pass carrying the
 accumulated prefix, so long relators stay linear-time.  The group ring
 is never materialised: the Jacobian applies the abelianization eagerly,
-term by term.  Each exponent vector is one integer key (PackedMatrix),
+term by term.  Each exponent vector is one integer key (laurent.KeyCodec),
 so the prefix is one int and a cell is a dict {key: coefficient}.  A
 row holds cells only for the generators its relator touches, at most
 three in a Wirtinger relator.  alexander's unit-pivot reduction and
@@ -23,22 +23,19 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from .laurent import LaurentPoly
+from .laurent import KeyCodec, LaurentPoly
 
 
-class PackedMatrix(Sequence):
+class PackedMatrix(KeyCodec, Sequence):
     """
     A matrix over Z[t1^±1..tm^±1] held as rows {column: {key:
-    coefficient}} of its nonzero cells.  The key of t^e is sum_i e_i * R^i
-    with R = 2 * radius + 1, so in one variable it is the exponent.  Keys
-    add as exponents do, which makes packing a ring homomorphism, and it
-    is injective on the exponent vectors whose entries but the last lie in
-    [-radius, radius] (balanced digits), where zero and unit tests on keys
-    are exact.  Read as a sequence it is the matrix's LaurentPoly rows,
+    coefficient}} of its nonzero cells, each keyed by the matrix's own
+    laurent.KeyCodec: zero and unit tests on keys are exact within its
+    radius.  Read as a sequence it is the matrix's LaurentPoly rows,
     decoded on first read, every empty cell one shared zero.
     """
 
-    __slots__ = ("rows", "ncols", "nvars", "radius", "_decoded")
+    __slots__ = ("rows", "ncols", "_decoded")
 
     def __init__(self, rows, ncols, nvars, radius):
         self.rows, self.ncols = rows, ncols
@@ -52,51 +49,6 @@ class PackedMatrix(Sequence):
         out.rows = [{j: out.cell(x) for j, x in enumerate(row) if x.terms}
                     for row in matrix]
         return out
-
-    @property
-    def bound(self):
-        """
-        h = radius // 2: the bound on the exponents of every minor that
-        alexander's eliminations and kernel check take on this matrix,
-        so that a product of two of them, within 2h, packs injectively.
-        """
-        return self.radius // 2
-
-    def cell(self, poly):
-        """The terms of a LaurentPoly keyed by their packed exponents."""
-        key = self.key
-        return {key(e): c for e, c in poly.terms.items()}
-
-    def poly(self, cell):
-        """The LaurentPoly of a packed cell."""
-        exponents = self.exponents
-        return LaurentPoly._make(self.nvars, {
-            exponents(k): c for k, c in cell.items()})
-
-    def within(self, key, bound):
-        """Whether every exponent of key but the last lies in [-bound, bound]."""
-        radius, radix = self.radius, 2 * self.radius + 1
-        for _ in range(self.nvars - 1):
-            if (key + bound) % radix > 2 * bound:
-                return False
-            key = (key + radius) // radix
-        return True
-
-    def key(self, exps):
-        radix, k = 2 * self.radius + 1, 0
-        for e in reversed(exps):
-            k = k * radix + e
-        return k
-
-    def exponents(self, key):
-        radius = self.radius
-        radix, out = 2 * radius + 1, []
-        for _ in range(self.nvars - 1):
-            e = (key + radius) % radix - radius
-            out.append(e)
-            key = (key - e) // radix
-        out.append(key)
-        return tuple(out)
 
     def _matrix(self):
         if self._decoded is None:

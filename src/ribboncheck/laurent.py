@@ -6,15 +6,13 @@ signed integers, one slot per variable) to nonzero integer coefficients.
 All coefficients are arbitrary-precision Python ints; the zero polynomial
 is the empty map.  At one variable (knots), exact division and gcd run on
 a dense coefficient list instead, kept on the polynomial after its first
-use: polynomials are never mutated.  Every product is one call of
-mul_add, which also fuses sums of products into one result (the
-eliminations of alexander run on foxcalc's packed rows, with no
-LaurentPoly).
-At two or more variables (links), large products and exact division key
-each term by one integer, its exponent vector as a mixed-radix number
-over the operands' exponent box.  Division checks each quotient term's
-digits against the box the quotient must lie in, so that no carry fakes
-a quotient, and stays sparse: the box of an m-variable minor has
+use: polynomials are never mutated.  At two or more variables (links),
+exact division keys each term by one integer, its exponent vector in
+balanced digits (KeyCodec), and divides on those keys (divide_cells),
+the codec and the division that foxcalc's packed matrices and
+alexander's eliminations run on too.  Each quotient term's digits are
+checked, so that no carry fakes a quotient, and the division stays
+sparse: a dense array over the box of an m-variable minor would have
 (span + 1)^m cells.
 
 The units of this ring are exactly ±t1^a1···tm^am.  Quantities such as
@@ -28,20 +26,9 @@ Divisibility and gcd are taken in the full ring, so integer content
 matters: 2 does not divide t, and gcd(2t - 2, t^2 - 1) is t - 1.
 """
 
+from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd, isqrt
 from operator import add, sub
-
-# mul_add at two or more variables packs its keys once both operands of
-# some product have this many terms: below it, packing costs more than
-# it saves.  On the products of perfbench's large_single and
-# split_fallback Delta computations (CPU, best of 7, 2-core Xeon VM,
-# three measurements), packing from 2 terms up took 20-26 % and 90-180 %
-# longer than from 5 up; 4 to 8 were within noise of each other.  With
-# the eliminations' updates fused, 3 to 8 stay within noise, and no
-# packing doubles the CPU time of large_single's slowest request (24
-# crossings, 2 components: 8.3 ms against 16.4-19.0 ms, best of 15).
-_PACK_MIN_TERMS = 5
-
 
 class DimensionError(ValueError):
     """Operands live in Laurent rings with different variable counts."""
@@ -199,7 +186,23 @@ class LaurentPoly:
             return LaurentPoly._make(self.nvars, {
                 e: c * other for e, c in self.terms.items()} if other else {})
         self._check(other)
-        return mul_add(((self, other, 1),))
+        a, b = self.terms, other.terms
+        out = {}
+        get = out.get
+        if self.nvars == 1:
+            for (x,), c1 in a.items():
+                for (y,), c2 in b.items():
+                    k = x + y
+                    out[k] = get(k, 0) + c1 * c2
+            return LaurentPoly._make(1, {(x,): c for x, c in out.items() if c})
+        if len(a) < len(b):  # the longer operand in the outer loop
+            a, b = b, a
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return LaurentPoly._make(self.nvars,
+                                 {e: c for e, c in out.items() if c})
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -462,117 +465,116 @@ def _from_dense(low, coeffs):
 # ----- packed exponent keys --------------------------------------------------
 #
 # Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
-# and packed exponent vectors" (CASC 2007).  In the box low_i <= e_i <
-# low_i + radix_i the key of e is sum((e_i - low_i) * W_i), W_1 = 1 and
-# W_{i+1} = W_i * radix_i.  Inside the box no digit carries, so adding
-# keys multiplies monomials and the order of keys is a monomial order
-# (lexicographic, last variable first).
+# and packed exponent vectors" (CASC 2007).
 
-def _box(terms):
-    """Per-variable (minimum, maximum) exponent lists of nonempty terms."""
-    cols = list(zip(*terms))
-    return list(map(min, cols)), list(map(max, cols))
+class KeyCodec:
+    """
+    Packed exponent keys in m variables at a radius.  The key of t^e is
+    sum_i e_i * R^i with R = 2 * radius + 1, so in one variable it is the
+    exponent.  Keys add as exponents do, which makes packing a ring
+    homomorphism, and it is injective on the exponent vectors whose
+    entries but the last lie in [-radius, radius] (balanced digits),
+    where the order of keys is a monomial order (lexicographic, last
+    variable first).  A cell is a dict {key: coefficient}.
+    """
+
+    __slots__ = ("nvars", "radius")
+
+    def __init__(self, nvars, radius):
+        self.nvars, self.radius = nvars, radius
+
+    @property
+    def bound(self):
+        """
+        h = radius // 2: the bound on the exponents of divide_cells'
+        divisors and quotients, and of every minor that alexander's
+        eliminations and kernel check take on a PackedMatrix, so that a
+        product of two of them, within 2h, packs injectively.
+        """
+        return self.radius // 2
+
+    def cell(self, poly):
+        """The terms of a LaurentPoly keyed by their packed exponents."""
+        key = self.key
+        return {key(e): c for e, c in poly.terms.items()}
+
+    def poly(self, cell):
+        """The LaurentPoly of a packed cell."""
+        exponents = self.exponents
+        return LaurentPoly._make(self.nvars, {
+            exponents(k): c for k, c in cell.items()})
+
+    def within(self, key, bound):
+        """Whether every exponent of key but the last lies in [-bound, bound]."""
+        radius, radix = self.radius, 2 * self.radius + 1
+        for _ in range(self.nvars - 1):
+            if (key + bound) % radix > 2 * bound:
+                return False
+            key = (key + radius) // radix
+        return True
+
+    def key(self, exps):
+        radix, k = 2 * self.radius + 1, 0
+        for e in reversed(exps):
+            k = k * radix + e
+        return k
+
+    def exponents(self, key):
+        radius = self.radius
+        radix, out = 2 * radius + 1, []
+        for _ in range(self.nvars - 1):
+            e = (key + radius) % radix - radius
+            out.append(e)
+            key = (key - e) // radix
+        out.append(key)
+        return tuple(out)
 
 
-def _pack(terms, low, radix):
-    """terms re-keyed by their packed exponents in the box at low."""
-    keys, w = [0] * len(terms), 1
-    for col, l, r in zip(zip(*terms), low, radix):
-        keys = [k + (x - l) * w for k, x in zip(keys, col)]
-        w *= r
-    return dict(zip(keys, terms.values()))
-
-
-def _digits(key, radix):
-    """The shifted exponents of a packed key, first variable first."""
-    out = []
-    for r in radix:
-        key, x = divmod(key, r)
-        out.append(x)
+def divide_cells(num, den, keys):
+    """
+    The packed quotient num / den of two cells of the KeyCodec keys, or
+    None if den does not divide num in the Laurent ring; num within 2h
+    and den within h, h = keys.bound.  Leading-term division on the keys
+    from the top, the remainder's keys in a max-heap, each quotient term
+    checked: its coefficient must divide, its key must not fall below
+    min(num) - min(den), and at two or more variables its exponents but
+    the last must lie within h.  That digit check is what makes the keys
+    as strong as the exponents: if den divides num and the quotient lies
+    within h (a minor, in alexander._eliminate; see exact_divide), every
+    term passes; if every term passes, den * quotient lies within 2h,
+    where packing is injective, so remainder 0 means den * quotient ==
+    num.  In one variable the key is the exponent and no bound is needed.
+    """
+    h = keys.bound
+    within = keys.within if keys.nvars > 1 else None
+    dlead = max(den)
+    dcoeff, low = den[dlead], min(num) - min(den)
+    rest = [(k - dlead, x) for k, x in den.items() if k != dlead]
+    rem, out = dict(num), {}
+    heap = [-k for k in rem]
+    heapify(heap)
+    while heap:
+        top = -heappop(heap)
+        # a key is pushed each time it enters rem, so it may be stale
+        x = rem.pop(top, 0)
+        if not x:
+            continue
+        q, r = divmod(x, dcoeff)
+        key = top - dlead
+        if r or key < low or within and not within(key, h):
+            return None
+        out[key] = q
+        for offset, y in rest:  # every offset is negative: keys below top
+            k, y = top + offset, q * y
+            s = rem.get(k)
+            if s is None:
+                rem[k] = -y
+                heappush(heap, -k)
+            elif s == y:
+                del rem[k]
+            else:
+                rem[k] = s - y
     return out
-
-
-def _unpack(packed, low, radix):
-    """The inverse of _pack: terms keyed by exponent tuples again."""
-    keys, cols = list(packed), []
-    for l, r in zip(low[:-1], radix):
-        cols.append([k % r + l for k in keys])
-        keys = [k // r for k in keys]
-    cols.append([k + low[-1] for k in keys])  # the top digit is the rest
-    return dict(zip(zip(*cols), packed.values()))
-
-
-# ----- the product kernel ----------------------------------------------------
-
-def mul_add(products, base=None):
-    """
-    base + the sum of s * f * g over the triples (f, g, s) of products (s
-    an int, base None for 0), built as one result from one dict: a
-    product is one triple, an update x - f*g or a*b - c*d one call.
-    The dict is keyed by the exponent at one variable,
-    else by its tuple, or, once both operands of some product have
-    _PACK_MIN_TERMS terms, by packed keys over the union of the boxes of
-    base and every product, where no digit of a sum carries.
-
-    >>> t = LaurentPoly.variable(0, 1)
-    >>> print(mul_add(((t, t, 1), (t + 1, t - 1, -1)), base=t))
-    t + 1
-    """
-    nvars = (products[0][0] if base is None else base).nvars
-    base = {} if base is None else base.terms
-    pack = False
-    for f, g, _ in products:
-        if f.nvars != nvars or g.nvars != nvars:
-            raise DimensionError("variable counts differ: %d, %d and %d"
-                                 % (nvars, f.nvars, g.nvars))
-        if len(f.terms) >= _PACK_MIN_TERMS <= len(g.terms):
-            pack = True
-    if nvars == 1:
-        out = {x: c for (x,), c in base.items()} if base else {}
-        get = out.get
-        for f, g, s in products:
-            b = g.terms
-            for (x,), c1 in f.terms.items():
-                c1 *= s
-                for (y,), c2 in b.items():
-                    k = x + y
-                    out[k] = get(k, 0) + c1 * c2
-        return LaurentPoly._make(1, {(x,): c for x, c in out.items() if c})
-    if not pack:
-        out = dict(base)
-        get = out.get
-        for f, g, s in products:
-            a, b = f.terms, g.terms
-            if len(a) < len(b):  # the longer operand in the outer loop
-                a, b = b, a
-            for e1, c1 in a.items():
-                c1 *= s
-                for e2, c2 in b.items():
-                    e = tuple(map(add, e1, e2))
-                    out[e] = get(e, 0) + c1 * c2
-        return LaurentPoly._make(nvars, {e: c for e, c in out.items() if c})
-    work = [(f.terms, g.terms, s) for f, g, s in products if f and g]
-    # the box of a product's terms is the sum of its operands' boxes
-    boxes = [(_box(a), _box(b)) for a, b, _ in work]
-    corners = [(list(map(add, al, bl)), list(map(add, ah, bh)))
-               for (al, ah), (bl, bh) in boxes]
-    if base:
-        corners.append(_box(base))
-    low = [min(col) for col in zip(*(x for x, _ in corners))]
-    radix = [max(col) - x + 1
-             for x, col in zip(low, zip(*(y for _, y in corners)))]
-    out = _pack(base, low, radix) if base else {}
-    get = out.get
-    for (a, b, s), (_, (bl, _)) in zip(work, boxes):
-        # a's digits from low - bl: those of a sum are e1 + e2 - low
-        pb = list(_pack(b, bl, radix).items())
-        for k1, c1 in _pack(a, list(map(sub, low, bl)), radix).items():
-            c1 *= s
-            for k2, c2 in pb:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-    return LaurentPoly._make(nvars, _unpack(
-        {k: c for k, c in out.items() if c}, low, radix))
 
 
 # ----- exact division --------------------------------------------------------
@@ -581,18 +583,16 @@ def exact_divide(p, d):
     """
     The exact quotient q with d * q == p, or None when no such q exists
     in the Laurent ring.  At one variable, long division runs on the
-    coefficient lists from the top.  At two or more, leading-term
-    elimination runs on sparse dicts of keys packed in the box of p
-    (radix_i = span_i(p) + 1, the divisor shifted to its own minimum):
-    a dense array over the box would have (span + 1)^m cells.  The
-    quotient lies in the box 0 <= e_i <= q_i = span_i(p) - span_i(d), so
-    a negative q_i, or a leading remainder term whose digits minus the
-    divisor's leading digits leave [0, q_i], means there is none.  This
-    is sound both ways: if d divides p, every quotient term lies in that
-    box, as per-variable spans add under multiplication; if every one
-    does, no key sum carries, so remainder 0 means d * q == p.  Without
-    the digit check a carry fakes quotients: in the radix (3, 2) of
-    t1^2 + t2, t1 + 1 packs to T + 1, which divides T^2 + T^3.
+    coefficient lists from the top.  At two or more, p and d are shifted
+    to minimum exponents 0 and divided on their keys (divide_cells) at
+    radius 2h, h = max(1, the largest span of p over every variable but
+    the last).  This is sound both ways: if d divides p, every quotient
+    term lies in [0, span p - span d], within h, as per-variable spans
+    add under multiplication; if every one does, d * q lies within 2h,
+    where packing is injective, so remainder 0 means d * q == p.  A d
+    that spans more than p in some variable divides nothing.  Without
+    the digit check a carry fakes quotients: t1^2 + t2 packs to T^2 +
+    T^9 at radius 4, and t1 + 1 to T + 1, which divides it.
 
     >>> t = LaurentPoly.variable(0, 1)
     >>> print(exact_divide(t**2 - 1, t - 1))
@@ -616,36 +616,21 @@ def exact_divide(p, d):
             return None
         return LaurentPoly._make(p.nvars, {
             tuple(map(sub, x, e)): q for x, (q, _) in quot.items()})
-    (plow, phigh), (dlow, dhigh) = _box(p.terms), _box(d.terms)
-    radix = [h - l + 1 for l, h in zip(plow, phigh)]
-    qspan = [r - 1 - h + l for r, l, h in zip(radix, dlow, dhigh)]
-    if min(qspan) < 0:
+    pcols, dcols = list(zip(*p.terms)), list(zip(*d.terms))
+    pmin, dmin = list(map(min, pcols)), list(map(min, dcols))
+    pspan = [max(col) - x for col, x in zip(pcols, pmin)]
+    if any(max(col) - x > s for col, x, s in zip(dcols, dmin, pspan)):
         return None
-    rem = _pack(p.terms, plow, radix)
-    div = _pack(d.terms, dlow, radix)
-    dlead = max(div)
-    dcoeff, ddigits = div[dlead], _digits(dlead, radix)
-    div = list(div.items())
-    quot = {}
-    while rem:
-        rlead = max(rem)
-        for x, y, q in zip(_digits(rlead, radix), ddigits, qspan):
-            if not 0 <= x - y <= q:
-                return None
-        c, r = divmod(rem[rlead], dcoeff)
-        if r:
-            return None
-        delta = rlead - dlead
-        quot[delta] = c
-        for k, dc in div:
-            k += delta
-            s = rem.get(k, 0) - c * dc
-            if s:
-                rem[k] = s
-            else:
-                del rem[k]
-    return LaurentPoly._make(p.nvars, _unpack(quot, list(map(sub, plow, dlow)),
-                                              radix))
+    keys = KeyCodec(p.nvars, 2 * max(1, *pspan[:-1]))
+    # packing is linear: key(e - min) = key(e) - key(min)
+    pkey, dkey = keys.key(pmin), keys.key(dmin)
+    quot = divide_cells({k - pkey: c for k, c in keys.cell(p).items()},
+                        {k - dkey: c for k, c in keys.cell(d).items()}, keys)
+    if quot is None:
+        return None
+    shift, exponents = list(map(sub, pmin, dmin)), keys.exponents
+    return LaurentPoly._make(p.nvars, {
+        tuple(map(add, exponents(k), shift)): c for k, c in quot.items()})
 
 
 def _divide_dense(num, den):

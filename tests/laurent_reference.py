@@ -1,12 +1,26 @@
 """
-The tuple-keyed product and the graded-lex exact division that
-ribboncheck.laurent ran at two or more variables before both moved to
-packed exponent keys, kept unchanged as the reference the packed code is
-tested against.  Both build their results through the public, checking
-LaurentPoly constructor.
+Replaced code of ribboncheck.laurent and ribboncheck.alexander, kept
+unchanged as the reference the current code is tested against.
+
+- multiply and exact_divide, the tuple-keyed product and the graded-lex
+  exact division that laurent ran at two or more variables before both
+  moved to packed exponent keys.  Both build their results through the
+  public, checking LaurentPoly constructor.
+- mul_add with _PACK_MIN_TERMS, _box, _pack, _digits and _unpack, the
+  fused product kernel behind every product and (before they ran on
+  foxcalc.PackedMatrix keys) both eliminations' updates, and
+  box_exact_divide, laurent.exact_divide as it was when both keyed
+  terms in unsigned mixed radix over the operands' exponent box.
+  Their doctests are left out.
+- scan_divide, alexander._divide as it was before the division moved
+  to laurent.divide_cells: each quotient term found by max over the
+  whole remainder.
 """
 
-from ribboncheck.laurent import LaurentPoly, _grlex
+from operator import add, sub
+
+from ribboncheck.laurent import (DimensionError, LaurentPoly, _dense,
+                                 _divide_dense, _from_dense, _grlex)
 
 
 def multiply(p, q):
@@ -60,3 +74,230 @@ def exact_divide(p, d):
                 rem.pop(key, None)
     shift = tuple(a - b for a, b in zip(pmin, dmin))
     return LaurentPoly(p.nvars, quot).shifted(shift)
+
+
+# mul_add at two or more variables packs its keys once both operands of
+# some product have this many terms: below it, packing costs more than
+# it saves.  On the products of perfbench's large_single and
+# split_fallback Delta computations (CPU, best of 7, 2-core Xeon VM,
+# three measurements), packing from 2 terms up took 20-26 % and 90-180 %
+# longer than from 5 up; 4 to 8 were within noise of each other.  With
+# the eliminations' updates fused, 3 to 8 stay within noise, and no
+# packing doubles the CPU time of large_single's slowest request (24
+# crossings, 2 components: 8.3 ms against 16.4-19.0 ms, best of 15).
+_PACK_MIN_TERMS = 5
+
+
+# ----- packed exponent keys --------------------------------------------------
+#
+# Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
+# and packed exponent vectors" (CASC 2007).  In the box low_i <= e_i <
+# low_i + radix_i the key of e is sum((e_i - low_i) * W_i), W_1 = 1 and
+# W_{i+1} = W_i * radix_i.  Inside the box no digit carries, so adding
+# keys multiplies monomials and the order of keys is a monomial order
+# (lexicographic, last variable first).
+
+def _box(terms):
+    """Per-variable (minimum, maximum) exponent lists of nonempty terms."""
+    cols = list(zip(*terms))
+    return list(map(min, cols)), list(map(max, cols))
+
+
+def _pack(terms, low, radix):
+    """terms re-keyed by their packed exponents in the box at low."""
+    keys, w = [0] * len(terms), 1
+    for col, l, r in zip(zip(*terms), low, radix):
+        keys = [k + (x - l) * w for k, x in zip(keys, col)]
+        w *= r
+    return dict(zip(keys, terms.values()))
+
+
+def _digits(key, radix):
+    """The shifted exponents of a packed key, first variable first."""
+    out = []
+    for r in radix:
+        key, x = divmod(key, r)
+        out.append(x)
+    return out
+
+
+def _unpack(packed, low, radix):
+    """The inverse of _pack: terms keyed by exponent tuples again."""
+    keys, cols = list(packed), []
+    for l, r in zip(low[:-1], radix):
+        cols.append([k % r + l for k in keys])
+        keys = [k // r for k in keys]
+    cols.append([k + low[-1] for k in keys])  # the top digit is the rest
+    return dict(zip(zip(*cols), packed.values()))
+
+
+# ----- the product kernel ----------------------------------------------------
+
+def mul_add(products, base=None):
+    """
+    base + the sum of s * f * g over the triples (f, g, s) of products (s
+    an int, base None for 0), built as one result from one dict: a
+    product is one triple, an update x - f*g or a*b - c*d one call.
+    The dict is keyed by the exponent at one variable,
+    else by its tuple, or, once both operands of some product have
+    _PACK_MIN_TERMS terms, by packed keys over the union of the boxes of
+    base and every product, where no digit of a sum carries.
+    """
+    nvars = (products[0][0] if base is None else base).nvars
+    base = {} if base is None else base.terms
+    pack = False
+    for f, g, _ in products:
+        if f.nvars != nvars or g.nvars != nvars:
+            raise DimensionError("variable counts differ: %d, %d and %d"
+                                 % (nvars, f.nvars, g.nvars))
+        if len(f.terms) >= _PACK_MIN_TERMS <= len(g.terms):
+            pack = True
+    if nvars == 1:
+        out = {x: c for (x,), c in base.items()} if base else {}
+        get = out.get
+        for f, g, s in products:
+            b = g.terms
+            for (x,), c1 in f.terms.items():
+                c1 *= s
+                for (y,), c2 in b.items():
+                    k = x + y
+                    out[k] = get(k, 0) + c1 * c2
+        return LaurentPoly._make(1, {(x,): c for x, c in out.items() if c})
+    if not pack:
+        out = dict(base)
+        get = out.get
+        for f, g, s in products:
+            a, b = f.terms, g.terms
+            if len(a) < len(b):  # the longer operand in the outer loop
+                a, b = b, a
+            for e1, c1 in a.items():
+                c1 *= s
+                for e2, c2 in b.items():
+                    e = tuple(map(add, e1, e2))
+                    out[e] = get(e, 0) + c1 * c2
+        return LaurentPoly._make(nvars, {e: c for e, c in out.items() if c})
+    work = [(f.terms, g.terms, s) for f, g, s in products if f and g]
+    # the box of a product's terms is the sum of its operands' boxes
+    boxes = [(_box(a), _box(b)) for a, b, _ in work]
+    corners = [(list(map(add, al, bl)), list(map(add, ah, bh)))
+               for (al, ah), (bl, bh) in boxes]
+    if base:
+        corners.append(_box(base))
+    low = [min(col) for col in zip(*(x for x, _ in corners))]
+    radix = [max(col) - x + 1
+             for x, col in zip(low, zip(*(y for _, y in corners)))]
+    out = _pack(base, low, radix) if base else {}
+    get = out.get
+    for (a, b, s), (_, (bl, _)) in zip(work, boxes):
+        # a's digits from low - bl: those of a sum are e1 + e2 - low
+        pb = list(_pack(b, bl, radix).items())
+        for k1, c1 in _pack(a, list(map(sub, low, bl)), radix).items():
+            c1 *= s
+            for k2, c2 in pb:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    return LaurentPoly._make(nvars, _unpack(
+        {k: c for k, c in out.items() if c}, low, radix))
+
+
+def box_exact_divide(p, d):
+    """
+    The exact quotient q with d * q == p, or None when no such q exists
+    in the Laurent ring.  At one variable, long division runs on the
+    coefficient lists from the top.  At two or more, leading-term
+    elimination runs on sparse dicts of keys packed in the box of p
+    (radix_i = span_i(p) + 1, the divisor shifted to its own minimum):
+    a dense array over the box would have (span + 1)^m cells.  The
+    quotient lies in the box 0 <= e_i <= q_i = span_i(p) - span_i(d), so
+    a negative q_i, or a leading remainder term whose digits minus the
+    divisor's leading digits leave [0, q_i], means there is none.  This
+    is sound both ways: if d divides p, every quotient term lies in that
+    box, as per-variable spans add under multiplication; if every one
+    does, no key sum carries, so remainder 0 means d * q == p.  Without
+    the digit check a carry fakes quotients: in the radix (3, 2) of
+    t1^2 + t2, t1 + 1 packs to T + 1, which divides T^2 + T^3.
+    """
+    p._check(d)
+    if d.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.is_zero():
+        return LaurentPoly.zero(p.nvars)
+    if p.nvars == 1:
+        (plow, num), (dlow, den) = _dense(p), _dense(d)
+        quot = _divide_dense(num, den)
+        return None if quot is None else _from_dense(plow - dlow, quot)
+    if len(d.terms) == 1:  # a shift, if every coefficient divides
+        ((e, c),) = d.terms.items()
+        quot = {x: divmod(c1, c) for x, c1 in p.terms.items()}
+        if any(r for _, r in quot.values()):
+            return None
+        return LaurentPoly._make(p.nvars, {
+            tuple(map(sub, x, e)): q for x, (q, _) in quot.items()})
+    (plow, phigh), (dlow, dhigh) = _box(p.terms), _box(d.terms)
+    radix = [h - l + 1 for l, h in zip(plow, phigh)]
+    qspan = [r - 1 - h + l for r, l, h in zip(radix, dlow, dhigh)]
+    if min(qspan) < 0:
+        return None
+    rem = _pack(p.terms, plow, radix)
+    div = _pack(d.terms, dlow, radix)
+    dlead = max(div)
+    dcoeff, ddigits = div[dlead], _digits(dlead, radix)
+    div = list(div.items())
+    quot = {}
+    while rem:
+        rlead = max(rem)
+        for x, y, q in zip(_digits(rlead, radix), ddigits, qspan):
+            if not 0 <= x - y <= q:
+                return None
+        c, r = divmod(rem[rlead], dcoeff)
+        if r:
+            return None
+        delta = rlead - dlead
+        quot[delta] = c
+        for k, dc in div:
+            k += delta
+            s = rem.get(k, 0) - c * dc
+            if s:
+                rem[k] = s
+            else:
+                del rem[k]
+    return LaurentPoly._make(p.nvars, _unpack(quot, list(map(sub, plow, dlow)),
+                                              radix))
+
+
+def scan_divide(num, den, packed):
+    """
+    The packed quotient num / den of two cells of packed, or None if den
+    does not divide num in the Laurent ring; num within 2h and den within
+    h, h the matrix's bound (PackedMatrix.bound).  Leading-term division
+    on the keys from the top, each quotient term checked: its coefficient
+    must divide, its key must not fall below min(num) - min(den), and at
+    two or more variables its exponents but the last must lie within h.
+    That digit check is what makes the keys as strong as the exponents:
+    if den divides num, the quotient lies within h (a minor, in
+    _eliminate) and passes; if every term passes, den * quotient lies
+    within 2h, where packing is injective, so remainder 0 means den *
+    quotient == num.  In one variable the key is the exponent and no
+    bound is needed.
+    """
+    h = packed.bound
+    within = packed.within if packed.nvars > 1 else None
+    dlead = max(den)
+    dcoeff, low = den[dlead], min(num) - min(den)
+    rest = [(k - dlead, x) for k, x in den.items() if k != dlead]
+    rem, out = dict(num), {}
+    while rem:
+        top = max(rem)
+        q, r = divmod(rem.pop(top), dcoeff)
+        key = top - dlead
+        if r or key < low or within and not within(key, h):
+            return None
+        out[key] = q
+        for offset, x in rest:
+            k = top + offset
+            s = rem.get(k, 0) - q * x
+            if s:
+                rem[k] = s
+            else:
+                del rem[k]
+    return out

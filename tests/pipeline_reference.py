@@ -3,8 +3,11 @@ Replaced code of ribboncheck.alexander, ribboncheck.obstruct,
 ribboncheck.cli, ribboncheck.oracles and ribboncheck.linkcodec, kept
 unchanged as the reference the current code is tested against.
 
+Each of them that made its products with laurent.mul_add, which laurent
+no longer has, calls the copy kept in laurent_reference.
+
 - The Fox Jacobian's row loop and the two eliminations as they were
-  before every update went through laurent.mul_add: _fox_row built all
+  before every update went through mul_add: _fox_row built all
   n cells of a row through the checked constructor, and _eliminate and
   _reduced_blocks made each update from separate products, negations
   and sums.  jacobian is the package's assembly around this _fox_row.
@@ -27,7 +30,7 @@ unchanged as the reference the current code is tested against.
   the unit-pivot reduction and the kernel certificate's checks as they
   were before they ran on packed exponent keys: the Jacobian's cells
   and every update were LaurentPolys keyed by exponent tuples, each
-  update one laurent.mul_add call, and both checks sums of mul_add
+  update one mul_add call, and both checks sums of mul_add
   products.  laurent_jacobian's doctest is left out.
 - obstruction_from_polynomials and cmd_batch as they were before batch
   --pairs shared its work by polynomial value: a memo for each unordered
@@ -60,7 +63,7 @@ unchanged as the reference the current code is tested against.
   measure its exponents (decoded_packed, which packed it anew when the
   reduction's radius was too narrow for the kernel certificate's
   checks) and for each minor, and the one Bareiss routine made each
-  update one laurent.mul_add call and each division one
+  update one mul_add call and each division one
   laurent.exact_divide call.  They call one another, not the package's
   block stage, and run the package's _row_relation_holds as
   packed_row_relation_holds.  decoded_module_rank's doctest is left
@@ -81,12 +84,14 @@ from ribboncheck.alexander import \
     _row_relation_holds as packed_row_relation_holds
 from ribboncheck.foxcalc import AlexanderPresentation, PackedMatrix
 from ribboncheck.laurent import (ComputationError, LaurentPoly, canonical,
-                                 exact_divide, mul_add)
+                                 exact_divide)
 from ribboncheck.linkcodec import (Crossing, DiagramError, LinkDiagram,
                                    ParseError, _classes)
 from ribboncheck.obstruct import (NOT_OBSTRUCTED, OBSTRUCTED,
                                   ComponentMismatch, ObstructionReport,
                                   component_mismatch)
+
+from laurent_reference import mul_add
 
 
 def _fox_row(word, num_generators, phi):

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -7,7 +8,28 @@ import pytest
 
 import ribboncheck
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab_inprocess.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "ab_inprocess.py"
+
+
+def _work_tree_root():
+    """The root of the git work tree holding ROOT, or None outside one."""
+    try:
+        proc = subprocess.run(("git", "-C", str(ROOT), "rev-parse",
+                               "--show-toplevel"), capture_output=True,
+                              text=True)
+    except OSError:  # no git at all
+        return None
+    return Path(proc.stdout.strip()).resolve() if proc.returncode == 0 \
+        else None
+
+
+# the tool names its revisions through git rev-parse, which exits 128
+# in a copy of the files that is no git work tree (a git archive export)
+pytestmark = pytest.mark.skipif(
+    _work_tree_root() != ROOT,
+    reason="the repository root is not a git work tree, and "
+           "ab_bench.revisions needs git rev-parse")
 
 
 @pytest.fixture

@@ -12,14 +12,15 @@ from ribboncheck.alexander import (ComputationError, alexander_polynomial,
                                    determinant, module_rank, torsion_order)
 from ribboncheck.foxcalc import AlexanderPresentation, PackedMatrix, \
     jacobian
-from ribboncheck.laurent import LaurentPoly, canonical, divides, gcd, \
-    parse_poly
+from ribboncheck.laurent import LaurentPoly, canonical, divide_cells, \
+    divides, gcd, parse_poly
 from ribboncheck.linkcodec import BraidWord, braid_closure, connected_sum, \
     parse_braid, parse_link_spec, sublink
 from ribboncheck.tables import knot_table, link_table
 from ribboncheck.wirtinger import wirtinger_presentation
 
 from conftest import random_braid_knot, random_poly
+import laurent_reference
 import pipeline_reference as reference
 
 
@@ -1354,8 +1355,9 @@ class TestAgainstDecodedBlocks:
 
 class TestPackedBareiss:
     """
-    The exactness of _eliminate and _divide on packed keys: numerators
-    at the radius, quotients at the bound h, and inexact divisions.
+    The exactness of _eliminate and laurent.divide_cells on packed keys:
+    numerators at the radius, quotients at the bound h, and inexact
+    divisions.
     """
 
     def test_numerators_reach_the_radius(self):
@@ -1394,24 +1396,57 @@ class TestPackedBareiss:
         p = packed.cell(parse_poly("t1^%d + t1^-%d*t2" % (2 * h, 2 * h), 2))
         d = packed.cell(parse_poly("t1 + 1", 2))
         assert sorted(p) == [2 * h, 2 * h + 1]
-        assert alexander._divide(p, d, packed) is None
+        assert divide_cells(p, d, packed) is None
         for num, den, quotient in (
                 ("t1^2*t2 - t2", "t1 - 1", "t1*t2 + t2"),
                 ("t1^2 + 1", "t1 - 1", None),
                 ("2*t1*t2 + 1", "2", None),
                 ("6*t1^-1*t2^5 - 4*t1^2", "2*t1^-1", "3*t2^5 - 2*t1^3"),
                 ("6*t1^-3*t2^5 - 4*t1^3", "2*t1^-3", None)):  # t1^6: past h
-            got = alexander._divide(packed.cell(parse_poly(num, 2)),
-                                    packed.cell(parse_poly(den, 2)), packed)
+            got = divide_cells(packed.cell(parse_poly(num, 2)),
+                               packed.cell(parse_poly(den, 2)), packed)
             assert (got and packed.poly(got)) == (
                 quotient and parse_poly(quotient, 2)), num
         one = PackedMatrix([], 1, 1, 0)  # one variable: no bound
         t = parse_poly("t^5000 - 1", 1)
-        got = alexander._divide(one.cell(t), one.cell(parse_poly("t - 1", 1)),
-                                one)
+        got = divide_cells(one.cell(t), one.cell(parse_poly("t - 1", 1)), one)
         assert one.poly(got) == sum((parse_poly("t^%d" % i, 1)
                                      for i in range(5000)),
                                     LaurentPoly.zero(1))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_heap_against_max_scan(self, m):
+        # divide_cells keeps the remainder's keys in a heap, the division
+        # it replaced took max over the remainder at every step: random
+        # divisors and quotients within h, their products within 2h, off
+        # by a term, times an integer, or unrelated, cancellations included
+        rng = random.Random(2600 + m)
+        h = 6
+        packed = PackedMatrix([], 0, m, 2 * h)
+        exact = 0
+        for k in range(150):
+            den = random_poly(rng, m, max_terms=6, max_exp=h // 2)
+            while not den.terms:
+                den = random_poly(rng, m, max_terms=6, max_exp=h // 2)
+            quot = random_poly(rng, m, max_terms=12, max_exp=h // 2)
+            if k % 4 == 0:
+                num = quot
+            elif k % 4 == 1:
+                num = den * quot
+            elif k % 4 == 2:
+                num = den * quot + random_poly(rng, m, max_terms=1,
+                                               max_exp=h)
+            else:
+                num = den * quot * rng.choice((2, -3))
+            if not num.terms:
+                continue
+            args = packed.cell(num), packed.cell(den), packed
+            got = divide_cells(*args)
+            assert got == laurent_reference.scan_divide(*args), (num, den)
+            if got is not None:
+                assert den * packed.poly(got) == num
+                exact += len(den.terms) > 1
+        assert exact >= 40
 
     def test_minors_past_the_bound_raise(self):
         # a 3 x 3 matrix packed at radius 2 (h = 1) with entries of t1

@@ -168,23 +168,62 @@ class TestPackedAgainstReference:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_product_and_division(self, m):
         rng = random.Random(7000 + m)
-        packed_products = packed_quotients = 0
+        packed_quotients = 0
         for p, d in self.cases(rng, m, 300):
             for x, y in ((p, d), (d, p)):
                 prod = x * y
                 assert_clean(prod)
                 assert prod == reference.multiply(x, y), (x, y)
-                if min(len(x.terms), len(y.terms)) >= laurent._PACK_MIN_TERMS:
-                    packed_products += 1
             q = exact_divide(p, d)
             assert q == reference.exact_divide(p, d), (p, d)
+            assert q == reference.box_exact_divide(p, d), (p, d)
             if q is not None:
                 assert_clean(q)
                 assert d * q == p
                 if len(d.terms) > 1 and q:
                     packed_quotients += 1
-        # the packed paths, not only the shortcuts, ran
-        assert packed_products >= 40 and packed_quotients >= 40
+        # the packed path, not only the shortcuts, ran
+        assert packed_quotients >= 40
+
+    @staticmethod
+    def wide(rng, m, terms):
+        """A polynomial of up to terms terms, exponents up to 1,000 in
+        absolute value, each variable's around its own random centre."""
+        centre = [rng.randint(-600, 600) for _ in range(m)]
+        width = [rng.choice((1, 5, 40, 400)) for _ in range(m)]
+        out = {}
+        for _ in range(rng.randint(1, terms)):
+            exps = tuple(c + rng.randint(-w, w) for c, w in zip(centre, width))
+            out[exps] = rng.choice((1, -1, 2, -3, 7))
+        return LaurentPoly(m, out)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_wide_exponents(self, m):
+        # against both replaced divisions, the graded-lex one and the
+        # mixed-radix one, on divisible, nearly divisible and unrelated
+        # operands, and (m >= 2) the carry divisors of TestPackedBox
+        rng = random.Random(7100 + m)
+        quotients = 0
+        for k in range(120):
+            d, a = self.wide(rng, m, 4), self.wide(rng, m, 5)
+            if k % 4 == 0:
+                p = a
+            elif k % 4 == 1:
+                p = a * d
+            elif k % 4 == 2:
+                p = a * d + self.wide(rng, m, 1)
+            elif m >= 2:
+                p, d = carry_pair(rng, m)
+            else:
+                p, d = a * d, d * rng.choice((2, -3))
+            q = exact_divide(p, d)
+            assert q == reference.exact_divide(p, d), (p, d)
+            assert q == reference.box_exact_divide(p, d), (p, d)
+            if q is not None:
+                assert_clean(q)
+                assert d * q == p
+                quotients += len(d.terms) > 1
+        assert quotients >= 20
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_against_sympy(self, m):
@@ -219,18 +258,48 @@ class TestPackedAgainstReference:
             assert q == lower(quot.as_expr(), symbols).shifted(shift), (p, d)
 
 
+def carry_pair(rng, m):
+    """
+    A dividend p = t_i^s + t_(i+1) and divisor d = t_i + 1, each times a
+    random monomial, s even, i below m - 1: d divides no such p, but at
+    the radius 2s that exact_divide packs them at, with T the key of
+    t_i, p's keys are those of T^s + T^(4s+1), which 1 + T divides.
+    """
+    i = rng.randrange(m - 1)
+    s = 2 * rng.randint(1, 500)
+    p = (LaurentPoly.monomial(1, [s * (j == i) for j in range(m)])
+         + LaurentPoly.variable(i + 1, m))
+    d = LaurentPoly.variable(i, m) + 1
+    return tuple(x.shifted(tuple(rng.randint(-300, 300) for _ in range(m)))
+                 for x in (p, d))
+
+
 class TestPackedBox:
     def test_carry_false_positives(self):
-        # in the radix (3, 2) of the dividend, t1^2 + t2 packs to T^2 + T^3
-        # and t1 + 1 to T + 1, a divisor of it: the digit check refuses
+        # at radius 4 (h = 2, radix 9) t1^2 + t2 packs to T^2 + T^9 and
+        # t1 + 1 to T + 1, a divisor of it: the digit check refuses
         t1, t2 = variables(2)
         assert exact_divide(t1**2 + t2, t1 + 1) is None
-        # radix (2, 2, 2): the quotient t1 would fit its digit, but the
-        # quotient box is 0 <= e1 <= 0
+        # the quotient's first term t1 passes the digit check at h = 1;
+        # the next, t2 / t3, falls below min(p) - min(d) in key order
         t1, t2, t3 = variables(3)
         assert exact_divide(t1 * t3 + t2, t1 + t3) is None
         assert exact_divide((t1 * t3 + t2) * (t1 + t3), t1 + t3) \
             == t1 * t3 + t2
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_carry_divisors_need_the_digit_check(self, m, monkeypatch):
+        rng = random.Random(7200 + m)
+        pairs = [carry_pair(rng, m) for _ in range(20)]
+        for p, d in pairs:
+            assert exact_divide(p, d) is None
+            assert reference.exact_divide(p, d) is None
+        # without the check each division finds a quotient that is wrong
+        monkeypatch.setattr(laurent.KeyCodec, "within",
+                            lambda self, key, bound: True)
+        for p, d in pairs:
+            q = exact_divide(p, d)
+            assert q is not None and d * q != p, (p, d)
 
     def test_negative_quotient_span(self):
         t1, t2 = variables(2)
@@ -246,7 +315,7 @@ class TestPackedBox:
         q = 2 * one - sum(((k + 1) * t**3 for k, t in enumerate(ts)),
                           LaurentPoly.zero(8))
         p = d * q
-        assert [h - l for l, h in zip(*laurent._box(p.terms))] == [6] * 8
+        assert [max(col) - min(col) for col in zip(*p.terms)] == [6] * 8
         start = time.process_time()
         assert exact_divide(p, d) == q
         assert exact_divide(p + ts[0], d) is None
@@ -256,15 +325,18 @@ class TestPackedBox:
 
 class TestMulAdd:
     """
-    laurent.mul_add, the fused kernel behind every product and both
-    eliminations' updates, against the unfused a - f*g and a*b - c*d made
-    from laurent_reference's tuple-keyed product, negation and sum.
+    LaurentPoly.__mul__, one product on exponent tuples (one variable: on
+    the exponents), and the sums of products a - f*g and a*b - c*d built
+    from it, against laurent_reference's mul_add, the fused kernel that
+    made every product and sum of products until it was replaced, and
+    the unfused sums of laurent_reference's tuple-keyed product.
     """
 
     @staticmethod
     def operand(rng, m, far):
-        """Zero, one term, a few terms or at least _PACK_MIN_TERMS terms,
-        shifted by far in every variable (a box away from the others)."""
+        """Zero, one term, a few terms or at least five terms (where
+        mul_add packed its keys), shifted by far in every variable (a box
+        away from the others)."""
         kind = rng.randrange(6)
         if kind == 0:
             p = LaurentPoly.zero(m)
@@ -275,11 +347,19 @@ class TestMulAdd:
             p = random_poly(rng, m, max_terms=4, max_exp=3)
         else:
             terms = {}
-            while len(terms) < laurent._PACK_MIN_TERMS + rng.randrange(8):
+            while len(terms) < reference._PACK_MIN_TERMS + rng.randrange(8):
                 exps = tuple(rng.randint(-3, 3) for _ in range(m))
                 terms[exps] = rng.choice((1, -1, 2, -5, 9))
             p = LaurentPoly(m, terms)
         return p.shifted((far,) * m) if far else p
+
+    @staticmethod
+    def unfused(products, base, m):
+        """base + the sum of s * f * g, from the package's own operations."""
+        out = base or LaurentPoly.zero(m)
+        for f, g, s in products:
+            out = out + f * g * s
+        return out
 
     def expected(self, products, base):
         out = base
@@ -303,13 +383,15 @@ class TestMulAdd:
                     (((a, b, 1), (f, g, -1)), None),  # a*b - f*g
                     (((f, g, 1), (g, h, 1), (h, f, -1)), a),
                     (((f, g, 1),), None)):  # the product
-                got = laurent.mul_add(products, base)
+                got = self.unfused(products, base, m)
                 assert_clean(got)
-                assert got == self.expected(
-                    products, base or LaurentPoly.zero(m)), (products, base)
+                assert got == reference.mul_add(products, base) == \
+                    self.expected(products, base or LaurentPoly.zero(m)), (
+                        products, base)
                 if any(min(len(x.terms), len(y.terms)) >=
-                       laurent._PACK_MIN_TERMS for x, y, _ in products):
+                       reference._PACK_MIN_TERMS for x, y, _ in products):
                     packed += 1
+        # products that mul_add would have packed
         assert packed >= (100 if m >= 2 else 0)
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
@@ -322,7 +404,7 @@ class TestMulAdd:
                                    (((f, g, 1), (g, f, -1)), None),
                                    (((f, g, 1), (f, -g, 1)), None),
                                    (((f, g, 1), (f, g, 1)), -2 * fg)):
-                got = laurent.mul_add(products, base)
+                got = self.unfused(products, base, m)
                 assert got.terms == {} and type(got.terms) is dict
 
     def test_zero_and_one_term_operands(self):
@@ -330,25 +412,20 @@ class TestMulAdd:
             zero, one = LaurentPoly.zero(m), LaurentPoly.one(m)
             p = random_poly(random.Random(m), m, max_terms=9) + one
             unit = LaurentPoly.monomial(-1, (2,) * m)
-            assert laurent.mul_add(((zero, p, 1),)) == zero
-            assert laurent.mul_add(((p, zero, -1),), p) == p
-            assert laurent.mul_add(((zero, zero, 1),), zero) == zero
-            assert laurent.mul_add(((one, p, 1),)) == p
-            assert laurent.mul_add(((p, unit, 1),)) == p.shifted((2,) * m) * -1
-            assert laurent.mul_add(((unit, one, 1),), unit) == unit * 2
+            for got in (zero * p, p * zero, zero * zero):
+                assert got == zero and type(got.terms) is dict
+            assert one * p == p
+            assert p * unit == p.shifted((2,) * m) * -1
+            assert unit * one == unit
 
     def test_mixed_variable_counts_raise(self):
-        one1, one2 = LaurentPoly.one(1), LaurentPoly.one(2)
+        one0, one1, one2 = (LaurentPoly.one(m) for m in (0, 1, 2))
         with pytest.raises(DimensionError):
-            laurent.mul_add(((one1, one2, 1),))
+            one1 * one2
         with pytest.raises(DimensionError):
-            laurent.mul_add(((one2, one1, 1),))
+            one2 * one1
         with pytest.raises(DimensionError):
-            laurent.mul_add(((one2, one2, 1), (one1, one1, 1)))
-        with pytest.raises(DimensionError):
-            laurent.mul_add(((one2, one2, 1),), one1)
-        with pytest.raises(DimensionError):
-            laurent.mul_add(((one1, one1, 1),), LaurentPoly.zero(0))
+            one1 * one0
 
 
 class TestPublicConstructor:
