@@ -38,7 +38,7 @@ standard output and standard error captured.  The corpus:
   divides its minor by a weight t_c - 1, and on LARGE_CELLS, whose
   block's eliminations divide the largest cells known;
 - `compute --json` on the PD twin (tests/helpers.py's braid_to_pd) of
-  every closure in the last two items that has one, 35 of them: PD
+  every closure in the last two items that has one, 36 of them: PD
   codes of up to 8 components, which take module_rank and the row side
   where their braids take the certificate.
 
@@ -131,9 +131,9 @@ CENSUS_FALLBACKS = (
 SLOW_SHORTCUT = ("braid:n=8:-5 -1 3 -4 -4 5 6 7 -4 -4 -3 -5 7 2 -1 -3 -3 -1 6 "
                  "6 7 2 -5")
 # the largest cells known to the keyed division: a 2-component closure
-# whose one 5 x 5 block's Bareiss steps divide cells of hundreds of
-# terms, which no workload holds (quadratic in them while each quotient
-# term was found by a max over the remainder)
+# whose one 5 x 5 block's Bareiss steps divide numerators of 828 to
+# 1,456 terms, which no workload holds (quadratic in them while each
+# quotient term was found by a max over the remainder)
 LARGE_CELLS = "braid:n=5:" + " ".join(["1 2 3 4 -1 2 -3 4 4"] * 8)
 # the first 12 of random.Random(18)'s draws of 4-8 strands and 16-24
 # letters, each letter +-randint(1, strands - 1), that close to 3-6
