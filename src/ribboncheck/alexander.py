@@ -73,7 +73,8 @@ from typing import Tuple
 from . import laurent
 from .laurent import (ComputationError, LaurentPoly, canonical, divide_cells,
                       exact_divide)
-from .foxcalc import AlexanderPresentation, PackedMatrix, jacobian
+from .foxcalc import (AlexanderPresentation, PackedMatrix, _max_exponent,
+                      jacobian)
 from .wirtinger import wirtinger_presentation
 
 
@@ -243,8 +244,8 @@ def determinant(rows):
     if n == 0:
         raise ValueError("determinant of an empty matrix is a convention; "
                          "handle 0x0 at the call site")
-    pres = AlexanderPresentation(rows, rows[0][0].nvars, (0,) * n)
-    return _det(_packed(pres), range(n), range(n))
+    pres = AlexanderPresentation.of(rows, rows[0][0].nvars, (0,) * n)
+    return _det(pres.matrix, range(n), range(n))
 
 
 def module_rank(pres):
@@ -260,14 +261,9 @@ def module_rank(pres):
     >>> module_rank(A).rank
     0
     """
-    packed = _packed(pres)
-    rank, rows, cols, pivot, _ = _eliminate(packed)
+    rank, rows, cols, pivot, _ = _eliminate(pres.matrix)
     return RankCertificate(rank, tuple(sorted(rows)), tuple(cols),
-                           packed.poly(pivot))
-
-
-def _minor(pres, rows, cols):
-    return _det(_packed(pres), rows, cols)
+                           pres.matrix.poly(pivot))
 
 
 def _column_weights(pres):
@@ -277,28 +273,6 @@ def _column_weights(pres):
         zero[:c] + (1,) + zero[c + 1:]: 1, zero: -1})
         for c in set(pres.generator_component)}
     return [weight[c] for c in pres.generator_component]
-
-
-def _max_exponent(row):
-    """The largest |exponent| in a row of LaurentPolys, 0 for none."""
-    return max((abs(x) for e in row for exps in e.terms for x in exps),
-               default=0)
-
-
-def _packed(pres):
-    """
-    The presentation's PackedMatrix: its own, or its LaurentPoly rows
-    packed at radius 2h, h = max(1, 2 * the sum over rows of each row's
-    largest |exponent|, the kernel's largest |exponent|).  A minor of the
-    matrix, or of a block that the unit-pivot reduction leaves of it,
-    then lies within h (_reduced_blocks), and so does the kernel.
-    """
-    matrix = pres.matrix
-    if isinstance(matrix, PackedMatrix):
-        return matrix
-    h = max(1, 2 * sum(map(_max_exponent, matrix)),
-            _max_exponent(pres.kernel or ()))
-    return PackedMatrix.pack(matrix, pres.num_generators, pres.nvars, 2 * h)
 
 
 def _row_relation_holds(packed, components):
@@ -361,8 +335,8 @@ def _reduced_blocks(pres):
     the same shortcut as the full matrix.  The nonzero counts and the
     set of unit entries are kept up to date as entries change.
 
-    All of it runs on packed rows (foxcalc.PackedMatrix): the Jacobian's
-    own, or a matrix of LaurentPolys packed once here (_packed).  After
+    All of it runs on the matrix's packed rows (foxcalc.PackedMatrix),
+    the Jacobian's or those AlexanderPresentation.of packed.  After
     pivots on rows P and columns Q a minor of the rest is det M[P+S,
     Q+T] / det M[P, Q], the divisor a unit; with rho_i row i's largest
     |exponent|, the dividend's exponents lie within sum_i rho_i and the
@@ -370,7 +344,7 @@ def _reduced_blocks(pres):
     = 2 * sum_i rho_i (at most twice the relators' total length on a
     Jacobian).  The blocks keep the matrix's radius 2h.
     """
-    matrix = _packed(pres)
+    matrix = pres.matrix
     rows = {}
     cols = {j: set() for j in range(pres.num_generators)}
     units = set()
@@ -473,7 +447,7 @@ def _block_order(block):
     rows, cols, c = cert.pivot_rows, cert.pivot_columns, cert.minor
     weights = _column_weights(block) if r == ncols - 1 else None
     shaped = weights is not None and (certified or _row_relation_holds(
-        _packed(block), block.generator_component))
+        block.matrix, block.generator_component))
     # besides the certificate's: the row side, the column side
     needed = ((0 if certified else comb(nrows, r) - 1)
               + (0 if shaped else comb(ncols, r) - 1))
@@ -484,11 +458,11 @@ def _block_order(block):
             "(alexander.FALLBACK_MINOR_BUDGET)"
             % (needed, r, nrows, ncols, FALLBACK_MINOR_BUDGET))
     value = c if certified else _minor_gcd(c, (
-        _minor(block, s, cols) for s in combinations(range(nrows), r)
+        _det(block.matrix, s, cols) for s in combinations(range(nrows), r)
         if s != rows))
     if not shaped:
         k = exact_divide(c, _minor_gcd(c, (
-            _minor(block, rows, t) for t in combinations(range(ncols), r)
+            _det(block.matrix, rows, t) for t in combinations(range(ncols), r)
             if t != cols)))
     elif len(set(block.generator_component)) == 1:
         k = LaurentPoly.one(block.nvars)
@@ -507,7 +481,7 @@ def _kernel_certificate(block):
     """
     The minor c of a G x G block B (G >= 2) without its last row and
     column if B's kernel y is G units, y * B = B * w = 0 and c != 0.
-    Both checks run on B's packed rows (_packed).  B's entries lie within
+    Both checks run on B's packed rows.  B's entries lie within
     its bound h, so a kernel within h (and h >= 1) keeps every exponent
     of y_i * B_ij and B_ij * t_c within 2h, inside the radius:
     packing is then injective on both sums, and a wrong y is never
@@ -517,7 +491,7 @@ def _kernel_certificate(block):
     if (y is None or g < 2 or block.num_relators != g or len(y) != g
             or not all(e.is_unit() and e.nvars == block.nvars for e in y)):
         return None
-    packed = _packed(block)
+    packed = block.matrix
     if max(1, _max_exponent(y)) > packed.bound:
         return None
     total = [{} for _ in range(g)]
@@ -532,7 +506,7 @@ def _kernel_certificate(block):
             or not _row_relation_holds(packed, block.generator_component)):
         return None
     rows = tuple(range(g - 1))
-    c = _minor(block, rows, rows)
+    c = _det(packed, rows, rows)
     return RankCertificate(g - 1, rows, rows, c) if c.terms else None
 
 

@@ -15,32 +15,29 @@ term by term.  Each exponent vector is one integer key (laurent.KeyCodec),
 so the prefix is one int and a cell is a dict {key: coefficient}.  A
 row holds cells only for the generators its relator touches, at most
 three in a Wirtinger relator.  alexander's unit-pivot reduction and
-every minor of the blocks it leaves run on these rows; the LaurentPoly
-matrix is decoded only where it is read.
+every minor of the blocks it leaves run on these rows, and a hand-built
+matrix of LaurentPolys is packed by AlexanderPresentation.of.
 """
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .laurent import KeyCodec, LaurentPoly
 
 
-class PackedMatrix(KeyCodec, Sequence):
+class PackedMatrix(KeyCodec):
     """
     A matrix over Z[t1^±1..tm^±1] held as rows {column: {key:
     coefficient}} of its nonzero cells, each keyed by the matrix's own
     laurent.KeyCodec: zero and unit tests on keys are exact within its
-    radius.  Read as a sequence it is the matrix's LaurentPoly rows,
-    decoded on first read, every empty cell one shared zero.
+    radius.
     """
 
-    __slots__ = ("rows", "ncols", "_decoded")
+    __slots__ = ("rows", "ncols")
 
     def __init__(self, rows, ncols, nvars, radius):
         self.rows, self.ncols = rows, ncols
         self.nvars, self.radius = nvars, radius
-        self._decoded = None
 
     @classmethod
     def pack(cls, matrix, ncols, nvars, radius):
@@ -50,49 +47,56 @@ class PackedMatrix(KeyCodec, Sequence):
                     for row in matrix]
         return out
 
-    def _matrix(self):
-        if self._decoded is None:
-            zero, decoded = LaurentPoly.zero(self.nvars), []
-            for packed in self.rows:
-                row = [zero] * self.ncols
-                for j, cell in packed.items():
-                    row[j] = self.poly(cell)
-                decoded.append(tuple(row))
-            self._decoded = tuple(decoded)
-        return self._decoded
-
     def __len__(self):
         return len(self.rows)
 
-    def __getitem__(self, i):
-        return self._matrix()[i]
-
     def __iter__(self):
-        return iter(self._matrix())
+        """
+        The rows as tuples of LaurentPolys, decoded anew on each read.
+        Kept only for perfbench's on_jacobian, which counts the
+        Jacobian's terms through it, until that count reads the packed
+        rows.
+        """
+        zero = LaurentPoly.zero(self.nvars)
+        for packed in self.rows:
+            row = [zero] * self.ncols
+            for j, cell in packed.items():
+                row[j] = self.poly(cell)
+            yield tuple(row)
 
-    def __eq__(self, other):
-        if isinstance(other, PackedMatrix):
-            other = other._matrix()
-        return self._matrix() == other
 
-    def __hash__(self):
-        return hash(self._matrix())
-
-    def __repr__(self):
-        return repr(self._matrix())
+def _max_exponent(row):
+    """The largest |exponent| in a row of LaurentPolys, 0 for none."""
+    return max((abs(x) for e in row for exps in e.terms for x in exps),
+               default=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlexanderPresentation:
     """Fox Jacobian over Z[t1^±1..tm^±1]; rows are relators, columns generators."""
-    matrix: Sequence  # rows of LaurentPolys, or a PackedMatrix
+    matrix: PackedMatrix
     nvars: int
     generator_component: Tuple[int, ...]
     # if given, a unit per row claimed to give kernel * matrix = 0; only
     # alexander._kernel_certificate checks it, on the packed block rows,
     # and only if its exponents lie within the matrix's bound h
-    kernel: Optional[Tuple[LaurentPoly, ...]] = field(default=None,
-                                                      compare=False)
+    kernel: Optional[Tuple[LaurentPoly, ...]] = None
+
+    @classmethod
+    def of(cls, rows, nvars, generator_component, kernel=None):
+        """
+        A presentation of the rows of LaurentPolys, packed at radius 2h,
+        h = max(1, 2 * the sum over rows of each row's largest
+        |exponent|, the kernel's largest |exponent|).  A minor of the
+        matrix, or of a block that the unit-pivot reduction leaves of it,
+        then lies within h (alexander._reduced_blocks), and so does the
+        kernel.
+        """
+        h = max(1, 2 * sum(map(_max_exponent, rows)),
+                _max_exponent(kernel or ()))
+        return cls(PackedMatrix.pack(rows, len(generator_component), nvars,
+                                     2 * h),
+                   nvars, generator_component, kernel)
 
     @property
     def num_relators(self):
@@ -114,7 +118,7 @@ def jacobian(pres, phi):
     >>> from .wirtinger import GroupPresentation, AbelianizationMap
     >>> p = GroupPresentation(2, ((((0,1),(1,1),(0,-1),(1,-1)),)))
     >>> A = jacobian(p, AbelianizationMap((0, 1), 2))
-    >>> [str(e) for e in A.matrix[0]]
+    >>> [str(A.matrix.poly(A.matrix.rows[0][j])) for j in (0, 1)]
     ['-t2 + 1', 't1 - 1']
     """
     if len(phi.component_of) != pres.num_generators:

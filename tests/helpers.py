@@ -1,7 +1,8 @@
 """
 Small functions that only the tests call, kept out of the package:
 debug renderings of words and presentations, the raw Schreier rewriting
-sizes, the check that a polynomial is in canonical form, the Fox
+sizes, the check that a polynomial is in canonical form, a
+presentation's matrix decoded to LaurentPolys, the Fox
 derivative in the free group ring, the slow and independent reference
 that the package's one-pass Jacobian is checked against, and the full
 Schreier rewriting of the cover oracle, the reference its orbit
@@ -48,6 +49,16 @@ def is_canonical(p):
     if any(a != 0 for a in p.min_exponents()):
         return False
     return p.leading_term()[1] > 0
+
+
+def decoded(pres):
+    """
+    The presentation's matrix as a tuple of rows of LaurentPolys, every
+    empty cell a zero: its PackedMatrix decoded, or the rows of
+    LaurentPolys that pipeline_reference's replaced routes hold as they
+    are.
+    """
+    return tuple(map(tuple, pres.matrix))
 
 
 class GroupRingElement(dict):

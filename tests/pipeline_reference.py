@@ -68,6 +68,11 @@ no longer has, calls the copy kept in laurent_reference.
   block stage, and run the package's _row_relation_holds as
   packed_row_relation_holds.  decoded_module_rank's doctest is left
   out.
+- _packed and _minor, alexander's reading of a presentation as it was
+  while AlexanderPresentation.matrix could also be rows of LaurentPolys:
+  _packed returned a PackedMatrix as it was and packed LaurentPoly rows
+  at radius 2h, and _minor took a minor of either form through it.  The
+  replaced routes above call this module's _minor.
 """
 
 import json
@@ -77,12 +82,13 @@ from math import comb, gcd
 
 from ribboncheck import cli, laurent
 from ribboncheck.alexander import (FALLBACK_MINOR_BUDGET, RankCertificate,
-                                   _column_weights,
-                                   _kernel_certificate, _max_exponent, _minor,
-                                   _minor_gcd, module_rank)
+                                   _column_weights, _det,
+                                   _kernel_certificate, _minor_gcd,
+                                   module_rank)
 from ribboncheck.alexander import \
     _row_relation_holds as packed_row_relation_holds
-from ribboncheck.foxcalc import AlexanderPresentation, PackedMatrix
+from ribboncheck.foxcalc import (AlexanderPresentation, PackedMatrix,
+                                 _max_exponent)
 from ribboncheck.laurent import (ComputationError, LaurentPoly, canonical,
                                  exact_divide)
 from ribboncheck.linkcodec import (Crossing, DiagramError, LinkDiagram,
@@ -92,6 +98,26 @@ from ribboncheck.obstruct import (NOT_OBSTRUCTED, OBSTRUCTED,
                                   component_mismatch)
 
 from laurent_reference import mul_add
+
+
+def _packed(pres):
+    """
+    The presentation's PackedMatrix: its own, or its LaurentPoly rows
+    packed at radius 2h, h = max(1, 2 * the sum over rows of each row's
+    largest |exponent|, the kernel's largest |exponent|).  A minor of the
+    matrix, or of a block that the unit-pivot reduction leaves of it,
+    then lies within h (_reduced_blocks), and so does the kernel.
+    """
+    matrix = pres.matrix
+    if isinstance(matrix, PackedMatrix):
+        return matrix
+    h = max(1, 2 * sum(map(_max_exponent, matrix)),
+            _max_exponent(pres.kernel or ()))
+    return PackedMatrix.pack(matrix, pres.num_generators, pres.nvars, 2 * h)
+
+
+def _minor(pres, rows, cols):
+    return _det(_packed(pres), rows, cols)
 
 
 def _fox_row(word, num_generators, phi):

@@ -20,25 +20,41 @@ from ribboncheck.tables import knot_table, link_table
 from ribboncheck.wirtinger import wirtinger_presentation
 
 from conftest import random_braid_knot, random_poly
+from helpers import decoded
 import laurent_reference
 import pipeline_reference as reference
 
 
 def presentation_from_rows(rows, nvars, ncols):
     matrix = tuple(tuple(row) for row in rows)
-    return AlexanderPresentation(matrix, nvars, (0,) * ncols)
+    return AlexanderPresentation.of(matrix, nvars, (0,) * ncols)
+
+
+def laurent_form(pres):
+    """
+    What presentations were compared by before they held a PackedMatrix
+    only: the matrix decoded, the number of variables and the generators'
+    components.
+    """
+    return decoded(pres), pres.nvars, pres.generator_component
+
+
+def decoded_block(block):
+    """The block with its matrix decoded, for the decoded_* references."""
+    return replace(block, matrix=decoded(block))
 
 
 def brute_force_rank(pres):
     """Largest k with a nonvanishing k x k minor, by full enumeration."""
     best = 0
+    matrix = decoded(pres)
     rows_all = range(pres.num_relators)
     cols_all = range(pres.num_generators)
     for k in range(1, min(pres.num_relators, pres.num_generators) + 1):
         found = False
         for rows in combinations(rows_all, k):
             for cols in combinations(cols_all, k):
-                sub = [[pres.matrix[i][j] for j in cols] for i in rows]
+                sub = [[matrix[i][j] for j in cols] for i in rows]
                 if not determinant(sub).is_zero():
                     found = True
                     break
@@ -111,7 +127,7 @@ class TestModuleRank:
             cert = module_rank(pres)
             assert cert.rank == brute_force_rank(pres)
             if cert.rank:
-                sub = [[pres.matrix[i][j] for j in cert.pivot_columns]
+                sub = [[rows[i][j] for j in cert.pivot_columns]
                        for i in cert.pivot_rows]
                 assert not determinant(sub).is_zero()
                 assert canonical(cert.minor) == canonical(determinant(sub))
@@ -174,10 +190,10 @@ class TestInvariance:
             rng = random.Random(hash(name) & 0xFFFF)
             rows = rng.sample(range(A.num_relators), min(3, A.num_relators))
             for drop in rows:
-                rows_kept = tuple(A.matrix[i] for i in range(A.num_relators)
+                rows_kept = tuple(row for i, row in enumerate(decoded(A))
                                   if i != drop)
-                sub = AlexanderPresentation(rows_kept, A.nvars,
-                                            A.generator_component)
+                sub = AlexanderPresentation.of(rows_kept, A.nvars,
+                                               A.generator_component)
                 assert module_rank(sub).rank == expected_rank, name
                 assert torsion_order(sub).value == expected_delta, name
 
@@ -245,10 +261,10 @@ def definition_delta(pres):
     r = module_rank(pres).rank
     if r == 0:
         return LaurentPoly.one(pres.nvars)
-    running = LaurentPoly.zero(pres.nvars)
+    running, matrix = LaurentPoly.zero(pres.nvars), decoded(pres)
     for rows in combinations(range(pres.num_relators), r):
         for cols in combinations(range(pres.num_generators), r):
-            d = determinant([[pres.matrix[i][j] for j in cols] for i in rows])
+            d = determinant([[matrix[i][j] for j in cols] for i in rows])
             if not d.is_zero() and not (running and divides(running, d)):
                 running = gcd(running, d)
     return canonical(running)
@@ -284,8 +300,8 @@ class TestReducedAgainstDefinition:
         # without its last relator no row is redundant, so a block that
         # lost a row would lose rank
         if A.num_relators:
-            B = AlexanderPresentation(A.matrix[:-1], A.nvars,
-                                      A.generator_component)
+            B = AlexanderPresentation.of(decoded(A)[:-1], A.nvars,
+                                         A.generator_component)
             assert torsion_order(B).value == definition_delta(B), diagram
 
     def test_random_closures(self):
@@ -504,9 +520,11 @@ class TestAgainstReplacedLoops:
     def check(self, diagram, monkeypatch):
         pres, phi = wirtinger_presentation(diagram)
         A = jacobian(pres, phi)
-        assert A == reference.jacobian(pres, phi), diagram
+        assert laurent_form(A) == laurent_form(reference.jacobian(pres, phi)), \
+            diagram
         blocks = alexander._reduced_blocks(A)
-        assert blocks == reference._reduced_blocks(A), diagram
+        assert list(map(laurent_form, blocks)) == list(map(
+            laurent_form, reference._reduced_blocks(A))), diagram
         certificates = [module_rank(b) for b in blocks]
         delta = torsion_order(A)
         with monkeypatch.context() as patch:
@@ -515,8 +533,9 @@ class TestAgainstReplacedLoops:
                           reference.decoded_block_order)
             patch.setattr(alexander, "_reduced_blocks",
                           reference._reduced_blocks)
-            assert certificates == [reference.decoded_module_rank(b)
-                                    for b in blocks]
+            assert certificates == [
+                reference.decoded_module_rank(decoded_block(b))
+                for b in blocks]
             old = torsion_order(A)
         assert delta.value == old.value, diagram
         assert delta.source == old.source, diagram
@@ -658,8 +677,8 @@ class TestAgainstFullMinorGcd:
             "no relation": ([[f * u2, f * u1], [g * u2, g * u1]], 2, (0, 1),
                             "fallback")}
         for name, (rows, nvars, comps, path) in cases.items():
-            pres = AlexanderPresentation(tuple(map(tuple, rows)), nvars,
-                                         comps or (0,) * len(rows[0]))
+            pres = AlexanderPresentation.of(tuple(map(tuple, rows)), nvars,
+                                            comps or (0,) * len(rows[0]))
             value, got = alexander._block_order(pres)
             old, _ = reference._block_order(pres)
             assert canonical(value) == canonical(old) == \
@@ -673,18 +692,19 @@ class TestAgainstFullMinorGcd:
         fallback = [[a, a * (a - 2), 2 * a], [2 * a, 2 * a * (a - 2), 4 * a]]
         shortcut = [[a, -a], [a * b, -a * b], [2 * a, -2 * a]]
         calls = []
-        minor = alexander._minor
+        minor = alexander._det
 
         def counted(*args):
             calls.append(args)
             return minor(*args)
 
-        monkeypatch.setattr(alexander, "_minor", counted)
+        monkeypatch.setattr(alexander, "_det", counted)
         for rows, ncols, needed in ((fallback, 3, 3), (shortcut, 2, 2)):
             pres = presentation_from_rows(rows, 1, ncols)
             monkeypatch.setattr(alexander, "FALLBACK_MINOR_BUDGET", needed)
+            expected = definition_delta(pres)  # its determinants call _det
             calls.clear()
-            assert torsion_order(pres).value == definition_delta(pres)
+            assert torsion_order(pres).value == expected
             assert len(calls) == needed
             monkeypatch.setattr(alexander, "FALLBACK_MINOR_BUDGET",
                                 needed - 1)
@@ -739,8 +759,9 @@ def laurent_blocks(diagram):
     pres, phi = wirtinger_presentation(diagram)
     A = reference.laurent_jacobian(pres, phi)
     new = jacobian(pres, phi)
-    assert new == A and [[e.terms for e in row] for row in new.matrix] == \
-        [[e.terms for e in row] for row in A.matrix], diagram
+    assert laurent_form(new) == laurent_form(A) and \
+        [[e.terms for e in row] for row in decoded(new)] == \
+        [[e.terms for e in row] for row in decoded(A)], diagram
     if diagram.kernel and len(diagram.kernel) == len(pres.relators):
         A = replace(A, kernel=tuple(LaurentPoly.monomial(1, e)
                                     for e in diagram.kernel))
@@ -752,18 +773,21 @@ def assert_same_blocks(blocks, old, orders):
     Blocks of the reduction on packed keys against the LaurentPoly
     route's: the same matrix, generator components and kernel, the same
     kernel certificate and Fox row relation, and, unless orders is None,
-    from _block_order on the old blocks the (order, path) in orders.
+    from _block_order on the old blocks, packed anew, the (order, path) in
+    orders.
     """
-    assert blocks == old
+    assert list(map(laurent_form, blocks)) == list(map(laurent_form, old))
     assert [b.kernel for b in blocks] == [b.kernel for b in old]
     for n, (block, ref) in enumerate(zip(blocks, old)):
         assert alexander._kernel_certificate(block) == \
             reference.laurent_kernel_certificate(ref)
         assert alexander._row_relation_holds(
-            alexander._packed(block), block.generator_component) == \
+            block.matrix, block.generator_component) == \
             reference._row_relation_holds(ref, alexander._column_weights(ref))
         if orders is not None:
-            assert alexander._block_order(ref) == orders[n]
+            assert alexander._block_order(AlexanderPresentation.of(
+                ref.matrix, ref.nvars, ref.generator_component,
+                ref.kernel)) == orders[n]
 
 
 def counting_module_rank(monkeypatch):
@@ -791,7 +815,7 @@ class TestKernelCertificate:
                        for e in diagram.kernel)
             zero = LaurentPoly.zero(J.nvars)
             for j in range(J.num_generators):
-                assert sum((yi * row[j] for yi, row in zip(y, J.matrix)),
+                assert sum((yi * row[j] for yi, row in zip(y, decoded(J))),
                            zero).is_zero(), diagram
         blocks, delta = blocks_and_delta(diagram, monkeypatch)
         with monkeypatch.context() as patch:
@@ -891,13 +915,13 @@ class TestKernelCertificate:
         # gcd is 1, not the one minor f * (t2 - 1) divided by t2 - 1
         f, g = parse_poly("t1^2 - t2", 2), parse_poly("t1*t2 + 3", 2)
         u1, u2 = parse_poly("t1 - 1", 2), parse_poly("t2 - 1", 2)
-        non_units = AlexanderPresentation(
+        non_units = AlexanderPresentation.of(
             ((f * u2, -f * u1), (g * u2, -g * u1)), 2, (0, 1), (g, -f))
         # y = (1, -1) kills both rows, but the Fox row relation fails
         a, two = parse_poly("t + 1", 1), LaurentPoly.constant(2, 1)
         one = LaurentPoly.one(1)
-        no_relation = AlexanderPresentation(((a, two), (a, two)), 1, (0, 0),
-                                            (one, -one))
+        no_relation = AlexanderPresentation.of(((a, two), (a, two)), 1,
+                                               (0, 0), (one, -one))
         for block, path in ((non_units, "shortcut"),
                             (no_relation, "fallback")):
             assert alexander._kernel_certificate(block) is None
@@ -928,8 +952,8 @@ class TestKernelCertificate:
         zero = LaurentPoly.zero(block.nvars)
         for j in range(8):  # the certificate holds, yet c = 0
             assert sum((yi * row[j] for yi, row in
-                        zip(block.kernel, block.matrix)), zero).is_zero()
-        assert alexander._minor(block, range(7), range(7)).is_zero()
+                        zip(block.kernel, decoded(block))), zero).is_zero()
+        assert alexander._det(block.matrix, range(7), range(7)).is_zero()
         assert alexander._kernel_certificate(block) is None
         assert module_rank(block).rank == 6
         assert delta.source["blocks"][0]["path"] == "fallback"
@@ -989,14 +1013,20 @@ class TestAgainstGuardedClosedForm:
 
     @pytest.fixture
     def tally(self, monkeypatch):
-        """Count _minor calls and _closed_form's disagreeing guards."""
+        """
+        Count the minors taken, alexander's _det calls and
+        pipeline_reference's _minor calls, and _closed_form's disagreeing
+        guards.
+        """
         tally = {"minors": [], "guards": 0, "disagreed": 0,
                  "paths": set()}
-        minor, closed_form = alexander._minor, reference._closed_form
+        closed_form = reference._closed_form
 
-        def counted(*args):
-            tally["minors"].append(args)
-            return minor(*args)
+        def counting(minor):
+            def counted(*args):
+                tally["minors"].append(args)
+                return minor(*args)
+            return counted
 
         def guarded(*args):
             k = closed_form(*args)
@@ -1004,8 +1034,8 @@ class TestAgainstGuardedClosedForm:
             tally["disagreed"] += k is None
             return k
 
-        for module in (alexander, reference):
-            monkeypatch.setattr(module, "_minor", counted)
+        monkeypatch.setattr(alexander, "_det", counting(alexander._det))
+        monkeypatch.setattr(reference, "_minor", counting(reference._minor))
         monkeypatch.setattr(reference, "_closed_form", guarded)
         return tally
 
@@ -1118,7 +1148,7 @@ class TestPackedKeys:
             units = [LaurentPoly.monomial(rng.choice((1, -1)), tuple(
                 rng.randint(-1000, 1000) for _ in range(A.nvars)))
                 for _ in A.matrix]
-            blocks = self.check(AlexanderPresentation(
+            blocks = self.check(AlexanderPresentation.of(
                 tuple(tuple(u * e for e in row)
                       for u, row in zip(units, A.matrix)),
                 A.nvars, A.generator_component,
@@ -1140,7 +1170,7 @@ class TestPackedKeys:
                     return LaurentPoly.zero(m)
                 return u if kind < 0.8 else u * random_poly(rng, m, 3, 1, 3)
 
-            self.check(AlexanderPresentation(
+            self.check(AlexanderPresentation.of(
                 tuple(tuple(entry() for _ in range(ncols))
                       for _ in range(nrows)),
                 m, tuple(rng.randrange(m) for _ in range(ncols))), False)
@@ -1153,14 +1183,14 @@ class TestPackedKeys:
         u = parse_poly("t1^-%d*t2^%d*t3^-%d" % (s, s, s), 3)
         zero, three = LaurentPoly.zero(3), LaurentPoly.constant(3, 3)
         five = LaurentPoly.constant(5, 3)
-        pres = AlexanderPresentation(
+        pres = AlexanderPresentation.of(
             ((u, 2 * unit_inverse(u), zero), (three, zero, five)), 3,
             (0, 1, 2))
         block, = self.check(pres)
         assert block.matrix.radius == 4 * s and block.matrix.bound == 2 * s
         expected = parse_poly("-6*t1^%d*t2^-%d*t3^%d" % (2 * s, 2 * s, 2 * s),
                               3)
-        assert block.matrix == ((expected, five),)
+        assert decoded(block) == ((expected, five),)
         assert block.generator_component == (1, 2)
 
     def test_check_radius_is_tight(self):
@@ -1176,15 +1206,15 @@ class TestPackedKeys:
         y = (t1, unit_inverse(t1))
         for f1, certified in ((-t1 ** 3, True),
                               (-parse_poly("t1^-2*t2", 2), False)):
-            block = AlexanderPresentation(
+            block = AlexanderPresentation.of(
                 ((t1 * (t2 - one), -t1 * (t1 - one)),
                  (f1 * (t2 - one), -f1 * (t1 - one))), 2, (0, 1), y)
             assert (alexander._kernel_certificate(block) is not None) \
                 == certified
-        assert alexander._packed(block).radius == 2 * 2 * (2 + 2)
+        assert block.matrix.radius == 2 * 2 * (2 + 2)
         for radius, certified in ((4, False), (2, True)):
             narrow = replace(block, matrix=PackedMatrix.pack(
-                block.matrix, 2, 2, radius))
+                decoded(block), 2, 2, radius))
             assert (alexander._kernel_certificate(narrow) is not None) \
                 == certified
         assert narrow.matrix.key((2, 0)) == narrow.matrix.key((-3, 1))
@@ -1197,13 +1227,13 @@ class TestPackedKeys:
         # bound), B takes no kernel of 3 at all
         t1, t2 = parse_poly("t1", 2), parse_poly("t2", 2)
         one, f1 = LaurentPoly.one(2), -parse_poly("t1^-1*t2", 2)
-        block = AlexanderPresentation(
+        block = AlexanderPresentation.of(
             ((t2 - one, one - t1), (f1 * (t2 - one), -f1 * (t1 - one))), 2,
             (0, 1), (t1 ** 3, unit_inverse(t1 ** 3)))
         assert alexander._kernel_certificate(block) is None
-        assert alexander._packed(block).radius == 2 * 2 * (1 + 2)
+        assert block.matrix.radius == 2 * 2 * (1 + 2)
         narrow = replace(block, matrix=PackedMatrix.pack(
-            block.matrix, 2, 2, 4))
+            decoded(block), 2, 2, 4))
         assert alexander._kernel_certificate(narrow) is None
         # a reduced block's kernel moved by t1^R / t2, R the radix of its
         # keys, packs to the same keys: it lies past h and is refused
@@ -1233,11 +1263,12 @@ def decoded_block_check(blocks, orders=None):
     """
     if orders is None:
         orders = [alexander._block_order(block) for block in blocks]
-    assert orders == [reference.decoded_block_order(b) for b in blocks]
-    for block in blocks:
-        assert module_rank(block) == reference.decoded_module_rank(block)
+    old = list(map(decoded_block, blocks))
+    assert orders == list(map(reference.decoded_block_order, old))
+    for block, ref in zip(blocks, old):
+        assert module_rank(block) == reference.decoded_module_rank(ref)
         assert alexander._kernel_certificate(block) == \
-            reference.decoded_kernel_certificate(block)
+            reference.decoded_kernel_certificate(ref)
 
 
 class TestAgainstDecodedBlocks:
@@ -1315,13 +1346,13 @@ class TestAgainstDecodedBlocks:
             us, vs = [unit(m) for _ in small], [unit(m) for _ in small[0]]
             rows = tuple(tuple(u * v * x for v, x in zip(vs, row))
                          for u, row in zip(us, small))
-            pres = AlexanderPresentation(rows, m, tuple(
+            pres = AlexanderPresentation.of(rows, m, tuple(
                 rng.randrange(m) for _ in range(ncols)))
             cert = module_rank(pres)
-            assert cert == reference.decoded_module_rank(pres)
+            assert cert == reference.decoded_module_rank(decoded_block(pres))
             deficient += cert.rank < min(nrows, ncols)
             assert alexander._block_order(pres) == \
-                reference.decoded_block_order(pres)
+                reference.decoded_block_order(decoded_block(pres))
             decoded_block_check(alexander._reduced_blocks(pres))
             n = min(nrows, ncols)
             square = [row[:n] for row in rows[:n]]
@@ -1340,10 +1371,11 @@ class TestAgainstDecodedBlocks:
                     break
             diagram = braid_closure(word)
             A = fox_matrix(diagram)
-            units = [unit(A.nvars) for _ in A.matrix]
-            blocks = alexander._reduced_blocks(AlexanderPresentation(
+            rows = decoded(A)
+            units = [unit(A.nvars) for _ in rows]
+            blocks = alexander._reduced_blocks(AlexanderPresentation.of(
                 tuple(tuple(u * e for e in row)
-                      for u, row in zip(units, A.matrix)),
+                      for u, row in zip(units, rows)),
                 A.nvars, A.generator_component,
                 tuple(LaurentPoly.monomial(1, e) * unit_inverse(u)
                       for e, u in zip(diagram.kernel, units))))
@@ -1375,16 +1407,17 @@ class TestPackedBareiss:
         pres = presentation_from_rows(rows, 2, 4)
         block, = alexander._reduced_blocks(pres)
         assert block.matrix.radius == 4 * s
-        B = block.matrix
-        d = determinant(list(B))
+        B = decoded(block)
+        d = determinant(B)
         reach = max(e[0] for e in (B[0][0] * d).terms)
-        assert reach == B.radius and max(e[0] for e in d.terms) == 2 * s
+        assert reach == block.matrix.radius and \
+            max(e[0] for e in d.terms) == 2 * s
         cert = module_rank(block)
-        assert cert == reference.decoded_module_rank(block)
+        assert cert == reference.decoded_module_rank(decoded_block(block))
         assert cert.rank == 3
-        assert d == reference.decoded_determinant(list(B))
+        assert d == reference.decoded_determinant(B)
         assert alexander._block_order(block) == \
-            reference.decoded_block_order(block)
+            reference.decoded_block_order(decoded_block(block))
         assert canonical(torsion_order(pres).value) == definition_delta(pres)
 
     def test_inexact_division_is_refused(self):

@@ -10,7 +10,7 @@ from ribboncheck.wirtinger import (AbelianizationMap, GroupPresentation,
                                    wirtinger_presentation, word_multiply)
 
 from conftest import random_free_word
-from helpers import GroupRingElement, fox_derivative
+from helpers import GroupRingElement, decoded, fox_derivative
 import pipeline_reference as reference
 
 
@@ -119,22 +119,22 @@ class TestJacobian:
         rel = ((0, 1), (1, 1), (0, 1), (1, -1), (0, -1), (1, -1))
         pres = GroupPresentation(2, (rel,))
         phi = AbelianizationMap((0, 0), 1)
-        A = jacobian(pres, phi)
-        assert A.matrix[0][0] == parse_poly("t^2 - t + 1", 1)
-        assert A.matrix[0][1] == -parse_poly("t^2 - t + 1", 1)
+        (row,) = decoded(jacobian(pres, phi))
+        assert row[0] == parse_poly("t^2 - t + 1", 1)
+        assert row[1] == -parse_poly("t^2 - t + 1", 1)
 
     def test_hopf_commutator(self):
         rel = ((0, 1), (1, 1), (0, -1), (1, -1))
         pres = GroupPresentation(2, (rel,))
         phi = AbelianizationMap((0, 1), 2)
-        A = jacobian(pres, phi)
-        assert A.matrix[0][0] == parse_poly("1 - t2", 2)
-        assert A.matrix[0][1] == parse_poly("t1 - 1", 2)
+        (row,) = decoded(jacobian(pres, phi))
+        assert row[0] == parse_poly("1 - t2", 2)
+        assert row[1] == parse_poly("t1 - 1", 2)
 
     def test_unknot_empty_matrix(self):
         pres, phi = wirtinger_presentation(parse_link_spec("braid:n=1:"))
         A = jacobian(pres, phi)
-        assert A.matrix == ()
+        assert decoded(A) == ()
         assert A.num_generators == 1
 
     def test_sparse_rows_share_one_zero(self, bundled_knots, bundled_links):
@@ -143,16 +143,17 @@ class TestJacobian:
             pres, phi = wirtinger_presentation(diagram)
             A = jacobian(pres, phi)
             assert A.matrix.bound == 2 * sum(map(len, pres.relators))
-            assert len(A.matrix) == A.num_relators == len(pres.relators)
-            for row in A.matrix:
+            rows = decoded(A)
+            assert len(rows) == A.num_relators == len(pres.relators)
+            for row in rows:
                 assert len(row) == A.num_generators == pres.num_generators
                 assert all(type(e) is LaurentPoly and
                            e.nvars == phi.num_components for e in row)
             # perfbench's foxcalc.jacobian_terms count
             dense = reference.jacobian(pres, phi)
-            assert (sum(len(e.terms) for row in A.matrix for e in row) ==
+            assert (sum(len(e.terms) for row in rows for e in row) ==
                     sum(len(e.terms) for row in dense.matrix for e in row))
-            zeros = [e for row in A.matrix for e in row if not e.terms]
+            zeros = [e for row in rows for e in row if not e.terms]
             assert len({id(e) for e in zeros}) <= 1, name
             shared += len(zeros)
             module_rank(A)
@@ -162,17 +163,17 @@ class TestJacobian:
         # a touched cell whose terms cancel is the shared zero too: under
         # one variable, d(x_g x_a x_b^-1 x_g^-1)/dx_g = 1 - 1
         for g, a, b in permutations(range(3)):
-            (row,) = jacobian(
+            (row,) = decoded(jacobian(
                 GroupPresentation(4, (((g, 1), (a, 1), (b, -1), (g, -1)),)),
-                AbelianizationMap((0, 0, 0, 0), 1)).matrix
+                AbelianizationMap((0, 0, 0, 0), 1)))
             assert row[g] is row[3] and not row[3].terms
 
     def test_eager_phi_matches_group_ring_route(self, bundled_knots):
         for name, diagram in bundled_knots[:6]:
             pres, phi = wirtinger_presentation(diagram)
-            A = jacobian(pres, phi)
+            rows = decoded(jacobian(pres, phi))
             for i, rel in enumerate(pres.relators):
                 for j in range(pres.num_generators):
                     slow = phi_image(fox_derivative(rel, j), phi,
                                      phi.num_components)
-                    assert A.matrix[i][j] == slow, name
+                    assert rows[i][j] == slow, name
