@@ -44,8 +44,12 @@ def test_every_layer_records_a_span(tracing, monkeypatch, tmp_path, capsys):
     # the presentations jacobian returns, recorded beneath the tracer's
     # own wrapper
     presentations, jacobian = [], alexander.jacobian
-    monkeypatch.setattr(alexander, "jacobian", lambda *args: presentations
-                        .append(jacobian(*args)) or presentations[-1])
+
+    def recorded(*args):
+        presentations.append(jacobian(*args))
+        return presentations[-1]
+
+    monkeypatch.setattr(alexander, "jacobian", recorded)
     tracer = tracing.Tracer()
     tracing.install(tracer, cli, alexander, obstruct, oracles, laurent)
     table = tmp_path / "pairs.csv"
