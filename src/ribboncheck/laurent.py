@@ -4,16 +4,15 @@ Exact sparse arithmetic in the Laurent polynomial ring Z[t1^±1, ..., tm^±1].
 Polynomials are stored as finite maps from exponent vectors (tuples of
 signed integers, one slot per variable) to nonzero integer coefficients.
 All coefficients are arbitrary-precision Python ints; the zero polynomial
-is the empty map.  At one variable (knots), exact division and gcd run on
-a dense coefficient list instead, kept on the polynomial after its first
-use: polynomials are never mutated.  At two or more variables (links),
-exact division keys each term by one integer, its exponent vector in
-balanced digits (KeyCodec), and divides on those keys (divide_cells),
-the codec and the division that foxcalc's packed matrices and
-alexander's eliminations run on too.  Each quotient term's digits are
-checked, so that no carry fakes a quotient, and the division stays
-sparse: a dense array over the box of an m-variable minor would have
-(span + 1)^m cells.
+is the empty map, at every variable count.  Exact division keys each
+term by one integer, its exponent vector in balanced digits (KeyCodec;
+at one variable, the exponent), and divides on those keys
+(divide_cells), the codec and the division that foxcalc's packed
+matrices and alexander's eliminations run on too.  At two or more
+variables each quotient term's digits are checked, so that no carry
+fakes a quotient, and the division stays sparse: a dense array over the
+box of an m-variable minor would have (span + 1)^m cells.  The gcd is
+one GCDHEU loop from one variable up (see _gcd_poly).
 
 The units of this ring are exactly ±t1^a1···tm^am.  Quantities such as
 link polynomial invariants are only well defined up to a unit, so we fix
@@ -52,9 +51,7 @@ class LaurentPoly:
     0
     """
 
-    # _coeffs: at one variable, the (lowest exponent, coefficient list)
-    # pair of _dense, filled on first use; a LaurentPoly is never mutated
-    __slots__ = ("nvars", "terms", "_coeffs")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
         if nvars < 0:
@@ -70,7 +67,6 @@ class LaurentPoly:
                     clean[tuple(exps)] = int(coeff)
         self.nvars = nvars
         self.terms = clean
-        self._coeffs = None
 
     @classmethod
     def _make(cls, nvars, terms):
@@ -78,7 +74,6 @@ class LaurentPoly:
         p = object.__new__(cls)
         p.nvars = nvars
         p.terms = terms
-        p._coeffs = None
         return p
 
     # ----- constructors ---------------------------------------------------
@@ -189,12 +184,6 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         out = {}
         get = out.get
-        if self.nvars == 1:
-            for (x,), c1 in a.items():
-                for (y,), c2 in b.items():
-                    k = x + y
-                    out[k] = get(k, 0) + c1 * c2
-            return LaurentPoly._make(1, {(x,): c for x, c in out.items() if c})
         if len(a) < len(b):  # the longer operand in the outer loop
             a, b = b, a
         for e1, c1 in a.items():
@@ -436,32 +425,6 @@ def canonical(p):
     return q
 
 
-# ----- the dense one-variable form --------------------------------------------
-
-def _to_dense(p):
-    """(lowest exponent, coefficients from it upwards) of a nonzero 1-variable p."""
-    low = min(e for (e,) in p.terms)
-    out = [0] * (max(e for (e,) in p.terms) - low + 1)
-    for (e,), c in p.terms.items():
-        out[e - low] = c
-    return low, out
-
-
-def _dense(p):
-    """_to_dense(p), kept on p after the first call: no caller may change it."""
-    if p._coeffs is None:
-        p._coeffs = _to_dense(p)
-    return p._coeffs
-
-
-def _from_dense(low, coeffs):
-    """sum of coeffs[i] * t^(low + i); both ends of coeffs must be nonzero."""
-    p = LaurentPoly._make(1, {(low + i,): c
-                              for i, c in enumerate(coeffs) if c})
-    p._coeffs = (low, coeffs)
-    return p
-
-
 # ----- packed exponent keys --------------------------------------------------
 #
 # Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
@@ -582,17 +545,17 @@ def divide_cells(num, den, keys):
 def exact_divide(p, d):
     """
     The exact quotient q with d * q == p, or None when no such q exists
-    in the Laurent ring.  At one variable, long division runs on the
-    coefficient lists from the top.  At two or more, p and d are shifted
-    to minimum exponents 0 and divided on their keys (divide_cells) at
-    radius 2h, h = max(1, the largest span of p over every variable but
-    the last).  This is sound both ways: if d divides p, every quotient
-    term lies in [0, span p - span d], within h, as per-variable spans
-    add under multiplication; if every one does, d * q lies within 2h,
-    where packing is injective, so remainder 0 means d * q == p.  A d
-    that spans more than p in some variable divides nothing.  Without
-    the digit check a carry fakes quotients: t1^2 + t2 packs to T^2 +
-    T^9 at radius 4, and t1 + 1 to T + 1, which divides it.
+    in the Laurent ring.  p and d are shifted to minimum exponents 0 and
+    divided on their keys (divide_cells) at radius 2h, h = max(1, the
+    largest span of p over every variable but the last).  This is sound
+    both ways: if d divides p, every quotient term lies in [0, span p -
+    span d], within h, as per-variable spans add under multiplication;
+    if every one does, d * q lies within 2h, where packing is injective,
+    so remainder 0 means d * q == p.  A d that spans more than p in some
+    variable divides nothing.  Without the digit check a carry fakes
+    quotients: t1^2 + t2 packs to T^2 + T^9 at radius 4, and t1 + 1 to
+    T + 1, which divides it.  At one variable the key is the exponent,
+    h goes unused and no digit is checked.
 
     >>> t = LaurentPoly.variable(0, 1)
     >>> print(exact_divide(t**2 - 1, t - 1))
@@ -605,10 +568,6 @@ def exact_divide(p, d):
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return LaurentPoly.zero(p.nvars)
-    if p.nvars == 1:
-        (plow, num), (dlow, den) = _dense(p), _dense(d)
-        quot = _divide_dense(num, den)
-        return None if quot is None else _from_dense(plow - dlow, quot)
     if len(d.terms) == 1:  # a shift, if every coefficient divides
         ((e, c),) = d.terms.items()
         quot = {x: divmod(c1, c) for x, c1 in p.terms.items()}
@@ -621,34 +580,17 @@ def exact_divide(p, d):
     pspan = [max(col) - x for col, x in zip(pcols, pmin)]
     if any(max(col) - x > s for col, x, s in zip(dcols, dmin, pspan)):
         return None
-    keys = KeyCodec(p.nvars, 2 * max(1, *pspan[:-1]))
+    keys = KeyCodec(p.nvars, 2 * max([1] + pspan[:-1]))
     # packing is linear: key(e - min) = key(e) - key(min)
-    pkey, dkey = keys.key(pmin), keys.key(dmin)
-    quot = divide_cells({k - pkey: c for k, c in keys.cell(p).items()},
-                        {k - dkey: c for k, c in keys.cell(d).items()}, keys)
+    key = keys.key
+    pkey, dkey = key(pmin), key(dmin)
+    quot = divide_cells({key(e) - pkey: c for e, c in p.terms.items()},
+                        {key(e) - dkey: c for e, c in d.terms.items()}, keys)
     if quot is None:
         return None
     shift, exponents = list(map(sub, pmin, dmin)), keys.exponents
     return LaurentPoly._make(p.nvars, {
         tuple(map(add, exponents(k), shift)): c for k, c in quot.items()})
-
-
-def _divide_dense(num, den):
-    """The list q with den * q == num in Z[t] by long division, or None."""
-    n, lead = len(den) - 1, den[-1]
-    size = len(num) - n  # of the quotient; below 1 if den is longer
-    rem = list(num)
-    quot = [0] * size
-    for k in range(size - 1, -1, -1):
-        c, r = divmod(rem[k + n], lead)
-        if r:
-            return None
-        if c:
-            quot[k] = c
-            rem[k:k + n] = [x - c * y for x, y in zip(rem[k:k + n], den)]
-    if any(rem[:n]):  # a remainder, or all of num when den is longer
-        return None
-    return quot
 
 
 def divides(d, p):
@@ -669,20 +611,21 @@ def divides(d, p):
 #
 # Z[t1^±1,...,tm^±1] is a UFD, so gcds exist up to units; as only
 # ±monomials are units, integer content is part of divisibility.  We
-# compute on the unit-shifted ordinary polynomials, at one variable on the
-# dense coefficient lists themselves, by GCDHEU (Char, Geddes and Gonnet,
-# "GCDHEU: heuristic polynomial GCD algorithm based on integer GCD
-# computation", J. Symbolic Comput. 7, 1989): evaluate the last variable
-# of the primitive parts a and b at an integer xi >= 2 min(|a|, |b|) + 2
-# (|.| the largest coefficient; the first xi is 2 min(|a|, |b|) + 29, as
-# in sympy's dup_zz_heu_gcd), take the gcd of the two values (an
-# integer gcd at one variable, else this gcd one variable down), rebuild
-# a polynomial G from its symmetric xi-adic digits, and accept pp(G),
-# its primitive part, once it divides both a and b: it is then gcd(a, b)
+# compute on the unit-shifted ordinary polynomials by GCDHEU (Char,
+# Geddes and Gonnet, "GCDHEU: heuristic polynomial GCD algorithm based on
+# integer GCD computation", J. Symbolic Comput. 7, 1989), one loop at
+# every variable count: evaluate the last variable of the primitive parts
+# a and b at an integer xi >= 2 min(|a|, |b|) + 2 (|.| the largest
+# coefficient; the first xi is 2 min(|a|, |b|) + 29, as in sympy's
+# dup_zz_heu_gcd), take the gcd of the two values by the same loop one
+# variable down (at no variable left, the integer gcd), rebuild a
+# polynomial G from its symmetric xi-adic digits, and accept pp(G), its
+# primitive part, once it divides both a and b: it is then gcd(a, b)
 # (see _gcd_poly).  A failed check retries at a larger xi, at _HEU_TRIES
-# points in all.  Past them one variable falls back to Euclid on the
-# primitive parts with pseudo-remainders made primitive at each step
-# (Knuth, TAOCP vol. 2, 4.6.1); two or more raise ComputationError.
+# points in all.  Past them one variable completes by Euclid on the
+# primitive parts' coefficient lists with pseudo-remainders made
+# primitive at each step (Knuth, TAOCP vol. 2, 4.6.1); two or more raise
+# ComputationError.
 
 # evaluation points GCDHEU tries before it gives up
 _HEU_TRIES = 6
@@ -708,21 +651,21 @@ def gcd(p, q):
         return canonical(q)
     if q.is_zero():
         return canonical(p)
-    if p.nvars == 0:
-        return LaurentPoly.constant(_int_gcd(p.terms[()], q.terms[()]), 0)
     g = _gcd_poly(p, q)
     if g is None:
         raise ComputationError(
             "gcd of two polynomials in %d variables: GCDHEU found no common "
             "divisor at %d evaluation points (laurent._HEU_TRIES)"
             % (p.nvars, _HEU_TRIES))
-    return g if p.nvars == 1 else canonical(g)
+    return canonical(g)
 
 
 def _gcd_poly(p, q):
     """
     A gcd of nonzero p and q up to units, divisible by no variable, or
-    None where GCDHEU gives up (at two or more variables).
+    None where GCDHEU gives up at two or more variables.  At no variable
+    it is the integer gcd; at one, Euclid completes what _HEU_TRIES
+    points leave open.
 
     Why pp(G) is gcd(a, b) once it divides both, for xi >= 2B + 2 with B
     the smaller of |a| and |b| (Char, Geddes and Gonnet, 1989): let f be
@@ -743,10 +686,8 @@ def _gcd_poly(p, q):
     hence f(xi), hence f at t_m = 0, whose coefficients, below xi/2,
     would all be 0: t_m would divide f.
     """
-    if p.nvars == 1:
-        # both lists have a nonzero constant term, and so has their gcd,
-        # whose leading coefficient _gcd_heu_dense makes positive: canonical
-        return _from_dense(0, _gcd_heu_dense(_dense(p)[1], _dense(q)[1]))
+    if not p.nvars:
+        return LaurentPoly._make(0, {(): _int_gcd(p.terms[()], q.terms[()])})
     c = _int_gcd(*p.terms.values(), *q.terms.values())
     a, b = _primitive_part(p), _primitive_part(q)
     xi = 2 * min(max(map(abs, a.terms.values())),
@@ -760,7 +701,13 @@ def _gcd_poly(p, q):
             if len(h.terms) == 1 or divides(h, a) and divides(h, b):
                 return h * c
         xi = _next_xi(xi)
-    return None
+    if p.nvars > 1:
+        return None
+    # Euclid on the coefficient lists of a and b, both from t^0
+    a, b = ([f.terms.get((i,), 0) for i in range(max(f.terms)[0] + 1)]
+            for f in (a, b))
+    return LaurentPoly._make(1, {(i,): x * c for i, x in
+                                 enumerate(_gcd_dense(a, b)) if x})
 
 
 def _primitive_part(p):
@@ -787,7 +734,9 @@ def _symmetric_digits(n, xi):
 
 def _evaluate_last(p, xi):
     """p at t_m = xi, a polynomial in t1..t_{m-1}."""
-    powers = [xi ** i for i in range(max(e[-1] for e in p.terms) + 1)]
+    powers = [1]
+    for _ in range(max(e[-1] for e in p.terms)):  # each from the last
+        powers.append(powers[-1] * xi)
     out = {}
     for e, c in p.terms.items():
         k = e[:-1]
@@ -805,38 +754,6 @@ def _interpolate(g, xi):
     k = _int_gcd(*terms.values())
     return LaurentPoly._make(g.nvars + 1,
                              {e: d // k for e, d in terms.items()})
-
-
-def _gcd_heu_dense(a, b):
-    """
-    gcd in Z[t] of two coefficient lists with nonzero ends, its leading
-    coefficient positive: GCDHEU on the lists, as in _gcd_poly, then
-    _gcd_dense once _HEU_TRIES points have failed.
-    """
-    ca, cb = _int_gcd(*a), _int_gcd(*b)
-    c = _int_gcd(ca, cb)
-    a = [x // ca for x in a] if ca != 1 else a
-    b = [x // cb for x in b] if cb != 1 else b
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
-    for _ in range(_HEU_TRIES):
-        va = vb = 0
-        for x in reversed(a):
-            va = va * xi + x
-        for x in reversed(b):
-            vb = vb * xi + x
-        # xi lies beyond the roots of the one of a, b with the smaller
-        # largest coefficient (Cauchy), so va or vb is nonzero
-        g = _int_gcd(va, vb)
-        if g <= xi // 2:  # G = g, a constant: pp(G) = 1
-            return [c]
-        h = _symmetric_digits(g, xi)
-        k = _int_gcd(*h) if h[-1] > 0 else -_int_gcd(*h)
-        h = [x // k for x in h]
-        if (_divide_dense(a, h) is not None and
-                _divide_dense(b, h) is not None):
-            return [x * c for x in h] if c != 1 else h
-        xi = _next_xi(xi)
-    return [x * c for x in _gcd_dense(a, b)]
 
 
 def _prem_dense(a, b):

@@ -15,12 +15,22 @@ unchanged as the reference the current code is tested against.
 - scan_divide, alexander._divide as it was before the division moved
   to laurent.divide_cells: each quotient term found by max over the
   whole remainder.
+- _to_dense, _from_dense, _divide_dense and _gcd_heu_dense, the dense
+  one-variable form: the coefficient list, the long division and the
+  GCDHEU loop on lists that exact_divide and gcd ran at one variable
+  before a LaurentPoly had one form at every variable count.  Their
+  bodies are unchanged, except that nothing caches a list on the
+  polynomial any more: laurent kept each list on its polynomial after
+  first use.  box_exact_divide's one-variable branch runs them.
+  _HEU_TRIES is bound at import: patching laurent's leaves theirs at 6.
 """
 
+from math import gcd as _int_gcd
 from operator import add, sub
 
-from ribboncheck.laurent import (DimensionError, LaurentPoly, _dense,
-                                 _divide_dense, _from_dense, _grlex)
+from ribboncheck.laurent import (_HEU_TRIES, DimensionError, LaurentPoly,
+                                 _gcd_dense, _grlex, _next_xi,
+                                 _symmetric_digits)
 
 
 def multiply(p, q):
@@ -204,7 +214,8 @@ def box_exact_divide(p, d):
     """
     The exact quotient q with d * q == p, or None when no such q exists
     in the Laurent ring.  At one variable, long division runs on the
-    coefficient lists from the top.  At two or more, leading-term
+    coefficient lists from the top (_divide_dense on _to_dense's lists,
+    no longer kept on the polynomial).  At two or more, leading-term
     elimination runs on sparse dicts of keys packed in the box of p
     (radix_i = span_i(p) + 1, the divisor shifted to its own minimum):
     a dense array over the box would have (span + 1)^m cells.  The
@@ -223,7 +234,7 @@ def box_exact_divide(p, d):
     if p.is_zero():
         return LaurentPoly.zero(p.nvars)
     if p.nvars == 1:
-        (plow, num), (dlow, den) = _dense(p), _dense(d)
+        (plow, num), (dlow, den) = _to_dense(p), _to_dense(d)
         quot = _divide_dense(num, den)
         return None if quot is None else _from_dense(plow - dlow, quot)
     if len(d.terms) == 1:  # a shift, if every coefficient divides
@@ -301,3 +312,70 @@ def scan_divide(num, den, packed):
             else:
                 del rem[k]
     return out
+
+
+# ----- the dense one-variable form --------------------------------------------
+
+def _to_dense(p):
+    """(lowest exponent, coefficients from it upwards) of a nonzero 1-variable p."""
+    low = min(e for (e,) in p.terms)
+    out = [0] * (max(e for (e,) in p.terms) - low + 1)
+    for (e,), c in p.terms.items():
+        out[e - low] = c
+    return low, out
+
+
+def _from_dense(low, coeffs):
+    """sum of coeffs[i] * t^(low + i); both ends of coeffs must be nonzero."""
+    return LaurentPoly._make(1, {(low + i,): c
+                                 for i, c in enumerate(coeffs) if c})
+
+
+def _divide_dense(num, den):
+    """The list q with den * q == num in Z[t] by long division, or None."""
+    n, lead = len(den) - 1, den[-1]
+    size = len(num) - n  # of the quotient; below 1 if den is longer
+    rem = list(num)
+    quot = [0] * size
+    for k in range(size - 1, -1, -1):
+        c, r = divmod(rem[k + n], lead)
+        if r:
+            return None
+        if c:
+            quot[k] = c
+            rem[k:k + n] = [x - c * y for x, y in zip(rem[k:k + n], den)]
+    if any(rem[:n]):  # a remainder, or all of num when den is longer
+        return None
+    return quot
+
+
+def _gcd_heu_dense(a, b):
+    """
+    gcd in Z[t] of two coefficient lists with nonzero ends, its leading
+    coefficient positive: GCDHEU on the lists, as in _gcd_poly, then
+    _gcd_dense once _HEU_TRIES points have failed.
+    """
+    ca, cb = _int_gcd(*a), _int_gcd(*b)
+    c = _int_gcd(ca, cb)
+    a = [x // ca for x in a] if ca != 1 else a
+    b = [x // cb for x in b] if cb != 1 else b
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(_HEU_TRIES):
+        va = vb = 0
+        for x in reversed(a):
+            va = va * xi + x
+        for x in reversed(b):
+            vb = vb * xi + x
+        # xi lies beyond the roots of the one of a, b with the smaller
+        # largest coefficient (Cauchy), so va or vb is nonzero
+        g = _int_gcd(va, vb)
+        if g <= xi // 2:  # G = g, a constant: pp(G) = 1
+            return [c]
+        h = _symmetric_digits(g, xi)
+        k = _int_gcd(*h) if h[-1] > 0 else -_int_gcd(*h)
+        h = [x // k for x in h]
+        if (_divide_dense(a, h) is not None and
+                _divide_dense(b, h) is not None):
+            return [x * c for x in h] if c != 1 else h
+        xi = _next_xi(xi)
+    return [x * c for x in _gcd_dense(a, b)]

@@ -433,24 +433,28 @@ class TestSinglePass:
             deltas.append(original_delta(diagram))
             return deltas[-1]
 
-        converted = []
-        original_convert = laurent._to_dense
+        operands = []
+        original_divide = obstruct.exact_divide
 
-        def counted(p):
-            converted.append(p)
-            return original_convert(p)
+        def counted(p, d):
+            operands.append((p, d))
+            return original_divide(p, d)
 
         monkeypatch.setattr(cli, "alexander_polynomial", recorded)
-        monkeypatch.setattr(laurent, "_to_dense", counted)
+        monkeypatch.setattr(obstruct, "exact_divide", counted)
         path = tmp_path / "table.csv"
         path.write_text("name,spec\n" + "".join(self.SIX_ROWS))
         assert cli.main(["batch", str(path), "--pairs"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 6 + 36
         knots = [delta.value for delta in deltas if delta.nvars == 1]
         assert len(knots) == 3
-        # each takes part in 5 divisions and the trefoil and 4_1 in a gcd,
-        # all on the dense list kept on the polynomial
-        assert [sum(p is knot for p in converted) for knot in knots] == [1] * 3
+        # every division takes the polynomials computed once: the trefoil
+        # and 4_1 divide themselves and 3_1 # 4_1, which divides itself,
+        # so they fill 3, 4 and 3 operand slots; the screen decides every
+        # other knot pair, and the links take the other 5 divisions
+        assert [sum(x is knot for pair in operands for x in pair)
+                for knot in knots] == [3, 4, 3]
+        assert len(operands) == 10
 
     def test_batch_pair_lines_match_obstruct(self, tmp_path, capsys):
         # knots and 2-component links; 3_1 twice (braid and PD), the

@@ -158,7 +158,6 @@ class TestJacobian:
             shared += len(zeros)
             module_rank(A)
             torsion_order(A)
-            assert all(e._coeffs is None for e in zeros), name
         assert shared > 1000
         # a touched cell whose terms cancel is the shared zero too: under
         # one variable, d(x_g x_a x_b^-1 x_g^-1)/dx_g = 1 - 1

@@ -577,9 +577,11 @@ def sympy_gcd(p, q):
 
 class TestHeuristicGcd:
     """
-    GCDHEU (laurent._gcd_poly and _gcd_heu_dense) against sympy.gcd, on
-    the sizes at which the subresultant recursion it replaced ran for
-    seconds, at a point that fails, and with its retries used up.
+    GCDHEU (laurent._gcd_poly, one loop at every variable count) against
+    sympy.gcd, on the sizes at which the subresultant recursion it
+    replaced ran for seconds, at a point that fails, and with its
+    retries used up: one variable completes by Euclid, two or more
+    raise ComputationError.
     """
 
     # per variable count: (terms of the cofactors, of the planted factor,
@@ -706,11 +708,11 @@ def embed(p):
 
 class TestOneVariableAgainstTwo:
     """
-    One-variable division, gcd and product run on dense coefficient lists;
-    the same operands embedded in two variables, in the last one, run the
-    packed-key division and product (checked against the tuple-keyed
-    reference in TestPackedAgainstReference) and the two-variable GCDHEU,
-    which evaluates t2 and so ends on the one-variable one.
+    Division, gcd and product take one route at every variable count:
+    the same operands embedded in two variables, in the last one, run
+    the packed-key division with its digit check (checked against the
+    tuple-keyed reference in TestPackedAgainstReference) and GCDHEU one
+    level up, which evaluates t2 and so ends on the one-variable loop.
     """
 
     def check(self, p, d):
@@ -724,7 +726,6 @@ class TestOneVariableAgainstTwo:
             assert q is None, (p, d)
         else:
             assert q is not None and embed(q) == expected, (p, d)
-            assert q.is_zero() or laurent._dense(q) == laurent._to_dense(q)
 
     def test_random_pairs(self):
         rng = random.Random(606)
@@ -773,19 +774,112 @@ class TestOneVariableAgainstTwo:
             p = random_poly(rng, 1, max_terms=4, max_exp=3, max_coeff=5) * d
             if d.is_zero():
                 continue
-            before = {id(x): (dict(x.terms), laurent._to_dense(x))
-                      for x in (p, d) if x}
+            before = {id(x): dict(x.terms) for x in (p, d) if x}
             for result in (exact_divide(p, d), exact_divide(d, d),
                            exact_divide(p, ONE), gcd(p, d), gcd(d, d),
                            p * d, d * d):
                 if result:
-                    # whatever the caller does to a result's list does
+                    # whatever the caller does to a result's terms does
                     # not reach an operand's
-                    _, coeffs = laurent._dense(result)
-                    coeffs[0] += 1
+                    result.terms[next(iter(result.terms))] += 1
             for x in (p, d):
                 if x:
-                    assert (x.terms, laurent._dense(x)) == before[id(x)]
+                    assert x.terms == before[id(x)]
+
+
+def dense_reference_gcd(p, q):
+    """laurent.gcd at one variable as it was, on the dense lists."""
+    if p.is_zero() or q.is_zero():
+        return canonical(p or q)
+    return reference._from_dense(0, reference._gcd_heu_dense(
+        reference._to_dense(p)[1], reference._to_dense(q)[1]))
+
+
+class TestOneVariableAgainstDenseReference:
+    """
+    One-variable exact_divide and gcd, which run the keyed division and
+    the one GCDHEU loop, against the dense form they replaced
+    (tests/laurent_reference.py): box_exact_divide's one-variable branch,
+    long division on coefficient lists, and GCDHEU on those lists.
+    """
+
+    @staticmethod
+    def wide(rng, max_terms, max_exp):
+        """
+        1 to max_terms terms at exponents in [-max_exp, max_exp], with
+        coefficients up to 2, 2^8 or 2^64: small ones let a division
+        that fails run down to its lowest quotient term.
+        """
+        bits = rng.choice((1, 8, 64))
+        return LaurentPoly(1, {
+            (rng.randint(-max_exp, max_exp),):
+                rng.choice((-1, 1)) * rng.randint(1, 2 ** bits)
+            for _ in range(rng.randint(1, max_terms))})
+
+    def pairs(self, rng, count, max_exp):
+        """(dividend, divisor) pairs, exponents within +-max_exp."""
+        half = max_exp // 2
+        for k in range(count):
+            d = self.wide(rng, 4, half)
+            p = self.wide(rng, 4, half) * d
+            if k % 6 == 1:
+                p = p + self.wide(rng, 1, max_exp)  # off by a term
+            elif k % 6 == 2:
+                d = d * rng.choice((2, -3, 2 ** 64 + 1))  # content too large
+            elif k % 6 == 3:
+                p, d = d, p  # the divisor longer than the dividend
+            elif k % 6 == 4:
+                # a monomial divisor, dividing or not
+                c = rng.choice((1, -1, 7, 2 ** 64))
+                d = LaurentPoly.monomial(c, (rng.randint(-max_exp, max_exp),))
+            yield p, d
+
+    def test_division_against_long_division(self):
+        rng = random.Random(2801)
+        divided = 0
+        for p, d in self.pairs(rng, 300, 1000):
+            q = exact_divide(p, d)
+            assert q == reference.box_exact_divide(p, d), (p, d)
+            divided += q is not None
+        assert 100 < divided < 250
+
+    def test_gcd_against_dense_gcdheu(self):
+        rng = random.Random(2802)
+        for k in range(60):
+            f = self.wide(rng, 3, 250) if k % 3 else ONE
+            p, q = (self.wide(rng, 4, 250) * f * rng.choice((1, 2, 6))
+                    for _ in "pq")
+            expected = dense_reference_gcd(p, q)
+            assert gcd(p, q) == expected == gcd(q, p), (p, q)
+            assert exact_divide(expected, canonical(f)) is not None
+
+    def test_euclid_completion_gives_the_reference_gcd(self, monkeypatch):
+        # Euclid runs on the dense lists of the primitive parts, whose
+        # length is the span: small spans at shifts up to +-1000
+        rng = random.Random(2803)
+        cases = []
+        for k in range(60):
+            f = self.wide(rng, 3, 6) if k % 3 else ONE
+            p, q = (self.wide(rng, 4, 8) * f * rng.choice((1, 2, 6))
+                    for _ in "pq")
+            shift = rng.randint(-1000, 1000)
+            cases.append((p.shifted((shift,)), q.shifted((-shift,))))
+        cases += [(ONE, P("t - 1")), (P("2*t - 2"), P("4*t^2 - 4")),
+                  (LaurentPoly.monomial(6, (-999,)), P("4*t^3 + 2")),
+                  (P("t^2 - 1"), P("t^2 - 1"))]
+        expected = [dense_reference_gcd(p, q) for p, q in cases]
+        completions = []
+        original = laurent._gcd_dense
+
+        def counted(a, b):
+            completions.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(laurent, "_gcd_dense", counted)
+        monkeypatch.setattr(laurent, "_HEU_TRIES", 0)
+        for (p, q), g in zip(cases, expected):
+            assert gcd(p, q) == g, (p, q)
+        assert len(completions) == len(cases)
 
 
 class TestCanonical:

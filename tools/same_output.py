@@ -28,6 +28,9 @@ standard output and standard error captured.  The corpus:
   so that obstruct's integer screen is compared on 3 to 6 variables,
   and SCREEN_ROWS, connected sums whose gcd is neither 1 nor either
   polynomial;
+- `batch --pairs` on TORUS_CSV, the torus knots T(2,k), k = 3, 5, ...,
+  23, whose one-variable division and gcd reach the widest keys of the
+  corpus;
 - `compute --json` on FALLBACK_CLOSURES, SPARE_ROW_CLOSURES and
   CENSUS_FALLBACKS, the only commands with a reduced block that has two
   or more spare rows or is not diagram-shaped: every other block above
@@ -181,6 +184,12 @@ SCREEN_ROWS = (("3_1 # 3_1", "braid:n=3:1 1 1 2 2 2"),
                ("3_1 # 4_1", "braid:n=4:1 1 1 2 -3 2 -3"),
                ("3_1", "braid:n=2:1 1 1"), ("4_1", "braid:n=3:1 -2 1 -2"))
 
+# T(2,k) for odd k from 3 to 23, the closures of sigma_1^k: Deltas of
+# degree up to 22, dividing pairs such as T(2,3) | T(2,9), and gcds that
+# are neither 1 nor either polynomial, such as that of T(2,9) and T(2,15)
+TORUS_CSV = "name,spec\n" + "".join(
+    "T2_%d,braid:n=2:%s\n" % (k, " ".join(["1"] * k)) for k in range(3, 24, 2))
+
 # runs in the child: argv lists on stdin, [exit, stdout, stderr, blocks]
 # lists out, blocks None for a command other than compute
 CHILD = r"""
@@ -246,8 +255,9 @@ def corpus(tree, seeds):
     commands += [["batch", table, "--pairs"] for table in TABLES]
     files["duplicates.csv"] = DUPLICATES_CSV
     files["screen_pairs.csv"] = screen_pairs_csv()
-    commands += [["batch", name, "--pairs"]
-                 for name in ("duplicates.csv", "screen_pairs.csv")]
+    files["torus_pairs.csv"] = TORUS_CSV
+    commands += [["batch", name, "--pairs"] for name in
+                 ("duplicates.csv", "screen_pairs.csv", "torus_pairs.csv")]
     closures = (FALLBACK_CLOSURES + SPARE_ROW_CLOSURES + CENSUS_FALLBACKS
                 + (SLOW_SHORTCUT, LARGE_CELLS) + SHORTCUT_CLOSURES)
     commands += [["compute", "--json", spec]
