@@ -29,8 +29,7 @@ standard output and standard error captured.  The corpus:
   and SCREEN_ROWS, connected sums whose gcd is neither 1 nor either
   polynomial;
 - `batch --pairs` on TORUS_CSV, the torus knots T(2,k), k = 3, 5, ...,
-  23, whose one-variable division and gcd reach the widest keys of the
-  corpus;
+  23: one-variable divisions and gcds of polynomials of degree up to 22;
 - `compute --json` on FALLBACK_CLOSURES, SPARE_ROW_CLOSURES and
   CENSUS_FALLBACKS, the only commands with a reduced block that has two
   or more spare rows or is not diagram-shaped: every other block above
