@@ -78,17 +78,17 @@ from .foxcalc import (AlexanderPresentation, PackedMatrix, _max_exponent,
 from .wirtinger import wirtinger_presentation
 
 
-# the integer points at which each polynomial is evaluated once for
-# obstruct's screen: the k-th point gives t_i the value
-# SCREEN_POINTS[(k + i) % 6], so a knot's points are these integers, t =
-# -1 among them.  Over the distinct polynomials of the bundled tables,
-# perfbench's table_pairs CSV, tools/same_output.py's closures and 600
-# random closures of 2-5 strands and 4-12 letters, t = -3 alone shows
-# every one of the 1,218 ordered knot pairs that do not divide, and the
-# six points every one of the 1,706 such pairs of 2-5 component links.
-SCREEN_POINTS = (-3, -1, 2, 5, -2, 3)
-# the point of the one-point gcd test, past the roots of every
-# polynomial whose coefficients are below 2^31 in absolute value
+# every polynomial's one cached value is taken at t_i = XI + 1009*i^2 + i,
+# i from 0, so a knot's at t = XI: past the roots of every polynomial
+# whose coefficients are below 2^31 in absolute value, as obstruct's
+# one-point gcd test needs.  obstruct's screen reads the same value.
+# Offsets grow quadratically so that factors such as t_i - t_j or
+# t1*t3 - t2^2 take no small value there: over the distinct polynomials
+# of the bundled tables, perfbench's table_pairs CSVs at seeds 1-3,
+# tools/same_output.py's closures and CSVs, and random.Random(7)'s 600
+# closures of 2-5 strands and 4-12 letters, this point shows every
+# ordered pair that does not divide, where t_i = XI + i misses 9 link
+# pairs and t_i = XI misses 32.
 XI = 2 ** 32
 
 # most r x r minors evaluated on one reduced block besides its rank
@@ -126,28 +126,18 @@ class AlexanderPolynomial:
         return json.dumps(self.text)
 
     @cached_property
-    def point_values(self):
-        """
-        The value at each of the SCREEN_POINTS, in their order.  The
-        canonical form is a polynomial in Z[t1..tm] that no variable
-        divides, so every value is an integer.
-        """
-        n = len(SCREEN_POINTS)
-        return tuple(self.value.evaluate(tuple(
-            SCREEN_POINTS[(k + i) % n] for i in range(self.nvars)))
-            for k in range(n))
-
-    @cached_property
     def xi_value(self):
         """
-        In one variable: the value at t = XI, the content and the largest
-        |coefficient|, for obstruct's one-point gcd test; else None.
+        The value at t_i = XI + 1009*i^2 + i (t = XI in one variable), the
+        content and the largest |coefficient|: the one integer that
+        obstruct's screen and its one-point gcd test read.  The
+        canonical form is a polynomial in Z[t1..tm] that no variable
+        divides, so the value is an integer.
         """
-        if self.nvars != 1:
-            return None
         coeffs = self.value.terms.values()
-        return (self.value.evaluate((XI,)), gcd(*coeffs),
-                max(map(abs, coeffs)))
+        return (self.value.evaluate(tuple(XI + 1009 * i * i + i
+                                          for i in range(self.nvars))),
+                gcd(*coeffs), max(map(abs, coeffs)))
 
     def __str__(self):
         return self.text

@@ -245,7 +245,7 @@ class LaurentPoly:
         return LaurentPoly._make(self.nvars - 1, out)
 
     def evaluate(self, values):
-        """Exact evaluation at a tuple of nonzero integers.
+        """Exact evaluation at integers, nonzero under negative exponents.
 
         >>> t = LaurentPoly.variable(0, 1)
         >>> (t**2 - 3*t + 1).evaluate([-1])
@@ -253,15 +253,14 @@ class LaurentPoly:
         """
         if len(values) != self.nvars:
             raise DimensionError("expected %d values" % self.nvars)
-        if any(v == 0 for v in values) and any(
-                a < 0 for e in self.terms for a in e):
-            raise ZeroDivisionError("negative exponent at zero")
         total = 0
         for e, c in self.terms.items():
             term = c
             for v, a in zip(values, e):
                 if a >= 0:
                     term *= v ** a
+                elif v == 0:
+                    raise ZeroDivisionError("negative exponent at zero")
                 else:
                     q, r = divmod(term, v ** (-a))
                     if r:

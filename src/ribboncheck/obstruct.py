@@ -120,21 +120,21 @@ def obstruction_from_polynomials(delta_j, delta_l, names=("J", "L"),
     Apply the divisibility test to polynomials already computed.
 
     The division comes first; when Delta_L divides Delta_J the gcd is
-    Delta_L itself.  Without shared a call takes at most that one
-    division, and the gcd when it does not divide.  shared, when given,
-    is one dict that every call on the same two polynomial values
-    passes, in either order and any number of times.  It keeps each
-    direction's quotient, under its dividend's text, and the gcd, under
-    "gcd" (no polynomial's text).  To know whether a gcd is needed, the
-    first direction that does not divide divides the other way too.  So
-    two values take at most one division per direction, whatever the
-    order of the calls, and a gcd only when neither divides the other.
-    Every call that divides checks its quotient.
+    Delta_L itself.  When it does not, the other direction is divided
+    too, and the gcd is Delta_J when that divides; only when neither
+    divides the other is a gcd taken.  shared, when given, is one dict
+    that every call on the same two polynomial values passes, in either
+    order and any number of times; without it a call takes a fresh one.
+    It keeps each direction's quotient, under its dividend's text, and
+    the gcd, under "gcd" (no polynomial's text).  So two values take at
+    most one division per direction, whatever the order of the calls,
+    and a gcd only when neither divides the other.  Every call that
+    divides checks its quotient.
 
     Integers decide most of this (see _screened and _coprime): a
-    division is skipped where a point of the screen shows that it
-    fails, and the gcd is 1 without laurent.gcd where one GCDHEU point
-    proves it.  Every other case divides or takes the gcd as above.
+    division is skipped where the one cached value shows that it fails,
+    and the gcd is 1 without laurent.gcd where one GCDHEU point proves
+    it.  Every other case divides or takes the gcd as above.
     """
     reason = component_mismatch(delta_j, delta_l)
     if reason:
@@ -149,8 +149,7 @@ def obstruction_from_polynomials(delta_j, delta_l, names=("J", "L"),
         verdict, g = OBSTRUCTED, memo.get("gcd")
         if g is None:
             g = memo["gcd"] = (
-                delta_j.value if shared is not None
-                and _quotient(delta_l, delta_j, memo) is not None
+                delta_j.value if _quotient(delta_l, delta_j, memo) is not None
                 else _ONE if _coprime(delta_j, delta_l)
                 else laurent.gcd(delta_j.value, delta_l.value))
     return ObstructionReport(tuple(names), delta_j, delta_l, verdict,
@@ -167,20 +166,19 @@ def _quotient(delta_j, delta_l, memo):
 
 def _screened(delta_j, delta_l):
     """
-    Whether a point of the screen (alexander.SCREEN_POINTS) shows that
-    Delta_L does not divide Delta_J.  Canonical forms are polynomials P
-    in Z[t1..tm] that no variable divides.  If Delta_L divides Delta_J,
-    then P_J = t^e * P_L * Q with Q a polynomial that no variable
-    divides.  Z[t1..tm] is a UFD (Gauss's lemma) in which each t_i is
-    prime, so no t_i divides P_L * Q either, and e = 0: P_J = P_L * Q.
-    Then P_L(a) divides P_J(a) at every integer point a, and one point
-    where it does not (P_L(a) = 0 != P_J(a) included) proves that
-    Delta_L does not divide Delta_J.
+    Whether the one cached value (AlexanderPolynomial.xi_value, at the
+    point a with a_i = XI + 1009*i^2 + i) shows that Delta_L does not
+    divide Delta_J.  Canonical forms are polynomials P in Z[t1..tm] that
+    no variable divides.  If Delta_L divides Delta_J, then P_J = t^e *
+    P_L * Q with Q a polynomial that no variable divides.  Z[t1..tm] is
+    a UFD (Gauss's lemma) in which each t_i is prime, so no t_i divides
+    P_L * Q either, and e = 0: P_J = P_L * Q.  Then P_L(a) divides
+    P_J(a) at every integer point a, and a point where it does not
+    (P_L(a) = 0 != P_J(a) included) proves that Delta_L does not divide
+    Delta_J.
     """
-    for x, y in zip(delta_l.point_values, delta_j.point_values):
-        if y % x if x else y:
-            return True
-    return False
+    x, y = delta_l.xi_value[0], delta_j.xi_value[0]
+    return bool(y % x if x else y)
 
 
 def _coprime(delta_j, delta_l):

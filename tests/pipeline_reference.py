@@ -73,6 +73,11 @@ no longer has, calls the copy kept in laurent_reference.
   _packed returned a PackedMatrix as it was and packed LaurentPoly rows
   at radius 2h, and _minor took a minor of either form through it.  The
   replaced routes above call this module's _minor.
+- SCREEN_POINTS, point_values and screened, obstruct's integer screen as
+  it was before each polynomial carried one cached value: six small
+  points, the k-th giving t_i the value SCREEN_POINTS[(k + i) % 6]
+  (alexander.AlexanderPolynomial.point_values' body, a function here),
+  and obstruct._screened's loop over them.
 """
 
 import json
@@ -1349,3 +1354,26 @@ def decoded_block_order(block):
                 "the minors of a %dx%d block of rank %d break the rank-one "
                 "identity" % (nrows, ncols, r))
     return value, "shortcut" if shaped else "fallback"
+
+
+SCREEN_POINTS = (-3, -1, 2, 5, -2, 3)
+
+
+def point_values(delta):
+    """
+    The value at each of the SCREEN_POINTS, in their order.  The
+    canonical form is a polynomial in Z[t1..tm] that no variable
+    divides, so every value is an integer.
+    """
+    n = len(SCREEN_POINTS)
+    return tuple(delta.value.evaluate(tuple(
+        SCREEN_POINTS[(k + i) % n] for i in range(delta.nvars)))
+        for k in range(n))
+
+
+def screened(delta_j, delta_l):
+    """Whether a point of the screen shows that Delta_L does not divide Delta_J."""
+    for x, y in zip(point_values(delta_l), point_values(delta_j)):
+        if y % x if x else y:
+            return True
+    return False

@@ -86,6 +86,20 @@ class TestRingOps:
                 assert (p * LaurentPoly.zero(m)).is_zero()
 
 
+class TestEvaluate:
+    def test_zero_under_no_negative_exponent(self):
+        # the value 0 meets only t2, whose exponents are not negative
+        assert P("t1^-1 + t2", 2).evaluate((1, 0)) == 1
+        assert P("t1^-2*t2 + 3", 2).evaluate((1, 0)) == 3
+
+    def test_negative_exponent_at_zero_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            P("t1^-1", 2).evaluate((0, 1))
+        # also after a factor at zero has made the term 0
+        with pytest.raises(ZeroDivisionError):
+            P("t1*t2^-1", 2).evaluate((0, 0))
+
+
 class TestExactDivide:
     def test_factorization(self):
         assert exact_divide(P("t^2 - 1"), P("t - 1")) == P("t + 1")

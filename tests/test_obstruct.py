@@ -1,13 +1,14 @@
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 import pipeline_reference as reference
 from ribboncheck import cli, laurent, obstruct
-from ribboncheck.alexander import (SCREEN_POINTS, XI, AlexanderPolynomial,
-                                   alexander_polynomial)
-from ribboncheck.laurent import LaurentPoly, canonical, parse_poly
+from ribboncheck.alexander import XI, AlexanderPolynomial, alexander_polynomial
+from ribboncheck.laurent import LaurentPoly, canonical, exact_divide, parse_poly
 from ribboncheck.linkcodec import braid_closure, connected_sum, parse_braid, \
     parse_link_spec
 from ribboncheck.obstruct import (ComponentMismatch, NOT_OBSTRUCTED,
@@ -16,6 +17,8 @@ from ribboncheck.obstruct import (ComponentMismatch, NOT_OBSTRUCTED,
                                   ribbon_obstruction)
 
 from conftest import random_braid_knot
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
 TREFOIL = parse_braid("n=2:1 1 1")
 FIG8 = parse_braid("n=3:1 -2 1 -2")
@@ -169,8 +172,8 @@ def delta_of(expr, nvars=1):
 class TestSharedMemo:
     """
     One shared dict for any number of calls on the same two values.  A
-    division runs only where no point of the screen shows that it fails,
-    and a gcd only where the one-point test does not prove it 1.
+    division runs only where the one cached value does not show that it
+    fails, and a gcd only where the one-point test does not prove it 1.
     """
 
     def count_work(self, monkeypatch):
@@ -188,9 +191,9 @@ class TestSharedMemo:
         return work
 
     @pytest.mark.parametrize("specs, divisions, gcds", [
-        # coprime: a point shows each direction, one point proves gcd 1
+        # coprime: the point shows each direction and proves gcd 1
         (("braid:n=2:1 1 1", "braid:n=3:1 -2 1 -2"), 0, 0),
-        # 3_1 divides 3_1 # 4_1; a point shows the other direction
+        # 3_1 divides 3_1 # 4_1; the point shows the other direction
         (("braid:n=4:1 1 1 2 -3 2 -3", "braid:n=2:1 1 1"), 1, 0),
         (("braid:n=2:1 1 1", "pd:X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"), 1, 0),
         # links: no one-point gcd test at two variables
@@ -213,18 +216,32 @@ class TestSharedMemo:
             assert work == {"divide": divisions, "gcd": gcds}
 
     def test_without_shared_one_division_then_the_gcd(self, monkeypatch):
-        # Delta_J = Delta_L * (t + 1) + f * prod(t - a) over the screen's
-        # points, f = t^2 - t + 1 a factor of Delta_L = f * (t^2 - 3t + 1):
-        # no point shows that Delta_L does not divide, and the gcd is f
-        screen = "*".join("(t - (%d))" % a for a in SCREEN_POINTS)
+        # Delta_J = f * ((t^2 - 3t + 1) * (t + 1) + t - XI), f = t^2 - t + 1
+        # a factor of Delta_L = f * (t^2 - 3t + 1): the value at XI does
+        # not show that Delta_L does not divide, it shows the other
+        # direction, and the gcd is f
         delta_l = delta_of("(t^2 - t + 1)*(t^2 - 3*t + 1)")
-        delta_j = delta_of("(t^2 - t + 1)*((t^2 - 3*t + 1)*(t + 1) + %s)"
-                           % screen)
+        delta_j = delta_of("(t^2 - t + 1)*((t^2 - 3*t + 1)*(t + 1) + t - %d)"
+                           % XI)
         work = self.count_work(monkeypatch)
         report = obstruction_from_polynomials(delta_j, delta_l)
         assert report.verdict == OBSTRUCTED
         assert report.gcd_value == parse_poly("t^2 - t + 1", 1)
         assert work == {"divide": 1, "gcd": 1}
+
+
+def table_pairs_specs(seed):
+    """The specs of perfbench's table_pairs CSV rows at seed."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import workloads
+        return [link.spec for link in
+                workloads.generate("table_pairs", seed, Path(PERFBENCH).parent)
+                .requests[0].rows]
+    finally:
+        sys.path.remove(PERFBENCH)
+        for name in ("workloads", "published", "reference"):
+            sys.modules.pop(name, None)
 
 
 def pair_outputs(named, kinds=None):
@@ -247,8 +264,8 @@ class TestScreenAgainstReference:
     """
     The integer screen and the one-point gcd test against the pair loop
     they replaced (pipeline_reference.memo_pair_lines): the same bytes,
-    also where every point passes and the division still fails, where a
-    value is 0 at a point, and where the content is not 1.
+    also where the point passes and the division still fails, where a
+    value is 0 at the point, and where the content is not 1.
     """
 
     def test_bundled_tables(self, bundled_knots, bundled_links):
@@ -274,11 +291,48 @@ class TestScreenAgainstReference:
         assert verdicts(new) == {OBSTRUCTED, NOT_OBSTRUCTED,
                                  "component_mismatch"}
 
+    def test_one_point_shows_what_the_six_points_show(self, bundled_knots,
+                                                      bundled_links):
+        # random.Random(7)'s 600 closures of 2-5 strands and 4-12 letters,
+        # the bundled tables and perfbench's seed-1 table_pairs CSV: on
+        # every ordered pair of distinct values, the one point screens
+        # out no pair that divides and lets through none that does not
+        rng = random.Random(7)
+        words = []
+        for _ in range(600):
+            n = rng.randint(2, 5)
+            words.append(parse_braid("n=%d:" % n + " ".join(
+                str(rng.choice((1, -1)) * rng.randint(1, n - 1))
+                for _ in range(rng.randint(4, 12)))))
+        diagrams = ([braid_closure(word) for word in words]
+                    + [d for _, d in bundled_knots + bundled_links]
+                    + [parse_link_spec(spec) for spec in table_pairs_specs(1)])
+        deltas = {}
+        for diagram in diagrams:
+            delta = alexander_polynomial(diagram)
+            deltas.setdefault((delta.nvars, delta.text), delta)
+        shown, reference_shown, wrong = 0, 0, []
+        for delta_j in deltas.values():
+            for delta_l in deltas.values():
+                if delta_j is delta_l or delta_j.nvars != delta_l.nvars:
+                    continue
+                divides = exact_divide(delta_j.value,
+                                       delta_l.value) is not None
+                new = obstruct._screened(delta_j, delta_l)
+                old = reference.screened(delta_j, delta_l)
+                if new == divides or (old and not new):
+                    wrong.append((delta_j.text, delta_l.text, divides))
+                shown += new
+                reference_shown += old
+        assert wrong == []
+        # every one of the 2,431 pairs that do not divide
+        assert reference_shown == shown == 2431
+
     def test_pairs_that_pass_every_point_but_do_not_divide(self, monkeypatch):
-        # Delta_J = Delta_L * q + c * prod(t1 - a) over the screen's
-        # points: Delta_L(a) divides Delta_J(a) at each of them, so
-        # exact_divide must decide, and finds no quotient
-        screen = "*".join("(t1 - (%d))" % a for a in SCREEN_POINTS)
+        # Delta_J = Delta_L * q + c * (t1 - XI): Delta_L(a) divides
+        # Delta_J(a) at the point, whose t1 is XI, so exact_divide must
+        # decide, and finds no quotient
+        screen = "(t1 - %d)" % XI
         cases = [("t1^2 - t1 + 1", "t1 + 2", 1, 1),
                  ("t1^2 - 3*t1 + 1", "1", -1, 1),
                  ("2*t1^4 - 3*t1^3 + 3*t1^2 - 3*t1 + 2", "t1^2 + 1", 3, 1),
@@ -333,28 +387,26 @@ class TestScreenAgainstReference:
         assert gcds == [("t^4 - 2*t^3 + 3*t^2 - 2*t + 1",
                          "t^4 - 4*t^3 + 5*t^2 - 4*t + 1")] * 2
 
-    # content 2, values that vanish at a point of the screen (t = -3,
-    # t = 2, or all six), and their products with 3_1's and 4_1's
-    HAND_BUILT = ["2", "2*t^2 - 2*t + 2", "2*t^2 - 6*t + 2",
-                  "4*t^4 - 8*t^3 + 12*t^2 - 8*t + 4", "t^2 - t + 1",
-                  "t^2 - 3*t + 1", "t + 3", "(t + 3)*(t^2 - t + 1)",
-                  "(t + 3)*(t - 2)", "2*t - 4", "(t - 2)*(t^2 - 3*t + 1)",
-                  "*".join("(t - (%d))" % a for a in SCREEN_POINTS),
-                  "(t^2 - t + 1)*" + "*".join("(t - (%d))" % a
-                                              for a in SCREEN_POINTS),
-                  "1"]
+    # content 2, values that vanish at the point t = XI (once or twice),
+    # and their products with 3_1's and 4_1's
+    HAND_BUILT = [text.replace("XI", str(XI)) for text in (
+        "2", "2*t^2 - 2*t + 2", "2*t^2 - 6*t + 2",
+        "4*t^4 - 8*t^3 + 12*t^2 - 8*t + 4", "t^2 - t + 1", "t^2 - 3*t + 1",
+        "t - XI", "(t - XI)*(t^2 - t + 1)", "(t - XI)*(t + 3)",
+        "2*t - 2*XI", "(t - XI)*(t^2 - 3*t + 1)", "(t - XI)^2",
+        "(t^2 - t + 1)*(t - XI)^2", "1")]
 
     def test_content_and_zeros_at_the_points(self):
         named = [("p%d" % i, delta_of(text))
                  for i, text in enumerate(self.HAND_BUILT)]
-        zero = [any(v == 0 for v in d.point_values) for _, d in named]
+        zero = [d.xi_value[0] == 0 for _, d in named]
         assert sum(zero) == 7
         assert sum(d.xi_value[1] > 1 for _, d in named) == 5
         new, old = pair_outputs(named)
         assert new == old
         lines = [json.loads(line) for line in new.splitlines()]
         gcds = {line["gcd"] for line in lines}
-        assert {"2", "2*t^2 - 2*t + 2", "t + 3", "t - 2"} <= gcds
+        assert {"2", "2*t^2 - 2*t + 2", "t - %d" % XI} <= gcds
 
     def test_two_variable_content_and_zeros(self):
         texts = ["2*t1*t2 + 2", "t1*t2 + 1", "t1 + 3", "(t1 + 3)*(t1*t2 + 1)",
@@ -379,20 +431,17 @@ class TestScreenAgainstReference:
 
 class TestIntegerValues:
     def test_point_values_and_xi(self):
-        delta = delta_of("t^2 - 3*t + 1")
-        assert delta.point_values == tuple(a * a - 3 * a + 1
-                                           for a in SCREEN_POINTS)
-        assert delta.xi_value == (XI * XI - 3 * XI + 1, 1, 3)
-        # t = -1 is a point: the determinant of 4_1
-        assert abs(delta.point_values[SCREEN_POINTS.index(-1)]) == 5
+        # a knot's point is t = XI
+        assert delta_of("t^2 - 3*t + 1").xi_value == (XI * XI - 3 * XI + 1,
+                                                      1, 3)
+        assert delta_of("2*t^2 - 6*t + 2").xi_value == (
+            2 * (XI * XI - 3 * XI + 1), 2, 6)
 
     def test_link_points_cycle_through_the_screen(self):
+        # t_i = XI + 1009 i^2 + i: t1 = XI, t2 = XI + 1010, t3 = XI + 4038
         delta = delta_of("t1 - 2*t2 + 3*t3", 3)
-        n = len(SCREEN_POINTS)
-        assert delta.point_values == tuple(
-            SCREEN_POINTS[k] - 2 * SCREEN_POINTS[(k + 1) % n]
-            + 3 * SCREEN_POINTS[(k + 2) % n] for k in range(n))
-        assert delta.xi_value is None
+        assert delta.xi_value == (
+            XI - 2 * (XI + 1010) + 3 * (XI + 4038), 1, 3)
 
     def test_one_point_gcd_test(self):
         trefoil, fig8 = delta_of("t^2 - t + 1"), delta_of("t^2 - 3*t + 1")

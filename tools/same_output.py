@@ -30,6 +30,10 @@ standard output and standard error captured.  The corpus:
   polynomial;
 - `batch --pairs` on TORUS_CSV, the torus knots T(2,k), k = 3, 5, ...,
   23: one-variable divisions and gcds of polynomials of degree up to 22;
+- `obstruct J L` with each of OBSTRUCT_FLAGS on each consecutive pair of
+  SCREEN_ROWS, of the bundled knots and of the bundled links, and on
+  the first bundled knot and link (a component mismatch): the one
+  command whose calls share no memo unless --both-directions is given;
 - `compute --json` on FALLBACK_CLOSURES, SPARE_ROW_CLOSURES and
   CENSUS_FALLBACKS, the only commands with a reduced block that has two
   or more spare rows or is not diagram-shaped: every other block above
@@ -82,6 +86,8 @@ helpers = _load("helpers", HERE.parent / "tests" / "helpers.py")
 from ribboncheck.linkcodec import parse_braid  # noqa: E402
 
 COVERS = [str(k) for k in range(2, 13)]
+OBSTRUCT_FLAGS = ([], ["--json"], ["--both-directions"],
+                  ["--both-directions", "--json"])
 KNOT_COVERS = [str(k) for k in range(13, 20)]
 LARGE_COVERS = ["60", "100", "150"]
 # 8_4, 8_8 and 9_6 met the cliff of the Smith form's extended-gcd dense
@@ -219,10 +225,11 @@ json.dump(results, sys.__stdout__)
 
 def corpus(tree, seeds):
     """The commands, and the files they read: {path relative to tree: text}."""
-    commands, files = [], {}
+    commands, files, chains = [], {}, [[spec for _, spec in SCREEN_ROWS]]
     for table in TABLES:
         with open(tree / table, newline="") as fh:
             rows = [row for row in csv.reader(fh)][1:]
+        chains.append([row[1].strip() for row in rows if row])
         for row in rows:
             if row:
                 spec = row[1].strip()
@@ -257,6 +264,10 @@ def corpus(tree, seeds):
     files["torus_pairs.csv"] = TORUS_CSV
     commands += [["batch", name, "--pairs"] for name in
                  ("duplicates.csv", "screen_pairs.csv", "torus_pairs.csv")]
+    pairs = [pair for chain in chains for pair in zip(chain, chain[1:])]
+    pairs.append((chains[1][0], chains[2][0]))
+    commands += [["obstruct", j, l] + flags
+                 for j, l in pairs for flags in OBSTRUCT_FLAGS]
     closures = (FALLBACK_CLOSURES + SPARE_ROW_CLOSURES + CENSUS_FALLBACKS
                 + (SLOW_SHORTCUT, LARGE_CELLS) + SHORTCUT_CLOSURES)
     commands += [["compute", "--json", spec]
