@@ -81,14 +81,13 @@ from .wirtinger import wirtinger_presentation
 # every polynomial's one cached value is taken at t_i = XI + 1009*i^2 + i,
 # i from 0, so a knot's at t = XI: past the roots of every polynomial
 # whose coefficients are below 2^31 in absolute value, as obstruct's
-# one-point gcd test needs.  obstruct's screen reads the same value.
-# Offsets grow quadratically so that factors such as t_i - t_j or
-# t1*t3 - t2^2 take no small value there: over the distinct polynomials
-# of the bundled tables, perfbench's table_pairs CSVs at seeds 1-3,
-# tools/same_output.py's closures and CSVs, and random.Random(7)'s 600
-# closures of 2-5 strands and 4-12 letters, this point shows every
-# ordered pair that does not divide, where t_i = XI + i misses 9 link
-# pairs and t_i = XI misses 32.
+# one-point gcd test needs; its screen reads the same value.  Quadratic
+# offsets keep factors such as t_i - t_j and t1*t3 - t2^2 from taking
+# small values there.  It shows every ordered pair of distinct values
+# that does not divide: 2,059 over the bundled tables, perfbench's
+# table_pairs CSVs and tools/same_output.py's closures and CSVs, where
+# t_i = XI + i misses 9 and t_i = XI 37, and 1,107 over random.Random(7)'s
+# 600 closures of 2-5 strands and 4-12 letters, where they miss 15 and 102.
 XI = 2 ** 32
 
 # most r x r minors evaluated on one reduced block besides its rank

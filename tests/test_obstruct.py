@@ -230,6 +230,20 @@ class TestSharedMemo:
         assert work == {"divide": 1, "gcd": 1}
 
 
+    def test_without_shared_the_other_division_gives_the_gcd(
+            self, monkeypatch):
+        # 3_1 does not take 3_1 # 4_1 as its divisor, and divides it: the
+        # gcd is 3_1's value, from the one division the other way
+        trefoil = alexander_polynomial(parse_link_spec("braid:n=2:1 1 1"))
+        total = alexander_polynomial(
+            parse_link_spec("braid:n=4:1 1 1 2 -3 2 -3"))
+        work = self.count_work(monkeypatch)
+        report = obstruction_from_polynomials(trefoil, total)
+        assert report.verdict == OBSTRUCTED
+        assert report.gcd_value is trefoil.value
+        assert work == {"divide": 1, "gcd": 0}
+
+
 def table_pairs_specs(seed):
     """The specs of perfbench's table_pairs CSV rows at seed."""
     sys.path.insert(0, PERFBENCH)
