@@ -1372,7 +1372,7 @@ def point_values(delta):
 
 
 def screened(delta_j, delta_l):
-    """Whether a point of the screen shows that Delta_L does not divide Delta_J."""
+    """Whether a screen point shows that Delta_L does not divide Delta_J."""
     for x, y in zip(point_values(delta_l), point_values(delta_j)):
         if y % x if x else y:
             return True

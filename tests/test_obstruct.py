@@ -8,7 +8,8 @@ import pytest
 import pipeline_reference as reference
 from ribboncheck import cli, laurent, obstruct
 from ribboncheck.alexander import XI, AlexanderPolynomial, alexander_polynomial
-from ribboncheck.laurent import LaurentPoly, canonical, exact_divide, parse_poly
+from ribboncheck.laurent import (LaurentPoly, canonical, exact_divide,
+                                 parse_poly)
 from ribboncheck.linkcodec import braid_closure, connected_sum, parse_braid, \
     parse_link_spec
 from ribboncheck.obstruct import (ComponentMismatch, NOT_OBSTRUCTED,
