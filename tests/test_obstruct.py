@@ -247,6 +247,7 @@ class TestSharedMemo:
 
 def table_pairs_specs(seed):
     """The specs of perfbench's table_pairs CSV rows at seed."""
+    fresh = {"workloads", "published", "reference"} - set(sys.modules)
     sys.path.insert(0, PERFBENCH)
     try:
         import workloads
@@ -255,7 +256,7 @@ def table_pairs_specs(seed):
                 .requests[0].rows]
     finally:
         sys.path.remove(PERFBENCH)
-        for name in ("workloads", "published", "reference"):
+        for name in fresh:
             sys.modules.pop(name, None)
 
 
