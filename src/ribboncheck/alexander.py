@@ -38,12 +38,13 @@ column outside Q), so lambda lies in the ring, gcd_T det M[P,T] =
 lambda and k = c / lambda = w_q; on one component every such minor is
 ±c and k = 1.
 
-A braid closure's Jacobian comes with a left kernel vector y of units
-(linkcodec.braid_closure), which unit-pivot steps and restriction to a
-block's rows keep.  On a G x G block B with y * B = 0 and B * w = 0,
-y != 0 bounds the rank by G - 1; at rank G - 1 adj(B) = mu * w * y^T,
-so each (G - 1)-minor c is ±mu * w_q * y_p, zero exactly when the rank
-is lower.  The y_p being units, c alone is the row side.
+A braid closure's Jacobian comes with a left kernel vector y of
+monomials y_k = t^e_k (linkcodec.braid_closure), held as the exponent
+vectors e_k, which unit-pivot steps and restriction to a block's rows
+keep.  On a G x G block B with y * B = 0 and B * w = 0, y != 0 bounds
+the rank by G - 1; at rank G - 1 adj(B) = mu * w * y^T, so each
+(G - 1)-minor c is ±mu * w_q * y_p, zero exactly when the rank is
+lower.  The y_p being units, c alone is the row side.
 
 All other elimination is fraction-free (Bareiss) and goes through one
 routine, _eliminate, which module_rank, determinant and every minor
@@ -73,8 +74,7 @@ from typing import Tuple
 from . import laurent
 from .laurent import (ComputationError, LaurentPoly, canonical, divide_cells,
                       exact_divide)
-from .foxcalc import (AlexanderPresentation, PackedMatrix, _max_exponent,
-                      jacobian)
+from .foxcalc import AlexanderPresentation, PackedMatrix, jacobian
 from .wirtinger import wirtinger_presentation
 
 
@@ -255,15 +255,6 @@ def module_rank(pres):
                            pres.matrix.poly(pivot))
 
 
-def _column_weights(pres):
-    """u_j = t_{comp(j)} - 1, the weights in the Fox column relation."""
-    zero = (0,) * pres.nvars
-    weight = {c: LaurentPoly._make(pres.nvars, {
-        zero[:c] + (1,) + zero[c + 1:]: 1, zero: -1})
-        for c in set(pres.generator_component)}
-    return [weight[c] for c in pres.generator_component]
-
-
 def _row_relation_holds(packed, components):
     """
     Whether each row satisfies sum_j entry_j * (t_{comp(j)} - 1) = 0, as
@@ -434,8 +425,7 @@ def _block_order(block):
         return LaurentPoly.one(block.nvars), "rank0"
     nrows, ncols = block.num_relators, block.num_generators
     rows, cols, c = cert.pivot_rows, cert.pivot_columns, cert.minor
-    weights = _column_weights(block) if r == ncols - 1 else None
-    shaped = weights is not None and (certified or _row_relation_holds(
+    shaped = r == ncols - 1 and (certified or _row_relation_holds(
         block.matrix, block.generator_component))
     # besides the certificate's: the row side, the column side
     needed = ((0 if certified else comb(nrows, r) - 1)
@@ -455,8 +445,10 @@ def _block_order(block):
             if t != cols)))
     elif len(set(block.generator_component)) == 1:
         k = LaurentPoly.one(block.nvars)
-    else:
-        k = weights[next(j for j in range(ncols) if j not in cols)]
+    else:  # w_q = t_comp(q) - 1, q the column outside the certificate
+        q = next(j for j in range(ncols) if j not in cols)
+        k = LaurentPoly.variable(block.generator_component[q],
+                                 block.nvars) - 1
     if not k.is_one():  # k = 1: nothing to divide
         value = exact_divide(value, k)
         if value is None:
@@ -469,28 +461,26 @@ def _block_order(block):
 def _kernel_certificate(block):
     """
     The minor c of a G x G block B (G >= 2) without its last row and
-    column if B's kernel y is G units, y * B = B * w = 0 and c != 0.
-    Both checks run on B's packed rows.  B's entries lie within
-    its bound h, so a kernel within h (and h >= 1) keeps every exponent
-    of y_i * B_ij and B_ij * t_c within 2h, inside the radius:
-    packing is then injective on both sums, and a wrong y is never
-    certified by keys that alias.  A kernel past h is refused.
+    column if B's kernel y, the monomials t^e of its G exponent vectors
+    e, gives y * B = 0, B * w = 0 and c != 0.  Both checks run on B's
+    packed rows.  B's entries lie within its bound h, so a kernel within
+    h (and h >= 1) keeps every exponent of y_i * B_ij and B_ij * t_c
+    within 2h, inside the radius: packing is then injective on both
+    sums, and a wrong y is never certified by keys that alias.  A kernel
+    past h is refused.
     """
-    y, g = block.kernel, block.num_generators
+    y, g, packed = block.kernel, block.num_generators, block.matrix
     if (y is None or g < 2 or block.num_relators != g or len(y) != g
-            or not all(e.is_unit() and e.nvars == block.nvars for e in y)):
-        return None
-    packed = block.matrix
-    if max(1, _max_exponent(y)) > packed.bound:
+            or any(len(e) != block.nvars for e in y)
+            or max(1, *(abs(x) for e in y for x in e)) > packed.bound):
         return None
     total = [{} for _ in range(g)]
-    for (exps, sign), row in zip((next(iter(e.terms.items())) for e in y),
-                                 packed.rows):
-        shift = packed.key(exps)
+    for e, row in zip(y, packed.rows):
+        shift = packed.key(e)
         for j, cell in row.items():
             column = total[j]
             for k, x in cell.items():
-                column[k + shift] = column.get(k + shift, 0) + sign * x
+                column[k + shift] = column.get(k + shift, 0) + x
     if (any(any(column.values()) for column in total)
             or not _row_relation_holds(packed, block.generator_component)):
         return None
@@ -528,8 +518,7 @@ def alexander_polynomial(diagram):
     pres, phi = wirtinger_presentation(diagram)
     A = jacobian(pres, phi)
     if diagram.kernel and len(diagram.kernel) == len(pres.relators):
-        A = replace(A, kernel=tuple(LaurentPoly.monomial(1, e)
-                                    for e in diagram.kernel))
+        A = replace(A, kernel=diagram.kernel)
     source = {"generators": pres.num_generators,
               "relators": len(pres.relators)}
     return torsion_order(A, source)

@@ -77,23 +77,24 @@ class AlexanderPresentation:
     matrix: PackedMatrix
     nvars: int
     generator_component: Tuple[int, ...]
-    # if given, a unit per row claimed to give kernel * matrix = 0; only
-    # alexander._kernel_certificate checks it, on the packed block rows,
-    # and only if its exponents lie within the matrix's bound h
-    kernel: Optional[Tuple[LaurentPoly, ...]] = None
+    # if given, an exponent vector e_k per row, claimed to give
+    # sum_k t^e_k * row k = 0; only alexander._kernel_certificate checks
+    # it, on the packed block rows, and only if it lies within the
+    # matrix's bound h
+    kernel: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     @classmethod
     def of(cls, rows, nvars, generator_component, kernel=None):
         """
         A presentation of the rows of LaurentPolys, packed at radius 2h,
         h = max(1, 2 * the sum over rows of each row's largest
-        |exponent|, the kernel's largest |exponent|).  A minor of the
+        |exponent|, the kernel's largest |entry|).  A minor of the
         matrix, or of a block that the unit-pivot reduction leaves of it,
         then lies within h (alexander._reduced_blocks), and so does the
         kernel.
         """
         h = max(1, 2 * sum(map(_max_exponent, rows)),
-                _max_exponent(kernel or ()))
+                *(abs(x) for e in kernel or () for x in e))
         return cls(PackedMatrix.pack(rows, len(generator_component), nvars,
                                      2 * h),
                    nvars, generator_component, kernel)

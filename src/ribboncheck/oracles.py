@@ -115,16 +115,19 @@ def smith_normal_form(matrix):
     units = 0
     diag = []
     while rows:
-        piv = None
+        # one pass: the unit pivot, and until one turns up the least entry
+        piv, size, least = None, 0, None
         for i, r in rows.items():
-            if piv is None or len(r) < len(rows[piv[0]]):
-                unit = [j for j, v in r.items() if v in (1, -1)]
-                if unit:
-                    piv = i, min(unit, key=lambda j: len(cols[j]))
-        if piv is None:
-            piv = min(((i, j) for i, r in rows.items() for j in r),
-                      key=lambda ij: abs(rows[ij[0]][ij[1]]))
-        p, c = piv
+            if piv is not None and len(r) >= size:
+                continue
+            for j, v in r.items():
+                if v == 1 or v == -1:
+                    if piv is None or piv[0] != i or (
+                            len(cols[j]) < len(cols[piv[1]])):
+                        piv, size = (i, j), len(r)
+                elif piv is None and (least is None or abs(v) < least[0]):
+                    least = abs(v), i, j
+        p, c = piv or least[1:]
         while True:
             prow = rows[p]
             d = prow[c]

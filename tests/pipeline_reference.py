@@ -73,6 +73,19 @@ no longer has, calls the copy kept in laurent_reference.
   _packed returned a PackedMatrix as it was and packed LaurentPoly rows
   at radius 2h, and _minor took a minor of either form through it.  The
   replaced routes above call this module's _minor.
+- _column_weights, alexander's weights as they were before _block_order
+  built the one it divides by: a LaurentPoly t_comp(j) - 1 for every
+  column of every block, one per component shared among its columns.
+  The references above that read the weights call it.
+- monomial_kernel_certificate and monomial_block_order,
+  _kernel_certificate and _block_order as they were while a
+  presentation's kernel was a tuple of LaurentPoly monomials: the
+  certificate checked that each was a unit of the block's variable
+  count, bounded them by _max_exponent and unpacked each back into its
+  exponents and sign, and the block order read k = w_q from
+  _column_weights.  monomial_block_order calls
+  monomial_kernel_certificate, and both run the package's
+  _row_relation_holds as packed_row_relation_holds.
 - SCREEN_POINTS, point_values and screened, obstruct's integer screen as
   it was before each polynomial carried one cached value: six small
   points, the k-th giving t_i the value SCREEN_POINTS[(k + i) % 6]
@@ -87,8 +100,7 @@ from math import comb, gcd
 
 from ribboncheck import cli, laurent
 from ribboncheck.alexander import (FALLBACK_MINOR_BUDGET, RankCertificate,
-                                   _column_weights, _det,
-                                   _kernel_certificate, _minor_gcd,
+                                   _det, _kernel_certificate, _minor_gcd,
                                    module_rank)
 from ribboncheck.alexander import \
     _row_relation_holds as packed_row_relation_holds
@@ -482,6 +494,105 @@ def guarded_block_order(block):
             value = cert.minor if k.is_one() else exact_divide(cert.minor, k)
             return value, "shortcut"
     return minor_table_block_order(block)
+
+
+def _column_weights(pres):
+    """u_j = t_{comp(j)} - 1, the weights in the Fox column relation."""
+    zero = (0,) * pres.nvars
+    weight = {c: LaurentPoly._make(pres.nvars, {
+        zero[:c] + (1,) + zero[c + 1:]: 1, zero: -1})
+        for c in set(pres.generator_component)}
+    return [weight[c] for c in pres.generator_component]
+
+
+def monomial_block_order(block):
+    """
+    Torsion order of one reduced block and the path that gave it:
+    "rank0" (no torsion), "shortcut" or "fallback".
+
+    By the rank-one table of minors (module docstring) the order is the
+    row side gcd_S det M[S,Q] divided by k = c / gcd_T det M[P,T].  A
+    block that passes _kernel_certificate takes its minor c as the row
+    side; every other block takes module_rank's certificate and the gcd
+    over the C(R,r) row sets.  On a diagram-shaped block, which a kernel
+    certificate's block always is, Cramer's rule gives k = w_q, or 1 on
+    one component ("shortcut"); every other block takes the gcd over the
+    C(G,r) column sets ("fallback").  An inexact division by k is an
+    inconsistency and raises ComputationError.
+    """
+    cert = monomial_kernel_certificate(block)
+    certified = cert is not None
+    if not certified:
+        cert = module_rank(block)
+    r = cert.rank
+    if r == 0:
+        return LaurentPoly.one(block.nvars), "rank0"
+    nrows, ncols = block.num_relators, block.num_generators
+    rows, cols, c = cert.pivot_rows, cert.pivot_columns, cert.minor
+    weights = _column_weights(block) if r == ncols - 1 else None
+    shaped = weights is not None and (certified or packed_row_relation_holds(
+        block.matrix, block.generator_component))
+    # besides the certificate's: the row side, the column side
+    needed = ((0 if certified else comb(nrows, r) - 1)
+              + (0 if shaped else comb(ncols, r) - 1))
+    if needed > FALLBACK_MINOR_BUDGET:
+        raise ComputationError(
+            "the torsion order needs %d minors of rank %d on a %dx%d "
+            "reduced block, past its budget of %d "
+            "(alexander.FALLBACK_MINOR_BUDGET)"
+            % (needed, r, nrows, ncols, FALLBACK_MINOR_BUDGET))
+    value = c if certified else _minor_gcd(c, (
+        _det(block.matrix, s, cols) for s in combinations(range(nrows), r)
+        if s != rows))
+    if not shaped:
+        k = exact_divide(c, _minor_gcd(c, (
+            _det(block.matrix, rows, t) for t in combinations(range(ncols), r)
+            if t != cols)))
+    elif len(set(block.generator_component)) == 1:
+        k = LaurentPoly.one(block.nvars)
+    else:
+        k = weights[next(j for j in range(ncols) if j not in cols)]
+    if not k.is_one():  # k = 1: nothing to divide
+        value = exact_divide(value, k)
+        if value is None:
+            raise ComputationError(
+                "the minors of a %dx%d block of rank %d break the rank-one "
+                "identity" % (nrows, ncols, r))
+    return value, "shortcut" if shaped else "fallback"
+
+
+def monomial_kernel_certificate(block):
+    """
+    The minor c of a G x G block B (G >= 2) without its last row and
+    column if B's kernel y is G units, y * B = B * w = 0 and c != 0.
+    Both checks run on B's packed rows.  B's entries lie within
+    its bound h, so a kernel within h (and h >= 1) keeps every exponent
+    of y_i * B_ij and B_ij * t_c within 2h, inside the radius:
+    packing is then injective on both sums, and a wrong y is never
+    certified by keys that alias.  A kernel past h is refused.
+    """
+    y, g = block.kernel, block.num_generators
+    if (y is None or g < 2 or block.num_relators != g or len(y) != g
+            or not all(e.is_unit() and e.nvars == block.nvars for e in y)):
+        return None
+    packed = block.matrix
+    if max(1, _max_exponent(y)) > packed.bound:
+        return None
+    total = [{} for _ in range(g)]
+    for (exps, sign), row in zip((next(iter(e.terms.items())) for e in y),
+                                 packed.rows):
+        shift = packed.key(exps)
+        for j, cell in row.items():
+            column = total[j]
+            for k, x in cell.items():
+                column[k + shift] = column.get(k + shift, 0) + sign * x
+    if (any(any(column.values()) for column in total)
+            or not packed_row_relation_holds(packed,
+                                             block.generator_component)):
+        return None
+    rows = tuple(range(g - 1))
+    c = _det(packed, rows, rows)
+    return RankCertificate(g - 1, rows, rows, c) if c.terms else None
 
 
 def column_weights(pres):

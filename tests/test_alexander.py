@@ -39,9 +39,33 @@ def laurent_form(pres):
     return decoded(pres), pres.nvars, pres.generator_component
 
 
+def monomials(kernel):
+    """
+    A kernel of exponent vectors as the LaurentPoly monomials t^e that
+    the replaced routes of pipeline_reference read; None stays None.
+    """
+    return kernel and tuple(LaurentPoly.monomial(1, e) for e in kernel)
+
+
+def exponent_vectors(kernel):
+    """The inverse of monomials: each monomial t^e, coefficient 1, as e."""
+    if kernel is None:
+        return None
+    vectors = []
+    for y in kernel:
+        (e, coeff), = y.terms.items()
+        assert coeff == 1
+        vectors.append(e)
+    return tuple(vectors)
+
+
 def decoded_block(block):
-    """The block with its matrix decoded, for the decoded_* references."""
-    return replace(block, matrix=decoded(block))
+    """
+    The block with its matrix decoded and its kernel as monomials, for
+    the decoded_* references.
+    """
+    return replace(block, matrix=decoded(block),
+                   kernel=monomials(block.kernel))
 
 
 def brute_force_rank(pres):
@@ -565,9 +589,14 @@ class TestAgainstReplacedLoops:
             delta = self.check(parse_link_spec(spec), monkeypatch)
             assert [b["path"] for b in delta.source["blocks"]] == paths
 
-    def test_column_weights(self):
+    def test_column_weights(self, monkeypatch):
         # one t_c - 1 a component, term for term (in order) what the
-        # loop of monomial(...) - one gave every column
+        # loop of monomial(...) - one gave every column; and the one
+        # weight _block_order divides a shortcut block of two or more
+        # components by, the same at the column q outside its certificate
+        divisors, divide = [], alexander.exact_divide
+        monkeypatch.setattr(alexander, "exact_divide", lambda p, d: (
+            divisors.append(d) or divide(p, d)))
         rng = random.Random(2007)
         specs = [spec for _, spec in knot_table() + link_table()]
         specs += list(FALLBACK_SPECS)
@@ -576,18 +605,34 @@ class TestAgainstReplacedLoops:
             specs.append("braid:n=%d:%s" % (n, " ".join(
                 str(rng.choice((1, -1)) * rng.randint(1, n - 1))
                 for _ in range(rng.randint(1, 16)))))
-        nvars = set()
+        nvars, divided = set(), 0
         for spec in specs:
-            pres, phi = wirtinger_presentation(parse_link_spec(spec))
-            for block in alexander._reduced_blocks(jacobian(pres, phi)):
-                weights = alexander._column_weights(block)
+            diagram = parse_link_spec(spec)
+            pres, phi = wirtinger_presentation(diagram)
+            A = jacobian(pres, phi)
+            if diagram.kernel:
+                A = replace(A, kernel=diagram.kernel)
+            for block in alexander._reduced_blocks(A):
+                weights = reference._column_weights(block)
                 old = reference.column_weights(block)
                 assert [(w.nvars, list(w.terms.items())) for w in weights] \
                     == [(w.nvars, list(w.terms.items())) for w in old], spec
                 assert len(set(map(id, weights))) == len(
                     set(block.generator_component))
                 nvars.add(block.nvars)
-        assert {1, 2, 3} <= nvars
+                divisors.clear()
+                _, path = alexander._block_order(block)
+                if path == "shortcut" and len(set(
+                        block.generator_component)) > 1:
+                    cert = (alexander._kernel_certificate(block)
+                            or module_rank(block))
+                    q = next(j for j in range(block.num_generators)
+                             if j not in cert.pivot_columns)
+                    k, = divisors
+                    assert (k.nvars, list(k.terms.items())) == (
+                        old[q].nvars, list(old[q].terms.items())), spec
+                    divided += 1
+        assert {1, 2, 3} <= nvars and divided > 20
 
 
 def reference_delta(pres, monkeypatch):
@@ -763,31 +808,30 @@ def laurent_blocks(diagram):
         [[e.terms for e in row] for row in decoded(new)] == \
         [[e.terms for e in row] for row in decoded(A)], diagram
     if diagram.kernel and len(diagram.kernel) == len(pres.relators):
-        A = replace(A, kernel=tuple(LaurentPoly.monomial(1, e)
-                                    for e in diagram.kernel))
+        A = replace(A, kernel=monomials(diagram.kernel))
     return reference.laurent_reduced_blocks(A)
 
 
 def assert_same_blocks(blocks, old, orders):
     """
     Blocks of the reduction on packed keys against the LaurentPoly
-    route's: the same matrix, generator components and kernel, the same
-    kernel certificate and Fox row relation, and, unless orders is None,
-    from _block_order on the old blocks, packed anew, the (order, path) in
-    orders.
+    route's: the same matrix, generator components and kernel (the old
+    blocks' monomials), the same kernel certificate and Fox row
+    relation, and, unless orders is None, from _block_order on the old
+    blocks, packed anew, the (order, path) in orders.
     """
     assert list(map(laurent_form, blocks)) == list(map(laurent_form, old))
-    assert [b.kernel for b in blocks] == [b.kernel for b in old]
+    assert [monomials(b.kernel) for b in blocks] == [b.kernel for b in old]
     for n, (block, ref) in enumerate(zip(blocks, old)):
         assert alexander._kernel_certificate(block) == \
             reference.laurent_kernel_certificate(ref)
         assert alexander._row_relation_holds(
             block.matrix, block.generator_component) == \
-            reference._row_relation_holds(ref, alexander._column_weights(ref))
+            reference._row_relation_holds(ref, reference._column_weights(ref))
         if orders is not None:
             assert alexander._block_order(AlexanderPresentation.of(
                 ref.matrix, ref.nvars, ref.generator_component,
-                ref.kernel)) == orders[n]
+                exponent_vectors(ref.kernel))) == orders[n]
 
 
 def counting_module_rank(monkeypatch):
@@ -875,13 +919,16 @@ class TestKernelCertificate:
                 if alexander._kernel_certificate(block) is None:
                     continue
                 value, path = alexander._block_order(block)
-                t1 = LaurentPoly.variable(0, block.nvars)
-                y = block.kernel
-                # one exponent shifted, one sign flipped, the wrong length
-                wrongs = [y[:i] + (wrong,) + y[i + 1:]
-                          for i, yi in enumerate(y)
-                          for wrong in (yi * t1, -yi)]
-                for kernel in wrongs + [y[:-1], y + y[:1]]:
+                y, h = block.kernel, block.matrix.bound
+                # each vector shifted by t1, the wrong length, the wrong
+                # variable count, an entry past h
+                wrongs = [y[:i] + ((e[0] + 1,) + e[1:],) + y[i + 1:]
+                          for i, e in enumerate(y)]
+                past = (h + 1,) + y[0][1:]
+                for kernel in wrongs + [y[:-1], y + y[:1],
+                                        tuple(e + (0,) for e in y),
+                                        tuple(e[:-1] for e in y),
+                                        (past,) + y[1:]]:
                     bad = replace(block, kernel=kernel)
                     assert alexander._kernel_certificate(bad) is None
                     calls.clear()
@@ -911,18 +958,19 @@ class TestKernelCertificate:
             assert result.value == expected.value and len(calls) == 1
 
     def test_hand_built_kernels_the_check_refuses(self):
-        # y = (g, -f) kills both rows, but is not all units: the minors'
-        # gcd is 1, not the one minor f * (t2 - 1) divided by t2 - 1
+        # only y = (g, -f), no monomials, kills both rows: the minors'
+        # gcd is 1, not the one minor f * (t2 - 1) divided by t2 - 1,
+        # and y = (1, t1) leaves (g * t1 + f) * (t2 - 1, -(t1 - 1))
         f, g = parse_poly("t1^2 - t2", 2), parse_poly("t1*t2 + 3", 2)
         u1, u2 = parse_poly("t1 - 1", 2), parse_poly("t2 - 1", 2)
-        non_units = AlexanderPresentation.of(
-            ((f * u2, -f * u1), (g * u2, -g * u1)), 2, (0, 1), (g, -f))
-        # y = (1, -1) kills both rows, but the Fox row relation fails
+        no_kernel = AlexanderPresentation.of(
+            ((f * u2, -f * u1), (g * u2, -g * u1)), 2, (0, 1),
+            ((0, 0), (1, 0)))
+        # y = (1, 1) kills both rows, but the Fox row relation fails
         a, two = parse_poly("t + 1", 1), LaurentPoly.constant(2, 1)
-        one = LaurentPoly.one(1)
-        no_relation = AlexanderPresentation.of(((a, two), (a, two)), 1,
-                                               (0, 0), (one, -one))
-        for block, path in ((non_units, "shortcut"),
+        no_relation = AlexanderPresentation.of(((a, two), (-a, -two)), 1,
+                                               (0, 0), ((0,), (0,)))
+        for block, path in ((no_kernel, "shortcut"),
                             (no_relation, "fallback")):
             assert alexander._kernel_certificate(block) is None
             value, got = alexander._block_order(block)
@@ -952,7 +1000,8 @@ class TestKernelCertificate:
         zero = LaurentPoly.zero(block.nvars)
         for j in range(8):  # the certificate holds, yet c = 0
             assert sum((yi * row[j] for yi, row in
-                        zip(block.kernel, decoded(block))), zero).is_zero()
+                        zip(monomials(block.kernel), decoded(block))),
+                       zero).is_zero()
         assert alexander._det(block.matrix, range(7), range(7)).is_zero()
         assert alexander._kernel_certificate(block) is None
         assert module_rank(block).rank == 6
@@ -966,6 +1015,127 @@ class TestKernelCertificate:
         figure_eight = "pd:X(4,2,5,1);X(8,6,1,5);X(6,3,7,4);X(2,7,3,8)"
         assert str(delta(figure_eight)) == "t^2 - 3*t + 1"
         assert len(calls) == 1
+
+
+class TestNoLaurentPolyBeforeTheBlocks:
+    """
+    No LaurentPoly is built from alexander_polynomial's entry to
+    torsion_order's, nor inside _reduced_blocks: the kernel stays the
+    diagram's exponent vectors, and the Jacobian and its reduction run on
+    packed keys.  Counted as calls of LaurentPoly.__init__ and
+    LaurentPoly._make; the rest of torsion_order, the block stage, is
+    counted too, to show that the counters see what is built.
+    """
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"before": 0, "reduction": 0, "blocks": 0}
+        stage = [None]
+        init, make = LaurentPoly.__init__, LaurentPoly.__dict__["_make"]
+        torsion, reduce = alexander.torsion_order, alexander._reduced_blocks
+
+        def counted_init(self, *args):
+            if stage[0]:
+                counts[stage[0]] += 1
+            init(self, *args)
+
+        def counted_make(cls, *args):
+            if stage[0]:
+                counts[stage[0]] += 1
+            return make.__func__(cls, *args)
+
+        def entered_torsion(*args):
+            stage[0] = "blocks"
+            return torsion(*args)
+
+        def reduction(*args):
+            stage[0] = "reduction"
+            try:
+                return reduce(*args)
+            finally:
+                stage[0] = "blocks"
+
+        monkeypatch.setattr(LaurentPoly, "__init__", counted_init)
+        monkeypatch.setattr(LaurentPoly, "_make", classmethod(counted_make))
+        monkeypatch.setattr(alexander, "torsion_order", entered_torsion)
+        monkeypatch.setattr(alexander, "_reduced_blocks", reduction)
+
+        def run(diagram):
+            stage[0] = "before"
+            try:
+                return alexander_polynomial(diagram)
+            finally:
+                stage[0] = None
+
+        counts["run"] = run
+        return counts
+
+    def test_braid_closures_and_pd_knots(self, counts):
+        rng = random.Random(3030)
+        components, certified = set(), 0
+        for _ in range(150):
+            while True:  # 1-5 components, 2-7 strands, up to 20 letters
+                n = rng.randint(2, 7)
+                word = BraidWord(n, tuple(
+                    rng.choice((1, -1)) * rng.randint(1, n - 1)
+                    for _ in range(rng.randint(1, 20))))
+                if len(word.cycles()) <= 5:
+                    break
+            components.add(len(word.cycles()))
+            delta = counts["run"](braid_closure(word))
+            certified += any(b["path"] == "shortcut"
+                             for b in delta.source["blocks"])
+        pd_knots = [spec for _, spec in knot_table() if spec.startswith("pd:")]
+        for spec in pd_knots:
+            counts["run"](parse_link_spec(spec))
+        assert components == {1, 2, 3, 4, 5} and certified > 50
+        assert pd_knots and counts["blocks"] > 0
+        assert (counts["before"], counts["reduction"]) == (0, 0)
+
+
+class TestAgainstMonomialKernel:
+    """
+    The kernel as exponent vectors against the form it replaced, kept in
+    pipeline_reference: on the same reduced blocks, with the kernel
+    turned into monomials, monomial_kernel_certificate and
+    monomial_block_order give the same certificate (rank, rows, columns,
+    minor), order and path as _kernel_certificate and _block_order.
+    """
+
+    def check(self, diagram, monkeypatch, tally):
+        orders = []
+        blocks, _ = blocks_and_delta(diagram, monkeypatch, orders)
+        for block, order in zip(blocks, orders):
+            old = replace(block, kernel=monomials(block.kernel))
+            cert = alexander._kernel_certificate(block)
+            assert cert == reference.monomial_kernel_certificate(old), diagram
+            assert order == reference.monomial_block_order(old), diagram
+            if cert is not None:
+                tally.add(len(set(block.generator_component)) > 1)
+
+    def test_random_closures(self, monkeypatch):
+        rng = random.Random(3031)
+        components, tally = set(), set()
+        for _ in range(300):
+            while True:  # 1-6 components, 2-8 strands, up to 22 letters
+                n = rng.randint(2, 8)
+                word = BraidWord(n, tuple(
+                    rng.choice((1, -1)) * rng.randint(1, n - 1)
+                    for _ in range(rng.randint(1, 22))))
+                if len(word.cycles()) <= 6:
+                    break
+            components.add(len(word.cycles()))
+            self.check(braid_closure(word), monkeypatch, tally)
+        assert components == set(range(1, 7))
+        assert tally == {False, True}
+
+    def test_same_output_closures(self, monkeypatch):
+        module = same_output_module()
+        tally = set()
+        for spec in (same_output_closures() + module.SHORTCUT_CLOSURES
+                     + (module.SLOW_SHORTCUT,)):
+            self.check(parse_link_spec(spec), monkeypatch, tally)
+        assert True in tally
 
 
 class TestAgainstGuardedClosedForm:
@@ -1109,9 +1279,9 @@ class TestPackedKeys:
 
     def check(self, pres, orders=True):
         blocks = alexander._reduced_blocks(pres)
-        assert_same_blocks(blocks, reference.laurent_reduced_blocks(pres),
-                           [alexander._block_order(b) for b in blocks]
-                           if orders else None)
+        assert_same_blocks(blocks, reference.laurent_reduced_blocks(
+            replace(pres, kernel=monomials(pres.kernel))),
+            [alexander._block_order(b) for b in blocks] if orders else None)
         return blocks
 
     def test_pd_twins_of_the_same_output_closures(self, monkeypatch):
@@ -1128,8 +1298,9 @@ class TestPackedKeys:
 
     def test_hand_built_matrices(self):
         # Jacobians of closures of 1-5 components with each row times a
-        # unit of exponents up to 1,000 in absolute value and the kernel
-        # divided by it, so that the Fox row relation and y * B = 0 hold;
+        # monomial t^s of exponents up to 1,000 in absolute value and the
+        # kernel's vector minus s, so that the Fox row relation and y * B
+        # = 0 hold (a kernel of exponent vectors holds no sign to flip);
         # then sparse matrices of units and of units times short sums,
         # whose orders' gcds would run on spans of thousands
         rng = random.Random(2424)
@@ -1145,15 +1316,14 @@ class TestPackedKeys:
             diagram = braid_closure(word)
             pres, phi = wirtinger_presentation(diagram)
             A = reference.laurent_jacobian(pres, phi)
-            units = [LaurentPoly.monomial(rng.choice((1, -1)), tuple(
-                rng.randint(-1000, 1000) for _ in range(A.nvars)))
-                for _ in A.matrix]
+            shifts = [tuple(rng.randint(-1000, 1000) for _ in range(A.nvars))
+                      for _ in A.matrix]
             blocks = self.check(AlexanderPresentation.of(
-                tuple(tuple(u * e for e in row)
-                      for u, row in zip(units, A.matrix)),
+                tuple(tuple(LaurentPoly.monomial(1, s) * e for e in row)
+                      for s, row in zip(shifts, A.matrix)),
                 A.nvars, A.generator_component,
-                tuple(LaurentPoly.monomial(1, e) * unit_inverse(u)
-                      for e, u in zip(diagram.kernel, units))))
+                tuple(tuple(x - a for x, a in zip(e, s))
+                      for e, s in zip(diagram.kernel, shifts))))
             certified += sum(alexander._kernel_certificate(b) is not None
                              for b in blocks)
             nvars.add(A.nvars)
@@ -1203,7 +1373,7 @@ class TestPackedKeys:
         # share the key 2, and the wrong y passes
         t1, t2 = parse_poly("t1", 2), parse_poly("t2", 2)
         one = LaurentPoly.one(2)
-        y = (t1, unit_inverse(t1))
+        y = ((1, 0), (-1, 0))
         for f1, certified in ((-t1 ** 3, True),
                               (-parse_poly("t1^-2*t2", 2), False)):
             block = AlexanderPresentation.of(
@@ -1229,7 +1399,7 @@ class TestPackedKeys:
         one, f1 = LaurentPoly.one(2), -parse_poly("t1^-1*t2", 2)
         block = AlexanderPresentation.of(
             ((t2 - one, one - t1), (f1 * (t2 - one), -f1 * (t1 - one))), 2,
-            (0, 1), (t1 ** 3, unit_inverse(t1 ** 3)))
+            (0, 1), ((3, 0), (-3, 0)))
         assert alexander._kernel_certificate(block) is None
         assert block.matrix.radius == 2 * 2 * (1 + 2)
         narrow = replace(block, matrix=PackedMatrix.pack(
@@ -1244,7 +1414,7 @@ class TestPackedKeys:
         value, path = alexander._block_order(block)
         radix = 2 * block.matrix.radius + 1
         y = block.kernel
-        shifted = y[0] * parse_poly("t1^%d*t2^-1" % radix, 2)
+        shifted = (y[0][0] + radix, y[0][1] - 1)
         bad = replace(block, kernel=(shifted,) + y[1:])
         assert block.matrix.key((radix, -1)) == 0
         assert alexander._kernel_certificate(bad) is None
@@ -1321,7 +1491,8 @@ class TestAgainstDecodedBlocks:
         # of exponents up to 1,000 in absolute value, so that every minor
         # is a unit times a small one; some rows empty, some the sum of
         # multiples of others (rank deficient); then the blocks of the
-        # row-scaled Jacobians of closures, which carry their kernel
+        # Jacobians of closures with each row times a monomial t^s, which
+        # carry their kernel's vectors minus s
         rng = random.Random(2526)
         nvars, deficient, empty = set(), 0, 0
 
@@ -1372,13 +1543,14 @@ class TestAgainstDecodedBlocks:
             diagram = braid_closure(word)
             A = fox_matrix(diagram)
             rows = decoded(A)
-            units = [unit(A.nvars) for _ in rows]
+            shifts = [tuple(rng.randint(-1000, 1000) for _ in range(A.nvars))
+                      for _ in rows]
             blocks = alexander._reduced_blocks(AlexanderPresentation.of(
-                tuple(tuple(u * e for e in row)
-                      for u, row in zip(units, rows)),
+                tuple(tuple(LaurentPoly.monomial(1, s) * e for e in row)
+                      for s, row in zip(shifts, rows)),
                 A.nvars, A.generator_component,
-                tuple(LaurentPoly.monomial(1, e) * unit_inverse(u)
-                      for e, u in zip(diagram.kernel, units))))
+                tuple(tuple(x - a for x, a in zip(e, s))
+                      for e, s in zip(diagram.kernel, shifts))))
             decoded_block_check(blocks)
             certified += sum(alexander._kernel_certificate(b) is not None
                              for b in blocks)
