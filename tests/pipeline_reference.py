@@ -85,7 +85,10 @@ no longer has, calls the copy kept in laurent_reference.
   exponents and sign, and the block order read k = w_q from
   _column_weights.  monomial_block_order calls
   monomial_kernel_certificate, and both run the package's
-  _row_relation_holds as packed_row_relation_holds.
+  _row_relation_holds as packed_row_relation_holds.  They, like
+  laurent_kernel_certificate, laurent_reduced_blocks' blocks and
+  decoded_kernel_certificate, read a kernel of monomials, which the
+  tests build from a presentation's exponent vectors.
 - SCREEN_POINTS, point_values and screened, obstruct's integer screen as
   it was before each polynomial carried one cached value: six small
   points, the k-th giving t_i the value SCREEN_POINTS[(k + i) % 6]

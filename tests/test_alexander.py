@@ -47,18 +47,6 @@ def monomials(kernel):
     return kernel and tuple(LaurentPoly.monomial(1, e) for e in kernel)
 
 
-def exponent_vectors(kernel):
-    """The inverse of monomials: each monomial t^e, coefficient 1, as e."""
-    if kernel is None:
-        return None
-    vectors = []
-    for y in kernel:
-        (e, coeff), = y.terms.items()
-        assert coeff == 1
-        vectors.append(e)
-    return tuple(vectors)
-
-
 def decoded_block(block):
     """
     The block with its matrix decoded and its kernel as monomials, for
@@ -818,7 +806,8 @@ def assert_same_blocks(blocks, old, orders):
     route's: the same matrix, generator components and kernel (the old
     blocks' monomials), the same kernel certificate and Fox row
     relation, and, unless orders is None, from _block_order on the old
-    blocks, packed anew, the (order, path) in orders.
+    blocks, packed anew with the new blocks' kernels, the (order, path)
+    in orders.
     """
     assert list(map(laurent_form, blocks)) == list(map(laurent_form, old))
     assert [monomials(b.kernel) for b in blocks] == [b.kernel for b in old]
@@ -831,7 +820,7 @@ def assert_same_blocks(blocks, old, orders):
         if orders is not None:
             assert alexander._block_order(AlexanderPresentation.of(
                 ref.matrix, ref.nvars, ref.generator_component,
-                exponent_vectors(ref.kernel))) == orders[n]
+                block.kernel)) == orders[n]
 
 
 def counting_module_rank(monkeypatch):
