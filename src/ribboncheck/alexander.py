@@ -64,7 +64,6 @@ Delta = 1, not the classical Delta = 0.  A split link gets the product
 of the orders of its split pieces.
 """
 
-import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
@@ -118,11 +117,6 @@ class AlexanderPolynomial:
     def text(self):
         """The value in the exchange format, rendered once."""
         return laurent.poly_to_str(self.value)
-
-    @cached_property
-    def json_text(self):
-        """The text as a JSON string, encoded once."""
-        return json.dumps(self.text)
 
     @cached_property
     def xi_value(self):

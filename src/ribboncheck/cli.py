@@ -25,7 +25,13 @@ batch records an error in one row, including an unexpected one (kind
 row; a computation error in one pair of --pairs is that pair's line
 (kind "compute"), and the next pair follows.  It accepts --jobs N and
 ignores it: each row's polynomial is computed once, in one thread, and
-reused for the --pairs matrix.
+reused for the --pairs matrix.  A forked worker for --jobs 2 measured
+slower on two cores, as its copy-on-write faults cost the parent more
+than the rows it took (ROADMAP, measured notes).
+
+This is the one module that encodes JSON: every record is json.dumps
+of a dict, and batch --pairs fills its lines from JSON texts encoded
+once, to the same bytes.
 """
 
 import argparse
@@ -37,8 +43,7 @@ import sys
 from .linkcodec import (DiagramError, ParseError, parse_link_spec,
                         spec_size)
 from .alexander import ComputationError, alexander_polynomial
-from .obstruct import (LINE_JSON, component_mismatch,
-                       obstruction_from_polynomials)
+from .obstruct import component_mismatch, obstruction_from_polynomials
 from .oracles import (cyclic_cover_check, reidemeister_schreier, torres_check)
 from .wirtinger import wirtinger_presentation
 
@@ -108,12 +113,6 @@ def cmd_compute(args):
     return EXIT_OK
 
 
-# the tails of the other pair lines (see obstruct.LINE_JSON), from JSON
-# texts encoded once like a report's
-_MISMATCH_TAIL = '"verdict": "component_mismatch", "reason": %s'
-_ERROR_TAIL = '"error": {"kind": "%s", "message": %s}'
-
-
 def cmd_obstruct(args):
     dj = _load(args.spec_j, args.max_crossings)
     dl = _load(args.spec_l, args.max_crossings)
@@ -125,13 +124,14 @@ def cmd_obstruct(args):
     for names in directions:
         reason = component_mismatch(deltas[names[0]], deltas[names[1]])
         if reason:
-            print(LINE_JSON % (json.dumps(names[0]), json.dumps(names[1]),
-                               _MISMATCH_TAIL % json.dumps(reason))
+            print(json.dumps({"direction": list(names),
+                              "verdict": "component_mismatch",
+                              "reason": reason})
                   if args.json else "component mismatch: %s" % reason)
             continue
         report = obstruction_from_polynomials(
             deltas[names[0]], deltas[names[1]], names=names, shared=shared)
-        print(report.to_json() if args.json else report.summary())
+        print(json.dumps(report.to_dict()) if args.json else report.summary())
     return EXIT_OK
 
 
@@ -198,21 +198,32 @@ def cmd_batch(args):
     return EXIT_OK
 
 
+# a pair's JSON line: its direction, then the rest, its tail, each
+# filled in from JSON texts (a verdict is plain text that needs no
+# escape); a line is json.dumps of its record, a report's to_dict()
+_LINE = '{"direction": [%s, %s], %s}'
+_REPORT_TAIL = ('"deltaJ": %s, "deltaL": %s, "verdict": "%s", '
+                '"quotient": %s, "gcd": %s')
+_MISMATCH_TAIL = '"verdict": "component_mismatch", "reason": %s'
+_ERROR_TAIL = '"error": {"kind": "%s", "message": %s}'
+
+
 def _pair_lines(rows, deltas, kinds):
     """
     Each row's --pairs lines, as one text a row.  A line is its direction
-    and a tail (obstruct.LINE_JSON), and rows with equal polynomials
-    share their tails: each ordered pair of distinct polynomial values
-    is decided by one obstruction_from_polynomials call and encoded
-    once, each pair of component counts once, and each pair that an
-    operand's error decides once.
+    and a tail (_LINE), and rows with equal polynomials share their
+    tails: each ordered pair of distinct polynomial values is decided by
+    one obstruction_from_polynomials call and encoded once, each pair of
+    component counts once, and each pair that an operand's error
+    decides once.
     """
     # per row: its name, as JSON too, its polynomial and its key, the
     # kind of its error or the index of the first row of an equal
-    # polynomial
+    # polynomial, and the polynomial's text as JSON
     first = {}
     table = [(name, json.dumps(name), delta,
-              kind or first.setdefault((delta.nvars, delta.text), i))
+              kind or first.setdefault((delta.nvars, delta.text), i),
+              delta and json.dumps(delta.text))
              for i, ((name, _), delta, kind)
              in enumerate(zip(rows, deltas, kinds))]
     tails, shared, reasons = {}, {}, {}
@@ -224,7 +235,7 @@ def _pair_lines(rows, deltas, kinds):
             if tail is None:
                 tail = row_tails[row_l[3]] = _pair_tail(row_j, row_l, shared,
                                                         reasons)
-            lines.append(LINE_JSON % (row_j[1], row_l[1], tail))
+            lines.append(_LINE % (row_j[1], row_l[1], tail))
         yield "\n".join(lines) + "\n"
 
 
@@ -232,9 +243,11 @@ def _pair_tail(row_j, row_l, shared, reasons):
     """
     The tail of the pair lines of two rows of _pair_lines' table.  Both
     directions of two values pass one shared memo; reasons holds the
-    mismatch reason of each pair of component counts, as JSON.
+    mismatch reason of each pair of component counts, as JSON.  A
+    report's gcd reuses the rows' texts where it is one of the two
+    polynomials.
     """
-    (name_j, _, dj, a), (name_l, _, dl, b) = row_j, row_l
+    (name_j, _, dj, a, text_j), (name_l, _, dl, b, text_l) = row_j, row_l
     failed = a if dj is None else b if dl is None else None
     if failed:
         return _ERROR_TAIL % (failed, json.dumps(_OPERAND_ERRORS[failed]))
@@ -244,12 +257,17 @@ def _pair_tail(row_j, row_l, shared, reasons):
             reasons[key] = json.dumps(component_mismatch(dj, dl))
         return _MISMATCH_TAIL % reasons[key]
     try:
-        return obstruction_from_polynomials(
+        report = obstruction_from_polynomials(
             dj, dl, names=(name_j, name_l),
-            shared=shared.setdefault((a, b) if a < b else (b, a), {})
-        ).tail_json()
+            shared=shared.setdefault((a, b) if a < b else (b, a), {}))
     except ComputationError as exc:
         return _ERROR_TAIL % ("compute", json.dumps(str(exc)))
+    q, g = report.quotient, report.gcd_value
+    return _REPORT_TAIL % (
+        text_j, text_l, report.verdict,
+        "null" if q is None else json.dumps(str(q)),
+        '"1"' if g.is_one() else text_l if g == dl.value else
+        text_j if g == dj.value else json.dumps(str(g)))
 
 
 def cmd_validate(args):
@@ -315,7 +333,9 @@ def build_parser():
     p.add_argument("--pairs", action="store_true",
                    help="also emit the full pairwise obstruction matrix")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="accepted and ignored; rows run one after another")
+                   help="accepted and ignored; rows run one after another "
+                        "(a forked worker measured slower on two cores, "
+                        "see ROADMAP)")
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("validate", help="parse and structurally check a spec")

@@ -14,7 +14,6 @@ outside the theorem's hypotheses and is raised as a distinct error, not
 silently folded into a verdict.
 """
 
-import json
 from math import gcd
 from typing import NamedTuple, Optional, Tuple
 
@@ -33,13 +32,6 @@ NOT_OBSTRUCTED = "not_obstructed"
 
 # the gcd that _coprime proves, shared: a LaurentPoly is never mutated
 _ONE = LaurentPoly.one(1)
-
-# a pair's JSON line: its direction, then the rest, its tail; a
-# report's tail is filled in from JSON texts by to_json and by batch
-# --pairs (the verdict is plain text that needs no escape)
-LINE_JSON = '{"direction": [%s, %s], %s}'
-REPORT_TAIL = ('"deltaJ": %s, "deltaL": %s, "verdict": "%s", '
-               '"quotient": %s, "gcd": %s')
 
 
 class ObstructionReport(NamedTuple):
@@ -65,26 +57,6 @@ class ObstructionReport(NamedTuple):
                         laurent.poly_to_str(self.quotient),
             "gcd": laurent.poly_to_str(self.gcd_value),
         }
-
-    def witness_json(self):
-        """The quotient and the gcd as JSON texts, in that order."""
-        g = self.gcd_value
-        return ("null" if self.quotient is None else
-                json.dumps(laurent.poly_to_str(self.quotient)),
-                '"1"' if g.is_one() else
-                self.delta_l.json_text if g == self.delta_l.value else
-                self.delta_j.json_text if g == self.delta_j.value else
-                json.dumps(laurent.poly_to_str(g)))
-
-    def tail_json(self):
-        """The JSON line's text after the direction, see LINE_JSON."""
-        return REPORT_TAIL % (self.delta_j.json_text, self.delta_l.json_text,
-                              self.verdict, *self.witness_json())
-
-    def to_json(self):
-        """json.dumps(self.to_dict()), from the polynomials' encoded texts."""
-        return LINE_JSON % (json.dumps(self.direction[0]),
-                            json.dumps(self.direction[1]), self.tail_json())
 
     def summary(self):
         if self.verdict == OBSTRUCTED:

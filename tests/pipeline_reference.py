@@ -42,6 +42,12 @@ no longer has, calls the copy kept in laurent_reference.
   polynomial values and laurent.gcd wherever neither divides the other,
   each shared through one memo per unordered pair of values, and a line
   format of its own for a report, a mismatch and an error.
+- json_text and witness_json, AlexanderPolynomial.json_text and
+  ObstructionReport.witness_json as they were before cli became the one
+  module that encodes JSON: a polynomial's text and a report's quotient
+  and gcd as JSON texts, which memo_pair_lines fills its lines from.
+  Each takes the object as its argument, and json_text is no longer
+  cached.
 - two_phase_smith_normal_form, the cover oracle's Smith form as it was
   before one sparse loop did all of it: elimination at +-1 pivots on
   sparse rows, then _dense_diagonal on a dense copy of the core left,
@@ -944,11 +950,27 @@ def memo_pair_lines(rows, deltas, kinds):
                                             json.dumps(str(exc))))
                 continue
             if (a, b) not in witnesses:
-                witnesses[a, b] = report.witness_json()
-            lines.append(REPORT_JSON % (text_j, text_l, dj.json_text,
-                                        dl.json_text, report.verdict,
+                witnesses[a, b] = witness_json(report)
+            lines.append(REPORT_JSON % (text_j, text_l, json_text(dj),
+                                        json_text(dl), report.verdict,
                                         *witnesses[a, b]))
         yield "\n".join(lines) + "\n"
+
+
+def json_text(delta):
+    """The polynomial's text as a JSON string."""
+    return json.dumps(delta.text)
+
+
+def witness_json(report):
+    """The quotient and the gcd as JSON texts, in that order."""
+    g = report.gcd_value
+    return ("null" if report.quotient is None else
+            json.dumps(laurent.poly_to_str(report.quotient)),
+            '"1"' if g.is_one() else
+            json_text(report.delta_l) if g == report.delta_l.value else
+            json_text(report.delta_j) if g == report.delta_j.value else
+            json.dumps(laurent.poly_to_str(g)))
 
 
 def two_phase_smith_normal_form(matrix):

@@ -207,6 +207,25 @@ class TestBatch:
         threaded = run_cli("batch", path, "--pairs", "--jobs", "4")
         assert serial.stdout == threaded.stdout
 
+    def test_jobs_starts_no_process(self, tmp_path, monkeypatch, capsys):
+        path = self.make_csv(tmp_path, [
+            "trefoil,braid:n=2:1 1 1",
+            "fig8,braid:n=3:1 -2 1 -2",
+            "hopf,braid:n=2:1 1",
+            "unknot,braid:n=1:",
+        ])
+        assert cli.main(["batch", path, "--pairs"]) == 0
+        serial = capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("batch started a process")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        assert cli.main(["batch", path, "--pairs", "--jobs", "2"]) == 0
+        assert capsys.readouterr() == serial
+        assert len(serial.out.splitlines()) == 4 + 16
+
     def test_bundled_table_is_batchable(self):
         r = run_cli("batch", table_path("links.csv"))
         assert r.returncode == 0

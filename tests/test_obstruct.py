@@ -16,6 +16,7 @@ from ribboncheck.obstruct import (ComponentMismatch, NOT_OBSTRUCTED,
                                   OBSTRUCTED, coprimality_report,
                                   obstruction_from_polynomials,
                                   ribbon_obstruction)
+from ribboncheck.tables import table_path
 
 from conftest import random_braid_knot
 
@@ -122,29 +123,32 @@ class TestReportShape:
         report = ribbon_obstruction(braid_closure(TREFOIL),
                                     parse_link_spec("braid:n=1:"),
                                     names=("J", "L"))
-        payload = json.loads(report.to_json())
-        assert list(payload) == ["direction", "deltaJ", "deltaL", "verdict",
-                                 "quotient", "gcd"]
-        assert payload["direction"] == ["J", "L"]
-        assert payload["verdict"] == "not_obstructed"
-        assert payload["quotient"] == "t^2 - t + 1"
-        assert payload["deltaL"] == "1"
+        record = report.to_dict()
+        assert list(record) == ["direction", "deltaJ", "deltaL", "verdict",
+                                "quotient", "gcd"]
+        assert record["direction"] == ["J", "L"]
+        assert record["verdict"] == "not_obstructed"
+        assert record["quotient"] == "t^2 - t + 1"
+        assert record["deltaL"] == "1"
 
     @pytest.mark.parametrize("table", ["knots", "links"])
-    def test_to_json_is_dumps_of_to_dict(self, table, bundled_knots,
-                                         bundled_links):
+    def test_pair_lines_are_dumps_of_to_dict(self, table, bundled_knots,
+                                             bundled_links, capsys):
         rows = {"knots": bundled_knots, "links": bundled_links}[table]
+        assert cli.main(["batch", table_path(table + ".csv"), "--pairs"]) == 0
+        lines = iter(capsys.readouterr().out.splitlines()[len(rows):])
         deltas = [(name, alexander_polynomial(d)) for name, d in rows]
         gcds = set()
         for name_j, delta_j in deltas:
             for name_l, delta_l in deltas:
                 report = obstruction_from_polynomials(
                     delta_j, delta_l, names=(name_j, name_l))
-                assert report.to_json() == json.dumps(report.to_dict())
+                assert next(lines) == json.dumps(report.to_dict())
                 g = report.gcd_value
                 gcds.add("1" if g.is_one() else "L" if g == delta_l.value
                          else "J" if g == delta_j.value else "other")
-        # every way to_json renders a gcd
+        assert next(lines, None) is None
+        # every way a pair line renders a gcd
         assert gcds == ({"1", "L", "J", "other"} if table == "knots"
                         else {"1", "L"})
 

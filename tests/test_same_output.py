@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -197,3 +198,38 @@ def test_child_records_the_blocks_of_compute_commands(same_output):
         [[{"rows": 2, "columns": 2, "path": "shortcut"}]],
         [[{"rows": 0, "columns": 1, "path": "rank0"},
           {"rows": 0, "columns": 1, "path": "rank0"}]], None]
+
+
+def test_pair_commands_reach_every_gcd_text(same_output, tmp_path, capsys):
+    # each way a pair line renders a gcd: "1", Delta_L's text, Delta_J's
+    # and another, in obstruct --json with and without --both-directions
+    # and in batch --pairs, on the corpus that no workload seed adds to
+    from ribboncheck import cli
+    tree = TOOL.parent.parent
+    before = set(sys.modules)
+    try:
+        commands, files = same_output.corpus(tree, ())
+    finally:
+        for name in {"workloads", "published", "reference"} - before:
+            sys.modules.pop(name, None)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    texts = {}
+    for argv in commands:
+        if argv[0] == "obstruct" and "--json" in argv:
+            key = " ".join(a for a in argv if a.startswith("--"))
+        elif argv[0] == "batch" and "--pairs" in argv:
+            key = "batch --pairs"
+            path = tmp_path / argv[1] if argv[1] in files else tree / argv[1]
+            argv = ["batch", str(path), "--pairs"]
+        else:
+            continue
+        assert cli.main(argv) == 0
+        for line in capsys.readouterr().out.splitlines():
+            r = json.loads(line)
+            if "gcd" in r:
+                texts.setdefault(key, set()).add(
+                    "1" if r["gcd"] == "1" else "L" if r["gcd"] == r["deltaL"]
+                    else "J" if r["gcd"] == r["deltaJ"] else "other")
+    assert texts == {key: {"1", "L", "J", "other"} for key in (
+        "--json", "--both-directions --json", "batch --pairs")}

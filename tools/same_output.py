@@ -31,9 +31,12 @@ standard output and standard error captured.  The corpus:
 - `batch --pairs` on TORUS_CSV, the torus knots T(2,k), k = 3, 5, ...,
   23: one-variable divisions and gcds of polynomials of degree up to 22;
 - `obstruct J L` with each of OBSTRUCT_FLAGS on each consecutive pair of
-  SCREEN_ROWS, of the bundled knots and of the bundled links, and on
-  the first bundled knot and link (a component mismatch): the one
-  command whose calls share no memo unless --both-directions is given;
+  SCREEN_ROWS, of the bundled knots and of the bundled links, on
+  DIVIDING_J_PAIR and on the first bundled knot and link (a component
+  mismatch): the one command whose calls share no memo unless
+  --both-directions is given.  With and without --both-directions,
+  its reports reach each gcd text that batch --pairs does: "1",
+  Delta_L's, Delta_J's and another;
 - `compute --json` on FALLBACK_CLOSURES, SPARE_ROW_CLOSURES and
   CENSUS_FALLBACKS, the only commands with a reduced block that has two
   or more spare rows or is not diagram-shaped: every other block above
@@ -189,6 +192,10 @@ SCREEN_ROWS = (("3_1 # 3_1", "braid:n=3:1 1 1 2 2 2"),
                ("3_1 # 4_1", "braid:n=4:1 1 1 2 -3 2 -3"),
                ("3_1", "braid:n=2:1 1 1"), ("4_1", "braid:n=3:1 -2 1 -2"))
 
+# 3_1 against 3_1 # 4_1: Delta_J divides Delta_L, so the gcd is Delta_J,
+# which no consecutive pair of the chains gives in its first direction
+DIVIDING_J_PAIR = (SCREEN_ROWS[2][1], SCREEN_ROWS[1][1])
+
 # T(2,k) for odd k from 3 to 23, the closures of sigma_1^k: Deltas of
 # degree up to 22, dividing pairs such as T(2,3) | T(2,9), and gcds that
 # are neither 1 nor either polynomial, such as that of T(2,9) and T(2,15)
@@ -265,7 +272,7 @@ def corpus(tree, seeds):
     commands += [["batch", name, "--pairs"] for name in
                  ("duplicates.csv", "screen_pairs.csv", "torus_pairs.csv")]
     pairs = [pair for chain in chains for pair in zip(chain, chain[1:])]
-    pairs.append((chains[1][0], chains[2][0]))
+    pairs += [DIVIDING_J_PAIR, (chains[1][0], chains[2][0])]
     commands += [["obstruct", j, l] + flags
                  for j, l in pairs for flags in OBSTRUCT_FLAGS]
     closures = (FALLBACK_CLOSURES + SPARE_ROW_CLOSURES + CENSUS_FALLBACKS
