@@ -26,12 +26,9 @@ row; a computation error in one pair of --pairs is that pair's line
 (kind "compute"), and the next pair follows.  It accepts --jobs N and
 ignores it: each row's polynomial is computed once, in one thread, and
 reused for the --pairs matrix.  A forked worker for --jobs 2 measured
-slower on two cores, as its copy-on-write faults cost the parent more
-than the rows it took (ROADMAP, measured notes).
-
-This is the one module that encodes JSON: every record is json.dumps
-of a dict, and batch --pairs fills its lines from JSON texts encoded
-once, to the same bytes.
+slower on two cores: its copy-on-write faults cost the parent more
+than the rows it took (ROADMAP, measured notes).  No other module of
+the package encodes JSON.
 """
 
 import argparse
