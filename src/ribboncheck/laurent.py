@@ -12,7 +12,9 @@ matrices and alexander's eliminations run on too.  At two or more
 variables each quotient term's digits are checked, so that no carry
 fakes a quotient, and the division stays sparse: a dense array over the
 box of an m-variable minor would have (span + 1)^m cells.  The gcd is
-one GCDHEU loop from one variable up (see _gcd_poly).
+one GCDHEU loop from one variable up, the one gcd algorithm: at one
+variable a last point, where acceptance is certain, follows the points
+that failed (see _gcd_poly).
 
 The units of this ring are exactly ±t1^a1···tm^am.  Quantities such as
 link polynomial invariants are only well defined up to a unit, so we fix
@@ -621,9 +623,8 @@ def divides(d, p):
 # polynomial G from its symmetric xi-adic digits, and accept pp(G), its
 # primitive part, once it divides both a and b: it is then gcd(a, b)
 # (see _gcd_poly).  A failed check retries at a larger xi, at _HEU_TRIES
-# points in all.  Past them one variable completes by Euclid on the
-# primitive parts' coefficient lists with pseudo-remainders made
-# primitive at each step (Knuth, TAOCP vol. 2, 4.6.1); two or more raise
+# points in all.  Past them one variable tries one last point xi*, where
+# acceptance is certain (_last_xi), and two or more raise
 # ComputationError.
 
 # evaluation points GCDHEU tries before it gives up
@@ -638,6 +639,7 @@ def gcd(p, q):
     """
     A greatest common divisor of p and q, in canonical form.  Raises
     ComputationError when GCDHEU finds none at two or more variables.
+    At one variable it always finds one.
 
     >>> t = LaurentPoly.variable(0, 1)
     >>> print(gcd(t**2 - t + 1, t**2 - 3*t + 1))
@@ -663,8 +665,8 @@ def _gcd_poly(p, q):
     """
     A gcd of nonzero p and q up to units, divisible by no variable, or
     None where GCDHEU gives up at two or more variables.  At no variable
-    it is the integer gcd; at one, Euclid completes what _HEU_TRIES
-    points leave open.
+    it is the integer gcd; at one, a last point xi* (_last_xi) follows
+    the _HEU_TRIES points, and a failure there raises ComputationError.
 
     Why pp(G) is gcd(a, b) once it divides both, for xi >= 2B + 2 with B
     the smaller of |a| and |b| (Char, Geddes and Gonnet, 1989): let f be
@@ -684,6 +686,14 @@ def _gcd_poly(p, q):
     against the same root bound; t_m would mean that xi divides G(xi),
     hence f(xi), hence f at t_m = 0, whose coefficients, below xi/2,
     would all be 0: t_m would divide f.
+
+    Why xi* accepts at one variable: let g = gcd(a, b), a = g abar and
+    b = g bbar.  abar and bbar are coprime, so u abar + v bbar =
+    Res(abar, bbar), a nonzero integer, for some u and v in Z[t], and
+    gamma = gcd(abar(xi*), bbar(xi*)) divides it.  Then G = |g(xi*)|
+    gamma, the value at xi* of +-gamma g, whose coefficients are at most
+    R M < xi*/2 in modulus (_last_xi): they are G's symmetric digits.
+    So pp(G) = +-g, which divides both.
     """
     if not p.nvars:
         return LaurentPoly._make(0, {(): _int_gcd(p.terms[()], q.terms[()])})
@@ -691,7 +701,9 @@ def _gcd_poly(p, q):
     a, b = _primitive_part(p), _primitive_part(q)
     xi = 2 * min(max(map(abs, a.terms.values())),
                  max(map(abs, b.terms.values()))) + 29
-    for _ in range(_HEU_TRIES):
+    for k in range(_HEU_TRIES + (p.nvars == 1)):
+        if k == _HEU_TRIES:
+            xi = _last_xi(a, b)
         va, vb = _evaluate_last(a, xi), _evaluate_last(b, xi)
         g = _gcd_poly(va, vb) if va and vb else va or vb
         if g:
@@ -702,11 +714,8 @@ def _gcd_poly(p, q):
         xi = _next_xi(xi)
     if p.nvars > 1:
         return None
-    # Euclid on the coefficient lists of a and b, both from t^0
-    a, b = ([f.terms.get((i,), 0) for i in range(max(f.terms)[0] + 1)]
-            for f in (a, b))
-    return LaurentPoly._make(1, {(i,): x * c for i, x in
-                                 enumerate(_gcd_dense(a, b)) if x})
+    raise ComputationError("GCDHEU failed at its last one-variable point, "
+                           "where acceptance is certain")
 
 
 def _primitive_part(p):
@@ -720,6 +729,24 @@ def _primitive_part(p):
 def _next_xi(xi):
     # the growth of sympy's dup_zz_heu_gcd: xi times about 2.73 xi^(1/4)
     return 73794 * xi * isqrt(isqrt(xi)) // 27011
+
+
+def _last_xi(a, b):
+    """
+    xi* = max(2B + 2, 2 R M + 1) for primitive a and b in Z[t] that t
+    divides neither of, with B the smaller of |a| and |b|, degrees da
+    and db and l1 norms na and nb.  M = 2^min(da, db) min(na, nb) bounds
+    the coefficients of g = gcd(a, b) (Landau-Mignotte), and R =
+    (2^da na)^db (2^db nb)^da bounds |Res(a/g, b/g)| (the same bound on
+    the cofactors' norms, then Hadamard).  GCDHEU accepts there for
+    certain (see _gcd_poly).
+    """
+    (da, na, ba), (db, nb, bb) = (
+        (max(f.terms)[0], sum(map(abs, f.terms.values())),
+         max(map(abs, f.terms.values()))) for f in (a, b))
+    r = (2 ** da * na) ** db * (2 ** db * nb) ** da
+    m = 2 ** min(da, db) * min(na, nb)
+    return max(2 * min(ba, bb) + 2, 2 * r * m + 1)
 
 
 def _symmetric_digits(n, xi):
@@ -753,43 +780,3 @@ def _interpolate(g, xi):
     k = _int_gcd(*terms.values())
     return LaurentPoly._make(g.nvars + 1,
                              {e: d // k for e, d in terms.items()})
-
-
-def _prem_dense(a, b):
-    """
-    A nonzero integer multiple of the remainder of a by b, for coefficient
-    lists with len(a) >= len(b): each step scales by lc(b) / g and
-    subtracts lead / g times the shifted b, g = gcd(lc(b), lead), which
-    keeps the coefficients smaller than the classical lc(b)^k factor.
-    """
-    r = list(a)
-    lcb, db = b[-1], len(b) - 1
-    while len(r) > db:
-        lead = r.pop()
-        if lead:
-            g = _int_gcd(lcb, lead)
-            scale, factor, k = lcb // g, lead // g, len(r) - db
-            r = [x * scale for x in r]
-            for i in range(db):
-                r[k + i] -= factor * b[i]
-    while r and not r[-1]:
-        r.pop()
-    return r
-
-
-def _gcd_dense(a, b):
-    """gcd in Z[t] of two nonzero coefficient lists, leading term positive."""
-    ca, cb = _int_gcd(*a), _int_gcd(*b)
-    a = [x // ca for x in a]
-    b = [x // cb for x in b]
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        r = _prem_dense(a, b)
-        if not r:
-            break
-        cr = _int_gcd(*r)
-        a, b = b, [x // cr for x in r]
-    # b is primitive: the gcd of the primitive parts, or ±1 if constant
-    c = _int_gcd(ca, cb) if b[-1] > 0 else -_int_gcd(ca, cb)
-    return [x * c for x in b]

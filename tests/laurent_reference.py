@@ -23,14 +23,17 @@ unchanged as the reference the current code is tested against.
   polynomial any more: laurent kept each list on its polynomial after
   first use.  box_exact_divide's one-variable branch runs them.
   _HEU_TRIES is bound at import: patching laurent's leaves theirs at 6.
+- _prem_dense and _gcd_dense, the primitive Euclid on coefficient
+  lists that completed a one-variable gcd after _HEU_TRIES failed
+  GCDHEU points, before a last point where acceptance is certain
+  (laurent._last_xi) replaced it; _gcd_heu_dense ends on it.
 """
 
 from math import gcd as _int_gcd
 from operator import add, sub
 
 from ribboncheck.laurent import (_HEU_TRIES, DimensionError, LaurentPoly,
-                                 _gcd_dense, _grlex, _next_xi,
-                                 _symmetric_digits)
+                                 _grlex, _next_xi, _symmetric_digits)
 
 
 def multiply(p, q):
@@ -379,3 +382,43 @@ def _gcd_heu_dense(a, b):
             return [x * c for x in h] if c != 1 else h
         xi = _next_xi(xi)
     return [x * c for x in _gcd_dense(a, b)]
+
+
+def _prem_dense(a, b):
+    """
+    A nonzero integer multiple of the remainder of a by b, for coefficient
+    lists with len(a) >= len(b): each step scales by lc(b) / g and
+    subtracts lead / g times the shifted b, g = gcd(lc(b), lead), which
+    keeps the coefficients smaller than the classical lc(b)^k factor.
+    """
+    r = list(a)
+    lcb, db = b[-1], len(b) - 1
+    while len(r) > db:
+        lead = r.pop()
+        if lead:
+            g = _int_gcd(lcb, lead)
+            scale, factor, k = lcb // g, lead // g, len(r) - db
+            r = [x * scale for x in r]
+            for i in range(db):
+                r[k + i] -= factor * b[i]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _gcd_dense(a, b):
+    """gcd in Z[t] of two nonzero coefficient lists, leading term positive."""
+    ca, cb = _int_gcd(*a), _int_gcd(*b)
+    a = [x // ca for x in a]
+    b = [x // cb for x in b]
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem_dense(a, b)
+        if not r:
+            break
+        cr = _int_gcd(*r)
+        a, b = b, [x // cr for x in r]
+    # b is primitive: the gcd of the primitive parts, or ±1 if constant
+    c = _int_gcd(ca, cb) if b[-1] > 0 else -_int_gcd(ca, cb)
+    return [x * c for x in b]

@@ -556,7 +556,7 @@ class TestSinglePass:
     def test_exhausted_gcd_in_batch_pairs_is_that_pair_s_line(
             self, monkeypatch, capsys, tmp_path):
         # T(2,4) and T(2,6) need a two-variable gcd; the trefoil's
-        # one-variable gcds fall back to Euclid and finish
+        # one-variable gcds take their last point and finish
         monkeypatch.setattr(laurent, "_HEU_TRIES", 0)
         path = tmp_path / "t.csv"
         path.write_text("name,spec\n3_1,braid:n=2:1 1 1\n"

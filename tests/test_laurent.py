@@ -1,5 +1,6 @@
 import random
 import time
+from math import lcm
 
 import pytest
 
@@ -589,13 +590,38 @@ def sympy_gcd(p, q):
                            symbols))
 
 
+def euclid_gcd(p, q):
+    """
+    The gcd of nonzero one-variable p and q by the primitive Euclid on
+    coefficient lists that laurent.gcd once ended on (laurent_reference).
+    """
+    return reference._from_dense(0, reference._gcd_dense(
+        reference._to_dense(p)[1], reference._to_dense(q)[1]))
+
+
+def lcm_pair(f, u):
+    """
+    f u, f (u + L) and the _HEU_TRIES points tried on them, L the lcm of
+    (f u)(xi) over the points from 2 |f u| + 29 (|.| the largest
+    coefficient), the pair's own while |f u| <= |f (u + L)|.  At each of
+    them G = (f u)(xi), whose primitive part f u does not divide
+    f (u + L): every point fails.
+    """
+    a = f * u
+    xi, points = 2 * max(map(abs, a.terms.values())) + 29, []
+    for _ in range(laurent._HEU_TRIES):
+        points.append(xi)
+        xi = laurent._next_xi(xi)
+    return a, f * (u + lcm(*(a.evaluate([x]) for x in points))), points
+
+
 class TestHeuristicGcd:
     """
     GCDHEU (laurent._gcd_poly, one loop at every variable count) against
     sympy.gcd, on the sizes at which the subresultant recursion it
     replaced ran for seconds, at a point that fails, and with its
-    retries used up: one variable completes by Euclid, two or more
-    raise ComputationError.
+    retries used up: one variable takes a last point where acceptance
+    is certain, two or more raise ComputationError.
     """
 
     # per variable count: (terms of the cofactors, of the planted factor,
@@ -660,13 +686,14 @@ class TestHeuristicGcd:
             return original(xi)
 
         def refuse(a, b):
-            raise AssertionError("fell back to Euclid")
+            raise AssertionError("took the last point")
 
         monkeypatch.setattr(laurent, "_next_xi", recorded)
-        monkeypatch.setattr(laurent, "_gcd_dense", refuse)
+        monkeypatch.setattr(laurent, "_last_xi", refuse)
         # at xi = 31, 3t + 2 and t^2 - t + 1 take the values 95 and 931,
         # both multiples of 19: G = t - 12, which divides neither
-        assert gcd(P("-3*t - 2"), P("-3*t^2 + 3*t - 3")) == ONE
+        p, q = P("-3*t - 2"), P("-3*t^2 + 3*t - 3")
+        assert gcd(p, q) == ONE == euclid_gcd(p, q)
         assert points == [31]
         # at xi = 2 * 7 + 29 = 43, t1^2 - t2 + 7 takes the value
         # (t1 - 6)(t1 + 6), and (t1 - 6)(t2 + 20) the value 63 (t1 - 6):
@@ -687,21 +714,21 @@ class TestHeuristicGcd:
             p, q = (dense_poly(rng, 1, rng.randint(2, 6), 8, 6) * f
                     * rng.randint(1, 6) for _ in "pq")
             cases.append((p.shifted((rng.randint(-3, 3),)), q, gcd(p, q)))
-        fallbacks = []
-        original = laurent._gcd_dense
+        last = []
+        original = laurent._last_xi
 
         def counted(a, b):
-            fallbacks.append(1)
+            last.append(1)
             return original(a, b)
 
-        monkeypatch.setattr(laurent, "_gcd_dense", counted)
+        monkeypatch.setattr(laurent, "_last_xi", counted)
         for p, q, g in cases:
-            assert gcd(p, q) == g
-        assert not fallbacks  # GCDHEU found every one of them
+            assert gcd(p, q) == g == euclid_gcd(p, q)
+        assert not last  # the first _HEU_TRIES points found every one
         monkeypatch.setattr(laurent, "_HEU_TRIES", 0)
         for p, q, g in cases:
             assert gcd(p, q) == g
-        assert len(fallbacks) == len(cases)
+        assert len(last) == len(cases)
 
     def test_multivariable_exhaustion_is_a_computation_error(
             self, monkeypatch):
@@ -711,8 +738,33 @@ class TestHeuristicGcd:
         with pytest.raises(laurent.ComputationError, match="gcd of two "
                            "polynomials in 2 variables"):
             gcd(p, q)
-        # one variable falls back instead
+        # one variable takes its last point instead
         assert gcd(P("t^2 - 1"), P("2*t + 2")) == P("t + 1")
+
+    @pytest.mark.parametrize("f", ["1", "2*t^3 - 3*t + 5"])
+    def test_the_last_point_completes_a_failed_loop(self, f, monkeypatch):
+        # both pairs fail every one of the _HEU_TRIES points
+        a, b, points = lcm_pair(P(f), P("t^2 + t + 1"))
+        tried = []
+        original = laurent._evaluate_last
+
+        def recorded(p, xi):
+            tried.append(xi)
+            return original(p, xi)
+
+        monkeypatch.setattr(laurent, "_evaluate_last", recorded)
+        assert gcd(a, b) == P(f) == euclid_gcd(a, b)
+        # each point evaluates a, then b: _HEU_TRIES + 1 points
+        assert tried[::2] == tried[1::2] == points + [laurent._last_xi(a, b)]
+        assert len(tried) == 2 * (laurent._HEU_TRIES + 1)
+
+    def test_a_refused_last_point_is_an_inconsistency(self, monkeypatch):
+        a, b, points = lcm_pair(ONE, P("t^2 + t + 1"))
+        monkeypatch.setattr(laurent, "_last_xi", lambda a, b: points[0])
+        with pytest.raises(laurent.ComputationError,
+                           match="^GCDHEU failed at its last one-variable "
+                                 "point, where acceptance is certain$"):
+            gcd(a, b)
 
 
 def embed(p):
@@ -868,8 +920,9 @@ class TestOneVariableAgainstDenseReference:
             assert exact_divide(expected, canonical(f)) is not None
 
     def test_euclid_completion_gives_the_reference_gcd(self, monkeypatch):
-        # Euclid runs on the dense lists of the primitive parts, whose
-        # length is the span: small spans at shifts up to +-1000
+        # _HEU_TRIES = 0: every case takes the last point, which grows
+        # with the primitive parts' degrees, their spans: small spans at
+        # shifts up to +-1000
         rng = random.Random(2803)
         cases = []
         for k in range(60):
@@ -883,16 +936,16 @@ class TestOneVariableAgainstDenseReference:
                   (P("t^2 - 1"), P("t^2 - 1"))]
         expected = [dense_reference_gcd(p, q) for p, q in cases]
         completions = []
-        original = laurent._gcd_dense
+        original = laurent._last_xi
 
         def counted(a, b):
             completions.append(1)
             return original(a, b)
 
-        monkeypatch.setattr(laurent, "_gcd_dense", counted)
+        monkeypatch.setattr(laurent, "_last_xi", counted)
         monkeypatch.setattr(laurent, "_HEU_TRIES", 0)
         for (p, q), g in zip(cases, expected):
-            assert gcd(p, q) == g, (p, q)
+            assert gcd(p, q) == g == euclid_gcd(p, q), (p, q)
         assert len(completions) == len(cases)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -476,3 +477,20 @@ class TestIntegerValues:
         assert not obstruct._coprime(big, delta_of("%d*t + 1" % XI))
         assert not obstruct._coprime(delta_of("t1 + 1", 2),
                                      delta_of("t1*t2 + 1", 2))
+
+    def test_one_point_cannot_prove_a_two_variable_gcd_is_one(self):
+        # f = t1 - t2 + 1009 is -1 at the point t1 = XI, t2 = XI + 1010,
+        # so the values of f (t1 t2 + 3) and f (t1 + t2^2 + 5) have the
+        # integer gcd 9 <= XI / 2, yet f divides both: _coprime must not
+        # read that as gcd 1 at two variables
+        f = "(t1 - t2 + 1009)"
+        delta_j = delta_of(f + "*(t1*t2 + 3)", 2)
+        delta_l = delta_of(f + "*(t1 + t2^2 + 5)", 2)
+        # primitive, and coefficients far below XI / 2
+        assert (delta_j.xi_value[1:], delta_l.xi_value[1:]) == ((1, 3027),
+                                                                (1, 5045))
+        assert (poly(f, 2).evaluate((XI, XI + 1010)) == -1
+                and math.gcd(delta_j.xi_value[0], delta_l.xi_value[0]) == 9)
+        report = obstruction_from_polynomials(delta_j, delta_l)
+        assert report.verdict == OBSTRUCTED
+        assert report.gcd_value == canonical(poly(f, 2))

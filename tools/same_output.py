@@ -30,6 +30,9 @@ standard output and standard error captured.  The corpus:
   polynomial;
 - `batch --pairs` on TORUS_CSV, the torus knots T(2,k), k = 3, 5, ...,
   23: one-variable divisions and gcds of polynomials of degree up to 22;
+- `batch --pairs` on RETRY_CSV, connected sums whose pair gcds fail
+  GCDHEU's first point, one at one variable and one at two, and so run
+  laurent's retry loop (the other commands fail 4 points in all);
 - `obstruct J L` with each of OBSTRUCT_FLAGS on each consecutive pair of
   SCREEN_ROWS, of the bundled knots and of the bundled links, on
   DIVIDING_J_PAIR and on the first bundled knot and link (a component
@@ -202,6 +205,21 @@ DIVIDING_J_PAIR = (SCREEN_ROWS[2][1], SCREEN_ROWS[1][1])
 TORUS_CSV = "name,spec\n" + "".join(
     "T2_%d,braid:n=2:%s\n" % (k, " ".join(["1"] * k)) for k in range(3, 24, 2))
 
+# connected sums, as braid words side by side (the second shifted past
+# the first's last strand), of the distinct nontrivial closures that
+# random.Random(1) draws on 3-5 strands with 6-12 letters, each letter
+# +-randint(1, strands - 1): two knots whose gcd t^4 - 2t^3 + 3t^2 -
+# 2t + 1 fails GCDHEU's first point at one variable, and two
+# 2-component links whose gcd fails it at two
+RETRY_CSV = (
+    "name,spec\n"
+    "knot sum 1,braid:n=5:2 1 1 1 1 -1 1 -1 3 4 4 -4 4 3 4 4 -4 3 4 4\n"
+    "knot sum 2,braid:n=6:2 1 1 1 1 -1 1 -1 -3 4 5 5 4 3 -4 -3 -5 4 4\n"
+    "link sum 1,braid:n=6:3 1 2 1 3 -2 -3 1 1 1 -3 -3 4 5 5 -5 5 4 5 5 -5 "
+    "4 5 5\n"
+    "link sum 2,braid:n=7:3 1 2 1 3 -2 -3 1 1 1 -3 -3 -4 5 6 6 5 4 -5 -4 "
+    "-6 5 5\n")
+
 # runs in the child: argv lists on stdin, [exit, stdout, stderr, blocks]
 # lists out, blocks None for a command other than compute
 CHILD = r"""
@@ -269,8 +287,10 @@ def corpus(tree, seeds):
     files["duplicates.csv"] = DUPLICATES_CSV
     files["screen_pairs.csv"] = screen_pairs_csv()
     files["torus_pairs.csv"] = TORUS_CSV
+    files["retry_pairs.csv"] = RETRY_CSV
     commands += [["batch", name, "--pairs"] for name in
-                 ("duplicates.csv", "screen_pairs.csv", "torus_pairs.csv")]
+                 ("duplicates.csv", "screen_pairs.csv", "torus_pairs.csv",
+                  "retry_pairs.csv")]
     pairs = [pair for chain in chains for pair in zip(chain, chain[1:])]
     pairs += [DIVIDING_J_PAIR, (chains[1][0], chains[2][0])]
     commands += [["obstruct", j, l] + flags
