@@ -206,10 +206,10 @@ TORUS_CSV = "name,spec\n" + "".join(
     "T2_%d,braid:n=2:%s\n" % (k, " ".join(["1"] * k)) for k in range(3, 24, 2))
 
 # connected sums, as braid words side by side (the second shifted past
-# the first's last strand), of the distinct nontrivial closures that
-# random.Random(1) draws on 3-5 strands with 6-12 letters, each letter
-# +-randint(1, strands - 1): two knots whose gcd t^4 - 2t^3 + 3t^2 -
-# 2t + 1 fails GCDHEU's first point at one variable, and two
+# the first's last strand), of closures of distinct nontrivial Delta
+# that random.Random(1) draws on 3-5 strands with 6-12 letters, each
+# letter +-randint(1, strands - 1): two knots whose gcd t^4 - 2t^3 +
+# 3t^2 - 2t + 1 fails GCDHEU's first point at one variable, and two
 # 2-component links whose gcd fails it at two
 RETRY_CSV = (
     "name,spec\n"
