@@ -26,16 +26,23 @@ def random_poly(rng, nvars, max_terms=5, max_exp=3, max_coeff=6, laurent=True):
     return LaurentPoly(nvars, {e: c for e, c in terms.items() if c})
 
 
+def random_closure(rng, strands, letters, max_components=None):
+    """
+    A random braid word: n = rng.randint(*strands) strands, then
+    rng.randint(*letters) letters, each +-rng.randint(1, n - 1), drawn
+    again while its closure has more than max_components components.
+    """
+    while True:
+        n = rng.randint(*strands)
+        word = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                                  for _ in range(rng.randint(*letters))))
+        if max_components is None or len(word.cycles()) <= max_components:
+            return word
+
+
 def random_braid_knot(rng, max_strands=3, max_letters=8):
     """A random braid word whose closure is a knot."""
-    while True:
-        n = rng.randint(2, max_strands)
-        length = rng.randint(1, max_letters)
-        letters = tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
-                        for _ in range(length))
-        word = BraidWord(n, letters)
-        if len(word.cycles()) == 1:
-            return word
+    return random_closure(rng, (2, max_strands), (1, max_letters), 1)
 
 
 def random_free_word(rng, num_generators, max_length=40):

@@ -19,7 +19,7 @@ from ribboncheck.linkcodec import BraidWord, braid_closure, connected_sum, \
 from ribboncheck.tables import knot_table, link_table
 from ribboncheck.wirtinger import wirtinger_presentation
 
-from conftest import random_braid_knot, random_poly
+from conftest import random_braid_knot, random_closure, random_poly
 from helpers import decoded
 import laurent_reference
 import pipeline_reference as reference
@@ -557,13 +557,7 @@ class TestAgainstReplacedLoops:
         rng = random.Random(2411)
         components = set()
         for _ in range(200):
-            while True:  # 1-4 components, up to 24 crossings
-                n = rng.randint(2, 6)
-                word = BraidWord(n, tuple(
-                    rng.choice((1, -1)) * rng.randint(1, n - 1)
-                    for _ in range(rng.randint(1, 24))))
-                if len(word.cycles()) <= 4:
-                    break
+            word = random_closure(rng, (2, 6), (1, 24), max_components=4)
             components.add(len(word.cycles()))
             self.check(braid_closure(word), monkeypatch)
         assert components == {1, 2, 3, 4}
@@ -588,11 +582,8 @@ class TestAgainstReplacedLoops:
         rng = random.Random(2007)
         specs = [spec for _, spec in knot_table() + link_table()]
         specs += list(FALLBACK_SPECS)
-        for _ in range(100):
-            n = rng.randint(2, 6)
-            specs.append("braid:n=%d:%s" % (n, " ".join(
-                str(rng.choice((1, -1)) * rng.randint(1, n - 1))
-                for _ in range(rng.randint(1, 16)))))
+        specs += [random_closure(rng, (2, 6), (1, 16)).spec()
+                  for _ in range(100)]
         nvars, divided = set(), 0
         for spec in specs:
             diagram = parse_link_spec(spec)
@@ -647,10 +638,7 @@ class TestAgainstFullMinorGcd:
         rng = random.Random(1729)
         paths = set()
         for _ in range(1500):
-            n = rng.randint(4, 8)
-            word = BraidWord(n, tuple(
-                rng.choice((1, -1)) * rng.randint(1, n - 1)
-                for _ in range(rng.randint(10, 18))))
+            word = random_closure(rng, (4, 8), (10, 18))
             delta = self.check(braid_closure(word), monkeypatch)
             paths.update(b["path"] for b in delta.source["blocks"])
         assert paths == {"rank0", "shortcut", "fallback"}
@@ -868,13 +856,7 @@ class TestKernelCertificate:
         rng = random.Random(1818)
         components, certified, blocks = set(), [], 0
         for _ in range(800):
-            while True:  # 1-6 components, 2-8 strands, up to 24 letters
-                n = rng.randint(2, 8)
-                word = BraidWord(n, tuple(
-                    rng.choice((1, -1)) * rng.randint(1, n - 1)
-                    for _ in range(rng.randint(1, 24))))
-                if len(word.cycles()) <= 6:
-                    break
+            word = random_closure(rng, (2, 8), (1, 24), max_components=6)
             components.add(len(word.cycles()))
             delta = self.check(braid_closure(word), monkeypatch, certified)
             blocks += sum(b["path"] != "rank0" for b in delta.source["blocks"])
@@ -1063,13 +1045,7 @@ class TestNoLaurentPolyBeforeTheBlocks:
         rng = random.Random(3030)
         components, certified = set(), 0
         for _ in range(150):
-            while True:  # 1-5 components, 2-7 strands, up to 20 letters
-                n = rng.randint(2, 7)
-                word = BraidWord(n, tuple(
-                    rng.choice((1, -1)) * rng.randint(1, n - 1)
-                    for _ in range(rng.randint(1, 20))))
-                if len(word.cycles()) <= 5:
-                    break
+            word = random_closure(rng, (2, 7), (1, 20), max_components=5)
             components.add(len(word.cycles()))
             delta = counts["run"](braid_closure(word))
             certified += any(b["path"] == "shortcut"
@@ -1106,13 +1082,7 @@ class TestAgainstMonomialKernel:
         rng = random.Random(3031)
         components, tally = set(), set()
         for _ in range(300):
-            while True:  # 1-6 components, 2-8 strands, up to 22 letters
-                n = rng.randint(2, 8)
-                word = BraidWord(n, tuple(
-                    rng.choice((1, -1)) * rng.randint(1, n - 1)
-                    for _ in range(rng.randint(1, 22))))
-                if len(word.cycles()) <= 6:
-                    break
+            word = random_closure(rng, (2, 8), (1, 22), max_components=6)
             components.add(len(word.cycles()))
             self.check(braid_closure(word), monkeypatch, tally)
         assert components == set(range(1, 7))
@@ -1202,10 +1172,7 @@ class TestAgainstGuardedClosedForm:
         rng = random.Random(19)
         components = set()
         for _ in range(1000):
-            n = rng.randint(2, 8)
-            word = BraidWord(n, tuple(
-                rng.choice((1, -1)) * rng.randint(1, n - 1)
-                for _ in range(rng.randint(1, 22))))
+            word = random_closure(rng, (2, 8), (1, 22))
             components.add(len(word.cycles()))
             self.check(braid_closure(word), monkeypatch, tally)
         assert components == set(range(1, 9))
@@ -1295,13 +1262,7 @@ class TestPackedKeys:
         rng = random.Random(2424)
         nvars, certified = set(), 0
         for _ in range(120):
-            while True:
-                n = rng.randint(2, 6)
-                word = BraidWord(n, tuple(
-                    rng.choice((1, -1)) * rng.randint(1, n - 1)
-                    for _ in range(rng.randint(1, 10))))
-                if len(word.cycles()) <= 5:
-                    break
+            word = random_closure(rng, (2, 6), (1, 10), max_components=5)
             diagram = braid_closure(word)
             pres, phi = wirtinger_presentation(diagram)
             A = reference.laurent_jacobian(pres, phi)
@@ -1461,10 +1422,7 @@ class TestAgainstDecodedBlocks:
         rng = random.Random(2525)
         components, sublinks, paths = set(), 0, set()
         for _ in range(1000):
-            n = rng.randint(2, 8)
-            word = BraidWord(n, tuple(
-                rng.choice((1, -1)) * rng.randint(1, n - 1)
-                for _ in range(rng.randint(1, 20))))
+            word = random_closure(rng, (2, 8), (1, 20))
             diagram = braid_closure(word)
             components.add(diagram.num_components)
             paths.update(path for _, path in self.check(diagram, monkeypatch))
@@ -1522,13 +1480,7 @@ class TestAgainstDecodedBlocks:
         assert nvars == {1, 2, 3, 4, 5} and deficient > 20 and empty > 20
         certified = 0
         for _ in range(100):
-            while True:
-                n = rng.randint(2, 6)
-                word = BraidWord(n, tuple(
-                    rng.choice((1, -1)) * rng.randint(1, n - 1)
-                    for _ in range(rng.randint(1, 10))))
-                if len(word.cycles()) <= 5:
-                    break
+            word = random_closure(rng, (2, 6), (1, 10), max_components=5)
             diagram = braid_closure(word)
             A = fox_matrix(diagram)
             rows = decoded(A)

@@ -8,6 +8,8 @@ from ribboncheck.linkcodec import (BraidWord, DiagramError, ParseError,
                                    parse_link_spec, parse_pd, pd_diagram,
                                    sublink)
 
+from conftest import random_closure
+
 TREFOIL_PD = "X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"
 
 
@@ -134,11 +136,7 @@ class TestLinkingNumber:
         rng = random.Random(99)
         count = 0
         while count < 30:
-            n = rng.randint(2, 4)
-            length = rng.randint(1, 8)
-            letters = tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
-                            for _ in range(length))
-            word = BraidWord(n, letters)
+            word = random_closure(rng, (2, 4), (1, 8))
             d = braid_closure(word)
             if d.num_components < 2:
                 continue
@@ -248,9 +246,7 @@ class TestPdTieBreak:
         rng = random.Random(1717)
         accepted = rejected = 0
         while accepted + rejected < 1500:
-            n = rng.randint(2, 12)
-            word = BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
-                                      for _ in range(rng.randint(2, 24))))
+            word = random_closure(rng, (2, 12), (2, 24))
             pd = braid_to_pd(word)
             if pd is None:
                 continue
@@ -326,10 +322,7 @@ class TestAgainstPropagation:
         from helpers import braid_to_pd
         out = []
         while len(out) < count:
-            n = rng.randint(2, 12)
-            word = BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
-                                      for _ in range(rng.randint(1, 24))))
-            pd = braid_to_pd(word)
+            pd = braid_to_pd(random_closure(rng, (2, 12), (1, 24)))
             if pd is not None:
                 out.append(pd.crossings)
         return out

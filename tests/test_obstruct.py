@@ -19,7 +19,7 @@ from ribboncheck.obstruct import (ComponentMismatch, NOT_OBSTRUCTED,
                                   ribbon_obstruction)
 from ribboncheck.tables import table_path
 
-from conftest import random_braid_knot
+from conftest import random_braid_knot, random_closure
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
@@ -301,10 +301,7 @@ class TestScreenAgainstReference:
         rng = random.Random(2301)
         named = []
         for i in range(60):
-            n = rng.randint(2, 5)
-            word = parse_braid("n=%d:" % n + " ".join(
-                str(rng.choice((1, -1)) * rng.randint(1, n - 1))
-                for _ in range(rng.randint(1, 12))))
+            word = random_closure(rng, (2, 5), (1, 12))
             named.append(("r%d" % i, alexander_polynomial(braid_closure(word))))
         assert {d.nvars for _, d in named} >= {1, 2, 3, 4}
         new, old = pair_outputs(named)
@@ -319,12 +316,7 @@ class TestScreenAgainstReference:
         # every ordered pair of distinct values, the one point screens
         # out no pair that divides and lets through none that does not
         rng = random.Random(7)
-        words = []
-        for _ in range(600):
-            n = rng.randint(2, 5)
-            words.append(parse_braid("n=%d:" % n + " ".join(
-                str(rng.choice((1, -1)) * rng.randint(1, n - 1))
-                for _ in range(rng.randint(4, 12)))))
+        words = [random_closure(rng, (2, 5), (4, 12)) for _ in range(600)]
         diagrams = ([braid_closure(word) for word in words]
                     + [d for _, d in bundled_knots + bundled_links]
                     + [parse_link_spec(spec) for spec in table_pairs_specs(1)])

@@ -659,16 +659,12 @@ class TestTorres:
             torres_check(parse_link_spec("braid:n=2:1 1 1"))
 
     def test_random_two_component_closures(self):
-        from ribboncheck.linkcodec import BraidWord, braid_closure, \
-            linking_number
+        from conftest import random_closure
+        from ribboncheck.linkcodec import braid_closure, linking_number
         rng = random.Random(0x70FF)
         checked = 0
         while checked < 12:
-            n = rng.randint(2, 4)
-            length = rng.randint(2, 9)
-            letters = tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
-                            for _ in range(length))
-            word = BraidWord(n, letters)
+            word = random_closure(rng, (2, 4), (2, 9))
             d = braid_closure(word)
             if d.num_components != 2 or linking_number(d, 0, 1) == 0:
                 continue

@@ -1,15 +1,15 @@
 """
 The bundled knot table must agree with published polynomial values and
-with closed-form families (torus, 2-bridge, pretzel) computed here from
-scratch.
+with the closed forms of the torus, 2-bridge and pretzel families
+(tests/families.py).
 """
-
-from fractions import Fraction
 
 import pytest
 
+from families import (continued_fraction_value, pretzel_delta, torus_delta,
+                      two_bridge_delta)
 from ribboncheck.alexander import alexander_polynomial
-from ribboncheck.laurent import LaurentPoly, canonical, exact_divide, parse_poly
+from ribboncheck.laurent import parse_poly
 from ribboncheck.tables import knot_table, link_table
 
 # published one-variable Alexander polynomials (canonical form)
@@ -75,34 +75,6 @@ TWO_BRIDGE = {
 PRETZEL = {"9_35": (3, 3, 3), "9_46": (3, 3, -3)}
 
 
-def torus_delta(p, q):
-    t = LaurentPoly.variable(0, 1)
-    one = LaurentPoly.one(1)
-    num = (t ** (p * q) - one) * (t - one)
-    return canonical(exact_divide(num, (t ** p - one) * (t ** q - one)))
-
-
-def two_bridge_delta(p, q):
-    q %= p
-    if q % 2 == 0:
-        q = p - q
-    terms = {}
-    exponent = 0
-    for k in range(p):
-        if k:
-            exponent += 1 if (k * q // p) % 2 == 0 else -1
-        terms[(exponent,)] = terms.get((exponent,), 0) + (1 if k % 2 == 0 else -1)
-    return canonical(LaurentPoly(1, terms))
-
-
-def pretzel_delta(p, q, r):
-    s = p * q + q * r + r * p
-    t = LaurentPoly.variable(0, 1)
-    one = LaurentPoly.one(1)
-    num = s * (t * t - 2 * t + one) + (t * t + 2 * t + one)
-    return canonical(exact_divide(num, LaurentPoly.constant(4, 1)))
-
-
 @pytest.fixture(scope="module")
 def computed(bundled_knots):
     return {name: alexander_polynomial(d).value for name, d in bundled_knots}
@@ -131,9 +103,7 @@ class TestBundledTable:
 
     def test_two_bridge_closed_form(self, computed):
         for name, partials in TWO_BRIDGE.items():
-            frac = Fraction(partials[-1])
-            for a in reversed(partials[:-1]):
-                frac = a + 1 / frac
+            frac = continued_fraction_value(partials)
             p, q = frac.numerator, frac.denominator
             assert p % 2 == 1
             assert computed[name] == two_bridge_delta(p, q), name

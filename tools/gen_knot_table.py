@@ -2,285 +2,43 @@
 """
 Regenerate the bundled reference tables (src/ribboncheck/data/*.csv).
 
-Two constructions produce PD codes for standard knot families without
-copying diagram data from anywhere:
-
-* Rational (2-bridge) knots from a continued fraction [a1, ..., an]:
-  the plat closure of the 4-strand word s2^a1 s1^-a2 s2^a3 s1^-a4 ...,
-  where si twists strands (i, i+1) and the plat caps join strands (1,2)
-  and (3,4) at both ends.  The fraction p/q = a1 + 1/(a2 + 1/(...))
-  identifies the knot in Schubert normal form.
-
-* Pretzel knots P(p1, p2, p3): three vertical twist columns chained
-  left to right, with the top of the last column returning to the top
-  of the first.
+The knots come from three families whose diagram builders and closed
+forms live in tests/families.py, where the tests use them too: torus
+knots as braid words, rational (2-bridge) knots as 4-plat PD codes built
+from their continued fractions, and pretzel knots as PD codes of twist
+columns.  This script keeps only the names it takes from each family.
+The tests check that its rows are the bundled knots.csv, and check the
+pipeline against the closed forms beyond the table too.
 
 Every generated row is validated before being written: the diagram must
 close to one component with the expected crossing count, and its
 Alexander polynomial (computed by this package) must match an
-independent closed form, either the 2-bridge alternating-sum formula
-for b(p, q) or the odd-pretzel quadratic.  Torus knots enter as braid
-words directly.
+independent closed form: the torus quotient, the 2-bridge
+alternating-sum formula for b(p, q) or the odd-pretzel quadratic.
 
 Run from the repository root:  python tools/gen_knot_table.py
 """
 
 import csv
+import importlib.util
 import os
 import sys
-from fractions import Fraction
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, "..", "src"))
 
-from ribboncheck.laurent import LaurentPoly, canonical, exact_divide
-from ribboncheck.linkcodec import parse_link_spec
-from ribboncheck.alexander import alexander_polynomial
-
-
-# ---------------------------------------------------------------------------
-# crossing graph -> PD code
-#
-# A crossing is a node with four geometric ports; connections pair up
-# ports.  Ports are (node, corner) with corners "sw", "se", "ne", "nw"
-# laid out in counterclockwise order.  The two strands run straight
-# through: sw <-> ne and nw <-> se.
-
-_OPPOSITE = {"sw": "ne", "ne": "sw", "nw": "se", "se": "nw"}
-_CCW = ["sw", "se", "ne", "nw"]
+from ribboncheck.linkcodec import parse_link_spec  # noqa: E402
+from ribboncheck.alexander import alexander_polynomial  # noqa: E402
 
 
-class Node:
-    def __init__(self, index, sign):
-        self.index = index
-        self.sign = sign  # +1: the sw->ne strand passes over
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def pd_from_connections(nodes, connections):
-    """
-    Traverse a connected crossing graph and emit a PD spec string.
-    `connections` pairs ports; each port appears exactly once.
-    """
-    mate = {}
-    for p, q in connections:
-        if p in mate or q in mate:
-            raise ValueError("port connected twice")
-        mate[p] = q
-        mate[q] = p
-    for node in nodes:
-        for corner in _CCW:
-            if (node.index, corner) not in mate:
-                raise ValueError("dangling port %s" % ((node.index, corner),))
-
-    # walk the diagram, labelling each connection as it is traversed
-    edge_label = {}
-    incoming = {}   # (node, corner) -> edge label entering through it
-    outgoing = {}
-    unvisited = set(frozenset((p, q)) for p, q in connections)
-    label = 0
-    components = 0
-    while unvisited:
-        components += 1
-        start = min(unvisited, key=lambda e: sorted(e))
-        port = sorted(start)[0]
-        while True:
-            pair = frozenset((port, mate[port]))
-            if pair not in unvisited:
-                break
-            unvisited.discard(pair)
-            label += 1
-            edge_label[pair] = label
-            outgoing[port] = label
-            target = mate[port]
-            incoming[target] = label
-            node_idx, corner = target
-            port = (node_idx, _OPPOSITE[corner])
-    if components != 1:
-        raise ValueError("diagram closed to %d components" % components)
-
-    tuples = []
-    for node in nodes:
-        under = ("sw", "ne") if node.sign > 0 else ("nw", "se")
-        under_in_corner = next(c for c in under if (node.index, c) in incoming)
-        idx = _CCW.index(under_in_corner)
-        ordered = [_CCW[(idx + i) % 4] for i in range(4)]
-        labels = []
-        for corner in ordered:
-            key = (node.index, corner)
-            labels.append(incoming.get(key) or outgoing.get(key))
-        tuples.append("X(%d,%d,%d,%d)" % tuple(labels))
-    return "pd:" + ";".join(tuples)
-
-
-def rational_pd_spec(partials):
-    """
-    4-plat PD for the continued fraction [a1, a2, ...], all ai > 0.
-    Blocks alternate between the middle strand pair (rows 1,2) and the
-    bottom pair (rows 0,1); alternating signs keep the diagram
-    alternating.
-    """
-    if not partials or any(a <= 0 for a in partials):
-        raise ValueError("partial quotients must be positive")
-    partials = list(partials)
-    if len(partials) % 2 == 0:
-        # the plat normal form wants an odd number of blocks; rewrite the
-        # innermost quotient without changing the fraction
-        if partials[-1] >= 2:
-            partials[-1] -= 1
-            partials.append(1)
-        else:
-            partials.pop()
-            partials[-1] += 1
-    nodes = []
-    connections = []
-    # virtual cap nodes: model the four left/right plat arcs as ports on
-    # phantom "cap" nodes is unnecessary; instead track dangling ports per
-    # row, seeding them with None and joining leftovers at the end.
-    dangling = {0: None, 1: None, 2: None, 3: None}
-    west_open = {}
-
-    def take(row, port):
-        if dangling[row] is None:
-            west_open[row] = port
-        else:
-            connections.append((dangling[row], port))
-        dangling[row] = None
-
-    def give(row, port):
-        dangling[row] = port
-
-    for block, a in enumerate(partials):
-        rows = (1, 2) if block % 2 == 0 else (0, 1)
-        sign = 1 if block % 2 == 0 else -1
-        for _ in range(a):
-            node = Node(len(nodes), sign)
-            nodes.append(node)
-            take(rows[0], (node.index, "sw"))
-            take(rows[1], (node.index, "nw"))
-            give(rows[0], (node.index, "se"))
-            give(rows[1], (node.index, "ne"))
-
-    east = {r: dangling[r] for r in range(4)}
-    west = {r: west_open.get(r) for r in range(4)}
-    # plat closure: west caps join (0,1) and (2,3); east caps likewise
-    for a_row, b_row in ((0, 1), (2, 3)):
-        _join_cap(connections, west, east, a_row, b_row, side="west")
-        _join_cap(connections, west, east, a_row, b_row, side="east")
-    leftover = [r for r in range(4) if west[r] is not None or east[r] is not None]
-    if leftover:
-        raise ValueError("unclosed rows %s" % leftover)
-    return pd_from_connections(nodes, connections)
-
-
-def _join_cap(connections, west, east, a_row, b_row, side):
-    ports = west if side == "west" else east
-    other = east if side == "west" else west
-    pa, pb = ports[a_row], ports[b_row]
-    if pa is not None and pb is not None:
-        connections.append((pa, pb))
-        ports[a_row] = ports[b_row] = None
-    elif pa is None and pb is None:
-        pass
-    else:
-        # one of the two rows was never crossed: its west and east cap
-        # ends connect through the straight strand; fuse with the other
-        # side's port on the same row
-        row = a_row if pa is not None else b_row
-        partner = other[row]
-        if partner is None:
-            raise ValueError("row %d cannot be closed" % row)
-        connections.append((ports[row], partner))
-        ports[row] = None
-        other[row] = None
-
-
-def pretzel_pd_spec(tangles):
-    """
-    PD for the pretzel P(p1, p2, p3, ...): vertical twist columns side by
-    side, tops chained and wrapped, bottoms likewise.  Odd entries give a
-    knot for an odd number of odd columns.
-    """
-    if any(t == 0 for t in tangles):
-        raise ValueError("zero tangles are not supported")
-    nodes = []
-    connections = []
-    tops = []
-    bottoms = []
-    for t in tangles:
-        sign = 1 if t > 0 else -1
-        # vertical column: rotate the crossing picture 90 degrees; use
-        # nw/ne as the column's top ports and sw/se as its bottom ports
-        top_l = top_r = bottom_l = bottom_r = None
-        prev = None
-        for _ in range(abs(t)):
-            node = Node(len(nodes), sign)
-            nodes.append(node)
-            if prev is None:
-                top_l, top_r = (node.index, "nw"), (node.index, "ne")
-            else:
-                connections.append(((prev, "sw"), (node.index, "nw")))
-                connections.append(((prev, "se"), (node.index, "ne")))
-            prev = node.index
-        bottom_l, bottom_r = (prev, "sw"), (prev, "se")
-        tops.append((top_l, top_r))
-        bottoms.append((bottom_l, bottom_r))
-    k = len(tangles)
-    for i in range(k):
-        j = (i + 1) % k
-        connections.append((tops[i][1], tops[j][0]))
-        connections.append((bottoms[i][1], bottoms[j][0]))
-    return pd_from_connections(nodes, connections)
-
-
-# ---------------------------------------------------------------------------
-# independent closed forms
-
-def continued_fraction_value(partials):
-    value = Fraction(partials[-1])
-    for a in reversed(partials[:-1]):
-        value = a + 1 / value
-    return value
-
-
-def two_bridge_delta(p, q):
-    """
-    Alternating-sum form of the 2-bridge polynomial for b(p, q):
-    sum_{k=0}^{p-1} (-1)^k t^(e_1 + ... + e_k), e_i = (-1)^floor(i*q/p),
-    taken at an odd representative of q (replacing q by p - q mirrors the
-    knot and leaves the polynomial unchanged).
-    """
-    if p % 2 == 0:
-        raise ValueError("b(%d, %d) is a link, not a knot" % (p, q))
-    q %= p
-    if q % 2 == 0:
-        q = p - q
-    terms = {}
-    exponent = 0
-    for k in range(p):
-        if k:
-            exponent += 1 if (k * q // p) % 2 == 0 else -1
-        key = (exponent,)
-        terms[key] = terms.get(key, 0) + (1 if k % 2 == 0 else -1)
-    return canonical(LaurentPoly(1, terms))
-
-
-def torus_delta(p, q):
-    t = LaurentPoly.variable(0, 1)
-    one = LaurentPoly.one(1)
-    num = (t ** (p * q) - one) * (t - one)
-    den = (t ** p - one) * (t ** q - one)
-    return canonical(exact_divide(num, den))
-
-
-def pretzel_delta(p, q, r):
-    """Odd pretzel P(p,q,r): 4*Delta = s*(t - 2 + 1/t) + (t + 2 + 1/t)."""
-    s = p * q + q * r + r * p
-    t = LaurentPoly.variable(0, 1)
-    one = LaurentPoly.one(1)
-    num = s * (t * t - 2 * t + one) + (t * t + 2 * t + one)
-    quarter = exact_divide(num, LaurentPoly.constant(4, 1))
-    if quarter is None:
-        raise ValueError("pretzel formula did not divide by 4")
-    return canonical(quarter)
+families = _load("families", os.path.join(HERE, "..", "tests", "families.py"))
 
 
 # ---------------------------------------------------------------------------
@@ -346,31 +104,25 @@ LINKS = [
 ]
 
 
-def torus_braid_spec(p, q):
-    # closure of (s1 s2 ... s_{p-1})^q on p strands
-    letters = list(range(1, p)) * q
-    return "braid:n=%d:%s" % (p, " ".join(map(str, letters)))
-
-
 def build_knot_rows():
     rows = []
     for name, p, q in TORUS_KNOTS:
-        spec = torus_braid_spec(p, q)
-        expected = torus_delta(p, q)
+        spec = families.torus_braid_spec(p, q)
+        expected = families.torus_delta(p, q)
         rows.append((name, spec, expected, (p - 1) * q))
     for name, spec in EXTRA_BRAIDS:
         rows.append((name, spec, None, None))
     for name, partials in RATIONAL_KNOTS:
-        frac = continued_fraction_value(partials)
+        frac = families.continued_fraction_value(partials)
         p, q = frac.numerator, frac.denominator
         if p % 2 == 0:
             raise ValueError("%s: fraction %s is a link, not a knot" % (name, frac))
-        spec = rational_pd_spec(partials)
-        expected = two_bridge_delta(p, q)
+        spec = families.rational_pd_spec(partials)
+        expected = families.two_bridge_delta(p, q)
         rows.append((name, spec, expected, sum(partials)))
     for name, tangles in PRETZEL_KNOTS:
-        spec = pretzel_pd_spec(tangles)
-        expected = pretzel_delta(*tangles)
+        spec = families.pretzel_pd_spec(tangles)
+        expected = families.pretzel_delta(*tangles)
         rows.append((name, spec, expected, sum(abs(t) for t in tangles)))
     return rows
 
