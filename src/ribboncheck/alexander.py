@@ -498,10 +498,11 @@ def _minor_gcd(first, minors):
     return running
 
 
-def alexander_polynomial(diagram):
+def alexander_polynomial(diagram, presentation=None):
     """
     End-to-end pipeline: Wirtinger presentation, Fox Jacobian, torsion
-    order.  Deterministic for a fixed input encoding.
+    order.  Deterministic for a fixed input encoding.  presentation, when
+    given, is the diagram's wirtinger_presentation, built by the caller.
 
     >>> from .linkcodec import parse_link_spec
     >>> print(alexander_polynomial(parse_link_spec("braid:n=2:1 1 1")))
@@ -509,7 +510,7 @@ def alexander_polynomial(diagram):
     >>> print(alexander_polynomial(parse_link_spec("braid:n=2:")))
     1
     """
-    pres, phi = wirtinger_presentation(diagram)
+    pres, phi = presentation or wirtinger_presentation(diagram)
     A = jacobian(pres, phi)
     if diagram.kernel and len(diagram.kernel) == len(pres.relators):
         A = replace(A, kernel=diagram.kernel)

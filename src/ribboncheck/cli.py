@@ -289,7 +289,7 @@ def cmd_oracle_check(args):
     results = []
     if diagram.num_components == 1:
         pres, phi = wirtinger_presentation(diagram)
-        delta = alexander_polynomial(diagram)
+        delta = alexander_polynomial(diagram, (pres, phi))
         for k in args.covers:
             invariants = reidemeister_schreier(pres, phi, k)
             results.append({"kind": "cyclic_cover", "k": k,

@@ -25,6 +25,7 @@ odd-pretzel quadratic.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from ribboncheck.laurent import LaurentPoly, canonical, exact_divide
 
@@ -279,3 +280,46 @@ def torus_braid_spec(p, q):
     # closure of (s1 s2 ... s_{p-1})^q on p strands
     letters = list(range(1, p)) * q
     return "braid:n=%d:%s" % (p, " ".join(map(str, letters)))
+
+
+# ---------------------------------------------------------------------------
+# family members beyond the bundled table
+
+def rational_knot_partials(max_crossings):
+    """
+    Every continued fraction [a1, ..., an] of positive partials, the
+    first and last at least 2, with at most max_crossings crossings (the
+    sum) whose numerator is odd, so that its 4-plat is a knot.
+    """
+    found = []
+
+    def grow(partials, crossings):
+        if (partials[-1] >= 2
+                and continued_fraction_value(partials).numerator % 2):
+            found.append(partials)
+        for a in range(1, max_crossings - crossings + 1):
+            grow(partials + [a], crossings + a)
+
+    for a in range(2, max_crossings + 1):
+        grow([a], a)
+    return found
+
+
+def torus_knot_pairs(max_crossings):
+    """
+    The (p, q), 2 <= p < q coprime, whose torus_braid_spec has at most
+    max_crossings letters, (p - 1)q.
+    """
+    return [(p, q) for q in range(3, max_crossings + 1) for p in range(2, q)
+            if gcd(p, q) == 1 and (p - 1) * q <= max_crossings]
+
+
+def torus_cyclotomic_indices(p, q):
+    """
+    The d with Delta_T(p,q) the product of the cyclotomic Phi_d: those
+    that divide pq but neither p nor q.  The Phi_d are irreducible and
+    distinct, so Delta_T(p',q') divides Delta_T(p,q) exactly when its set
+    lies inside this one.
+    """
+    return {d for d in range(1, p * q + 1)
+            if p * q % d == 0 and p % d and q % d}

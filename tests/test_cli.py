@@ -812,6 +812,21 @@ class TestOracleCheck:
             assert out == ""
             assert "cover degree must be at least 2, not %s" % k in err
 
+    def test_a_knot_takes_one_presentation(self, monkeypatch, capsys):
+        # cmd_oracle_check hands the presentation it builds for the covers
+        # to alexander_polynomial, which built a second one before
+        built, present = [], alexander.wirtinger_presentation
+
+        def counting(diagram):
+            built.append(diagram)
+            return present(diagram)
+
+        monkeypatch.setattr(alexander, "wirtinger_presentation", counting)
+        monkeypatch.setattr(cli, "wirtinger_presentation", counting)
+        assert cli.main(["oracle-check", "braid:n=3:1 -2 1 -2"]) == 0
+        assert json.loads(capsys.readouterr().out)["oracles"][0]["pass"]
+        assert len(built) == 1
+
     def test_link(self):
         r = run_cli("oracle-check", "braid:n=2:1 1 1 1")
         payload = json.loads(r.stdout)

@@ -188,6 +188,21 @@ def test_screen_pairs_csv(same_output, tmp_path, capsys):
     assert pairs["3_1 # 4_1", "4_1"]["verdict"] == "not_obstructed"
 
 
+def test_families_csv(same_output, tmp_path, capsys):
+    from ribboncheck import cli
+    path = tmp_path / "families_pairs.csv"
+    path.write_text(same_output.families_csv(), encoding="utf-8")
+    assert cli.main(["batch", str(path), "--pairs"]) == 0
+    lines = [json.loads(line)
+             for line in capsys.readouterr().out.splitlines()]
+    records = [line for line in lines if "spec" in line]
+    assert len(records) == 85 + 20
+    assert sum(r["spec"].startswith("pd:") for r in records) == 85
+    verdicts = [line["verdict"] for line in lines if "verdict" in line]
+    assert len(verdicts) == 105 * 105
+    assert set(verdicts) == {"obstructed", "not_obstructed"}
+
+
 def test_child_records_the_blocks_of_compute_commands(same_output):
     tree = TOOL.parent.parent
     results = same_output.run_side(tree, [

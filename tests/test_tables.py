@@ -6,7 +6,8 @@ with the closed forms of the torus, 2-bridge and pretzel families
 
 import pytest
 
-from families import (continued_fraction_value, pretzel_delta, torus_delta,
+from families import (continued_fraction_value, pretzel_delta, pretzel_pd_spec,
+                      rational_pd_spec, torus_braid_spec, torus_delta,
                       two_bridge_delta)
 from ribboncheck.alexander import alexander_polynomial
 from ribboncheck.laurent import parse_poly
@@ -112,6 +113,19 @@ class TestBundledTable:
     def test_pretzel_closed_form(self, computed):
         for name, tangles in PRETZEL.items():
             assert computed[name] == pretzel_delta(*tangles), name
+
+    def test_specs_are_the_family_builders_output(self):
+        # every knot but 4_1, the one hand-written braid, byte for byte
+        built = {name: torus_braid_spec(p, q) for name, (p, q) in TORUS.items()}
+        built.update((name, pretzel_pd_spec(tangles))
+                     for name, tangles in PRETZEL.items())
+        built.update((name, rational_pd_spec(partials))
+                     for name, partials in TWO_BRIDGE.items()
+                     if name not in built and name != "4_1")
+        table = dict(knot_table())
+        assert len(built) == 34 and set(table) - set(built) == {"4_1"}
+        for name, spec in built.items():
+            assert table[name] == spec, name
 
     def test_crossing_numbers_not_exceeded(self, bundled_knots):
         for name, diagram in bundled_knots:

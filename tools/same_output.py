@@ -33,6 +33,11 @@ standard output and standard error captured.  The corpus:
 - `batch --pairs` on RETRY_CSV, connected sums whose pair gcds fail
   GCDHEU's first point, one at one variable and one at two, and so run
   laurent's retry loop (the other commands fail 4 points in all);
+- `batch --pairs` on families_csv(), built with tests/families.py: the
+  85 rational knots through 9 crossings as 4-plat PD codes and the 20
+  torus knots T(p, q) of up to 24 crossings as braids, 11,025 pair
+  lines; PD knots beyond the bundled ones, and torus pairs whose
+  verdicts their cyclotomic factors decide;
 - `obstruct J L` with each of OBSTRUCT_FLAGS on each consecutive pair of
   SCREEN_ROWS, of the bundled knots and of the bundled links, on
   DIVIDING_J_PAIR and on the first bundled knot and link (a component
@@ -86,9 +91,11 @@ def _load(name, path):
 
 
 ab_bench = _load("ab_bench", HERE / "ab_bench.py")
-# the tests' braid -> PD converter, which imports ribboncheck from src/
+# the tests' braid -> PD converter and knot families, which import
+# ribboncheck from src/
 sys.path.insert(0, str(HERE.parent / "src"))
 helpers = _load("helpers", HERE.parent / "tests" / "helpers.py")
+families = _load("families", HERE.parent / "tests" / "families.py")
 from ribboncheck.linkcodec import parse_braid  # noqa: E402
 
 COVERS = [str(k) for k in range(2, 13)]
@@ -288,9 +295,10 @@ def corpus(tree, seeds):
     files["screen_pairs.csv"] = screen_pairs_csv()
     files["torus_pairs.csv"] = TORUS_CSV
     files["retry_pairs.csv"] = RETRY_CSV
+    files["families_pairs.csv"] = families_csv()
     commands += [["batch", name, "--pairs"] for name in
                  ("duplicates.csv", "screen_pairs.csv", "torus_pairs.csv",
-                  "retry_pairs.csv")]
+                  "retry_pairs.csv", "families_pairs.csv")]
     pairs = [pair for chain in chains for pair in zip(chain, chain[1:])]
     pairs += [DIVIDING_J_PAIR, (chains[1][0], chains[2][0])]
     commands += [["obstruct", j, l] + flags
@@ -314,8 +322,27 @@ def screen_pairs_csv():
                     for i, spec in enumerate(pd_twins(SHORTCUT_CLOSURES), 1))
             + tuple(("fallback %d" % i, spec)
                     for i, spec in enumerate(FALLBACK_CLOSURES, 1)))
+    return batch_csv(rows)
+
+
+def families_csv():
+    """
+    The batch CSV of the rational knots through 9 crossings, as PD codes,
+    and the torus knots of up to 24 crossings, as braids.
+    """
+    return batch_csv(
+        [("rational " + " ".join(map(str, partials)),
+          families.rational_pd_spec(partials))
+         for partials in families.rational_knot_partials(9)]
+        + [("T(%d %d)" % pq, families.torus_braid_spec(*pq))
+           for pq in families.torus_knot_pairs(24)])
+
+
+def batch_csv(rows):
+    """A batch CSV of (name, spec) rows."""
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows((("name", "spec"),) + rows)
+    csv.writer(out, lineterminator="\n").writerows([("name", "spec")]
+                                                   + list(rows))
     return out.getvalue()
 
 
