@@ -234,8 +234,8 @@ import contextlib, io, json, sys
 from ribboncheck import cli
 compute, blocks = cli.alexander_polynomial, []
 
-def recorded(diagram):
-    result = compute(diagram)
+def recorded(diagram, *presentation):
+    result = compute(diagram, *presentation)
     blocks.append(result.source["blocks"])
     return result
 
