@@ -42,7 +42,8 @@ def random_closure(rng, strands, letters, max_components=None):
 
 def random_braid_knot(rng, max_strands=3, max_letters=8):
     """A random braid word whose closure is a knot."""
-    return random_closure(rng, (2, max_strands), (1, max_letters), 1)
+    return random_closure(rng, (2, max_strands), (1, max_letters),
+                          max_components=1)
 
 
 def random_free_word(rng, num_generators, max_length=40):

@@ -288,8 +288,9 @@ def torus_braid_spec(p, q):
 def rational_knot_partials(max_crossings):
     """
     Every continued fraction [a1, ..., an] of positive partials, the
-    first and last at least 2, with at most max_crossings crossings (the
-    sum) whose numerator is odd, so that its 4-plat is a knot.
+    first and last at least 2, whose sum (the crossing count) is at most
+    max_crossings and whose numerator is odd, so that its 4-plat is a
+    knot.
     """
     found = []
 

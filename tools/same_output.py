@@ -341,8 +341,7 @@ def families_csv():
 def batch_csv(rows):
     """A batch CSV of (name, spec) rows."""
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows([("name", "spec")]
-                                                   + list(rows))
+    csv.writer(out, lineterminator="\n").writerows([("name", "spec"), *rows])
     return out.getvalue()
 
 
