@@ -64,11 +64,10 @@ Delta = 1, not the classical Delta = 0.  A split link gets the product
 of the orders of its split pieces.
 """
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
 from math import comb, gcd
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from . import laurent
 from .laurent import (ComputationError, LaurentPoly, canonical, divide_cells,
@@ -95,23 +94,31 @@ XI = 2 ** 32
 FALLBACK_MINOR_BUDGET = 10000
 
 
-@dataclass(frozen=True)
-class RankCertificate:
-    rank: int
-    pivot_rows: Tuple[int, ...]
-    pivot_columns: Tuple[int, ...]
-    minor: LaurentPoly  # nonzero determinant of the witnessed submatrix
+class RankCertificate(NamedTuple("RankCertificate", [
+        ("rank", int), ("pivot_rows", Tuple[int, ...]),
+        ("pivot_columns", Tuple[int, ...]),
+        ("minor", LaurentPoly)])):  # nonzero determinant of the submatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank and self.minor.is_zero():
+    def __new__(cls, rank, pivot_rows, pivot_columns, minor):
+        if rank and minor.is_zero():
             raise ComputationError("rank certificate carries a zero minor")
+        return super().__new__(cls, rank, pivot_rows, pivot_columns, minor)
 
 
-@dataclass(frozen=True)
-class AlexanderPolynomial:
-    value: LaurentPoly  # canonical form, never zero
-    nvars: int
-    source: dict = field(compare=False, default_factory=dict)
+class AlexanderPolynomial(NamedTuple("AlexanderPolynomial", [
+        ("value", LaurentPoly), ("nvars", int)])):  # value: canonical, nonzero
+    """Equal and hashed by value and nvars; source is read-only provenance."""
+
+    def __new__(cls, value, nvars, source=None):
+        self = super().__new__(cls, value, nvars)
+        self.__dict__["source"] = {} if source is None else source
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("AlexanderPolynomial is immutable")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def text(self):
@@ -513,7 +520,7 @@ def alexander_polynomial(diagram, presentation=None):
     pres, phi = presentation or wirtinger_presentation(diagram)
     A = jacobian(pres, phi)
     if diagram.kernel and len(diagram.kernel) == len(pres.relators):
-        A = replace(A, kernel=diagram.kernel)
+        A = A._replace(kernel=diagram.kernel)
     source = {"generators": pres.num_generators,
               "relators": len(pres.relators)}
     return torsion_order(A, source)

@@ -19,8 +19,7 @@ every minor of the blocks it leaves run on these rows, and a hand-built
 matrix of LaurentPolys is packed by AlexanderPresentation.of.
 """
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .laurent import KeyCodec, LaurentPoly
 
@@ -71,8 +70,7 @@ def _max_exponent(row):
                default=0)
 
 
-@dataclass(frozen=True, eq=False)
-class AlexanderPresentation:
+class AlexanderPresentation(NamedTuple):
     """Fox Jacobian over Z[t1^±1..tm^±1]; rows are relators, columns generators."""
     matrix: PackedMatrix
     nvars: int

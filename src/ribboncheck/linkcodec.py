@@ -30,9 +30,8 @@ are inverses.  Components of a closure are ordered by least strand index,
 PD components by least edge label.
 """
 
-from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 
 class ParseError(ValueError):
@@ -48,41 +47,42 @@ class DiagramError(ValueError):
     """Structurally inconsistent diagram data."""
 
 
-@dataclass(frozen=True)
-class PDCode:
+class PDCode(NamedTuple("PDCode", [
+        ("crossings", Tuple[Tuple[int, int, int, int], ...])])):
     """PD crossing 4-tuples whose edge labels are 1..2c, each used twice."""
-    crossings: Tuple[Tuple[int, int, int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(len(tup) != 4 for tup in self.crossings):
+    def __new__(cls, crossings):
+        if any(len(tup) != 4 for tup in crossings):
             raise DiagramError("crossing tuples must have 4 entries")
         counts = {}
-        for tup in self.crossings:
+        for tup in crossings:
             for v in tup:
                 counts[v] = counts.get(v, 0) + 1
         bad = sorted(v for v, k in counts.items() if k != 2)
         if bad:
             raise DiagramError("edge labels %s do not occur exactly twice" % bad)
-        if set(counts) != set(range(1, 2 * len(self.crossings) + 1)):
+        if set(counts) != set(range(1, 2 * len(crossings) + 1)):
             raise DiagramError(
-                "edge labels must be exactly 1..%d" % (2 * len(self.crossings)))
+                "edge labels must be exactly 1..%d" % (2 * len(crossings)))
+        return super().__new__(cls, crossings)
 
     def __len__(self):
         return len(self.crossings)
 
 
-@dataclass(frozen=True)
-class BraidWord:
-    strands: int
-    letters: Tuple[int, ...]
+class BraidWord(NamedTuple("BraidWord", [("strands", int),
+                                         ("letters", Tuple[int, ...])])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.strands < 1:
+    def __new__(cls, strands, letters):
+        if strands < 1:
             raise DiagramError("braid needs at least one strand")
-        for k in self.letters:
-            if k == 0 or abs(k) > self.strands - 1:
+        for k in letters:
+            if k == 0 or abs(k) > strands - 1:
                 raise DiagramError(
-                    "generator %d out of range for %d strands" % (k, self.strands))
+                    "generator %d out of range for %d strands" % (k, strands))
+        return super().__new__(cls, strands, letters)
 
     def mirror(self):
         """Negate every letter (mirror image of the closure)."""
@@ -125,23 +125,20 @@ class BraidWord:
         return "braid:n=%d:%s" % (self.strands, " ".join(map(str, self.letters)))
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     over: int
     under_in: int
     under_out: int
     sign: int
 
 
-@dataclass(frozen=True)
-class LinkDiagram:
+class LinkDiagram(NamedTuple):
     """Oriented, ordered link diagram in arc/crossing form."""
     num_arcs: int
     component_of_arc: Tuple[int, ...]
     crossings: Tuple[Crossing, ...]
     # exponents of y_k per crossing, sum_k y_k * Fox row k = 0 (braid_closure)
-    kernel: Optional[Tuple[Tuple[int, ...], ...]] = field(default=None,
-                                                          compare=False)
+    kernel: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     @property
     def num_components(self):

@@ -41,10 +41,9 @@ torsion agrees with the branched cover's H_1 for knots; the comparison
 is of torsion parts, with the free rank checked alongside.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .laurent import LaurentPoly, canonical
 from .linkcodec import DiagramError, linking_number, sublink
@@ -52,18 +51,18 @@ from .alexander import alexander_polynomial
 from .wirtinger import apply_phi
 
 
-@dataclass(frozen=True)
-class AbelianGroupInvariants:
+class AbelianGroupInvariants(NamedTuple("AbelianGroupInvariants", [
+        ("free_rank", int), ("torsion_factors", Tuple[int, ...])])):
     """Free rank and invariant-factor chain d1 | d2 | ... (each >= 2)."""
-    free_rank: int
-    torsion_factors: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for a, b in zip(self.torsion_factors, self.torsion_factors[1:]):
+    def __new__(cls, free_rank, torsion_factors):
+        for a, b in zip(torsion_factors, torsion_factors[1:]):
             if b % a:
                 raise ValueError("invariant factors must form a chain")
-        if any(d < 2 for d in self.torsion_factors):
+        if any(d < 2 for d in torsion_factors):
             raise ValueError("torsion factors must be >= 2")
+        return super().__new__(cls, free_rank, torsion_factors)
 
     def torsion_order(self):
         n = 1
@@ -368,8 +367,7 @@ def cyclic_cover_check(delta, k, invariants):
     return invariants.free_rank == 1 and order == invariants.torsion_order()
 
 
-@dataclass(frozen=True)
-class TorresReport:
+class TorresReport(NamedTuple):
     status: str  # "pass", "fail", or "degenerate"
     linking: int
     link_delta_at_one: str

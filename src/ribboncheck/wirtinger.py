@@ -17,8 +17,7 @@ generator to the basis vector of its arc's component.  Free words are
 tuples of (generator index, ±1) pairs, stored freely reduced.
 """
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .linkcodec import DiagramError
 
@@ -45,30 +44,31 @@ def word_multiply(*words):
     return free_reduce(letters)
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
-    num_generators: int
-    relators: Tuple[Tuple[Tuple[int, int], ...], ...]
+class GroupPresentation(NamedTuple("GroupPresentation", [
+        ("num_generators", int),
+        ("relators", Tuple[Tuple[Tuple[int, int], ...], ...])])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for r in self.relators:
+    def __new__(cls, num_generators, relators):
+        for r in relators:
             for g, e in r:
-                if not 0 <= g < self.num_generators:
+                if not 0 <= g < num_generators:
                     raise DiagramError("relator letter %d out of range" % g)
                 if e not in (1, -1):
                     raise DiagramError("letter exponents must be ±1")
+        return super().__new__(cls, num_generators, relators)
 
 
-@dataclass(frozen=True)
-class AbelianizationMap:
+class AbelianizationMap(NamedTuple("AbelianizationMap", [
+        ("component_of", Tuple[int, ...]), ("num_components", int)])):
     """Generator -> component map inducing pi_1 ->> Z^m on meridians."""
-    component_of: Tuple[int, ...]
-    num_components: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for c in self.component_of:
-            if not 0 <= c < self.num_components:
+    def __new__(cls, component_of, num_components):
+        for c in component_of:
+            if not 0 <= c < num_components:
                 raise DiagramError("component index %d out of range" % c)
+        return super().__new__(cls, component_of, num_components)
 
 
 def wirtinger_presentation(diagram):

@@ -1,7 +1,6 @@
 import importlib.util
 import random
 import time
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -52,8 +51,8 @@ def decoded_block(block):
     The block with its matrix decoded and its kernel as monomials, for
     the decoded_* references.
     """
-    return replace(block, matrix=decoded(block),
-                   kernel=monomials(block.kernel))
+    return block._replace(matrix=decoded(block),
+                          kernel=monomials(block.kernel))
 
 
 def brute_force_rank(pres):
@@ -590,7 +589,7 @@ class TestAgainstReplacedLoops:
             pres, phi = wirtinger_presentation(diagram)
             A = jacobian(pres, phi)
             if diagram.kernel:
-                A = replace(A, kernel=diagram.kernel)
+                A = A._replace(kernel=diagram.kernel)
             for block in alexander._reduced_blocks(A):
                 weights = reference._column_weights(block)
                 old = reference.column_weights(block)
@@ -784,7 +783,7 @@ def laurent_blocks(diagram):
         [[e.terms for e in row] for row in decoded(new)] == \
         [[e.terms for e in row] for row in decoded(A)], diagram
     if diagram.kernel and len(diagram.kernel) == len(pres.relators):
-        A = replace(A, kernel=monomials(diagram.kernel))
+        A = A._replace(kernel=monomials(diagram.kernel))
     return reference.laurent_reduced_blocks(A)
 
 
@@ -900,7 +899,7 @@ class TestKernelCertificate:
                                         tuple(e + (0,) for e in y),
                                         tuple(e[:-1] for e in y),
                                         (past,) + y[1:]]:
-                    bad = replace(block, kernel=kernel)
+                    bad = block._replace(kernel=kernel)
                     assert alexander._kernel_certificate(bad) is None
                     calls.clear()
                     got, got_path = alexander._block_order(bad)
@@ -917,7 +916,7 @@ class TestKernelCertificate:
         for i in range(d.num_crossings):
             exps = tuple(x + 1 for x in d.kernel[i])
             kernel = d.kernel[:i] + (exps,) + d.kernel[i + 1:]
-            result = alexander_polynomial(replace(d, kernel=kernel))
+            result = alexander_polynomial(d._replace(kernel=kernel))
             assert result.value == expected.value
             assert result.source == expected.source
         assert 0 < len(calls) < d.num_crossings
@@ -925,7 +924,7 @@ class TestKernelCertificate:
         # the wrong number of variables fails the check
         for kernel in (d.kernel[:-1], tuple((0, 0) for _ in d.kernel)):
             calls.clear()
-            result = alexander_polynomial(replace(d, kernel=kernel))
+            result = alexander_polynomial(d._replace(kernel=kernel))
             assert result.value == expected.value and len(calls) == 1
 
     def test_hand_built_kernels_the_check_refuses(self):
@@ -1071,7 +1070,7 @@ class TestAgainstMonomialKernel:
         orders = []
         blocks, _ = blocks_and_delta(diagram, monkeypatch, orders)
         for block, order in zip(blocks, orders):
-            old = replace(block, kernel=monomials(block.kernel))
+            old = block._replace(kernel=monomials(block.kernel))
             cert = alexander._kernel_certificate(block)
             assert cert == reference.monomial_kernel_certificate(old), diagram
             assert order == reference.monomial_block_order(old), diagram
@@ -1118,7 +1117,7 @@ class TestAgainstGuardedClosedForm:
         variants = [blocks]
         # without a certificate the kernel changes nothing
         if any(alexander._kernel_certificate(b) for b in blocks):
-            variants.append([replace(b, kernel=None) for b in blocks])
+            variants.append([b._replace(kernel=None) for b in blocks])
         for variant in variants:
             new = old = LaurentPoly.one(delta.nvars)
             for block in variant:
@@ -1202,7 +1201,7 @@ class TestAgainstGuardedClosedForm:
         certificate, rank = alexander._kernel_certificate, module_rank
 
         def corrupt(cert):
-            return cert and replace(cert, minor=cert.minor + LaurentPoly.one(
+            return cert and cert._replace(minor=cert.minor + LaurentPoly.one(
                 cert.minor.nvars))
 
         for patches in (
@@ -1236,7 +1235,7 @@ class TestPackedKeys:
     def check(self, pres, orders=True):
         blocks = alexander._reduced_blocks(pres)
         assert_same_blocks(blocks, reference.laurent_reduced_blocks(
-            replace(pres, kernel=monomials(pres.kernel))),
+            pres._replace(kernel=monomials(pres.kernel))),
             [alexander._block_order(b) for b in blocks] if orders else None)
         return blocks
 
@@ -1333,7 +1332,7 @@ class TestPackedKeys:
                 == certified
         assert block.matrix.radius == 2 * 2 * (2 + 2)
         for radius, certified in ((4, False), (2, True)):
-            narrow = replace(block, matrix=PackedMatrix.pack(
+            narrow = block._replace(matrix=PackedMatrix.pack(
                 decoded(block), 2, 2, radius))
             assert (alexander._kernel_certificate(narrow) is not None) \
                 == certified
@@ -1352,7 +1351,7 @@ class TestPackedKeys:
             (0, 1), ((3, 0), (-3, 0)))
         assert alexander._kernel_certificate(block) is None
         assert block.matrix.radius == 2 * 2 * (1 + 2)
-        narrow = replace(block, matrix=PackedMatrix.pack(
+        narrow = block._replace(matrix=PackedMatrix.pack(
             decoded(block), 2, 2, 4))
         assert alexander._kernel_certificate(narrow) is None
         # a reduced block's kernel moved by t1^R / t2, R the radix of its
@@ -1365,7 +1364,7 @@ class TestPackedKeys:
         radix = 2 * block.matrix.radius + 1
         y = block.kernel
         shifted = (y[0][0] + radix, y[0][1] - 1)
-        bad = replace(block, kernel=(shifted,) + y[1:])
+        bad = block._replace(kernel=(shifted,) + y[1:])
         assert block.matrix.key((radix, -1)) == 0
         assert alexander._kernel_certificate(bad) is None
         calls.clear()

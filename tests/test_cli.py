@@ -970,3 +970,18 @@ class TestDeterminism:
         a = run_cli("compute", "--json", "braid:n=3:1 -2 1 -2")
         b = run_cli("compute", "--json", "braid:n=3:1 -2 1 -2")
         assert a.stdout == b.stdout
+
+
+class TestStartUp:
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # a command's cost is mostly start-up, and these two were over
+        # half of the package's import
+        program = ("import sys\n"
+                   "import ribboncheck.cli\n"
+                   "from ribboncheck import tables\n"
+                   "tables.knot_table(), tables.link_table()\n"
+                   "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        r = subprocess.run([sys.executable, "-c", program],
+                           capture_output=True, text=True, env=child_env())
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "[]\n"
