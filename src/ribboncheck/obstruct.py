@@ -35,10 +35,7 @@ _ONE = LaurentPoly.one(1)
 
 
 class ObstructionReport(NamedTuple):
-    """
-    One ordered pair's verdict and witnesses, immutable: a NamedTuple,
-    which builds in a third of a frozen dataclass's time.
-    """
+    """One ordered pair's verdict and witnesses, immutable."""
 
     direction: Tuple[str, str]
     delta_j: AlexanderPolynomial
