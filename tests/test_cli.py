@@ -974,8 +974,8 @@ class TestDeterminism:
 
 class TestStartUp:
     def test_import_loads_neither_dataclasses_nor_inspect(self):
-        # a command's cost is mostly start-up, and these two were over
-        # half of the package's import
+        # a command's cost is mostly start-up, and these two were about
+        # half of what the package added to a bare interpreter
         program = ("import sys\n"
                    "import ribboncheck.cli\n"
                    "from ribboncheck import tables\n"
