@@ -13,8 +13,7 @@ from .wirtinger import (AbelianizationMap, GroupPresentation, apply_phi,
 from .foxcalc import AlexanderPresentation, jacobian
 from .alexander import (AlexanderPolynomial, RankCertificate,
                         alexander_polynomial, module_rank, torsion_order)
-from .obstruct import (ObstructionReport, coprimality_report,
-                       ribbon_obstruction)
+from .obstruct import ObstructionReport, ribbon_obstruction
 from .oracles import (AbelianGroupInvariants, cyclic_cover_check,
                       reidemeister_schreier, smith_normal_form, torres_check)
 
@@ -30,7 +29,7 @@ __all__ = [
     "AlexanderPresentation", "jacobian",
     "AlexanderPolynomial", "RankCertificate", "alexander_polynomial",
     "module_rank", "torsion_order",
-    "ObstructionReport", "coprimality_report", "ribbon_obstruction",
+    "ObstructionReport", "ribbon_obstruction",
     "AbelianGroupInvariants", "cyclic_cover_check", "reidemeister_schreier",
     "smith_normal_form", "torres_check",
 ]

@@ -32,7 +32,6 @@ the package encodes JSON.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -42,6 +41,7 @@ from .linkcodec import (DiagramError, ParseError, parse_link_spec,
 from .alexander import ComputationError, alexander_polynomial
 from .obstruct import component_mismatch, obstruction_from_polynomials
 from .oracles import (cyclic_cover_check, reidemeister_schreier, torres_check)
+from .tables import batch_rows
 from .wirtinger import wirtinger_presentation
 
 EXIT_OK = 0
@@ -132,30 +132,6 @@ def cmd_obstruct(args):
     return EXIT_OK
 
 
-def _batch_rows(path):
-    # utf-8-sig: a byte-order mark is not part of the header
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None or [h.strip().lower() for h in header[:2]] != ["name", "spec"]:
-                raise ParseError("batch CSV must have header 'name,spec'")
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) < 2:
-                    raise ParseError("row %d needs both name and spec" % lineno)
-                rows.append((row[0].strip(), row[1].strip()))
-            return rows
-        except UnicodeDecodeError as exc:
-            raise ParseError("batch CSV %s is not UTF-8 text (%s)"
-                             % (path, exc.reason)) from None
-        except csv.Error as exc:
-            raise ParseError("batch CSV %s, line %d: %s"
-                             % (path, reader.line_num, exc)) from None
-
-
 # what a pair line says when an operand's row has no polynomial, by the
 # kind of that row's error
 _OPERAND_ERRORS = {"parse": "unparseable operand",
@@ -164,7 +140,7 @@ _OPERAND_ERRORS = {"parse": "unparseable operand",
 
 
 def cmd_batch(args):
-    rows = _batch_rows(args.csv_path)
+    rows = batch_rows(args.csv_path)
     # per row, by index (names may repeat): its polynomial, or None and
     # the kind of its error
     deltas, kinds = [], []

@@ -115,12 +115,6 @@ class LaurentPoly:
     def is_one(self):
         return self.terms == {(0,) * self.nvars: 1}
 
-    def is_unit(self):
-        """True for ±(monomial), the units of the Laurent ring."""
-        if len(self.terms) != 1:
-            return False
-        return abs(next(iter(self.terms.values()))) == 1
-
     def leading_term(self):
         """Graded-lex greatest (exponents, coefficient) pair; None if zero."""
         if not self.terms:
@@ -225,12 +219,6 @@ class LaurentPoly:
         return LaurentPoly._make(
             self.nvars,
             {tuple(map(add, e, exps)): c for e, c in self.terms.items()})
-
-    def inverted_variables(self):
-        """Substitute t_i -> t_i^-1 for every variable."""
-        return LaurentPoly._make(
-            self.nvars,
-            {tuple(-a for a in e): c for e, c in self.terms.items()})
 
     def set_variable_to_one(self, index):
         """Substitute t_{index+1} = 1, dropping that variable slot."""

@@ -121,9 +121,6 @@ class BraidWord(NamedTuple("BraidWord", [("strands", int),
             out.append(tuple(cyc))
         return out
 
-    def spec(self):
-        return "braid:n=%d:%s" % (self.strands, " ".join(map(str, self.letters)))
-
 
 class Crossing(NamedTuple):
     over: int

@@ -163,11 +163,3 @@ def _coprime(delta_j, delta_l):
     (vj, cj, bj), (vl, cl, bl) = delta_j.xi_value, delta_l.xi_value
     return (cj == cl == 1 and XI >= 2 * min(bj, bl) + 2
             and gcd(vj, vl) <= XI // 2)
-
-
-def coprimality_report(diagram_j, diagram_l):
-    """
-    gcd of the two polynomials, canonicalized.  A unit gcd obstructs in
-    both directions as soon as both polynomials are nonunits.
-    """
-    return ribbon_obstruction(diagram_j, diagram_l).gcd_value

@@ -373,10 +373,6 @@ class TorresReport(NamedTuple):
     link_delta_at_one: str
     expected: str
 
-    @property
-    def passed(self):
-        return self.status == "pass"
-
 
 def torres_check(diagram):
     """

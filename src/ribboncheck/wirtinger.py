@@ -33,17 +33,6 @@ def free_reduce(letters):
     return tuple(out)
 
 
-def word_inverse(word):
-    return tuple((g, -e) for g, e in reversed(word))
-
-
-def word_multiply(*words):
-    letters = []
-    for w in words:
-        letters.extend(w)
-    return free_reduce(letters)
-
-
 class GroupPresentation(NamedTuple("GroupPresentation", [
         ("num_generators", int),
         ("relators", Tuple[Tuple[Tuple[int, int], ...], ...])])):

@@ -13,13 +13,56 @@ the oracle's cover order formula used before it became a determinant in
 Z[t]/(1 + t + ... + t^(k-1)), and the extended-gcd Smith diagonal that
 the oracle's dense phase used before it became elimination by division
 with remainder, and a braid word's PD code (its closure's PD twin).
+
+It also holds, as plain functions, what the package once held that no
+command ran: the inverse and product of free words (wirtinger), the
+unit test and the substitution t_i -> t_i^-1 of a LaurentPoly
+(LaurentPoly.is_unit and inverted_variables), a braid word's spec
+(BraidWord.spec) and a bundled CSV's path (tables.table_path).
 """
 
+from importlib import resources
+
 from ribboncheck import oracles
-from ribboncheck.laurent import canonical
+from ribboncheck.laurent import LaurentPoly, canonical
 from ribboncheck.linkcodec import DiagramError, PDCode
 from ribboncheck.oracles import _int_det
-from ribboncheck.wirtinger import apply_phi, free_reduce, word_multiply
+from ribboncheck.wirtinger import apply_phi, free_reduce
+
+
+def word_inverse(word):
+    return tuple((g, -e) for g, e in reversed(word))
+
+
+def word_multiply(*words):
+    letters = []
+    for w in words:
+        letters.extend(w)
+    return free_reduce(letters)
+
+
+def is_unit(p):
+    """True for ±(monomial), the units of the Laurent ring."""
+    if len(p.terms) != 1:
+        return False
+    return abs(next(iter(p.terms.values()))) == 1
+
+
+def inverted_variables(p):
+    """Substitute t_i -> t_i^-1 for every variable."""
+    return LaurentPoly._make(
+        p.nvars,
+        {tuple(-a for a in e): c for e, c in p.terms.items()})
+
+
+def spec(word):
+    """The braid spec of a BraidWord, as parse_link_spec reads it."""
+    return "braid:n=%d:%s" % (word.strands, " ".join(map(str, word.letters)))
+
+
+def table_path(filename):
+    """Filesystem path of a bundled CSV (for the CLI batch command)."""
+    return str(resources.files("ribboncheck").joinpath("data", filename))
 
 
 def word_to_str(word):

@@ -107,7 +107,7 @@ import sys
 from itertools import combinations
 from math import comb, gcd
 
-from ribboncheck import cli, laurent
+from ribboncheck import cli, laurent, tables
 from ribboncheck.alexander import (FALLBACK_MINOR_BUDGET, RankCertificate,
                                    _det, _kernel_certificate, _minor_gcd,
                                    module_rank)
@@ -123,6 +123,7 @@ from ribboncheck.obstruct import (NOT_OBSTRUCTED, OBSTRUCTED,
                                   ComponentMismatch, ObstructionReport,
                                   component_mismatch)
 
+from helpers import is_unit
 from laurent_reference import mul_add
 
 
@@ -246,7 +247,7 @@ def _reduced_blocks(pres):
             rows[i] = entries
         for j, e in entries.items():
             cols[j].add(i)
-            if e.is_unit():
+            if is_unit(e):
                 units.add((i, j))
 
     def fill(ij):
@@ -274,7 +275,7 @@ def _reduced_blocks(pres):
                     continue
                 row[j] = v
                 cols[j].add(i)
-                if v.is_unit():
+                if is_unit(v):
                     units.add((i, j))
                 else:
                     units.discard((i, j))
@@ -582,7 +583,7 @@ def monomial_kernel_certificate(block):
     """
     y, g = block.kernel, block.num_generators
     if (y is None or g < 2 or block.num_relators != g or len(y) != g
-            or not all(e.is_unit() and e.nvars == block.nvars for e in y)):
+            or not all(is_unit(e) and e.nvars == block.nvars for e in y)):
         return None
     packed = block.matrix
     if max(1, _max_exponent(y)) > packed.bound:
@@ -684,7 +685,7 @@ def laurent_reduced_blocks(pres):
             rows[i] = entries
         for j, e in entries.items():
             cols[j].add(i)
-            if e.is_unit():
+            if is_unit(e):
                 units.add((i, j))
 
     def fill(ij):
@@ -712,7 +713,7 @@ def laurent_reduced_blocks(pres):
                     continue
                 row[j] = v
                 cols[j].add(i)
-                if v.is_unit():
+                if is_unit(v):
                     units.add((i, j))
                 else:
                     units.discard((i, j))
@@ -752,7 +753,7 @@ def laurent_kernel_certificate(block):
     """
     y, g = block.kernel, block.num_generators
     if (y is None or g < 2 or block.num_relators != g
-            or not all(e.is_unit() and e.nvars == block.nvars for e in y)
+            or not all(is_unit(e) and e.nvars == block.nvars for e in y)
             or any(mul_add([(e, row[j], 1) for e, row in zip(y, block.matrix)])
                    for j in range(g))
             or not _row_relation_holds(block, _column_weights(block))):
@@ -809,7 +810,7 @@ def _mismatch_record(names, reason):
 
 def cmd_batch(args):
     """cli.cmd_batch, with the rows' polynomials from cli._compute_record."""
-    rows = cli._batch_rows(args.csv_path)
+    rows = tables.batch_rows(args.csv_path)
     # per row, by index (names may repeat): its polynomial, or None and
     # the kind of its error
     deltas, kinds = [], []
@@ -1417,7 +1418,7 @@ def decoded_kernel_certificate(block):
     """
     y, g = block.kernel, block.num_generators
     if (y is None or g < 2 or block.num_relators != g or len(y) != g
-            or not all(e.is_unit() and e.nvars == block.nvars for e in y)):
+            or not all(is_unit(e) and e.nvars == block.nvars for e in y)):
         return None
     packed = decoded_packed(block, max(1, _max_exponent(y)))
     total = [{} for _ in range(g)]

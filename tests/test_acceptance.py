@@ -21,7 +21,7 @@ from ribboncheck.wirtinger import (AbelianizationMap, apply_phi, free_reduce,
                                    wirtinger_presentation)
 
 from conftest import random_braid_knot, random_free_word
-from helpers import fox_derivative
+from helpers import fox_derivative, inverted_variables
 
 TREFOIL_BRAID = "n=2:1 1 1"
 FIG8_BRAID = "n=3:1 -2 1 -2"
@@ -119,7 +119,7 @@ def test_criterion_5_symmetry_normalization_torres(bundled_knots,
     ok = True
     for name, diagram in bundled_knots:
         value = alexander_polynomial(diagram).value
-        ok = ok and canonical(value.inverted_variables()) == value
+        ok = ok and canonical(inverted_variables(value)) == value
         ok = ok and value.evaluate([1]) in (1, -1)
     for name, diagram in bundled_links:
         if linking_number(diagram, 0, 1) != 0:

@@ -9,9 +9,9 @@ import pytest
 
 import ribboncheck
 from ribboncheck import alexander, cli, laurent, linkcodec, obstruct
-from ribboncheck.tables import table_path
 
 import pipeline_reference as reference
+from helpers import table_path
 
 # the child runs the package these tests import, from wherever it is
 SRC = os.path.dirname(os.path.dirname(ribboncheck.__file__))

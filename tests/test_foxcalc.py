@@ -7,10 +7,11 @@ from ribboncheck.laurent import LaurentPoly, parse_poly
 from ribboncheck.linkcodec import parse_link_spec
 from ribboncheck.wirtinger import (AbelianizationMap, GroupPresentation,
                                    apply_phi, free_reduce,
-                                   wirtinger_presentation, word_multiply)
+                                   wirtinger_presentation)
 
 from conftest import random_free_word
-from helpers import GroupRingElement, decoded, fox_derivative
+from helpers import (GroupRingElement, decoded, fox_derivative,
+                     word_multiply)
 import pipeline_reference as reference
 
 

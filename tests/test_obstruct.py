@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 import sys
 from pathlib import Path
@@ -14,12 +15,12 @@ from ribboncheck.laurent import (LaurentPoly, canonical, exact_divide,
 from ribboncheck.linkcodec import braid_closure, connected_sum, parse_braid, \
     parse_link_spec
 from ribboncheck.obstruct import (ComponentMismatch, NOT_OBSTRUCTED,
-                                  OBSTRUCTED, coprimality_report,
+                                  OBSTRUCTED,
                                   obstruction_from_polynomials,
                                   ribbon_obstruction)
-from ribboncheck.tables import table_path
 
 from conftest import random_braid_knot, random_closure
+from helpers import table_path
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
@@ -49,7 +50,7 @@ class TestRemarkPair:
         assert ribbon_obstruction(self.L, self.J).verdict == OBSTRUCTED
 
     def test_coprime(self):
-        assert coprimality_report(self.J, self.L) == LaurentPoly.one(1)
+        assert ribbon_obstruction(self.J, self.L).gcd_value == LaurentPoly.one(1)
 
 
 class TestVerdicts:
@@ -90,7 +91,7 @@ class TestVerdicts:
         pairs = [("3_1", "4_1"), ("3_1", "8_12"), ("4_1", "5_1")]
         for a, b in pairs:
             da, db = knots[a], knots[b]
-            if coprimality_report(da, db) == LaurentPoly.one(1):
+            if ribbon_obstruction(da, db).gcd_value == LaurentPoly.one(1):
                 assert ribbon_obstruction(da, db).verdict == OBSTRUCTED
                 assert ribbon_obstruction(db, da).verdict == OBSTRUCTED
 
@@ -111,12 +112,12 @@ class TestVerdicts:
 class TestCoprimality:
     def test_trefoil_against_granny(self):
         granny = closure_of_sum(TREFOIL, TREFOIL)
-        g = coprimality_report(braid_closure(TREFOIL), granny)
+        g = ribbon_obstruction(braid_closure(TREFOIL), granny).gcd_value
         assert g == parse_poly("t^2 - t + 1", 1)
 
     def test_unknots(self):
         u = parse_link_spec("braid:n=1:")
-        assert coprimality_report(u, u) == LaurentPoly.one(1)
+        assert ribbon_obstruction(u, u).gcd_value == LaurentPoly.one(1)
 
 
 class TestReportShape:
@@ -250,19 +251,40 @@ class TestSharedMemo:
         assert work == {"divide": 1, "gcd": 0}
 
 
-def table_pairs_specs(seed):
-    """The specs of perfbench's table_pairs CSV rows at seed."""
+# the 12 random rows of perfbench's seed-1 table_pairs CSV, in its order
+# (perfbench/workloads.py draws them; the next test checks the copy)
+TABLE_PAIRS_RANDOM = (
+    ("rand_k4_9", "braid:n=4:-1 3 -2 1 -2 -3 -2 -2 -2"),
+    ("rand_k4_7", "braid:n=4:1 -2 1 2 -1 -1 3"),
+    ("rand_k3_10", "braid:n=3:1 2 2 1 -2 -1 -2 -1 -1 -1"),
+    ("rand_l3_9", "braid:n=3:1 -2 1 -2 1 1 -2 -2 1"),
+    ("rand_l3_7", "braid:n=3:-1 -2 -2 -2 1 1 1"),
+    ("rand_l2_10", "braid:n=2:-1 -1 -1 -1 -1 -1 -1 -1 -1 -1"),
+    ("rand_l2_8", "braid:n=2:1 1 1 1 1 1 1 1"),
+    ("rand_k2_9", "braid:n=2:-1 -1 -1 -1 -1 -1 -1 -1 -1"),
+    ("rand_l4_8", "braid:n=4:-1 2 -3 -2 -2 -2 -2 -1"),
+    ("rand_k2_7", "braid:n=2:-1 -1 -1 -1 -1 -1 -1"),
+    ("rand_l4_10", "braid:n=4:3 3 -2 1 -2 -2 -1 2 3 -1"),
+    ("rand_k3_8", "braid:n=3:-1 2 2 2 -1 -1 -1 -2"),
+)
+
+
+@pytest.mark.skipif(not os.path.isfile(os.path.join(PERFBENCH, "workloads.py")),
+                    reason="perfbench/workloads.py is not in this copy of "
+                           "the tree")
+def test_frozen_rows_are_table_pairs_seed_1():
     fresh = {"workloads", "published", "reference"} - set(sys.modules)
     sys.path.insert(0, PERFBENCH)
     try:
         import workloads
-        return [link.spec for link in
-                workloads.generate("table_pairs", seed, Path(PERFBENCH).parent)
-                .requests[0].rows]
+        rows = workloads.generate("table_pairs", 1,
+                                  Path(PERFBENCH).parent).requests[0].rows
     finally:
         sys.path.remove(PERFBENCH)
         for name in fresh:
             sys.modules.pop(name, None)
+    assert tuple((link.name, link.spec) for link in rows
+                 if link.name.startswith("rand_")) == TABLE_PAIRS_RANDOM
 
 
 def pair_outputs(named, kinds=None):
@@ -312,14 +334,15 @@ class TestScreenAgainstReference:
     def test_one_point_shows_what_the_six_points_show(self, bundled_knots,
                                                       bundled_links):
         # random.Random(7)'s 600 closures of 2-5 strands and 4-12 letters,
-        # the bundled tables and perfbench's seed-1 table_pairs CSV: on
+        # the bundled tables and the random rows of perfbench's seed-1
+        # table_pairs CSV (TABLE_PAIRS_RANDOM): on
         # every ordered pair of distinct values, the one point screens
         # out no pair that divides and lets through none that does not
         rng = random.Random(7)
         words = [random_closure(rng, (2, 5), (4, 12)) for _ in range(600)]
         diagrams = ([braid_closure(word) for word in words]
                     + [d for _, d in bundled_knots + bundled_links]
-                    + [parse_link_spec(spec) for spec in table_pairs_specs(1)])
+                    + [parse_link_spec(spec) for _, spec in TABLE_PAIRS_RANDOM])
         deltas = {}
         for diagram in diagrams:
             delta = alexander_polynomial(diagram)

@@ -4,6 +4,9 @@ with the closed forms of the torus, 2-bridge and pretzel families
 (tests/families.py).
 """
 
+import csv
+from importlib import resources
+
 import pytest
 
 from families import (continued_fraction_value, pretzel_delta, pretzel_pd_spec,
@@ -89,6 +92,19 @@ class TestBundledTable:
         for required in list(TWO_BRIDGE) + list(TORUS) + list(PRETZEL):
             assert required in names, required
         assert len(link_table()) == 6
+
+    def test_rows_as_a_plain_csv_reader_reads_them(self):
+        # batch_rows, the one batch CSV reader, returns the rows that the
+        # tables' own reader returned: every row after the header, as is
+        for table, filename, count in ((knot_table, "knots.csv", 35),
+                                       (link_table, "links.csv", 6)):
+            data = resources.files("ribboncheck").joinpath("data", filename)
+            with data.open(newline="") as fh:
+                reader = csv.reader(fh)
+                next(reader)
+                rows = [(row[0], row[1]) for row in reader if row]
+            assert len(rows) == count
+            assert table() == rows
 
     def test_published_polynomials(self, computed):
         for name, text in PUBLISHED.items():

@@ -3,11 +3,11 @@ import random
 from ribboncheck.linkcodec import parse_link_spec
 from ribboncheck.oracles import smith_normal_form
 from ribboncheck.wirtinger import (AbelianizationMap, apply_phi,
-                                   free_reduce, wirtinger_presentation,
-                                   word_inverse, word_multiply)
+                                   free_reduce, wirtinger_presentation)
 
 from conftest import random_free_word
-from helpers import presentation_to_str, word_to_str
+from helpers import (presentation_to_str, word_inverse, word_multiply,
+                     word_to_str)
 
 
 def exponent_matrix(pres, phi):
