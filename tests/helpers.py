@@ -14,11 +14,10 @@ Z[t]/(1 + t + ... + t^(k-1)), and the extended-gcd Smith diagonal that
 the oracle's dense phase used before it became elimination by division
 with remainder, and a braid word's PD code (its closure's PD twin).
 
-It also holds, as plain functions, what the package once held that no
-command ran: the inverse and product of free words (wirtinger), the
-unit test and the substitution t_i -> t_i^-1 of a LaurentPoly
-(LaurentPoly.is_unit and inverted_variables), a braid word's spec
-(BraidWord.spec) and a bundled CSV's path (tables.table_path).
+It also holds small functions that no command runs: the inverse and
+product of free words, whether a LaurentPoly is a unit, its
+substitution t_i -> t_i^-1, a braid word's spec and a bundled CSV's
+path.
 """
 
 from importlib import resources
