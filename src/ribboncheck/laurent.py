@@ -27,6 +27,7 @@ Divisibility and gcd are taken in the full ring, so integer content
 matters: 2 does not divide t, and gcd(2t - 2, t^2 - 1) is t - 1.
 """
 
+import re
 from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd, isqrt
 from operator import add, sub
@@ -330,60 +331,36 @@ def parse_poly(text, nvars):
         raise ValueError("empty polynomial text")
     if s == "0":
         return LaurentPoly.zero(nvars)
+    # A term: signs, digits, an optional "*", then factors t, tN, t^E,
+    # tN^E, each with an optional "*".  re caches both patterns.
+    term = re.compile(r"([+-]*)(\d*)\*?((?:t\d*(?:\^-?\d*)?\*?)*)")
+    factor = re.compile(r"t(\d*)(?:\^(-?\d*))?\*?")
     terms = {}
-    i, n = 0, len(s)
-    while i < n:
-        sign = 1
-        while i < n and s[i] in "+-":
-            if s[i] == "-":
-                sign = -sign
-            i += 1
-        j = i
-        while j < n and s[j].isdigit():
-            j += 1
-        saw_coeff = j > i
-        coeff = int(s[i:j]) if saw_coeff else 1
-        i = j
-        if i < n and s[i] == "*":
-            i += 1
+    i = 0
+    while i < len(s):
+        m = term.match(s, i)
+        signs, digits, body = m.groups()
+        i = m.end()
         exps = [0] * nvars
-        saw_var = False
-        while i < n and s[i] == "t":
-            i += 1
-            j = i
-            while j < n and s[j].isdigit():
-                j += 1
-            if j > i:
+        for f in factor.finditer(body):
+            index, power = f.groups()
+            if index:
                 if nvars == 1:
                     raise ValueError("numbered variables in a 1-variable ring")
-                idx = int(s[i:j]) - 1
+                idx = int(index) - 1
             else:
                 if nvars != 1:
                     raise ValueError("bare 't' in a %d-variable ring" % nvars)
                 idx = 0
             if not 0 <= idx < nvars:
                 raise ValueError("variable index out of range in %r" % text)
-            i = j
-            power = 1
-            if i < n and s[i] == "^":
-                i += 1
-                j = i
-                if j < n and s[j] == "-":
-                    j += 1
-                while j < n and s[j].isdigit():
-                    j += 1
-                if not s[i:j].lstrip("-"):
-                    raise ValueError("missing exponent in %r" % text)
-                power = int(s[i:j])
-                i = j
-            exps[idx] += power
-            saw_var = True
-            if i < n and s[i] == "*":
-                i += 1
-        if not saw_coeff and not saw_var:
+            if power is not None and not power.lstrip("-"):
+                raise ValueError("missing exponent in %r" % text)
+            exps[idx] += 1 if power is None else int(power)
+        if not digits and not body:
             raise ValueError("could not parse term near position %d in %r" % (i, text))
         key = tuple(exps)
-        c = terms.get(key, 0) + sign * coeff
+        c = terms.get(key, 0) + (-1) ** signs.count("-") * int(digits or 1)
         if c:
             terms[key] = c
         else:

@@ -27,6 +27,9 @@ unchanged as the reference the current code is tested against.
   lists that completed a one-variable gcd after _HEU_TRIES failed
   GCDHEU points, before a last point where acceptance is certain
   (laurent._last_xi) replaced it; _gcd_heu_dense ends on it.
+- parse_poly, laurent.parse_poly as it was before the text format was
+  read by one two-pattern grammar: a hand-written scanner over the
+  space-stripped text.  Its doctests are left out.
 """
 
 from math import gcd as _int_gcd
@@ -422,3 +425,71 @@ def _gcd_dense(a, b):
     # b is primitive: the gcd of the primitive parts, or ±1 if constant
     c = _int_gcd(ca, cb) if b[-1] > 0 else -_int_gcd(ca, cb)
     return [x * c for x in b]
+
+
+def parse_poly(text, nvars):
+    """The text format read into a LaurentPoly, one character at a time."""
+    s = text.replace(" ", "")
+    if not s:
+        raise ValueError("empty polynomial text")
+    if s == "0":
+        return LaurentPoly.zero(nvars)
+    terms = {}
+    i, n = 0, len(s)
+    while i < n:
+        sign = 1
+        while i < n and s[i] in "+-":
+            if s[i] == "-":
+                sign = -sign
+            i += 1
+        j = i
+        while j < n and s[j].isdigit():
+            j += 1
+        saw_coeff = j > i
+        coeff = int(s[i:j]) if saw_coeff else 1
+        i = j
+        if i < n and s[i] == "*":
+            i += 1
+        exps = [0] * nvars
+        saw_var = False
+        while i < n and s[i] == "t":
+            i += 1
+            j = i
+            while j < n and s[j].isdigit():
+                j += 1
+            if j > i:
+                if nvars == 1:
+                    raise ValueError("numbered variables in a 1-variable ring")
+                idx = int(s[i:j]) - 1
+            else:
+                if nvars != 1:
+                    raise ValueError("bare 't' in a %d-variable ring" % nvars)
+                idx = 0
+            if not 0 <= idx < nvars:
+                raise ValueError("variable index out of range in %r" % text)
+            i = j
+            power = 1
+            if i < n and s[i] == "^":
+                i += 1
+                j = i
+                if j < n and s[j] == "-":
+                    j += 1
+                while j < n and s[j].isdigit():
+                    j += 1
+                if not s[i:j].lstrip("-"):
+                    raise ValueError("missing exponent in %r" % text)
+                power = int(s[i:j])
+                i = j
+            exps[idx] += power
+            saw_var = True
+            if i < n and s[i] == "*":
+                i += 1
+        if not saw_coeff and not saw_var:
+            raise ValueError("could not parse term near position %d in %r" % (i, text))
+        key = tuple(exps)
+        c = terms.get(key, 0) + sign * coeff
+        if c:
+            terms[key] = c
+        else:
+            terms.pop(key, None)
+    return LaurentPoly(nvars, terms)

@@ -21,6 +21,14 @@ def P(text, nvars=1):
     return parse_poly(text, nvars)
 
 
+def parse_outcome(parse, text, nvars):
+    """parse(text, nvars)'s terms, or its exception's type and message."""
+    try:
+        return parse(text, nvars).terms
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def lift(poly, symbols):
     """A polynomial with nonnegative exponents as a sympy expression."""
     import sympy
@@ -998,6 +1006,18 @@ class TestTextFormat:
         for _ in range(100):
             p = canonical(random_poly(rng, rng.choice((1, 2))))
             assert "^-" not in poly_to_str(p)
+
+    def test_same_as_the_reference_scanner(self):
+        # Seeded strings over the format's alphabet, read by parse_poly
+        # and by the scanner it replaced: the same terms, or the same
+        # exception type and message.
+        rng = random.Random(37)
+        for _ in range(30000):
+            text = "".join(rng.choice("t0123456789^*+- ")
+                           for _ in range(rng.randint(0, 12)))
+            for m in (1, 2, 3):
+                assert (parse_outcome(parse_poly, text, m)
+                        == parse_outcome(reference.parse_poly, text, m)), (text, m)
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
