@@ -326,6 +326,8 @@ def parse_poly(text, nvars):
     >>> print(parse_poly("t1*t2 - 1", 2))
     t1*t2 - 1
     """
+    if re.search(r"[\dt] +\d", text):
+        raise ValueError("a space splits a number in %r" % text)
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial text")
@@ -359,6 +361,9 @@ def parse_poly(text, nvars):
             exps[idx] += 1 if power is None else int(power)
         if not digits and not body:
             raise ValueError("could not parse term near position %d in %r" % (i, text))
+        if m.start() and not signs:
+            raise ValueError("no sign before the term at position %d in %r"
+                             % (m.start(), text))
         key = tuple(exps)
         c = terms.get(key, 0) + (-1) ** signs.count("-") * int(digits or 1)
         if c:

@@ -21,6 +21,11 @@ def P(text, nvars=1):
     return parse_poly(text, nvars)
 
 
+# The messages of the two rules the reference scanner lacked: a space
+# inside a number, and a term after the first without a sign.
+SCANNER_LACKED = ("a space splits a number", "no sign before the term")
+
+
 def parse_outcome(parse, text, nvars):
     """parse(text, nvars)'s terms, or its exception's type and message."""
     try:
@@ -1010,14 +1015,31 @@ class TestTextFormat:
     def test_same_as_the_reference_scanner(self):
         # Seeded strings over the format's alphabet, read by parse_poly
         # and by the scanner it replaced: the same terms, or the same
-        # exception type and message.
+        # exception type and message, except where parse_poly rejects
+        # by one of the two rules the scanner lacked.
         rng = random.Random(37)
         for _ in range(30000):
             text = "".join(rng.choice("t0123456789^*+- ")
                            for _ in range(rng.randint(0, 12)))
             for m in (1, 2, 3):
-                assert (parse_outcome(parse_poly, text, m)
-                        == parse_outcome(reference.parse_poly, text, m)), (text, m)
+                new = parse_outcome(parse_poly, text, m)
+                old = parse_outcome(reference.parse_poly, text, m)
+                assert new == old or (
+                    type(new) is tuple and new[0] is ValueError
+                    and new[1].startswith(SCANNER_LACKED)), (text, m, new, old)
+
+    def test_rejects_what_the_scanner_misread(self):
+        # An unsigned term after the first was added as a new term, and
+        # digits on both sides of a space were joined.
+        for text, m, misread, rule in (
+                ("t^2*3", 1, "t^2 + 3", 1), ("t*2", 1, "t + 2", 1),
+                ("2**t", 1, "t + 2", 1), ("t^2 3", 1, "t^23", 0),
+                ("2 3", 1, "23", 0), ("t1 2", 12, "t12", 0)):
+            assert reference.parse_poly(text, m) == P(misread, m)
+            with pytest.raises(ValueError) as info:
+                parse_poly(text, m)
+            assert str(info.value).startswith(SCANNER_LACKED[rule])
+            assert repr(text) in str(info.value)
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
