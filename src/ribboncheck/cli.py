@@ -333,7 +333,7 @@ def main(argv=None):
     try:
         args.max_crossings = _max_crossings()
         return args.func(args)
-    except (ParseError, DiagramError, FileNotFoundError, OSError) as exc:
+    except (ParseError, DiagramError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except (ComputationError, ValueError) as exc:

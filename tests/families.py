@@ -22,12 +22,17 @@ Torus knots T(p, q) are braid words, the closure of (s1 ... s_{p-1})^q.
 The closed forms are the 2-bridge alternating sum for b(p, q), the
 torus quotient (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)) and the
 odd-pretzel quadratic.
+
+A ribbon move on a braid closure L gives a link J with J >= L, a ribbon
+concordance, so that by the paper Delta_L divides Delta_J: verdict
+truth on random diagrams of any component count.
 """
 
 from fractions import Fraction
 from math import gcd
 
 from ribboncheck.laurent import LaurentPoly, canonical, exact_divide
+from ribboncheck.linkcodec import BraidWord
 
 
 # ---------------------------------------------------------------------------
@@ -324,3 +329,30 @@ def torus_cyclotomic_indices(p, q):
     """
     return {d for d in range(1, p * q + 1)
             if p * q % d == 0 and p % d and q % d}
+
+
+# ---------------------------------------------------------------------------
+# ribbon moves
+
+def ribbon_move(rng, word, band_letters):
+    """
+    A ribbon move on the closure L of a braid word on n strands: a birth,
+    strand n + 1, a split unknot, then an appended band w^-1 s_n^(+-1) w,
+    with w of up to band_letters letters drawn again until the band's
+    transposition moves strand n + 1.  A conjugate of a generator is an
+    oriented saddle (Rudolph, Comment. Math. Helv. 58, 1983), and this
+    one fuses the unknot into a component of L.  So the closure J of the
+    returned word has L's components, in L's order (BraidWord.cycles
+    orders them by least strand, and the new strand is the last), and
+    the cobordism from L up to J, births and saddles only, is a ribbon
+    concordance J >= L (Gordon, Math. Ann. 257, 1981): by the paper
+    Delta_L divides Delta_J.
+    """
+    n = word.strands
+    while True:
+        w = tuple(rng.choice((1, -1)) * rng.randint(1, n)
+                  for _ in range(rng.randint(0, band_letters)))
+        band = BraidWord(n + 1, tuple(-k for k in reversed(w))
+                         + (rng.choice((1, -1)) * n,) + w)
+        if band.permutation()[n] != n:
+            return BraidWord(n + 1, word.letters + band.letters)

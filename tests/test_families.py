@@ -3,20 +3,23 @@ The pipeline against the closed forms of tests/families.py beyond the
 bundled table: the rational knots through 11 crossings, the torus knots
 of up to 40 crossings as braids, their mirrors and their PD twins, the
 verdict on every ordered pair of those torus knots, which their
-cyclotomic factors decide, and connected sums, whose Delta_L divides
-Delta_J with a known quotient.  Each test runs under a CPU bound, about
-ten times what it takes on a 2-core Xeon VM.
+cyclotomic factors decide, connected sums, whose Delta_L divides
+Delta_J with a known quotient, and ribbon moves on random closures,
+whose Delta_L divides Delta_J by the paper.  Each test runs under a CPU
+bound, about ten times what it takes on a 2-core Xeon VM.
 """
 
+import random
 import time
 
 import pytest
 
+from conftest import random_closure
 from families import (continued_fraction_value, rational_knot_partials,
-                      rational_pd_spec, torus_braid_spec,
+                      rational_pd_spec, ribbon_move, torus_braid_spec,
                       torus_cyclotomic_indices, torus_delta, torus_knot_pairs,
                       two_bridge_delta)
-from helpers import braid_to_pd
+from helpers import braid_to_pd, is_unit, spec as braid_spec
 from ribboncheck.alexander import alexander_polynomial
 from ribboncheck.linkcodec import (braid_closure, connected_sum, parse_braid,
                                    parse_link_spec, pd_diagram)
@@ -91,3 +94,35 @@ def test_a_connected_sum_is_divided_by_each_summand():
             assert report.verdict == NOT_OBSTRUCTED, (first, second)
             assert report.quotient == deltas[second].value, (first, second)
     assert time.process_time() - started < CPU_SECONDS
+
+
+def test_ribbon_moves_never_obstruct():
+    # J from L by one or two ribbon moves is a ribbon concordance J >= L,
+    # so Delta_L divides Delta_J: on 60 closures L of each component
+    # count 1 to 5, against J as a braid and as its PD twin
+    rng = random.Random(26)
+    started = time.process_time()
+    verdicts = []
+    for draw in range(300):
+        components = 1 + draw % 5
+        word = random_closure(rng, (2, 5), (2, 12), max_components=components)
+        while len(word.cycles()) != components:
+            word = random_closure(rng, (2, 5), (2, 12),
+                                  max_components=components)
+        moved = word
+        for _ in range(rng.randint(1, 2)):
+            moved = ribbon_move(rng, moved, 16)
+        delta_l = alexander_polynomial(braid_closure(word))
+        twin = braid_to_pd(moved)
+        for diagram in (braid_closure(moved), twin and pd_diagram(twin)):
+            if diagram is None:
+                continue
+            assert diagram.num_components == components, braid_spec(moved)
+            report = obstruction_from_polynomials(
+                alexander_polynomial(diagram), delta_l)
+            assert report.verdict == NOT_OBSTRUCTED, (braid_spec(word), braid_spec(moved))
+            verdicts.append(report)
+    assert time.process_time() - started < 9.0
+    # the moves change Delta: a tenth of the quotients are not units
+    assert len(verdicts) >= 550
+    assert sum(not is_unit(r.quotient) for r in verdicts) >= len(verdicts) // 10

@@ -1002,7 +1002,7 @@ class TestTextFormat:
     def test_roundtrip_random(self):
         rng = random.Random(31337)
         for _ in range(200):
-            m = rng.choice((1, 2, 3))
+            m = rng.choice((1, 2, 3, 10, 12))
             p = random_poly(rng, m)
             assert parse_poly(poly_to_str(p), m) == p
 
