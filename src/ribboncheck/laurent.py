@@ -333,8 +333,8 @@ def parse_poly(text, nvars):
         raise ValueError("empty polynomial text")
     if s == "0":
         return LaurentPoly.zero(nvars)
-    # A term: signs, digits, an optional "*", then factors t, tN, t^E,
-    # tN^E, each with an optional "*".  re caches both patterns.
+    # A term: signs, digits, an optional "*", then factors t, tN, t^E or
+    # tN^E, each with an optional "*".  Not compiled at import: re caches.
     term = re.compile(r"([+-]*)(\d*)\*?((?:t\d*(?:\^-?\d*)?\*?)*)")
     factor = re.compile(r"t(\d*)(?:\^(-?\d*))?\*?")
     terms = {}

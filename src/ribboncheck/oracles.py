@@ -355,10 +355,10 @@ def cover_torsion_from_polynomial(delta, k):
 def cyclic_cover_check(delta, k, invariants):
     """
     True iff the cover agrees with the resultant.  `delta` is the Fox
-    pipeline's AlexanderPolynomial, `invariants` from reidemeister_schreier at the same k.  A
-    nonzero resultant must equal the cover's torsion order, with free
-    rank 1; a vanishing one (Delta shares a root with t^k - 1, which
-    needs composite k) must come with free rank above 1.
+    pipeline's AlexanderPolynomial, `invariants` reidemeister_schreier's
+    at the same k.  A nonzero resultant must equal the cover's torsion
+    order, with free rank 1; a vanishing one (Delta shares a root with
+    t^k - 1, which needs composite k) must come with free rank above 1.
     """
     order = cover_torsion_from_polynomial(delta.value, k)
     if order == 0:
