@@ -105,10 +105,10 @@ def test_ribbon_moves_never_obstruct():
     verdicts = []
     for draw in range(300):
         components = 1 + draw % 5
-        word = random_closure(rng, (2, 5), (2, 12), max_components=components)
-        while len(word.cycles()) != components:
-            word = random_closure(rng, (2, 5), (2, 12),
-                                  max_components=components)
+        while True:
+            word = random_closure(rng, (2, 5), (2, 12), components)
+            if len(word.cycles()) == components:
+                break
         moved = word
         for _ in range(rng.randint(1, 2)):
             moved = ribbon_move(rng, moved, 16)
@@ -120,7 +120,8 @@ def test_ribbon_moves_never_obstruct():
             assert diagram.num_components == components, braid_spec(moved)
             report = obstruction_from_polynomials(
                 alexander_polynomial(diagram), delta_l)
-            assert report.verdict == NOT_OBSTRUCTED, (braid_spec(word), braid_spec(moved))
+            assert report.verdict == NOT_OBSTRUCTED, (
+                braid_spec(word), braid_spec(moved))
             verdicts.append(report)
     assert time.process_time() - started < 9.0
     # the moves change Delta: a tenth of the quotients are not units
