@@ -276,7 +276,7 @@ def _row_relation_holds(packed, components):
     return True
 
 
-def torsion_order(pres, source=None):
+def torsion_order(pres):
     """
     Order of the torsion submodule of the presented module: the gcd of
     all rank x rank minors of the matrix, canonicalized.  Raises
@@ -286,9 +286,9 @@ def torsion_order(pres, source=None):
 
     The matrix is reduced at unit pivots and split into blocks first
     (see the module docstring); each block's order comes from
-    _block_order.  source, a dict of provenance, is returned in the
-    result's source together with "blocks": the rows, columns and path
-    of every reduced block.
+    _block_order.  The result's source is the provenance: the matrix's
+    "generators" (columns) and "relators" (rows), and "blocks", the
+    rows, columns and path of every reduced block.
     """
     nvars = pres.nvars
     value = LaurentPoly.one(nvars)
@@ -298,8 +298,9 @@ def torsion_order(pres, source=None):
         value = value * order
         blocks.append({"rows": block.num_relators,
                        "columns": block.num_generators, "path": path})
-    return AlexanderPolynomial(canonical(value), nvars,
-                               dict(source or {}, blocks=blocks))
+    return AlexanderPolynomial(canonical(value), nvars, {
+        "generators": pres.num_generators, "relators": pres.num_relators,
+        "blocks": blocks})
 
 
 def _reduced_blocks(pres):
@@ -324,8 +325,12 @@ def _reduced_blocks(pres):
     unit's within the same sum, so every minor of a block lies within h
     = 2 * sum_i rho_i (at most twice the relators' total length on a
     Jacobian).  The blocks keep the matrix's radius 2h.
+
+    A block keeps its rows of pres.kernel only if that kernel is
+    non-empty with one vector per row; else every block's kernel is None.
     """
-    matrix = pres.matrix
+    matrix, y = pres.matrix, pres.kernel
+    y = y if y and len(y) == len(matrix.rows) else None
     rows = {}
     cols = {j: set() for j in range(pres.num_generators)}
     units = set()
@@ -398,7 +403,7 @@ def _reduced_blocks(pres):
         blocks.append(AlexanderPresentation(
             packed, pres.nvars,
             tuple(pres.generator_component[j] for j in block_cols),
-            pres.kernel and tuple(pres.kernel[i] for i in block_rows)))
+            y and tuple(y[i] for i in block_rows)))
     return blocks
 
 
@@ -518,9 +523,4 @@ def alexander_polynomial(diagram, presentation=None):
     1
     """
     pres, phi = presentation or wirtinger_presentation(diagram)
-    A = jacobian(pres, phi)
-    if diagram.kernel and len(diagram.kernel) == len(pres.relators):
-        A = A._replace(kernel=diagram.kernel)
-    source = {"generators": pres.num_generators,
-              "relators": len(pres.relators)}
-    return torsion_order(A, source)
+    return torsion_order(jacobian(pres, phi)._replace(kernel=diagram.kernel))

@@ -114,10 +114,9 @@ def cmd_obstruct(args):
     dj = _load(args.spec_j, args.max_crossings)
     dl = _load(args.spec_l, args.max_crossings)
     deltas = {"J": alexander_polynomial(dj), "L": alexander_polynomial(dl)}
-    directions = [("J", "L")]
+    directions, shared = [("J", "L")], {}
     if args.both_directions:
         directions.append(("L", "J"))
-    shared = {} if args.both_directions else None
     for names in directions:
         reason = component_mismatch(deltas[names[0]], deltas[names[1]])
         if reason:

@@ -62,7 +62,7 @@ class ObstructionReport(NamedTuple):
         return "not obstructed (quotient: %s)" % laurent.poly_to_str(self.quotient)
 
 
-def ribbon_obstruction(diagram_j, diagram_l, names=("J", "L")):
+def ribbon_obstruction(diagram_j, diagram_l):
     """
     Apply the divisibility test to an ordered pair of diagrams.
 
@@ -73,7 +73,7 @@ def ribbon_obstruction(diagram_j, diagram_l, names=("J", "L")):
     'obstructed'
     """
     return obstruction_from_polynomials(alexander_polynomial(diagram_j),
-                                        alexander_polynomial(diagram_l), names)
+                                        alexander_polynomial(diagram_l))
 
 
 def component_mismatch(delta_j, delta_l):

@@ -927,6 +927,21 @@ class TestKernelCertificate:
             result = alexander_polynomial(d._replace(kernel=kernel))
             assert result.value == expected.value and len(calls) == 1
 
+    def test_kernel_of_the_wrong_length_is_refused(self, monkeypatch):
+        # a kernel is taken only with one vector per row: a short one
+        # once raised IndexError, a long one was cut to the block's rows
+        t1, t2 = (LaurentPoly.variable(i, 2) for i in (0, 1))
+        rows = ((t2 - 1, 1 - t1), (1 - t2, t1 - 1))
+        calls = counting_module_rank(monkeypatch)
+        for kernel in (((0, 0),), ((0, 0),) * 3):
+            result = torsion_order(
+                AlexanderPresentation.of(rows, 2, (0, 1), kernel=kernel))
+            assert result.value == LaurentPoly.one(2)
+            assert result.source == {
+                "generators": 2, "relators": 2,
+                "blocks": [{"rows": 2, "columns": 2, "path": "shortcut"}]}
+        assert len(calls) == 2
+
     def test_hand_built_kernels_the_check_refuses(self):
         # only y = (g, -f), no monomials, kills both rows: the minors'
         # gcd is 1, not the one minor f * (t2 - 1) divided by t2 - 1,

@@ -123,8 +123,7 @@ class TestCoprimality:
 class TestReportShape:
     def test_json_schema(self):
         report = ribbon_obstruction(braid_closure(TREFOIL),
-                                    parse_link_spec("braid:n=1:"),
-                                    names=("J", "L"))
+                                    parse_link_spec("braid:n=1:"))
         record = report.to_dict()
         assert list(record) == ["direction", "deltaJ", "deltaL", "verdict",
                                 "quotient", "gcd"]
