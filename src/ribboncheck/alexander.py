@@ -234,6 +234,8 @@ def determinant(rows):
     if n == 0:
         raise ValueError("determinant of an empty matrix is a convention; "
                          "handle 0x0 at the call site")
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant of a non-square matrix")
     pres = AlexanderPresentation.of(rows, rows[0][0].nvars, (0,) * n)
     return _det(pres.matrix, range(n), range(n))
 

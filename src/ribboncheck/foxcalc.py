@@ -21,7 +21,7 @@ matrix of LaurentPolys is packed by AlexanderPresentation.of.
 
 from typing import NamedTuple, Optional, Tuple
 
-from .laurent import KeyCodec, LaurentPoly
+from .laurent import DimensionError, KeyCodec, LaurentPoly
 
 
 class PackedMatrix(KeyCodec):
@@ -91,6 +91,12 @@ class AlexanderPresentation(NamedTuple):
         then lies within h (alexander._reduced_blocks), and so does the
         kernel.
         """
+        for row in rows:
+            if len(row) != len(generator_component):
+                raise ValueError("row has %d entries for %d generators"
+                                 % (len(row), len(generator_component)))
+            if any(x.nvars != nvars for x in row):
+                raise DimensionError("entry not in %d variables" % nvars)
         h = max(1, 2 * sum(map(_max_exponent, rows)),
                 *(abs(x) for e in kernel or () for x in e))
         return cls(PackedMatrix.pack(rows, len(generator_component), nvars,

@@ -89,6 +89,13 @@ class TestDeterminant:
         d = determinant([[t, one], [one, t]])
         assert d == t * t - one
 
+    def test_rejects_a_non_square_matrix(self):
+        # with two-variable entries [[1, 1]] once gave 1 and [[1], [1]] 0
+        one = LaurentPoly.one(2)
+        for rows in ([[one, one]], [[one], [one]]):
+            with pytest.raises(ValueError, match="non-square"):
+                determinant(rows)
+
     def test_matches_cofactor_expansion_random(self):
         rng = random.Random(321)
 

@@ -1,9 +1,11 @@
 import random
 from itertools import permutations
 
+import pytest
+
 from ribboncheck.alexander import module_rank, torsion_order
-from ribboncheck.foxcalc import jacobian
-from ribboncheck.laurent import LaurentPoly, parse_poly
+from ribboncheck.foxcalc import AlexanderPresentation, jacobian
+from ribboncheck.laurent import DimensionError, LaurentPoly, parse_poly
 from ribboncheck.linkcodec import parse_link_spec
 from ribboncheck.wirtinger import (AbelianizationMap, GroupPresentation,
                                    apply_phi, free_reduce,
@@ -137,6 +139,16 @@ class TestJacobian:
         A = jacobian(pres, phi)
         assert decoded(A) == ()
         assert A.num_generators == 1
+
+    def test_of_rejects_malformed_rows(self):
+        # a row wider than the generators once made torsion_order raise
+        # KeyError, and an entry in two variables was packed as one, so
+        # that t1 + t2 read as t^8 + 1
+        t1, t2 = (LaurentPoly.variable(i, 2) for i in (0, 1))
+        with pytest.raises(ValueError, match="3 entries for 2 generators"):
+            AlexanderPresentation.of([[t1 - 1, t2, t2]], 2, (0, 1))
+        with pytest.raises(DimensionError, match="not in 1 variables"):
+            AlexanderPresentation.of([[t1 + t2]], 1, (0,))
 
     def test_sparse_rows_share_one_zero(self, bundled_knots, bundled_links):
         shared = 0
