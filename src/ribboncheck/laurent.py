@@ -66,8 +66,10 @@ class LaurentPoly:
                     raise DimensionError(
                         "exponent vector %r has length %d, expected %d"
                         % (exps, len(exps), nvars))
+                if int(coeff) != coeff or any(int(e) != e for e in exps):
+                    raise ValueError("non-integral term %r: %r" % (exps, coeff))
                 if coeff:
-                    clean[tuple(exps)] = int(coeff)
+                    clean[tuple(map(int, exps))] = int(coeff)
         self.nvars = nvars
         self.terms = clean
 

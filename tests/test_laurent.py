@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -469,6 +470,18 @@ class TestPublicConstructor:
         assert_clean(p)
         assert LaurentPoly(3, {(1, 2, 3): 0}).is_zero()
         assert parse_poly("t1 - t1 + t2", 2).terms == {(0, 1): 1}
+
+    def test_only_integral_terms(self):
+        # a half once stored a zero coefficient that printed as -0*t,
+        # 1.5 was truncated to 1, and an exponent 1.5 printed as t^1
+        for terms in ({(1,): Fraction(1, 2)}, {(1,): 1.5}, {(1.5,): 1}):
+            with pytest.raises(ValueError, match="non-integral term"):
+                LaurentPoly(1, terms)
+        two = Fraction(4, 2)
+        p = LaurentPoly(1, {(two,): two, (True,): True})
+        assert p.terms == {(2,): 2, (1,): 1}
+        assert all(type(x) is int
+                   for e, c in p.terms.items() for x in e + (c,))
 
 
 class TestDivides:
