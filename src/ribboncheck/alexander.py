@@ -326,10 +326,8 @@ def _reduced_blocks(pres):
     |exponent|, the dividend's exponents lie within sum_i rho_i and the
     unit's within the same sum, so every minor of a block lies within h
     = 2 * sum_i rho_i (at most twice the relators' total length on a
-    Jacobian).  The blocks keep the matrix's radius 2h.
-
-    A block keeps its rows of pres.kernel only if that kernel is
-    non-empty with one vector per row; else every block's kernel is None.
+    Jacobian).  The blocks keep the matrix's radius 2h, and the rows of
+    pres.kernel if it has one vector per row, else no kernel.
     """
     matrix, y = pres.matrix, pres.kernel
     y = y if y and len(y) == len(matrix.rows) else None
