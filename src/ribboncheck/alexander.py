@@ -107,12 +107,15 @@ class RankCertificate(NamedTuple("RankCertificate", [
 
 
 class AlexanderPolynomial(NamedTuple("AlexanderPolynomial", [
-        ("value", LaurentPoly), ("nvars", int)])):  # value: canonical, nonzero
-    """Equal and hashed by value and nvars; source is read-only provenance."""
+        ("value", LaurentPoly)])):  # canonical, nonzero
+    """Equal and hashed by value; nvars (the value's) and source read-only."""
 
-    def __new__(cls, value, nvars, source=None):
-        self = super().__new__(cls, value, nvars)
-        self.__dict__["source"] = {} if source is None else source
+    def __new__(cls, value, *, source=None):
+        if value.is_zero():
+            raise ValueError("an Alexander polynomial is nonzero")
+        self = super().__new__(cls, canonical(value))
+        self.__dict__.update(nvars=value.nvars,
+                             source={} if source is None else source)
         return self
 
     def __setattr__(self, name, value=None):
@@ -292,15 +295,14 @@ def torsion_order(pres):
     "generators" (columns) and "relators" (rows), and "blocks", the
     rows, columns and path of every reduced block.
     """
-    nvars = pres.nvars
-    value = LaurentPoly.one(nvars)
+    value = LaurentPoly.one(pres.nvars)
     blocks = []
     for block in _reduced_blocks(pres):
         order, path = _block_order(block)
         value = value * order
         blocks.append({"rows": block.num_relators,
                        "columns": block.num_generators, "path": path})
-    return AlexanderPolynomial(canonical(value), nvars, {
+    return AlexanderPolynomial(value, source={
         "generators": pres.num_generators, "relators": pres.num_relators,
         "blocks": blocks})
 

@@ -171,8 +171,8 @@ def poly(expr, nvars=1):
 
 
 def delta_of(expr, nvars=1):
-    """A hand-built AlexanderPolynomial: the canonical form of expr."""
-    return AlexanderPolynomial(canonical(poly(expr, nvars)), nvars)
+    """A hand-built AlexanderPolynomial of expr."""
+    return AlexanderPolynomial(poly(expr, nvars))
 
 
 class TestSharedMemo:

@@ -1,20 +1,25 @@
 """
 The records' contracts: a record that checks its input raises the same
 exception with the same message when built directly, every record
-refuses assignment to a field, and an AlexanderPolynomial's source is
-read-only and takes no part in equality or hash.
+refuses assignment to a field, and an AlexanderPolynomial is the
+canonical form of its nonzero value, with nvars and source read-only and
+source taking no part in equality or hash.
 """
+
+import copy
+import pickle
 
 import pytest
 
 from ribboncheck.alexander import (AlexanderPolynomial, ComputationError,
                                    RankCertificate, alexander_polynomial,
-                                   module_rank)
+                                   module_rank, torsion_order)
 from ribboncheck.foxcalc import jacobian
 from ribboncheck.laurent import LaurentPoly
 from ribboncheck.linkcodec import (BraidWord, DiagramError, parse_braid,
                                    parse_link_spec, parse_pd)
-from ribboncheck.obstruct import ribbon_obstruction
+from ribboncheck.obstruct import (obstruction_from_polynomials,
+                                  ribbon_obstruction)
 from ribboncheck.oracles import AbelianGroupInvariants, torres_check
 from ribboncheck.wirtinger import (AbelianizationMap, GroupPresentation,
                                    wirtinger_presentation)
@@ -83,14 +88,57 @@ def test_polynomial_source_outside_equality_and_hash():
     delta = alexander_polynomial(parse_link_spec(TREFOIL))
     source = delta.source
     assert source
-    bare = AlexanderPolynomial(delta.value, delta.nvars)
-    other = AlexanderPolynomial(delta.value, delta.nvars, {"relators": 0})
+    bare = AlexanderPolynomial(delta.value)
+    other = AlexanderPolynomial(delta.value, source={"relators": 0})
     assert bare.source == {}
     assert delta == bare == other
     assert hash(delta) == hash(bare) == hash(other)
-    assert delta != AlexanderPolynomial(delta.value, 2)
     with pytest.raises(AttributeError):
         delta.source = {}
     with pytest.raises(AttributeError):
         del delta.source
     assert delta.source is source
+
+
+def test_polynomial_is_its_canonical_nonzero_value():
+    t = LaurentPoly.variable(0, 1)
+    assert AlexanderPolynomial._fields == ("value",)
+    delta = AlexanderPolynomial(t ** 3 - t ** 2 + t)
+    assert delta.value == t ** 2 - t + 1
+    assert delta.nvars == 1
+    with pytest.raises(AttributeError):
+        delta.nvars = 2
+    with pytest.raises(TypeError):
+        AlexanderPolynomial(t - 1, 1)
+    with pytest.raises(ValueError):
+        AlexanderPolynomial(LaurentPoly.zero(1))
+    # the variable count is part of the value, so it takes part in equality
+    two = AlexanderPolynomial(LaurentPoly.variable(0, 2) - 1)
+    assert two.nvars == 2
+    assert two != AlexanderPolynomial(t - 1)
+
+
+def test_polynomial_value_fixes_the_verdict():
+    """A value given in another unit multiple reads as its canonical form."""
+    t = LaurentPoly.variable(0, 1)
+    report = obstruction_from_polynomials(
+        AlexanderPolynomial(t ** 2 - t + 1),
+        AlexanderPolynomial(t ** 3 - t ** 2 + t))
+    assert report.verdict == "not_obstructed"
+    assert report.quotient == LaurentPoly.one(1)
+    t1 = LaurentPoly.variable(0, 2)
+    delta = AlexanderPolynomial(t1 - 1)
+    assert obstruction_from_polynomials(delta, delta).verdict == \
+        "not_obstructed"
+
+
+def test_polynomial_copy_and_pickle_keep_every_attribute():
+    t = LaurentPoly.variable(0, 1)
+    delta = AlexanderPolynomial(t * t - t + 1, source={"relators": 2})
+    for twin in (copy.copy(delta), pickle.loads(pickle.dumps(delta))):
+        assert (twin.value, twin.nvars, twin.source) == \
+            (delta.value, 1, {"relators": 2})
+
+
+def test_torsion_order_leaves_the_canonical_form_to_the_record():
+    assert "canonical" not in torsion_order.__code__.co_names
