@@ -105,8 +105,12 @@ def smith_normal_form(matrix):
     rows = {}  # row id -> {column: nonzero value}
     cols = {}  # column -> ids of the rows that use it
     for i, row in enumerate(matrix):
-        r = {j: int(v) for j, v in (row.items() if isinstance(row, dict)
-                                    else enumerate(row)) if v}
+        r = {j: v for j, v in (row.items() if isinstance(row, dict)
+                               else enumerate(row)) if v}
+        if not {*map(type, r.values())} <= {int}:  # re-read, kept as ints
+            if any(int(v) != v for v in r.values()):
+                raise ValueError("non-integral entry in row %d" % i)
+            r = {j: int(v) for j, v in r.items()}
         if r:
             rows[i] = r
             for j in r:

@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from sympy import ZZ, Matrix, Poly, resultant, symbols
@@ -36,6 +37,14 @@ class TestSmithNormalForm:
             diag = smith_normal_form(mat)
             for a, b in zip(diag, diag[1:]):
                 assert b % a == 0
+
+    def test_only_integral_entries(self):
+        with pytest.raises(ValueError, match="non-integral entry in row 0"):
+            smith_normal_form([[1.5, 0], [0, 2.9]])
+        with pytest.raises(ValueError, match="non-integral entry in row 1"):
+            smith_normal_form([{0: 2}, {3: 4, 5: Fraction(1, 2)}])
+        diag = smith_normal_form([[True, 0], [0, Fraction(4, 2)], [0, 6.0]])
+        assert diag == [1, 2] and all(type(d) is int for d in diag)
 
     def test_determinant_preserved(self):
         rng = random.Random(607)
