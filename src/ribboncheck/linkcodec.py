@@ -76,13 +76,15 @@ class BraidWord(NamedTuple("BraidWord", [("strands", int),
     __slots__ = ()
 
     def __new__(cls, strands, letters):
+        if int(strands) != strands or any(int(k) != k for k in letters):
+            raise DiagramError("braid strands and letters must be integers")
         if strands < 1:
             raise DiagramError("braid needs at least one strand")
         for k in letters:
             if k == 0 or abs(k) > strands - 1:
                 raise DiagramError(
                     "generator %d out of range for %d strands" % (k, strands))
-        return super().__new__(cls, strands, letters)
+        return super().__new__(cls, int(strands), tuple(map(int, letters)))
 
     def mirror(self):
         """Negate every letter (mirror image of the closure)."""

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -76,6 +77,12 @@ class TestParseBraid:
 
     def test_empty_word(self):
         assert parse_braid("n=2:") == BraidWord(2, ())
+
+    def test_integral_values_stored_as_ints(self):
+        word = BraidWord(3.0, [True, Fraction(-4, 2)])
+        assert word == BraidWord(3, (1, -2))
+        assert [type(x) for x in (word.strands, *word.letters)] == [int] * 3
+        assert braid_closure(word) == braid_closure(BraidWord(3, (1, -2)))
 
     def test_missing_header(self):
         with pytest.raises(ParseError):

@@ -38,6 +38,10 @@ TREFOIL = "braid:n=2:1 1 1"
      "braid needs at least one strand"),
     (lambda: BraidWord(3, (1, 3)), DiagramError,
      "generator 3 out of range for 3 strands"),
+    (lambda: BraidWord(3, (1.5,)), DiagramError,
+     "braid strands and letters must be integers"),
+    (lambda: BraidWord(2.5, (1,)), DiagramError,
+     "braid strands and letters must be integers"),
     (lambda: RankCertificate(1, (0,), (0,), LaurentPoly.zero(1)),
      ComputationError, "rank certificate carries a zero minor"),
     (lambda: AbelianGroupInvariants(0, (1, 2)), ValueError,
