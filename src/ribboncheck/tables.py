@@ -47,7 +47,7 @@ def batch_rows(path):
 def knot_table():
     """List of (name, spec) pairs for the bundled knots."""
     from importlib import resources
-    with resources.as_file(resources.files("ribboncheck") / "data"
+    with resources.as_file(resources.files(__package__) / "data"
                            / "knots.csv") as path:
         return batch_rows(path)
 
@@ -55,6 +55,6 @@ def knot_table():
 def link_table():
     """List of (name, spec) pairs for the bundled 2-component links."""
     from importlib import resources
-    with resources.as_file(resources.files("ribboncheck") / "data"
+    with resources.as_file(resources.files(__package__) / "data"
                            / "links.csv") as path:
         return batch_rows(path)

@@ -5,9 +5,14 @@ with the closed forms of the torus, 2-bridge and pretzel families
 """
 
 import csv
+import importlib.util
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
+
+import ribboncheck
 
 from families import (continued_fraction_value, pretzel_delta, pretzel_pd_spec,
                       rational_pd_spec, torus_braid_spec, torus_delta,
@@ -92,6 +97,26 @@ class TestBundledTable:
         for required in list(TWO_BRIDGE) + list(TORUS) + list(PRETZEL):
             assert required in names, required
         assert len(link_table()) == 6
+
+    def test_a_copy_under_another_name_reads_its_own_data(self,
+                                                          monkeypatch):
+        # the package loaded as another_ribboncheck, no ribboncheck importable
+        package = Path(ribboncheck.__file__).parent
+        spec = importlib.util.spec_from_file_location(
+            "another_ribboncheck", package / "__init__.py",
+            submodule_search_locations=[str(package)])
+        monkeypatch.setitem(sys.modules, "ribboncheck", None)
+        monkeypatch.setitem(sys.modules, spec.name,
+                            importlib.util.module_from_spec(spec))
+        try:
+            spec.loader.exec_module(sys.modules[spec.name])
+            tables = importlib.import_module(spec.name + ".tables")
+            assert len(tables.knot_table()) == 35
+            assert len(tables.link_table()) == 6
+        finally:
+            for name in list(sys.modules):
+                if name.startswith(spec.name + "."):
+                    del sys.modules[name]
 
     def test_rows_as_a_plain_csv_reader_reads_them(self):
         # batch_rows, the one batch CSV reader, returns the rows that the

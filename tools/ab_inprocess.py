@@ -12,14 +12,8 @@ tree (ab_bench.revisions refuses otherwise); the workload's requests
 are built from the parent's.  Each side's `src/ribboncheck` is imported
 into this one process under a package name of its own (ab_parent,
 ab_change), so that both run on the same interpreter, warmed the same
-way.  One module still goes through the name `ribboncheck`: `tables`
-reads the bundled CSVs with importlib.resources.files("ribboncheck"),
-so both sides read the data of the package that name resolves to.  The
-run makes that the parent's: its `src` goes first on sys.path, and a
-ribboncheck the process imported before is set aside until the run
-ends.  The tool also refuses two revisions whose `src/ribboncheck/data`
-trees differ, so that each side reads its own data.  Everything the run
-imports is dropped from sys.modules when it ends.
+way.  Everything the run imports is dropped from sys.modules when it
+ends.
 
 Every request of the workload runs once on each side first, and the
 tool refuses to time anything unless the exit codes and standard outputs
@@ -120,8 +114,7 @@ def main(argv=None):
                         help="pairs of passes, at least 2")
     args = parser.parse_args(argv)
 
-    revs = revisions(args.parent, args.change,
-                     ("perfbench", "src/ribboncheck/data"))
+    revs = revisions(args.parent, args.change)
     cwd, path, modules = os.getcwd(), list(sys.path), set(sys.modules)
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
@@ -129,9 +122,7 @@ def main(argv=None):
             tree.mkdir()
             export(revs[side], tree)
         parent = trees["parent"]
-        sys.path[:0] = [str(parent / "src"), str(parent / "perfbench")]
-        aside = {name: sys.modules.pop(name) for name in list(sys.modules)
-                 if name.partition(".")[0] == "ribboncheck"}
+        sys.path.insert(0, str(parent / "perfbench"))
         try:
             import workloads
             work = workloads.generate(args.workload, args.seed, parent)
@@ -152,7 +143,6 @@ def main(argv=None):
             sys.path[:] = path
             for name in set(sys.modules) - modules:
                 del sys.modules[name]
-            sys.modules.update(aside)
     print(json.dumps(dict(summarise(times), workload=args.workload,
                           seed=args.seed, passes=len(times["parent"]),
                           revisions=[revs[side][:12] for side in SIDES])))
