@@ -74,8 +74,8 @@ def smith_normal_form(matrix):
     return the nonzero diagonal d1 | d2 | ... (unit entries included, so
     the length of the result is the rank).  A row is a list of entries
     or a dict {column: entry}; either is copied into a dict of its
-    nonzero entries, and the rows stay sparse, with a column -> rows
-    index, to the end.
+    nonzero entries, as ints (ValueError if not integral), and the rows
+    stay sparse, with a column -> rows index, to the end.
 
     Each pivot is a +-1 of the shortest row that holds one, at its
     sparsest such column, or else the least nonzero |entry|.  Floor
@@ -104,7 +104,7 @@ def smith_normal_form(matrix):
     for i, row in enumerate(matrix):
         r = {j: v for j, v in (row.items() if isinstance(row, dict)
                                else enumerate(row)) if v}
-        if not {*map(type, r.values())} <= {int}:  # re-read, kept as ints
+        if not {*map(type, r.values())} <= {int}:  # bool, Fraction, float...
             if any(int(v) != v for v in r.values()):
                 raise ValueError("non-integral entry in row %d" % i)
             r = {j: int(v) for j, v in r.items()}
