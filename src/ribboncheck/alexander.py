@@ -118,6 +118,11 @@ class AlexanderPolynomial(NamedTuple("AlexanderPolynomial", [
                              source={} if source is None else source)
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        """Built by the constructor, so _replace's value is canonical too."""
+        return cls(*iterable)
+
     def __setattr__(self, name, value=None):
         raise AttributeError("AlexanderPolynomial is immutable")
 

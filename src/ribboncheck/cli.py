@@ -16,9 +16,14 @@ crossings, and a braid spec at most twice that many strands plus one
 (its crossings) and a PD code's crossing entries are counted from the
 text before the diagram is built.
 
-main may be called any number of times in one process: it parses with
-one parser, built when this module is imported, and reads
-RIBBONCHECK_MAX_CROSSINGS anew on every call.
+Every command, its positionals and its options are one table, COMMANDS,
+which parse_args walks argv against once: tokens in any order, option
+names exactly as written, and --covers taking the integers up to the
+next option, negatives included.  Prefix abbreviations, --opt=value and
+-- are refused.  A usage error prints "error: ..." and the usage line on
+stderr and main returns 2; -h or --help prints the usage and returns 0.
+main may be called any number of times in one process: it reads argv
+and RIBBONCHECK_MAX_CROSSINGS anew on every call.
 
 batch records an error in one row, including an unexpected one (kind
 "internal", with the traceback on stderr), and goes on with the next
@@ -31,10 +36,10 @@ than the rows it took (ROADMAP, measured notes).  No other module of
 the package encodes JSON.
 """
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .linkcodec import (DiagramError, ParseError, parse_link_spec,
                         spec_size)
@@ -281,55 +286,89 @@ def cmd_oracle_check(args):
     return EXIT_OK if all(r.get("pass", True) for r in results) else EXIT_COMPUTE
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="ribboncheck",
-        description="Alexander polynomials of links and the divisibility "
-                    "obstruction to homotopy ribbon concordance.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compute", help="Alexander polynomial of one link")
-    p.add_argument("spec", help="link spec, e.g. 'braid:n=2:1 1 1' or 'pd:X(...)'")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_compute)
-
-    p = sub.add_parser("obstruct", help="divisibility verdict for a pair J, L")
-    p.add_argument("spec_j")
-    p.add_argument("spec_l")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--both-directions", action="store_true")
-    p.set_defaults(func=cmd_obstruct)
-
-    p = sub.add_parser("batch", help="process a CSV of name,spec rows")
-    p.add_argument("csv_path")
-    p.add_argument("--pairs", action="store_true",
-                   help="also emit the full pairwise obstruction matrix")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="accepted and ignored; rows run one after another "
-                        "(a forked worker measured slower on two cores, "
-                        "see ROADMAP)")
-    p.set_defaults(func=cmd_batch)
-
-    p = sub.add_parser("validate", help="parse and structurally check a spec")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("oracle-check", help="run independent verification")
-    p.add_argument("spec")
-    p.add_argument("--covers", type=int, nargs="+", default=(2, 3, 5),
-                   metavar="K", help="cyclic cover degrees (knots)")
-    p.set_defaults(func=cmd_oracle_check)
-    return parser
+# each command: its function, positional names and options by default: a
+# flag's is False, that of an option taking one integer an int, and that
+# of one taking one or more a tuple.  parse_args reads argv against it.
+COMMANDS = {
+    "compute": (cmd_compute, ("spec",), {"--json": False}),
+    "obstruct": (cmd_obstruct, ("spec_j", "spec_l"),
+                 {"--json": False, "--both-directions": False}),
+    "batch": (cmd_batch, ("csv_path",), {"--pairs": False, "--jobs": 1}),
+    "validate": (cmd_validate, ("spec",), {}),
+    "oracle-check": (cmd_oracle_check, ("spec",), {"--covers": (2, 3, 5)}),
+}
+_FORMS = {bool: "", int: " N", tuple: " K [K ...]"}
 
 
-# built once: parse_args leaves the parser as it found it, and every
-# default is immutable, so no call sees what an earlier one parsed
-_PARSER = build_parser()
+def _usage(name):
+    """The usage line of a command, or of each command if name is not one."""
+    return "usage: " + "\n       ".join(
+        " ".join(["ribboncheck", n] + ["[%s%s]" % (o, _FORMS[type(d)])
+                                       for o, d in options.items()]
+                 + list(positionals))
+        for n, (_, positionals, options) in COMMANDS.items()
+        if name not in COMMANDS or n == name)
+
+
+def _refused(name, message):
+    return ParseError("%s\n%s" % (message, _usage(name)))
+
+
+def _is_option(token):
+    return token[:1] == "-" and not token[1:].isdigit()
+
+
+def parse_args(argv):
+    """
+    The namespace argv asks for: command, func and each positional and
+    option of the command by name ("-" read as "_"); None once -h or
+    --help has printed the usage.  Tokens come in any order, and an
+    option's integers run up to the next option: a token that starts
+    with "-" and is not a negative integer.
+    """
+    name = argv[0] if argv else None
+    if {"-h", "--help"} & set(argv if name in COMMANDS else argv[:1]):
+        return print(_usage(name))
+    if name not in COMMANDS:
+        raise _refused(name, "unknown command %r" % name if argv else
+                       "no command given")
+    func, positionals, options = COMMANDS[name]
+    found, given, i = dict(options), [], 1
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        if token not in options:
+            if _is_option(token):
+                raise _refused(name, "unknown option %r" % token)
+            given.append(token)
+        elif type(options[token]) is bool:
+            found[token] = True
+        else:
+            many, end = type(options[token]) is tuple, i
+            while end < len(argv) and not _is_option(argv[end]) and (
+                    many or end == i):
+                end += 1
+            try:
+                values = [int(value) for value in argv[i:end]]
+            except ValueError:
+                values = []
+            if not values:
+                raise _refused(name, "%s%s takes integers"
+                               % (token, _FORMS[type(options[token])]))
+            found[token], i = values if many else values[0], end
+    if len(given) != len(positionals):
+        raise _refused(name, "unexpected argument %r" % given[len(positionals)]
+                       if len(given) > len(positionals) else
+                       "missing " + " ".join(positionals[len(given):]))
+    args = dict(zip(positionals, given), command=name, func=func)
+    args.update((o[2:].replace("-", "_"), v) for o, v in found.items())
+    return SimpleNamespace(**args)
 
 
 def main(argv=None):
-    args = _PARSER.parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return EXIT_OK
         args.max_crossings = _max_crossings()
         return args.func(args)
     except (ParseError, DiagramError, OSError) as exc:

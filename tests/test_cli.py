@@ -1,7 +1,10 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -10,6 +13,7 @@ import pytest
 import ribboncheck
 from ribboncheck import alexander, cli, laurent, linkcodec, obstruct
 
+import cli_reference
 import pipeline_reference as reference
 from helpers import table_path
 
@@ -836,9 +840,9 @@ class TestOracleCheck:
 
 class TestSharedParser:
     """
-    cli.main parses with one parser, built when the module is imported; a
-    sequence of calls in one process must behave as if each call had a
-    process of its own.
+    cli.main reads argv against one table, cli.COMMANDS; a sequence of
+    calls in one process must behave as if each call had a process of its
+    own.
     """
 
     # three components whose reduced block (3x2, rank 1) has two spare
@@ -866,10 +870,7 @@ class TestSharedParser:
                 patch.setenv(name, value)
             if budget is not None:
                 patch.setattr(alexander, "FALLBACK_MINOR_BUDGET", budget)
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
+            code = cli.main(argv)
         out, err = capsys.readouterr()
         return code, out, err
 
@@ -877,46 +878,41 @@ class TestSharedParser:
         def refuse(*args, **kwargs):
             raise AssertionError("a parser was built")
 
-        monkeypatch.setattr(cli, "build_parser", refuse)
-        monkeypatch.setattr(cli.argparse, "ArgumentParser", refuse)
+        # the table is the one parser: cli holds no other, nor argparse
+        assert not {"argparse", "build_parser", "_PARSER"} & set(vars(cli))
+        monkeypatch.setattr(argparse, "ArgumentParser", refuse)
         for _ in range(3):
             assert cli.main(["compute", "--json", "braid:n=2:1 1 1"]) == 0
             assert cli.main(["oracle-check", "braid:n=2:1 1 1"]) == 0
             assert cli.main(["compute", "braid:n=2: 5"]) == 2
-            with pytest.raises(SystemExit) as info:
-                cli.main(["compute"])
-            assert info.value.code == 2
+            assert cli.main(["compute"]) == 2
         out = capsys.readouterr().out.splitlines()
         assert out[0] == out[2] == out[4]
         assert json.loads(out[0])["alexander"] == "t^2 - t + 1"
 
     def test_each_call_parses_into_a_namespace_of_its_own(
             self, tmp_path, monkeypatch, capsys):
-        made = []
-
-        class Recorded(argparse.Namespace):
-            def __init__(self, **kwargs):
-                super().__init__(**kwargs)
-                made.append(self)
+        # the args object each command function receives
+        used = []
+        for name, (func, *rest) in list(cli.COMMANDS.items()):
+            def recorded(args, func=func):
+                used.append(args)
+                return func(args)
+            monkeypatch.setitem(cli.COMMANDS, name, (recorded, *rest))
 
         path = tmp_path / "table.csv"
         path.write_text("name,spec\ntrefoil,braid:n=2:1 1 1\n")
-        monkeypatch.setattr(cli.argparse, "Namespace", Recorded)
-        used = []
         for argv in (["batch", str(path), "--pairs"],
                      ["compute", "braid:n=2:1 1 1"],
                      ["compute", "braid:n=2:1 1 1"]):
-            made.clear()
             assert cli.main(argv) == 0
-            # the namespace main ran the command with
-            mine = [ns for ns in made if hasattr(ns, "max_crossings")]
-            assert len(mine) == 1
-            used.append(mine[0])
+        assert len(used) == 3
+        assert all(hasattr(ns, "max_crossings") for ns in used)
         assert len({id(ns) for ns in used}) == 3
         assert not hasattr(used[1], "pairs")
 
     def test_covers_default_is_immutable(self):
-        args = cli._PARSER.parse_args(["oracle-check", "braid:n=2:1 1 1"])
+        args = cli.parse_args(["oracle-check", "braid:n=2:1 1 1"])
         assert args.covers == (2, 3, 5)
 
     def test_sequence_matches_one_process_per_call(self, tmp_path,
@@ -926,8 +922,6 @@ class TestSharedParser:
                         "fig8,braid:n=3:1 -2 1 -2\nhopf,braid:n=2:1 1\n")
         trefoil = "braid:n=2:1 1 1"
         monkeypatch.delenv("RIBBONCHECK_MAX_CROSSINGS", raising=False)
-        # argparse wraps --help to the terminal width, read from COLUMNS
-        monkeypatch.setenv("COLUMNS", "80")
         # (argv, environment, fallback budget or None, expected exit code)
         steps = [
             (["compute", "--json", trefoil], {}, None, 0),
@@ -965,6 +959,147 @@ class TestSharedParser:
         assert "limit is 2 " in results[14][2]
 
 
+class TestCommandTable:
+    """
+    cli.parse_args against the argparse parser it replaced
+    (tests/cli_reference.py): wherever argparse accepts an argv, the
+    table gives the same value for every dest; wherever argparse exits
+    2, parse_args raises ParseError and main returns 2.
+    """
+
+    TREFOIL, FIG8 = "braid:n=2:1 1 1", "braid:n=3:1 -2 1 -2"
+    # the grammar, written out here rather than read from cli.COMMANDS:
+    # each command's flags and integer options (True: one or more values)
+    FLAGS = {"compute": ("--json",), "obstruct": ("--json", "--both-directions"),
+             "batch": ("--pairs",), "validate": (), "oracle-check": ()}
+    INTEGER_OPTIONS = {"batch": {"--jobs": False},
+                       "oracle-check": {"--covers": True}}
+    FOREIGN = ("--json", "--both-directions", "--pairs", "--jobs", "--covers",
+               "--bogus", "-x")
+    INTEGERS = ("-3", "-1", "0", "1", "2", "3", "5", "12")
+    NOT_INTEGERS = ("x", "2.5", "", "3x")
+
+    def draw(self, rng, csv_path):
+        """One argv of the grammar: valid often, each kind of error too."""
+        if rng.random() < 0.03:
+            return []
+        if rng.random() < 0.06:
+            return [rng.choice(("comput", "frobnicate", "--json", "7")),
+                    self.TREFOIL]
+        command = rng.choice(list(self.FLAGS))
+        positionals = {"obstruct": [self.TREFOIL, self.FIG8],
+                       "batch": [csv_path]}.get(command, [self.TREFOIL])
+        if rng.random() < 0.1:
+            del positionals[rng.randrange(len(positionals))]
+        elif rng.random() < 0.1:
+            positionals.append(rng.choice(("extra", "7", self.TREFOIL)))
+        groups = [[token] for token in positionals]
+        for flag in self.FLAGS[command]:
+            groups += [[flag]] * rng.choice((0, 1, 1, 2))
+        options = dict(self.INTEGER_OPTIONS.get(command, {}))
+        if rng.random() < 0.15:
+            foreign = rng.choice(self.FOREIGN)
+            options.setdefault(foreign, rng.random() < 0.5)
+            groups.append([foreign])
+        for option, many in options.items():
+            for _ in range(rng.choice((0, 1, 1, 2))):
+                values = [rng.choice(self.INTEGERS)
+                          for _ in range(rng.randint(1, 4) if many else 1)]
+                if rng.random() < 0.1:
+                    values[rng.randrange(len(values))] = rng.choice(
+                        self.NOT_INTEGERS)
+                if rng.random() < 0.08:
+                    values = []
+                groups.append([option] + values)
+        rng.shuffle(groups)
+        return [command] + [token for group in groups for token in group]
+
+    def test_same_namespace_or_exit_2_as_argparse(self, tmp_path, capsys):
+        path = tmp_path / "table.csv"
+        path.write_text("name,spec\ntrefoil,braid:n=2:1 1 1\n")
+        parser = cli_reference.build_parser()
+        rng = random.Random(44)
+        seen = {"accepted": set(), "refused": set()}
+        for _ in range(3000):
+            argv = self.draw(rng, str(path))
+            try:
+                with contextlib.redirect_stderr(io.StringIO()):
+                    expected = parser.parse_args(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                with pytest.raises(linkcodec.ParseError):
+                    cli.parse_args(argv)
+                assert cli.main(argv) == 2, argv
+                seen["refused"].add(tuple(argv[:1]))
+            else:
+                assert vars(cli.parse_args(argv)) == vars(expected), argv
+                seen["accepted"].add((argv[0], len(argv)))
+        capsys.readouterr()
+        assert {command for command, _ in seen["accepted"]} == set(self.FLAGS)
+        assert len(seen["accepted"]) >= 25
+        assert seen["refused"] >= {(), ("frobnicate",)} | {
+            (command,) for command in self.FLAGS}
+
+    def test_prefix_abbreviation_is_a_usage_error(self, capsys):
+        argv = ["obstruct", self.TREFOIL, self.FIG8, "--both"]
+        assert cli_reference.build_parser().parse_args(argv).both_directions
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", (
+            "error: unknown option '--both'\nusage: ribboncheck obstruct "
+            "[--json] [--both-directions] spec_j spec_l\n"))
+
+    def test_option_equals_value_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "table.csv"
+        path.write_text("name,spec\ntrefoil,braid:n=2:1 1 1\n")
+        argv = ["batch", str(path), "--jobs=2"]
+        assert cli_reference.build_parser().parse_args(argv).jobs == 2
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: unknown option '--jobs=2'\n")
+
+    def test_double_dash_is_a_usage_error(self, capsys):
+        argv = ["compute", "--", self.TREFOIL]
+        assert cli_reference.build_parser().parse_args(argv).spec == \
+            self.TREFOIL
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: unknown option '--'\n")
+
+    def test_usage_errors_name_the_usage_line(self, capsys):
+        for argv, message in [
+                (["compute"], "missing spec"),
+                (["obstruct", self.TREFOIL], "missing spec_l"),
+                (["validate", self.TREFOIL, "7"], "unexpected argument '7'"),
+                (["batch", "t.csv", "--jobs"], "--jobs N takes integers"),
+                (["oracle-check", "--covers", "3", "2", self.TREFOIL],
+                 "--covers K [K ...] takes integers")]:
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            error, usage = err.splitlines()
+            assert error == "error: " + message
+            assert usage.startswith("usage: ribboncheck %s " % argv[0])
+        assert cli.main([]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "error: no command given"
+        assert [line.split("ribboncheck ")[1].split()[0]
+                for line in err[1:]] == list(cli.COMMANDS)
+
+    def test_help_prints_the_usage_and_exits_0(self, monkeypatch, capsys):
+        # help reads no environment, as argparse's exited before main did
+        monkeypatch.setenv("RIBBONCHECK_MAX_CROSSINGS", "x")
+        assert cli.main(["oracle-check", self.TREFOIL, "--help"]) == 0
+        assert capsys.readouterr() == (
+            "usage: ribboncheck oracle-check [--covers K [K ...]] spec\n", "")
+        assert cli.main(["-h"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert [line.split()[-1] for line in out.splitlines()] == [
+            "spec", "spec_l", "csv_path", "spec", "spec"]
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self):
         a = run_cli("compute", "--json", "braid:n=3:1 -2 1 -2")
@@ -974,13 +1109,15 @@ class TestDeterminism:
 
 class TestStartUp:
     def test_import_loads_neither_dataclasses_nor_inspect(self):
-        # a command's cost is mostly start-up, and these two were about
-        # half of what the package added to a bare interpreter
+        # a command's cost is mostly start-up: the first two were about
+        # half of what the package added to a bare interpreter, and
+        # argparse parsed every call twice and loaded gettext
         program = ("import sys\n"
                    "import ribboncheck.cli\n"
                    "from ribboncheck import tables\n"
                    "tables.knot_table(), tables.link_table()\n"
-                   "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+                   "print(sorted({'dataclasses', 'inspect', 'argparse',\n"
+                   "              'gettext'} & set(sys.modules)))")
         r = subprocess.run([sys.executable, "-c", program],
                            capture_output=True, text=True, env=child_env())
         assert r.returncode == 0, r.stderr

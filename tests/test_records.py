@@ -144,5 +144,18 @@ def test_polynomial_copy_and_pickle_keep_every_attribute():
             (delta.value, 1, {"relators": 2})
 
 
+def test_polynomial_make_and_replace_build_through_the_constructor():
+    t = LaurentPoly.variable(0, 1)
+    delta = AlexanderPolynomial(t - 1, source={"relators": 1})
+    moved = delta._replace(value=t ** 3 - t ** 2)
+    assert (moved.value, moved.nvars, moved.source) == (t - 1, 1, {})
+    assert moved == delta
+    with pytest.raises(ValueError):
+        delta._replace(value=LaurentPoly.zero(1))
+    made = AlexanderPolynomial._make([LaurentPoly.variable(1, 2) ** 2])
+    assert (made.value, made.nvars, made.source) == (
+        LaurentPoly.one(2), 2, {})
+
+
 def test_torsion_order_leaves_the_canonical_form_to_the_record():
     assert "canonical" not in torsion_order.__code__.co_names

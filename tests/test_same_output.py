@@ -83,6 +83,22 @@ class TestFirstDifference:
         assert diff.startswith("compute --json braid:n=2:1 1 1: blocks "
                                "differs: [[{'rows': 2")
 
+    def test_loose_commands_compare_exit_codes_and_empty_streams(
+            self, same_output):
+        loose = [COMMANDS[0]]
+        reworded = changed(0, 1, '{"alexander": "other text"}\n')
+        assert same_output.first_difference(COMMANDS, RESULTS, reworded,
+                                            loose) is None
+        assert same_output.first_difference(COMMANDS, RESULTS,
+                                            reworded).startswith(
+            "compute --json braid:n=2:1 1 1: stdout line 1 differs")
+        diff = same_output.first_difference(COMMANDS, RESULTS,
+                                            changed(0, 0, 2), loose)
+        assert diff.endswith("exit code differs: 0 against 2")
+        diff = same_output.first_difference(COMMANDS, RESULTS,
+                                            changed(0, 2, "error: x\n"), loose)
+        assert diff.endswith("stderr differs: False against True")
+
     def test_result_counts(self, same_output):
         diff = same_output.first_difference(COMMANDS, RESULTS, RESULTS[:2])
         assert diff == "result counts differ: 3 commands, 3 and 2 results"
@@ -213,6 +229,21 @@ def test_child_records_the_blocks_of_compute_commands(same_output):
         [[{"rows": 2, "columns": 2, "path": "shortcut"}]],
         [[{"rows": 0, "columns": 1, "path": "rank0"},
           {"rows": 0, "columns": 1, "path": "rank0"}]], None]
+
+
+def test_child_runs_usage_and_help_commands(same_output):
+    tree = TOOL.parent.parent
+    commands = [list(argv) for argv in same_output.USAGE_COMMANDS]
+    results = same_output.run_side(tree, commands)
+    helps = [argv for argv in commands if "--help" in argv]
+    assert len(helps) == 6
+    for argv, (code, out, err, blocks) in zip(commands, results):
+        assert (code, bool(out), bool(err)) == (
+            (0, True, False) if argv in helps else (2, False, True)), argv
+        assert blocks == ([] if argv[:1] == ["compute"] else None)
+    results = same_output.run_side(
+        tree, [list(argv) for argv in same_output.ARGV_FORMS])
+    assert [r[0] for r in results] == [0] * len(same_output.ARGV_FORMS)
 
 
 def test_pair_commands_reach_every_gcd_text(same_output, tmp_path, capsys):
