@@ -970,7 +970,8 @@ class TestCommandTable:
     TREFOIL, FIG8 = "braid:n=2:1 1 1", "braid:n=3:1 -2 1 -2"
     # the grammar, written out here rather than read from cli.COMMANDS:
     # each command's flags and integer options (True: one or more values)
-    FLAGS = {"compute": ("--json",), "obstruct": ("--json", "--both-directions"),
+    FLAGS = {"compute": ("--json",),
+             "obstruct": ("--json", "--both-directions"),
              "batch": ("--pairs",), "validate": (), "oracle-check": ()}
     INTEGER_OPTIONS = {"batch": {"--jobs": False},
                        "oracle-check": {"--covers": True}}

@@ -437,22 +437,21 @@ def main(argv=None):
             trees[side].mkdir()
             ab_bench.export(getattr(args, side), trees[side])
         commands, files = corpus(trees["parent"], SEEDS)
-        commands += [list(argv) for argv in ARGV_FORMS + USAGE_COMMANDS]
+        commands += ARGV_FORMS + USAGE_COMMANDS
         for tree in trees.values():
             for path, text in files.items():
                 (tree / path).parent.mkdir(parents=True, exist_ok=True)
                 (tree / path).write_text(text, encoding="utf-8")
         results = {side: run_side(tree, commands)
                    for side, tree in trees.items()}
-    loose = [list(argv) for argv in USAGE_COMMANDS]
     diff = first_difference(commands, results["parent"], results["change"],
-                            loose)
+                            USAGE_COMMANDS)
     if diff:
         print(diff)
         return 1
     print("%d commands: identical exit codes, stdout, stderr and blocks, "
           "but for the text of %d usage and help commands"
-          % (len(commands), len(loose)))
+          % (len(commands), len(USAGE_COMMANDS)))
     return 0
 
 
