@@ -147,6 +147,11 @@ class AlexanderPolynomial(NamedTuple("AlexanderPolynomial", [
                                           for i in range(self.nvars))),
                 gcd(*coeffs), max(map(abs, coeffs)))
 
+    @cached_property
+    def _pairs(self):
+        """obstruct's memo of each pair, by the other polynomial's text."""
+        return {}
+
     def __str__(self):
         return self.text
 

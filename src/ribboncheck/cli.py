@@ -119,19 +119,16 @@ def cmd_obstruct(args):
     dj = _load(args.spec_j, args.max_crossings)
     dl = _load(args.spec_l, args.max_crossings)
     deltas = {"J": alexander_polynomial(dj), "L": alexander_polynomial(dl)}
-    directions, shared = [("J", "L")], {}
-    if args.both_directions:
-        directions.append(("L", "J"))
-    for names in directions:
-        reason = component_mismatch(deltas[names[0]], deltas[names[1]])
+    for names in [("J", "L"), ("L", "J")][:1 + args.both_directions]:
+        pair = [deltas[name] for name in names]
+        reason = component_mismatch(*pair)
         if reason:
             print(json.dumps({"direction": list(names),
                               "verdict": "component_mismatch",
                               "reason": reason})
                   if args.json else "component mismatch: %s" % reason)
             continue
-        report = obstruction_from_polynomials(
-            deltas[names[0]], deltas[names[1]], names=names, shared=shared)
+        report = obstruction_from_polynomials(*pair, names=names)
         print(json.dumps(report.to_dict()) if args.json else report.summary())
     return EXIT_OK
 
@@ -194,37 +191,36 @@ def _pair_lines(rows, deltas, kinds):
     component counts once, and each pair that an operand's error
     decides once.
     """
-    # per row: its name, as JSON too, its polynomial and its key, the
-    # kind of its error or the index of the first row of an equal
-    # polynomial, and the polynomial's text as JSON
+    # per row: its name as JSON, its polynomial and its key, the kind of
+    # its error or the index of the first row of an equal polynomial,
+    # and the polynomial's text as JSON
     first = {}
-    table = [(name, json.dumps(name), delta,
+    table = [(json.dumps(name), delta,
               kind or first.setdefault((delta.nvars, delta.text), i),
               delta and json.dumps(delta.text))
              for i, ((name, _), delta, kind)
              in enumerate(zip(rows, deltas, kinds))]
-    tails, shared, reasons = {}, {}, {}
+    tails, reasons = {}, {}
     for row_j in table:
-        row_tails = tails.setdefault(row_j[3], {})
+        row_tails = tails.setdefault(row_j[2], {})
         lines = []
         for row_l in table:
-            tail = row_tails.get(row_l[3])
+            tail = row_tails.get(row_l[2])
             if tail is None:
-                tail = row_tails[row_l[3]] = _pair_tail(row_j, row_l, shared,
-                                                        reasons)
-            lines.append(_LINE % (row_j[1], row_l[1], tail))
+                tail = row_tails[row_l[2]] = _pair_tail(row_j, row_l, reasons)
+            lines.append(_LINE % (row_j[0], row_l[0], tail))
         yield "\n".join(lines) + "\n"
 
 
-def _pair_tail(row_j, row_l, shared, reasons):
+def _pair_tail(row_j, row_l, reasons):
     """
     The tail of the pair lines of two rows of _pair_lines' table.  Both
-    directions of two values pass one shared memo; reasons holds the
-    mismatch reason of each pair of component counts, as JSON.  A
-    report's gcd reuses the rows' texts where it is one of the two
-    polynomials.
+    directions of two values share their work on the two polynomials
+    (obstruction_from_polynomials); reasons holds the mismatch reason of
+    each pair of component counts, as JSON.  A report's gcd reuses the
+    rows' texts where it is one of the two polynomials.
     """
-    (name_j, _, dj, a, text_j), (name_l, _, dl, b, text_l) = row_j, row_l
+    (_, dj, a, text_j), (_, dl, b, text_l) = row_j, row_l
     failed = a if dj is None else b if dl is None else None
     if failed:
         return _ERROR_TAIL % (failed, json.dumps(_OPERAND_ERRORS[failed]))
@@ -234,9 +230,7 @@ def _pair_tail(row_j, row_l, shared, reasons):
             reasons[key] = json.dumps(component_mismatch(dj, dl))
         return _MISMATCH_TAIL % reasons[key]
     try:
-        report = obstruction_from_polynomials(
-            dj, dl, names=(name_j, name_l),
-            shared=shared.setdefault((a, b) if a < b else (b, a), {}))
+        report = obstruction_from_polynomials(dj, dl)
     except ComputationError as exc:
         return _ERROR_TAIL % ("compute", json.dumps(str(exc)))
     q, g = report.quotient, report.gcd_value

@@ -83,22 +83,20 @@ def component_mismatch(delta_j, delta_l):
                 "them" % (delta_j.nvars, delta_l.nvars))
 
 
-def obstruction_from_polynomials(delta_j, delta_l, names=("J", "L"),
-                                 shared=None):
+def obstruction_from_polynomials(delta_j, delta_l, names=("J", "L")):
     """
     Apply the divisibility test to polynomials already computed.
 
     The division comes first; when Delta_L divides Delta_J the gcd is
     Delta_L itself.  When it does not, the other direction is divided
     too, and the gcd is Delta_J when that divides; only when neither
-    divides the other is a gcd taken.  shared, when given, is one dict
-    that every call on the same two polynomial values passes, in either
-    order and any number of times; without it a call takes a fresh one.
-    It keeps each direction's quotient, under its dividend's text, and
-    the gcd, under "gcd" (no polynomial's text).  So two values take at
-    most one division per direction, whatever the order of the calls,
-    and a gcd only when neither divides the other.  Every call that
-    divides checks its quotient.
+    divides the other is a gcd taken.  The two records keep one memo
+    for their pair, each under the other's text (equal texts mean equal
+    values): each direction's quotient under its dividend's text, and
+    the gcd under "gcd" (no polynomial's text).  So calls on the same
+    records, in either order and any number of times, take at most one
+    division per direction and one gcd.  Every call that divides checks
+    its quotient.
 
     Integers decide most of this (see _screened and _coprime): a
     division is skipped where the one cached value shows that it fails,
@@ -108,7 +106,8 @@ def obstruction_from_polynomials(delta_j, delta_l, names=("J", "L"),
     reason = component_mismatch(delta_j, delta_l)
     if reason:
         raise ComponentMismatch(reason)
-    memo = {} if shared is None else shared
+    memo = delta_j._pairs.setdefault(
+        delta_l.text, delta_l._pairs.setdefault(delta_j.text, {}))
     quotient = _quotient(delta_j, delta_l, memo)
     if quotient is not None:
         if delta_l.value * quotient != delta_j.value:

@@ -329,6 +329,18 @@ class TestSinglePass:
         assert gcds == [("t^4 - 2*t^3 + 3*t^2 - 2*t + 1",
                          "t^4 - 4*t^3 + 5*t^2 - 4*t + 1")]
 
+    def test_obstruct_both_directions_on_equal_polynomials_divides_once(
+            self, monkeypatch, capsys):
+        divisions = self.count_divisions(monkeypatch)
+        # 3_1 as a braid and as a PD code: two records of one value
+        assert cli.main(["obstruct", "--both-directions", "--json",
+                         "braid:n=2:1 1 1",
+                         "pd:X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"]) == 0
+        lines = [json.loads(line)
+                 for line in capsys.readouterr().out.splitlines()]
+        assert [line["quotient"] for line in lines] == ["1", "1"]
+        assert divisions == [True]
+
     # 3_1, 3_1 # 4_1, 4_1, T(2,4), the Hopf link and T(2,6):
     # Delta(4_1) divides Delta(3_1 # 4_1), and so does Delta(3_1)
     SIX_ROWS = ["trefoil,braid:n=2:1 1 1\n", "sum,braid:n=4:1 1 1 2 -3 2 -3\n",
@@ -425,9 +437,9 @@ class TestSinglePass:
         calls = []
         original = cli.obstruction_from_polynomials
 
-        def recorded(delta_j, delta_l, names, shared):
-            calls.append(names)
-            return original(delta_j, delta_l, names=names, shared=shared)
+        def recorded(delta_j, delta_l):
+            calls.append((delta_j.text, delta_l.text))
+            return original(delta_j, delta_l)
 
         monkeypatch.setattr(cli, "obstruction_from_polynomials", recorded)
         path = tmp_path / "table.csv"
@@ -436,16 +448,15 @@ class TestSinglePass:
         lines = [json.loads(line) for line in
                  capsys.readouterr().out.splitlines()[11:]]
         assert len(lines) == 11 * 11
-        # one call per ordered pair of distinct polynomial values, under
-        # the names of the first line that has it: 5 knots of 3 values
-        # and 6 two-component links of 3 values
+        # one call per ordered pair of distinct polynomial values, in the
+        # order of the first line that has it: 5 knots of 3 values and 6
+        # two-component links of 3 values
         assert len(calls) == 3 * 3 + 3 * 3
         first = {}
         for line in lines:
             if line["verdict"] != "component_mismatch":
-                first.setdefault((line["deltaJ"], line["deltaL"]),
-                                 tuple(line["direction"]))
-        assert calls == list(first.values())
+                first.setdefault((line["deltaJ"], line["deltaL"]))
+        assert calls == list(first)
 
     def test_batch_pairs_converts_each_knot_delta_once(
             self, tmp_path, monkeypatch, capsys):

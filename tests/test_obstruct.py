@@ -9,7 +9,8 @@ import pytest
 
 import pipeline_reference as reference
 from ribboncheck import cli, laurent, obstruct
-from ribboncheck.alexander import XI, AlexanderPolynomial, alexander_polynomial
+from ribboncheck.alexander import (XI, AlexanderPolynomial, ComputationError,
+                                  alexander_polynomial)
 from ribboncheck.laurent import (LaurentPoly, canonical, exact_divide,
                                  parse_poly)
 from ribboncheck.linkcodec import braid_closure, connected_sum, parse_braid, \
@@ -177,9 +178,10 @@ def delta_of(expr, nvars=1):
 
 class TestSharedMemo:
     """
-    One shared dict for any number of calls on the same two values.  A
-    division runs only where the one cached value does not show that it
-    fails, and a gcd only where the one-point test does not prove it 1.
+    The memo two records keep for their pair, for any number of calls on
+    them.  A division runs only where the one cached value does not show
+    that it fails, and a gcd only where the one-point test does not
+    prove it 1.
     """
 
     def count_work(self, monkeypatch):
@@ -208,18 +210,65 @@ class TestSharedMemo:
         (("braid:n=3:1 1 1 2 2 2", "braid:n=4:1 1 1 2 -3 2 -3"), 0, 1)])
     def test_one_division_per_direction_in_any_order(
             self, monkeypatch, specs, divisions, gcds):
-        a, b = (alexander_polynomial(parse_link_spec(s)) for s in specs)
-        expected = {order: obstruction_from_polynomials(*order).to_dict()
-                    for order in ((a, b), (b, a))}
+        diagrams = [parse_link_spec(s) for s in specs]
+
+        def records():
+            return [alexander_polynomial(d) for d in diagrams]
+
+        # each expected report from records that no other call touched
+        expected = {order: obstruction_from_polynomials(
+            *(fresh[i] for i in order)).to_dict()
+            for order, fresh in (((0, 1), records()), ((1, 0), records()))}
         work = self.count_work(monkeypatch)
-        for calls in ([(a, b), (a, b), (b, a), (b, a), (a, b)],
-                      [(b, a), (a, b), (b, a)]):
-            shared = {}
+        for calls in ([(0, 1), (0, 1), (1, 0), (1, 0), (0, 1)],
+                      [(1, 0), (0, 1), (1, 0)]):
+            pair = records()
             work.update(divide=0, gcd=0)
             for order in calls:
-                report = obstruction_from_polynomials(*order, shared=shared)
+                report = obstruction_from_polynomials(*(pair[i] for i in order))
                 assert report.to_dict() == expected[order]
             assert work == {"divide": divisions, "gcd": gcds}
+
+    def test_interleaved_pairs_on_shared_records(self, monkeypatch):
+        # a = 3_1 # 4_1, b = 3_1, c = 5_1: a's memo of (a, c) must not
+        # answer (a, b), whose quotient is Delta(4_1) = t^2 - 3*t + 1
+        specs = {"a": "braid:n=4:1 1 1 2 -3 2 -3", "b": "braid:n=2:1 1 1",
+                 "c": "braid:n=2:1 1 1 1 1"}
+        diagrams = {name: parse_link_spec(s) for name, s in specs.items()}
+        shared = {name: alexander_polynomial(d)
+                  for name, d in diagrams.items()}
+        calls = ["ac", "ab", "ba", "ca"]
+        expected = {}
+        for names in calls:
+            fresh = [alexander_polynomial(diagrams[name]) for name in names]
+            expected[names] = obstruction_from_polynomials(*fresh).to_dict()
+        assert expected["ab"]["verdict"] == NOT_OBSTRUCTED
+        assert expected["ab"]["quotient"] == "t^2 - 3*t + 1"
+        assert expected["ba"]["gcd"] == expected["ab"]["deltaL"]
+        work = self.count_work(monkeypatch)
+        for names in calls:
+            report = obstruction_from_polynomials(
+                *(shared[name] for name in names))
+            assert report.to_dict() == expected[names]
+        # a / c and c / a are screened out, the gcd of a and c is 1 by the
+        # point; a / b divides and serves (b, a)'s gcd, b / a is screened
+        assert work == {"divide": 1, "gcd": 0}
+
+    def test_a_kept_quotient_is_checked_on_every_call(self, monkeypatch):
+        # a wrong quotient stays on the records and fails every call
+        trefoil, pd_trefoil = (
+            alexander_polynomial(parse_link_spec(s)) for s in
+            ("braid:n=2:1 1 1", "pd:X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"))
+        monkeypatch.setattr(obstruct, "exact_divide", lambda a, b: a)
+        for order in ((trefoil, pd_trefoil), (trefoil, pd_trefoil),
+                      (pd_trefoil, trefoil)):
+            with pytest.raises(ComputationError, match="division witness"):
+                obstruction_from_polynomials(*order)
+
+    def test_no_caller_memo(self):
+        trefoil = alexander_polynomial(parse_link_spec("braid:n=2:1 1 1"))
+        with pytest.raises(TypeError):
+            obstruction_from_polynomials(trefoil, trefoil, shared={})
 
     def test_without_shared_one_division_then_the_gcd(self, monkeypatch):
         # Delta_J = f * ((t^2 - 3t + 1) * (t + 1) + t - XI), f = t^2 - t + 1

@@ -41,8 +41,10 @@ standard output and standard error captured.  The corpus:
 - `obstruct J L` with each of OBSTRUCT_FLAGS on each consecutive pair of
   SCREEN_ROWS, of the bundled knots and of the bundled links, on
   DIVIDING_J_PAIR and on the first bundled knot and link (a component
-  mismatch): the one command whose calls share no memo unless
-  --both-directions is given.  With and without --both-directions,
+  mismatch): the one command that decides a single pair of
+  polynomials, once, or twice with --both-directions, the second call
+  reusing what the first kept on the two polynomials.  With and
+  without --both-directions,
   its reports reach each gcd text that batch --pairs does: "1",
   Delta_L's, Delta_J's and another;
 - `compute --json` on FALLBACK_CLOSURES, SPARE_ROW_CLOSURES and
