@@ -30,10 +30,11 @@ batch records an error in one row, including an unexpected one (kind
 row; a computation error in one pair of --pairs is that pair's line
 (kind "compute"), and the next pair follows.  It accepts --jobs N and
 ignores it: each row's polynomial is computed once, in one thread, and
-reused for the --pairs matrix.  A forked worker for --jobs 2 measured
-slower on two cores: its copy-on-write faults cost the parent more
-than the rows it took (ROADMAP, measured notes).  No other module of
-the package encodes JSON.
+reused for the --pairs matrix.  A second worker may find no CPU free
+on the shared two-core machine measured: two CPU-bound processes took
+0.74-2.15 times the wall time of one, and a forked worker for --jobs 2
+read slower (ROADMAP, directions (a) and (w)).  No other module of the
+package encodes JSON.
 """
 
 import json

@@ -235,8 +235,7 @@ class TestSharedMemo:
         specs = {"a": "braid:n=4:1 1 1 2 -3 2 -3", "b": "braid:n=2:1 1 1",
                  "c": "braid:n=2:1 1 1 1 1"}
         diagrams = {name: parse_link_spec(s) for name, s in specs.items()}
-        shared = {name: alexander_polynomial(d)
-                  for name, d in diagrams.items()}
+        kept = {name: alexander_polynomial(d) for name, d in diagrams.items()}
         calls = ["ac", "ab", "ba", "ca"]
         expected = {}
         for names in calls:
@@ -248,7 +247,7 @@ class TestSharedMemo:
         work = self.count_work(monkeypatch)
         for names in calls:
             report = obstruction_from_polynomials(
-                *(shared[name] for name in names))
+                *(kept[name] for name in names))
             assert report.to_dict() == expected[names]
         # a / c and c / a are screened out, the gcd of a and c is 1 by the
         # point; a / b divides and serves (b, a)'s gcd, b / a is screened
