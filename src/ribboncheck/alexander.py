@@ -204,20 +204,18 @@ def _eliminate(packed, rows=None, cols=None):
         for i in range(k + 1, n):
             row = m[i]
             below = row.pop(c, None)
+            # the numerator lead * row[j] - below * top[j]
+            minus = below and {key: -x for key, x in below.items()}
             new = {}
             for j in (row.keys() | top.keys()) if below else row:
                 num = {}
                 get = num.get
-                cell = row.get(j)
-                if cell:
-                    for k1, x1 in lead.items():
-                        for k2, x2 in cell.items():
-                            num[k1 + k2] = get(k1 + k2, 0) + x1 * x2
-                cell = below and top.get(j)
-                if cell:
-                    for k1, x1 in below.items():
-                        for k2, x2 in cell.items():
-                            num[k1 + k2] = get(k1 + k2, 0) - x1 * x2
+                for factor, cell in ((lead, row.get(j)),
+                                     (minus, below and top.get(j))):
+                    if cell:
+                        for k1, x1 in factor.items():
+                            for k2, x2 in cell.items():
+                                num[k1 + k2] = get(k1 + k2, 0) + x1 * x2
                 num = {key: x for key, x in num.items() if x}
                 if num and k:  # else prev is the initial 1
                     num = divide_cells(num, prev, packed)
@@ -378,12 +376,11 @@ def _reduced_blocks(pres):
                             cell[k1 + k2] = s
                         else:
                             del cell[k1 + k2]
-                if not cell:
+                if cell:
+                    cols[j].add(i)
+                else:
                     del row[j]
                     cols[j].discard(i)
-                    units.discard((i, j))
-                    continue
-                cols[j].add(i)
                 if len(cell) == 1 and abs(next(iter(cell.values()))) == 1:
                     units.add((i, j))
                 else:

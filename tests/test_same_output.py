@@ -83,25 +83,29 @@ class TestFirstDifference:
         assert diff.startswith("compute --json braid:n=2:1 1 1: blocks "
                                "differs: [[{'rows': 2")
 
-    def test_loose_commands_compare_exit_codes_and_empty_streams(
-            self, same_output):
-        loose = [COMMANDS[0]]
-        reworded = changed(0, 1, '{"alexander": "other text"}\n')
-        assert same_output.first_difference(COMMANDS, RESULTS, reworded,
-                                            loose) is None
-        assert same_output.first_difference(COMMANDS, RESULTS,
-                                            reworded).startswith(
-            "compute --json braid:n=2:1 1 1: stdout line 1 differs")
-        diff = same_output.first_difference(COMMANDS, RESULTS,
-                                            changed(0, 0, 2), loose)
-        assert diff.endswith("exit code differs: 0 against 2")
-        diff = same_output.first_difference(COMMANDS, RESULTS,
-                                            changed(0, 2, "error: x\n"), loose)
-        assert diff.endswith("stderr differs: False against True")
-
     def test_result_counts(self, same_output):
         diff = same_output.first_difference(COMMANDS, RESULTS, RESULTS[:2])
         assert diff == "result counts differ: 3 commands, 3 and 2 results"
+
+
+def test_main_names_a_usage_command_whose_text_differs(same_output,
+                                                        monkeypatch, capsys):
+    # only the wording of one usage error's stderr differs: every stream
+    # is written on both sides, and the exit codes agree
+    argv = list(same_output.USAGE_COMMANDS[4])
+    assert argv == ["compute"]
+
+    def run_side(tree, commands):
+        err = "error: %s\n" % ("missing" if tree.name == "parent" else "needs")
+        return [[2, "", err if c == argv else "", None] for c in commands]
+
+    monkeypatch.setattr(same_output.ab_bench, "export", lambda rev, into: None)
+    monkeypatch.setattr(same_output, "corpus", lambda tree, seeds: ([], {}))
+    monkeypatch.setattr(same_output, "run_side", run_side)
+    assert same_output.main(["PARENT", "CHANGE"]) == 1
+    assert capsys.readouterr().out == (
+        "compute: stderr line 1 differs: 'error: missing\\n' against "
+        "'error: needs\\n'\n")
 
 
 # the path of each block of each FALLBACK_CLOSURES entry, in order

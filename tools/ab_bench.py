@@ -61,18 +61,15 @@ def export(rev, into):
         raise SystemExit("git archive %s failed" % rev)
 
 
-def revisions(parent, change, shared=("perfbench",)):
+def revisions(parent, change):
     """
     {"parent": hash, "change": hash} of the two revisions; refuses them
-    unless they hold the same tree at every path in shared.
+    unless they hold the same perfbench/ tree.
     """
     revs = {"parent": git("rev-parse", parent),
             "change": git("rev-parse", change)}
-    for path in shared:
-        if len({git("rev-parse", "%s:%s" % (rev, path))
-                for rev in revs.values()}) > 1:
-            raise SystemExit("the two revisions hold different %s/ trees"
-                             % path)
+    if len({git("rev-parse", rev + ":perfbench") for rev in revs.values()}) > 1:
+        raise SystemExit("the two revisions hold different perfbench/ trees")
     return revs
 
 
