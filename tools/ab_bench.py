@@ -68,7 +68,8 @@ def revisions(parent, change):
     """
     revs = {"parent": git("rev-parse", parent),
             "change": git("rev-parse", change)}
-    if len({git("rev-parse", rev + ":perfbench") for rev in revs.values()}) > 1:
+    if len({git("rev-parse", rev + ":perfbench")
+            for rev in revs.values()}) > 1:
         raise SystemExit("the two revisions hold different perfbench/ trees")
     return revs
 

@@ -69,8 +69,9 @@ Each command's exit code, stdout and stderr are compared, with each
 tree's own path replaced by "<tree>".  For every `compute` command the
 child also records source["blocks"] of each polynomial that
 `ribboncheck.cli.alexander_polynomial` returns, the rows, columns and
-path of every reduced block, and those are compared too.  The exit code is 0 when every command agrees, and 1 after naming the
-first command that does not.
+path of every reduced block, and those are compared too.  The exit
+code is 0 when every command agrees, and 1 after naming the first
+command that does not.
 """
 
 import argparse
