@@ -1,8 +1,30 @@
+import subprocess
+from pathlib import Path
+
 import pytest
 
 from ribboncheck.laurent import LaurentPoly
 from ribboncheck.linkcodec import BraidWord, parse_link_spec
 from ribboncheck.tables import knot_table, link_table
+
+
+@pytest.fixture(scope="session")
+def git_work_tree():
+    """
+    Skips the test unless the repository root is the root of a git work
+    tree: the A/B tools name revisions through git rev-parse, which
+    exits 128 in a copy of the files that is none (a git archive export).
+    """
+    root = Path(__file__).resolve().parent.parent
+    try:
+        top = subprocess.run(("git", "-C", str(root), "rev-parse",
+                              "--show-toplevel"), capture_output=True,
+                             text=True).stdout.strip()
+    except OSError:  # no git at all
+        top = ""
+    if not top or Path(top).resolve() != root:
+        pytest.skip("the repository root is not a git work tree, and "
+                    "the A/B tools need git")
 
 
 @pytest.fixture(scope="session")

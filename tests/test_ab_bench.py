@@ -35,6 +35,27 @@ def summary(ab_bench, parent, change):
     return ab_bench.summarise("w", 0, runs(parent, change), BETTER, BOUNDS)
 
 
+def test_seeds_refuse_a_range_that_ends_below_its_start(ab_bench, capsys):
+    with pytest.raises(ValueError, match="5-3 ends below its start"):
+        ab_bench.seeds("5-3")
+    # argparse turns the ValueError into a usage error, before any run
+    with pytest.raises(SystemExit) as refusal:
+        ab_bench.main(["PARENT", "CHANGE", "--workloads", "table_pairs",
+                       "--seeds", "1010-1001"])
+    assert refusal.value.code == 2
+    assert "invalid seeds value: '1010-1001'" in capsys.readouterr().err
+
+
+def test_exported_trees_last_as_long_as_the_with_block(ab_bench,
+                                                       git_work_tree):
+    with ab_bench.exported({"a": "HEAD", "b": "HEAD"}) as trees:
+        assert sorted(trees) == ["a", "b"]
+        assert trees["a"] != trees["b"]
+        for tree in trees.values():
+            assert (tree / "src" / "ribboncheck" / "cli.py").is_file()
+    assert not any(tree.exists() for tree in trees.values())
+
+
 class TestVerdicts:
     def test_clear_gain(self, ab_bench):
         parent = [2.8, 2.9, 2.7, 3.0, 2.8, 2.9, 2.6, 2.8, 3.1, 2.7]

@@ -1,6 +1,5 @@
 import importlib.util
 import json
-import subprocess
 import sys
 from pathlib import Path
 
@@ -11,25 +10,7 @@ import ribboncheck
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "ab_inprocess.py"
 
-
-def _work_tree_root():
-    """The root of the git work tree holding ROOT, or None outside one."""
-    try:
-        proc = subprocess.run(("git", "-C", str(ROOT), "rev-parse",
-                               "--show-toplevel"), capture_output=True,
-                              text=True)
-    except OSError:  # no git at all
-        return None
-    return Path(proc.stdout.strip()).resolve() if proc.returncode == 0 \
-        else None
-
-
-# the tool names its revisions through git rev-parse, which exits 128
-# in a copy of the files that is no git work tree (a git archive export)
-pytestmark = pytest.mark.skipif(
-    _work_tree_root() != ROOT,
-    reason="the repository root is not a git work tree, and "
-           "ab_bench.revisions needs git rev-parse")
+pytestmark = pytest.mark.usefixtures("git_work_tree")
 
 
 @pytest.fixture
@@ -57,22 +38,44 @@ def test_head_against_head(ab_inprocess, capsys):
     assert sys.modules["ribboncheck"] is ribboncheck
 
 
-def test_refuses_when_the_outputs_differ(ab_inprocess, monkeypatch, capsys):
+def wrap_change_main(ab_inprocess, monkeypatch, wrap):
+    """Make the change side's cli.main wrap(its cli.main)."""
     load = ab_inprocess.load
 
-    def loud(tree, name):
+    def wrapping(tree, name):
         cli = load(tree, name)
         if name != "ab_change":
             return cli
         wrapped = type(sys)(name + ".cli")
-        wrapped.main = lambda argv: print("extra") or cli.main(argv)
+        wrapped.main = wrap(cli.main)
         return wrapped
 
-    monkeypatch.setattr(ab_inprocess, "load", loud)
+    monkeypatch.setattr(ab_inprocess, "load", wrapping)
+
+
+def test_refuses_when_the_outputs_differ(ab_inprocess, monkeypatch, capsys):
+    wrap_change_main(ab_inprocess, monkeypatch,
+                     lambda main: lambda argv: print("extra") or main(argv))
     with pytest.raises(SystemExit, match="the sides differ on compute"):
         ab_inprocess.main(["HEAD", "HEAD", "--workload", "split_fallback",
                            "--passes", "2"])
     assert capsys.readouterr().out == ""
+
+
+def test_refuses_when_a_request_raises(ab_inprocess, monkeypatch, capsys):
+    def broken(argv):
+        raise RuntimeError("broken")
+
+    wrap_change_main(ab_inprocess, monkeypatch, lambda main: broken)
+    modules, path = set(sys.modules), list(sys.path)
+    with pytest.raises(SystemExit,
+                       match="the change side raised on compute") as refusal:
+        ab_inprocess.main(["HEAD", "HEAD", "--workload", "split_fallback",
+                           "--passes", "2"])
+    # run_pass kept the traceback in that request's stderr
+    assert "RuntimeError: broken" in str(refusal.value)
+    assert capsys.readouterr().out == ""
+    assert set(sys.modules) == modules and sys.path == path
 
 
 def test_refuses_different_shared_trees(ab_inprocess, monkeypatch):

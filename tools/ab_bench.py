@@ -34,6 +34,7 @@ The exit code is 1 if any run failed or reported a wrong result.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
@@ -61,6 +62,17 @@ def export(rev, into):
         raise SystemExit("git archive %s failed" % rev)
 
 
+@contextlib.contextmanager
+def exported(revs):
+    """{side: temporary tree} of revs ({side: rev}), removed after the with."""
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: Path(tmp) / side for side in revs}
+        for side, tree in trees.items():
+            tree.mkdir()
+            export(revs[side], tree)
+        yield trees
+
+
 def revisions(parent, change):
     """
     {"parent": hash, "change": hash} of the two revisions; refuses them
@@ -79,7 +91,10 @@ def seeds(text):
     out = []
     for part in text.split(","):
         low, _, high = part.partition("-")
-        out.extend(range(int(low), int(high or low) + 1))
+        low, high = int(low), int(high or low)
+        if high < low:
+            raise ValueError("%s ends below its start" % part)
+        out.extend(range(low, high + 1))
     return out
 
 
@@ -167,12 +182,7 @@ def main(argv=None):
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     out = open(args.out, "a") if args.out else sys.stdout
     ok = True
-    with tempfile.TemporaryDirectory() as tmp:
-        trees = {}
-        for side, rev in revs.items():
-            trees[side] = Path(tmp) / side
-            trees[side].mkdir()
-            export(rev, trees[side])
+    with exported(revs) as trees:
         pair = 0
         for workload in args.workloads:
             runs = []

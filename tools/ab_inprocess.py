@@ -7,7 +7,7 @@ for sizing a change before measuring it.
         [--seed 1] [--passes 40]
 
 Each revision is exported with `git archive` into a temporary directory
-of its own (ab_bench.export), and both must hold the same `perfbench/`
+of its own (ab_bench.exported), and both must hold the same `perfbench/`
 tree (ab_bench.revisions refuses otherwise); the workload's requests
 are built from the parent's.  Each side's `src/ribboncheck` is imported
 into this one process under a package name of its own (ab_parent,
@@ -15,13 +15,15 @@ ab_change), so that both run on the same interpreter, warmed the same
 way.  Everything the run imports is dropped from sys.modules when it
 ends.
 
-Every request of the workload runs once on each side first, and the
-tool refuses to time anything unless the exit codes and standard outputs
-agree on every request.  Then it makes --passes pairs of passes, a pass
-being the whole request sequence through that side's cli.main; the side
-that runs first alternates from pair to pair.  It prints one JSON object:
-each side's median and quartiles of the pass times in ms, the change's
-median over the parent's, and in how many pairs the change was faster.
+Each pass is the whole request sequence through that side's cli.main,
+run by `run_pass` of the parent's perfbench/client.py, the loop that the
+benchmark times.  One pass runs on each side first, and the tool refuses
+to time anything if a request raised on either side (exit code -1 from
+run_pass) or the exit codes and standard outputs differ on a request.
+Then it makes --passes pairs of passes; the side that runs first
+alternates from pair to pair.  It prints one JSON object: each side's
+median and quartiles of the pass times in ms, the change's median over
+the parent's, and in how many pairs the change was faster.
 
 This is a sizing tool: one process, CPU-bound passes, no fresh
 interpreters, no set-up or memory metrics, no reference outputs.
@@ -29,18 +31,13 @@ Claims rest on `tools/ab_bench.py`, which runs perfbench itself.
 """
 
 import argparse
-import contextlib
 import importlib.util
-import io
 import json
 import os
 import statistics
 import sys
-import tempfile
-from pathlib import Path
-from time import perf_counter
 
-from ab_bench import export, revisions
+from ab_bench import exported, quartiles, revisions
 
 SIDES = ("parent", "change")
 
@@ -57,42 +54,26 @@ def load(tree, name):
     return importlib.import_module(name + ".cli")
 
 
-def call(main, argv):
-    """(exit code, stdout) of one request."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue()
-
-
-def check_same(mains, requests):
-    """Refuse unless both sides give the same exit code and stdout."""
-    for argv in requests:
-        parent, change = (call(mains[side], argv) for side in SIDES)
-        if parent != change:
+def check_same(mains, requests, run_pass):
+    """Refuse if a request raises, or the exit codes or stdouts differ."""
+    first = [run_pass(mains[side], requests)["results"] for side in SIDES]
+    for argv, *pair in zip(requests, *first):
+        for side, (_, code, _, _, err) in zip(SIDES, pair):
+            if code == -1:
+                raise SystemExit("the %s side raised on %s:\n%s" % (
+                    side, " ".join(argv), err))
+        (_, a, _, out_a, _), (_, b, _, out_b, _) = pair
+        if (a, out_a) != (b, out_b):
+            same = "the same" if out_a == out_b else "different"
             raise SystemExit("the sides differ on %s: exit %s and %s, "
-                             "stdout %s" % (" ".join(argv), parent[0],
-                                            change[0], "the same"
-                                            if parent[1] == change[1]
-                                            else "different"))
-
-
-def timed_pass(main, requests):
-    started = perf_counter()
-    for argv in requests:
-        call(main, argv)
-    return perf_counter() - started
+                             "stdout %s" % (" ".join(argv), a, b, same))
 
 
 def summarise(times):
     """Medians, quartiles (ms), the ratio of medians and the change's wins."""
     out = {}
     for side in SIDES:
-        q1, median, q3 = statistics.quantiles(times[side], n=4)
+        q1, q3 = quartiles(times[side])
         out[side] = {"median_ms": 1000 * statistics.median(times[side]),
                      "quartiles_ms": [1000 * q1, 1000 * q3]}
     out["change_over_parent"] = (out["change"]["median_ms"]
@@ -116,15 +97,12 @@ def main(argv=None):
 
     revs = revisions(args.parent, args.change)
     cwd, path, modules = os.getcwd(), list(sys.path), set(sys.modules)
-    with tempfile.TemporaryDirectory() as tmp:
-        trees = {side: Path(tmp) / side for side in SIDES}
-        for side, tree in trees.items():
-            tree.mkdir()
-            export(revs[side], tree)
+    with exported(revs) as trees:
         parent = trees["parent"]
         sys.path.insert(0, str(parent / "perfbench"))
         try:
             import workloads
+            from client import run_pass
             work = workloads.generate(args.workload, args.seed, parent)
             for rel, text in work.files.items():
                 (parent / rel).parent.mkdir(parents=True, exist_ok=True)
@@ -133,11 +111,12 @@ def main(argv=None):
             mains = {side: load(tree, "ab_" + side).main
                      for side, tree in trees.items()}
             requests = [r.argv for r in work.requests]
-            check_same(mains, requests)
+            check_same(mains, requests, run_pass)
             times = {side: [] for side in SIDES}
             for k in range(max(2, args.passes)):
                 for side in SIDES[::1 if k % 2 == 0 else -1]:
-                    times[side].append(timed_pass(mains[side], requests))
+                    times[side].append(
+                        run_pass(mains[side], requests)["elapsed"])
         finally:
             os.chdir(cwd)
             sys.path[:] = path

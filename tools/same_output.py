@@ -4,7 +4,7 @@ Check that two revisions of this repository print the same thing.
 
     python tools/same_output.py PARENT CHANGE
 
-Both revisions are exported with tools/ab_bench.py's `export` into a
+Both revisions are exported with tools/ab_bench.py's `exported` into a
 temporary directory each.  Each side runs the whole corpus in one child
 process, which calls `ribboncheck.cli.main` once per command with
 standard output and standard error captured.  The corpus:
@@ -82,7 +82,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 from itertools import zip_longest
 from pathlib import Path
 
@@ -423,12 +422,7 @@ def main(argv=None):
     parser.add_argument("parent")
     parser.add_argument("change")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp:
-        trees = {}
-        for side in ("parent", "change"):
-            trees[side] = Path(tmp) / side
-            trees[side].mkdir()
-            ab_bench.export(getattr(args, side), trees[side])
+    with ab_bench.exported(vars(args)) as trees:  # parent, change
         commands, files = corpus(trees["parent"], SEEDS)
         commands += ARGV_FORMS + USAGE_COMMANDS
         for tree in trees.values():
