@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,44 @@ def test_exported_trees_last_as_long_as_the_with_block(ab_bench,
         for tree in trees.values():
             assert (tree / "src" / "ribboncheck" / "cli.py").is_file()
     assert not any(tree.exists() for tree in trees.values())
+
+
+def test_refuses_different_benchmark_files(ab_bench, monkeypatch,
+                                           git_work_tree):
+    git, files = ab_bench.git, []
+
+    def differing(*args):  # each side's BENCHMARK.json a new object
+        if args[-1].endswith(":BENCHMARK.json"):
+            files.append(args)
+            return str(len(files))
+        return git(*args)
+
+    monkeypatch.setattr(ab_bench, "git", differing)
+    with pytest.raises(SystemExit, match="different BENCHMARK.json files"):
+        ab_bench.revisions("HEAD", "HEAD")
+
+
+def test_seconds_default_to_the_parents_run_seconds(ab_bench, monkeypatch,
+                                                    git_work_tree):
+    git, seconds = ab_bench.git, []
+
+    def serving(*args):  # the parent's BENCHMARK.json, run_seconds 7
+        if args[0] == "show":
+            return json.dumps(dict(json.loads(git(*args)), run_seconds=7))
+        return git(*args)
+
+    def recording(tree, workload, seed, run_seconds, trace):
+        seconds.append(run_seconds)
+        return 0, {"correct": True, "metrics": {}}, ""
+
+    monkeypatch.setattr(ab_bench, "git", serving)
+    monkeypatch.setattr(ab_bench, "export", lambda rev, into: None)
+    monkeypatch.setattr(ab_bench, "run", recording)
+    argv = ["HEAD", "HEAD", "--workloads", "table_pairs", "--seeds", "1-2"]
+    assert ab_bench.main(argv) == 0
+    assert seconds == [7] * 4
+    assert ab_bench.main(argv + ["--seconds", "3"]) == 0
+    assert seconds[4:] == [3] * 4
 
 
 class TestVerdicts:

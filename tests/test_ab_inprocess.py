@@ -22,20 +22,36 @@ def ab_inprocess(monkeypatch):
     return module
 
 
-def test_head_against_head(ab_inprocess, capsys):
+def test_head_against_head(ab_inprocess, monkeypatch, capsys):
+    monkeypatch.setattr(ab_inprocess, "SIZING_S", 0)
     modules, path = set(sys.modules), list(sys.path)
-    assert ab_inprocess.main(["HEAD", "HEAD", "--workload", "split_fallback",
-                              "--passes", "3"]) == 0
+    assert ab_inprocess.main(["HEAD", "HEAD", "--workload",
+                              "split_fallback"]) == 0
     result = json.loads(capsys.readouterr().out)
-    assert result["passes"] == 3 and result["workload"] == "split_fallback"
+    # with no time budget, the pairs that the nine-in-ten rule needs
+    pairs = ab_inprocess.MIN_PAIRS
+    assert result["passes"] == pairs and result["workload"] == "split_fallback"
     assert result["revisions"][0] == result["revisions"][1]
+    assert set(ab_inprocess.compare([1.0], [1.0], -1)) <= set(result)
     for side in ("parent", "change"):
-        low, high = result[side]["quartiles_ms"]
-        assert 0 < low <= result[side]["median_ms"] <= high
-    assert result["change_faster"].endswith("/3")
+        low, high = result[side + "_quartiles"]
+        assert 0 < low <= result[side + "_median"] <= high
+    assert result["change_wins"].endswith("/%d" % pairs)
     assert set(sys.modules) == modules and sys.path == path
     # the run leaves the package imported before in place
     assert sys.modules["ribboncheck"] is ribboncheck
+
+
+def test_a_time_budget_adds_pairs(ab_inprocess, monkeypatch, capsys):
+    # split_fallback passes take a few ms, so 0.2 s a side takes far
+    # more than 2 pairs
+    monkeypatch.setattr(ab_inprocess, "SIZING_S", 0.2)
+    monkeypatch.setattr(ab_inprocess, "MIN_PAIRS", 2)
+    assert ab_inprocess.main(["HEAD", "HEAD", "--workload",
+                              "split_fallback"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["passes"] > 2
+    assert result["change_wins"].endswith("/%d" % result["passes"])
 
 
 def wrap_change_main(ab_inprocess, monkeypatch, wrap):
@@ -57,8 +73,7 @@ def test_refuses_when_the_outputs_differ(ab_inprocess, monkeypatch, capsys):
     wrap_change_main(ab_inprocess, monkeypatch,
                      lambda main: lambda argv: print("extra") or main(argv))
     with pytest.raises(SystemExit, match="the sides differ on compute"):
-        ab_inprocess.main(["HEAD", "HEAD", "--workload", "split_fallback",
-                           "--passes", "2"])
+        ab_inprocess.main(["HEAD", "HEAD", "--workload", "split_fallback"])
     assert capsys.readouterr().out == ""
 
 
@@ -70,8 +85,7 @@ def test_refuses_when_a_request_raises(ab_inprocess, monkeypatch, capsys):
     modules, path = set(sys.modules), list(sys.path)
     with pytest.raises(SystemExit,
                        match="the change side raised on compute") as refusal:
-        ab_inprocess.main(["HEAD", "HEAD", "--workload", "split_fallback",
-                           "--passes", "2"])
+        ab_inprocess.main(["HEAD", "HEAD", "--workload", "split_fallback"])
     # run_pass kept the traceback in that request's stderr
     assert "RuntimeError: broken" in str(refusal.value)
     assert capsys.readouterr().out == ""

@@ -3,27 +3,28 @@
 Interleaved A/B runs of perfbench on two revisions of this repository.
 
     python tools/ab_bench.py PARENT CHANGE --workloads large_single \\
-        --seeds 1001-1010 [--seconds 20] [--trace 0|1] [--out FILE]
+        --seeds 1001-1010 [--seconds S] [--trace 0|1] [--out FILE]
 
 Each revision is exported with `git archive` into a temporary directory
 of its own, so neither side runs with a `__pycache__` left by earlier
-work, and both must hold the same `perfbench/` tree (the tool refuses
-otherwise).  Runs go pair by pair: one pair is one seed of one workload,
-run on both sides, and the side that runs first alternates from pair to
-pair (PARENT first in the 1st, 3rd, ... pair), so that a machine that
-speeds up or slows down over the session does not favour either side.
-Every child runs with PYTHONDONTWRITEBYTECODE=1.
+work, and both must hold the same `perfbench/` tree and BENCHMARK.json
+(the tool refuses otherwise).  Runs go pair by pair: one pair is one
+seed of one workload, run on both sides, and the side that runs first
+alternates from pair to pair (PARENT first in the 1st, 3rd, ... pair),
+so that a machine that speeds up or slows down over the session does
+not favour either side.  Every child runs with PYTHONDONTWRITEBYTECODE=1
+for --seconds, by default the parent's BENCHMARK.json run_seconds.
 
 Output, to --out or standard output, one JSON object a line:
 - one line per run: side, revision, workload, seed, trace, pair index,
   whether it ran first, and the last line perfbench printed (its result);
-- then one summary line per workload: for every metric, each side's
-  median and quartiles, the change's median over the parent's, and in
-  how many pairs the change read better (ties count for neither), with
-  "better" taken from BENCHMARK.json; each end-to-end metric also
-  carries the verdicts the benchmark gate reaches on these runs:
-  claim_met (the change read better in at least 9 of 10 pairs, and its
-  median is better than the parent's by more than the parent's
+- then one summary line per workload: compare() of every metric over
+  the pairs (each side's median, quartiles and interquartile range, the
+  change's median over the parent's, and in how many pairs the change
+  read better, "better" taken from BENCHMARK.json); each end-to-end
+  metric also carries the verdicts the benchmark gate reaches on these
+  runs: claim_met (the change read better in at least 9 of 10 pairs,
+  and its median is better than the parent's by more than the parent's
   interquartile range), within_bound (the change's median is worse
   than the parent's by no more than the metric's relative bound) and
   unresolved (the parent's interquartile range is wider than the bound,
@@ -76,13 +77,16 @@ def exported(revs):
 def revisions(parent, change):
     """
     {"parent": hash, "change": hash} of the two revisions; refuses them
-    unless they hold the same perfbench/ tree.
+    unless they hold the same perfbench/ tree and BENCHMARK.json, as the
+    gate's bounds and "better" are read from the parent's alone.
     """
     revs = {"parent": git("rev-parse", parent),
             "change": git("rev-parse", change)}
-    if len({git("rev-parse", rev + ":perfbench")
-            for rev in revs.values()}) > 1:
-        raise SystemExit("the two revisions hold different perfbench/ trees")
+    for path, kind in (("perfbench", "perfbench/ trees"),
+                       ("BENCHMARK.json", "BENCHMARK.json files")):
+        if len({git("rev-parse", rev + ":" + path)
+                for rev in revs.values()}) > 1:
+            raise SystemExit("the two revisions hold different " + kind)
     return revs
 
 
@@ -120,10 +124,26 @@ def quartiles(values):
     return q1, q3
 
 
+def compare(a, b, sign):
+    """
+    Medians, quartiles and interquartile ranges of the paired values a
+    (parent) and b (change), b's median over a's, and in how many pairs
+    b reads better: higher for sign 1, lower for -1, uncounted for 0.
+    """
+    ma, mb = statistics.median(a), statistics.median(b)
+    (a1, a3), (b1, b3) = quartiles(a), quartiles(b)
+    wins = sum(1 for x, y in zip(a, b) if sign * (y - x) > 0)
+    return {"parent_median": ma, "change_median": mb,
+            "change_over_parent": mb / ma if ma else None,
+            "parent_quartiles": [a1, a3], "change_quartiles": [b1, b3],
+            "parent_iqr": a3 - a1, "change_iqr": b3 - b1,
+            "change_wins": "%d/%d" % (wins, len(a)) if sign else None}
+
+
 def summarise(workload, trace, runs, better, bounds):
     """
-    Per metric medians, quartiles and win counts over the pairs, and for
-    the metrics in bounds (name -> relative bound) the gate's verdicts.
+    compare() of every metric over the pairs, and for the metrics in
+    bounds (name -> relative bound) the gate's verdicts.
     """
     by_pair = {}
     for r in runs:
@@ -139,25 +159,15 @@ def summarise(workload, trace, runs, better, bounds):
         a = [p["parent"]["metrics"][name]["value"] for p in pairs]
         b = [p["change"]["metrics"][name]["value"] for p in pairs]
         sign = {"lower": -1, "higher": 1}.get(better.get(name), 0)
-        wins = sum(1 for x, y in zip(a, b) if sign * (y - x) > 0)
-        ma, mb = statistics.median(a), statistics.median(b)
-        (a1, a3), (b1, b3) = quartiles(a), quartiles(b)
-        summary[name] = {
-            "parent_median": ma, "change_median": mb,
-            "change_over_parent": mb / ma if ma else None,
-            "parent_quartiles": [a1, a3], "change_quartiles": [b1, b3],
-            "parent_iqr": a3 - a1, "change_iqr": b3 - b1,
-            "change_wins": "%d/%d" % (wins, len(pairs)) if sign else None,
-        }
+        m = summary[name] = compare(a, b, sign)
         if sign and name in bounds:
-            summary[name]["claim_met"] = (10 * wins >= 9 * len(pairs) and
-                                          sign * (mb - ma) > a3 - a1)
-            summary[name]["within_bound"] = (sign * (mb - ma) >=
-                                             -bounds[name] * abs(ma))
-            separated = (min(sign * y for y in b) >
-                         max(sign * x for x in a))
-            summary[name]["unresolved"] = (
-                a3 - a1 > bounds[name] * abs(ma) and not separated)
+            ma, iqr = m["parent_median"], m["parent_iqr"]
+            gain = sign * (m["change_median"] - ma)
+            wins = int(m["change_wins"].split("/")[0])
+            m["claim_met"] = 10 * wins >= 9 * len(pairs) and gain > iqr
+            m["within_bound"] = gain >= -bounds[name] * abs(ma)
+            separated = min(sign * y for y in b) > max(sign * x for x in a)
+            m["unresolved"] = iqr > bounds[name] * abs(ma) and not separated
     return summary
 
 
@@ -170,7 +180,8 @@ def main(argv=None):
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", type=seeds, required=True,
                         help="one pair per seed and workload: 5, 1-10, 1,4-6")
-    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--seconds", type=float,
+                        help="default: BENCHMARK.json's run_seconds")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", help="append the JSON lines to this file")
     args = parser.parse_args(argv)
@@ -180,6 +191,7 @@ def main(argv=None):
     better = {m["name"]: m["better"]
               for m in spec["end_to_end"] + spec["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    seconds = args.seconds or spec["run_seconds"]
     out = open(args.out, "a") if args.out else sys.stdout
     ok = True
     with exported(revs) as trees:
@@ -190,7 +202,7 @@ def main(argv=None):
                 order = ("parent", "change")[::1 if pair % 2 == 0 else -1]
                 for k, side in enumerate(order):
                     code, result, err = run(trees[side], workload, seed,
-                                            args.seconds, args.trace)
+                                            seconds, args.trace)
                     line = {"side": side, "rev": revs[side][:12],
                             "workload": workload, "seed": seed,
                             "trace": args.trace, "pair": pair, "first": k == 0,

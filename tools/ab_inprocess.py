@@ -3,27 +3,30 @@
 Alternating in-process passes of one perfbench workload on two revisions,
 for sizing a change before measuring it.
 
-    python tools/ab_inprocess.py PARENT CHANGE --workload large_single \\
-        [--seed 1] [--passes 40]
+    python tools/ab_inprocess.py PARENT CHANGE --workload W [--seed 1]
 
-Each revision is exported with `git archive` into a temporary directory
-of its own (ab_bench.exported), and both must hold the same `perfbench/`
-tree (ab_bench.revisions refuses otherwise); the workload's requests
-are built from the parent's.  Each side's `src/ribboncheck` is imported
-into this one process under a package name of its own (ab_parent,
-ab_change), so that both run on the same interpreter, warmed the same
-way.  Everything the run imports is dropped from sys.modules when it
-ends.
+Each revision is exported into a temporary directory of its own
+(ab_bench.exported), and both must hold the same `perfbench/` tree and
+BENCHMARK.json (ab_bench.revisions refuses otherwise); the workload's
+requests are built from the parent's.  Each side's `src/ribboncheck` is
+imported into this one process under a package name of its own
+(ab_parent, ab_change), so that both run on the same interpreter, warmed
+the same way.  Everything the run imports is dropped from sys.modules
+when it ends.
 
 Each pass is the whole request sequence through that side's cli.main,
 run by `run_pass` of the parent's perfbench/client.py, the loop that the
 benchmark times.  One pass runs on each side first, and the tool refuses
 to time anything if a request raised on either side (exit code -1 from
 run_pass) or the exit codes and standard outputs differ on a request.
-Then it makes --passes pairs of passes; the side that runs first
-alternates from pair to pair.  It prints one JSON object: each side's
-median and quartiles of the pass times in ms, the change's median over
-the parent's, and in how many pairs the change was faster.
+Then it makes pairs of passes, the side that runs first alternating,
+until each side has spent SIZING_S seconds in timed passes over at
+least MIN_PAIRS pairs.  A time budget reads steadily on every workload,
+where the right pass count moved with the workload and the machine's
+load (200 `table_pairs` passes, about 7 s a side, read 0.976-1.027x
+against themselves); the gate's nine-in-ten rule needs ten pairs.  It
+prints one JSON object: ab_bench.compare of the pass times in ms, with
+workload, seed, passes (pairs made) and revisions.
 
 This is a sizing tool: one process, CPU-bound passes, no fresh
 interpreters, no set-up or memory metrics, no reference outputs.
@@ -34,12 +37,12 @@ import argparse
 import importlib.util
 import json
 import os
-import statistics
 import sys
 
-from ab_bench import exported, quartiles, revisions
+from ab_bench import compare, exported, revisions
 
 SIDES = ("parent", "change")
+SIZING_S, MIN_PAIRS = 7.0, 10  # s a side, pairs: see the docstring
 
 
 def load(tree, name):
@@ -69,21 +72,6 @@ def check_same(mains, requests, run_pass):
                              "stdout %s" % (" ".join(argv), a, b, same))
 
 
-def summarise(times):
-    """Medians, quartiles (ms), the ratio of medians and the change's wins."""
-    out = {}
-    for side in SIDES:
-        q1, q3 = quartiles(times[side])
-        out[side] = {"median_ms": 1000 * statistics.median(times[side]),
-                     "quartiles_ms": [1000 * q1, 1000 * q3]}
-    out["change_over_parent"] = (out["change"]["median_ms"]
-                                 / out["parent"]["median_ms"])
-    out["change_faster"] = "%d/%d" % (sum(
-        b < a for a, b in zip(times["parent"], times["change"])),
-        len(times["parent"]))
-    return out
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description=__doc__.strip().split("\n\n")[0])
@@ -91,8 +79,6 @@ def main(argv=None):
     parser.add_argument("change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--passes", type=int, default=40,
-                        help="pairs of passes, at least 2")
     args = parser.parse_args(argv)
 
     revs = revisions(args.parent, args.change)
@@ -112,18 +98,20 @@ def main(argv=None):
                      for side, tree in trees.items()}
             requests = [r.argv for r in work.requests]
             check_same(mains, requests, run_pass)
-            times = {side: [] for side in SIDES}
-            for k in range(max(2, args.passes)):
-                for side in SIDES[::1 if k % 2 == 0 else -1]:
+            times = {side: [] for side in SIDES}  # ms
+            while (len(times["parent"]) < MIN_PAIRS or
+                   min(map(sum, times.values())) < 1000 * SIZING_S):
+                for side in SIDES[::-1] if len(times["parent"]) % 2 else SIDES:
                     times[side].append(
-                        run_pass(mains[side], requests)["elapsed"])
+                        1000 * run_pass(mains[side], requests)["elapsed"])
         finally:
             os.chdir(cwd)
             sys.path[:] = path
             for name in set(sys.modules) - modules:
                 del sys.modules[name]
-    print(json.dumps(dict(summarise(times), workload=args.workload,
-                          seed=args.seed, passes=len(times["parent"]),
+    print(json.dumps(dict(compare(times["parent"], times["change"], -1),
+                          workload=args.workload, seed=args.seed,
+                          passes=len(times["parent"]),
                           revisions=[revs[side][:12] for side in SIDES])))
     return 0
 
