@@ -13,7 +13,7 @@ seed of one workload, run on both sides, and the side that runs first
 alternates from pair to pair (PARENT first in the 1st, 3rd, ... pair),
 so that a machine that speeds up or slows down over the session does
 not favour either side.  Every child runs with PYTHONDONTWRITEBYTECODE=1
-for --seconds, by default the parent's BENCHMARK.json run_seconds.
+for --seconds, by default the benchmark's own: the parent's run_seconds.
 
 Output, to --out or standard output, one JSON object a line:
 - one line per run: side, revision, workload, seed, trace, pair index,
@@ -191,7 +191,7 @@ def main(argv=None):
     better = {m["name"]: m["better"]
               for m in spec["end_to_end"] + spec["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     out = open(args.out, "a") if args.out else sys.stdout
     ok = True
     with exported(revs) as trees:
