@@ -10,11 +10,7 @@ Command-line interface.
 Exit codes carry operational status only: 0 success, 2 input/parse
 error, 3 computation error.  Mathematical verdicts are data, never exit
 codes.  RIBBONCHECK_MAX_CROSSINGS (default 24, a non-negative integer)
-bounds accepted diagram sizes: a diagram may have at most that many
-crossings, and a braid spec at most twice that many strands plus one
-(a crossing joins two strands).  A braid spec's strands and letters
-(its crossings) and a PD code's crossing entries are counted from the
-text before the diagram is built.
+is the crossing limit each spec is parsed under (parse_link_spec).
 
 Every command, its positionals and its options are one table, COMMANDS,
 which parse_args walks argv against once: tokens in any order, option
@@ -42,8 +38,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .linkcodec import (DiagramError, ParseError, parse_link_spec,
-                        spec_size)
+from .linkcodec import DiagramError, ParseError, parse_link_spec
 from .alexander import ComputationError, alexander_polynomial
 from .obstruct import component_mismatch, obstruction_from_polynomials
 from .oracles import (cyclic_cover_check, reidemeister_schreier, torres_check)
@@ -71,27 +66,8 @@ def _max_crossings():
     return limit
 
 
-def _load(spec, limit):
-    # spec_size reads every kind of spec that parse_link_spec accepts, so
-    # nothing over the limit gets built
-    size = spec_size(spec)
-    if size is not None:
-        strands, crossings = size
-        if strands is not None and strands > 2 * limit + 1:
-            raise ParseError(
-                "braid has %d strands; limit is %d, twice the crossing limit "
-                "plus one (raise RIBBONCHECK_MAX_CROSSINGS to accept)"
-                % (strands, 2 * limit + 1))
-        if crossings > limit:
-            raise ParseError(
-                "diagram has %d crossings; limit is %d "
-                "(raise RIBBONCHECK_MAX_CROSSINGS to accept)"
-                % (crossings, limit))
-    return parse_link_spec(spec)
-
-
 def _compute_record(name, spec, limit):
-    diagram = _load(spec, limit)
+    diagram = parse_link_spec(spec, limit)
     delta = alexander_polynomial(diagram)
     record = {}
     if name is not None:
@@ -117,8 +93,8 @@ def cmd_compute(args):
 
 
 def cmd_obstruct(args):
-    dj = _load(args.spec_j, args.max_crossings)
-    dl = _load(args.spec_l, args.max_crossings)
+    dj = parse_link_spec(args.spec_j, args.max_crossings)
+    dl = parse_link_spec(args.spec_l, args.max_crossings)
     deltas = {"J": alexander_polynomial(dj), "L": alexander_polynomial(dl)}
     for names in [("J", "L"), ("L", "J")][:1 + args.both_directions]:
         pair = [deltas[name] for name in names]
@@ -243,7 +219,7 @@ def _pair_tail(row_j, row_l, reasons):
 
 
 def cmd_validate(args):
-    diagram = _load(args.spec, args.max_crossings)
+    diagram = parse_link_spec(args.spec, args.max_crossings)
     pres, phi = wirtinger_presentation(diagram)
     print(json.dumps({
         "spec": args.spec,
@@ -260,7 +236,7 @@ def cmd_oracle_check(args):
     for k in args.covers:
         if k < 2:
             raise ParseError("cover degree must be at least 2, not %d" % k)
-    diagram = _load(args.spec, args.max_crossings)
+    diagram = parse_link_spec(args.spec, args.max_crossings)
     results = []
     if diagram.num_components == 1:
         pres, phi = wirtinger_presentation(diagram)

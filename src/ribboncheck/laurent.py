@@ -246,21 +246,24 @@ class LaurentPoly:
         """
         if len(values) != self.nvars:
             raise DimensionError("expected %d values" % self.nvars)
-        total = 0
+        total, den = 0, 1  # the sum so far is total / den
         for e, c in self.terms.items():
-            term = c
+            term, d = c, 1
             for v, a in zip(values, e):
                 if a >= 0:
                     term *= v ** a
                 elif v == 0:
                     raise ZeroDivisionError("negative exponent at zero")
                 else:
-                    q, r = divmod(term, v ** (-a))
-                    if r:
-                        raise ValueError("evaluation is not an integer")
-                    term = q
-            total += term
-        return total
+                    d *= v ** -a
+            if d == den:
+                total += term
+            else:
+                total, den = total * d + term * den, den * d
+        q, r = divmod(total, den)
+        if r:
+            raise ValueError("evaluation is not an integer")
+        return q
 
     # ----- display ----------------------------------------------------------
 

@@ -194,21 +194,11 @@ def parse_braid(text):
     >>> parse_braid("n=2: 1 1 1")
     BraidWord(strands=2, letters=(1, 1, 1))
     """
-    n, tail = _braid_head(text)
-    letters = []
-    for tok in tail.replace(",", " ").split():
-        try:
-            k = int(tok)
-        except ValueError:
-            raise ParseError("braid letter %r is not an integer" % tok)
-        if k == 0 or abs(k) > n - 1:
-            raise ParseError("generator %d out of range for %d strands" % (k, n))
-        letters.append(k)
-    return BraidWord(n, tuple(letters))
+    return _braid_word(*_braid_head(text))
 
 
 def _braid_head(text):
-    """Split "n=3: 1 -2 1 -2" into the strand count and the letter text."""
+    """Split "n=3: 1 -2 1 -2" into the strand count and the letter tokens."""
     s = text.strip()
     if not s.startswith("n"):
         raise ParseError("braid spec must start with 'n='", 0)
@@ -224,39 +214,56 @@ def _braid_head(text):
         raise ParseError("strand count %r is not an integer" % head.strip())
     if n < 1:
         raise ParseError("strand count must be >= 1")
-    return n, tail
+    return n, tail.replace(",", " ").split()
 
 
-def spec_size(text):
+def _braid_word(n, tokens):
+    """The BraidWord on n strands of the letter tokens."""
+    letters = []
+    for tok in tokens:
+        try:
+            k = int(tok)
+        except ValueError:
+            raise ParseError("braid letter %r is not an integer" % tok)
+        if k == 0 or abs(k) > n - 1:
+            raise ParseError("generator %d out of range for %d strands" % (k, n))
+        letters.append(k)
+    return BraidWord(n, tuple(letters))
+
+
+def parse_link_spec(text, max_crossings=None):
     """
-    (strands, crossings) of a link spec, read from its text before
-    anything is built: a braid closure has one crossing per letter, a PD
-    code one per ';'-separated entry.  strands is None for a PD code; the
-    result is None for a spec of neither kind.
-
-    >>> spec_size("braid:n=1000000:1 -2,3")
-    (1000000, 3)
-    >>> spec_size("pd:X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)")
-    (None, 3)
+    Parse a "pd:..." or "braid:..." spec string to a LinkDiagram.  Under
+    a limit, max_crossings, a diagram may have at most that many
+    crossings, and a braid at most twice that many strands plus one (a
+    crossing joins two strands).  A braid's strands and letters (its
+    crossings) and a PD code's ';'-separated entries are counted from
+    the text, after the braid's head is read and before anything else
+    is parsed or built.  None, the default, sets no limit.
     """
     s = text.strip()
     if s.lower().startswith("pd:"):
-        body = s[3:].strip()
-        return None, body.count(";") + 1 if body else 0
-    if s.lower().startswith("braid:"):
-        n, tail = _braid_head(s[6:])
-        return n, len(tail.replace(",", " ").split())
-    return None
-
-
-def parse_link_spec(text):
-    """Dispatch a "pd:..." or "braid:..." spec string to a LinkDiagram."""
-    s = text.strip()
-    if s.lower().startswith("pd:"):
-        return pd_diagram(parse_pd(s[3:]))
-    if s.lower().startswith("braid:"):
-        return braid_closure(parse_braid(s[6:]))
-    raise ParseError("link spec must start with 'pd:' or 'braid:'", 0)
+        strands, body = None, s[3:]
+        crossings = body.count(";") + 1 if body else 0
+    elif s.lower().startswith("braid:"):
+        strands, tokens = _braid_head(s[6:])
+        crossings = len(tokens)
+    else:
+        raise ParseError("link spec must start with 'pd:' or 'braid:'", 0)
+    if max_crossings is not None:
+        limit = 2 * max_crossings + 1
+        if strands is not None and strands > limit:
+            raise ParseError(
+                "braid has %d strands; limit is %d, twice the crossing limit "
+                "plus one (raise RIBBONCHECK_MAX_CROSSINGS to accept)"
+                % (strands, limit))
+        if crossings > max_crossings:
+            raise ParseError("diagram has %d crossings; limit is %d (raise "
+                             "RIBBONCHECK_MAX_CROSSINGS to accept)"
+                             % (crossings, max_crossings))
+    if strands is None:
+        return pd_diagram(parse_pd(body))
+    return braid_closure(_braid_word(strands, tokens))
 
 
 def _classes(elements, pairs):

@@ -614,19 +614,21 @@ class TestSinglePass:
 
     def test_strand_bound_is_checked_before_the_closure(self, monkeypatch,
                                                        capsys):
-        def refuse(spec):
-            raise AssertionError("closure built for %s" % spec)
+        def refuse(*args):
+            raise AssertionError("braid parsed or closed")
 
-        monkeypatch.setattr(cli, "parse_link_spec", refuse)
+        monkeypatch.setattr(linkcodec, "_braid_word", refuse)
+        monkeypatch.setattr(linkcodec, "braid_closure", refuse)
         assert cli.main(["compute", "braid:n=99999999:1"]) == 2
         assert "RIBBONCHECK_MAX_CROSSINGS" in capsys.readouterr().err
 
     def test_crossing_bound_is_checked_before_the_closure(self, monkeypatch,
                                                          capsys):
-        def refuse(spec):
-            raise AssertionError("closure built for a long braid")
+        def refuse(*args):
+            raise AssertionError("braid parsed or closed")
 
-        monkeypatch.setattr(cli, "parse_link_spec", refuse)
+        monkeypatch.setattr(linkcodec, "_braid_word", refuse)
+        monkeypatch.setattr(linkcodec, "braid_closure", refuse)
         spec = "braid:n=2:" + " 1" * 300000
         assert cli.main(["compute", spec]) == 2
         assert ("diagram has 300000 crossings; limit is 24 "
@@ -815,7 +817,7 @@ class TestOracleCheck:
 
     def test_cover_degree_below_two_is_an_input_error(self, monkeypatch,
                                                       capsys):
-        def refuse(spec):
+        def refuse(spec, limit):
             raise AssertionError("diagram built for %s" % spec)
 
         # rejected before any work is done

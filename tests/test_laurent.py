@@ -114,6 +114,13 @@ class TestEvaluate:
         with pytest.raises(ZeroDivisionError):
             P("t1*t2^-1", 2).evaluate((0, 0))
 
+    def test_terms_are_summed_before_the_division(self):
+        # neither term is an integer at these points, but their sum is
+        assert P("t1^-1 + t2^-1", 2).evaluate((2, 2)) == 1
+        assert P("t1^-1 + t2^-1", 2).evaluate((-3, 3)) == 0
+        with pytest.raises(ValueError, match="not an integer"):
+            P("t^-1 + 1").evaluate((2,))
+
 
 class TestExactDivide:
     def test_factorization(self):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ribboncheck import linkcodec
 from ribboncheck.linkcodec import (BraidWord, DiagramError, ParseError,
                                    PDCode, braid_closure, connected_sum,
                                    linking_number, parse_braid,
@@ -95,6 +96,29 @@ class TestLinkSpec:
         assert parse_link_spec("braid:n=2:1 1 1").num_crossings == 3
         with pytest.raises(ParseError):
             parse_link_spec("dt:4 6 2")
+
+    def test_limit_is_checked_before_anything_is_parsed(self, monkeypatch):
+        long_braid = "braid:n=2:1,1 1" + ",1" * 22
+        assert parse_link_spec(long_braid).num_crossings == 25
+        assert parse_link_spec(long_braid[:-2], 24).num_crossings == 24
+        assert parse_link_spec("braid:n=49:1", 24).num_components == 48
+
+        def refuse(*args):
+            raise AssertionError("spec parsed or built")
+
+        for name in ("_braid_word", "braid_closure", "parse_pd", "pd_diagram"):
+            monkeypatch.setattr(linkcodec, name, refuse)
+        crossings = ("diagram has 25 crossings; limit is 24 "
+                     "(raise RIBBONCHECK_MAX_CROSSINGS to accept)")
+        for spec, message in (
+                (long_braid, crossings),
+                ("braid:n=50:1", "braid has 50 strands; limit is 49, twice "
+                 "the crossing limit plus one (raise "
+                 "RIBBONCHECK_MAX_CROSSINGS to accept)"),
+                ("pd:" + ";".join(["X(1,2,3,4)"] * 25), crossings)):
+            with pytest.raises(ParseError) as refused:
+                parse_link_spec(spec, max_crossings=24)
+            assert str(refused.value) == message
 
 
 class TestBraidClosure:

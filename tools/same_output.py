@@ -60,6 +60,9 @@ standard output and standard error captured.  The corpus:
   every closure in the last two items that has one, 36 of them: PD
   codes of up to 8 components, which take module_rank and the row side
   where their braids take the certificate;
+- `compute --json` on each of LIMIT_SPECS, and `batch --pairs` on a
+  CSV of them: specs at and just past the default crossing limit, and
+  specs whose head or prefix does not parse;
 - ARGV_FORMS, each command with its options before and after its
   positionals, and USAGE_COMMANDS: each command's usage errors and
   --help, the bare command line, the top-level --help and an unknown
@@ -233,6 +236,19 @@ RETRY_CSV = (
     "link sum 2,braid:n=7:3 1 2 1 3 -2 -3 1 1 1 -3 -3 -4 5 6 6 5 4 -5 -4 "
     "-6 5 5\n")
 
+# specs at and just past the default limit of 24 crossings and 49
+# strands, letters and PD entries counted across commas and spaces, and
+# heads and prefixes that do not parse: the limit's messages and what
+# comes before them.  No strand count passes 1,000, so that a tree
+# without the limit builds each diagram in well under a second.
+LIMIT_SPECS = (
+    "braid:n=49:1", "braid:n=50:1", "braid:n=1000:1",
+    "braid:n=2:1,1 1" + ",1" * 21, "braid:n=2:1 1,1" + " ,1" * 22,
+    "pd:" + ";".join(["X(1,2,3,4)"] * 25),
+    "pd: " + " ; ".join(["X(1,2,3,4)"] * 25) + " ",
+    "braid:n=x:1", "braid:n=0:1", "braid:m=2:1", "braid:n=2 1 1",
+    "pd:", "dt:4 6 2")
+
 TREFOIL, HOPF = "braid:n=2:1 1 1", "braid:n=2:1 1"
 # each command with its options before and after its positionals
 ARGV_FORMS = (
@@ -324,9 +340,11 @@ def corpus(tree, seeds):
     files["torus_pairs.csv"] = TORUS_CSV
     files["retry_pairs.csv"] = RETRY_CSV
     files["families_pairs.csv"] = families_csv()
+    files["limit_pairs.csv"] = batch_csv(
+        ("limit %d" % i, spec) for i, spec in enumerate(LIMIT_SPECS, 1))
     commands += [["batch", name, "--pairs"] for name in
                  ("duplicates.csv", "screen_pairs.csv", "torus_pairs.csv",
-                  "retry_pairs.csv", "families_pairs.csv")]
+                  "retry_pairs.csv", "families_pairs.csv", "limit_pairs.csv")]
     pairs = [pair for chain in chains for pair in zip(chain, chain[1:])]
     pairs += [DIVIDING_J_PAIR, (chains[1][0], chains[2][0])]
     commands += [["obstruct", j, l] + flags
@@ -334,7 +352,7 @@ def corpus(tree, seeds):
     closures = (FALLBACK_CLOSURES + SPARE_ROW_CLOSURES + CENSUS_FALLBACKS
                 + (SLOW_SHORTCUT, LARGE_CELLS) + SHORTCUT_CLOSURES)
     commands += [["compute", "--json", spec]
-                 for spec in closures + pd_twins(closures)]
+                 for spec in closures + pd_twins(closures) + LIMIT_SPECS]
     return commands, files
 
 
