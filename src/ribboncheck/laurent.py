@@ -238,7 +238,8 @@ class LaurentPoly:
         return LaurentPoly._make(self.nvars - 1, out)
 
     def evaluate(self, values):
-        """Exact evaluation at integers, nonzero under negative exponents.
+        """Exact evaluation at integers, nonzero under negative exponents,
+        where the value is an integer (ValueError if it is not).
 
         >>> t = LaurentPoly.variable(0, 1)
         >>> (t**2 - 3*t + 1).evaluate([-1])

@@ -251,12 +251,12 @@ def parse_link_spec(text, max_crossings=None):
     else:
         raise ParseError("link spec must start with 'pd:' or 'braid:'", 0)
     if max_crossings is not None:
-        limit = 2 * max_crossings + 1
-        if strands is not None and strands > limit:
+        strand_limit = 2 * max_crossings + 1
+        if strands is not None and strands > strand_limit:
             raise ParseError(
                 "braid has %d strands; limit is %d, twice the crossing limit "
                 "plus one (raise RIBBONCHECK_MAX_CROSSINGS to accept)"
-                % (strands, limit))
+                % (strands, strand_limit))
         if crossings > max_crossings:
             raise ParseError("diagram has %d crossings; limit is %d (raise "
                              "RIBBONCHECK_MAX_CROSSINGS to accept)"
