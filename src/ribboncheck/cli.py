@@ -21,10 +21,9 @@ stderr and main returns 2; -h or --help prints the usage and returns 0.
 main may be called any number of times in one process: it reads argv
 and RIBBONCHECK_MAX_CROSSINGS anew on every call.
 
-batch records an error in one row, including an unexpected one (kind
-"internal", with the traceback on stderr), and goes on with the next
-row; a computation error in one pair of --pairs is that pair's line
-(kind "compute"), and the next pair follows.  It accepts --jobs N and
+batch records an error, an unexpected one too (kind "internal", with
+the traceback on stderr), in the line of its row or of its pair of
+--pairs, and goes on with the next row or pair.  It accepts --jobs N and
 ignores it: each row's polynomial is computed once, in one thread, and
 reused for the --pairs matrix.  A second worker may find no CPU free
 on the shared two-core machine measured: two CPU-bound processes took
@@ -117,34 +116,39 @@ _OPERAND_ERRORS = {"parse": "unparseable operand",
                    "internal": "internal error in operand"}
 
 
+def _error(exc):
+    """
+    The batch error of a row or a pair: its kind, "parse", "compute" or
+    "internal" (unexpected: the traceback goes to stderr), and message.
+    """
+    if isinstance(exc, (ParseError, DiagramError)):
+        return {"kind": "parse", "message": str(exc)}
+    if isinstance(exc, ComputationError):
+        return {"kind": "compute", "message": str(exc)}
+    import traceback
+    traceback.print_exc(file=sys.stderr)
+    return {"kind": "internal",
+            "message": "%s: %s" % (type(exc).__name__, exc)}
+
+
 def cmd_batch(args):
-    rows = batch_rows(args.csv_path)
-    # per row, by index (names may repeat): its polynomial, or None and
-    # the kind of its error
-    deltas, kinds = [], []
-    for name, spec in rows:
-        delta = None
+    # per row by index (names may repeat): its name as JSON, polynomial,
+    # key (its error's kind, or the index of the first row of an equal
+    # polynomial) and polynomial's text as JSON; _pair_lines reads it
+    table, first = [], {}
+    for i, (name, spec) in enumerate(batch_rows(args.csv_path)):
         try:
             record, delta = _compute_record(name, spec, args.max_crossings)
-        except (ParseError, DiagramError) as exc:
-            record = {"name": name, "spec": spec,
-                      "error": {"kind": "parse", "message": str(exc)}}
-        except ComputationError as exc:
-            record = {"name": name, "spec": spec,
-                      "error": {"kind": "compute", "message": str(exc)}}
+            row = (delta, first.setdefault((delta.nvars, delta.text), i),
+                   json.dumps(delta.text))
         except Exception as exc:
-            # one row's bug must not cost the other rows their results
-            import traceback
-            traceback.print_exc(file=sys.stderr)
-            record = {"name": name, "spec": spec,
-                      "error": {"kind": "internal", "message": "%s: %s"
-                                % (type(exc).__name__, exc)}}
-        deltas.append(delta)
-        kinds.append(record["error"]["kind"] if delta is None else None)
+            record = {"name": name, "spec": spec, "error": _error(exc)}
+            row = None, record["error"]["kind"], None
+        table.append((json.dumps(name),) + row)
         print(json.dumps(record))
 
     if args.pairs:
-        for text in _pair_lines(rows, deltas, kinds):
+        for text in _pair_lines(table):
             sys.stdout.write(text)
     return EXIT_OK
 
@@ -156,27 +160,18 @@ _LINE = '{"direction": [%s, %s], %s}'
 _REPORT_TAIL = ('"deltaJ": %s, "deltaL": %s, "verdict": "%s", '
                 '"quotient": %s, "gcd": %s')
 _MISMATCH_TAIL = '"verdict": "component_mismatch", "reason": %s'
-_ERROR_TAIL = '"error": {"kind": "%s", "message": %s}'
+_ERROR_TAIL = '"error": %s'
 
 
-def _pair_lines(rows, deltas, kinds):
+def _pair_lines(table):
     """
-    Each row's --pairs lines, as one text a row.  A line is its direction
-    and a tail (_LINE), and rows with equal polynomials share their
-    tails: each ordered pair of distinct polynomial values is decided by
-    one obstruction_from_polynomials call and encoded once, each pair of
-    component counts once, and each pair that an operand's error
-    decides once.
+    Each row's --pairs lines, as one text a row, from cmd_batch's table.
+    A line is its direction and a tail (_LINE), and rows with equal
+    polynomials share their tails: each ordered pair of distinct
+    polynomial values is decided by one obstruction_from_polynomials
+    call and encoded once, each pair of component counts once, and each
+    pair that an operand's error decides once.
     """
-    # per row: its name as JSON, its polynomial and its key, the kind of
-    # its error or the index of the first row of an equal polynomial,
-    # and the polynomial's text as JSON
-    first = {}
-    table = [(json.dumps(name), delta,
-              kind or first.setdefault((delta.nvars, delta.text), i),
-              delta and json.dumps(delta.text))
-             for i, ((name, _), delta, kind)
-             in enumerate(zip(rows, deltas, kinds))]
     tails, reasons = {}, {}
     for row_j in table:
         row_tails = tails.setdefault(row_j[2], {})
@@ -191,7 +186,7 @@ def _pair_lines(rows, deltas, kinds):
 
 def _pair_tail(row_j, row_l, reasons):
     """
-    The tail of the pair lines of two rows of _pair_lines' table.  Both
+    The tail of the pair lines of two rows of cmd_batch's table.  Both
     directions of two values share their work on the two polynomials
     (obstruction_from_polynomials); reasons holds the mismatch reason of
     each pair of component counts, as JSON.  A report's gcd reuses the
@@ -200,7 +195,8 @@ def _pair_tail(row_j, row_l, reasons):
     (_, dj, a, text_j), (_, dl, b, text_l) = row_j, row_l
     failed = a if dj is None else b if dl is None else None
     if failed:
-        return _ERROR_TAIL % (failed, json.dumps(_OPERAND_ERRORS[failed]))
+        return _ERROR_TAIL % json.dumps(
+            {"kind": failed, "message": _OPERAND_ERRORS[failed]})
     if dj.nvars != dl.nvars:
         key = dj.nvars, dl.nvars
         if key not in reasons:
@@ -208,8 +204,8 @@ def _pair_tail(row_j, row_l, reasons):
         return _MISMATCH_TAIL % reasons[key]
     try:
         report = obstruction_from_polynomials(dj, dl)
-    except ComputationError as exc:
-        return _ERROR_TAIL % ("compute", json.dumps(str(exc)))
+    except Exception as exc:
+        return _ERROR_TAIL % json.dumps(_error(exc))
     q, g = report.quotient, report.gcd_value
     return _REPORT_TAIL % (
         text_j, text_l, report.verdict,

@@ -237,14 +237,14 @@ def parse_link_spec(text, max_crossings=None):
     a limit, max_crossings, a diagram may have at most that many
     crossings, and a braid at most twice that many strands plus one (a
     crossing joins two strands).  A braid's strands and letters (its
-    crossings) and a PD code's ';'-separated entries are counted from
-    the text, after the braid's head is read and before anything else
-    is parsed or built.  None, the default, sets no limit.
+    crossings) and a PD code's non-blank ';'-separated entries are
+    counted from the text, after the braid's head is read and before
+    anything else is parsed or built.  None, the default, sets no limit.
     """
     s = text.strip()
     if s.lower().startswith("pd:"):
         strands, body = None, s[3:]
-        crossings = body.count(";") + 1 if body else 0
+        crossings = sum(1 for entry in body.split(";") if entry.strip())
     elif s.lower().startswith("braid:"):
         strands, tokens = _braid_head(s[6:])
         crossings = len(tokens)

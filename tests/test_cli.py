@@ -684,6 +684,35 @@ class TestSinglePass:
         assert len(fig8_pairs) == 5
         assert all(line["error"]["kind"] == "internal" for line in fig8_pairs)
 
+    def test_unexpected_pair_error_is_that_pair_s_line(self, tmp_path,
+                                                       monkeypatch, capsys):
+        path = tmp_path / "table.csv"
+        path.write_text("name,spec\ntrefoil,braid:n=2:1 1 1\n"
+                        "fig8,braid:n=3:1 -2 1 -2\nunknot,braid:n=1:\n")
+        fig8 = cli.alexander_polynomial(
+            cli.parse_link_spec("braid:n=3:1 -2 1 -2"))
+        original = cli.obstruction_from_polynomials
+
+        def fails_from_fig8(dj, dl):
+            if dj == fig8:
+                raise KeyError("boom")
+            return original(dj, dl)
+
+        monkeypatch.setattr(cli, "obstruction_from_polynomials",
+                            fails_from_fig8)
+        assert cli.main(["batch", str(path), "--pairs"]) == 0
+        out, err = capsys.readouterr()
+        assert "KeyError: 'boom'" in err  # the traceback
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert len(lines) == 3 + 9
+        pairs = {tuple(line["direction"]): line for line in lines[3:]}
+        assert {names: line["error"] for names, line in pairs.items()
+                if "error" in line} == {
+            ("fig8", name): {"kind": "internal", "message": "KeyError: 'boom'"}
+            for name in ("trefoil", "fig8", "unknot")}
+        assert pairs[("trefoil", "fig8")]["verdict"] == "obstructed"
+        assert pairs[("unknot", "fig8")]["verdict"] == "obstructed"
+
     def test_pair_lines_carry_a_compute_error(self, tmp_path, monkeypatch,
                                               capsys):
         path = tmp_path / "table.csv"

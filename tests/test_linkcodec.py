@@ -120,6 +120,21 @@ class TestLinkSpec:
                 parse_link_spec(spec, max_crossings=24)
             assert str(refused.value) == message
 
+    def test_blank_pd_entries_are_not_crossings(self):
+        # a trailing ';' leaves a blank entry: under the limit it is the
+        # body's error, as with no limit, and it adds no crossing past it
+        entries = ";".join(["X(1,2,3,4)"] * 24)
+        for limit in (None, 24):
+            with pytest.raises(ParseError) as refused:
+                parse_link_spec("pd:" + entries + ";", limit)
+            assert str(refused.value) == ("empty crossing entry "
+                                          "(at position 264)")
+        with pytest.raises(ParseError) as refused:
+            parse_link_spec("pd:" + entries + ";X(1,2,3,4);", 24)
+        assert str(refused.value) == ("diagram has 25 crossings; limit is 24 "
+                                      "(raise RIBBONCHECK_MAX_CROSSINGS to "
+                                      "accept)")
+
 
 class TestBraidClosure:
     def test_trefoil(self):

@@ -337,12 +337,20 @@ def test_frozen_rows_are_table_pairs_seed_1():
 def pair_outputs(named, kinds=None):
     """
     batch --pairs' pair lines of (name, AlexanderPolynomial or None) rows,
-    and the reference's, as two texts.
+    a row without one failed with the error kind of its index in kinds,
+    and the reference's, as two texts.  cli's rows are cmd_batch's table:
+    name as JSON, polynomial, key (the error's kind or the index of the
+    first row of an equal polynomial) and polynomial's text as JSON.
     """
     rows = [(name, "") for name, _ in named]
     deltas = [delta for _, delta in named]
     kinds = kinds or [None] * len(named)
-    return ("".join(cli._pair_lines(rows, deltas, kinds)),
+    first = {}
+    table = [(json.dumps(name), delta,
+              kind or first.setdefault((delta.nvars, delta.text), i),
+              delta and json.dumps(delta.text))
+             for i, ((name, delta), kind) in enumerate(zip(named, kinds))]
+    return ("".join(cli._pair_lines(table)),
             "".join(reference.memo_pair_lines(rows, deltas, kinds)))
 
 

@@ -3,7 +3,7 @@
 Interleaved A/B runs of perfbench on two revisions of this repository.
 
     python tools/ab_bench.py PARENT CHANGE --workloads large_single \\
-        --seeds 1001-1010 [--seconds S] [--trace 0|1] [--out FILE]
+        --seeds 1001-1010 [--seconds S] [--trace 0|1]
 
 Each revision is exported with `git archive` into a temporary directory
 of its own, so neither side runs with a `__pycache__` left by earlier
@@ -15,7 +15,7 @@ so that a machine that speeds up or slows down over the session does
 not favour either side.  Every child runs with PYTHONDONTWRITEBYTECODE=1
 for --seconds, by default the benchmark's own: the parent's run_seconds.
 
-Output, to --out or standard output, one JSON object a line:
+Output, on standard output, one JSON object a line:
 - one line per run: side, revision, workload, seed, trace, pair index,
   whether it ran first, and the last line perfbench printed (its result);
 - then one summary line per workload: compare() of every metric over
@@ -183,7 +183,6 @@ def main(argv=None):
     parser.add_argument("--seconds", type=float,
                         help="default: BENCHMARK.json's run_seconds")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--out", help="append the JSON lines to this file")
     args = parser.parse_args(argv)
 
     revs = revisions(args.parent, args.change)
@@ -192,7 +191,6 @@ def main(argv=None):
               for m in spec["end_to_end"] + spec["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    out = open(args.out, "a") if args.out else sys.stdout
     ok = True
     with exported(revs) as trees:
         pair = 0
@@ -211,13 +209,11 @@ def main(argv=None):
                         ok = False
                         line["exit"], line["stderr"] = code, err
                     runs.append(line)
-                    print(json.dumps(line), file=out, flush=True)
+                    print(json.dumps(line), flush=True)
                 pair += 1
             print(json.dumps({"summary": summarise(workload, args.trace, runs,
                                                    better, bounds)}),
-                  file=out, flush=True)
-    if out is not sys.stdout:
-        out.close()
+                  flush=True)
     return 0 if ok else 1
 
 
