@@ -337,10 +337,9 @@ def test_frozen_rows_are_table_pairs_seed_1():
 def pair_outputs(named, kinds=None):
     """
     batch --pairs' pair lines of (name, AlexanderPolynomial or None) rows,
-    a row without one failed with the error kind of its index in kinds,
-    and the reference's, as two texts.  cli's rows are cmd_batch's table:
-    name as JSON, polynomial, key (the error's kind or the index of the
-    first row of an equal polynomial) and polynomial's text as JSON.
+    each None row failed with the error kind at its index in kinds, and
+    the reference's, as two texts.  cli reads the rows as cmd_batch's
+    table, built here as cmd_batch builds it.
     """
     rows = [(name, "") for name, _ in named]
     deltas = [delta for _, delta in named]
