@@ -216,14 +216,13 @@ def _pair_tail(row_j, row_l, reasons):
 
 def cmd_validate(args):
     diagram = parse_link_spec(args.spec, args.max_crossings)
-    pres, phi = wirtinger_presentation(diagram)
     print(json.dumps({
         "spec": args.spec,
         "components": diagram.num_components,
         "crossings": diagram.num_crossings,
         "arcs": diagram.num_arcs,
-        "generators": pres.num_generators,
-        "relators": len(pres.relators),
+        "generators": diagram.num_arcs,  # Wirtinger: one per arc
+        "relators": diagram.num_crossings,  # and one per crossing
     }))
     return EXIT_OK
 

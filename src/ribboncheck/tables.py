@@ -13,8 +13,12 @@ reads a CSV that batch is given.
 """
 
 import csv
+import os
 
 from .linkcodec import ParseError
+
+# the CSVs are files beside this module; a zip import is not supported
+_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def batch_rows(path):
@@ -42,19 +46,11 @@ def batch_rows(path):
                              % (path, reader.line_num, exc)) from None
 
 
-# importlib.resources is imported where a table is read: cli imports this
-# module for batch_rows, and a command that reads no table skips it
 def knot_table():
     """List of (name, spec) pairs for the bundled knots."""
-    from importlib import resources
-    with resources.as_file(resources.files(__package__) / "data"
-                           / "knots.csv") as path:
-        return batch_rows(path)
+    return batch_rows(os.path.join(_DATA, "knots.csv"))
 
 
 def link_table():
     """List of (name, spec) pairs for the bundled 2-component links."""
-    from importlib import resources
-    with resources.as_file(resources.files(__package__) / "data"
-                           / "links.csv") as path:
-        return batch_rows(path)
+    return batch_rows(os.path.join(_DATA, "links.csv"))

@@ -11,7 +11,8 @@ import sys
 import pytest
 
 import ribboncheck
-from ribboncheck import alexander, cli, laurent, linkcodec, obstruct
+from ribboncheck import (alexander, cli, laurent, linkcodec, obstruct, tables,
+                         wirtinger)
 
 import cli_reference
 import pipeline_reference as reference
@@ -827,6 +828,25 @@ class TestValidate:
         r = run_cli("validate", "pd:X(1,1,2,2);X(3,3,4,5)")
         assert r.returncode == 2
 
+    def test_counts_the_presentation_without_building_it(self, monkeypatch,
+                                                         capsys):
+        # one Wirtinger generator per arc and one relator per crossing
+        def refuse(diagram):
+            raise AssertionError("validate built a presentation")
+
+        monkeypatch.setattr(cli, "wirtinger_presentation", refuse)
+        counts = {}
+        for name, spec in tables.knot_table() + tables.link_table():
+            assert cli.main(["validate", spec]) == 0, name
+            payload = json.loads(capsys.readouterr().out)
+            counts[name] = payload["generators"], payload["relators"]
+            pres, _ = wirtinger.wirtinger_presentation(
+                linkcodec.parse_link_spec(spec))
+            assert counts[name] == (pres.num_generators,
+                                    len(pres.relators)), name
+        assert len(counts) == 41
+        assert (counts["unlink_2"], counts["split_pair"]) == ((2, 0), (2, 1))
+
 
 class TestOracleCheck:
     def test_knot(self):
@@ -1151,17 +1171,28 @@ class TestDeterminism:
 
 
 class TestStartUp:
-    def test_import_loads_neither_dataclasses_nor_inspect(self):
-        # a command's cost is mostly start-up: the first two were about
-        # half of what the package added to a bare interpreter, and
-        # argparse parsed every call twice and loaded gettext
+    def loaded(self, names, *options):
+        """Those of names in sys.modules once a child of the given python
+        options has imported cli and read both tables."""
         program = ("import sys\n"
                    "import ribboncheck.cli\n"
                    "from ribboncheck import tables\n"
                    "tables.knot_table(), tables.link_table()\n"
-                   "print(sorted({'dataclasses', 'inspect', 'argparse',\n"
-                   "              'gettext'} & set(sys.modules)))")
-        r = subprocess.run([sys.executable, "-c", program],
+                   "print(sorted(%r & set(sys.modules)))" % set(names))
+        r = subprocess.run([sys.executable, *options, "-c", program],
                            capture_output=True, text=True, env=child_env())
         assert r.returncode == 0, r.stderr
-        assert r.stdout == "[]\n"
+        return r.stdout
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # a command's cost is mostly start-up: the first two were about
+        # half of what the package added to a bare interpreter, and
+        # argparse parsed every call twice and loaded gettext
+        assert self.loaded({"dataclasses", "inspect", "argparse",
+                            "gettext"}) == "[]\n"
+
+    def test_reading_the_tables_loads_no_resource_machinery(self):
+        # the tables are plain files beside tables.py; -S, because a site
+        # hook may import importlib.resources before the package does
+        assert self.loaded({"importlib.resources", "zipfile", "tempfile",
+                            "pathlib"}, "-S") == "[]\n"

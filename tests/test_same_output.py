@@ -32,35 +32,34 @@ def changed(index, field, value):
 
 class TestFirstDifference:
     def test_identical(self, same_output):
-        assert same_output.first_difference(COMMANDS, RESULTS,
-                                            [list(r) for r in RESULTS]) is None
+        assert same_output.differences(COMMANDS, RESULTS,
+                                       [list(r) for r in RESULTS]) == []
 
     def test_exit_code(self, same_output):
-        diff = same_output.first_difference(COMMANDS, RESULTS,
-                                            changed(1, 0, 3))
+        diff, = same_output.differences(COMMANDS, RESULTS, changed(1, 0, 3))
         assert diff == "validate braid:n=1:: exit code differs: 0 against 3"
 
     def test_stdout_names_the_line(self, same_output):
-        diff = same_output.first_difference(
+        diff, = same_output.differences(
             COMMANDS, RESULTS, changed(2, 1, "row 1\nrow 2\npair 2\n"))
         assert diff == ("batch t.csv --pairs: stdout line 3 differs: "
                         "'pair 1\\n' against 'pair 2\\n'")
 
     def test_missing_last_line(self, same_output):
-        diff = same_output.first_difference(
+        diff, = same_output.differences(
             COMMANDS, RESULTS, changed(2, 1, "row 1\nrow 2\n"))
         assert diff == ("batch t.csv --pairs: stdout line 3 differs: "
                         "'pair 1\\n' against ''")
 
     def test_trailing_newline(self, same_output):
-        diff = same_output.first_difference(
+        diff, = same_output.differences(
             COMMANDS, RESULTS, changed(1, 1, '{"spec": "braid:n=1:"}'))
         assert diff == ("validate braid:n=1:: stdout line 1 differs: "
                         "'{\"spec\": \"braid:n=1:\"}\\n' against "
                         "'{\"spec\": \"braid:n=1:\"}'")
 
     def test_stderr(self, same_output):
-        diff = same_output.first_difference(
+        diff, = same_output.differences(
             COMMANDS, RESULTS, changed(0, 2, "error: x\n"))
         assert diff == ("compute --json braid:n=2:1 1 1: stderr line 1 "
                         "differs: '' against 'error: x\\n'")
@@ -68,8 +67,19 @@ class TestFirstDifference:
     def test_first_of_several(self, same_output):
         results = changed(2, 0, 1)
         results[1][2] = "warning\n"
-        diff = same_output.first_difference(COMMANDS, RESULTS, results)
-        assert diff.startswith("validate braid:n=1:: stderr line 1")
+        first, second = same_output.differences(COMMANDS, RESULTS, results)
+        assert first.startswith("validate braid:n=1:: stderr line 1")
+        assert second == "batch t.csv --pairs: exit code differs: 0 against 1"
+
+    def test_every_differing_command(self, same_output):
+        # each command by its first differing field only
+        results = changed(2, 0, 1)
+        results[2][1] = "row 1\n"
+        results[0][2] = "error: x\n"
+        assert same_output.differences(COMMANDS, RESULTS, results) == [
+            "compute --json braid:n=2:1 1 1: stderr line 1 differs: '' "
+            "against 'error: x\\n'",
+            "batch t.csv --pairs: exit code differs: 0 against 1"]
 
     def test_blocks(self, same_output):
         blocks = [{"rows": 2, "columns": 2, "path": "shortcut"}]
@@ -77,14 +87,14 @@ class TestFirstDifference:
         parent[0][3] = [blocks]
         change = [list(r) for r in parent]
         change[0][3] = [[dict(blocks[0], path="fallback")]]
-        assert same_output.first_difference(COMMANDS, parent, [
-            list(r) for r in parent]) is None
-        diff = same_output.first_difference(COMMANDS, parent, change)
+        assert same_output.differences(COMMANDS, parent, [
+            list(r) for r in parent]) == []
+        diff, = same_output.differences(COMMANDS, parent, change)
         assert diff.startswith("compute --json braid:n=2:1 1 1: blocks "
                                "differs: [[{'rows': 2")
 
     def test_result_counts(self, same_output):
-        diff = same_output.first_difference(COMMANDS, RESULTS, RESULTS[:2])
+        diff, = same_output.differences(COMMANDS, RESULTS, RESULTS[:2])
         assert diff == "result counts differ: 3 commands, 3 and 2 results"
 
 
@@ -105,7 +115,8 @@ def test_main_names_a_usage_command_whose_text_differs(same_output,
     assert same_output.main(["PARENT", "CHANGE"]) == 1
     assert capsys.readouterr().out == (
         "compute: stderr line 1 differs: 'error: missing\\n' against "
-        "'error: needs\\n'\n")
+        "'error: needs\\n'\ndifferences: 1 in %d commands\n"
+        % len(same_output.ARGV_FORMS + same_output.USAGE_COMMANDS))
 
 
 # the path of each block of each FALLBACK_CLOSURES entry, in order

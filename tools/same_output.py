@@ -413,11 +413,12 @@ def run_side(tree, commands):
             for code, out, err, blocks in json.loads(proc.stdout)]
 
 
-def first_difference(commands, parent, change):
-    """None if every result agrees, else a message naming the first miss."""
+def differences(commands, parent, change):
+    """A message per command whose results differ, naming its first miss."""
     if len(parent) != len(change) or len(parent) != len(commands):
-        return "result counts differ: %d commands, %d and %d results" % (
-            len(commands), len(parent), len(change))
+        return ["result counts differ: %d commands, %d and %d results" % (
+            len(commands), len(parent), len(change))]
+    found = []
     for argv, a, b in zip(commands, parent, change):
         for name, x, y in zip(("exit code", "stdout", "stderr", "blocks"),
                               a, b):
@@ -429,9 +430,10 @@ def first_difference(commands, parent, change):
                 n, (x, y) = next((n, pair) for n, pair in enumerate(lines, 1)
                                  if pair[0] != pair[1])
                 name += " line %d" % n
-            return "%s: %s differs: %r against %r" % (
-                " ".join(argv)[:200], name, x, y)
-    return None
+            found.append("%s: %s differs: %r against %r" % (
+                " ".join(argv)[:200], name, x, y))
+            break
+    return found
 
 
 def main(argv=None):
@@ -449,9 +451,10 @@ def main(argv=None):
                 (tree / path).write_text(text, encoding="utf-8")
         results = {side: run_side(tree, commands)
                    for side, tree in trees.items()}
-    diff = first_difference(commands, results["parent"], results["change"])
-    if diff:
-        print(diff)
+    found = differences(commands, results["parent"], results["change"])
+    if found:
+        print("\n".join(found))
+        print("differences: %d in %d commands" % (len(found), len(commands)))
         return 1
     print("%d commands: identical exit codes, stdout, stderr and blocks"
           % len(commands))
