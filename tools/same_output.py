@@ -73,8 +73,8 @@ tree's own path replaced by "<tree>".  For every `compute` command the
 child also records source["blocks"] of each polynomial that
 `ribboncheck.cli.alexander_polynomial` returns, the rows, columns and
 path of every reduced block, and those are compared too.  The exit
-code is 0 when every command agrees, and 1 after naming the first
-command that does not.
+code is 0 when every command agrees, and 1 after naming every command
+that does not, each by its first differing field, and their count.
 """
 
 import argparse
